@@ -159,6 +159,16 @@ echo "==> scale smoke (sparse engine matches the dense oracle at 10^4 nodes)"
 # magnitude off the numbers the gate is calibrated against.
 cargo run -q --release -p rbcast-bench --bin scale_bench -- --smoke
 
+echo "==> benchmark smoke (benchmark/ still builds against crates/* and emits every declared metric)"
+# benchmark/ is a package of its own with its own lock file, outside the
+# workspace: an API change under crates/ that breaks it fails here, not
+# at the next measurement. --check runs every workload and both passes
+# at toy size (~2 s after the build).
+benchmark/run.sh --check
+
+echo "==> benchmark comparer self-test (two baseline sets of one commit: nothing worse)"
+benchmark/run.sh compare benchmark/baseline/set1.json benchmark/baseline/set2.json
+
 echo "==> BENCH_scale.json shape (checked-in scale baseline is current)"
 grep -q '"schema": "rbcast-bench-scale/v2"' BENCH_scale.json \
     || { echo "BENCH_scale.json: missing/wrong schema tag"; exit 1; }

@@ -26,7 +26,6 @@ use crate::evidence::{CommitRule, EvidenceStore, Geometry};
 use crate::{Msg, ProtocolParams};
 use rbcast_grid::{Coord, Metric, NodeId};
 use rbcast_sim::{Ctx, Process, Value};
-use std::collections::BTreeMap;
 
 /// Slots in the per-node duplicate-`HEARD` cache. Direct-mapped and
 /// deliberately tiny: the cache only needs to absorb the bursty
@@ -139,9 +138,11 @@ pub struct Indirect {
     params: ProtocolParams,
     config: IndirectConfig,
     evidence: EvidenceStore,
-    /// First `COMMITTED` value heard per neighbor (§V: on contradiction,
-    /// accept only the first).
-    first_commit: BTreeMap<NodeId, Value>,
+    /// Neighbors whose first `COMMITTED` has been heard (§V: on
+    /// contradiction, accept only the first — the value itself lives in
+    /// the evidence store). Membership only, kept sorted: at most
+    /// (2r+1)² − 1 ids, so a binary search over one small allocation.
+    first_commit: Vec<NodeId>,
     /// Duplicate-`HEARD` short-circuit cache.
     seen: SeenCache,
     committed: bool,
@@ -155,7 +156,7 @@ impl Indirect {
             params,
             config,
             evidence: EvidenceStore::new(params.t, config.rule),
-            first_commit: BTreeMap::new(),
+            first_commit: Vec::new(),
             seen: SeenCache::new(),
             committed: false,
         }
@@ -187,10 +188,10 @@ impl Indirect {
     fn observe_commit(&mut self, ctx: &mut Ctx<'_, Msg>, committer: NodeId, v: Value) {
         // First announcement per neighbor only (duplicity is detectable
         // on a broadcast channel; everyone keeps the first).
-        if self.first_commit.contains_key(&committer) {
+        let Err(at) = self.first_commit.binary_search(&committer) else {
             return;
-        }
-        self.first_commit.insert(committer, v);
+        };
+        self.first_commit.insert(at, committer);
         self.evidence.record_direct(committer, v);
         // Relay the report one hop, affixing our identifier.
         if self.config.max_relays >= 1 {
@@ -348,7 +349,7 @@ impl Process<Msg> for Indirect {
                 // repr makes the fan-out a pure copy: extend in place,
                 // no per-hop reallocation.
                 if new
-                    && !self.first_commit.contains_key(&committer)
+                    && self.first_commit.binary_search(&committer).is_err()
                     && chain.len() < self.config.max_relays
                     && Self::fits_single_neighborhood(ctx, committer_coord, relays, true)
                 {

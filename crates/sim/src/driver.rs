@@ -28,6 +28,7 @@
 //! over the same topology.
 
 use crate::process::{DecisionLedger, NodeState};
+use crate::trace::{fold_words, FNV_OFFSET};
 use crate::{Ctx, Process, Round, Value};
 use rbcast_grid::{NeighborTable, NodeId, TdmaSchedule};
 use std::collections::BTreeMap;
@@ -155,11 +156,9 @@ impl<M> NodeDriver<M> {
     }
 
     fn with_ctx<F: FnOnce(&mut dyn Process<M>, &mut Ctx<'_, M>)>(&mut self, f: F) {
-        let arena = Arc::clone(&self.arena);
         let mut ctx = Ctx {
             id: self.id,
-            coord: arena.torus().coord(self.id),
-            arena: &arena,
+            arena: &self.arena,
             round: self.round,
             state: &mut self.state,
             messages_sent: &mut self.messages_sent,
@@ -330,9 +329,6 @@ impl<M> InstanceHost<M> {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
 /// FNV-1a digest over a decision set: entries are sorted by
 /// `(instance, node)` first, so any enumeration order of the same
 /// decisions folds to the same digest. The sim oracle and the networked
@@ -342,21 +338,20 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 pub fn commit_digest(decisions: &[(InstanceId, NodeId, Value, Round)]) -> u64 {
     let mut sorted: Vec<_> = decisions.to_vec();
     sorted.sort_unstable();
-    let mut h = FNV_OFFSET;
-    let mut eat = |x: u64| {
-        for b in x.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    };
+    let mut hash = FNV_OFFSET;
     for &(inst, node, value, round) in &sorted {
-        eat(u64::from(inst.origin.0));
-        eat(u64::from(inst.seq));
-        eat(u64::from(node.0));
-        eat(u64::from(value));
-        eat(u64::from(round));
+        fold_words(
+            &mut hash,
+            &[
+                u64::from(inst.origin.0),
+                u64::from(inst.seq),
+                u64::from(node.0),
+                u64::from(value),
+                u64::from(round),
+            ],
+        );
     }
-    h
+    hash
 }
 
 #[cfg(test)]
@@ -452,6 +447,54 @@ mod tests {
         }
         let got: Vec<Option<(Value, Round)>> = (0..n).map(|i| drivers[i].decision()).collect();
         assert_eq!(got, expect, "driver decisions diverge from the network");
+    }
+
+    /// `Ctx::coord()` is computed on demand from the arena; the three
+    /// `Ctx` constructors (`Network`, `NodeDriver`, `Harness`) must all
+    /// report the torus's own id → coordinate map. A non-square torus
+    /// makes a width/height mix-up visible.
+    #[test]
+    fn ctx_coord_agrees_across_network_driver_and_harness() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        type Seen = Rc<RefCell<Vec<(NodeId, Coord)>>>;
+        struct Locate(Seen);
+        impl Process<bool> for Locate {
+            fn on_start(&mut self, ctx: &mut Ctx<'_, bool>) {
+                self.0.borrow_mut().push((ctx.id(), ctx.coord()));
+            }
+            fn on_message(&mut self, _: &mut Ctx<'_, bool>, _: NodeId, _: &bool) {}
+        }
+
+        let torus = Torus::new(9, 7);
+        let arena = Arc::new(NeighborTable::build(&torus, 1, Metric::Linf));
+        let expect: Vec<(NodeId, Coord)> =
+            torus.node_ids().map(|id| (id, torus.coord(id))).collect();
+        assert_eq!(expect[10].1, Coord::new(1, 1), "9 wide: id 10 is (1, 1)");
+
+        let via_network: Seen = Rc::default();
+        let mut net =
+            Network::with_arena(Arc::clone(&arena), crate::ChannelConfig::reliable(), |_| {
+                Box::new(Locate(via_network.clone())) as Box<dyn Process<bool>>
+            });
+        net.run(1);
+        // Round 0 visits nodes in transmission order, not id order.
+        via_network.borrow_mut().sort_unstable_by_key(|&(id, _)| id);
+        assert_eq!(*via_network.borrow(), expect);
+
+        let via_driver: Seen = Rc::default();
+        for id in torus.node_ids() {
+            let _ = NodeDriver::new(Arc::clone(&arena), id, Box::new(Locate(via_driver.clone())));
+        }
+        assert_eq!(*via_driver.borrow(), expect);
+
+        let via_harness: Seen = Rc::default();
+        for id in torus.node_ids() {
+            let mut harness = crate::Harness::<bool>::new(torus.clone(), 1, Metric::Linf, id);
+            harness.start(&mut Locate(via_harness.clone()));
+        }
+        assert_eq!(*via_harness.borrow(), expect);
     }
 
     #[test]

@@ -61,7 +61,6 @@ impl<M> Harness<M> {
     fn with_ctx<F: FnOnce(&mut Ctx<'_, M>)>(&mut self, f: F) {
         let mut ctx = Ctx {
             id: self.id,
-            coord: self.arena.torus().coord(self.id),
             arena: &self.arena,
             round: self.round,
             state: &mut self.state,

@@ -75,7 +75,7 @@ pub struct Network<M> {
     /// transmission order without consulting the schedule.
     rank_of: Vec<u32>,
     engine: EngineKind,
-    processes: Vec<Option<Box<dyn Process<M>>>>,
+    processes: Vec<Box<dyn Process<M>>>,
     states: Vec<NodeState<M>>,
     /// SoA crash schedule: round at which each node crash-stops,
     /// [`NEVER`] if it doesn't. Replaces a `Vec<Option<Round>>` so the
@@ -132,6 +132,9 @@ pub struct Network<M> {
     /// vector): which jammer, if any, collides each transmission.
     /// Hoisted out of the round loop — same pattern as `PackScratch`.
     jam_scratch: Vec<Option<NodeId>>,
+    /// Reusable on-air vector: each round's transmissions are collected
+    /// into the previous round's (drained) allocation.
+    on_air: Vec<Transmission<M>>,
 }
 
 impl<M> Network<M> {
@@ -185,7 +188,7 @@ impl<M> Network<M> {
         // runtime via the driver module so both sort identically.
         let order = crate::driver::transmission_order(&arena);
         let rank_of = crate::driver::transmission_ranks(&order, n);
-        let processes = torus.node_ids().map(|id| Some(make(id))).collect();
+        let processes = torus.node_ids().map(&mut make).collect();
         let states = (0..n).map(|_| NodeState::default()).collect();
         Network {
             arena,
@@ -216,6 +219,7 @@ impl<M> Network<M> {
             wake: BitSet::new(n),
             frontier: Vec::new(),
             jam_scratch: Vec::new(),
+            on_air: Vec::new(),
         }
     }
 
@@ -348,6 +352,7 @@ impl<M> Network<M> {
         let order = std::mem::take(&mut self.order);
         let arena = Arc::clone(&self.arena);
         let sparse = self.engine == EngineKind::Sparse;
+        let lossy = self.channel.burst.is_some() || self.channel.loss != 0.0;
 
         // Round 0 runs dense under both engines: every process gets its
         // `on_start` and first `on_round_end` regardless of traffic.
@@ -377,7 +382,8 @@ impl<M> Network<M> {
         // Round-0 decisions (e.g. a source committing at start-up)
         // predate the first delivery round; surface them in the stream.
         self.scan_decisions(0);
-        let mut on_air = self.collect_transmissions(&order, 0);
+        let mut on_air = std::mem::take(&mut self.on_air);
+        self.collect_transmissions(&order, 0, &mut on_air);
 
         let mut round: Round = 0;
         let mut early_stopped = false;
@@ -394,8 +400,8 @@ impl<M> Network<M> {
             // jammed transmission is lost exactly at receivers within the
             // jammer's range.
             self.assign_jammers(&arena, &on_air, round);
-            self.jammed_transmissions += self.jam_scratch.iter().flatten().count() as u64;
-            if self.tracing() {
+            let tracing = self.tracing();
+            if tracing {
                 self.emit(TraceEvent::RoundStart {
                     round,
                     on_air: on_air.len() as u64,
@@ -407,7 +413,7 @@ impl<M> Network<M> {
             // Deliver everything on the air, in global transmission
             // order, walking each sender's fan-out as a flat CSR slice.
             for (tx_index, tx) in on_air.iter().enumerate() {
-                if self.tracing() {
+                if tracing {
                     self.emit(TraceEvent::Transmission {
                         round,
                         index: tx_index as u64,
@@ -415,11 +421,12 @@ impl<M> Network<M> {
                         claimed: tx.claimed.index() as u64,
                     });
                 }
+                let jammer = self.jam_scratch[tx_index];
                 for &rid in arena.neighbors(tx.sender) {
                     if self.is_crashed(rid, round) {
                         continue;
                     }
-                    if let Some(jammer) = self.jam_scratch[tx_index] {
+                    if let Some(jammer) = jammer {
                         if arena.torus().within(
                             arena.torus().coord(jammer),
                             arena.torus().coord(rid),
@@ -427,7 +434,7 @@ impl<M> Network<M> {
                             arena.metric(),
                         ) {
                             self.jammed_deliveries += 1;
-                            if self.tracing() {
+                            if tracing {
                                 self.emit(TraceEvent::Jammed {
                                     round,
                                     index: tx_index as u64,
@@ -438,9 +445,9 @@ impl<M> Network<M> {
                             continue;
                         }
                     }
-                    if delivery_lost(&self.channel, round, tx_index, tx.sender, rid) {
+                    if lossy && delivery_lost(&self.channel, round, tx_index, tx.sender, rid) {
                         self.lost_deliveries += 1;
-                        if self.tracing() {
+                        if tracing {
                             self.emit(TraceEvent::Lost {
                                 round,
                                 index: tx_index as u64,
@@ -544,14 +551,13 @@ impl<M> Network<M> {
             // in TDMA rank order) is exactly the set of possibly
             // non-empty outboxes — collecting it yields the identical
             // transmission vector the dense full sweep would.
-            on_air = if sparse {
+            if sparse {
                 let frontier = std::mem::take(&mut self.frontier);
-                let out = self.collect_transmissions(&frontier, round);
+                self.collect_transmissions(&frontier, round, &mut on_air);
                 self.frontier = frontier;
-                out
             } else {
-                self.collect_transmissions(&order, round)
-            };
+                self.collect_transmissions(&order, round, &mut on_air);
+            }
             if self.hash_frozen && self.early_termination {
                 early_stopped = !on_air.is_empty();
                 break;
@@ -571,6 +577,7 @@ impl<M> Network<M> {
         } else {
             StopReason::RoundCap
         };
+        self.on_air = on_air;
         RunStats {
             rounds: round,
             stop_reason,
@@ -700,6 +707,7 @@ impl<M> Network<M> {
                 if reachable {
                     self.jam_scratch[i] = Some(jammer);
                     self.jam_remaining[j] -= 1;
+                    self.jammed_transmissions += 1;
                 }
             }
         }
@@ -801,31 +809,24 @@ impl<M> Network<M> {
     /// state after a run).
     #[must_use]
     pub fn process(&self, id: NodeId) -> &dyn Process<M> {
-        self.processes[id.index()]
-            .as_deref()
-            .expect("process present outside callback")
+        self.processes[id.index()].as_ref()
     }
 
     fn with_ctx<F>(&mut self, id: NodeId, round: Round, f: F)
     where
         F: FnOnce(&mut dyn Process<M>, &mut Ctx<'_, M>),
     {
-        let mut proc = self.processes[id.index()]
-            .take()
-            .expect("re-entrant process callback");
-        {
-            let mut ctx = Ctx {
-                id,
-                coord: self.arena.torus().coord(id),
-                arena: &self.arena,
-                round,
-                state: &mut self.states[id.index()],
-                messages_sent: &mut self.messages_sent,
-                ledger: &mut self.ledger,
-            };
-            f(proc.as_mut(), &mut ctx);
-        }
-        self.processes[id.index()] = Some(proc);
+        // Disjoint field borrows: the process box, its node state, the
+        // send counter and the ledger are lent to the callback in place.
+        let mut ctx = Ctx {
+            id,
+            arena: &self.arena,
+            round,
+            state: &mut self.states[id.index()],
+            messages_sent: &mut self.messages_sent,
+            ledger: &mut self.ledger,
+        };
+        f(self.processes[id.index()].as_mut(), &mut ctx);
         // Forward any notes the callback queued. Taking the vec is free
         // when empty; events are constructed only while tracing.
         if !self.states[id.index()].notes.is_empty() {
@@ -843,11 +844,17 @@ impl<M> Network<M> {
         }
     }
 
-    /// Drains outboxes in transmission order; crashed nodes stay silent.
-    /// Forged identities are honoured only when the channel allows
-    /// spoofing.
-    fn collect_transmissions(&mut self, order: &[NodeId], round: Round) -> Vec<Transmission<M>> {
-        let mut out = Vec::new();
+    /// Drains outboxes in transmission order into `out` (cleared first;
+    /// its allocation is reused round after round); crashed nodes stay
+    /// silent. Forged identities are honoured only when the channel
+    /// allows spoofing.
+    fn collect_transmissions(
+        &mut self,
+        order: &[NodeId],
+        round: Round,
+        out: &mut Vec<Transmission<M>>,
+    ) {
+        out.clear();
         for &id in order {
             if self.is_crashed(id, round) {
                 self.states[id.index()].outbox.clear();
@@ -865,7 +872,6 @@ impl<M> Network<M> {
                 });
             }
         }
-        out
     }
 }
 
@@ -1491,6 +1497,68 @@ mod tests {
         let (mut once, _t2, _l2) = recorder_net(&[(Coord::new(5, 5), 7)], false);
         once.run(10);
         assert_eq!(twice.trace_hash(), once.trace_hash());
+    }
+
+    #[test]
+    fn capped_run_leaves_nothing_on_the_air_for_the_next() {
+        // The on-air vector is reused across rounds and runs. A run the
+        // cap stops ends with undelivered transmissions still in it; the
+        // next run must start from its own round-0 outboxes alone.
+        let rerun = || {
+            let (mut net, _torus, _log) = recorder_net(&[(Coord::new(5, 5), 7)], true);
+            let first = net.run(1);
+            assert_eq!(first.stop_reason, StopReason::RoundCap);
+            assert_eq!(first.messages_sent, 1 + 24, "24 echoes left on the air");
+            let second = net.run(30);
+            assert_eq!(net.history().len() as u32, second.rounds);
+            assert_eq!(
+                net.history()[0].transmissions,
+                1,
+                "the first run's undelivered echoes leaked into the second"
+            );
+            assert_eq!(second.deliveries, 24);
+            (second, net.trace_hash())
+        };
+        assert_eq!(rerun(), rerun());
+    }
+
+    #[test]
+    fn recorded_jsonl_replays_to_the_network_hash() {
+        // A real `JsonlSink` recording, on a torus whose node ids need
+        // two bytes: the fold's zero-byte shortcut and its live-byte loop
+        // are both on the path, live and replayed.
+        struct SharedBuf(Rc<RefCell<Vec<u8>>>);
+        impl std::io::Write for SharedBuf {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.borrow_mut().extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let torus = Torus::new(20, 20);
+        let talker = torus.id(Coord::new(5, 5));
+        let mut net = Network::new(torus, 2, Metric::Linf, |id| {
+            Box::new(Recorder {
+                echo: true,
+                start_value: (id == talker).then_some(1),
+                log: Rc::new(RefCell::new(Vec::new())),
+                echoed: false,
+            }) as Box<dyn Process<u32>>
+        });
+        let bytes = Rc::new(RefCell::new(Vec::new()));
+        net.set_trace_sink(Box::new(crate::trace::JsonlSink::new(SharedBuf(
+            bytes.clone(),
+        ))));
+        let stats = net.run(30);
+        assert_eq!(stats.messages_sent, 1 + 400);
+        let jsonl = String::from_utf8(bytes.borrow().clone()).expect("trace is utf-8");
+        assert!(jsonl.contains("\"receiver\":399"));
+        assert_eq!(
+            crate::trace::replay_hash(&jsonl).expect("well-formed"),
+            net.trace_hash()
+        );
     }
 
     #[test]

@@ -138,7 +138,6 @@ impl DecisionLedger {
 #[derive(Debug)]
 pub struct Ctx<'a, M> {
     pub(crate) id: NodeId,
-    pub(crate) coord: Coord,
     pub(crate) arena: &'a NeighborTable,
     pub(crate) round: Round,
     pub(crate) state: &'a mut NodeState<M>,
@@ -154,9 +153,11 @@ impl<'a, M> Ctx<'a, M> {
     }
 
     /// This node's grid coordinate (canonical torus representative).
+    /// Computed on demand: few callbacks read it, so no constructor pays
+    /// the id → coordinate division up front.
     #[must_use]
     pub fn coord(&self) -> Coord {
-        self.coord
+        self.arena.torus().coord(self.id)
     }
 
     /// The shared topology arena: precomputed CSR neighbor lists and the

@@ -21,14 +21,39 @@ pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime.
 pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Folds words into an FNV-1a accumulator, byte by byte, little-endian.
-pub fn fold_words(hash: &mut u64, words: &[u64]) {
-    for w in words {
-        for byte in w.to_le_bytes() {
-            *hash ^= u64::from(byte);
-            *hash = hash.wrapping_mul(FNV_PRIME);
-        }
+/// `PRIME_POW[k] = FNV_PRIME^k (mod 2^64)`, `k = 0..=8`.
+const PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < pow.len() {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
     }
+    pow
+};
+
+/// Folds words into an FNV-1a accumulator — the digest of each word's
+/// eight little-endian bytes, in order.
+///
+/// FNV-1a on a zero byte is `h ← h·P`, and `wrapping_mul` is
+/// associative, so the `k` zero bytes above a word's top live byte
+/// collapse into that byte's own multiply: `(h ^ b)·P·P^k`. Only the
+/// live low bytes pay an xor-mul step each; node ids, rounds and
+/// transmission indices are one to three bytes wide, which is what
+/// makes the per-delivery fold cheap.
+pub fn fold_words(hash: &mut u64, words: &[u64]) {
+    let mut h = *hash;
+    for &word in words {
+        // A zero word keeps its lowest byte "live": 0x00 then seven zeros.
+        let zero_bytes = ((word | 1).leading_zeros() / 8) as usize;
+        let mut rest = word;
+        while rest > 0xff {
+            h = (h ^ (rest & 0xff)).wrapping_mul(FNV_PRIME);
+            rest >>= 8;
+        }
+        h = (h ^ rest).wrapping_mul(PRIME_POW[zero_bytes + 1]);
+    }
+    *hash = h;
 }
 
 /// One-shot FNV-1a digest of a word sequence — the same fold the trace
@@ -384,19 +409,64 @@ fn json_field_u64(line: &str, key: &str) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    const _: () = {
+        let mut k = 0;
+        while k < PRIME_POW.len() {
+            assert!(PRIME_POW[k] == FNV_PRIME.wrapping_pow(k as u32));
+            k += 1;
+        }
+    };
+
+    /// Textbook FNV-1a over the words' little-endian bytes: the digest
+    /// [`fold_words`] must equal, one xor-mul step per byte.
+    fn fold_words_bytewise(hash: &mut u64, words: &[u64]) {
+        for w in words {
+            for byte in w.to_le_bytes() {
+                *hash ^= u64::from(byte);
+                *hash = hash.wrapping_mul(FNV_PRIME);
+            }
+        }
+    }
 
     #[test]
     fn fold_matches_manual_fnv() {
-        let mut hash = FNV_OFFSET;
-        fold_words(&mut hash, &[1, 2, 3]);
-        let mut manual = FNV_OFFSET;
-        for w in [1u64, 2, 3] {
-            for b in w.to_le_bytes() {
-                manual ^= u64::from(b);
-                manual = manual.wrapping_mul(FNV_PRIME);
+        // Every count of zero high bytes (8 down to 0), a zero byte
+        // below a live one, and the all-ones word.
+        let edges = [0, 0xff, 0x100, 0x0001_0000, 1 << 56, u64::MAX, 1, 2, 3];
+        for seed in [FNV_OFFSET, 0, u64::MAX] {
+            for w in edges {
+                let (mut fast, mut manual) = (seed, seed);
+                fold_words(&mut fast, &[w]);
+                fold_words_bytewise(&mut manual, &[w]);
+                assert_eq!(fast, manual, "seed {seed:#x}, word {w:#x}");
             }
+            let (mut fast, mut manual) = (seed, seed);
+            fold_words(&mut fast, &edges);
+            fold_words_bytewise(&mut manual, &edges);
+            assert_eq!(fast, manual, "seed {seed:#x}, all edge words");
         }
-        assert_eq!(hash, manual);
+    }
+
+    proptest! {
+        /// The zero-byte shortcut is the byte-serial digest for any
+        /// starting hash and any words. Words are shifted right by a
+        /// random amount so every high-zero-byte count is exercised (a
+        /// uniform `u64` almost never has one).
+        #[test]
+        fn fold_equals_the_bytewise_reference(
+            seed in 0u64..=u64::MAX,
+            words in proptest::collection::vec(
+                (0u64..=u64::MAX, 0u32..64).prop_map(|(w, shift)| w >> shift),
+                0..12,
+            ),
+        ) {
+            let (mut fast, mut manual) = (seed, seed);
+            fold_words(&mut fast, &words);
+            fold_words_bytewise(&mut manual, &words);
+            prop_assert_eq!(fast, manual);
+        }
     }
 
     #[test]
