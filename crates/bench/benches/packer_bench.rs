@@ -27,6 +27,23 @@ fn adversarial_packer(chains: u64) -> ChainPacker {
     p
 }
 
+/// The r=2 Byzantine storm as one uncommitted node holds it: 10
+/// disjoint 3-relay chains, and 4 liars each affixing itself to a relay
+/// of every one of them — the shape `byz_full_r2` packs thousands of
+/// times a run, where proving the maximum needs the exact search.
+fn r2_liar_packer() -> ChainPacker {
+    let mut p = ChainPacker::new();
+    for k in 0..10u64 {
+        p.insert(&[100 + 3 * k, 101 + 3 * k, 102 + 3 * k]);
+    }
+    for liar in 0..4u64 {
+        for k in 0..10u64 {
+            p.insert(&[100 + 3 * k + liar % 3, 900 + liar]);
+        }
+    }
+    p
+}
+
 fn bench_insert(c: &mut Criterion) {
     let mut group = c.benchmark_group("packer_insert");
     for n in [100u64, 1_000] {
@@ -45,6 +62,7 @@ fn bench_insert(c: &mut Criterion) {
             });
         });
     }
+    group.bench_function("r2_liars", |b| b.iter(r2_liar_packer));
     group.finish();
 }
 
@@ -60,6 +78,11 @@ fn bench_max_disjoint(c: &mut Criterion) {
             b.iter(|| adv.max_disjoint(|_| true, 11));
         });
     }
+    let liars = r2_liar_packer();
+    // 12 is the maximum, so a target of 13 makes the search prove it.
+    group.bench_function("r2_liars", |b| {
+        b.iter(|| liars.max_disjoint(|_| true, 13));
+    });
     group.finish();
 }
 

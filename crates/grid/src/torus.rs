@@ -94,12 +94,21 @@ impl Torus {
         false
     }
 
-    /// Canonical (wrapped) representative of `c`.
+    /// Canonical (wrapped) representative of `c`. A component already in
+    /// `[0, dim)` — every coordinate the arena hands out — is returned
+    /// untouched; only out-of-range components pay the division.
     #[must_use]
     pub fn canonical(&self, c: Coord) -> Coord {
+        let wrap = |v: i64, dim: i64| -> i64 {
+            if (0..dim).contains(&v) {
+                v
+            } else {
+                v.rem_euclid(dim)
+            }
+        };
         Coord::new(
-            c.x.rem_euclid(i64::from(self.width)),
-            c.y.rem_euclid(i64::from(self.height)),
+            wrap(c.x, i64::from(self.width)),
+            wrap(c.y, i64::from(self.height)),
         )
     }
 
@@ -128,8 +137,10 @@ impl Torus {
     /// reduced to the range `(-dim/2, dim/2]`.
     #[must_use]
     pub fn displacement(&self, a: Coord, b: Coord) -> Coord {
+        // Both operands are canonical, so `d` lies in `(-dim, dim)` and one
+        // conditional add is its Euclidean remainder.
         let wrap = |d: i64, dim: i64| -> i64 {
-            let d = d.rem_euclid(dim);
+            let d = if d < 0 { d + dim } else { d };
             if d > dim / 2 {
                 d - dim
             } else {
@@ -242,6 +253,43 @@ mod tests {
             t.displacement(Coord::ORIGIN, Coord::new(5, 5)),
             Coord::new(5, 5)
         );
+    }
+
+    #[test]
+    fn wrap_fast_paths_equal_the_rem_euclid_reference_exhaustively() {
+        // `canonical` skips the division for in-range components and
+        // `displacement` wraps with a compare-and-add; both must equal the
+        // all-`rem_euclid` definitions on every input, seams included.
+        let wrap = |d: i64, dim: i64| {
+            let d = d.rem_euclid(dim);
+            if d > dim / 2 {
+                d - dim
+            } else {
+                d
+            }
+        };
+        for dim in [1u32, 2, 3, 7, 8, 12, 20] {
+            // a square torus and a rectangular one, so x and y wrap apart
+            for t in [Torus::new(dim, dim), Torus::new(dim, 2 * dim + 1)] {
+                let (w, h) = (i64::from(t.width()), i64::from(t.height()));
+                let span = -3 * i64::from(dim)..=3 * i64::from(dim);
+                let b = Coord::new(w / 3, h - 1);
+                for x in span.clone() {
+                    for y in span.clone() {
+                        let a = Coord::new(x, y);
+                        let canon = Coord::new(x.rem_euclid(w), y.rem_euclid(h));
+                        assert_eq!(t.canonical(a), canon, "{t} {a}");
+                        for (from, to) in [(a, b), (b, a), (a, Coord::new(y, x))] {
+                            let expect = Coord::new(
+                                wrap(to.x.rem_euclid(w) - from.x.rem_euclid(w), w),
+                                wrap(to.y.rem_euclid(h) - from.y.rem_euclid(h), h),
+                            );
+                            assert_eq!(t.displacement(from, to), expect, "{t} {from}->{to}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -114,9 +114,14 @@ pub struct EvidenceStore {
     /// already dense: two packers, no keying at all.
     combined: [ChainPacker; 2],
     /// Pairs whose evidence changed since the last evaluation.
-    /// Unsorted and possibly duplicated; drained sorted + deduped so
-    /// the refresh order matches the old ordered-set drain exactly.
+    /// Unsorted; drained sorted + deduped so the refresh order matches
+    /// the old ordered-set drain exactly.
     dirty: Vec<(NodeId, Value)>,
+    /// `dirty_mark[2 * slot + value]` is set while that pair sits in
+    /// `dirty`, so a dense pair is listed once however many chains
+    /// arrive — a committed node records but never drains. Sized in
+    /// [`EvidenceStore::bind`] like `slots`.
+    dirty_mark: Vec<bool>,
     /// Committers reliably determined (first value wins).
     determined: BTreeMap<NodeId, Value>,
     /// Set when a commit re-evaluation is warranted.
@@ -185,6 +190,7 @@ impl EvidenceStore {
         if self.rule == CommitRule::TwoLevel {
             // audit:allow(checked-threshold-arith): slot-vector sizing, not bound arithmetic
             self.slots.resize_with(2 * frame.slots(), ChainPacker::new);
+            self.dirty_mark.resize(self.slots.len(), false);
             self.frame = Some(frame);
         }
     }
@@ -212,14 +218,16 @@ impl EvidenceStore {
                 let Some(keys) = KeyBuf::pack(None, relays) else {
                     return false;
                 };
-                let packer = match self.slot_index(committer) {
-                    // audit:allow(checked-threshold-arith): dense slot indexing, not bound arithmetic
-                    Some(slot) => &mut self.slots[2 * slot + usize::from(v)],
+                let slot = self.slot_index(committer);
+                // audit:allow(checked-threshold-arith): dense slot indexing, not bound arithmetic
+                let dense = slot.map(|slot| 2 * slot + usize::from(v));
+                let packer = match dense {
+                    Some(i) => &mut self.slots[i],
                     None => self.packers.entry((committer, v)).or_default(),
                 };
                 let new = packer.insert(keys.as_slice());
-                if new && !self.determined.contains_key(&committer) {
-                    self.dirty.push((committer, v));
+                if new {
+                    self.mark_dirty(dense, committer, v);
                 }
                 new
             }
@@ -234,6 +242,23 @@ impl EvidenceStore {
                 new
             }
         }
+    }
+
+    /// Lists `(committer, v)` for the next level-1 refresh, once: a dense
+    /// pair by its mark, a spill pair against the last entry (a forged
+    /// committer's burst; the sorted drain dedups the rest).
+    fn mark_dirty(&mut self, dense: Option<usize>, committer: NodeId, v: Value) {
+        let listed = match dense {
+            Some(i) => self.dirty_mark[i],
+            None => self.dirty.last() == Some(&(committer, v)),
+        };
+        if listed || self.determined.contains_key(&committer) {
+            return;
+        }
+        if let Some(i) = dense {
+            self.dirty_mark[i] = true;
+        }
+        self.dirty.push((committer, v));
     }
 
     /// Committers reliably determined so far (two-level rule).
@@ -269,7 +294,9 @@ impl EvidenceStore {
             fold_words(hash, &[key, u64::from(p.has_direct())]);
             for c in p.iter() {
                 fold_words(hash, &[c.relays().len() as u64]);
-                fold_words(hash, c.relays());
+                for &relay in c.relays() {
+                    fold_words(hash, &[u64::from(relay)]);
+                }
             }
         };
         for (slot, p) in self.slots.iter().enumerate() {
@@ -304,6 +331,9 @@ impl EvidenceStore {
         // iteration order of the ordered set this list replaced, so
         // refresh order is identical on every run with the same seed.
         let mut dirty = std::mem::take(&mut self.dirty);
+        if !dirty.is_empty() {
+            self.dirty_mark.fill(false);
+        }
         dirty.sort_unstable();
         dirty.dedup();
         // Take the scratch out so packing queries can borrow it mutably
@@ -388,7 +418,6 @@ impl EvidenceStore {
             return None;
         }
         self.commit_dirty = false;
-        self.dirty.clear();
         let need = (self.t + 1) as u32;
         let mut scratch = std::mem::take(&mut self.scratch);
         let mut committed = None;
@@ -781,6 +810,75 @@ mod tests {
         clean.record_chain(near, true, &[id(&torus, 11, 12)]);
         clean.record_chain(near, true, &[id(&torus, 12, 11)]);
         assert_ne!(clean.digest(), bound.digest(), "spill chains are folded");
+    }
+
+    #[test]
+    fn digest_is_pinned_for_a_fixed_two_level_stream() {
+        // Dense slots, a direct observation and one spill committer. The
+        // value was computed when chains stored `u64` relays and `digest`
+        // folded them as a slice; it must not move with the layout.
+        let torus = Torus::new(24, 24);
+        let table = table(&torus);
+        let me = Coord::new(10, 10);
+        let mut ev = EvidenceStore::new(1, CommitRule::TwoLevel);
+        ev.bind(table.local_frame(me, 6));
+        let near = id(&torus, 12, 12);
+        let other = id(&torus, 9, 8);
+        let far = id(&torus, 22, 22);
+        ev.record_direct(other, true);
+        ev.record_chain(near, true, &[id(&torus, 11, 12)]);
+        ev.record_chain(near, true, &[id(&torus, 12, 11), id(&torus, 11, 11)]);
+        ev.record_chain(
+            near,
+            false,
+            &[id(&torus, 13, 11), id(&torus, 12, 10), id(&torus, 11, 10)],
+        );
+        ev.record_chain(other, true, &[id(&torus, 9, 9)]);
+        ev.record_chain(far, false, &[id(&torus, 11, 11)]);
+        ev.record_chain(far, false, &[id(&torus, 13, 11), id(&torus, 11, 9)]);
+        assert_eq!(ev.chain_count(), 7);
+        assert_eq!(ev.digest(), 0xde42_5854_baca_d606);
+    }
+
+    #[test]
+    fn dirty_list_is_bounded_by_distinct_pairs() {
+        // A committed node keeps recording but never evaluates, so the
+        // dirty list must not grow with the chains that arrive: 1 000 new
+        // chains about 3 committers (both values) list at most 6 pairs.
+        let torus = Torus::new(24, 24);
+        let table = table(&torus);
+        let me = Coord::new(10, 10);
+        let geo = Geometry::new(&table, me);
+        let committers = [id(&torus, 12, 12), id(&torus, 9, 12), id(&torus, 12, 9)];
+        let feed = |ev: &mut EvidenceStore| {
+            let mut new = 0;
+            for k in 0..1_000u32 {
+                // k mod 6 picks the pair; within a pair the two-relay
+                // chains are pairwise incomparable, so all of them stick
+                let relays = [NodeId(k / 6), NodeId(200 + k / 6)];
+                new +=
+                    usize::from(ev.record_chain(committers[k as usize % 3], k % 2 == 0, &relays));
+            }
+            new
+        };
+        let mut bound = EvidenceStore::new(1, CommitRule::TwoLevel);
+        bound.bind(table.local_frame(me, 6));
+        assert_eq!(feed(&mut bound), 1_000);
+        assert!(
+            bound.dirty.len() <= 6,
+            "{} dirty entries",
+            bound.dirty.len()
+        );
+
+        // The marks only dedupe: the refresh answers as the unmarked
+        // (unbound) store does, and listing starts afresh afterwards.
+        let mut unbound = EvidenceStore::new(1, CommitRule::TwoLevel);
+        assert_eq!(feed(&mut unbound), 1_000);
+        assert_eq!(bound.evaluate(&geo), unbound.evaluate(&geo));
+        assert_eq!(bound.determined(), unbound.determined());
+        assert!(bound.dirty.is_empty());
+        assert!(bound.record_chain(committers[0], true, &[NodeId(500)]));
+        assert_eq!(bound.dirty, [(committers[0], true)]);
     }
 
     #[test]

@@ -27,52 +27,6 @@ use crate::{Msg, ProtocolParams};
 use rbcast_grid::{Coord, Metric, NodeId};
 use rbcast_sim::{Ctx, Process, Value};
 
-/// Slots in the per-node duplicate-`HEARD` cache. Direct-mapped and
-/// deliberately tiny: the cache only needs to absorb the bursty
-/// re-deliveries of one wavefront, not remember every chain ever seen
-/// (an unbounded set is exactly the memory hog this module removes).
-const SEEN_SLOTS: usize = 8;
-
-/// Duplicate-`HEARD` short-circuit: a direct-mapped cache keyed by an
-/// FNV hash of the packed chain. Pure cache semantics — a hit skips
-/// work whose outcome is already known (an exact duplicate can neither
-/// enter the evidence store nor be re-forwarded); a miss falls through
-/// to the store's dominance check, which rejects duplicates
-/// identically. Eviction therefore never changes behavior, only cost.
-#[derive(Debug)]
-struct SeenCache([Option<ChainRepr>; SEEN_SLOTS]);
-
-impl SeenCache {
-    fn new() -> Self {
-        SeenCache([None; SEEN_SLOTS])
-    }
-
-    fn slot(chain: &ChainRepr) -> usize {
-        // FNV-1a over the live chain words.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut fold = |w: u64| {
-            h ^= w;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        };
-        fold(chain.committer().index() as u64);
-        fold(u64::from(chain.value()));
-        for &k in chain.relays() {
-            fold(k.index() as u64);
-        }
-        (h as usize) % SEEN_SLOTS
-    }
-
-    /// True iff `chain` is already cached; caches it otherwise.
-    fn check_and_insert(&mut self, chain: &ChainRepr) -> bool {
-        let i = Self::slot(chain);
-        if self.0[i].as_ref() == Some(chain) {
-            return true;
-        }
-        self.0[i] = Some(*chain);
-        false
-    }
-}
-
 /// Configuration of the indirect-report protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndirectConfig {
@@ -143,8 +97,6 @@ pub struct Indirect {
     /// the evidence store). Membership only, kept sorted: at most
     /// (2r+1)² − 1 ids, so a binary search over one small allocation.
     first_commit: Vec<NodeId>,
-    /// Duplicate-`HEARD` short-circuit cache.
-    seen: SeenCache,
     committed: bool,
 }
 
@@ -157,7 +109,6 @@ impl Indirect {
             config,
             evidence: EvidenceStore::new(params.t, config.rule),
             first_commit: Vec::new(),
-            seen: SeenCache::new(),
             committed: false,
         }
     }
@@ -327,12 +278,6 @@ impl Process<Msg> for Indirect {
                 // so a quadratic scan beats clone + sort + dedup and
                 // allocates nothing.
                 if (1..relays.len()).any(|i| relays[..i].contains(&relays[i])) {
-                    return;
-                }
-                // Exact-duplicate short-circuit: re-deliveries of a
-                // chain we already fully processed skip the geometry
-                // scan and the evidence store entirely.
-                if self.seen.check_and_insert(chain) {
                     return;
                 }
                 let committer_coord = ctx.torus().coord(committer);
