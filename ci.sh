@@ -34,6 +34,17 @@ cargo xtask audit --rule unknown-allow
 echo "==> cargo xtask audit --self-test"
 cargo xtask audit --self-test
 
+echo "==> one-of-each gate (FNV basis, splitmix, JSON escape each defined in one file)"
+# rbcast_grid::plumbing is their one home; a second copy must not land
+# quietly. xtask (a dependency-free auditor) and benchmark/ (measures
+# from outside) keep their own and are not searched.
+one_home="crates/grid/src crates/flow/src crates/construct/src crates/sim/src \
+    crates/adversary/src crates/protocols/src crates/core/src crates/net/src crates/bench/src src"
+for pat in 'cbf2_\?9ce4_\?8422_\?2325' 'fn splitmix' 'fn \(json_escape\|escape_json\)'; do
+    test "$(grep -rli --include='*.rs' "$pat" $one_home | wc -l)" -le 1 \
+        || { grep -rni --include='*.rs' "$pat" $one_home; echo "one-of-each: '$pat' has a second home"; exit 1; }
+done
+
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
@@ -127,25 +138,36 @@ cargo run -q --release --bin rbcast -- attack --seed 10976964 --steps 60 --r 1 -
 cmp -s target/attack_t1.out target/attack_t2.out \
     || { diff target/attack_t1.out target/attack_t2.out; \
          echo "attack gate: thread count changed the search result"; exit 1; }
-# Checkpoint resume: truncate the journal mid-search, resume at a
-# different thread count, and the report must still be byte-identical
-# to the straight-through run.
-attack_journal=target/attack_gate.jsonl
-rm -f "$attack_journal"
-cargo run -q --release --bin rbcast -- attack --seed 10976964 --steps 60 --r 1 \
-    --checkpoint-every 8 --journal "$attack_journal" > target/attack_full.out 2>&1
-test -s "$attack_journal" || { echo "attack gate: no checkpoint journal written"; exit 1; }
-head -n 3 "$attack_journal" > "$attack_journal.cut"
-mv "$attack_journal.cut" "$attack_journal"
-cargo run -q --release --bin rbcast -- attack --seed 10976964 --steps 60 --r 1 \
-    --checkpoint-every 8 --resume "$attack_journal" --threads 2 \
-    > target/attack_resumed.out 2>&1
-cmp -s target/attack_full.out target/attack_resumed.out \
-    || { diff target/attack_full.out target/attack_resumed.out; \
-         echo "attack gate: resume diverged from the straight-through run"; exit 1; }
-rm -f "$attack_out" target/attack_t1.out target/attack_t2.out \
-    target/attack_full.out target/attack_resumed.out "$attack_journal"
+rm -f "$attack_out" target/attack_t1.out target/attack_t2.out
 echo "attack search gate passed"
+
+echo "==> resume gates (attack and sweep journals cut on and inside a line resume byte-identically)"
+# resume_gate NAME ARGS...: run `rbcast ARGS --journal J` straight
+# through, then cut J — once on a line boundary, once inside line 3, the
+# shape a kill mid-write leaves — and `rbcast ARGS --threads 2 --resume
+# J` must print exactly what the straight-through run printed.
+resume_gate() {
+    name=$1; shift
+    journal=target/${name}_gate.jsonl
+    rm -f "$journal"
+    cargo run -q --release --bin rbcast -- "$@" --journal "$journal" \
+        > "target/${name}_full.out" 2>&1
+    test -s "$journal" || { echo "$name gate: no checkpoint journal written"; exit 1; }
+    mv "$journal" "$journal.full"
+    mid=$(( $(head -n 2 "$journal.full" | wc -c) + $(sed -n 3p "$journal.full" | wc -c) / 2 ))
+    for cut in "head -n 3" "head -c $mid"; do
+        $cut "$journal.full" > "$journal"
+        cargo run -q --release --bin rbcast -- "$@" --threads 2 --resume "$journal" \
+            > "target/${name}_resumed.out" 2>&1
+        cmp -s "target/${name}_full.out" "target/${name}_resumed.out" \
+            || { diff "target/${name}_full.out" "target/${name}_resumed.out"; \
+                 echo "$name gate: resume after '$cut' diverged from the straight-through run"; exit 1; }
+    done
+    rm -f "target/${name}_full.out" "target/${name}_resumed.out" "$journal" "$journal.full"
+}
+resume_gate attack attack --seed 10976964 --steps 60 --r 1 --checkpoint-every 8
+resume_gate sweep sweep --protocol flood --r 1 --t-max 4 --placement cluster --behavior crash
+echo "resume gates passed"
 
 echo "==> attack corpus smoke (worst-found placements verify by independent replay)"
 cargo run -q --release -p rbcast-bench --bin attack_corpus -- --smoke

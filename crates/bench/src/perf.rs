@@ -18,6 +18,7 @@
 
 use rbcast_core::supervisor::{self, SupervisorConfig, SweepReport, TaskReport};
 use rbcast_core::{engine, Experiment, Outcome};
+use rbcast_grid::plumbing::json_escape;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -410,17 +411,6 @@ pub fn write_scale_json(path: &Path, engine: &str, cells: &[ScaleCell]) {
         Ok(()) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if c.is_control() => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 #[cfg(test)]

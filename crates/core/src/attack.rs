@@ -22,19 +22,17 @@
 //! strictly beat it on at least one cell.
 
 use std::collections::BTreeMap;
-use std::fs::File;
-use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use crate::experiment::{Experiment, FaultKind, Outcome, ProtocolKind};
-use crate::supervisor::{
-    escape_json, parse_flat_json, supervise, JsonValue, Supervised, SupervisorConfig, TaskError,
-};
+use crate::jsonl::{parse_flat_json, read_lines, JsonValue, JsonlFile};
+use crate::supervisor::{supervise, Supervised, SupervisorConfig, TaskError};
 use rbcast_adversary::{
     anneal, initial_state, local_fault_bound, mix, AnnealState, AttackScore, Placement,
     SearchConfig,
 };
+use rbcast_grid::plumbing::{fnv1a, FNV_OFFSET};
 use rbcast_grid::{Metric, NodeId, Torus};
 
 /// Configuration of one `rbcast attack` invocation.
@@ -220,19 +218,11 @@ pub fn attack_cells(cfg: &AttackConfig) -> Vec<AttackCell> {
 /// do not change any journalled value.
 #[must_use]
 pub fn attack_fingerprint(cfg: &AttackConfig, cells: &[AttackCell]) -> u64 {
-    let mut hash = crate::obs::FNV_OFFSET;
-    let mut fold = |byte: u8| {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(crate::obs::FNV_PRIME);
-    };
     let spec = format!(
         "{:?}|{}|{}|{:?}|{:?}|{:?}|{cells:?}",
         cfg.rs, cfg.seed, cfg.steps, cfg.protocol, cfg.fault_kind, cfg.metric
     );
-    for b in spec.bytes() {
-        fold(b);
-    }
-    hash
+    fnv1a(FNV_OFFSET, spec.as_bytes())
 }
 
 // ---------------------------------------------------------------------
@@ -248,9 +238,9 @@ struct CellCheckpoint {
 
 /// Append-only JSONL journal of annealing checkpoints, one line per
 /// checkpoint, last-entry-per-cell wins (same discipline as the sweep
-/// journal in [`crate::supervisor`]).
+/// journal in [`crate::supervisor`], same [`JsonlFile`] underneath).
 struct AttackJournal {
-    file: Mutex<File>,
+    file: Mutex<JsonlFile>,
 }
 
 fn ids_to_field(ids: &[NodeId]) -> String {
@@ -296,25 +286,24 @@ fn score_from_field(s: &str) -> Result<AttackScore, String> {
 
 impl AttackJournal {
     fn create(path: &Path, fingerprint: u64, cells: usize) -> std::io::Result<AttackJournal> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let mut file = File::create(path)?;
-        writeln!(
-            file,
-            "{{\"fingerprint\":\"{fingerprint:016x}\",\"cells\":{cells}}}"
-        )?;
-        file.flush()?;
-        Ok(AttackJournal {
-            file: Mutex::new(file),
-        })
+        AttackJournal::over(JsonlFile::create(path)?, fingerprint, cells)
     }
 
-    fn append_to(path: &Path) -> std::io::Result<AttackJournal> {
+    fn append_to(path: &Path, fingerprint: u64, cells: usize) -> std::io::Result<AttackJournal> {
+        AttackJournal::over(JsonlFile::open_append(path)?, fingerprint, cells)
+    }
+
+    /// Wraps `file`, writing the fingerprint header first when the file
+    /// is empty: freshly created, or a resumed journal cut inside its
+    /// header line.
+    fn over(mut file: JsonlFile, fingerprint: u64, cells: usize) -> std::io::Result<AttackJournal> {
+        if file.is_empty() {
+            file.append(format!(
+                "{{\"fingerprint\":\"{fingerprint:016x}\",\"cells\":{cells}}}"
+            ))?;
+        }
         Ok(AttackJournal {
-            file: Mutex::new(std::fs::OpenOptions::new().append(true).open(path)?),
+            file: Mutex::new(file),
         })
     }
 
@@ -326,18 +315,16 @@ impl AttackJournal {
             step = state.step,
             evals = state.evaluations,
             acc = state.accepted,
-            cs = escape_json(&score_to_field(state.current_score)),
-            bs = escape_json(&score_to_field(state.best_score)),
-            cur = escape_json(&ids_to_field(&state.current)),
-            best = escape_json(&ids_to_field(&state.best)),
+            cs = score_to_field(state.current_score),
+            bs = score_to_field(state.best_score),
+            cur = ids_to_field(&state.current),
+            best = ids_to_field(&state.best),
             done = u8::from(done),
         );
-        let mut file = self
-            .file
+        self.file
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        writeln!(file, "{line}")?;
-        file.flush()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .append(line)
     }
 }
 
@@ -346,19 +333,14 @@ impl AttackJournal {
 fn load_attack_journal(
     path: &Path,
 ) -> Result<(Option<u64>, BTreeMap<usize, CellCheckpoint>), AttackError> {
-    let reader = BufReader::new(File::open(path)?);
     let mut fingerprint = None;
     let mut entries = BTreeMap::new();
-    for (n, line) in reader.lines().enumerate() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let fields = parse_flat_json(&line)
-            .map_err(|e| AttackError::Journal(format!("line {}: {e}", n + 1)))?;
-        let err = |msg: &str| AttackError::Journal(format!("line {}: {msg}", n + 1));
+    for (n, line) in read_lines(path)?.iter() {
+        let fields =
+            parse_flat_json(line).map_err(|e| AttackError::Journal(format!("line {n}: {e}")))?;
+        let err = |msg: &str| AttackError::Journal(format!("line {n}: {msg}"));
         if let Some(JsonValue::String(fp)) = fields.get("fingerprint") {
-            if n == 0 {
+            if n == 1 {
                 fingerprint = Some(
                     u64::from_str_radix(fp, 16)
                         .map_err(|e| err(&format!("bad fingerprint: {e}")))?,
@@ -579,7 +561,7 @@ pub fn run_attack(cfg: &AttackConfig) -> Result<AttackReport, AttackError> {
                 }
             }
             prior = entries;
-            Some(AttackJournal::append_to(path)?)
+            Some(AttackJournal::append_to(path, fingerprint, cells.len())?)
         }
         (Some(path), _) => Some(AttackJournal::create(path, fingerprint, cells.len())?),
         (None, _) => None,
@@ -744,5 +726,99 @@ mod tests {
             other => panic!("expected fingerprint refusal, got {other:?}"),
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn sample_state(step: u32) -> AnnealState {
+        AnnealState {
+            step,
+            current: vec![NodeId(3), NodeId(9)],
+            current_score: AttackScore {
+                wrong: 0,
+                undecided: 2,
+                last_round: 7,
+            },
+            best: vec![NodeId(3)],
+            best_score: AttackScore {
+                wrong: 1,
+                undecided: 0,
+                last_round: 2,
+            },
+            evaluations: 11,
+            accepted: 5,
+        }
+    }
+
+    /// Values computed at the commit before the byte fold moved to
+    /// `rbcast_grid::plumbing` and the escape calls were dropped: the
+    /// fingerprint and every journal byte must stay where they were.
+    #[test]
+    fn fingerprint_and_journal_bytes_are_pinned() {
+        let cfg = AttackConfig::new(3);
+        assert_eq!(
+            attack_fingerprint(&cfg, &attack_cells(&cfg)),
+            0xb9aa_06c6_9515_540a
+        );
+        let dir = std::env::temp_dir().join(format!("rbcast-attack-pin-{}", std::process::id()));
+        let path = dir.join("attack.jsonl");
+        let journal = AttackJournal::create(&path, 0xabcd, 2).expect("create journal");
+        journal.record(1, &sample_state(4), true).expect("record");
+        assert_eq!(
+            std::fs::read_to_string(&path).expect("journal written"),
+            "{\"fingerprint\":\"000000000000abcd\",\"cells\":2}\n\
+             {\"cell\":1,\"step\":4,\"evaluations\":11,\"accepted\":5,\
+             \"current_score\":\"0,2,7\",\"best_score\":\"1,0,2\",\
+             \"current\":\"3,9\",\"best\":\"3\",\"done\":1}\n"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    include!(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/support/torn_write.rs"
+    ));
+
+    #[test]
+    fn an_attack_journal_cut_at_any_byte_resumes_from_its_complete_lines() {
+        const FP: u64 = 0xabcd;
+        let dir = std::env::temp_dir().join(format!("rbcast-attack-torn-{}", std::process::id()));
+        let path = dir.join("attack.jsonl");
+        let journal = AttackJournal::create(&path, FP, 2).expect("create journal");
+        journal.record(0, &sample_state(2), false).expect("record");
+        journal.record(1, &sample_state(2), false).expect("record");
+        journal.record(0, &sample_state(4), true).expect("record");
+        drop(journal);
+        let full = std::fs::read(&path).expect("journal written");
+        std::fs::remove_dir_all(&dir).ok();
+
+        let cp = |step, done| CellCheckpoint {
+            state: sample_state(step),
+            done,
+        };
+        type Loaded = (Option<u64>, BTreeMap<usize, CellCheckpoint>);
+        let loaded = |fp: Option<u64>, cells: &[(usize, CellCheckpoint)]| -> Loaded {
+            (fp, cells.iter().cloned().collect())
+        };
+        check_torn_writes(
+            "attack",
+            &full,
+            &[
+                loaded(None, &[]),
+                loaded(Some(FP), &[]),
+                loaded(Some(FP), &[(0, cp(2, false))]),
+                loaded(Some(FP), &[(0, cp(2, false)), (1, cp(2, false))]),
+                loaded(Some(FP), &[(0, cp(4, true)), (1, cp(2, false))]),
+            ],
+            |path| load_attack_journal(path).map_err(|e| e.to_string()),
+            |path| {
+                let journal = AttackJournal::append_to(path, FP, 2).expect("append_to");
+                journal.record(1, &sample_state(6), true).expect("record");
+            },
+            // A journal healed to empty gets its header back.
+            |(_, cells)| {
+                let mut cells = cells.clone();
+                cells.insert(1, cp(6, true));
+                (Some(FP), cells)
+            },
+        );
     }
 }

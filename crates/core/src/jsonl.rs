@@ -1,0 +1,265 @@
+//! The workspace's one JSONL checkpoint file: every journal (sweep,
+//! attack search, net crash-recovery) is a record codec over this.
+//!
+//! The contract, chosen so a process killed at any instant leaves a
+//! file the next run can resume from:
+//!
+//! * **One write per line.** [`JsonlFile::append`] hands the line and
+//!   its `\n` to the OS in a single `write_all` and flushes before it
+//!   returns, so an acknowledged record is a newline-terminated line.
+//! * **Heal on open.** [`JsonlFile::open_append`] truncates a file that
+//!   does not end in `\n` back to its last `\n`. A line whose newline
+//!   never reached disk was never acknowledged to anyone — journals are
+//!   written *before* the ack they cover — so dropping it loses nothing
+//!   a peer or a resumed run relies on, and the next append starts on a
+//!   line of its own instead of gluing itself to the fragment.
+//! * **Complete lines only.** [`read_lines`] yields newline-terminated,
+//!   non-blank lines with their 1-based line numbers; a torn tail is
+//!   invisible to readers even before anything healed it.
+//! * **Strict lines.** A newline-terminated line that does not parse is
+//!   corruption, not a shrug: each codec reports it as its structured
+//!   error (with the line number), and `parse_flat_json` accepts
+//!   exactly the flat objects the sweep and attack codecs write.
+
+use std::collections::BTreeMap;
+use std::fs::{File, OpenOptions};
+use std::io::{self, Read, Write};
+use std::path::Path;
+
+/// An append-only JSONL file open for writing.
+#[derive(Debug)]
+pub struct JsonlFile {
+    file: File,
+    empty: bool,
+}
+
+/// Length of the longest prefix of `bytes` made of complete lines.
+fn complete_len(bytes: &[u8]) -> usize {
+    bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1)
+}
+
+fn make_parent(path: &Path) -> io::Result<()> {
+    match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => std::fs::create_dir_all(parent),
+        _ => Ok(()),
+    }
+}
+
+impl JsonlFile {
+    /// Creates (truncating) the file at `path`, making parent
+    /// directories as needed.
+    ///
+    /// # Errors
+    ///
+    /// On any I/O failure.
+    pub fn create(path: &Path) -> io::Result<JsonlFile> {
+        make_parent(path)?;
+        Ok(JsonlFile {
+            file: File::create(path)?,
+            empty: true,
+        })
+    }
+
+    /// Opens the file at `path` for appending, creating it (and its
+    /// parent directories) if missing, and heals a torn tail: a
+    /// non-empty file not ending in `\n` is truncated back to its last
+    /// `\n` (see the module docs for why that is safe).
+    ///
+    /// # Errors
+    ///
+    /// On any I/O failure.
+    pub fn open_append(path: &Path) -> io::Result<JsonlFile> {
+        make_parent(path)?;
+        let mut file = OpenOptions::new()
+            .create(true)
+            .read(true)
+            .append(true)
+            .open(path)?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+        let len = complete_len(&bytes);
+        if len < bytes.len() {
+            file.set_len(len as u64)?;
+        }
+        Ok(JsonlFile {
+            file,
+            empty: len == 0,
+        })
+    }
+
+    /// True while the file holds no line — freshly created, or healed
+    /// back to nothing. A journal with a header line writes it now.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.empty
+    }
+
+    /// Appends `line` (which must not contain `\n`) and its newline as
+    /// one write, flushed before return. Takes the line by value so the
+    /// newline is pushed onto the caller's buffer, not a copy of it.
+    ///
+    /// # Errors
+    ///
+    /// On any I/O failure.
+    pub fn append(&mut self, mut line: String) -> io::Result<()> {
+        debug_assert!(!line.contains('\n'), "a JSONL record is one line");
+        line.push('\n');
+        self.file.write_all(line.as_bytes())?;
+        self.empty = false;
+        self.file.flush()
+    }
+}
+
+/// The complete lines of a JSONL file, as read by [`read_lines`].
+#[derive(Debug)]
+pub struct Lines(String);
+
+impl Lines {
+    /// `(1-based line number, line)` for every non-blank line.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &str)> {
+        self.0
+            .lines()
+            .enumerate()
+            .map(|(i, line)| (i + 1, line))
+            .filter(|(_, line)| !line.trim().is_empty())
+    }
+}
+
+/// Reads the newline-terminated lines of the file at `path`; bytes
+/// after the last `\n` (a write torn by a kill) are ignored.
+///
+/// # Errors
+///
+/// On I/O failure, or `InvalidData` naming `path:line` when a complete
+/// line is not UTF-8.
+pub fn read_lines(path: &Path) -> io::Result<Lines> {
+    let mut bytes = std::fs::read(path)?;
+    bytes.truncate(complete_len(&bytes));
+    String::from_utf8(bytes).map(Lines).map_err(|e| {
+        let good = &e.as_bytes()[..e.utf8_error().valid_up_to()];
+        let line = 1 + good.iter().filter(|&&b| b == b'\n').count();
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{}:{line}: not valid UTF-8", path.display()),
+        )
+    })
+}
+
+/// The value shapes the journal formats use.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum JsonValue {
+    /// An unsigned integer.
+    Number(u64),
+    /// A string literal.
+    String(String),
+}
+
+/// Parses one flat JSON object (string/unsigned-number values only — the
+/// exact shape the journals write; this is not a general JSON parser,
+/// and stays std-only because the container has no registry access).
+pub(crate) fn parse_flat_json(line: &str) -> Result<BTreeMap<String, JsonValue>, String> {
+    let body = line
+        .trim()
+        .strip_prefix('{')
+        .and_then(|s| s.strip_suffix('}'))
+        .ok_or_else(|| "not a JSON object".to_string())?;
+    let mut fields = BTreeMap::new();
+    let mut chars = body.chars().peekable();
+    loop {
+        skip_ws(&mut chars);
+        if chars.peek().is_none() {
+            break;
+        }
+        let key = parse_string(&mut chars)?;
+        skip_ws(&mut chars);
+        if chars.next() != Some(':') {
+            return Err(format!("expected ':' after key {key:?}"));
+        }
+        skip_ws(&mut chars);
+        let value = match chars.peek() {
+            Some('"') => JsonValue::String(parse_string(&mut chars)?),
+            Some(c) if c.is_ascii_digit() => {
+                let mut digits = String::new();
+                while chars.peek().is_some_and(char::is_ascii_digit) {
+                    digits.push(chars.next().expect("peeked digit"));
+                }
+                JsonValue::Number(
+                    digits
+                        .parse()
+                        .map_err(|e| format!("number for {key:?}: {e}"))?,
+                )
+            }
+            other => return Err(format!("unsupported value start {other:?} for key {key:?}")),
+        };
+        if fields.insert(key.clone(), value).is_some() {
+            return Err(format!("duplicate key {key:?}"));
+        }
+        skip_ws(&mut chars);
+        match chars.next() {
+            Some(',') => {}
+            None => break,
+            Some(c) => return Err(format!("expected ',' between fields, found {c:?}")),
+        }
+    }
+    Ok(fields)
+}
+
+fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
+    while chars.peek().is_some_and(|c| c.is_ascii_whitespace()) {
+        chars.next();
+    }
+}
+
+/// Parses a JSON string literal (cursor at the opening quote).
+fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<String, String> {
+    if chars.next() != Some('"') {
+        return Err("expected '\"'".to_string());
+    }
+    let mut out = String::new();
+    loop {
+        match chars.next() {
+            None => return Err("unterminated string".to_string()),
+            Some('"') => return Ok(out),
+            Some('\\') => match chars.next() {
+                Some('"') => out.push('"'),
+                Some('\\') => out.push('\\'),
+                Some('n') => out.push('\n'),
+                Some('r') => out.push('\r'),
+                Some('t') => out.push('\t'),
+                Some('u') => {
+                    let hex: String = (0..4).filter_map(|_| chars.next()).collect();
+                    let code = u32::from_str_radix(&hex, 16)
+                        .map_err(|e| format!("\\u escape {hex:?}: {e}"))?;
+                    out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
+                }
+                other => return Err(format!("unsupported escape {other:?}")),
+            },
+            Some(c) => out.push(c),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn reader_numbers_physical_lines_and_rejects_non_utf8_by_line() {
+        let path = std::env::temp_dir().join(format!("rbcast-jsonl-{}.jsonl", std::process::id()));
+        std::fs::write(&path, b"{\"a\":1}\n\n  \n{\"b\":2}\r\n{\"torn\":").expect("write");
+        let lines = read_lines(&path).expect("read");
+        assert_eq!(
+            lines.iter().collect::<Vec<_>>(),
+            [(1, "{\"a\":1}"), (4, "{\"b\":2}")]
+        );
+        // Torn bytes need not be UTF-8; a complete line must be.
+        std::fs::write(&path, b"ok\nbad \xff\nok\n\xff").expect("write");
+        let err = read_lines(&path).expect_err("line 2 is not UTF-8");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().ends_with(".jsonl:2: not valid UTF-8"),
+            "{err}"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+}

@@ -44,6 +44,7 @@ pub mod config;
 pub mod engine;
 mod experiment;
 pub mod graphs;
+pub mod jsonl;
 pub mod obs;
 pub mod percolation;
 pub mod render;

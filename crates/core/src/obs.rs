@@ -22,7 +22,6 @@
 
 pub use rbcast_sim::trace::{
     fold_words, replay_hash, replay_hash_events, JsonlSink, MemorySink, TraceEvent, TraceSink,
-    FNV_OFFSET, FNV_PRIME,
 };
 
 use std::collections::BTreeMap;

@@ -41,13 +41,13 @@
 //!   a fresh draw and usually succeeds.
 
 use crate::engine::{self, payload_message};
+use crate::jsonl::{parse_flat_json, read_lines, JsonValue, JsonlFile};
 use crate::{Experiment, Outcome};
+use rbcast_grid::plumbing::{fnv1a, json_escape, splitmix64, FNV_OFFSET};
 use rbcast_sim::StopReason;
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -140,21 +140,11 @@ impl From<engine::EngineError> for TaskError {
 // Deterministic seeds and chaos
 // ---------------------------------------------------------------------
 
-/// splitmix64 finalizer — the workspace's standard bit mixer.
-fn splitmix(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
-    x
-}
-
 /// Mixes a base seed with a task index and attempt number into one
 /// well-distributed u64.
 fn mix(base: u64, index: usize, attempt: u32) -> u64 {
     let i = u64::try_from(index).unwrap_or(u64::MAX);
-    splitmix(
+    splitmix64(
         base ^ i
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(u64::from(attempt).wrapping_mul(0xFF51_AFD7_ED55_8CCD)),
@@ -439,7 +429,7 @@ impl JournalEntry {
             ));
         }
         if let Some(e) = &self.error {
-            line.push_str(&format!(",\"error\":\"{}\"", escape_json(e)));
+            line.push_str(&format!(",\"error\":\"{}\"", json_escape(e)));
         }
         line.push('}');
         line
@@ -579,17 +569,11 @@ impl JournalHeader {
 /// interchangeable.
 #[must_use]
 pub fn sweep_fingerprint(experiments: &[Experiment]) -> u64 {
-    let mut hash = crate::obs::FNV_OFFSET;
-    let mut fold = |byte: u8| {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(crate::obs::FNV_PRIME);
-    };
+    let mut hash = FNV_OFFSET;
     for e in experiments {
-        for b in format!("{e:?}").bytes() {
-            fold(b);
-        }
+        hash = fnv1a(hash, format!("{e:?}").as_bytes());
         // Record separator: "AB","C" must not collide with "A","BC".
-        fold(0xff);
+        hash = fnv1a(hash, &[0xff]);
     }
     hash
 }
@@ -603,10 +587,24 @@ pub fn sweep_fingerprint(experiments: &[Experiment]) -> u64 {
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
-    file: Mutex<File>,
+    file: Mutex<JsonlFile>,
 }
 
 impl Journal {
+    fn over(path: &Path, file: JsonlFile) -> Journal {
+        Journal {
+            path: path.to_path_buf(),
+            file: Mutex::new(file),
+        }
+    }
+
+    fn append_line(&self, line: String) -> std::io::Result<()> {
+        self.file
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .append(line)
+    }
+
     /// Creates (truncating) a journal at `path`, making parent
     /// directories as needed.
     ///
@@ -614,15 +612,7 @@ impl Journal {
     ///
     /// On any I/O failure.
     pub fn create(path: &Path) -> std::io::Result<Journal> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        Ok(Journal {
-            path: path.to_path_buf(),
-            file: Mutex::new(File::create(path)?),
-        })
+        Ok(Journal::over(path, JsonlFile::create(path)?))
     }
 
     /// [`Journal::create`], then writes `header` as the first line, so
@@ -633,14 +623,7 @@ impl Journal {
     /// On any I/O failure.
     pub fn create_with_header(path: &Path, header: &JournalHeader) -> std::io::Result<Journal> {
         let journal = Journal::create(path)?;
-        {
-            let mut file = journal
-                .file
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            writeln!(file, "{}", header.to_line())?;
-            file.flush()?;
-        }
+        journal.append_line(header.to_line())?;
         Ok(journal)
     }
 
@@ -652,33 +635,35 @@ impl Journal {
     ///
     /// On I/O failure opening or reading the file.
     pub fn read_header(path: &Path) -> std::io::Result<Option<JournalHeader>> {
-        let reader = BufReader::new(File::open(path)?);
-        for line in reader.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            return Ok(JournalHeader::from_line(&line).ok());
-        }
-        Ok(None)
+        let lines = read_lines(path)?;
+        let first = lines.iter().next();
+        Ok(first.and_then(|(_, line)| JournalHeader::from_line(line).ok()))
     }
 
-    /// Opens a journal for appending (creating it if absent) — the
-    /// resume path, where prior entries must survive.
+    /// Opens a journal for appending (creating it if absent, healing a
+    /// torn tail — see [`crate::jsonl`]) — the resume path, where prior
+    /// entries must survive.
     ///
     /// # Errors
     ///
     /// On any I/O failure.
     pub fn append_to(path: &Path) -> std::io::Result<Journal> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
+        Ok(Journal::over(path, JsonlFile::open_append(path)?))
+    }
+
+    /// [`Journal::append_to`], writing `header` first when the journal
+    /// is empty — missing, or cut inside its header line by the kill
+    /// being resumed from — so it never continues headerless.
+    ///
+    /// # Errors
+    ///
+    /// On any I/O failure.
+    pub fn append_to_with_header(path: &Path, header: &JournalHeader) -> std::io::Result<Journal> {
+        let mut file = JsonlFile::open_append(path)?;
+        if file.is_empty() {
+            file.append(header.to_line())?;
         }
-        Ok(Journal {
-            path: path.to_path_buf(),
-            file: Mutex::new(OpenOptions::new().create(true).append(true).open(path)?),
-        })
+        Ok(Journal::over(path, file))
     }
 
     /// Where this journal lives.
@@ -693,12 +678,7 @@ impl Journal {
     ///
     /// On any I/O failure.
     pub fn record(&self, entry: &JournalEntry) -> std::io::Result<()> {
-        let mut file = self
-            .file
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        writeln!(file, "{}", entry.to_line())?;
-        file.flush()
+        self.append_line(entry.to_line())
     }
 
     /// Loads a journal into an index-keyed map, last entry per task
@@ -709,138 +689,22 @@ impl Journal {
     /// On I/O failure or any malformed line (reported with its line
     /// number).
     pub fn load(path: &Path) -> std::io::Result<BTreeMap<usize, JournalEntry>> {
-        let reader = BufReader::new(File::open(path)?);
         let mut entries = BTreeMap::new();
-        for (n, line) in reader.lines().enumerate() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
+        for (n, line) in read_lines(path)?.iter() {
             // Header lines are not task entries; the fingerprint
             // cross-check reads them via [`Journal::read_header`].
-            if n == 0 && JournalHeader::from_line(&line).is_ok() {
+            if n == 1 && JournalHeader::from_line(line).is_ok() {
                 continue;
             }
-            let entry = JournalEntry::from_line(&line).map_err(|e| {
+            let entry = JournalEntry::from_line(line).map_err(|e| {
                 std::io::Error::new(
                     std::io::ErrorKind::InvalidData,
-                    format!("{}:{}: {e}", path.display(), n + 1),
+                    format!("{}:{n}: {e}", path.display()),
                 )
             })?;
             entries.insert(entry.task, entry);
         }
         Ok(entries)
-    }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// The value shapes the journal format uses.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum JsonValue {
-    /// An unsigned integer.
-    Number(u64),
-    /// A string literal.
-    String(String),
-}
-
-/// Parses one flat JSON object (string/unsigned-number values only — the
-/// exact shape the journal writes; this is not a general JSON parser,
-/// and stays std-only because the container has no registry access).
-pub(crate) fn parse_flat_json(line: &str) -> Result<BTreeMap<String, JsonValue>, String> {
-    let body = line
-        .trim()
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| "not a JSON object".to_string())?;
-    let mut fields = BTreeMap::new();
-    let mut chars = body.chars().peekable();
-    loop {
-        skip_ws(&mut chars);
-        if chars.peek().is_none() {
-            break;
-        }
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        if chars.next() != Some(':') {
-            return Err(format!("expected ':' after key {key:?}"));
-        }
-        skip_ws(&mut chars);
-        let value = match chars.peek() {
-            Some('"') => JsonValue::String(parse_string(&mut chars)?),
-            Some(c) if c.is_ascii_digit() => {
-                let mut digits = String::new();
-                while chars.peek().is_some_and(char::is_ascii_digit) {
-                    digits.push(chars.next().expect("peeked digit"));
-                }
-                JsonValue::Number(
-                    digits
-                        .parse()
-                        .map_err(|e| format!("number for {key:?}: {e}"))?,
-                )
-            }
-            other => return Err(format!("unsupported value start {other:?} for key {key:?}")),
-        };
-        if fields.insert(key.clone(), value).is_some() {
-            return Err(format!("duplicate key {key:?}"));
-        }
-        skip_ws(&mut chars);
-        match chars.next() {
-            Some(',') => {}
-            None => break,
-            Some(c) => return Err(format!("expected ',' between fields, found {c:?}")),
-        }
-    }
-    Ok(fields)
-}
-
-fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-    while chars.peek().is_some_and(|c| c.is_ascii_whitespace()) {
-        chars.next();
-    }
-}
-
-/// Parses a JSON string literal (cursor at the opening quote).
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<String, String> {
-    if chars.next() != Some('"') {
-        return Err("expected '\"'".to_string());
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next() {
-            None => return Err("unterminated string".to_string()),
-            Some('"') => return Ok(out),
-            Some('\\') => match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('n') => out.push('\n'),
-                Some('r') => out.push('\r'),
-                Some('t') => out.push('\t'),
-                Some('u') => {
-                    let hex: String = (0..4).filter_map(|_| chars.next()).collect();
-                    let code = u32::from_str_radix(&hex, 16)
-                        .map_err(|e| format!("\\u escape {hex:?}: {e}"))?;
-                    out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                }
-                other => return Err(format!("unsupported escape {other:?}")),
-            },
-            Some(c) => out.push(c),
-        }
     }
 }
 
@@ -1781,5 +1645,141 @@ mod tests {
             .with_chaos(Some(chaos));
         let retried = run_experiments_supervised(&experiments, 2, &retrying);
         assert!(retried.quarantined().len() < reports[0].quarantined().len());
+    }
+
+    /// Values computed at the commit before the mixer, byte fold and
+    /// escape moved to `rbcast_grid::plumbing`: the consolidation must
+    /// not move a retry seed, a fingerprint or a journal byte.
+    #[test]
+    fn seeds_fingerprints_and_journal_lines_are_pinned() {
+        assert_eq!(retry_seed(3, 2), 0x1435_47e2_fc69_dc69);
+        let spec = vec![
+            Experiment::new(1, ProtocolKind::Flood),
+            Experiment::new(2, ProtocolKind::Cpa).with_t(1),
+        ];
+        assert_eq!(sweep_fingerprint(&spec), 0x49a2_c973_7f10_acc0);
+        let failed = JournalEntry {
+            task: 5,
+            ok: false,
+            attempts: 2,
+            digest: None,
+            summary: None,
+            metrics: None,
+            error: Some("a\"b\\c\nd\u{1}e\tf\rg".to_string()),
+        };
+        assert_eq!(
+            failed.to_line(),
+            "{\"task\":5,\"status\":\"failed\",\"attempts\":2,\
+             \"error\":\"a\\\"b\\\\c\\nd\\u0001e\\tf\\rg\"}"
+        );
+        assert_eq!(
+            torn_sample().1[0].to_line(),
+            "{\"task\":4,\"status\":\"ok\",\"attempts\":1,\"digest\":\"0x0123456789abcdef\",\
+             \"correct\":140,\"wrong\":0,\"undecided\":4,\"messages\":512,\
+             \"rounds\":17,\"deliveries\":480,\"jammed\":3,\"lost\":1}"
+        );
+        assert_eq!(
+            torn_sample().0.to_line(),
+            "{\"fingerprint\":\"0x0123456789abcdef\",\"tasks\":3}"
+        );
+    }
+
+    include!(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/support/torn_write.rs"
+    ));
+
+    /// A header, an ok entry and a failed entry (whose error needs
+    /// every escape) — the sweep journal the torn-write property cuts.
+    fn torn_sample() -> (JournalHeader, [JournalEntry; 2]) {
+        let header = JournalHeader {
+            fingerprint: 0x0123_4567_89ab_cdef,
+            tasks: 3,
+        };
+        let ok = JournalEntry {
+            task: 4,
+            ok: true,
+            attempts: 1,
+            digest: Some(0x0123_4567_89ab_cdef),
+            summary: Some(OutcomeSummary {
+                correct: 140,
+                wrong: 0,
+                undecided: 4,
+                messages: 512,
+            }),
+            metrics: Some(TaskMetrics {
+                rounds: 17,
+                deliveries: 480,
+                jammed: 3,
+                lost: 1,
+            }),
+            error: None,
+        };
+        let failed = JournalEntry {
+            task: 5,
+            ok: false,
+            attempts: 3,
+            digest: None,
+            summary: None,
+            metrics: None,
+            error: Some("panicked: \"quoted\"\nline2 \\ é".to_string()),
+        };
+        (header, [ok, failed])
+    }
+
+    #[test]
+    fn a_sweep_journal_cut_at_any_byte_resumes_from_its_complete_lines() {
+        let (header, [ok, failed]) = torn_sample();
+        let full = format!(
+            "{}\n{}\n{}\n",
+            header.to_line(),
+            ok.to_line(),
+            failed.to_line()
+        );
+        let extra = JournalEntry {
+            task: 9,
+            error: Some("boom".to_string()),
+            ..failed.clone()
+        };
+        let map = |entries: &[&JournalEntry]| -> BTreeMap<usize, JournalEntry> {
+            entries.iter().map(|&e| (e.task, e.clone())).collect()
+        };
+        check_torn_writes(
+            "sweep",
+            full.as_bytes(),
+            &[map(&[]), map(&[]), map(&[&ok]), map(&[&ok, &failed])],
+            |path| Journal::load(path).map_err(|e| e.to_string()),
+            |path| {
+                let journal = Journal::append_to_with_header(path, &header).expect("append_to");
+                journal.record(&extra).expect("record");
+            },
+            |prefix| {
+                let mut grown = prefix.clone();
+                grown.insert(extra.task, extra.clone());
+                grown
+            },
+        );
+
+        // The edge healing opens: a journal cut inside its header line
+        // heals to empty, and the resuming run rewrites the header
+        // rather than continuing headerless.
+        let path = std::env::temp_dir().join(format!(
+            "rbcast-sweep-torn-header-{}.jsonl",
+            std::process::id()
+        ));
+        std::fs::write(&path, &full.as_bytes()[..10]).expect("write");
+        assert_eq!(Journal::read_header(&path).expect("read"), None);
+        let journal = Journal::append_to_with_header(&path, &header).expect("append_to");
+        journal.record(&extra).expect("record");
+        assert_eq!(Journal::read_header(&path).expect("read"), Some(header));
+        assert_eq!(Journal::load(&path).expect("load"), map(&[&extra]));
+        // A journal that still has lines keeps the header it has.
+        let other = JournalHeader {
+            fingerprint: 1,
+            tasks: 1,
+        };
+        drop(Journal::append_to_with_header(&path, &other).expect("append_to"));
+        assert_eq!(Journal::read_header(&path).expect("read"), Some(header));
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -24,6 +24,9 @@
 //!   schedule the model assumes (§II).
 //! * [`BitSet`] — bit-packed node sets backing the simulator's sparse
 //!   wavefront engine (delivered/wake/decided sets, completion masks).
+//! * [`plumbing`] — the workspace's one FNV-1a fold, splitmix64, JSON
+//!   escape and `"key":` field scanner (here because every crate
+//!   already depends on this one).
 //!
 //! # Example
 //!
@@ -45,6 +48,7 @@ mod bitset;
 mod coord;
 mod metric;
 mod nbd;
+pub mod plumbing;
 mod region;
 mod tdma;
 mod torus;

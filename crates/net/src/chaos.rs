@@ -15,6 +15,7 @@
 //! with the journal-based recovery path.
 
 use crate::transport::Datagram;
+use rbcast_grid::plumbing::splitmix64_step;
 use rbcast_sim::{BurstChain, BurstLoss};
 use std::collections::BTreeMap;
 
@@ -73,16 +74,9 @@ const STREAM_DUP: u64 = 0xB8AC_F2C6_2F4E_6D57;
 const STREAM_REORDER: u64 = 0xD6E8_FEB8_6659_FD93;
 const STREAM_DELAY: u64 = 0x8F51_7312_86E6_D1C5;
 
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Uniform draw in `[0, 1_000_000)` for stream/edge/counter.
 fn draw_ppm(seed: u64, stream: u64, to: u32, counter: u64) -> u32 {
-    let mixed = splitmix(
+    let mixed = splitmix64_step(
         seed ^ stream ^ (u64::from(to) << 32) ^ counter.wrapping_mul(0x2545_F491_4F6C_DD1D),
     );
     (mixed % 1_000_000) as u32
@@ -213,6 +207,15 @@ impl<T: Datagram> Datagram for ChaosTransport<T> {
 mod tests {
     use super::*;
     use crate::transport::LoopbackHub;
+
+    /// Values computed at the commit before `splitmix` moved to
+    /// `rbcast_grid::plumbing`: a changed draw would still converge and
+    /// pass parity, so it is pinned here.
+    #[test]
+    fn draws_are_pinned() {
+        assert_eq!(draw_ppm(7, STREAM_DROP, 3, 11), 519_827);
+        assert_eq!(draw_ppm(0xDEAD_BEEF, STREAM_DELAY, 40, 1 << 33), 478_887);
+    }
 
     fn drain(port: &mut impl Datagram) -> Vec<Vec<u8>> {
         std::iter::from_fn(|| port.poll()).collect()

@@ -20,15 +20,19 @@
 //!   over these records deterministically, reconstructing protocol
 //!   state, link receive windows, and the outboxes still owed to peers.
 //!
-//! Encoding and the field extractors are hand-rolled (the workspace is
-//! offline — no serde): the writer emits a strict machine format and
-//! the reader treats any deviation as corruption, reported as a
-//! [`JournalError`] rather than a panic.
+//! Encoding is hand-rolled (the workspace is offline — no serde): the
+//! writer emits a strict machine format, fields are read back with the
+//! workspace's shared scanner, and the reader treats any deviation in a
+//! complete line as corruption, reported as a [`JournalError`] rather
+//! than a panic. The file backend is a record codec over
+//! [`rbcast_core::jsonl`], which owns the write-per-line, heal-on-open
+//! and complete-lines-only rules: a tail torn by `kill -9` is dropped,
+//! not quarantined.
 
 use crate::wire::{decode_frame, from_hex, SeqFrame};
+use rbcast_core::jsonl::{read_lines, JsonlFile};
+use rbcast_grid::plumbing::{json_field, json_field_u64};
 use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 /// A corrupt or unreadable journal.
@@ -104,29 +108,6 @@ pub trait NetJournal {
     fn records(&self) -> Result<Vec<Record>, JournalError>;
 }
 
-/// Extracts `"key":<digits>` from a strict machine-formatted line.
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    if end == 0 {
-        return None;
-    }
-    rest[..end].parse().ok()
-}
-
-/// Extracts `"key":"<hex>"` from a strict machine-formatted line.
-fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    let end = rest.find('"')?;
-    Some(&rest[..end])
-}
-
 /// Serializes one record to its JSONL line (no trailing newline).
 #[must_use]
 pub fn encode_record(record: &Record) -> String {
@@ -156,15 +137,15 @@ pub fn encode_record(record: &Record) -> String {
 /// Returns the reason the line is not a valid record.
 pub fn decode_record(line: &str) -> Result<Record, String> {
     if line.contains("\"boot\"") {
-        let epoch = field_u64(line, "epoch").ok_or("boot without epoch")?;
+        let epoch = json_field_u64(line, "epoch").ok_or("boot without epoch")?;
         let epoch = u32::try_from(epoch).map_err(|_| "epoch exceeds u32")?;
         return Ok(Record::Boot { epoch });
     }
     if line.contains("\"frame\"") {
-        let peer = field_u64(line, "peer").ok_or("frame without peer")?;
-        let peer_epoch = field_u64(line, "pe").ok_or("frame without pe")?;
-        let seq = field_u64(line, "seq").ok_or("frame without seq")?;
-        let hex = field_str(line, "body").ok_or("frame without body")?;
+        let peer = json_field_u64(line, "peer").ok_or("frame without peer")?;
+        let peer_epoch = json_field_u64(line, "pe").ok_or("frame without pe")?;
+        let seq = json_field_u64(line, "seq").ok_or("frame without seq")?;
+        let hex = json_field(line, "body").ok_or("frame without body")?;
         let body = from_hex(hex).ok_or("body is not hex")?;
         let frame = decode_frame(&body).map_err(|e| format!("bad frame body: {e}"))?;
         return Ok(Record::Frame {
@@ -175,27 +156,11 @@ pub fn decode_record(line: &str) -> Result<Record, String> {
         });
     }
     if line.contains("\"complete\"") {
-        let round = field_u64(line, "round").ok_or("complete without round")?;
+        let round = json_field_u64(line, "round").ok_or("complete without round")?;
         let round = u32::try_from(round).map_err(|_| "round exceeds u32")?;
         return Ok(Record::Complete { round });
     }
     Err("unknown record shape".to_string())
-}
-
-fn parse_lines(text: &str) -> Result<Vec<Record>, JournalError> {
-    let mut records = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.is_empty() {
-            continue;
-        }
-        match decode_record(line) {
-            Ok(r) => records.push(r),
-            Err(why) => {
-                return Err(JournalError::BadRecord { line: i + 1, why });
-            }
-        }
-    }
-    Ok(records)
 }
 
 /// In-memory journal for the loopback cluster: contents survive a
@@ -295,49 +260,47 @@ impl NetJournal for SharedJournal {
     }
 }
 
-/// File-backed JSONL journal for UDP cluster processes. Appends are
-/// flushed (`File::sync_data` is overkill for a chaos smoke; `flush`
-/// pushes through the std buffer) before the append returns.
+/// File-backed JSONL journal for UDP cluster processes: the record
+/// codec over a [`JsonlFile`], which writes each record as one line and
+/// flushes it before the append returns.
 #[derive(Debug)]
 pub struct FileJournal {
     path: PathBuf,
-    file: File,
+    file: JsonlFile,
 }
 
 impl FileJournal {
-    /// Opens (creating if missing) the journal at `path` for append.
+    /// Opens (creating if missing) the journal at `path` for append. A
+    /// tail torn by a kill mid-write is truncated away: its newline
+    /// never reached disk, so the frame it held was never acked.
     ///
     /// # Errors
     ///
     /// Propagates filesystem failures.
     pub fn open(path: &Path) -> Result<Self, JournalError> {
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
         Ok(FileJournal {
             path: path.to_path_buf(),
-            file,
+            file: JsonlFile::open_append(path)?,
         })
     }
 }
 
 impl NetJournal for FileJournal {
     fn append(&mut self, record: &Record) {
-        let mut line = encode_record(record);
-        line.push('\n');
         // A full disk mid-smoke is indistinguishable from corruption;
         // surfacing it loudly beats silently weakening the ack
         // invariant.
         self.file
-            .write_all(line.as_bytes())
+            .append(encode_record(record))
             .expect("journal append failed: ack invariant would be violated");
-        self.file
-            .flush()
-            .expect("journal flush failed: ack invariant would be violated");
     }
 
     fn records(&self) -> Result<Vec<Record>, JournalError> {
-        let mut text = String::new();
-        File::open(&self.path)?.read_to_string(&mut text)?;
-        parse_lines(&text)
+        let mut records = Vec::new();
+        for (line, text) in read_lines(&self.path)?.iter() {
+            records.push(decode_record(text).map_err(|why| JournalError::BadRecord { line, why })?);
+        }
+        Ok(records)
     }
 }
 
@@ -419,5 +382,51 @@ mod tests {
         let j = FileJournal::open(&path).expect("reopen");
         assert_eq!(j.records().expect("valid journal"), sample());
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Byte-exact lines computed at the commit before the file handling
+    /// and field scanner moved out: no on-disk byte may move.
+    #[test]
+    fn record_lines_are_pinned() {
+        let lines: Vec<String> = sample().iter().map(encode_record).collect();
+        assert_eq!(
+            lines,
+            [
+                "{\"boot\":{\"epoch\":1}}",
+                "{\"frame\":{\"peer\":4,\"pe\":1,\"seq\":0,\
+                 \"body\":\"000100000000000000020000000101\"}}",
+                "{\"frame\":{\"peer\":4,\"pe\":1,\"seq\":1,\"body\":\"0101000000\"}}",
+                "{\"complete\":{\"round\":1}}",
+                "{\"boot\":{\"epoch\":2}}",
+            ]
+        );
+    }
+
+    include!(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../core/tests/support/torn_write.rs"
+    ));
+
+    #[test]
+    fn a_file_journal_cut_at_any_byte_replays_its_complete_lines() {
+        let sample = sample();
+        let full: String = sample.iter().map(|r| encode_record(r) + "\n").collect();
+        let prefixes: Vec<Vec<Record>> = (0..=sample.len()).map(|k| sample[..k].to_vec()).collect();
+        let extra = Record::Complete { round: 2 };
+        check_torn_writes(
+            "net",
+            full.as_bytes(),
+            &prefixes,
+            |path| {
+                let journal = FileJournal::open(path).map_err(|e| e.to_string())?;
+                journal.records().map_err(|e| e.to_string())
+            },
+            |path| FileJournal::open(path).expect("open").append(&extra),
+            |prefix| {
+                let mut grown = prefix.clone();
+                grown.push(extra.clone());
+                grown
+            },
+        );
     }
 }

@@ -27,6 +27,7 @@
 //! differing in exactly one byte can never collide. The wire proptests
 //! pin both properties down.
 
+use rbcast_grid::plumbing::{fnv1a, FNV_OFFSET};
 use rbcast_grid::NodeId;
 use rbcast_protocols::{ChainRepr, Msg, CHAIN_CAP};
 use rbcast_sim::driver::InstanceId;
@@ -41,18 +42,10 @@ pub const MAGIC: [u8; 2] = *b"RB";
 /// checksum, with slack); anything longer is rejected before parsing.
 pub const MAX_DATAGRAM: usize = 128;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
 /// FNV-1a over `bytes` — the datagram checksum.
 #[must_use]
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    fnv1a(FNV_OFFSET, bytes)
 }
 
 /// Structured decode failure. Every malformed input maps to exactly one
@@ -457,6 +450,17 @@ pub fn from_hex(s: &str) -> Option<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Computed at the commit before the byte fold moved to
+    /// `rbcast_grid::plumbing`: no on-wire byte may move.
+    #[test]
+    fn checksum_is_pinned() {
+        assert_eq!(
+            checksum(b"RB\x01\x00\x00\x00\x07reliable broadcast"),
+            0xb46e_6633_f250_f044
+        );
+        assert_eq!(checksum(b""), FNV_OFFSET);
+    }
 
     fn sample_packets() -> Vec<Packet> {
         let inst = InstanceId {

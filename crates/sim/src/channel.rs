@@ -30,6 +30,7 @@
 //!   [`BurstChain`].
 
 use crate::Round;
+use rbcast_grid::plumbing::splitmix64;
 use rbcast_grid::NodeId;
 
 /// Parameters of the Gilbert–Elliot two-state burst-loss chain.
@@ -290,7 +291,7 @@ const STREAM_BURST_LOSS: u64 = 0x1405_7B7E_F767_814F;
 /// A uniform draw in `[0, 1)`, pure in `(seed, a, b, c)` — the same
 /// splitmix-style mix the independent-loss path uses.
 fn mix_unit(seed: u64, a: u64, b: u64, c: u64) -> f64 {
-    let mut x = seed
+    let x = seed
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .wrapping_add(a)
         .wrapping_mul(0xBF58_476D_1CE4_E5B9)
@@ -298,12 +299,7 @@ fn mix_unit(seed: u64, a: u64, b: u64, c: u64) -> f64 {
         .wrapping_mul(0x94D0_49BB_1331_11EB)
         .wrapping_add(c)
         .wrapping_mul(0x2545_F491_4F6C_DD1D);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
-    (x >> 11) as f64 / (1u64 << 53) as f64
+    (splitmix64(x) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// Deterministic per-delivery loss decision.
@@ -348,7 +344,7 @@ pub(crate) fn delivery_lost(
     }
     let mut lost = true;
     for attempt in 0..cfg.redundancy {
-        let mut x = cfg
+        let x = cfg
             .seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(u64::from(round))
@@ -358,13 +354,7 @@ pub(crate) fn delivery_lost(
             .wrapping_add(u64::from(receiver.0))
             .wrapping_mul(0x2545_F491_4F6C_DD1D)
             .wrapping_add(u64::from(attempt));
-        // splitmix64 finalizer
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x ^= x >> 27;
-        x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^= x >> 31;
-        let draw = (x >> 11) as f64 / (1u64 << 53) as f64;
+        let draw = (splitmix64(x) >> 11) as f64 / (1u64 << 53) as f64;
         if draw >= cfg.loss {
             lost = false;
             break;

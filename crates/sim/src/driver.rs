@@ -81,26 +81,6 @@ pub fn transmission_ranks(order: &[NodeId], n: usize) -> Vec<u32> {
     rank_of
 }
 
-/// A transport-agnostic driver of one node's protocol logic: the step
-/// contract shared by the sim engine and the networked runtime.
-pub trait ProtocolDriver<M> {
-    /// Injects one round-`k` delivery (a message broadcast by neighbor
-    /// `from` during round `k − 1`). The caller presents a round's
-    /// deliveries in global transmission order.
-    fn deliver(&mut self, from: NodeId, msg: &M);
-
-    /// Closes the current round: runs `on_round_end` under the sparse
-    /// quiescence contract, advances the round counter, and returns the
-    /// broadcasts queued this round (to be delivered next round).
-    fn end_round(&mut self) -> Vec<M>;
-
-    /// The decision recorded so far, with the round it was made in.
-    fn decision(&self) -> Option<(Value, Round)>;
-
-    /// The current round counter (rounds fully closed so far).
-    fn round(&self) -> Round;
-}
-
 /// Drives a single [`Process`] with exact `Network` round semantics.
 ///
 /// Construction runs `on_start` (round 0); the first
@@ -178,15 +158,19 @@ impl<M> NodeDriver<M> {
     pub fn messages_sent(&self) -> u64 {
         self.messages_sent
     }
-}
 
-impl<M> ProtocolDriver<M> for NodeDriver<M> {
-    fn deliver(&mut self, from: NodeId, msg: &M) {
+    /// Injects one round-`k` delivery (a message broadcast by neighbor
+    /// `from` during round `k − 1`). The caller presents a round's
+    /// deliveries in global transmission order.
+    pub fn deliver(&mut self, from: NodeId, msg: &M) {
         self.delivered = true;
         self.with_ctx(|proc, ctx| proc.on_message(ctx, from, msg));
     }
 
-    fn end_round(&mut self) -> Vec<M> {
+    /// Closes the current round: runs `on_round_end` under the sparse
+    /// quiescence contract, advances the round counter, and returns the
+    /// broadcasts queued this round (to be delivered next round).
+    pub fn end_round(&mut self) -> Vec<M> {
         // Round 0 runs dense under both engines; afterwards the sparse
         // quiescence contract applies: fire iff delivered-to or awake.
         if self.round == 0 || self.delivered || self.wake {
@@ -201,11 +185,15 @@ impl<M> ProtocolDriver<M> for NodeDriver<M> {
         self.state.outbox.drain(..).map(|(_, m)| m).collect()
     }
 
-    fn decision(&self) -> Option<(Value, Round)> {
+    /// The decision recorded so far, with the round it was made in.
+    #[must_use]
+    pub fn decision(&self) -> Option<(Value, Round)> {
         self.state.decision
     }
 
-    fn round(&self) -> Round {
+    /// The current round counter (rounds fully closed so far).
+    #[must_use]
+    pub fn round(&self) -> Round {
         self.round
     }
 }

@@ -14,12 +14,10 @@
 //! the two representations can never diverge.
 
 use crate::Round;
+use rbcast_grid::plumbing::{json_field, json_field_u64};
 use std::io::Write;
 
-/// FNV-1a offset basis — the trace hash's initial value.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+pub use rbcast_grid::plumbing::{FNV_OFFSET, FNV_PRIME};
 
 /// `PRIME_POW[k] = FNV_PRIME^k (mod 2^64)`, `k = 0..=8`.
 const PRIME_POW: [u64; 9] = {
@@ -351,8 +349,7 @@ pub fn replay_hash(jsonl: &str) -> Result<u64, String> {
         if line.is_empty() {
             continue;
         }
-        let ev =
-            json_field_str(line, "ev").ok_or_else(|| line_err(lineno, "missing \"ev\" field"))?;
+        let ev = json_field(line, "ev").ok_or_else(|| line_err(lineno, "missing \"ev\" field"))?;
         match ev {
             "delivery" => {
                 let words = [
@@ -373,7 +370,7 @@ pub fn replay_hash(jsonl: &str) -> Result<u64, String> {
                 let decided = json_field_u64(line, "decided")
                     .ok_or_else(|| line_err(lineno, "malformed round_end"))?;
                 fold_words(&mut hash, &[round, decided]);
-                match json_field_str(line, "frozen") {
+                match json_field(line, "frozen") {
                     Some("true") => return Ok(hash),
                     Some("false") => {}
                     _ => return Err(line_err(lineno, "malformed round_end")),
@@ -383,27 +380,6 @@ pub fn replay_hash(jsonl: &str) -> Result<u64, String> {
         }
     }
     Ok(hash)
-}
-
-/// Extracts the raw token following `"key":` on a single well-formed
-/// JSON line produced by [`TraceEvent::to_json`] — a quoted string's
-/// contents or a bare literal (number / bool). Keys never repeat on one
-/// line, so the first occurrence is the value.
-fn json_field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    if let Some(quoted) = rest.strip_prefix('"') {
-        let end = quoted.find('"')?;
-        Some(&quoted[..end])
-    } else {
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim())
-    }
-}
-
-fn json_field_u64(line: &str, key: &str) -> Option<u64> {
-    json_field_str(line, key)?.parse().ok()
 }
 
 #[cfg(test)]
@@ -466,6 +442,9 @@ mod tests {
             fold_words(&mut fast, &words);
             fold_words_bytewise(&mut manual, &words);
             prop_assert_eq!(fast, manual);
+            // The workspace's shared byte fold is the same digest.
+            let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+            prop_assert_eq!(rbcast_grid::plumbing::fnv1a(seed, &bytes), manual);
         }
     }
 

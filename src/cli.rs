@@ -511,7 +511,8 @@ pub fn execute(cmd: &Command) -> i32 {
 /// `header` fingerprints the sweep being executed: a fresh journal is
 /// created with it as its first line, and a resume journal carrying a
 /// *different* header is refused — its task indices would alias
-/// unrelated experiments. Headerless (older) journals resume unchecked.
+/// unrelated experiments. Headerless (older) journals resume unchecked;
+/// an empty one (cut inside its header line) gets the header rewritten.
 fn sweep_config(opts: &SweepOpts, header: &JournalHeader) -> Result<SupervisorConfig, String> {
     let mut config = SupervisorConfig::from_env()?;
     if let Some(n) = opts.retries {
@@ -543,7 +544,7 @@ fn sweep_config(opts: &SweepOpts, header: &JournalHeader) -> Result<SupervisorCo
     }
     if let Some(path) = opts.journal.as_ref().or(opts.resume.as_ref()) {
         let journal = if opts.resume.is_some() {
-            Journal::append_to(path)
+            Journal::append_to_with_header(path, header)
         } else {
             Journal::create_with_header(path, header)
         };

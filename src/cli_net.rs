@@ -10,6 +10,7 @@
 //! is killed mid-run and respawned with the same journal, exercising
 //! the epoch-bump recovery path end to end over real sockets.
 
+use rbcast_grid::plumbing::json_field_u64;
 use rbcast_grid::Metric;
 use rbcast_net::{
     ChaosConfig, ClusterSpec, Datagram, FileJournal, LoopbackCluster, MemJournal, NetJournal,
@@ -285,24 +286,11 @@ fn encode_report(report: &NodeReport) -> String {
     )
 }
 
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    if end == 0 {
-        return None;
-    }
-    rest[..end].parse().ok()
-}
-
 /// Decisions parsed out of one child report line, as oracle tuples.
 fn decode_report_decisions(
     line: &str,
 ) -> Option<Vec<(InstanceId, rbcast_grid::NodeId, bool, Round)>> {
-    let node = rbcast_grid::NodeId(u32::try_from(field_u64(line, "node")?).ok()?);
+    let node = rbcast_grid::NodeId(u32::try_from(json_field_u64(line, "node")?).ok()?);
     let start = line.find("\"decisions\":[")? + "\"decisions\":[".len();
     let end = line[start..].find(']')? + start;
     let body = &line[start..end];
@@ -311,10 +299,10 @@ fn decode_report_decisions(
         return Some(out);
     }
     for entry in body.split("},{") {
-        let origin = u32::try_from(field_u64(entry, "o")?).ok()?;
-        let seq = u32::try_from(field_u64(entry, "s")?).ok()?;
-        let value = field_u64(entry, "v")? == 1;
-        let round = u32::try_from(field_u64(entry, "r")?).ok()?;
+        let origin = u32::try_from(json_field_u64(entry, "o")?).ok()?;
+        let seq = u32::try_from(json_field_u64(entry, "s")?).ok()?;
+        let value = json_field_u64(entry, "v")? == 1;
+        let round = u32::try_from(json_field_u64(entry, "r")?).ok()?;
         out.push((
             InstanceId {
                 origin: rbcast_grid::NodeId(origin),
