@@ -57,19 +57,19 @@ cargo test -q --features debug-invariants
 echo "==> engine determinism gate (1/2/8 threads, debug-invariants replay)"
 cargo test -q -p rbcast-core --test determinism --features debug-invariants
 
-echo "==> thresh_byz smoke (tiny grid through the parallel engine)"
-cargo run -q -p rbcast-bench --bin thresh_byz -- --smoke
+echo "==> results gate (every experiment and example prints exactly its golden under results/)"
+results/gate.sh
 
 echo "==> chaos smoke (injected panics/stalls quarantined, journal well-formed)"
 # Seed 4 deterministically kills tasks in both thresh_byz sweeps (the
 # chaos draw is a pure function of (seed, task, attempt), so this holds
-# at every thread count). The bin must still exit 0 — failures are
+# at every thread count). The run must still exit 0 — failures are
 # quarantined, never fatal — and the checkpoint journal must hold one
 # well-formed line per task, including the failed ones.
 rm -rf results/journal
 chaos_out=target/chaos_smoke.out
 RBCAST_CHAOS="panic:0.05,stall:0.02,seed=4" RBCAST_RETRIES=1 \
-    cargo run -q -p rbcast-bench --bin thresh_byz -- --smoke > "$chaos_out" 2>&1 \
+    cargo run -q -p rbcast-bench -- thresh_byz --smoke > "$chaos_out" 2>&1 \
     || { cat "$chaos_out"; echo "chaos smoke: thresh_byz failed fatally"; exit 1; }
 grep -q "^quarantine " "$chaos_out" \
     || { cat "$chaos_out"; echo "chaos smoke: expected quarantined tasks"; exit 1; }
@@ -169,17 +169,11 @@ resume_gate attack attack --seed 10976964 --steps 60 --r 1 --checkpoint-every 8
 resume_gate sweep sweep --protocol flood --r 1 --t-max 4 --placement cluster --behavior crash
 echo "resume gates passed"
 
-echo "==> attack corpus smoke (worst-found placements verify by independent replay)"
-cargo run -q --release -p rbcast-bench --bin attack_corpus -- --smoke
-
-echo "==> sweep_engine smoke (multi-thread throughput >= 85% of serial)"
-cargo bench -q -p rbcast-bench --bench sweep_engine -- --smoke
-
 echo "==> scale smoke (sparse engine matches the dense oracle at 10^4 nodes)"
-# Release build: the smoke gate carries a wall budget, and a debug bin
-# is opt-0 here ([profile.dev] is not overridden), an order of
+# Release build: the smoke gate carries a wall budget, and a debug
+# build is opt-0 here ([profile.dev] is not overridden), an order of
 # magnitude off the numbers the gate is calibrated against.
-cargo run -q --release -p rbcast-bench --bin scale_bench -- --smoke
+cargo run -q --release -p rbcast-bench -- scale_bench --smoke
 
 echo "==> benchmark smoke (benchmark/ still builds against crates/* and emits every declared metric)"
 # benchmark/ is a package of its own with its own lock file, outside the

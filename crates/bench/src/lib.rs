@@ -1,14 +1,29 @@
-//! Experiment runners regenerating every table and figure of the paper.
+//! Experiment runner regenerating every table and figure of the paper.
 //!
-//! Each binary in `src/bin/` prints one artifact's rows (see DESIGN.md
-//! for the experiment index); the Criterion benches in `benches/` cover
-//! the performance-sensitive machinery. This library holds the shared
-//! report formatting.
+//! One binary over one table: [`experiments::EXPERIMENTS`] maps each
+//! experiment id (see EXPERIMENTS.md) to the function that prints its
+//! rows and records its verdicts. An experiment's stdout is its result —
+//! deterministic, archived under `results/` and compared by CI — so
+//! anything wall-clock or host-dependent goes to stderr. This library
+//! holds the shared report formatting and verdict bookkeeping.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use rbcast_core::Outcome;
+
+pub mod experiments;
 pub mod perf;
+
+/// How much of an experiment to run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Size {
+    /// Everything EXPERIMENTS.md quotes.
+    Full,
+    /// `--smoke`: the seconds-scale slice CI gates for the experiments
+    /// that are too slow at full size. Most experiments ignore it.
+    Smoke,
+}
 
 /// Prints a section header.
 pub fn header(title: &str) {
@@ -53,7 +68,7 @@ impl Verdicts {
     /// Records and prints a check that could not run because every input
     /// it needed was quarantined by the sweep supervisor. A skip is
     /// visible but not a failure: the quarantine report already carries
-    /// the underlying errors, and failing the bin on top of it would
+    /// the underlying errors, and failing the run on top of it would
     /// turn graceful degradation back into all-or-nothing.
     pub fn skip(&mut self, label: &str) {
         println!("[SKIP] {label} (inputs quarantined)");
@@ -61,8 +76,50 @@ impl Verdicts {
         self.skipped += 1;
     }
 
-    /// Prints the summary and exits nonzero on any failure.
-    pub fn finish(self) -> ! {
+    /// Settles `label` over a slice of sweep rows: a [`check`] that `ok`
+    /// holds for every outcome when all of them are healthy, a [`skip`]
+    /// when the supervisor quarantined any.
+    ///
+    /// [`check`]: Verdicts::check
+    /// [`skip`]: Verdicts::skip
+    pub fn check_all(
+        &mut self,
+        label: &str,
+        rows: &[Option<Outcome>],
+        ok: impl Fn(&Outcome) -> bool,
+    ) {
+        if rows.iter().any(Option::is_none) {
+            self.skip(label);
+        } else {
+            self.check(label, rows.iter().flatten().all(ok));
+        }
+    }
+
+    /// Prints one table line per sweep row — `prefix(i)` followed by
+    /// `cells(outcome)`, or by `(quarantined)` where the supervisor gave
+    /// the task up — then settles `label` with [`check_all`].
+    ///
+    /// [`check_all`]: Verdicts::check_all
+    pub fn check_rows(
+        &mut self,
+        label: &str,
+        rows: &[Option<Outcome>],
+        prefix: impl Fn(usize) -> String,
+        cells: impl Fn(&Outcome) -> String,
+        ok: impl Fn(&Outcome) -> bool,
+    ) {
+        for (i, row) in rows.iter().enumerate() {
+            let cells = row
+                .as_ref()
+                .map_or_else(|| "(quarantined)".to_string(), &cells);
+            println!("{}{cells}", prefix(i));
+        }
+        self.check_all(label, rows, ok);
+    }
+
+    /// Prints the summary; true when no check failed.
+    #[must_use]
+    pub fn finish(self) -> bool {
         println!();
         let note = if self.skipped > 0 {
             format!(" ({} skipped)", self.skipped)
@@ -74,6 +131,6 @@ impl Verdicts {
             self.total - self.failures - self.skipped,
             self.total
         );
-        std::process::exit(i32::from(self.failures > 0))
+        self.failures == 0
     }
 }

@@ -1,52 +1,20 @@
-//! Machine-readable sweep timing and the `BENCH_sweep.json` writer.
+//! What the experiments share around a sweep: the supervised,
+//! journalled fan-out ([`run_sweep`]) and the `BENCH_scale.json` writer.
 //!
-//! Every sweep-shaped binary fans its experiment grid out through
-//! [`rbcast_core::engine`], so wall-clock per sweep, runs/sec, and the
-//! worker-thread count are the numbers that matter for throughput work.
-//! This module measures them and serialises them to a stable JSON shape
-//! (hand-rolled — the workspace is offline and carries no serde) so the
-//! baseline can be checked in and diffed across PRs.
-//!
-//! Timing lives here and nowhere near the simulation: stopwatches come
-//! from [`rbcast_core::obs`] (the only module allowed to read the wall
-//! clock), and holding or dropping the timer never changes an outcome.
-//! The emitted document also carries the process-wide [`obs`] metrics
-//! and span-timing snapshots, so a bench run records *what* the sweeps
-//! did (deliveries, retries, arena traffic) next to how long they took.
-//!
-//! [`obs`]: rbcast_core::obs
+//! Every sweep-shaped experiment fans its grid out through
+//! [`rbcast_core::engine`] under the sweep supervisor. Timing lives here
+//! and nowhere near the simulation: stopwatches come from
+//! [`rbcast_core::obs`] (the only module allowed to read the wall
+//! clock), holding or dropping one never changes an outcome, and what
+//! they read goes to stderr — an experiment's stdout is its result and
+//! must not depend on the host. End-to-end and per-layer performance is
+//! measured from outside, by `benchmark/`.
 
 use rbcast_core::supervisor::{self, SupervisorConfig, SweepReport, TaskReport};
 use rbcast_core::{engine, Experiment, Outcome};
 use rbcast_grid::plumbing::json_escape;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-
-/// Timing record for one executed sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepTiming {
-    /// Stable sweep key, `"<bin>/<section>"` (e.g. `thresh_byz/achievability`).
-    pub label: String,
-    /// Worker threads the sweep ran on.
-    pub threads: usize,
-    /// Number of experiment runs in the sweep.
-    pub runs: usize,
-    /// Wall-clock duration of the whole sweep, milliseconds.
-    pub wall_ms: f64,
-}
-
-impl SweepTiming {
-    /// Experiment runs completed per second.
-    #[must_use]
-    pub fn runs_per_sec(&self) -> f64 {
-        if self.wall_ms <= 0.0 {
-            0.0
-        } else {
-            self.runs as f64 * 1000.0 / self.wall_ms
-        }
-    }
-}
 
 /// The supervised results of one sweep: healthy outcomes in experiment
 /// order (quarantined slots are `None`) plus the quarantine report.
@@ -90,7 +58,7 @@ fn env_config() -> SupervisorConfig {
 
 /// Where a sweep's checkpoint journal lives:
 /// `results/journal/<label>.jsonl` under the workspace root (anchored
-/// at compile time — `cargo bench`/`cargo test` set a per-crate cwd,
+/// at compile time — `cargo test` sets a per-crate cwd,
 /// and journals must not scatter with it), with `/` flattened to `_`.
 #[must_use]
 pub fn journal_path(label: &str) -> PathBuf {
@@ -101,19 +69,18 @@ pub fn journal_path(label: &str) -> PathBuf {
         .join(format!("{}.jsonl", label.replace('/', "_")))
 }
 
-/// Runs `experiments` under the sweep supervisor on `threads` workers
-/// and times the sweep. Healthy outcomes come back in experiment order —
-/// identical for every thread count — so callers print rows exactly as
-/// the serial loops they replace did; failed tasks are quarantined
-/// (reported and journalled) instead of killing the bin. Each sweep
-/// checkpoints to [`journal_path`]`(label)` as tasks complete (best
-/// effort: an unwritable path warns and continues).
+/// Runs `experiments` under the sweep supervisor at the ambient thread
+/// count ([`engine::thread_count`]`(None)`, i.e. `RBCAST_THREADS` or all
+/// cores). Healthy outcomes come back in experiment order — identical
+/// for every thread count — so callers print rows exactly as a serial
+/// loop would; failed tasks are quarantined (reported on stdout, since
+/// they change verdicts, and journalled) instead of killing the run.
+/// Each sweep checkpoints to [`journal_path`]`(label)` as tasks complete
+/// (best effort: an unwritable path warns and continues), and a one-line
+/// timing summary goes to stderr.
 #[must_use]
-pub fn run_sweep_timed(
-    label: &str,
-    experiments: &[Experiment],
-    threads: usize,
-) -> (SweepRows, SweepTiming) {
+pub fn run_sweep(label: &str, experiments: &[Experiment]) -> SweepRows {
+    let threads = engine::thread_count(None);
     let mut config = env_config();
     match supervisor::Journal::create(&journal_path(label)) {
         Ok(journal) => config.journal = Some(journal),
@@ -125,15 +92,18 @@ pub fn run_sweep_timed(
     let t0 = rbcast_core::obs::Stopwatch::start();
     let report = supervisor::run_experiments_supervised(experiments, threads, &config);
     let wall_ms = t0.elapsed_ms();
-    (
-        rows_of(label, report),
-        SweepTiming {
-            label: label.to_string(),
-            threads,
-            runs: experiments.len(),
-            wall_ms,
-        },
-    )
+    let rows = rows_of(label, report);
+    let quarantine_note = if rows.fully_healthy() {
+        String::new()
+    } else {
+        format!(", {} quarantined", rows.quarantined.len())
+    };
+    eprintln!(
+        "sweep {label}: {} runs on {threads} thread(s) in {wall_ms:.1} ms ({:.0} runs/s{quarantine_note})",
+        experiments.len(),
+        experiments.len() as f64 * 1000.0 / wall_ms.max(1e-9),
+    );
+    rows
 }
 
 /// Flattens a supervised report into [`SweepRows`], printing the
@@ -158,128 +128,6 @@ fn rows_of(label: &str, report: SweepReport) -> SweepRows {
         })
         .collect();
     SweepRows { rows, quarantined }
-}
-
-/// [`run_sweep_timed`] at the ambient thread count
-/// ([`engine::thread_count`]`(None)`, i.e. `RBCAST_THREADS` or all
-/// cores), printing a one-line sweep summary.
-#[must_use]
-pub fn run_sweep(label: &str, experiments: &[Experiment]) -> (SweepRows, SweepTiming) {
-    let threads = engine::thread_count(None);
-    let (rows, timing) = run_sweep_timed(label, experiments, threads);
-    let quarantine_note = if rows.fully_healthy() {
-        String::new()
-    } else {
-        format!(", {} quarantined", rows.quarantined.len())
-    };
-    println!(
-        "sweep {label}: {} runs on {threads} thread(s) in {:.1} ms ({:.0} runs/s{quarantine_note})",
-        timing.runs,
-        timing.wall_ms,
-        timing.runs_per_sec()
-    );
-    (rows, timing)
-}
-
-/// Parallel scaling efficiency of one sweep against its bin's
-/// single-thread baseline: `rps(threads=N) / (N × rps(threads=1))`,
-/// where the baseline is the first `threads == 1` sweep sharing the
-/// label's `<bin>/` prefix. Perfect scaling is `1.0` at every thread
-/// count; on a single-core host the value decays towards `1/N`. `None`
-/// when the bin has no single-thread sweep to compare against.
-#[must_use]
-pub fn scaling_efficiency(t: &SweepTiming, all: &[SweepTiming]) -> Option<f64> {
-    let bin = |label: &str| label.split('/').next().map(str::to_owned);
-    let mine = bin(&t.label);
-    let base = all
-        .iter()
-        .find(|b| b.threads == 1 && bin(&b.label) == mine)?;
-    let base_rps = base.runs_per_sec();
-    if base_rps <= 0.0 {
-        return None;
-    }
-    Some(t.runs_per_sec() / (t.threads as f64 * base_rps))
-}
-
-/// Serialises timings to the `BENCH_sweep.json` document: the default
-/// thread count, one record per sweep (with its [`scaling_efficiency`]),
-/// per-bin totals (keyed by the label's `<bin>/` prefix), the
-/// [`rbcast_core::obs::metrics_snapshot`] counter readings, and the
-/// [`rbcast_core::obs::timings_snapshot`] span aggregates. Key order is
-/// sorted, floats are fixed to three decimals — the output is
-/// byte-stable for identical inputs and identical counter state.
-#[must_use]
-pub fn to_json(default_threads: usize, timings: &[SweepTiming]) -> String {
-    let mut bins: BTreeMap<&str, (usize, f64)> = BTreeMap::new();
-    for t in timings {
-        let bin = t.label.split('/').next().unwrap_or(&t.label);
-        let entry = bins.entry(bin).or_insert((0, 0.0));
-        entry.0 += t.runs;
-        entry.1 += t.wall_ms;
-    }
-
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"rbcast-bench-sweep/v3\",");
-    let _ = writeln!(s, "  \"default_threads\": {default_threads},");
-    s.push_str("  \"sweeps\": [\n");
-    for (i, t) in timings.iter().enumerate() {
-        let efficiency = scaling_efficiency(t, timings)
-            .map_or_else(|| "null".to_string(), |e| format!("{e:.3}"));
-        let _ = write!(
-            s,
-            "    {{\"label\": \"{}\", \"threads\": {}, \"runs\": {}, \
-             \"wall_ms\": {:.3}, \"runs_per_sec\": {:.3}, \
-             \"scaling_efficiency\": {efficiency}}}",
-            json_escape(&t.label),
-            t.threads,
-            t.runs,
-            t.wall_ms,
-            t.runs_per_sec()
-        );
-        s.push_str(if i + 1 < timings.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"bins\": {\n");
-    for (i, (bin, (runs, wall_ms))) in bins.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    \"{}\": {{\"runs\": {runs}, \"wall_ms\": {wall_ms:.3}}}",
-            json_escape(bin)
-        );
-        s.push_str(if i + 1 < bins.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  },\n");
-    let metrics = rbcast_core::obs::metrics_snapshot();
-    s.push_str("  \"metrics\": {\n");
-    for (i, (name, value)) in metrics.iter().enumerate() {
-        let _ = write!(s, "    \"{}\": {value}", json_escape(name));
-        s.push_str(if i + 1 < metrics.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  },\n");
-    let spans = rbcast_core::obs::timings_snapshot();
-    s.push_str("  \"timings\": {\n");
-    for (i, (name, stat)) in spans.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    \"{}\": {{\"count\": {}, \"total_ms\": {:.3}}}",
-            json_escape(name),
-            stat.count,
-            stat.total_ms()
-        );
-        s.push_str(if i + 1 < spans.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  }\n}\n");
-    s
-}
-
-/// Writes [`to_json`] to `path`. I/O errors are reported, not fatal — a
-/// read-only checkout must not fail a bench run.
-pub fn write_bench_json(path: &Path, default_threads: usize, timings: &[SweepTiming]) {
-    match std::fs::write(path, to_json(default_threads, timings)) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
 }
 
 /// One cell of the scale bench: a single fault-free broadcast on an
@@ -345,11 +193,11 @@ impl ScaleCell {
 }
 
 /// Serialises scale cells to the `BENCH_scale.json` document: the
-/// engine label, one record per cell, and the same trailing
-/// [`rbcast_core::obs`] metrics / timings snapshots as
-/// `BENCH_sweep.json`. Key order is fixed and floats print with three
-/// decimals, so the output is byte-stable for identical inputs and
-/// identical counter state.
+/// engine label, one record per cell, and the trailing
+/// [`rbcast_core::obs`] metrics / timings snapshots (what the cells
+/// did — deliveries, arena traffic — next to how long they took). Key
+/// order is fixed and floats print with three decimals, so the output
+/// is byte-stable for identical inputs and identical counter state.
 #[must_use]
 pub fn to_scale_json(engine: &str, cells: &[ScaleCell]) -> String {
     let mut s = String::new();
@@ -405,10 +253,10 @@ pub fn to_scale_json(engine: &str, cells: &[ScaleCell]) -> String {
 }
 
 /// Writes [`to_scale_json`] to `path`. I/O errors are reported, not
-/// fatal, matching [`write_bench_json`].
+/// fatal — a read-only checkout must not fail a bench run.
 pub fn write_scale_json(path: &Path, engine: &str, cells: &[ScaleCell]) {
     match std::fs::write(path, to_scale_json(engine, cells)) {
-        Ok(()) => println!("wrote {}", path.display()),
+        Ok(()) => eprintln!("wrote {}", path.display()),
         Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
     }
 }
@@ -417,83 +265,15 @@ pub fn write_scale_json(path: &Path, engine: &str, cells: &[ScaleCell]) {
 mod tests {
     use super::*;
 
-    fn timing(label: &str, threads: usize, runs: usize, wall_ms: f64) -> SweepTiming {
-        SweepTiming {
-            label: label.to_string(),
-            threads,
-            runs,
-            wall_ms,
-        }
-    }
-
     #[test]
-    fn json_shape_is_stable_and_totals_group_by_bin() {
-        let t = [
-            timing("byz/a", 4, 32, 100.0),
-            timing("byz/b", 4, 8, 25.0),
-            timing("cpa/a", 4, 4, 10.0),
-        ];
-        let j = to_json(4, &t);
-        assert!(j.contains("\"schema\": \"rbcast-bench-sweep/v3\""));
-        assert!(j.contains("\"default_threads\": 4"));
-        assert!(j.contains("\"label\": \"byz/a\", \"threads\": 4, \"runs\": 32"));
-        assert!(j.contains("\"byz\": {\"runs\": 40, \"wall_ms\": 125.000}"));
-        assert!(j.contains("\"cpa\": {\"runs\": 4, \"wall_ms\": 10.000}"));
-        // no threads-1 sweep in either bin → efficiency is null
-        assert!(j.contains("\"scaling_efficiency\": null"));
-        // v3 carries the observability snapshots
-        assert!(j.contains("\"metrics\": {"));
-        assert!(j.contains("\"flow/augmentations\": "));
-        assert!(j.contains("\"timings\": {"));
-        // byte-stable for the timing-derived part (the trailing metrics /
-        // timings blocks read live process counters, which sibling tests
-        // running in parallel may bump between the two calls)
-        let stable = |s: &str| s.split("\"metrics\"").next().map(str::to_owned);
-        assert_eq!(stable(&j), stable(&to_json(4, &t)));
-    }
-
-    #[test]
-    fn scaling_efficiency_uses_the_bins_serial_baseline() {
-        let t = [
-            timing("eng/threads1", 1, 32, 100.0), // 320 rps
-            timing("eng/threads2", 2, 32, 100.0), // 320 rps → eff 0.5
-            timing("eng/threads4", 4, 32, 25.0),  // 1280 rps → eff 1.0
-            timing("other/threads2", 2, 8, 10.0), // no baseline in bin
-        ];
-        let eff = |i: usize| scaling_efficiency(&t[i], &t);
-        assert!((eff(0).unwrap() - 1.0).abs() < 1e-9);
-        assert!((eff(1).unwrap() - 0.5).abs() < 1e-9);
-        assert!((eff(2).unwrap() - 1.0).abs() < 1e-9);
-        assert_eq!(eff(3), None);
-        let j = to_json(4, &t);
-        assert!(j.contains("\"scaling_efficiency\": 1.000"));
-        assert!(j.contains("\"scaling_efficiency\": 0.500"));
-        assert!(j.contains("\"scaling_efficiency\": null"));
-    }
-
-    #[test]
-    fn runs_per_sec_handles_zero_wall() {
-        assert!(timing("x", 1, 5, 0.0).runs_per_sec().abs() < 1e-12);
-        let t = timing("x", 1, 50, 1000.0);
-        assert!((t.runs_per_sec() - 50.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn labels_are_escaped() {
-        let j = to_json(1, &[timing("a\"b\\c", 1, 1, 1.0)]);
-        assert!(j.contains("a\\\"b\\\\c"));
-    }
-
-    #[test]
-    fn timed_sweep_returns_outcomes_in_order() {
+    fn sweep_returns_outcomes_in_order() {
         use rbcast_core::ProtocolKind;
         let experiments: Vec<Experiment> = (1..=2)
             .map(|r| Experiment::new(r, ProtocolKind::Flood))
             .collect();
-        let (rows, timing) = run_sweep_timed("test/order", &experiments, 2);
+        let rows = run_sweep("test/order", &experiments);
         assert_eq!(rows.len(), 2);
         assert!(rows.fully_healthy());
-        assert_eq!(timing.runs, 2);
         let serial = engine::run_experiments(&experiments, 1);
         let healthy: Vec<Outcome> = rows.iter().flatten().cloned().collect();
         assert_eq!(healthy, serial);
@@ -534,7 +314,7 @@ mod tests {
         no_probe.peak_rss_kb = None;
         assert!(to_scale_json("dense", &[no_probe]).contains("\"peak_rss_kb\": null"));
         assert!(j.contains("\"nodes\": 1000000"));
-        // the trailing observability blocks ride along, as in sweep v3
+        // the trailing observability blocks ride along
         assert!(j.contains("\"metrics\": {"));
         assert!(j.contains("\"timings\": {"));
         // byte-stable up to the live counter snapshots

@@ -54,11 +54,32 @@ pub struct ComplexityRow {
     pub measured: u64,
 }
 
+/// One fault-free run of `kind` at radius `r` on `Torus::for_radius(r)`
+/// (L∞), counted to quiescence: predicted vs measured broadcasts.
+///
+/// # Panics
+///
+/// Panics if the fault-free broadcast does not reach every node.
+#[must_use]
+pub fn row(r: u32, kind: ProtocolKind) -> ComplexityRow {
+    let torus = Torus::for_radius(r);
+    // Complexity counts every broadcast until quiescence, including the
+    // tail after all nodes have decided (persistent flood keeps
+    // re-transmitting there) — so the run may not stop early.
+    let o = Experiment::new(r, kind).with_early_termination(false).run();
+    assert!(o.all_honest_correct(), "{}: {o}", kind.name());
+    ComplexityRow {
+        protocol: kind.name(),
+        n: torus.len(),
+        predicted: predicted_broadcasts(kind, &torus, r, Metric::Linf),
+        measured: o.stats.messages_sent,
+    }
+}
+
 /// Runs every protocol fault-free at radius `r` and tabulates predicted
 /// vs measured broadcast counts.
 #[must_use]
 pub fn table(r: u32) -> Vec<ComplexityRow> {
-    let torus = Torus::for_radius(r);
     [
         ProtocolKind::Flood,
         ProtocolKind::Cpa,
@@ -66,19 +87,7 @@ pub fn table(r: u32) -> Vec<ComplexityRow> {
         ProtocolKind::IndirectFull,
     ]
     .into_iter()
-    .map(|kind| {
-        // Complexity counts every broadcast until quiescence, including
-        // the tail after all nodes have decided (persistent flood keeps
-        // re-transmitting there) — so the run may not stop early.
-        let o = Experiment::new(r, kind).with_early_termination(false).run();
-        assert!(o.all_honest_correct(), "{}: {o}", kind.name());
-        ComplexityRow {
-            protocol: kind.name(),
-            n: torus.len(),
-            predicted: predicted_broadcasts(kind, &torus, r, Metric::Linf),
-            measured: o.stats.messages_sent,
-        }
-    })
+    .map(|kind| row(r, kind))
     .collect()
 }
 
@@ -101,16 +110,10 @@ mod tests {
         // checked directly (without the full-protocol rows of `table`,
         // which are slow in debug builds) for r = 1 and 2
         for r in 1..=2u32 {
-            let torus = Torus::for_radius(r);
-            let o = Experiment::new(r, ProtocolKind::IndirectSimplified)
-                .with_early_termination(false)
-                .run();
-            assert!(o.all_honest_correct());
-            let predicted =
-                predicted_broadcasts(ProtocolKind::IndirectSimplified, &torus, r, Metric::Linf);
-            assert_eq!(Some(o.stats.messages_sent), predicted, "r={r}");
-            let expect = (torus.len() as u64) * u64::from((2 * r + 1) * (2 * r + 1));
-            assert_eq!(o.stats.messages_sent, expect);
+            let row = row(r, ProtocolKind::IndirectSimplified);
+            assert_eq!(Some(row.measured), row.predicted, "r={r}");
+            let expect = (row.n as u64) * u64::from((2 * r + 1) * (2 * r + 1));
+            assert_eq!(row.measured, expect);
         }
     }
 

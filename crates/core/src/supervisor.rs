@@ -1050,14 +1050,6 @@ impl SweepReport {
     pub fn fully_healthy(&self) -> bool {
         self.quarantined().is_empty()
     }
-
-    /// Healthy outcomes in input order, `None` for quarantined or
-    /// resumed-without-recompute slots — the shape the bench harness
-    /// consumes.
-    #[must_use]
-    pub fn outcomes(&self) -> Vec<Option<&Outcome>> {
-        self.tasks.iter().map(TaskReport::outcome).collect()
-    }
 }
 
 /// The supervised counterpart of [`engine::run_experiments`]: runs every
