@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
-# Local mirror of the CI pipeline (.github/workflows/ci.yml).
-# Runs every gate in order and stops at the first failure.
+# The CI pipeline, defined once: .github/workflows/ci.yml runs this file
+# and nothing else. Runs every gate in order and stops at the first
+# failure.
 set -eu
 
 cd "$(dirname "$0")"
@@ -96,6 +97,39 @@ if grep -v '^{"ev":"[a-z_]*","round":[0-9][0-9]*[,}]' "$trace_out" | grep -q .; 
 fi
 rm -f "$trace_out"
 echo "trace smoke passed"
+
+echo "==> bad-invocation gate (out-of-range input is one error: line and exit 2, never a panic)"
+# Before the flag cursor carried the ranges (src/cli.rs, `Flags`) each
+# of these died in a constructor assert!, printed a NaN rate, or ran a
+# silently different experiment.
+bad_err=target/bad_invocation.err
+bad_ids=target/bad_invocation_ids.txt
+printf '3\n9999\n' > "$bad_ids"
+while read -r line; do
+    status=0
+    # shellcheck disable=SC2086 # splitting the line into arguments is the point
+    target/release/rbcast $line > /dev/null 2> "$bad_err" || status=$?
+    if test "$status" -ne 2 || grep -q panicked "$bad_err" \
+        || ! head -n 1 "$bad_err" | grep -q '^error: '; then
+        cat "$bad_err"; echo "bad-invocation gate: 'rbcast $line' exited $status"; exit 1
+    fi
+done <<BAD
+run --loss 1.5
+run --loss 1
+run --loss 0.5 --redundancy 0
+run --protocol persistent-flood --repeats 0
+run --r 0
+run --placement bernoulli --prob 2
+run --placement file:$bad_ids
+run --t x
+attack --r 0
+cluster --width 0 --height 3
+cluster --instances 0
+cluster --transport loopback --kill 99
+cluster --protocol indirect
+BAD
+rm -f "$bad_err" "$bad_ids"
+echo "bad-invocation gate passed"
 
 echo "==> cluster chaos smoke (3x3 UDP processes, burst loss, kill+restart)"
 # Nine `rbcast serve` OS processes on loopback UDP ports, every link

@@ -23,14 +23,14 @@ use rbcast_core::{obs, EngineKind, Experiment, ProtocolKind};
 use rbcast_grid::Torus;
 use std::path::Path;
 
-/// The protocol axis: label and kind, fault-free at the protocol's
-/// default `t`. `IndirectSimplified` stands in for the indirect-report
-/// family — the full protocol's report traffic is quadratic in the
-/// neighborhood and is benched separately (see DESIGN.md).
-const PROTOCOLS: [(&str, ProtocolKind); 3] = [
-    ("flood", ProtocolKind::Flood),
-    ("cpa", ProtocolKind::Cpa),
-    ("indirect", ProtocolKind::IndirectSimplified),
+/// The protocol axis, fault-free at each protocol's default `t`.
+/// `IndirectSimplified` stands in for the indirect-report family — the
+/// full protocol's report traffic is quadratic in the neighborhood and
+/// is benched separately (see DESIGN.md).
+const PROTOCOLS: [ProtocolKind; 3] = [
+    ProtocolKind::Flood,
+    ProtocolKind::Cpa,
+    ProtocolKind::IndirectSimplified,
 ];
 
 /// The size axis: torus sides giving ~10⁴, ~10⁵ and 10⁶ nodes.
@@ -63,11 +63,11 @@ fn experiment(kind: ProtocolKind, side: u32, engine: EngineKind) -> Experiment {
 /// the cell plus the trace hash so the smoke gate can compare engines.
 fn run_cell(
     v: &mut Verdicts,
-    label: &str,
     kind: ProtocolKind,
     side: u32,
     engine: EngineKind,
 ) -> (ScaleCell, u64) {
+    let label = kind.name();
     let exp = experiment(kind, side, engine);
     let t0 = obs::Stopwatch::start();
     let (outcome, hash) = exp.run_traced();
@@ -92,7 +92,7 @@ fn run_cell(
         None => String::new(),
     };
     eprintln!(
-        "{label:>9} side {side:>4} ({nodes:>7} nodes): {} rounds, {} deliveries \
+        "{label:>19} side {side:>4} ({nodes:>7} nodes): {} rounds, {} deliveries \
          in {:.1} ms ({:.0} nodes/s, {:.0} rounds/s{rss})",
         cell.rounds,
         cell.deliveries,
@@ -106,9 +106,10 @@ fn run_cell(
 /// The CI gate: 10⁴-node cells only, each checked against the dense
 /// oracle for byte-identical trace hashes and against the wall budget.
 fn smoke(v: &mut Verdicts) {
-    for (label, kind) in PROTOCOLS {
-        let (cell, sparse_hash) = run_cell(v, label, kind, 100, EngineKind::Sparse);
-        let (_, dense_hash) = run_cell(v, label, kind, 100, EngineKind::Dense);
+    for kind in PROTOCOLS {
+        let label = kind.name();
+        let (cell, sparse_hash) = run_cell(v, kind, 100, EngineKind::Sparse);
+        let (_, dense_hash) = run_cell(v, kind, 100, EngineKind::Dense);
         v.check(
             &format!(
                 "{label}@100: sparse trace hash {sparse_hash:#018x} equals the dense oracle's \
@@ -120,9 +121,9 @@ fn smoke(v: &mut Verdicts) {
             &format!("{label}@100: under the {SMOKE_BUDGET_MS:.0} ms wall budget"),
             cell.wall_ms <= SMOKE_BUDGET_MS,
         );
-        if label == "indirect" {
+        if kind == ProtocolKind::IndirectSimplified {
             v.check(
-                &format!("indirect@100: at least {INDIRECT_SMOKE_FLOOR_NODES_PER_SEC:.0} nodes/s"),
+                &format!("{label}@100: at least {INDIRECT_SMOKE_FLOOR_NODES_PER_SEC:.0} nodes/s"),
                 cell.nodes_per_sec() >= INDIRECT_SMOKE_FLOOR_NODES_PER_SEC,
             );
         }
@@ -135,8 +136,8 @@ pub fn run(v: &mut Verdicts, size: Size) {
     }
     let mut cells = Vec::new();
     for side in SIDES {
-        for (label, kind) in PROTOCOLS {
-            let (cell, _) = run_cell(v, label, kind, side, EngineKind::Sparse);
+        for kind in PROTOCOLS {
+            let (cell, _) = run_cell(v, kind, side, EngineKind::Sparse);
             cells.push(cell);
         }
     }

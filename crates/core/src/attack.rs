@@ -181,19 +181,6 @@ impl From<std::io::Error> for AttackError {
     }
 }
 
-/// The protocol's proven fault tolerance at radius `r` (mirrors
-/// `Experiment::default_t`).
-#[must_use]
-pub fn protocol_threshold(protocol: ProtocolKind, r: u32) -> usize {
-    (match protocol {
-        ProtocolKind::Flood | ProtocolKind::PersistentFlood { .. } => {
-            crate::thresholds::crash_max_t(r)
-        }
-        ProtocolKind::Cpa => crate::thresholds::cpa_guaranteed_t(r),
-        _ => crate::thresholds::byzantine_max_t(r),
-    }) as usize
-}
-
 /// The `(r, t)` cells an attack configuration sweeps: per radius, half
 /// the proven threshold, the threshold itself, and one past it — enough
 /// points for a margin-to-threshold curve without exploding the budget.
@@ -201,7 +188,7 @@ pub fn protocol_threshold(protocol: ProtocolKind, r: u32) -> usize {
 pub fn attack_cells(cfg: &AttackConfig) -> Vec<AttackCell> {
     let mut cells = Vec::new();
     for &r in &cfg.rs {
-        let threshold = protocol_threshold(cfg.protocol, r);
+        let threshold = cfg.protocol.proven_t(r);
         let mut ts = vec![threshold.div_ceil(2), threshold, threshold + 1];
         ts.retain(|&t| t > 0);
         ts.sort_unstable();

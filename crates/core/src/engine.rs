@@ -17,13 +17,11 @@
 //! * the caller receives `Vec<R>` in input order, so downstream
 //!   printing/aggregation cannot observe scheduling.
 //!
-//! Three entry points share the machinery and differ only in failure
+//! Two entry points share the machinery and differ only in failure
 //! behaviour:
 //!
-//! * [`run_indexed`] — the legacy infallible path: a worker panic is
+//! * [`run_indexed`] — the infallible path: a worker panic is
 //!   re-raised on the calling thread;
-//! * [`try_run_indexed`] — failures come back as a structured
-//!   [`EngineError`] instead of a panic;
 //! * [`run_indexed_partial`] — graceful degradation: every slot a live
 //!   worker filled is returned, missing slots are `None`. This is the
 //!   substrate the [`crate::supervisor`] builds on.
@@ -48,44 +46,6 @@ pub const THREADS_ENV: &str = "RBCAST_THREADS";
 /// chunking only affects which worker computes a task, never where its
 /// result lands.
 const CHUNK: usize = 4;
-
-/// Structured failure of a parallel run — what [`try_run_indexed`]
-/// returns instead of panicking.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EngineError {
-    /// A worker thread panicked; the message is recovered from the
-    /// panic payload (the first failed worker observed wins).
-    WorkerPanicked {
-        /// Stringified panic payload.
-        message: String,
-    },
-    /// The work queue failed to cover every index exactly once — an
-    /// executor bug, never a task failure. Carries the uncovered
-    /// indices.
-    QueueInvariant {
-        /// Input indices for which no result was produced.
-        missing: Vec<usize>,
-    },
-}
-
-impl std::fmt::Display for EngineError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EngineError::WorkerPanicked { message } => {
-                write!(f, "worker thread panicked: {message}")
-            }
-            EngineError::QueueInvariant { missing } => write!(
-                f,
-                "work queue invariant violated: {} index(es) never covered \
-                 (first: {:?})",
-                missing.len(),
-                missing.first()
-            ),
-        }
-    }
-}
-
-impl std::error::Error for EngineError {}
 
 /// Best-effort stringification of a panic payload (the two shapes
 /// `panic!` actually produces, then a generic fallback).
@@ -142,8 +102,8 @@ pub fn thread_count(requested: Option<usize>) -> usize {
 ///
 /// Panics propagate from worker threads: if any task panics, the first
 /// worker panic observed is re-raised on the calling thread. Callers
-/// that need isolation instead of propagation use [`try_run_indexed`]
-/// or [`run_indexed_partial`].
+/// that need isolation instead of propagation use
+/// [`run_indexed_partial`].
 pub fn run_indexed<T, R, F>(tasks: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -159,43 +119,10 @@ where
         // Re-raise the worker panic verbatim.
         std::panic::resume_unwind(payload);
     }
-    match collect_full(slots) {
-        Ok(results) => results,
-        // infallible legacy entry point — the invariant error is
-        // surfaced structurally by try_run_indexed
-        // audit:allow(panic)
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// [`run_indexed`] with structured failure: a worker panic or a
-/// work-queue invariant violation comes back as an [`EngineError`]
-/// instead of unwinding through the caller. On success the results are
-/// complete and in input order, exactly as [`run_indexed`] returns them.
-///
-/// Unlike [`run_indexed`], the single-thread path also runs on a worker
-/// thread so a panicking task is captured rather than propagated — the
-/// error contract is identical at every thread count.
-///
-/// # Errors
-///
-/// [`EngineError::WorkerPanicked`] if any worker died (the first
-/// observed panic's message is reported); [`EngineError::QueueInvariant`]
-/// if the chunked queue failed to cover every index.
-pub fn try_run_indexed<T, R, F>(tasks: &[T], threads: usize, f: F) -> Result<Vec<R>, EngineError>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let threads = threads.max(1).min(tasks.len().max(1));
-    let (slots, first_panic) = run_chunked(tasks, threads, &f);
-    if let Some(payload) = first_panic {
-        return Err(EngineError::WorkerPanicked {
-            message: payload_message(payload.as_ref()),
-        });
-    }
-    collect_full(slots)
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("the chunked queue covers every index exactly once"))
+        .collect()
 }
 
 /// Graceful-degradation variant: every slot some live worker filled is
@@ -207,8 +134,8 @@ where
 /// This is deliberately coarse — per-*task* isolation (one `None` per
 /// failing task, with a reason) is the [`crate::supervisor`]'s job; this
 /// layer only guarantees the caller gets everything that survived.
-/// Like [`try_run_indexed`], the single-thread path runs on a worker
-/// thread so a panic is contained at every thread count.
+/// Unlike [`run_indexed`], the single-thread path also runs on a worker
+/// thread, so a panic is contained at every thread count.
 pub fn run_indexed_partial<T, R, F>(tasks: &[T], threads: usize, f: F) -> Vec<Option<R>>
 where
     T: Sync,
@@ -271,21 +198,6 @@ where
         }
     });
     (slots, first_panic)
-}
-
-/// Converts a complete slot vector into results, reporting any uncovered
-/// index as the structured queue-invariant error (previously a bare
-/// `expect` panic).
-fn collect_full<R>(slots: Vec<Option<R>>) -> Result<Vec<R>, EngineError> {
-    let missing: Vec<usize> = slots
-        .iter()
-        .enumerate()
-        .filter_map(|(i, s)| s.is_none().then_some(i))
-        .collect();
-    if !missing.is_empty() {
-        return Err(EngineError::QueueInvariant { missing });
-    }
-    Ok(slots.into_iter().flatten().collect())
 }
 
 /// [`run_indexed`] over a slice of experiments: the deterministic
@@ -369,33 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn try_run_matches_run_indexed_when_healthy() {
-        let tasks: Vec<usize> = (0..17).collect();
-        for threads in [1, 2, 8] {
-            let out = try_run_indexed(&tasks, threads, |_, &t| t * 3).unwrap();
-            assert_eq!(out, tasks.iter().map(|t| t * 3).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn try_run_reports_worker_panics_structurally() {
-        let tasks: Vec<usize> = (0..8).collect();
-        for threads in [1, 2] {
-            let err = try_run_indexed(&tasks, threads, |i, &t| {
-                assert!(i != 3, "task {i} exploded");
-                t
-            })
-            .unwrap_err();
-            match err {
-                EngineError::WorkerPanicked { message } => {
-                    assert!(message.contains("task 3 exploded"), "{message}");
-                }
-                other => panic!("expected WorkerPanicked, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn partial_returns_everything_that_survived() {
         let tasks: Vec<usize> = (0..32).collect();
         for threads in [1, 2, 4] {
@@ -420,19 +305,6 @@ mod tests {
         let out = run_indexed_partial(&tasks, 3, |_, &t| t + 100);
         let full: Vec<usize> = out.into_iter().map(Option::unwrap).collect();
         assert_eq!(full, tasks.iter().map(|t| t + 100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn engine_error_display_names_the_failure() {
-        let p = EngineError::WorkerPanicked {
-            message: "kaput".into(),
-        };
-        assert!(p.to_string().contains("kaput"));
-        let q = EngineError::QueueInvariant {
-            missing: vec![4, 7],
-        };
-        let s = q.to_string();
-        assert!(s.contains('2') && s.contains('4'), "{s}");
     }
 
     #[test]

@@ -34,7 +34,23 @@ pub enum ProtocolKind {
 }
 
 impl ProtocolKind {
-    /// Short name for tables.
+    /// `repeats` of the `persistent-flood` spelling.
+    pub const DEFAULT_REPEATS: u32 = 3;
+
+    /// Every protocol with a CLI spelling, in `USAGE` order
+    /// (`IndirectCustom` has none; `PersistentFlood` at the default
+    /// `repeats`).
+    pub const ALL: [ProtocolKind; 5] = [
+        ProtocolKind::Flood,
+        ProtocolKind::PersistentFlood {
+            repeats: Self::DEFAULT_REPEATS,
+        },
+        ProtocolKind::Cpa,
+        ProtocolKind::IndirectFull,
+        ProtocolKind::IndirectSimplified,
+    ];
+
+    /// The protocol's one spelling: CLI value, table label, report name.
     #[must_use]
     pub fn name(&self) -> &'static str {
         match self {
@@ -44,6 +60,49 @@ impl ProtocolKind {
             ProtocolKind::IndirectFull => "indirect-full",
             ProtocolKind::IndirectSimplified => "indirect-simplified",
             ProtocolKind::IndirectCustom(_) => "indirect-custom",
+        }
+    }
+
+    /// The inverse of [`ProtocolKind::name`] over [`ProtocolKind::ALL`].
+    #[must_use]
+    pub fn parse(s: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|k| k.name() == s)
+    }
+
+    /// The largest `t` the protocol is proven to tolerate at radius `r`
+    /// (Theorems 5, 6 and 1) — the default fault budget, and the
+    /// threshold `rbcast attack` sweeps across.
+    #[must_use]
+    pub fn proven_t(&self, r: u32) -> usize {
+        (match self {
+            ProtocolKind::Flood | ProtocolKind::PersistentFlood { .. } => {
+                crate::thresholds::crash_max_t(r)
+            }
+            ProtocolKind::Cpa => crate::thresholds::cpa_guaranteed_t(r),
+            ProtocolKind::IndirectFull
+            | ProtocolKind::IndirectSimplified
+            | ProtocolKind::IndirectCustom(_) => crate::thresholds::byzantine_max_t(r),
+        }) as usize
+    }
+
+    /// Builds one honest node's process.
+    ///
+    /// # Panics
+    ///
+    /// Panics on `PersistentFlood { repeats: 0 }`.
+    #[must_use]
+    pub fn spawn(&self, params: ProtocolParams) -> Box<dyn Process<Msg>> {
+        match *self {
+            ProtocolKind::Flood => Box::new(Flood::new(params)),
+            ProtocolKind::PersistentFlood { repeats } => {
+                Box::new(PersistentFlood::new(params, repeats))
+            }
+            ProtocolKind::Cpa => Box::new(Cpa::new(params)),
+            ProtocolKind::IndirectFull => Box::new(Indirect::new(params, IndirectConfig::full())),
+            ProtocolKind::IndirectSimplified => {
+                Box::new(Indirect::new(params, IndirectConfig::simplified()))
+            }
+            ProtocolKind::IndirectCustom(cfg) => Box::new(Indirect::new(params, cfg)),
         }
     }
 }
@@ -69,6 +128,65 @@ pub enum FaultKind {
         /// Seed for the per-node behaviour draw.
         seed: u64,
     },
+}
+
+impl FaultKind {
+    /// Every behaviour, in `USAGE` order (`Mixed` at seed 0; the CLI
+    /// substitutes `--seed`).
+    pub const ALL: [FaultKind; 6] = [
+        FaultKind::CrashStop,
+        FaultKind::Silent,
+        FaultKind::Liar,
+        FaultKind::Forger,
+        FaultKind::Spoofer,
+        FaultKind::Mixed { seed: 0 },
+    ];
+
+    /// The behaviour's CLI spelling.
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        match self {
+            FaultKind::CrashStop => "crash",
+            FaultKind::Silent => "silent",
+            FaultKind::Liar => "liar",
+            FaultKind::Forger => "forger",
+            FaultKind::Spoofer => "spoofer",
+            FaultKind::Mixed { .. } => "mixed",
+        }
+    }
+
+    /// The inverse of [`FaultKind::name`] over [`FaultKind::ALL`].
+    #[must_use]
+    pub fn parse(s: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|k| k.name() == s)
+    }
+
+    /// Builds faulty node `id`'s process; Byzantine behaviours push
+    /// `wrong`.
+    #[must_use]
+    pub fn spawn(&self, wrong: Value, id: NodeId) -> Box<dyn Process<Msg>> {
+        match *self {
+            // the harness crashes crash-stop nodes at round 0
+            // (`Network::crash_at`); a silent process stands in
+            FaultKind::CrashStop | FaultKind::Silent => attackers::silent(),
+            FaultKind::Liar => attackers::liar(wrong),
+            FaultKind::Forger => attackers::forger(wrong),
+            FaultKind::Spoofer => attackers::spoofer(wrong),
+            FaultKind::Mixed { seed } => {
+                // cheap deterministic per-node draw
+                let mut x = seed
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    .wrapping_add(u64::from(id.0));
+                x ^= x >> 33;
+                x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+                match x % 3 {
+                    0 => attackers::silent(),
+                    1 => attackers::liar(wrong),
+                    _ => attackers::forger(wrong),
+                }
+            }
+        }
+    }
 }
 
 /// Aggregate result of one broadcast experiment.
@@ -305,19 +423,6 @@ impl Experiment {
         self.engine
     }
 
-    /// The default fault budget when `with_t` was not called: the
-    /// maximum the chosen protocol is proven to tolerate at this radius.
-    fn default_t(&self) -> usize {
-        let r = self.r;
-        (match self.protocol {
-            ProtocolKind::Flood | ProtocolKind::PersistentFlood { .. } => {
-                crate::thresholds::crash_max_t(r)
-            }
-            ProtocolKind::Cpa => crate::thresholds::cpa_guaranteed_t(r),
-            _ => crate::thresholds::byzantine_max_t(r),
-        }) as usize
-    }
-
     /// Runs the experiment.
     ///
     /// Under the `debug-invariants` feature the run executes twice and
@@ -425,7 +530,7 @@ impl Experiment {
         } else {
             Arc::new(NeighborTable::build(&torus, self.r, self.metric))
         };
-        let t = self.t.unwrap_or_else(|| self.default_t());
+        let t = self.t.unwrap_or_else(|| self.protocol.proven_t(self.r));
         let source = torus.id(Coord::ORIGIN);
         let params = ProtocolParams {
             source,
@@ -450,42 +555,9 @@ impl Experiment {
         }
         let mut net = Network::with_arena(Arc::clone(&arena), channel, move |id| {
             if fs.contains(&id) {
-                match fault_kind {
-                    // crash is applied post-construction; give them a
-                    // silent process either way
-                    FaultKind::CrashStop | FaultKind::Silent => attackers::silent(),
-                    FaultKind::Liar => attackers::liar(wrong),
-                    FaultKind::Forger => attackers::forger(wrong),
-                    FaultKind::Spoofer => attackers::spoofer(wrong),
-                    FaultKind::Mixed { seed } => {
-                        // cheap deterministic per-node draw
-                        let mut x = seed
-                            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                            .wrapping_add(u64::from(id.0));
-                        x ^= x >> 33;
-                        x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-                        match x % 3 {
-                            0 => attackers::silent(),
-                            1 => attackers::liar(wrong),
-                            _ => attackers::forger(wrong),
-                        }
-                    }
-                }
+                fault_kind.spawn(wrong, id)
             } else {
-                match protocol {
-                    ProtocolKind::Flood => Box::new(Flood::new(params)) as Box<dyn Process<Msg>>,
-                    ProtocolKind::PersistentFlood { repeats } => {
-                        Box::new(PersistentFlood::new(params, repeats))
-                    }
-                    ProtocolKind::Cpa => Box::new(Cpa::new(params)),
-                    ProtocolKind::IndirectFull => {
-                        Box::new(Indirect::new(params, IndirectConfig::full()))
-                    }
-                    ProtocolKind::IndirectSimplified => {
-                        Box::new(Indirect::new(params, IndirectConfig::simplified()))
-                    }
-                    ProtocolKind::IndirectCustom(cfg) => Box::new(Indirect::new(params, cfg)),
-                }
+                protocol.spawn(params)
             }
         });
         net.set_classifier(Msg::kind);
@@ -648,13 +720,24 @@ mod tests {
     }
 
     #[test]
-    fn default_t_follows_protocol() {
-        let e = Experiment::new(3, ProtocolKind::Flood);
-        assert_eq!(e.default_t(), 20);
-        let e = Experiment::new(3, ProtocolKind::Cpa);
-        assert_eq!(e.default_t(), 6);
-        let e = Experiment::new(3, ProtocolKind::IndirectSimplified);
-        assert_eq!(e.default_t(), 10);
+    fn proven_t_is_pinned_per_protocol() {
+        // Computed at b93db76 from all three copies of the rule
+        // (`Experiment::default_t`, `attack::protocol_threshold`,
+        // `cli::default_t`), which agreed on every cell.
+        let table: [(&str, [usize; 4]); 5] = [
+            ("flood", [2, 9, 20, 35]),
+            ("persistent-flood", [2, 9, 20, 35]),
+            ("cpa", [0, 2, 6, 10]),
+            ("indirect-full", [1, 4, 10, 17]),
+            ("indirect-simplified", [1, 4, 10, 17]),
+        ];
+        for (name, want) in table {
+            let kind = ProtocolKind::parse(name).expect(name);
+            let got: Vec<usize> = (1..=4).map(|r| kind.proven_t(r)).collect();
+            assert_eq!(got, want, "{name}");
+        }
+        let custom = ProtocolKind::IndirectCustom(IndirectConfig::full());
+        assert_eq!(custom.proven_t(3), 10);
     }
 
     #[test]

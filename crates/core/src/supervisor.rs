@@ -125,17 +125,6 @@ impl std::fmt::Display for TaskError {
 
 impl std::error::Error for TaskError {}
 
-impl From<engine::EngineError> for TaskError {
-    fn from(e: engine::EngineError) -> Self {
-        match e {
-            engine::EngineError::WorkerPanicked { message } => TaskError::Panicked { message },
-            engine::EngineError::QueueInvariant { .. } => TaskError::Invariant {
-                message: e.to_string(),
-            },
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Deterministic seeds and chaos
 // ---------------------------------------------------------------------

@@ -24,10 +24,11 @@ pub fn r_2r_plus_1(r: u32) -> u64 {
 /// assert_eq!(byzantine_max_t(1), 1);  // t < 1.5
 /// assert_eq!(byzantine_max_t(2), 4);  // t < 5
 /// assert_eq!(byzantine_max_t(3), 10); // t < 10.5
+/// assert_eq!(byzantine_max_t(0), 0);  // nobody hears anybody
 /// ```
 #[must_use]
 pub fn byzantine_max_t(r: u32) -> u64 {
-    (r_2r_plus_1(r) - 1) / 2
+    r_2r_plus_1(r).saturating_sub(1) / 2
 }
 
 /// Smallest `t` rendering Byzantine broadcast impossible (Koo's bound,
@@ -39,9 +40,16 @@ pub fn byzantine_impossible_t(r: u32) -> u64 {
 
 /// Largest tolerable `t` for crash-stop faults in L∞ (Theorem 5):
 /// `r(2r+1) − 1`.
+///
+/// ```
+/// use rbcast_core::thresholds::crash_max_t;
+/// assert_eq!(crash_max_t(1), 2);
+/// assert_eq!(crash_max_t(2), 9);
+/// assert_eq!(crash_max_t(0), 0);
+/// ```
 #[must_use]
 pub fn crash_max_t(r: u32) -> u64 {
-    r_2r_plus_1(r) - 1
+    r_2r_plus_1(r).saturating_sub(1)
 }
 
 /// Smallest `t` rendering crash-stop broadcast impossible (Theorem 4):

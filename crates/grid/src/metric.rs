@@ -33,6 +33,24 @@ pub enum Metric {
 }
 
 impl Metric {
+    /// Both metrics, in `USAGE` order.
+    pub const ALL: [Metric; 2] = [Metric::Linf, Metric::L2];
+
+    /// The metric's CLI spelling (`Display` is the prose name).
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Metric::Linf => "linf",
+            Metric::L2 => "l2",
+        }
+    }
+
+    /// The inverse of [`Metric::name`].
+    #[must_use]
+    pub fn parse(s: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|m| m.name() == s)
+    }
+
     /// Returns `true` when `a` and `b` are within distance `r` of each
     /// other, i.e. when a transmission by one is heard by the other.
     ///

@@ -18,51 +18,13 @@ use crate::chaos::{ChaosConfig, ChaosTransport};
 use crate::journal::{JournalError, SharedJournal};
 use crate::runtime::{NodeReport, NodeRuntime, RuntimeConfig};
 use crate::transport::{Datagram, LoopbackHub};
+use rbcast_core::ProtocolKind;
 use rbcast_grid::{Metric, NeighborTable, NodeId, Torus};
-use rbcast_protocols::{Cpa, Flood, Indirect, IndirectConfig, Msg, ProtocolParams};
+use rbcast_protocols::{Msg, ProtocolParams};
 use rbcast_sim::driver::{commit_digest, InstanceId};
 use rbcast_sim::{ChannelConfig, Network, Process, Round, Value};
 use std::rc::Rc;
 use std::sync::Arc;
-
-/// Which verified protocol a cluster runs. All nodes of all instances
-/// run the same protocol (the paper's setting).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NetProtocol {
-    /// Unverified baseline flood (no Byzantine tolerance).
-    Flood,
-    /// The §VI indirect-report protocol, full two-level rule.
-    IndirectFull,
-    /// The §VI-B simplified one-level variant.
-    IndirectSimplified,
-    /// The §V Certified Propagation Algorithm.
-    Cpa,
-}
-
-impl NetProtocol {
-    /// Parses the CLI spelling.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "flood" => Some(NetProtocol::Flood),
-            "indirect" | "indirect-full" => Some(NetProtocol::IndirectFull),
-            "indirect-simplified" => Some(NetProtocol::IndirectSimplified),
-            "cpa" => Some(NetProtocol::Cpa),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            NetProtocol::Flood => "flood",
-            NetProtocol::IndirectFull => "indirect",
-            NetProtocol::IndirectSimplified => "indirect-simplified",
-            NetProtocol::Cpa => "cpa",
-        }
-    }
-}
 
 /// Static configuration of one cluster run, identical on every node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,8 +37,8 @@ pub struct ClusterSpec {
     pub radius: u32,
     /// Neighborhood metric.
     pub metric: Metric,
-    /// The protocol every node runs.
-    pub protocol: NetProtocol,
+    /// The protocol every node of every instance runs.
+    pub protocol: ProtocolKind,
     /// Fault budget `t` the protocol is configured for.
     pub t: usize,
     /// Number of concurrent broadcast instances.
@@ -127,14 +89,7 @@ impl ClusterSpec {
             value: Self::instance_value(inst),
             t: self.t,
         };
-        match self.protocol {
-            NetProtocol::Flood => Box::new(Flood::new(params)),
-            NetProtocol::IndirectFull => Box::new(Indirect::new(params, IndirectConfig::full())),
-            NetProtocol::IndirectSimplified => {
-                Box::new(Indirect::new(params, IndirectConfig::simplified()))
-            }
-            NetProtocol::Cpa => Box::new(Cpa::new(params)),
-        }
+        self.protocol.spawn(params)
     }
 
     /// Runs the identical configuration on the verified simulator — one
@@ -418,7 +373,7 @@ mod tests {
             height: 3,
             radius: 1,
             metric: Metric::Linf,
-            protocol: NetProtocol::Flood,
+            protocol: ProtocolKind::Flood,
             t: 0,
             instances: 2,
             rounds: 12,

@@ -42,9 +42,13 @@ pub mod transport;
 pub mod wire;
 
 pub use chaos::{ChaosConfig, ChaosTransport};
-pub use cluster::{ClusterReport, ClusterSpec, LoopbackCluster, NetProtocol, OracleReport};
+pub use cluster::{ClusterReport, ClusterSpec, LoopbackCluster, OracleReport};
 pub use journal::{FileJournal, MemJournal, NetJournal, Record, SharedJournal};
 pub use link::{Link, LinkConfig, LinkStats};
+/// The protocol vocabulary is `rbcast_core`'s. This alias exists only
+/// because `benchmark/src/wl_cluster.rs` names it; it goes with the next
+/// PR that may edit `benchmark/`.
+pub use rbcast_core::ProtocolKind as NetProtocol;
 pub use runtime::{NodeReport, NodeRuntime, RuntimeConfig};
 pub use transport::{Datagram, LoopbackHub, LoopbackPort, UdpTransport};
 pub use wire::{decode_packet, encode_packet, Packet, PacketKind, SeqFrame, WireError};

@@ -4,10 +4,11 @@
 //! configuration, for the paper's protocols at 1, 2, and 8 concurrent
 //! broadcast instances.
 
+use rbcast_core::ProtocolKind;
 use rbcast_grid::Metric;
-use rbcast_net::{ClusterSpec, LoopbackCluster, NetProtocol, NodeReport, RuntimeConfig};
+use rbcast_net::{ClusterSpec, LoopbackCluster, NodeReport, RuntimeConfig};
 
-fn spec(protocol: NetProtocol, instances: u32) -> ClusterSpec {
+fn spec(protocol: ProtocolKind, instances: u32) -> ClusterSpec {
     ClusterSpec {
         width: 5,
         height: 5,
@@ -45,19 +46,30 @@ fn assert_parity(spec: ClusterSpec) {
 #[test]
 fn indirect_full_matches_oracle_across_instance_counts() {
     for instances in [1, 2, 8] {
-        assert_parity(spec(NetProtocol::IndirectFull, instances));
+        assert_parity(spec(ProtocolKind::IndirectFull, instances));
     }
 }
 
 #[test]
 fn indirect_simplified_matches_oracle() {
-    assert_parity(spec(NetProtocol::IndirectSimplified, 2));
+    assert_parity(spec(ProtocolKind::IndirectSimplified, 2));
 }
 
 #[test]
 fn cpa_matches_oracle_across_instance_counts() {
     for instances in [1, 2, 8] {
-        assert_parity(spec(NetProtocol::Cpa, instances));
+        assert_parity(spec(ProtocolKind::Cpa, instances));
+    }
+}
+
+#[test]
+fn persistent_flood_matches_oracle_through_the_standing_wakeup() {
+    // The only honest protocol whose `needs_round_end` is ever true:
+    // every node keeps a wakeup armed for `repeats` rounds after it
+    // decides, which the barrier runtime must honour round for round.
+    let protocol = ProtocolKind::parse("persistent-flood").expect("a CLI protocol");
+    for instances in [1, 2] {
+        assert_parity(spec(protocol, instances));
     }
 }
 
@@ -70,7 +82,7 @@ fn parity_holds_on_the_wrapping_3x3_torus() {
         height: 3,
         radius: 1,
         metric: Metric::Linf,
-        protocol: NetProtocol::Cpa,
+        protocol: ProtocolKind::Cpa,
         t: 1,
         instances: 4,
         rounds: 16,

@@ -3,12 +3,11 @@
 //! commit exactly what the sim oracle commits — under a reliable
 //! transport and under seeded chaos.
 
+use rbcast_core::ProtocolKind;
 use rbcast_grid::Metric;
-use rbcast_net::{
-    ChaosConfig, ClusterSpec, LoopbackCluster, NetProtocol, NodeReport, RuntimeConfig,
-};
+use rbcast_net::{ChaosConfig, ClusterSpec, LoopbackCluster, NodeReport, RuntimeConfig};
 
-fn spec(protocol: NetProtocol) -> ClusterSpec {
+fn spec(protocol: ProtocolKind) -> ClusterSpec {
     ClusterSpec {
         width: 3,
         height: 3,
@@ -66,12 +65,12 @@ fn kill_restart_run(
 
 #[test]
 fn cpa_survives_kill_and_restart() {
-    kill_restart_run(spec(NetProtocol::Cpa), None, 4, 6, 40);
+    kill_restart_run(spec(ProtocolKind::Cpa), None, 4, 6, 40);
 }
 
 #[test]
 fn indirect_survives_kill_and_restart() {
-    kill_restart_run(spec(NetProtocol::IndirectFull), None, 0, 9, 25);
+    kill_restart_run(spec(ProtocolKind::IndirectFull), None, 0, 9, 25);
 }
 
 #[test]
@@ -80,7 +79,7 @@ fn recovery_composes_with_seeded_chaos() {
     // mid-run crash: the ARQ links and the journal must still deliver
     // oracle-exact commits (chaos perturbs timing, never outcomes).
     kill_restart_run(
-        spec(NetProtocol::Cpa),
+        spec(ProtocolKind::Cpa),
         Some(ChaosConfig::smoke(0xC0FFEE)),
         7,
         12,
@@ -90,7 +89,7 @@ fn recovery_composes_with_seeded_chaos() {
 
 #[test]
 fn double_restart_of_the_same_node_recovers() {
-    let spec = spec(NetProtocol::Cpa);
+    let spec = spec(ProtocolKind::Cpa);
     let oracle = spec.sim_oracle();
     let mut cluster = LoopbackCluster::new(spec, RuntimeConfig::default(), None);
     for kill in 0..2 {
@@ -120,7 +119,7 @@ fn double_restart_of_the_same_node_recovers() {
 fn unrecovered_crash_degrades_but_does_not_wedge() {
     // A node that never comes back: with finite patience the survivors
     // suspect it, quarantine the barrier slot, and still finish.
-    let spec = spec(NetProtocol::Cpa);
+    let spec = spec(ProtocolKind::Cpa);
     let cfg = RuntimeConfig {
         patience: 400,
         ..RuntimeConfig::default()

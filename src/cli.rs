@@ -123,15 +123,15 @@ rbcast — reliable broadcast in a grid radio network (Bhandari & Vaidya, PODC 2
 
 USAGE:
   rbcast thresholds [--r-max N]
-  rbcast run   [--protocol P] [--r N] [--t N] [--metric M] [--placement PL]
-               [--behavior B] [--seed N] [--prob F] [--repeats N]
-               [--loss F] [--redundancy N] [--spoofing] [--jam N]
+  rbcast run   [--protocol P] [--r N>=1] [--t N] [--metric M] [--placement PL]
+               [--behavior B] [--seed N] [--prob F in [0,1]] [--repeats N>=1]
+               [--loss F in [0,1)] [--redundancy N>=1] [--spoofing] [--jam N]
                [--no-early-term] [--trace FILE] [--dense]
   rbcast sweep --t-max N [--threads N] [--journal FILE] [--resume FILE]
                [--retries N] [--round-budget N] [--trace-dir DIR]
                [--timings] [run options]
-  rbcast audit --placement PL [--r N] [--t N] [--seed N] [--metric M]
-  rbcast attack [--seed N] [--steps N] [--threads N] [--r N]...
+  rbcast audit --placement PL [--r N>=1] [--t N] [--seed N] [--metric M]
+  rbcast attack [--seed N] [--steps N] [--threads N] [--r N>=1]...
                [--protocol P] [--behavior B] [--metric M] [--gate]
                [--journal FILE | --resume FILE] [--checkpoint-every N]
                [--out DIR] [--timings]
@@ -145,6 +145,13 @@ USAGE:
   PL = cluster | random | double-strip | checker-strips | column-strips
        | bernoulli | file:PATH
   B  = crash | silent | liar | forger | spoofer | mixed
+
+  P, M and B mean the same wherever a subcommand takes them. A missing
+  or malformed value, a value outside the range stated beside its flag,
+  an unknown name, or a file:PATH id outside the torus is one `error:`
+  line and exit 2. persistent-flood re-broadcasts --repeats times
+  (default 3; serve, cluster and attack always use the default); mixed
+  draws each faulty node's behaviour from --seed.
 
   Sweeps fan out over worker threads through the deterministic engine:
   output is byte-identical for every thread count. --threads overrides
@@ -198,8 +205,8 @@ USAGE:
   id per line.
 
   The networked runtime runs the same verified protocols over real
-  datagrams. Net options (shared by serve and cluster): --width N
-  --height N --r N --metric M --protocol P --t N --instances N
+  datagrams. Net options (shared by serve and cluster): --width N>=1
+  --height N>=1 --r N>=1 --metric M --protocol P --t N --instances N>=1
   --rounds N --base-port N --chaos-seed N --patience N --max-ticks N.
   `cluster --transport udp` (the default) spawns one `rbcast serve`
   process per torus node on loopback UDP ports, with per-node JSONL
@@ -225,10 +232,10 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "thresholds" => {
             let mut r_max = 8u32;
-            let mut it = rest.iter();
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--r-max" => r_max = parse_value(&mut it, flag)?,
+            let mut f = Flags::new(rest);
+            while let Some(flag) = f.next_flag() {
+                match flag {
+                    "--r-max" => r_max = f.value()?,
                     other => return Err(format!("unknown flag for thresholds: {other}")),
                 }
             }
@@ -262,28 +269,112 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     }
 }
 
-fn parse_value<T: std::str::FromStr>(
-    it: &mut std::slice::Iter<'_, String>,
-    flag: &str,
-) -> Result<T, String> {
-    let raw = it.next().ok_or(format!("{flag} needs a value"))?;
-    raw.parse()
-        .map_err(|_| format!("invalid value for {flag}: {raw}"))
+/// Cursor over one subcommand's arguments — the only place a flag's
+/// value is fetched, parsed and range-checked, so every flag loop
+/// reports a missing, malformed or out-of-range value the same way and
+/// before any constructor `assert!` can see it.
+pub(crate) struct Flags<'a> {
+    rest: std::slice::Iter<'a, String>,
+    flag: &'a str,
+}
+
+impl<'a> Flags<'a> {
+    pub(crate) fn new(args: &'a [String]) -> Self {
+        Flags {
+            rest: args.iter(),
+            flag: "",
+        }
+    }
+
+    /// Advances to the next flag; the getters below read *its* value.
+    pub(crate) fn next_flag(&mut self) -> Option<&'a str> {
+        self.flag = self.rest.next()?;
+        Some(self.flag)
+    }
+
+    /// The current flag's value, verbatim.
+    pub(crate) fn raw(&mut self) -> Result<&'a str, String> {
+        match self.rest.next() {
+            Some(raw) => Ok(raw),
+            None => Err(format!("{} needs a value", self.flag)),
+        }
+    }
+
+    pub(crate) fn path(&mut self) -> Result<PathBuf, String> {
+        self.raw().map(PathBuf::from)
+    }
+
+    pub(crate) fn value<T: std::str::FromStr>(&mut self) -> Result<T, String> {
+        let raw = self.raw()?;
+        raw.parse()
+            .map_err(|_| format!("invalid value for {}: {raw}", self.flag))
+    }
+
+    pub(crate) fn at_least<T>(&mut self, min: T) -> Result<T, String>
+    where
+        T: std::str::FromStr + PartialOrd + std::fmt::Display,
+    {
+        let v: T = self.value()?;
+        if v >= min {
+            Ok(v)
+        } else {
+            Err(format!("{} must be at least {min}: {v}", self.flag))
+        }
+    }
+
+    /// A probability in `[0, 1]` — in `[0, 1)` when `below_one`.
+    pub(crate) fn probability(&mut self, below_one: bool) -> Result<f64, String> {
+        let p: f64 = self.value()?;
+        let (ok, close) = if below_one {
+            ((0.0..1.0).contains(&p), ')')
+        } else {
+            ((0.0..=1.0).contains(&p), ']')
+        };
+        if ok {
+            Ok(p)
+        } else {
+            Err(format!("{} must be in [0, 1{close}: {p}", self.flag))
+        }
+    }
+
+    /// `--r`: at radius 0 nobody hears anybody.
+    pub(crate) fn radius(&mut self) -> Result<u32, String> {
+        self.at_least(1)
+    }
+
+    pub(crate) fn protocol(&mut self) -> Result<ProtocolKind, String> {
+        self.word(ProtocolKind::parse, &ProtocolKind::ALL.map(|k| k.name()))
+    }
+
+    pub(crate) fn behavior(&mut self) -> Result<FaultKind, String> {
+        self.word(FaultKind::parse, &FaultKind::ALL.map(|k| k.name()))
+    }
+
+    pub(crate) fn metric(&mut self) -> Result<Metric, String> {
+        self.word(Metric::parse, &Metric::ALL.map(Metric::name))
+    }
+
+    /// One of `names`, as the vocabulary the flag is named after parses it.
+    fn word<T>(&mut self, parse: fn(&str) -> Option<T>, names: &[&str]) -> Result<T, String> {
+        let what = self.flag.trim_start_matches('-');
+        let raw = self.raw()?;
+        parse(raw).ok_or_else(|| format!("unknown {what}: {raw} ({})", names.join(" | ")))
+    }
 }
 
 #[allow(clippy::too_many_lines)]
 fn parse_run(args: &[String]) -> Result<(RunSpec, Option<usize>, SweepOpts), String> {
     let mut r = 2u32;
-    let mut protocol = "indirect-simplified".to_string();
+    let mut protocol = ProtocolKind::IndirectSimplified;
     let mut t: Option<usize> = None;
     let mut t_max: Option<usize> = None;
     let mut opts = SweepOpts::default();
     let mut metric = Metric::Linf;
-    let mut placement_name: Option<String> = None;
-    let mut behavior_name = "silent".to_string();
+    let mut placement_name: Option<&str> = None;
+    let mut behavior = FaultKind::Silent;
     let mut seed = 0u64;
     let mut prob = 0.1f64;
-    let mut repeats = 3u32;
+    let mut repeats = ProtocolKind::DEFAULT_REPEATS;
     let mut loss = 0.0f64;
     let mut redundancy = 1u32;
     let mut spoofing = false;
@@ -292,71 +383,48 @@ fn parse_run(args: &[String]) -> Result<(RunSpec, Option<usize>, SweepOpts), Str
     let mut trace: Option<PathBuf> = None;
     let mut engine = EngineKind::default();
 
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--r" => r = parse_value(&mut it, flag)?,
-            "--protocol" => protocol = parse_value(&mut it, flag)?,
-            "--t" => t = Some(parse_value(&mut it, flag)?),
-            "--t-max" => t_max = Some(parse_value(&mut it, flag)?),
-            "--threads" => opts.threads = Some(parse_value(&mut it, flag)?),
-            "--journal" => {
-                opts.journal = Some(PathBuf::from(parse_value::<String>(&mut it, flag)?))
-            }
-            "--resume" => opts.resume = Some(PathBuf::from(parse_value::<String>(&mut it, flag)?)),
-            "--retries" => opts.retries = Some(parse_value(&mut it, flag)?),
-            "--round-budget" => opts.round_budget = Some(parse_value(&mut it, flag)?),
-            "--trace" => trace = Some(PathBuf::from(parse_value::<String>(&mut it, flag)?)),
-            "--trace-dir" => {
-                opts.trace_dir = Some(PathBuf::from(parse_value::<String>(&mut it, flag)?));
-            }
+    let mut f = Flags::new(args);
+    while let Some(flag) = f.next_flag() {
+        match flag {
+            "--r" => r = f.radius()?,
+            "--protocol" => protocol = f.protocol()?,
+            "--t" => t = Some(f.value()?),
+            "--t-max" => t_max = Some(f.value()?),
+            "--threads" => opts.threads = Some(f.value()?),
+            "--journal" => opts.journal = Some(f.path()?),
+            "--resume" => opts.resume = Some(f.path()?),
+            "--retries" => opts.retries = Some(f.value()?),
+            "--round-budget" => opts.round_budget = Some(f.value()?),
+            "--trace" => trace = Some(f.path()?),
+            "--trace-dir" => opts.trace_dir = Some(f.path()?),
             "--timings" => opts.timings = true,
-            "--metric" => {
-                let m: String = parse_value(&mut it, flag)?;
-                metric = match m.as_str() {
-                    "linf" => Metric::Linf,
-                    "l2" => Metric::L2,
-                    other => return Err(format!("unknown metric: {other}")),
-                };
-            }
-            "--placement" => placement_name = Some(parse_value(&mut it, flag)?),
-            "--behavior" => behavior_name = parse_value(&mut it, flag)?,
-            "--seed" => seed = parse_value(&mut it, flag)?,
-            "--prob" => prob = parse_value(&mut it, flag)?,
-            "--repeats" => repeats = parse_value(&mut it, flag)?,
-            "--loss" => loss = parse_value(&mut it, flag)?,
-            "--redundancy" => redundancy = parse_value(&mut it, flag)?,
+            "--metric" => metric = f.metric()?,
+            "--placement" => placement_name = Some(f.raw()?),
+            "--behavior" => behavior = f.behavior()?,
+            "--seed" => seed = f.value()?,
+            "--prob" => prob = f.probability(false)?,
+            "--repeats" => repeats = f.at_least(1)?,
+            "--loss" => loss = f.probability(true)?,
+            "--redundancy" => redundancy = f.at_least(1)?,
             "--spoofing" => spoofing = true,
-            "--jam" => jam = parse_value(&mut it, flag)?,
+            "--jam" => jam = f.value()?,
             "--no-early-term" => early_termination = false,
             "--dense" => engine = EngineKind::Dense,
             other => return Err(format!("unknown flag: {other}")),
         }
     }
 
-    // behaviour resolved after the loop so `--seed` order is irrelevant
-    let behavior = match behavior_name.as_str() {
-        "crash" => FaultKind::CrashStop,
-        "silent" => FaultKind::Silent,
-        "liar" => FaultKind::Liar,
-        "forger" => FaultKind::Forger,
-        "spoofer" => FaultKind::Spoofer,
-        "mixed" => FaultKind::Mixed { seed },
-        other => return Err(format!("unknown behavior: {other}")),
-    };
-
-    let protocol = match protocol.as_str() {
-        "flood" => ProtocolKind::Flood,
-        "persistent-flood" => ProtocolKind::PersistentFlood { repeats },
-        "cpa" => ProtocolKind::Cpa,
-        "indirect-full" => ProtocolKind::IndirectFull,
-        "indirect-simplified" => ProtocolKind::IndirectSimplified,
-        other => return Err(format!("unknown protocol: {other}")),
-    };
+    // resolved after the loop so `--seed` and `--repeats` order is irrelevant
+    if let FaultKind::Mixed { seed: draw } = &mut behavior {
+        *draw = seed;
+    }
+    if let ProtocolKind::PersistentFlood { repeats: n } = &mut protocol {
+        *n = repeats;
+    }
 
     // The effective budget for placements that need one now.
-    let effective_t = t.unwrap_or_else(|| default_t(protocol, r));
-    let placement = match placement_name.as_deref() {
+    let effective_t = t.unwrap_or_else(|| protocol.proven_t(r));
+    let placement = match placement_name {
         None | Some("none") => None,
         Some("cluster") => Some(Placement::FrontierCluster { t: effective_t }),
         Some("random") => Some(Placement::RandomLocal {
@@ -369,7 +437,10 @@ fn parse_run(args: &[String]) -> Result<(RunSpec, Option<usize>, SweepOpts), Str
         Some("column-strips") => Some(Placement::ColumnStrips),
         Some("bernoulli") => Some(Placement::Bernoulli { p: prob, seed }),
         Some(other) => match other.strip_prefix("file:") {
-            Some(path) => Some(load_placement_file(std::path::Path::new(path))?),
+            Some(path) => Some(load_placement_file(
+                std::path::Path::new(path),
+                Torus::for_radius(r).len(),
+            )?),
             None => return Err(format!("unknown placement: {other}")),
         },
     };
@@ -405,8 +476,9 @@ fn parse_run(args: &[String]) -> Result<(RunSpec, Option<usize>, SweepOpts), Str
 }
 
 /// Loads an explicit fault set (`--placement file:PATH`): node ids
-/// separated by newlines or commas, as written by `rbcast attack --out`.
-fn load_placement_file(path: &std::path::Path) -> Result<Placement, String> {
+/// separated by newlines or commas, as written by `rbcast attack --out`,
+/// each below `nodes` (the placement would silently drop the others).
+fn load_placement_file(path: &std::path::Path, nodes: usize) -> Result<Placement, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read placement file {}: {e}", path.display()))?;
     let mut faults = Vec::new();
@@ -417,17 +489,15 @@ fn load_placement_file(path: &std::path::Path) -> Result<Placement, String> {
         let id: u32 = token
             .parse()
             .map_err(|_| format!("invalid node id in {}: {token}", path.display()))?;
+        if id as usize >= nodes {
+            return Err(format!(
+                "node id {id} in {} is outside the {nodes}-node torus (ids 0..{nodes})",
+                path.display()
+            ));
+        }
         faults.push(NodeId(id));
     }
     Ok(Placement::Explicit { faults })
-}
-
-fn default_t(protocol: ProtocolKind, r: u32) -> usize {
-    (match protocol {
-        ProtocolKind::Flood | ProtocolKind::PersistentFlood { .. } => thresholds::crash_max_t(r),
-        ProtocolKind::Cpa => thresholds::cpa_guaranteed_t(r),
-        _ => thresholds::byzantine_max_t(r),
-    }) as usize
 }
 
 fn build(spec: &RunSpec, t_override: Option<usize>) -> Experiment {
@@ -842,6 +912,137 @@ mod tests {
         assert!(parse(&argv("run --placement lattice")).is_err());
         assert!(parse(&argv("run --r")).is_err());
         assert!(parse(&argv("run --r NaN")).is_err());
+    }
+
+    #[test]
+    fn bad_invocations_are_parse_errors_naming_the_flag() {
+        // Every row used to reach `execute` (a constructor `assert!`, a
+        // NaN rate, a silently empty run) or is a missing / malformed /
+        // unknown flag; `main` prints the `Err` as one `error:` line and
+        // exits 2 without executing anything.
+        let table = [
+            ("run --loss 1.5", "--loss must be in [0, 1): 1.5"),
+            ("run --loss 1", "--loss"),
+            ("run --loss NaN", "--loss"),
+            (
+                "run --loss 0.5 --redundancy 0",
+                "--redundancy must be at least 1",
+            ),
+            ("run --protocol persistent-flood --repeats 0", "--repeats"),
+            ("run --r 0", "--r must be at least 1: 0"),
+            (
+                "run --placement bernoulli --prob 2",
+                "--prob must be in [0, 1]",
+            ),
+            ("run --placement bernoulli --prob -0.1", "--prob"),
+            ("audit --placement cluster --r 0", "--r"),
+            ("attack --r 1 --r 0", "--r"),
+            ("serve --node 0 --r 0", "--r"),
+            ("cluster --width 0 --height 3", "--width"),
+            ("cluster --height 0", "--height"),
+            ("cluster --instances 0", "--instances"),
+            ("cluster --kill 9", "--kill"),
+            ("cluster --kill 12 --width 4", "--kill"),
+            (
+                "cluster --protocol indirect",
+                "indirect-full | indirect-simplified",
+            ),
+            ("thresholds --r-max x", "--r-max"),
+            ("thresholds --r-max", "--r-max"),
+            ("thresholds --bogus", "--bogus"),
+            ("run --t x", "--t"),
+            ("run --t", "--t"),
+            ("run --bogus", "--bogus"),
+            ("sweep --t-max 2 --t x", "--t"),
+            ("sweep --t-max", "--t-max"),
+            ("sweep --t-max 2 --bogus", "--bogus"),
+            ("audit --placement cluster --t x", "--t"),
+            ("audit --placement", "--placement"),
+            ("audit --placement cluster --bogus", "--bogus"),
+            ("attack --steps x", "--steps"),
+            ("attack --steps", "--steps"),
+            ("attack --bogus", "--bogus"),
+            ("serve --node 0 --t x", "--t"),
+            ("serve --node", "--node"),
+            ("serve --node 0 --bogus", "--bogus"),
+            ("cluster --t x", "--t"),
+            ("cluster --kill", "--kill"),
+            ("cluster --bogus", "--bogus"),
+        ];
+        for (line, needle) in table {
+            let err = parse(&argv(line)).expect_err(line);
+            assert!(err.contains(needle), "{line}: {err}");
+        }
+        // r = 2 runs on a 20×20 torus: id 400 is one past the end
+        let path = std::env::temp_dir().join("rbcast_cli_placement_range.txt");
+        std::fs::write(&path, "3\n400\n").unwrap();
+        let err = parse(&argv(&format!("run --placement file:{}", path.display()))).unwrap_err();
+        assert!(err.contains("400") && err.contains("rbcast_cli_placement_range.txt"));
+        std::fs::write(&path, "3\n399\n").unwrap();
+        assert!(parse(&argv(&format!("run --placement file:{}", path.display()))).is_ok());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn every_name_round_trips_and_usage_lists_parse_everywhere() {
+        for k in ProtocolKind::ALL {
+            assert_eq!(ProtocolKind::parse(k.name()), Some(k));
+        }
+        for k in FaultKind::ALL {
+            assert_eq!(FaultKind::parse(k.name()), Some(k));
+        }
+        for m in Metric::ALL {
+            assert_eq!(Metric::parse(m.name()), Some(m));
+        }
+        // USAGE's `X  = a | b | c` line, as the spellings it promises
+        let listed = |tag: &str| -> Vec<&str> {
+            let prefix = format!("  {tag:<2} = ");
+            let line = USAGE.lines().find_map(|l| l.strip_prefix(prefix.as_str()));
+            line.expect(tag).split(" | ").collect()
+        };
+        let takers = [
+            (
+                "P",
+                "--protocol",
+                &["run", "attack", "serve --node 0", "cluster"][..],
+            ),
+            (
+                "M",
+                "--metric",
+                &["run", "attack", "serve --node 0", "cluster"][..],
+            ),
+            ("B", "--behavior", &["run", "attack"][..]),
+        ];
+        for (tag, flag, subcommands) in takers {
+            let names = listed(tag);
+            assert!(names.len() >= 2, "{tag}: {names:?}");
+            for name in names {
+                for sub in subcommands {
+                    let line = format!("{sub} {flag} {name}");
+                    assert!(parse(&argv(&line)).is_ok(), "USAGE promises `{line}`");
+                }
+            }
+        }
+        assert_eq!(listed("P").len(), ProtocolKind::ALL.len());
+        assert_eq!(listed("B").len(), FaultKind::ALL.len());
+        assert_eq!(listed("M").len(), Metric::ALL.len());
+    }
+
+    #[test]
+    fn seed_and_repeats_reach_the_parsed_vocabulary_in_any_order() {
+        let Command::Run(spec) = parse(&argv(
+            "run --behavior mixed --protocol persistent-flood --seed 9 --repeats 5",
+        ))
+        .unwrap() else {
+            panic!("not a run");
+        };
+        assert_eq!(spec.behavior, FaultKind::Mixed { seed: 9 });
+        assert_eq!(spec.protocol, ProtocolKind::PersistentFlood { repeats: 5 });
+        let Command::Attack(spec) = parse(&argv("attack --behavior mixed --seed 7")).unwrap()
+        else {
+            panic!("not an attack");
+        };
+        assert_eq!(spec.config.fault_kind, FaultKind::Mixed { seed: 7 });
     }
 
     #[test]

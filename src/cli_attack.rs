@@ -1,9 +1,9 @@
 //! The `rbcast attack` subcommand: seeded adversary search for
 //! worst-case fault placements (see `rbcast_core::attack`).
 
+use crate::cli::Flags;
 use crate::core::attack::{run_attack, AttackConfig, AttackReport};
-use crate::core::{obs, FaultKind, ProtocolKind};
-use crate::grid::Metric;
+use crate::core::{obs, FaultKind};
 use std::path::PathBuf;
 
 /// Parsed `rbcast attack` invocation.
@@ -32,57 +32,34 @@ pub fn parse_attack(args: &[String]) -> Result<AttackSpec, String> {
     let mut gate = false;
     let mut out_dir = None;
     let mut timings = false;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |flag: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--seed" => config.seed = parse_num(&value(flag)?, flag)?,
-            "--steps" => config.steps = parse_num(&value(flag)?, flag)?,
-            "--threads" => config.threads = parse_num(&value(flag)?, flag)?,
-            "--checkpoint-every" => config.checkpoint_every = parse_num(&value(flag)?, flag)?,
-            "--r" => rs.push(parse_num(&value(flag)?, flag)?),
-            "--journal" => config.journal = Some(PathBuf::from(value(flag)?)),
+    let mut f = Flags::new(args);
+    while let Some(flag) = f.next_flag() {
+        match flag {
+            "--seed" => config.seed = f.value()?,
+            "--steps" => config.steps = f.value()?,
+            "--threads" => config.threads = f.value()?,
+            "--checkpoint-every" => config.checkpoint_every = f.value()?,
+            "--r" => rs.push(f.radius()?),
+            "--journal" => config.journal = Some(f.path()?),
             "--resume" => {
-                config.journal = Some(PathBuf::from(value(flag)?));
+                config.journal = Some(f.path()?);
                 config.resume = true;
             }
             "--gate" => gate = true,
             "--timings" => timings = true,
-            "--out" => out_dir = Some(PathBuf::from(value(flag)?)),
-            "--protocol" => {
-                config.protocol = match value(flag)?.as_str() {
-                    "flood" => ProtocolKind::Flood,
-                    "cpa" => ProtocolKind::Cpa,
-                    "indirect-full" => ProtocolKind::IndirectFull,
-                    "indirect-simplified" => ProtocolKind::IndirectSimplified,
-                    other => return Err(format!("unknown protocol: {other}")),
-                };
-            }
-            "--behavior" => {
-                config.fault_kind = match value(flag)?.as_str() {
-                    "crash" => FaultKind::CrashStop,
-                    "silent" => FaultKind::Silent,
-                    "liar" => FaultKind::Liar,
-                    "forger" => FaultKind::Forger,
-                    other => return Err(format!("unknown behavior: {other}")),
-                };
-            }
-            "--metric" => {
-                config.metric = match value(flag)?.as_str() {
-                    "linf" => Metric::Linf,
-                    "l2" => Metric::L2,
-                    other => return Err(format!("unknown metric: {other}")),
-                };
-            }
+            "--out" => out_dir = Some(f.path()?),
+            "--protocol" => config.protocol = f.protocol()?,
+            "--behavior" => config.fault_kind = f.behavior()?,
+            "--metric" => config.metric = f.metric()?,
             other => return Err(format!("unknown flag for attack: {other}")),
         }
     }
     if !rs.is_empty() {
         config.rs = rs;
+    }
+    // resolved after the loop so `--seed` order is irrelevant
+    if let FaultKind::Mixed { seed } = &mut config.fault_kind {
+        *seed = config.seed;
     }
     Ok(AttackSpec {
         config,
@@ -90,11 +67,6 @@ pub fn parse_attack(args: &[String]) -> Result<AttackSpec, String> {
         out_dir,
         timings,
     })
-}
-
-fn parse_num<T: std::str::FromStr>(raw: &str, flag: &str) -> Result<T, String> {
-    raw.parse()
-        .map_err(|_| format!("invalid value for {flag}: {raw}"))
 }
 
 fn ids_csv(ids: &[crate::grid::NodeId]) -> String {

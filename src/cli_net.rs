@@ -10,11 +10,13 @@
 //! is killed mid-run and respawned with the same journal, exercising
 //! the epoch-bump recovery path end to end over real sockets.
 
+use crate::cli::Flags;
+use rbcast_core::ProtocolKind;
 use rbcast_grid::plumbing::json_field_u64;
 use rbcast_grid::Metric;
 use rbcast_net::{
     ChaosConfig, ClusterSpec, Datagram, FileJournal, LoopbackCluster, MemJournal, NetJournal,
-    NetProtocol, NodeReport, NodeRuntime, RuntimeConfig, UdpTransport,
+    NodeReport, NodeRuntime, RuntimeConfig, UdpTransport,
 };
 use rbcast_sim::driver::InstanceId;
 use rbcast_sim::Round;
@@ -27,7 +29,7 @@ pub struct ServeSpec {
     /// This node's id.
     pub node: u32,
     /// The shared run configuration.
-    pub cluster: NetSpec,
+    pub net: NetSpec,
     /// Journal path (enables crash recovery). `None` = in-memory.
     pub journal: Option<PathBuf>,
     /// Where to write the final JSON report (`None` = stdout).
@@ -38,22 +40,9 @@ pub struct ServeSpec {
 /// to agree on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetSpec {
-    /// Torus width.
-    pub width: u32,
-    /// Torus height.
-    pub height: u32,
-    /// Transmission radius.
-    pub radius: u32,
-    /// Neighborhood metric.
-    pub metric: Metric,
-    /// Protocol to run.
-    pub protocol: NetProtocol,
-    /// Fault budget `t`.
-    pub t: usize,
-    /// Concurrent broadcast instances.
-    pub instances: u32,
-    /// Lockstep rounds.
-    pub rounds: Round,
+    /// The static run configuration (topology, protocol, instances,
+    /// rounds) every node and the sim oracle share.
+    pub cluster: ClusterSpec,
     /// UDP base port (node `i` binds `base_port + i`).
     pub base_port: u16,
     /// Chaos seed (`None` = no chaos shim).
@@ -65,22 +54,9 @@ pub struct NetSpec {
 }
 
 impl NetSpec {
-    fn to_cluster_spec(&self) -> ClusterSpec {
-        ClusterSpec {
-            width: self.width,
-            height: self.height,
-            radius: self.radius,
-            metric: self.metric,
-            protocol: self.protocol,
-            t: self.t,
-            instances: self.instances,
-            rounds: self.rounds,
-        }
-    }
-
     fn runtime_config(&self) -> RuntimeConfig {
         RuntimeConfig {
-            rounds: self.rounds,
+            rounds: self.cluster.rounds,
             patience: self.patience,
             ..RuntimeConfig::default()
         }
@@ -96,14 +72,16 @@ impl NetSpec {
 impl Default for NetSpec {
     fn default() -> Self {
         NetSpec {
-            width: 3,
-            height: 3,
-            radius: 1,
-            metric: Metric::Linf,
-            protocol: NetProtocol::Cpa,
-            t: 1,
-            instances: 4,
-            rounds: 16,
+            cluster: ClusterSpec {
+                width: 3,
+                height: 3,
+                radius: 1,
+                metric: Metric::Linf,
+                protocol: ProtocolKind::Cpa,
+                t: 1,
+                instances: 4,
+                rounds: 16,
+            },
             base_port: 47_000,
             chaos_seed: None,
             patience: 200_000,
@@ -133,48 +111,30 @@ impl Default for ClusterOpts {
     }
 }
 
-/// The next argument after a flag that requires a value.
-fn next_value<'a>(it: &mut std::slice::Iter<'a, String>, flag: &str) -> Result<&'a String, String> {
-    it.next().ok_or_else(|| format!("{flag} needs a value"))
-}
-
 /// Parses the shared flags; unrecognized flags are delegated to `extra`
 /// which returns true when it consumed the flag.
 fn parse_net_flags(
     args: &[String],
     spec: &mut NetSpec,
-    mut extra: impl FnMut(&str, &mut std::slice::Iter<'_, String>) -> Result<bool, String>,
+    mut extra: impl FnMut(&str, &mut Flags<'_>) -> Result<bool, String>,
 ) -> Result<(), String> {
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--width" => spec.width = parse_str(next_value(&mut it, flag)?, flag)?,
-            "--height" => spec.height = parse_str(next_value(&mut it, flag)?, flag)?,
-            "--r" => spec.radius = parse_str(next_value(&mut it, flag)?, flag)?,
-            "--metric" => {
-                let raw = next_value(&mut it, flag)?;
-                spec.metric = match raw.as_str() {
-                    "linf" => Metric::Linf,
-                    "l2" => Metric::L2,
-                    other => return Err(format!("unknown metric: {other}")),
-                };
-            }
-            "--protocol" => {
-                let raw = next_value(&mut it, flag)?;
-                spec.protocol = NetProtocol::parse(raw)
-                    .ok_or_else(|| format!("unknown protocol for the net runtime: {raw}"))?;
-            }
-            "--t" => spec.t = parse_str(next_value(&mut it, flag)?, flag)?,
-            "--instances" => spec.instances = parse_str(next_value(&mut it, flag)?, flag)?,
-            "--rounds" => spec.rounds = parse_str(next_value(&mut it, flag)?, flag)?,
-            "--base-port" => spec.base_port = parse_str(next_value(&mut it, flag)?, flag)?,
-            "--chaos-seed" => {
-                spec.chaos_seed = Some(parse_str(next_value(&mut it, flag)?, flag)?);
-            }
-            "--patience" => spec.patience = parse_str(next_value(&mut it, flag)?, flag)?,
-            "--max-ticks" => spec.max_ticks = parse_str(next_value(&mut it, flag)?, flag)?,
+    let mut f = Flags::new(args);
+    while let Some(flag) = f.next_flag() {
+        match flag {
+            "--width" => spec.cluster.width = f.at_least(1)?,
+            "--height" => spec.cluster.height = f.at_least(1)?,
+            "--r" => spec.cluster.radius = f.radius()?,
+            "--metric" => spec.cluster.metric = f.metric()?,
+            "--protocol" => spec.cluster.protocol = f.protocol()?,
+            "--t" => spec.cluster.t = f.value()?,
+            "--instances" => spec.cluster.instances = f.at_least(1)?,
+            "--rounds" => spec.cluster.rounds = f.value()?,
+            "--base-port" => spec.base_port = f.value()?,
+            "--chaos-seed" => spec.chaos_seed = Some(f.value()?),
+            "--patience" => spec.patience = f.value()?,
+            "--max-ticks" => spec.max_ticks = f.value()?,
             other => {
-                if !extra(other, &mut it)? {
+                if !extra(other, &mut f)? {
                     return Err(format!("unknown flag: {other}"));
                 }
             }
@@ -183,38 +143,24 @@ fn parse_net_flags(
     Ok(())
 }
 
-fn parse_str<T: std::str::FromStr>(raw: &str, flag: &str) -> Result<T, String> {
-    raw.parse()
-        .map_err(|_| format!("invalid value for {flag}: {raw}"))
-}
-
 /// Parses `rbcast serve` flags.
 pub fn parse_serve(args: &[String]) -> Result<ServeSpec, String> {
-    let mut spec = NetSpec::default();
+    let mut net = NetSpec::default();
     let mut node: Option<u32> = None;
     let mut journal: Option<PathBuf> = None;
     let mut out: Option<PathBuf> = None;
-    parse_net_flags(args, &mut spec, |flag, it| match flag {
-        "--node" => {
-            let raw = it.next().ok_or("--node needs a value")?;
-            node = Some(parse_str(raw, "--node")?);
-            Ok(true)
+    parse_net_flags(args, &mut net, |flag, f| {
+        match flag {
+            "--node" => node = Some(f.value()?),
+            "--journal" => journal = Some(f.path()?),
+            "--out" => out = Some(f.path()?),
+            _ => return Ok(false),
         }
-        "--journal" => {
-            let raw = it.next().ok_or("--journal needs a value")?;
-            journal = Some(PathBuf::from(raw));
-            Ok(true)
-        }
-        "--out" => {
-            let raw = it.next().ok_or("--out needs a value")?;
-            out = Some(PathBuf::from(raw));
-            Ok(true)
-        }
-        _ => Ok(false),
+        Ok(true)
     })?;
     Ok(ServeSpec {
         node: node.ok_or("serve requires --node")?,
-        cluster: spec,
+        net,
         journal,
         out,
     })
@@ -224,28 +170,28 @@ pub fn parse_serve(args: &[String]) -> Result<ServeSpec, String> {
 pub fn parse_cluster(args: &[String]) -> Result<(NetSpec, ClusterOpts), String> {
     let mut spec = NetSpec::default();
     let mut opts = ClusterOpts::default();
-    parse_net_flags(args, &mut spec, |flag, it| match flag {
-        "--transport" => {
-            let raw = it.next().ok_or("--transport needs a value")?;
-            opts.udp = match raw.as_str() {
-                "udp" => true,
-                "loopback" => false,
-                other => return Err(format!("unknown transport: {other}")),
-            };
-            Ok(true)
+    parse_net_flags(args, &mut spec, |flag, f| {
+        match flag {
+            "--transport" => {
+                opts.udp = match f.raw()? {
+                    "udp" => true,
+                    "loopback" => false,
+                    other => return Err(format!("unknown transport: {other}")),
+                };
+            }
+            "--kill" => opts.kill = Some(f.value()?),
+            "--dir" => opts.dir = Some(f.path()?),
+            _ => return Ok(false),
         }
-        "--kill" => {
-            let raw = it.next().ok_or("--kill needs a value")?;
-            opts.kill = Some(parse_str(raw, "--kill")?);
-            Ok(true)
-        }
-        "--dir" => {
-            let raw = it.next().ok_or("--dir needs a value")?;
-            opts.dir = Some(PathBuf::from(raw));
-            Ok(true)
-        }
-        _ => Ok(false),
+        Ok(true)
     })?;
+    // checked after the loop so `--width`/`--height` order is irrelevant
+    let nodes = u64::from(spec.cluster.width) * u64::from(spec.cluster.height);
+    if let Some(victim) = opts.kill.filter(|&v| u64::from(v) >= nodes) {
+        return Err(format!(
+            "--kill must name one of the {nodes} nodes (0..{nodes}): {victim}"
+        ));
+    }
     Ok((spec, opts))
 }
 
@@ -323,7 +269,7 @@ fn decode_report_decisions(
 /// Runs one UDP node to completion. Exit code 0 on a finished run.
 #[must_use]
 pub fn execute_serve(spec: &ServeSpec) -> i32 {
-    let cluster = spec.cluster.to_cluster_spec();
+    let cluster = spec.net.cluster;
     let arena = cluster.arena();
     if u64::from(spec.node) >= arena.len() as u64 {
         eprintln!(
@@ -333,14 +279,14 @@ pub fn execute_serve(spec: &ServeSpec) -> i32 {
         );
         return 2;
     }
-    let transport = match UdpTransport::bind(spec.node, spec.cluster.base_port) {
+    let transport = match UdpTransport::bind(spec.node, spec.net.base_port) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("error: bind failed for node {}: {e}", spec.node);
             return 2;
         }
     };
-    let transport: Box<dyn Datagram> = match spec.cluster.chaos() {
+    let transport: Box<dyn Datagram> = match spec.net.chaos() {
         Some(mut cfg) => {
             cfg.seed ^= u64::from(spec.node) << 17;
             Box::new(rbcast_net::ChaosTransport::new(spec.node, transport, cfg))
@@ -364,7 +310,7 @@ pub fn execute_serve(spec: &ServeSpec) -> i32 {
         &mut |inst| cluster.process_for(inst),
         transport,
         journal,
-        spec.cluster.runtime_config(),
+        spec.net.runtime_config(),
     ) {
         Ok(rt) => rt,
         Err(e) => {
@@ -374,7 +320,7 @@ pub fn execute_serve(spec: &ServeSpec) -> i32 {
     };
     let mut finished_at: Option<u64> = None;
     let mut ticks: u64 = 0;
-    while ticks < spec.cluster.max_ticks {
+    while ticks < spec.net.max_ticks {
         ticks += 1;
         let finished = rt.pump();
         if finished && finished_at.is_none() {
@@ -412,9 +358,9 @@ pub fn execute_serve(spec: &ServeSpec) -> i32 {
 /// checks the digest against the sim oracle, prints the summary.
 #[must_use]
 pub fn execute_cluster(spec: &NetSpec, opts: &ClusterOpts) -> i32 {
-    let cluster_spec = spec.to_cluster_spec();
-    let oracle = cluster_spec.sim_oracle();
-    let n = cluster_spec.arena().len();
+    let cluster = spec.cluster;
+    let oracle = cluster.sim_oracle();
+    let n = cluster.arena().len();
     let watch = rbcast_core::obs::Stopwatch::start();
     let outcome = if opts.udp {
         run_udp_cluster(spec, opts, n)
@@ -430,23 +376,23 @@ pub fn execute_cluster(spec: &NetSpec, opts: &ClusterOpts) -> i32 {
         }
     };
     let digest = rbcast_sim::driver::commit_digest(&decisions);
-    let pairs = (n as u64) * u64::from(spec.instances);
+    let pairs = (n as u64) * u64::from(cluster.instances);
     let rate = decisions.len() as f64 / pairs as f64;
     let oracle_rate = oracle.decisions.len() as f64 / pairs as f64;
     let secs = elapsed_ms / 1_000.0;
     let bps = if secs > 0.0 {
-        f64::from(spec.instances) / secs
+        f64::from(cluster.instances) / secs
     } else {
         0.0
     };
     println!(
         "cluster: {}x{} r={} {} | {} instances x {} rounds | transport={}{}",
-        spec.width,
-        spec.height,
-        spec.radius,
-        spec.protocol.name(),
-        spec.instances,
-        spec.rounds,
+        cluster.width,
+        cluster.height,
+        cluster.radius,
+        cluster.protocol.name(),
+        cluster.instances,
+        cluster.rounds,
         if opts.udp { "udp" } else { "loopback" },
         match opts.kill {
             Some(v) => format!(" | kill+restart node {v}"),
@@ -477,8 +423,7 @@ fn run_loopback_cluster(
     spec: &NetSpec,
     opts: &ClusterOpts,
 ) -> Result<(ClusterDecisions, bool), String> {
-    let mut cluster =
-        LoopbackCluster::new(spec.to_cluster_spec(), spec.runtime_config(), spec.chaos());
+    let mut cluster = LoopbackCluster::new(spec.cluster, spec.runtime_config(), spec.chaos());
     if let Some(victim) = opts.kill {
         for _ in 0..20 {
             if cluster.step() {
@@ -539,9 +484,6 @@ fn run_udp_cluster(
 
     if let Some(victim) = opts.kill {
         let v = victim as usize;
-        if v >= children.len() {
-            return Err(format!("--kill {victim} outside the {n} node cluster"));
-        }
         // Let the run get under way, then crash the victim and bring it
         // back: the journal (and only the journal) survives.
         std::thread::sleep(std::time::Duration::from_millis(300));
@@ -590,25 +532,23 @@ fn run_udp_cluster(
 }
 
 fn push_shared_flags(cmd: &mut std::process::Command, spec: &NetSpec) {
+    let cluster = &spec.cluster;
     cmd.arg("--width")
-        .arg(spec.width.to_string())
+        .arg(cluster.width.to_string())
         .arg("--height")
-        .arg(spec.height.to_string())
+        .arg(cluster.height.to_string())
         .arg("--r")
-        .arg(spec.radius.to_string())
+        .arg(cluster.radius.to_string())
         .arg("--metric")
-        .arg(match spec.metric {
-            Metric::Linf => "linf",
-            Metric::L2 => "l2",
-        })
+        .arg(cluster.metric.name())
         .arg("--protocol")
-        .arg(spec.protocol.name())
+        .arg(cluster.protocol.name())
         .arg("--t")
-        .arg(spec.t.to_string())
+        .arg(cluster.t.to_string())
         .arg("--instances")
-        .arg(spec.instances.to_string())
+        .arg(cluster.instances.to_string())
         .arg("--rounds")
-        .arg(spec.rounds.to_string())
+        .arg(cluster.rounds.to_string())
         .arg("--base-port")
         .arg(spec.base_port.to_string())
         .arg("--patience")
@@ -640,11 +580,11 @@ mod tests {
         ))
         .expect("parses");
         assert_eq!(spec.node, 4);
-        assert_eq!(spec.cluster.instances, 8);
-        assert_eq!(spec.cluster.base_port, 48_000);
-        assert_eq!(spec.cluster.chaos_seed, Some(7));
+        assert_eq!(spec.net.cluster.instances, 8);
+        assert_eq!(spec.net.base_port, 48_000);
+        assert_eq!(spec.net.chaos_seed, Some(7));
         assert_eq!(spec.journal.as_deref(), Some(Path::new("/tmp/j.jsonl")));
-        assert_eq!(spec.cluster.patience, 9_000);
+        assert_eq!(spec.net.patience, 9_000);
     }
 
     #[test]
@@ -658,7 +598,7 @@ mod tests {
             parse_cluster(&argv("--transport loopback --kill 2 --instances 6")).expect("parses");
         assert!(!opts.udp);
         assert_eq!(opts.kill, Some(2));
-        assert_eq!(spec.instances, 6);
+        assert_eq!(spec.cluster.instances, 6);
     }
 
     #[test]
@@ -707,8 +647,8 @@ mod tests {
     #[test]
     fn loopback_cluster_execution_matches_oracle_end_to_end() {
         let (mut spec, mut opts) = parse_cluster(&argv("--transport loopback")).expect("parses");
-        spec.instances = 2;
-        spec.rounds = 12;
+        spec.cluster.instances = 2;
+        spec.cluster.rounds = 12;
         opts.kill = None;
         assert_eq!(execute_cluster(&spec, &opts), 0);
     }
