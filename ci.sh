@@ -127,6 +127,8 @@ cluster --width 0 --height 3
 cluster --instances 0
 cluster --transport loopback --kill 99
 cluster --protocol indirect
+run --r 1000000
+cluster --width 100000 --height 100000
 BAD
 rm -f "$bad_err" "$bad_ids"
 echo "bad-invocation gate passed"
@@ -228,5 +230,9 @@ grep -q '"timings": {' BENCH_scale.json \
     || { echo "BENCH_scale.json: missing the obs timings block"; exit 1; }
 grep -q '"peak_rss_kb"' BENCH_scale.json \
     || { echo "BENCH_scale.json: missing the v2 peak-RSS column"; exit 1; }
+# ROADMAP item 2's memory half: the indirect 10^6 cell stays under 500 MB.
+rss=$(sed -n 's/.*"indirect-simplified", "side": 1000,.*"peak_rss_kb": \([0-9]*\).*/\1/p' BENCH_scale.json)
+test -n "$rss" && test "$rss" -lt 512000 \
+    || { echo "BENCH_scale.json: indirect-simplified at 10^6 nodes reads ${rss:-no} kB peak RSS (limit 512000)"; exit 1; }
 
 echo "CI: all gates passed"

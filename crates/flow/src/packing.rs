@@ -345,9 +345,9 @@ impl ChainPacker {
 
 /// Reusable scratch buffers for [`ChainPacker::max_disjoint_scratch`].
 ///
-/// One instance per evaluating node suffices; buffers grow to the
-/// high-water mark of the queries they serve and are reused verbatim
-/// afterwards. Holding scratch never changes a query's answer — it only
+/// One instance per thread suffices, whichever packers it serves;
+/// buffers grow to the high-water mark of the queries they serve and
+/// are reused verbatim afterwards. Holding scratch never changes a query's answer — it only
 /// removes the per-query allocations.
 #[derive(Debug, Default)]
 pub struct PackScratch {

@@ -52,6 +52,21 @@ pub struct NeighborTable {
 }
 
 impl NeighborTable {
+    /// The most neighbor entries (`nodes × |stencil|`) a table can hold:
+    /// CSR row ends are `u32`.
+    pub const MAX_ENTRIES: u64 = u32::MAX as u64;
+
+    /// `nodes × stencil`, the CSR capacity — refused, before anything is
+    /// allocated for it, when the row ends could not index it.
+    fn capacity(nodes: usize, stencil: usize) -> usize {
+        let entries = (nodes as u64).saturating_mul(stencil as u64);
+        assert!(
+            entries <= Self::MAX_ENTRIES,
+            "{nodes} nodes × {stencil} neighbours = {entries} entries exceeds the arena's 2³² neighbour entries",
+        );
+        entries as usize
+    }
+
     /// Builds the table for `torus` at transmission radius `radius`
     /// under `metric`.
     ///
@@ -59,7 +74,8 @@ impl NeighborTable {
     ///
     /// Panics if the torus is too small to emulate the infinite grid at
     /// this radius (see [`Torus::supports_radius`]) — undersized tori
-    /// would alias neighborhoods through the wrap-around.
+    /// would alias neighborhoods through the wrap-around — or if
+    /// `nodes × |stencil|` exceeds [`NeighborTable::MAX_ENTRIES`].
     #[must_use]
     pub fn build(torus: &Torus, radius: u32, metric: Metric) -> Self {
         assert!(
@@ -69,13 +85,13 @@ impl NeighborTable {
         );
         let offs = crate::metric_offsets(radius, metric);
         let n = torus.len();
+        let mut targets = Vec::with_capacity(Self::capacity(n, offs.len()));
         let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity(n * offs.len());
         offsets.push(0u32);
         for id in torus.node_ids() {
             let c = torus.coord(id);
             targets.extend(offs.iter().map(|&off| torus.id(c + off)));
-            offsets.push(targets.len() as u32);
+            offsets.push(row_end(&targets));
         }
         let balls = (0..=radius + 1).map(|d| ball_stencil(d, metric)).collect();
         NeighborTable {
@@ -106,8 +122,8 @@ impl NeighborTable {
         }
         let offs = crate::metric_offsets(radius, metric);
         let n = torus.len();
+        let mut targets: Vec<NodeId> = Vec::with_capacity(Self::capacity(n, offs.len()));
         let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets: Vec<NodeId> = Vec::with_capacity(n * offs.len());
         offsets.push(0u32);
         for id in torus.node_ids() {
             let c = torus.coord(id);
@@ -118,7 +134,7 @@ impl NeighborTable {
                     targets.push(nb);
                 }
             }
-            offsets.push(targets.len() as u32);
+            offsets.push(row_end(&targets));
         }
         let balls = (0..=radius + 1).map(|d| ball_stencil(d, metric)).collect();
         NeighborTable {
@@ -200,6 +216,11 @@ impl NeighborTable {
             side: 2 * i64::from(span) + 1,
         }
     }
+}
+
+/// The CSR row end after a node's neighbors were appended.
+fn row_end(targets: &[NodeId]) -> u32 {
+    u32::try_from(targets.len()).expect("at most the capacity `build` checked")
 }
 
 /// Ball-local coordinate frame around one node: maps every torus
@@ -321,6 +342,23 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "10000000000 nodes × 8 neighbours = 80000000000 entries exceeds")]
+    fn a_product_past_the_u32_row_ends_is_refused_before_allocating() {
+        // 10¹⁰ nodes × 8 neighbours: the row ends used to wrap silently
+        // (`as u32`); the refusal comes before the 320 GB allocation.
+        let _ = NeighborTable::build(&Torus::new(100_000, 100_000), 1, Metric::Linf);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the arena's 2³² neighbour entries")]
+    fn a_huge_stencil_on_a_tiny_torus_is_refused_too() {
+        // What `build_wrapping` reserves for 3×3 at r = 11 000, before
+        // aliasing collapses it: (22 001)² − 1 entries for each node.
+        let stencil = Metric::Linf.neighborhood_size(11_000);
+        let _ = NeighborTable::capacity(9, stencil);
     }
 
     #[test]

@@ -74,9 +74,24 @@ impl Metric {
     /// assert_eq!(Metric::Linf.neighborhood_size(2), 24);
     /// assert_eq!(Metric::L2.neighborhood_size(2), 12);
     /// ```
+    ///
+    /// Counted, not materialised, so a caller can vet a radius before
+    /// anything of that size is allocated; saturates at `usize::MAX`
+    /// (under L2 from `r = 2¹⁶`, where the disc already holds more than
+    /// 2³³ points and nobody walks its rows).
     #[must_use]
     pub fn neighborhood_size(self, r: u32) -> usize {
-        crate::metric_offsets(r, self).len()
+        let r = u128::from(r);
+        let ball = match self {
+            Metric::Linf => (2 * r + 1).pow(2),
+            Metric::L2 if r >= 1 << 16 => u128::MAX,
+            // Row `±dy` of the closed disc holds 2⌊√(r² − dy²)⌋ + 1 points.
+            Metric::L2 => {
+                let rows = (1..=r).map(|dy| 2 * (2 * (r * r - dy * dy).isqrt() + 1));
+                rows.sum::<u128>() + (2 * r + 1)
+            }
+        };
+        usize::try_from(ball - 1).unwrap_or(usize::MAX)
     }
 
     /// The paper's Byzantine achievability threshold for this metric:
@@ -145,6 +160,23 @@ mod tests {
         for r in 1..10u32 {
             let expected = ((2 * r as usize + 1).pow(2)) - 1;
             assert_eq!(Metric::Linf.neighborhood_size(r), expected, "r={r}");
+        }
+    }
+
+    #[test]
+    fn neighborhood_size_counts_what_the_stencil_holds() {
+        for metric in Metric::ALL {
+            for r in 0..=24 {
+                assert_eq!(
+                    metric.neighborhood_size(r),
+                    crate::metric_offsets(r, metric).len(),
+                    "{metric} r={r}"
+                );
+            }
+            // Far past anything a stencil could be built for: an answer,
+            // not an overflow or a four-billion-row walk.
+            assert!(metric.neighborhood_size(1_000_000) > 1 << 40);
+            assert_eq!(metric.neighborhood_size(u32::MAX), usize::MAX);
         }
     }
 

@@ -11,7 +11,6 @@
 use crate::{Msg, ProtocolParams};
 use rbcast_grid::NodeId;
 use rbcast_sim::{Ctx, Process, Value};
-use std::collections::BTreeMap;
 
 /// CPA process state.
 ///
@@ -35,9 +34,12 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone)]
 pub struct Cpa {
     params: ProtocolParams,
-    /// First value announced by each neighbor (later contradictions from
-    /// a duplicitous neighbor are ignored, per §V).
-    announced: BTreeMap<NodeId, Value>,
+    /// Neighbors whose first announcement has been counted (later
+    /// contradictions from a duplicitous neighbor are ignored, per §V —
+    /// the value itself lives in `votes`). Membership only, kept sorted:
+    /// at most (2r+1)² − 1 ids, so a binary search over one small
+    /// allocation.
+    announced: Vec<NodeId>,
     /// Votes per value from distinct neighbors.
     votes: [usize; 2],
     committed: bool,
@@ -49,7 +51,7 @@ impl Cpa {
     pub fn new(params: ProtocolParams) -> Self {
         Cpa {
             params,
-            announced: BTreeMap::new(),
+            announced: Vec::new(),
             votes: [0, 0],
             committed: false,
         }
@@ -96,10 +98,10 @@ impl Process<Msg> for Cpa {
                     return;
                 }
                 // First announcement per neighbor only.
-                if self.announced.contains_key(&from) {
+                let Err(at) = self.announced.binary_search(&from) else {
                     return;
-                }
-                self.announced.insert(from, *v);
+                };
+                self.announced.insert(at, from);
                 self.votes[usize::from(*v)] += 1;
                 if self.votes[usize::from(*v)] > self.params.t {
                     self.commit(ctx, *v);
@@ -184,6 +186,33 @@ mod tests {
         assert!(!cpa.committed);
         cpa.votes[1] = 3;
         assert_eq!(cpa.votes_for(true), 3);
+    }
+
+    #[test]
+    fn equivocating_neighbor_counts_once() {
+        use rbcast_sim::Harness;
+        let torus = Torus::for_radius(1);
+        let me = torus.id(Coord::new(4, 4));
+        let params = ProtocolParams {
+            source: torus.id(Coord::ORIGIN),
+            value: true,
+            t: 2,
+        };
+        let mut cpa = Cpa::new(params);
+        let mut h = Harness::new(torus.clone(), 1, Metric::Linf, me);
+        // Out of id order, so the sorted membership list inserts at the
+        // front and in the middle, not only at the back.
+        let [a, b, c] = [(4, 5), (3, 3), (5, 4)].map(|(x, y)| torus.id(Coord::new(x, y)));
+        h.deliver(&mut cpa, a, &Msg::Committed(true));
+        h.deliver(&mut cpa, a, &Msg::Committed(false)); // ignored: a already spoke
+        h.deliver(&mut cpa, b, &Msg::Committed(false));
+        h.deliver(&mut cpa, a, &Msg::Committed(true)); // ignored again
+        assert_eq!((cpa.votes_for(true), cpa.votes_for(false)), (1, 1));
+        h.deliver(&mut cpa, c, &Msg::Committed(true));
+        h.deliver(&mut cpa, b, &Msg::Committed(true)); // ignored: b said `false`
+        assert_eq!((cpa.votes_for(true), cpa.votes_for(false)), (2, 1));
+        assert_eq!(h.decision(), None, "two votes do not beat t = 2");
+        assert_eq!(cpa.announced, [b, c, a], "sorted by id");
     }
 
     #[test]

@@ -26,6 +26,7 @@
 use rbcast_flow::{ChainPacker, PackScratch, MAX_CHAIN_KEYS};
 use rbcast_grid::{Coord, LocalFrame, NeighborTable, NodeId};
 use rbcast_sim::Value;
+use std::cell::Cell;
 use std::collections::BTreeMap;
 
 /// Which commit rule the indirect protocol evaluates.
@@ -79,6 +80,11 @@ impl<'a> Geometry<'a> {
 
 /// Accumulated report-chain evidence and rule evaluation for one node.
 ///
+/// A store holds only what its rule reads: the one-level rule's two
+/// packers sit inline and never allocate until a chain arrives; the
+/// two-level rule's frame, slots and determinations sit behind one
+/// allocation made in [`EvidenceStore::new`].
+///
 /// # Example
 ///
 /// ```
@@ -94,25 +100,40 @@ impl<'a> Geometry<'a> {
 /// ev.record_direct(torus.id(Coord::new(11, 9)), true);
 /// assert_eq!(ev.evaluate(&geo), Some(true));
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct EvidenceStore {
     t: usize,
-    rule: CommitRule,
+    state: RuleState,
+}
+
+/// The evidence one rule maintains.
+#[derive(Debug)]
+enum RuleState {
+    OneLevel {
+        /// Per-value chains with the committer prefixed — already
+        /// dense: two packers, no keying at all.
+        combined: [ChainPacker; 2],
+        /// Set when a commit re-evaluation is warranted.
+        commit_dirty: bool,
+    },
+    TwoLevel(Box<TwoLevel>),
+}
+
+/// Two-level evidence: chains per `(committer, value)` and the
+/// determinations drawn from them.
+#[derive(Debug, Default)]
+struct TwoLevel {
     /// Ball-local committer frame (span `3r`), bound once per run by
     /// the protocol's `on_start` via [`EvidenceStore::bind`]. When
-    /// bound, two-level evidence lives in dense slot-indexed vectors;
-    /// unbound stores (harness-driven tests) spill to the ordered map
-    /// with identical semantics.
+    /// bound, evidence lives in dense slot-indexed vectors; unbound
+    /// stores (harness-driven tests) spill to the ordered map with
+    /// identical semantics.
     frame: Option<LocalFrame>,
-    /// Dense per-(slot, value) chain packers for the bound two-level
-    /// rule: `slots[2 * slot + value]`.
+    /// Dense per-(slot, value) chain packers: `slots[2 * slot + value]`.
     slots: Vec<ChainPacker>,
     /// Ordered spill: unbound stores and out-of-frame committers
-    /// (relays only, two-level rule).
+    /// (relays only).
     packers: BTreeMap<(NodeId, Value), ChainPacker>,
-    /// Per-value chains with the committer prefixed (one-level rule) —
-    /// already dense: two packers, no keying at all.
-    combined: [ChainPacker; 2],
     /// Pairs whose evidence changed since the last evaluation.
     /// Unsorted; drained sorted + deduped so the refresh order matches
     /// the old ordered-set drain exactly.
@@ -124,10 +145,49 @@ pub struct EvidenceStore {
     dirty_mark: Vec<bool>,
     /// Committers reliably determined (first value wins).
     determined: BTreeMap<NodeId, Value>,
-    /// Set when a commit re-evaluation is warranted.
-    commit_dirty: bool,
-    /// Reusable packing-query buffers (never affects answers).
-    scratch: PackScratch,
+}
+
+/// What [`EvidenceStore::determined`] returns under the one-level rule,
+/// which determines nobody.
+static NO_DETERMINATIONS: BTreeMap<NodeId, Value> = BTreeMap::new();
+
+thread_local! {
+    /// The packing-query buffers, one set per thread instead of one per
+    /// node: an evaluation takes them out and puts them back, and
+    /// scratch never changes an answer (see [`PackScratch`]), so which
+    /// node's queries grew them is unobservable.
+    static SCRATCH: Cell<PackScratch> = Cell::default();
+
+    /// Tests only: hand every packing query fresh scratch — the
+    /// reference the shared buffers are checked against.
+    #[cfg(test)]
+    static FRESH_SCRATCH_PER_QUERY: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `f` with this thread's scratch. Moved out, not borrowed: nothing
+/// is held while `f` runs, and a nested call would find empty buffers.
+fn with_scratch<R>(f: impl FnOnce(&mut PackScratch) -> R) -> R {
+    let mut scratch = SCRATCH.take();
+    let out = f(&mut scratch);
+    SCRATCH.set(scratch);
+    out
+}
+
+/// Does `packer` hold `need` pairwise disjoint chains inside the ball
+/// around `center`?
+fn packs_within(
+    packer: &ChainPacker,
+    scratch: &mut PackScratch,
+    geo: &Geometry<'_>,
+    center: Coord,
+    need: u32,
+) -> bool {
+    #[cfg(test)]
+    if FRESH_SCRATCH_PER_QUERY.get() {
+        *scratch = PackScratch::default();
+    }
+    let admit = |k: u64| geo.covers(center, geo.arena.torus().coord(NodeId(k as u32)));
+    packer.max_disjoint_reusing(scratch, admit, need) >= need
 }
 
 /// Inline key buffer for packer insertions: an optional committer
@@ -168,11 +228,14 @@ impl EvidenceStore {
     /// Creates an empty store for fault budget `t` under `rule`.
     #[must_use]
     pub fn new(t: usize, rule: CommitRule) -> Self {
-        EvidenceStore {
-            t,
-            rule,
-            ..EvidenceStore::default()
-        }
+        let state = match rule {
+            CommitRule::OneLevel => RuleState::OneLevel {
+                combined: Default::default(),
+                commit_dirty: false,
+            },
+            CommitRule::TwoLevel => RuleState::TwoLevel(Box::default()),
+        };
+        EvidenceStore { t, state }
     }
 
     /// Binds the store to its node's ball-local committer frame. Every
@@ -180,25 +243,20 @@ impl EvidenceStore {
     /// most `2r` from the last relay — they share a radius-`r` ball —
     /// which itself is within `r`), so a span-`3r` frame indexes all of
     /// them; two-level evidence then lives in dense slot vectors
-    /// instead of an ordered map.
+    /// instead of an ordered map. The one-level rule keys nothing by
+    /// committer, so binding a one-level store does nothing.
     ///
     /// Call before recording any evidence (the protocol binds in
     /// `on_start`). Stores that never bind, and committers outside the
     /// frame, use the ordered spill map with identical semantics.
     pub fn bind(&mut self, frame: LocalFrame) {
         debug_assert_eq!(self.chain_count(), 0, "bind() after evidence was recorded");
-        if self.rule == CommitRule::TwoLevel {
+        if let RuleState::TwoLevel(two) = &mut self.state {
             // audit:allow(checked-threshold-arith): slot-vector sizing, not bound arithmetic
-            self.slots.resize_with(2 * frame.slots(), ChainPacker::new);
-            self.dirty_mark.resize(self.slots.len(), false);
-            self.frame = Some(frame);
+            two.slots.resize_with(2 * frame.slots(), ChainPacker::new);
+            two.dirty_mark.resize(two.slots.len(), false);
+            two.frame = Some(frame);
         }
-    }
-
-    /// Dense slot of `committer` when the store is bound and the
-    /// committer is inside the frame.
-    fn slot_index(&self, committer: NodeId) -> Option<usize> {
-        self.frame.as_ref()?.slot_of_id(committer)
     }
 
     /// Records that the committer was heard announcing `v` directly.
@@ -210,38 +268,145 @@ impl EvidenceStore {
     /// the committer and the receiving node). Returns `true` if the chain
     /// was new and undominated (dominated chains can never matter — see
     /// `ChainPacker::insert`).
-    ///
-    /// Only the structures the configured rule needs are maintained.
     pub fn record_chain(&mut self, committer: NodeId, v: Value, relays: &[NodeId]) -> bool {
-        match self.rule {
-            CommitRule::TwoLevel => {
-                let Some(keys) = KeyBuf::pack(None, relays) else {
-                    return false;
-                };
-                let slot = self.slot_index(committer);
-                // audit:allow(checked-threshold-arith): dense slot indexing, not bound arithmetic
-                let dense = slot.map(|slot| 2 * slot + usize::from(v));
-                let packer = match dense {
-                    Some(i) => &mut self.slots[i],
-                    None => self.packers.entry((committer, v)).or_default(),
-                };
-                let new = packer.insert(keys.as_slice());
-                if new {
-                    self.mark_dirty(dense, committer, v);
-                }
-                new
-            }
-            CommitRule::OneLevel => {
+        match &mut self.state {
+            RuleState::TwoLevel(two) => two.record_chain(committer, v, relays),
+            RuleState::OneLevel {
+                combined,
+                commit_dirty,
+            } => {
                 let Some(keys) = KeyBuf::pack(Some(committer), relays) else {
                     return false;
                 };
-                let new = self.combined[usize::from(v)].insert(keys.as_slice());
-                if new {
-                    self.commit_dirty = true;
-                }
+                let new = combined[usize::from(v)].insert(keys.as_slice());
+                *commit_dirty |= new;
                 new
             }
         }
+    }
+
+    /// Committers reliably determined so far (two-level rule; always
+    /// empty under the one-level rule).
+    #[must_use]
+    pub fn determined(&self) -> &BTreeMap<NodeId, Value> {
+        match &self.state {
+            RuleState::TwoLevel(two) => &two.determined,
+            RuleState::OneLevel { .. } => &NO_DETERMINATIONS,
+        }
+    }
+
+    /// Visits every packer with the key [`EvidenceStore::digest`] folds
+    /// it under, in storage order: dense slots, then the spill map — or
+    /// the two combined per-value packers.
+    fn for_each_packer(&self, mut f: impl FnMut(u64, &ChainPacker)) {
+        match &self.state {
+            RuleState::TwoLevel(two) => {
+                for (slot, p) in two.slots.iter().enumerate() {
+                    f(slot as u64, p);
+                }
+                for (&(id, v), p) in &two.packers {
+                    f((u64::from(id.0) << 1) | u64::from(v), p);
+                }
+            }
+            RuleState::OneLevel { combined, .. } => {
+                for (v, p) in combined.iter().enumerate() {
+                    f(v as u64, p);
+                }
+            }
+        }
+    }
+
+    /// Total stored (undominated) chains across all committers and
+    /// values.
+    #[must_use]
+    pub fn chain_count(&self) -> usize {
+        let mut chains = 0;
+        self.for_each_packer(|_, p| chains += p.len());
+        chains
+    }
+
+    /// Deterministic FNV-1a fingerprint of every stored chain — traced
+    /// alongside the chain count when a commit fires, so two runs can
+    /// be compared on *what* evidence produced each decision, not just
+    /// how much. Folds packers in storage order; empty packers
+    /// contribute nothing, so the digest is independent of how many
+    /// unused slots the frame reserved.
+    #[must_use]
+    pub fn digest(&self) -> u64 {
+        use rbcast_sim::trace::{fold_words, FNV_OFFSET};
+        let mut hash = FNV_OFFSET;
+        self.for_each_packer(|key, p| {
+            if p.is_empty() {
+                return;
+            }
+            fold_words(&mut hash, &[key, u64::from(p.has_direct())]);
+            for c in p.iter() {
+                fold_words(&mut hash, &[c.relays().len() as u64]);
+                for &relay in c.relays() {
+                    fold_words(&mut hash, &[u64::from(relay)]);
+                }
+            }
+        });
+        hash
+    }
+
+    /// Evaluates the commit rule against the current evidence. Returns
+    /// the value to commit to, if the rule fires.
+    ///
+    /// Called at round boundaries; incremental (only dirty evidence is
+    /// re-examined).
+    pub fn evaluate(&mut self, geo: &Geometry<'_>) -> Option<Value> {
+        let need = (self.t + 1) as u32;
+        match &mut self.state {
+            RuleState::TwoLevel(two) => two.evaluate(geo, need),
+            RuleState::OneLevel {
+                combined,
+                commit_dirty,
+            } => {
+                if !std::mem::take(commit_dirty) {
+                    return None;
+                }
+                with_scratch(|scratch| {
+                    for center in geo.centers_within(geo.me, geo.arena.radius() + 1) {
+                        for v in [true, false] {
+                            let packer = &combined[usize::from(v)];
+                            if packer.len() >= need as usize
+                                && packs_within(packer, scratch, geo, center, need)
+                            {
+                                return Some(v);
+                            }
+                        }
+                    }
+                    None
+                })
+            }
+        }
+    }
+}
+
+impl TwoLevel {
+    /// Dense slot of `committer` when the store is bound and the
+    /// committer is inside the frame.
+    fn slot_index(&self, committer: NodeId) -> Option<usize> {
+        self.frame.as_ref()?.slot_of_id(committer)
+    }
+
+    fn record_chain(&mut self, committer: NodeId, v: Value, relays: &[NodeId]) -> bool {
+        let Some(keys) = KeyBuf::pack(None, relays) else {
+            return false;
+        };
+        let slot = self.slot_index(committer);
+        // audit:allow(checked-threshold-arith): dense slot indexing, not bound arithmetic
+        let dense = slot.map(|slot| 2 * slot + usize::from(v));
+        let packer = match dense {
+            Some(i) => &mut self.slots[i],
+            None => self.packers.entry((committer, v)).or_default(),
+        };
+        let new = packer.insert(keys.as_slice());
+        if new {
+            self.mark_dirty(dense, committer, v);
+        }
+        new
     }
 
     /// Lists `(committer, v)` for the next level-1 refresh, once: a dense
@@ -261,95 +426,32 @@ impl EvidenceStore {
         self.dirty.push((committer, v));
     }
 
-    /// Committers reliably determined so far (two-level rule).
-    #[must_use]
-    pub fn determined(&self) -> &BTreeMap<NodeId, Value> {
-        &self.determined
-    }
-
-    /// Total stored (undominated) chains across all committers and
-    /// values.
-    #[must_use]
-    pub fn chain_count(&self) -> usize {
-        self.packers.values().map(ChainPacker::len).sum::<usize>()
-            + self.slots.iter().map(ChainPacker::len).sum::<usize>()
-            + self.combined.iter().map(ChainPacker::len).sum::<usize>()
-    }
-
-    /// Deterministic FNV-1a fingerprint of every stored chain — traced
-    /// alongside the chain count when a commit fires, so two runs can
-    /// be compared on *what* evidence produced each decision, not just
-    /// how much. Folds packers in storage order (dense slots, then the
-    /// spill map, then the combined per-value packers); empty packers
-    /// contribute nothing, so the digest is independent of how many
-    /// unused slots the frame reserved.
-    #[must_use]
-    pub fn digest(&self) -> u64 {
-        use rbcast_sim::trace::{fold_words, FNV_OFFSET};
-        let mut hash = FNV_OFFSET;
-        let fold_packer = |hash: &mut u64, key: u64, p: &ChainPacker| {
-            if p.is_empty() {
-                return;
-            }
-            fold_words(hash, &[key, u64::from(p.has_direct())]);
-            for c in p.iter() {
-                fold_words(hash, &[c.relays().len() as u64]);
-                for &relay in c.relays() {
-                    fold_words(hash, &[u64::from(relay)]);
-                }
-            }
-        };
-        for (slot, p) in self.slots.iter().enumerate() {
-            fold_packer(&mut hash, slot as u64, p);
-        }
-        for (&(id, v), p) in &self.packers {
-            fold_packer(&mut hash, (u64::from(id.0) << 1) | u64::from(v), p);
-        }
-        for (v, p) in self.combined.iter().enumerate() {
-            fold_packer(&mut hash, v as u64, p);
-        }
-        hash
-    }
-
-    /// Evaluates the commit rule against the current evidence. Returns
-    /// the value to commit to, if the rule fires.
-    ///
-    /// Called at round boundaries; incremental (only dirty evidence is
-    /// re-examined).
-    pub fn evaluate(&mut self, geo: &Geometry<'_>) -> Option<Value> {
-        match self.rule {
-            CommitRule::TwoLevel => self.evaluate_two_level(geo),
-            CommitRule::OneLevel => self.evaluate_one_level(geo),
-        }
-    }
-
-    fn evaluate_two_level(&mut self, geo: &Geometry<'_>) -> Option<Value> {
+    fn evaluate(&mut self, geo: &Geometry<'_>, need: u32) -> Option<Value> {
         // Level 1: refresh determinations for dirty (committer, value)
         // pairs. A pair failing now is re-marked dirty by the next chain
         // arrival for it.
         // Sorted + deduped drain: reproduces the (committer, value)
         // iteration order of the ordered set this list replaced, so
         // refresh order is identical on every run with the same seed.
-        let mut dirty = std::mem::take(&mut self.dirty);
-        if !dirty.is_empty() {
-            self.dirty_mark.fill(false);
+        if self.dirty.is_empty() {
+            return None;
         }
+        let mut dirty = std::mem::take(&mut self.dirty);
+        self.dirty_mark.fill(false);
         dirty.sort_unstable();
         dirty.dedup();
-        // Take the scratch out so packing queries can borrow it mutably
-        // alongside `&self` reads of the packers; put it back after.
-        let mut scratch = std::mem::take(&mut self.scratch);
         let mut newly = false;
-        for (committer, v) in dirty {
-            if self.determined.contains_key(&committer) {
-                continue;
+        with_scratch(|scratch| {
+            for (committer, v) in dirty {
+                if self.determined.contains_key(&committer) {
+                    continue;
+                }
+                if self.is_determined(geo, scratch, need, committer, v) {
+                    self.determined.insert(committer, v);
+                    newly = true;
+                }
             }
-            if self.is_determined(geo, &mut scratch, committer, v) {
-                self.determined.insert(committer, v);
-                newly = true;
-            }
-        }
-        self.scratch = scratch;
+        });
         // The commit threshold can only newly pass when a determination
         // was added.
         if !newly {
@@ -357,14 +459,13 @@ impl EvidenceStore {
         }
 
         // Level 2: a neighborhood holding t+1 determined committers of v.
-        let need = self.t + 1;
         let commits: Vec<(Coord, Value)> = self
             .determined
             .iter()
             .map(|(&id, &v)| (geo.arena.torus().coord(id), v))
             .collect();
         for center in geo.centers_within(geo.me, geo.arena.radius() + 1) {
-            let mut counts = [0usize; 2];
+            let mut counts = [0u32; 2];
             for &(c, v) in &commits {
                 if geo.covers(center, c) {
                     counts[usize::from(v)] += 1;
@@ -379,12 +480,14 @@ impl EvidenceStore {
         None
     }
 
-    /// Level-1 determination: direct observation, or `t+1` disjoint
-    /// chains inside a single neighborhood covering the committer.
+    /// Level-1 determination: direct observation, or `need = t+1`
+    /// disjoint chains inside a single neighborhood covering the
+    /// committer.
     fn is_determined(
         &self,
         geo: &Geometry<'_>,
         scratch: &mut PackScratch,
+        need: u32,
         committer: NodeId,
         v: Value,
     ) -> bool {
@@ -399,43 +502,12 @@ impl EvidenceStore {
         if packer.has_direct() {
             return true;
         }
-        let need = (self.t + 1) as u32;
         if packer.len() < need as usize {
             return false;
         }
         let committer_coord = geo.arena.torus().coord(committer);
-        for center in geo.centers_within(committer_coord, geo.arena.radius()) {
-            let admit = |k: u64| geo.covers(center, geo.arena.torus().coord(NodeId(k as u32)));
-            if packer.max_disjoint_reusing(scratch, admit, need) >= need {
-                return true;
-            }
-        }
-        false
-    }
-
-    fn evaluate_one_level(&mut self, geo: &Geometry<'_>) -> Option<Value> {
-        if !self.commit_dirty {
-            return None;
-        }
-        self.commit_dirty = false;
-        let need = (self.t + 1) as u32;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let mut committed = None;
-        'scan: for center in geo.centers_within(geo.me, geo.arena.radius() + 1) {
-            for v in [true, false] {
-                let packer = &self.combined[usize::from(v)];
-                if packer.len() < need as usize {
-                    continue;
-                }
-                let admit = |k: u64| geo.covers(center, geo.arena.torus().coord(NodeId(k as u32)));
-                if packer.max_disjoint_reusing(&mut scratch, admit, need) >= need {
-                    committed = Some(v);
-                    break 'scan;
-                }
-            }
-        }
-        self.scratch = scratch;
-        committed
+        geo.centers_within(committer_coord, geo.arena.radius())
+            .any(|center| packs_within(packer, scratch, geo, center, need))
     }
 }
 
@@ -452,6 +524,14 @@ mod tests {
 
     fn id(torus: &Torus, x: i64, y: i64) -> NodeId {
         torus.id(Coord::new(x, y))
+    }
+
+    /// A two-level store's pending level-1 refresh list.
+    fn dirty(ev: &EvidenceStore) -> &[(NodeId, Value)] {
+        match &ev.state {
+            RuleState::TwoLevel(two) => &two.dirty,
+            RuleState::OneLevel { .. } => panic!("one-level stores keep no dirty list"),
+        }
     }
 
     #[test]
@@ -840,6 +920,129 @@ mod tests {
         assert_eq!(ev.digest(), 0xde42_5854_baca_d606);
     }
 
+    /// The fixed one-level stream the digest below is pinned for; every
+    /// `record_chain` verdict it produced.
+    fn feed_one_level(ev: &mut EvidenceStore, torus: &Torus) -> Vec<bool> {
+        let near = id(torus, 12, 12);
+        let other = id(torus, 9, 8);
+        let far = id(torus, 22, 22);
+        vec![
+            ev.record_chain(other, true, &[]),
+            ev.record_chain(near, true, &[id(torus, 11, 12)]),
+            ev.record_chain(near, true, &[id(torus, 12, 11), id(torus, 11, 11)]),
+            ev.record_chain(
+                near,
+                false,
+                &[id(torus, 13, 11), id(torus, 12, 10), id(torus, 11, 10)],
+            ),
+            ev.record_chain(other, true, &[id(torus, 9, 9)]),
+            ev.record_chain(other, true, &[id(torus, 9, 9)]),
+            ev.record_chain(far, false, &[id(torus, 11, 11)]),
+            ev.record_chain(far, false, &[id(torus, 13, 11), id(torus, 11, 9)]),
+            ev.record_chain(id(torus, 9, 12), true, &[id(torus, 10, 11)]),
+        ]
+    }
+
+    #[test]
+    fn digest_is_pinned_for_a_fixed_one_level_stream() {
+        // Committer-prefixed chains in the two per-value packers: a
+        // direct observation, a dominated repeat, a committer no frame
+        // would index. The value was computed on the store that carried
+        // every rule's fields at once; splitting it by rule must not
+        // move it.
+        let torus = Torus::new(24, 24);
+        let mut ev = EvidenceStore::new(1, CommitRule::OneLevel);
+        let verdicts = feed_one_level(&mut ev, &torus);
+        assert_eq!(
+            verdicts,
+            [true, true, true, true, false, false, true, true, true]
+        );
+        assert_eq!(ev.chain_count(), 7);
+        assert_eq!(ev.digest(), 0xbe46_2d67_474a_25b5);
+    }
+
+    #[test]
+    fn one_level_store_determines_nobody_and_ignores_bind() {
+        let torus = Torus::new(24, 24);
+        let table = table(&torus);
+        let me = Coord::new(10, 10);
+        let geo = Geometry::new(&table, me);
+        let mut bound = EvidenceStore::new(1, CommitRule::OneLevel);
+        bound.bind(table.local_frame(me, 6));
+        assert!(
+            matches!(bound.state, RuleState::OneLevel { .. }),
+            "a one-level store holds no two-level state, bound or not"
+        );
+        let mut unbound = EvidenceStore::new(1, CommitRule::OneLevel);
+        assert_eq!(
+            feed_one_level(&mut bound, &torus),
+            feed_one_level(&mut unbound, &torus)
+        );
+        assert_eq!(bound.digest(), unbound.digest());
+        assert_eq!(bound.chain_count(), unbound.chain_count());
+        assert_eq!(bound.evaluate(&geo), Some(true));
+        assert_eq!(unbound.evaluate(&geo), Some(true));
+        assert!(bound.determined().is_empty());
+        assert!(unbound.determined().is_empty());
+    }
+
+    proptest::prelude::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// "Scratch never changes an answer", as a property: a one-level
+        /// and a two-level store fed one chain stream and evaluated
+        /// alternately — so each query finds the thread's buffers as
+        /// the *other* store's query left them — answer, call for call,
+        /// what they answer when every packing query gets fresh scratch.
+        /// Chains crowd the 5×5 ball around the evaluator so queries
+        /// admit, conflict and reach the branch and bound.
+        #[test]
+        fn shared_scratch_answers_as_fresh_scratch_per_query(
+            t in 1usize..=3,
+            stream in proptest::collection::vec(
+                (
+                    (8i64..13, 8i64..13),
+                    proptest::collection::vec((8i64..13, 8i64..13), 1..4),
+                    0u8..16,
+                ),
+                1..128,
+            ),
+        ) {
+            use proptest::prelude::prop_assert_eq;
+
+            let torus = Torus::new(24, 24);
+            let table = table(&torus);
+            let me = Coord::new(10, 10);
+            let geo = Geometry::new(&table, me);
+            let answers = |fresh: bool| {
+                FRESH_SCRATCH_PER_QUERY.set(fresh);
+                let mut one = EvidenceStore::new(t, CommitRule::OneLevel);
+                let mut two = EvidenceStore::new(t, CommitRule::TwoLevel);
+                two.bind(table.local_frame(me, 6));
+                let mut answers = Vec::new();
+                for ((cx, cy), relay_pts, flags) in &stream {
+                    let committer = id(&torus, *cx, *cy);
+                    let mut relays: Vec<NodeId> =
+                        relay_pts.iter().map(|&(x, y)| id(&torus, x, y)).collect();
+                    // One chain in eight is a direct observation (which
+                    // dominates its committer's other chains); seven in
+                    // eight report `true`, so chains pile up in one packer.
+                    if *flags >= 14 {
+                        relays.clear();
+                    }
+                    let v = flags % 8 != 0;
+                    one.record_chain(committer, v, &relays);
+                    answers.push(one.evaluate(&geo));
+                    two.record_chain(committer, v, &relays);
+                    answers.push(two.evaluate(&geo));
+                }
+                FRESH_SCRATCH_PER_QUERY.set(false);
+                (answers, two.determined().clone())
+            };
+            prop_assert_eq!(answers(false), answers(true));
+        }
+    }
+
     #[test]
     fn dirty_list_is_bounded_by_distinct_pairs() {
         // A committed node keeps recording but never evaluates, so the
@@ -865,9 +1068,9 @@ mod tests {
         bound.bind(table.local_frame(me, 6));
         assert_eq!(feed(&mut bound), 1_000);
         assert!(
-            bound.dirty.len() <= 6,
+            dirty(&bound).len() <= 6,
             "{} dirty entries",
-            bound.dirty.len()
+            dirty(&bound).len()
         );
 
         // The marks only dedupe: the refresh answers as the unmarked
@@ -876,9 +1079,9 @@ mod tests {
         assert_eq!(feed(&mut unbound), 1_000);
         assert_eq!(bound.evaluate(&geo), unbound.evaluate(&geo));
         assert_eq!(bound.determined(), unbound.determined());
-        assert!(bound.dirty.is_empty());
+        assert!(dirty(&bound).is_empty());
         assert!(bound.record_chain(committers[0], true, &[NodeId(500)]));
-        assert_eq!(bound.dirty, [(committers[0], true)]);
+        assert_eq!(dirty(&bound), [(committers[0], true)]);
     }
 
     #[test]

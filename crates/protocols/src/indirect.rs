@@ -100,6 +100,10 @@ pub struct Indirect {
     committed: bool,
 }
 
+// Every node boxes one of these, so its size is what bounds the
+// networks a host can simulate.
+const _: () = assert!(std::mem::size_of::<Indirect>() <= 160);
+
 impl Indirect {
     /// Creates the process.
     #[must_use]
@@ -313,8 +317,10 @@ impl Process<Msg> for Indirect {
             // Trace the evidence the commit rested on: how many distinct
             // chains, and a digest of their contents (so divergent runs
             // can be compared on *what* evidence fired, not just volume).
-            ctx.note("commit-evidence", self.evidence.chain_count() as u64);
-            ctx.note("commit-digest", self.evidence.digest());
+            // Both fold over the whole store, so neither is built unless
+            // a trace will carry it.
+            ctx.note_with("commit-evidence", || self.evidence.chain_count() as u64);
+            ctx.note_with("commit-digest", || self.evidence.digest());
             self.commit(ctx, v);
         }
     }

@@ -27,7 +27,7 @@
 //! node, mirroring how a serving system runs many broadcasts at once
 //! over the same topology.
 
-use crate::process::{DecisionLedger, NodeState};
+use crate::process::{Decision, DecisionLedger, Transmission};
 use crate::trace::{fold_words, FNV_OFFSET};
 use crate::{Ctx, Process, Round, Value};
 use rbcast_grid::{NeighborTable, NodeId, TdmaSchedule};
@@ -97,7 +97,8 @@ pub struct NodeDriver<M> {
     arena: Arc<NeighborTable>,
     id: NodeId,
     proc: Box<dyn Process<M>>,
-    state: NodeState<M>,
+    decision: Decision,
+    outbox: Vec<Transmission<M>>,
     round: Round,
     messages_sent: u64,
     ledger: DecisionLedger,
@@ -110,7 +111,7 @@ impl<M> std::fmt::Debug for NodeDriver<M> {
         f.debug_struct("NodeDriver")
             .field("id", &self.id)
             .field("round", &self.round)
-            .field("decision", &self.state.decision)
+            .field("decision", &self.decision)
             .finish_non_exhaustive()
     }
 }
@@ -124,7 +125,8 @@ impl<M> NodeDriver<M> {
             arena,
             id,
             proc,
-            state: NodeState::default(),
+            decision: None,
+            outbox: Vec::new(),
             round: 0,
             messages_sent: 0,
             ledger: DecisionLedger::new(n),
@@ -140,7 +142,10 @@ impl<M> NodeDriver<M> {
             id: self.id,
             arena: &self.arena,
             round: self.round,
-            state: &mut self.state,
+            decision: &mut self.decision,
+            outbox: &mut self.outbox,
+            // Nothing reads a networked node's notes.
+            notes: None,
             messages_sent: &mut self.messages_sent,
             ledger: &mut self.ledger,
         };
@@ -182,13 +187,13 @@ impl<M> NodeDriver<M> {
         }
         self.delivered = false;
         self.round += 1;
-        self.state.outbox.drain(..).map(|(_, m)| m).collect()
+        self.outbox.drain(..).map(|tx| tx.msg).collect()
     }
 
     /// The decision recorded so far, with the round it was made in.
     #[must_use]
     pub fn decision(&self) -> Option<(Value, Round)> {
-        self.state.decision
+        self.decision
     }
 
     /// The current round counter (rounds fully closed so far).
@@ -483,6 +488,72 @@ mod tests {
             harness.start(&mut Locate(via_harness.clone()));
         }
         assert_eq!(*via_harness.borrow(), expect);
+    }
+
+    /// A note buffer is lent only where something reads it — `Network`
+    /// while a sink is installed, `Harness` always, `NodeDriver` never —
+    /// and `note_with` does not build its value for nobody.
+    #[test]
+    fn notes_are_built_only_for_a_reader() {
+        use std::cell::Cell;
+        use std::rc::Rc;
+
+        struct Noter(Rc<Cell<u32>>);
+        impl Process<bool> for Noter {
+            fn on_start(&mut self, ctx: &mut Ctx<'_, bool>) {
+                ctx.note("cheap", 1);
+                ctx.note_with("costly", || {
+                    self.0.set(self.0.get() + 1);
+                    2
+                });
+            }
+            fn on_message(&mut self, _: &mut Ctx<'_, bool>, _: NodeId, _: &bool) {}
+        }
+        struct Count(Rc<Cell<u32>>);
+        impl crate::trace::TraceSink for Count {
+            fn record(&mut self, event: &crate::trace::TraceEvent) {
+                if matches!(event, crate::trace::TraceEvent::Note { .. }) {
+                    self.0.set(self.0.get() + 1);
+                }
+            }
+        }
+
+        let arena = arena();
+        let n = arena.len() as u32;
+        let built = Rc::new(Cell::new(0));
+        let network = |sink: Option<Box<dyn crate::trace::TraceSink>>| {
+            let mut net =
+                Network::with_arena(Arc::clone(&arena), crate::ChannelConfig::reliable(), |_| {
+                    Box::new(Noter(built.clone())) as Box<dyn Process<bool>>
+                });
+            if let Some(sink) = sink {
+                net.set_trace_sink(sink);
+            }
+            net.run(1);
+        };
+        network(None);
+        assert_eq!(built.get(), 0, "an untraced network built a note value");
+        let recorded = Rc::new(Cell::new(0));
+        network(Some(Box::new(Count(recorded.clone()))));
+        assert_eq!(built.replace(0), n);
+        assert_eq!(
+            recorded.get(),
+            2 * n,
+            "both notes of every node reach the sink"
+        );
+
+        let _ = NodeDriver::new(
+            Arc::clone(&arena),
+            NodeId(0),
+            Box::new(Noter(built.clone())),
+        );
+        assert_eq!(built.get(), 0, "nothing drains a driver's notes");
+
+        let mut harness =
+            crate::Harness::<bool>::new(arena.torus().clone(), 2, Metric::Linf, NodeId(0));
+        harness.start(&mut Noter(built.clone()));
+        assert_eq!(built.get(), 1);
+        assert_eq!(harness.drain_notes(), [("cheap", 1), ("costly", 2)]);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! whole [`crate::Network`]. The protocols crate uses it to pin down
 //! message-validation behaviour hop by hop.
 
-use crate::process::{DecisionLedger, NodeState};
+use crate::process::{Decision, DecisionLedger, Notes, Transmission};
 use crate::{Ctx, Process, Round, Value};
 use rbcast_grid::{Metric, NeighborTable, NodeId, Torus};
 
@@ -36,7 +36,9 @@ use rbcast_grid::{Metric, NeighborTable, NodeId, Torus};
 pub struct Harness<M> {
     arena: NeighborTable,
     id: NodeId,
-    state: NodeState<M>,
+    decision: Decision,
+    outbox: Vec<Transmission<M>>,
+    notes: Notes,
     round: Round,
     messages_sent: u64,
     ledger: DecisionLedger,
@@ -51,7 +53,9 @@ impl<M> Harness<M> {
         Harness {
             arena: NeighborTable::build(&torus, radius, metric),
             id,
-            state: NodeState::default(),
+            decision: None,
+            outbox: Vec::new(),
+            notes: Vec::new(),
             round: 0,
             messages_sent: 0,
             ledger: DecisionLedger::new(n),
@@ -63,7 +67,9 @@ impl<M> Harness<M> {
             id: self.id,
             arena: &self.arena,
             round: self.round,
-            state: &mut self.state,
+            decision: &mut self.decision,
+            outbox: &mut self.outbox,
+            notes: Some(&mut self.notes),
             messages_sent: &mut self.messages_sent,
             ledger: &mut self.ledger,
         };
@@ -90,24 +96,27 @@ impl<M> Harness<M> {
     /// only; claimed identities are dropped — use
     /// [`Harness::drain_outbox_claimed`] to observe spoofing attempts).
     pub fn drain_outbox(&mut self) -> Vec<M> {
-        self.state.outbox.drain(..).map(|(_, m)| m).collect()
+        self.outbox.drain(..).map(|tx| tx.msg).collect()
     }
 
     /// Takes the queued broadcasts with their claimed sender identities.
     pub fn drain_outbox_claimed(&mut self) -> Vec<(NodeId, M)> {
-        self.state.outbox.drain(..).collect()
+        self.outbox
+            .drain(..)
+            .map(|tx| (tx.claimed, tx.msg))
+            .collect()
     }
 
     /// The decision recorded so far, if any.
     #[must_use]
     pub fn decision(&self) -> Option<Value> {
-        self.state.decision.map(|(v, _)| v)
+        self.decision.map(|(v, _)| v)
     }
 
     /// Takes the protocol-level trace notes recorded via
     /// [`Ctx::note`] since the last drain.
     pub fn drain_notes(&mut self) -> Vec<(&'static str, u64)> {
-        std::mem::take(&mut self.state.notes)
+        std::mem::take(&mut self.notes)
     }
 
     /// Total broadcasts the process has performed.

@@ -1,7 +1,7 @@
 //! The synchronous round-based network engine.
 
 use crate::channel::delivery_lost;
-use crate::process::{DecisionLedger, NodeState};
+use crate::process::{Decision, DecisionLedger, Notes, Transmission};
 use crate::trace::{TraceEvent, TraceSink, FNV_OFFSET};
 use crate::{ChannelConfig, Ctx, Process, Round, RoundReport, RunStats, StopReason, Value};
 use rbcast_grid::{BitSet, Metric, NeighborTable, NodeId, Torus};
@@ -23,8 +23,8 @@ pub enum EngineKind {
     /// Event-driven sparse wavefront loop: only *frontier* nodes — those
     /// delivered to this round, plus those whose process declared a
     /// pending self-wakeup via [`Process::needs_round_end`] — run
-    /// `on_round_end` and have their outboxes collected. Cost per round
-    /// is proportional to the wavefront, not the torus area.
+    /// `on_round_end`. Cost per round is proportional to the wavefront,
+    /// not the torus area.
     #[default]
     Sparse,
     /// The original every-node-every-round loop. Kept behind the
@@ -40,16 +40,6 @@ struct SafetyOracle {
     faulty: Vec<bool>,
 }
 
-/// One transmission on the air: the true sender, the identity the
-/// channel reports to receivers (differs only under the §X spoofing
-/// relaxation), and the payload.
-#[derive(Debug, Clone)]
-struct Transmission<M> {
-    sender: NodeId,
-    claimed: NodeId,
-    msg: M,
-}
-
 /// A finite toroidal radio network executing one [`Process`] per node.
 ///
 /// Execution proceeds in synchronous rounds:
@@ -60,8 +50,8 @@ struct Transmission<M> {
 ///    reproducing the broadcast-channel ordering guarantee of §II;
 /// 2. each alive node's [`Process::on_message`] runs per delivery, then
 ///    [`Process::on_round_end`] runs once;
-/// 3. outboxes are collected for the next round; nodes crashed at or
-///    before the current round transmit nothing.
+/// 3. everything queued during the round goes on the air for the next;
+///    nodes crashed at or before the current round transmit nothing.
 ///
 /// The run ends at quiescence (nothing on the air) or after `max_rounds`.
 pub struct Network<M> {
@@ -76,7 +66,8 @@ pub struct Network<M> {
     rank_of: Vec<u32>,
     engine: EngineKind,
     processes: Vec<Box<dyn Process<M>>>,
-    states: Vec<NodeState<M>>,
+    /// All the simulator keeps per node (8 bytes).
+    decisions: Vec<Decision>,
     /// SoA crash schedule: round at which each node crash-stops,
     /// [`NEVER`] if it doesn't. Replaces a `Vec<Option<Round>>` so the
     /// per-delivery liveness test is one compare on a dense `u32` array.
@@ -132,9 +123,15 @@ pub struct Network<M> {
     /// vector): which jammer, if any, collides each transmission.
     /// Hoisted out of the round loop — same pattern as `PackScratch`.
     jam_scratch: Vec<Option<NodeId>>,
-    /// Reusable on-air vector: each round's transmissions are collected
-    /// into the previous round's (drained) allocation.
+    /// This round's transmissions. Swapped with `queued` at every round
+    /// end, so the two allocations alternate for the whole run.
     on_air: Vec<Transmission<M>>,
+    /// Next round's transmissions, in the order [`Ctx::broadcast`] was
+    /// called — the one buffer every node's `Ctx` pushes into.
+    queued: Vec<Transmission<M>>,
+    /// The note buffer lent to callbacks while tracing; emptied into the
+    /// sink after each one.
+    notes: Notes,
 }
 
 impl<M> Network<M> {
@@ -189,14 +186,13 @@ impl<M> Network<M> {
         let order = crate::driver::transmission_order(&arena);
         let rank_of = crate::driver::transmission_ranks(&order, n);
         let processes = torus.node_ids().map(&mut make).collect();
-        let states = (0..n).map(|_| NodeState::default()).collect();
         Network {
             arena,
             order,
             rank_of,
             engine: EngineKind::default(),
             processes,
-            states,
+            decisions: vec![None; n],
             crashed_at: vec![NEVER; n],
             jam_remaining: vec![channel.jam_budget; channel.jammers.len()],
             channel,
@@ -220,6 +216,8 @@ impl<M> Network<M> {
             frontier: Vec::new(),
             jam_scratch: Vec::new(),
             on_air: Vec::new(),
+            queued: Vec::new(),
+            notes: Vec::new(),
         }
     }
 
@@ -383,7 +381,7 @@ impl<M> Network<M> {
         // predate the first delivery round; surface them in the stream.
         self.scan_decisions(0);
         let mut on_air = std::mem::take(&mut self.on_air);
-        self.collect_transmissions(&order, 0, &mut on_air);
+        self.collect_transmissions(0, &mut on_air);
 
         let mut round: Round = 0;
         let mut early_stopped = false;
@@ -545,19 +543,7 @@ impl<M> Network<M> {
             // Collect before the early-exit check so everything a
             // process emitted is classified and counted: per-kind
             // tallies sum to `messages_sent` in both termination modes.
-            //
-            // Sparse: only frontier nodes ran a callback this round, and
-            // outboxes are drained every round, so the frontier (already
-            // in TDMA rank order) is exactly the set of possibly
-            // non-empty outboxes — collecting it yields the identical
-            // transmission vector the dense full sweep would.
-            if sparse {
-                let frontier = std::mem::take(&mut self.frontier);
-                self.collect_transmissions(&frontier, round, &mut on_air);
-                self.frontier = frontier;
-            } else {
-                self.collect_transmissions(&order, round, &mut on_air);
-            }
+            self.collect_transmissions(round, &mut on_air);
             if self.hash_frozen && self.early_termination {
                 early_stopped = !on_air.is_empty();
                 break;
@@ -620,9 +606,8 @@ impl<M> Network<M> {
         if self.tracing() && !fresh.is_empty() {
             fresh.sort_unstable();
             for &idx in &fresh {
-                let (value, _) = self.states[idx as usize]
-                    .decision
-                    .expect("ledger fresh entry has a decision");
+                let (value, _) =
+                    self.decisions[idx as usize].expect("ledger fresh entry has a decision");
                 self.emit(TraceEvent::Decision {
                     round,
                     node: u64::from(idx),
@@ -641,11 +626,7 @@ impl<M> Network<M> {
     /// under `debug-invariants`, which the determinism gate runs with.
     #[cfg(feature = "debug-invariants")]
     fn check_decided_counter(&self, round: Round) {
-        let scanned = self
-            .states
-            .iter()
-            .filter(|st| st.decision.is_some())
-            .count() as u64;
+        let scanned = self.decisions.iter().filter(|d| d.is_some()).count() as u64;
         assert_eq!(
             self.ledger.decided_count, scanned,
             "incremental decided counter diverged from the full scan at round {round}",
@@ -745,11 +726,11 @@ impl<M> Network<M> {
         let Some(oracle) = &self.oracle else {
             return;
         };
-        for (i, st) in self.states.iter().enumerate() {
+        for (i, decision) in self.decisions.iter().enumerate() {
             if oracle.faulty[i] {
                 continue;
             }
-            if let Some((v, at)) = st.decision {
+            if let Some((v, at)) = *decision {
                 assert!(
                     v == oracle.truth,
                     "T2 safety violated: honest node {i} committed {v} (truth: {}) \
@@ -786,13 +767,13 @@ impl<M> Network<M> {
     /// The decisions of every node, indexed by node id.
     #[must_use]
     pub fn decisions(&self) -> Vec<Option<(Value, Round)>> {
-        self.states.iter().map(|s| s.decision).collect()
+        self.decisions.clone()
     }
 
     /// One node's decision.
     #[must_use]
     pub fn decision(&self, id: NodeId) -> Option<(Value, Round)> {
-        self.states[id.index()].decision
+        self.decisions[id.index()]
     }
 
     /// The latest round at which any node in `ids` decided, or `None`
@@ -801,7 +782,7 @@ impl<M> Network<M> {
     #[must_use]
     pub fn latest_decision_round(&self, ids: &[NodeId]) -> Option<Round> {
         ids.iter()
-            .filter_map(|&id| self.states[id.index()].decision.map(|(_, round)| round))
+            .filter_map(|&id| self.decisions[id.index()].map(|(_, round)| round))
             .max()
     }
 
@@ -816,62 +797,65 @@ impl<M> Network<M> {
     where
         F: FnOnce(&mut dyn Process<M>, &mut Ctx<'_, M>),
     {
-        // Disjoint field borrows: the process box, its node state, the
-        // send counter and the ledger are lent to the callback in place.
+        // Disjoint field borrows: the process box, its decision, the
+        // shared queue, the send counter and the ledger are lent to the
+        // callback in place; the note buffer only while a sink reads it.
         let mut ctx = Ctx {
             id,
             arena: &self.arena,
             round,
-            state: &mut self.states[id.index()],
+            decision: &mut self.decisions[id.index()],
+            outbox: &mut self.queued,
+            notes: if self.sink.is_some() {
+                Some(&mut self.notes)
+            } else {
+                None
+            },
             messages_sent: &mut self.messages_sent,
             ledger: &mut self.ledger,
         };
         f(self.processes[id.index()].as_mut(), &mut ctx);
-        // Forward any notes the callback queued. Taking the vec is free
-        // when empty; events are constructed only while tracing.
-        if !self.states[id.index()].notes.is_empty() {
-            let notes = std::mem::take(&mut self.states[id.index()].notes);
-            if self.tracing() {
-                for (label, value) in notes {
-                    self.emit(TraceEvent::Note {
-                        round,
-                        node: id.index() as u64,
-                        label,
-                        value,
-                    });
-                }
+        if !self.notes.is_empty() {
+            let mut notes = std::mem::take(&mut self.notes);
+            for (label, value) in notes.drain(..) {
+                self.emit(TraceEvent::Note {
+                    round,
+                    node: id.index() as u64,
+                    label,
+                    value,
+                });
             }
+            self.notes = notes;
         }
     }
 
-    /// Drains outboxes in transmission order into `out` (cleared first;
-    /// its allocation is reused round after round); crashed nodes stay
-    /// silent. Forged identities are honoured only when the channel
-    /// allows spoofing.
-    fn collect_transmissions(
-        &mut self,
-        order: &[NodeId],
-        round: Round,
-        out: &mut Vec<Transmission<M>>,
-    ) {
-        out.clear();
-        for &id in order {
-            if self.is_crashed(id, round) {
-                self.states[id.index()].outbox.clear();
-                continue;
+    /// Puts everything queued during `round` on the air: `on_air` takes
+    /// the queue (and hands back its own drained allocation), senders
+    /// crashed by `round` fall silent, forged identities are honoured
+    /// only when the channel allows spoofing, and one stable sort by
+    /// TDMA rank yields transmission order — callbacks pushed in call
+    /// order, so equal ranks keep per-sender FIFO.
+    fn collect_transmissions(&mut self, round: Round, on_air: &mut Vec<Transmission<M>>) {
+        on_air.clear();
+        std::mem::swap(on_air, &mut self.queued);
+        let crashed_at = &self.crashed_at;
+        let spoofing = self.channel.spoofing;
+        let classifier = self.classifier;
+        let kind_counts = &mut self.kind_counts;
+        on_air.retain_mut(|tx| {
+            if crashed_at[tx.sender.index()] <= round {
+                return false;
             }
-            for (claimed, msg) in self.states[id.index()].outbox.drain(..) {
-                let claimed = if self.channel.spoofing { claimed } else { id };
-                if let Some(classify) = self.classifier {
-                    *self.kind_counts.entry(classify(&msg)).or_insert(0) += 1;
-                }
-                out.push(Transmission {
-                    sender: id,
-                    claimed,
-                    msg,
-                });
+            if !spoofing {
+                tx.claimed = tx.sender;
             }
-        }
+            if let Some(classify) = classifier {
+                *kind_counts.entry(classify(&tx.msg)).or_insert(0) += 1;
+            }
+            true
+        });
+        let rank_of = &self.rank_of;
+        on_air.sort_by_key(|tx| rank_of[tx.sender.index()]);
     }
 }
 
@@ -1520,6 +1504,169 @@ mod tests {
             (second, net.trace_hash())
         };
         assert_eq!(rerun(), rerun());
+    }
+
+    /// The per-node-outbox collector that `collect_transmissions`
+    /// replaced, body verbatim, as its reference: walk a node list (the
+    /// dense engine's whole schedule, or the sparse engine's rank-sorted
+    /// frontier), silence crashed nodes, drain each outbox in FIFO order.
+    struct OutboxCollector {
+        outboxes: Vec<Vec<(NodeId, u32)>>,
+        crashed_at: Vec<Round>,
+        spoofing: bool,
+        classifier: Option<fn(&u32) -> &'static str>,
+        kind_counts: BTreeMap<&'static str, u64>,
+    }
+
+    impl OutboxCollector {
+        fn is_crashed(&self, id: NodeId, round: Round) -> bool {
+            self.crashed_at[id.index()] <= round
+        }
+
+        fn collect_transmissions(
+            &mut self,
+            order: &[NodeId],
+            round: Round,
+            out: &mut Vec<Transmission<u32>>,
+        ) {
+            out.clear();
+            for &id in order {
+                if self.is_crashed(id, round) {
+                    self.outboxes[id.index()].clear();
+                    continue;
+                }
+                for (claimed, msg) in self.outboxes[id.index()].drain(..) {
+                    let claimed = if self.spoofing { claimed } else { id };
+                    if let Some(classify) = self.classifier {
+                        *self.kind_counts.entry(classify(&msg)).or_insert(0) += 1;
+                    }
+                    out.push(Transmission {
+                        sender: id,
+                        claimed,
+                        msg,
+                    });
+                }
+            }
+        }
+    }
+
+    /// `(sender, claimed, payload)` broadcasts, in call order.
+    type Pushes = Vec<(u32, u32, u32)>;
+
+    /// Plays `rounds` of interleaved broadcasts through the real
+    /// [`Ctx`] into the network's one queue and, side by side, into
+    /// per-node outboxes; after every round the on-air vector must be
+    /// what the outbox drain yields over the dense schedule *and* over
+    /// a sparse frontier, and the per-kind tallies must agree.
+    fn assert_collects_like_the_outbox_drain(
+        rounds: &[Pushes],
+        crashes: &[(u32, Round)],
+        spoofing: bool,
+    ) {
+        struct Idle;
+        impl Process<u32> for Idle {
+            fn on_start(&mut self, _: &mut Ctx<'_, u32>) {}
+            fn on_message(&mut self, _: &mut Ctx<'_, u32>, _: NodeId, _: &u32) {}
+        }
+        fn classify(m: &u32) -> &'static str {
+            ["fizz", "buzz", "plain"][*m as usize % 3]
+        }
+        // 15×15 at r = 2: the TDMA period divides the side, so rank
+        // order is slot order, not id order.
+        let channel = if spoofing {
+            ChannelConfig::reliable().with_spoofing()
+        } else {
+            ChannelConfig::reliable()
+        };
+        let mut net =
+            Network::new_with_channel(Torus::new(15, 15), 2, Metric::Linf, channel, |_| {
+                Box::new(Idle) as Box<dyn Process<u32>>
+            });
+        net.set_classifier(classify);
+        for &(node, round) in crashes {
+            net.crash_at(NodeId(node), round);
+        }
+        assert_ne!(net.order[1], NodeId(1), "TDMA must reorder the ids");
+        let reference = || OutboxCollector {
+            outboxes: vec![Vec::new(); net.arena.len()],
+            crashed_at: net.crashed_at.clone(),
+            spoofing,
+            classifier: Some(classify),
+            kind_counts: BTreeMap::new(),
+        };
+        let (mut dense, mut sparse) = (reference(), reference());
+
+        let as_tuples = |txs: &[Transmission<u32>]| -> Pushes {
+            txs.iter()
+                .map(|tx| (tx.sender.0, tx.claimed.0, tx.msg))
+                .collect()
+        };
+        let mut on_air = Vec::new();
+        let (mut dense_air, mut sparse_air) = (Vec::new(), Vec::new());
+        for (round, pushes) in rounds.iter().enumerate() {
+            let round = round as Round;
+            for &(sender, claimed, msg) in pushes {
+                net.with_ctx(NodeId(sender), round, |_, ctx| {
+                    ctx.broadcast_as(NodeId(claimed), msg);
+                });
+                dense.outboxes[sender as usize].push((NodeId(claimed), msg));
+                sparse.outboxes[sender as usize].push((NodeId(claimed), msg));
+            }
+            net.collect_transmissions(round, &mut on_air);
+
+            let order = net.order.clone();
+            dense.collect_transmissions(&order, round, &mut dense_air);
+            // The sparse frontier: every live node that ran a callback
+            // (here: broadcast, plus a silent bystander), in rank order.
+            let mut frontier: Vec<NodeId> = pushes.iter().map(|p| NodeId(p.0)).collect();
+            frontier.push(NodeId(200));
+            frontier.sort_unstable_by_key(|id| net.rank_of[id.index()]);
+            frontier.dedup();
+            frontier.retain(|&id| !net.is_crashed(id, round));
+            sparse.collect_transmissions(&frontier, round, &mut sparse_air);
+
+            assert_eq!(as_tuples(&on_air), as_tuples(&dense_air), "round {round}");
+            assert_eq!(as_tuples(&on_air), as_tuples(&sparse_air), "round {round}");
+        }
+        assert_eq!(net.kind_counts, dense.kind_counts);
+        assert_eq!(net.kind_counts, sparse.kind_counts);
+        let sent: usize = rounds.iter().map(Vec::len).sum();
+        assert_eq!(net.messages_sent, sent as u64);
+    }
+
+    #[test]
+    fn a_node_that_queues_and_crashes_in_one_round_stays_silent() {
+        // Node 7 queues in round 2 and is crashed by round 2 — the old
+        // `outbox.clear()` branch; node 9 crashes one round later, so
+        // what it queued in round 2 still goes out.
+        let rounds = [
+            vec![(7, 7, 1)],
+            vec![],
+            vec![(3, 3, 10), (7, 7, 11), (9, 9, 12), (7, 7, 13), (3, 3, 14)],
+            vec![(9, 9, 20), (3, 3, 21)],
+        ];
+        assert_collects_like_the_outbox_drain(&rounds, &[(7, 2), (9, 3)], false);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// One stable sort of the shared queue is the outbox drain: for
+        /// any interleaving of broadcasts (a handful of senders, so each
+        /// queues several per round, and enough per round that an
+        /// unstable sort would leave its insertion-sort regime), any
+        /// crash schedule, spoofing on or off.
+        #[test]
+        fn shared_queue_collects_what_the_outbox_drain_did(
+            rounds in proptest::collection::vec(
+                proptest::collection::vec((0u32..24, 0u32..225, 0u32..1000), 0..160),
+                1..5,
+            ),
+            crashes in proptest::collection::vec((0u32..24, 0u32..5), 0..5),
+            spoofing in 0u8..2,
+        ) {
+            assert_collects_like_the_outbox_drain(&rounds, &crashes, spoofing == 1);
+        }
     }
 
     #[test]

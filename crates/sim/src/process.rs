@@ -43,36 +43,35 @@ pub trait Process<M> {
     }
 }
 
-/// Per-node simulator state exposed to [`Process`] callbacks.
-#[derive(Debug)]
-pub(crate) struct NodeState<M> {
-    /// Queued transmissions as `(claimed sender, payload)`; the claimed
-    /// identity only matters under the §X spoofing relaxation.
-    pub outbox: Vec<(NodeId, M)>,
-    pub decision: Option<(Value, Round)>,
-    /// Protocol-level trace notes queued by [`Ctx::note`], drained by
-    /// the driver after every callback.
-    pub notes: Vec<(&'static str, u64)>,
+/// Everything the simulator keeps per node: the irrevocable decision
+/// and the round it was made in. Queued transmissions and trace notes
+/// live in buffers owned by whoever builds the [`Ctx`] — one per
+/// network, not one per node.
+pub(crate) type Decision = Option<(Value, Round)>;
+
+const _: () = assert!(std::mem::size_of::<Decision>() <= 8);
+
+/// One queued or on-air transmission: the true sender, the identity the
+/// channel reports to receivers (differs only under the §X spoofing
+/// relaxation), and the payload.
+#[derive(Debug, Clone)]
+pub(crate) struct Transmission<M> {
+    pub sender: NodeId,
+    pub claimed: NodeId,
+    pub msg: M,
 }
 
-impl<M> Default for NodeState<M> {
-    fn default() -> Self {
-        NodeState {
-            outbox: Vec::new(),
-            decision: None,
-            notes: Vec::new(),
-        }
-    }
-}
+/// Protocol-level trace notes queued by [`Ctx::note`].
+pub(crate) type Notes = Vec<(&'static str, u64)>;
 
 /// Incrementally maintained decision bookkeeping, updated at the moment
 /// [`Ctx::decide`] commits a node. Replaces the dense engine's O(n)
-/// per-round recount of `states[..].decision` and the O(n) completion-mask
+/// per-round recount of every node's decision and the O(n) completion-mask
 /// zip scan with popcount-maintained counters and an O(1) frozen check.
 #[derive(Debug)]
 pub(crate) struct DecisionLedger {
     /// One bit per node: has this node decided? Kept in lockstep with
-    /// `NodeState::decision` — `Ctx::decide` is the only writer of either.
+    /// the node's [`Decision`] — `Ctx::decide` is the only writer of either.
     pub decided: BitSet,
     /// Completion mask (nodes that must decide before the trace-hash
     /// freeze), when one is installed.
@@ -140,7 +139,13 @@ pub struct Ctx<'a, M> {
     pub(crate) id: NodeId,
     pub(crate) arena: &'a NeighborTable,
     pub(crate) round: Round,
-    pub(crate) state: &'a mut NodeState<M>,
+    pub(crate) decision: &'a mut Decision,
+    /// Where broadcasts queue until the round closes, in call order —
+    /// shared by every node the lender drives.
+    pub(crate) outbox: &'a mut Vec<Transmission<M>>,
+    /// Lent only when something will read the notes; `None` drops them
+    /// unbuilt.
+    pub(crate) notes: Option<&'a mut Notes>,
     pub(crate) messages_sent: &'a mut u64,
     pub(crate) ledger: &'a mut DecisionLedger,
 }
@@ -202,9 +207,7 @@ impl<'a, M> Ctx<'a, M> {
     /// distance `r` at the start of the next round, in per-sender FIFO
     /// order.
     pub fn broadcast(&mut self, msg: M) {
-        *self.messages_sent += 1;
-        let id = self.id;
-        self.state.outbox.push((id, msg));
+        self.broadcast_as(self.id, msg);
     }
 
     /// Queues `msg` for local broadcast under a *forged* sender identity
@@ -214,14 +217,18 @@ impl<'a, M> Ctx<'a, M> {
     /// otherwise.
     pub fn broadcast_as(&mut self, claimed: NodeId, msg: M) {
         *self.messages_sent += 1;
-        self.state.outbox.push((claimed, msg));
+        self.outbox.push(Transmission {
+            sender: self.id,
+            claimed,
+            msg,
+        });
     }
 
     /// Records this node's irrevocable decision (the paper's *commit*).
     /// Later calls are ignored — a node commits at most once.
     pub fn decide(&mut self, v: Value) {
-        if self.state.decision.is_none() {
-            self.state.decision = Some((v, self.round));
+        if self.decision.is_none() {
+            *self.decision = Some((v, self.round));
             self.ledger.record(self.id.index());
         }
     }
@@ -233,18 +240,27 @@ impl<'a, M> Ctx<'a, M> {
     /// delivery-trace hash, so annotating a protocol cannot perturb
     /// determinism checks.
     pub fn note(&mut self, label: &'static str, value: u64) {
-        self.state.notes.push((label, value));
+        self.note_with(label, || value);
+    }
+
+    /// [`Ctx::note`] for a value that costs something to compute: `value`
+    /// runs only when a reader is attached (a trace sink, or the test
+    /// [`crate::Harness`]), so an untraced run never builds it.
+    pub fn note_with(&mut self, label: &'static str, value: impl FnOnce() -> u64) {
+        if let Some(notes) = self.notes.as_deref_mut() {
+            notes.push((label, value()));
+        }
     }
 
     /// The value this node has decided, if any.
     #[must_use]
     pub fn decision(&self) -> Option<Value> {
-        self.state.decision.map(|(v, _)| v)
+        self.decision.map(|(v, _)| v)
     }
 
     /// True once [`Ctx::decide`] has been called.
     #[must_use]
     pub fn has_decided(&self) -> bool {
-        self.state.decision.is_some()
+        self.decision.is_some()
     }
 }

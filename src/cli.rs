@@ -13,7 +13,7 @@
 use crate::adversary::{local_fault_bound, Placement};
 use crate::core::supervisor::{self, Journal, JournalHeader, SupervisorConfig, TaskReport};
 use crate::core::{engine, obs, thresholds, EngineKind, Experiment, FaultKind, ProtocolKind};
-use crate::grid::{Metric, NodeId, Torus};
+use crate::grid::{Metric, NeighborTable, NodeId, Torus};
 use crate::sim::ChannelConfig;
 use std::path::PathBuf;
 
@@ -362,6 +362,28 @@ impl<'a> Flags<'a> {
     }
 }
 
+/// The geometry check a subcommand runs after its flag loop (so flag
+/// order is irrelevant): a topology arena holds `nodes × |stencil|`
+/// neighbour entries behind `u32` row ends, and past that a run could
+/// only die allocating it.
+pub(crate) fn arena_fits(flags: &str, nodes: u64, r: u32, metric: Metric) -> Result<(), String> {
+    let stencil = metric.neighborhood_size(r) as u64;
+    if nodes.saturating_mul(stencil) <= NeighborTable::MAX_ENTRIES {
+        return Ok(());
+    }
+    Err(format!(
+        "{flags}: {nodes} nodes × {stencil} neighbours exceeds the arena's 2³² neighbour entries"
+    ))
+}
+
+/// [`arena_fits`] on the `Torus::for_radius(r)` that `run`, `sweep`,
+/// `audit` and `attack` build, sized here in `u64` because a radius
+/// this check exists to refuse overflows the torus's own `u32` side.
+pub(crate) fn experiment_arena_fits(r: u32, metric: Metric) -> Result<(), String> {
+    let side = 4 * (2 * u64::from(r) + 1);
+    arena_fits("--r", side.saturating_mul(side), r, metric)
+}
+
 #[allow(clippy::too_many_lines)]
 fn parse_run(args: &[String]) -> Result<(RunSpec, Option<usize>, SweepOpts), String> {
     let mut r = 2u32;
@@ -414,6 +436,7 @@ fn parse_run(args: &[String]) -> Result<(RunSpec, Option<usize>, SweepOpts), Str
         }
     }
 
+    experiment_arena_fits(r, metric)?;
     // resolved after the loop so `--seed` and `--repeats` order is irrelevant
     if let FaultKind::Mixed { seed: draw } = &mut behavior {
         *draw = seed;
@@ -943,6 +966,18 @@ mod tests {
             ("cluster --instances 0", "--instances"),
             ("cluster --kill 9", "--kill"),
             ("cluster --kill 12 --width 4", "--kill"),
+            (
+                "run --r 1000000",
+                "--r: 64000064000016 nodes × 4000004000000 neighbours exceeds the arena's 2³²",
+            ),
+            ("run --r 80 --metric l2", "--r"),
+            ("sweep --t-max 1 --r 4000000000", "exceeds the arena's"),
+            ("attack --r 1 --r 1000000", "--r"),
+            (
+                "cluster --width 100000 --height 100000",
+                "--width/--height/--r: 10000000000 nodes × 8 neighbours exceeds",
+            ),
+            ("serve --node 0 --r 40000", "--width/--height/--r"),
             (
                 "cluster --protocol indirect",
                 "indirect-full | indirect-simplified",

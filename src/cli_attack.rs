@@ -57,6 +57,9 @@ pub fn parse_attack(args: &[String]) -> Result<AttackSpec, String> {
     if !rs.is_empty() {
         config.rs = rs;
     }
+    for &r in &config.rs {
+        crate::cli::experiment_arena_fits(r, config.metric)?;
+    }
     // resolved after the loop so `--seed` order is irrelevant
     if let FaultKind::Mixed { seed } = &mut config.fault_kind {
         *seed = config.seed;

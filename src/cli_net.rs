@@ -140,7 +140,15 @@ fn parse_net_flags(
             }
         }
     }
-    Ok(())
+    let ClusterSpec {
+        width,
+        height,
+        radius,
+        metric,
+        ..
+    } = spec.cluster;
+    let nodes = u64::from(width) * u64::from(height);
+    crate::cli::arena_fits("--width/--height/--r", nodes, radius, metric)
 }
 
 /// Parses `rbcast serve` flags.
