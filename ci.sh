@@ -154,6 +154,32 @@ test "$(grep -c '"boot"' "$cluster_dir/node4.jsonl")" -eq 2 \
 rm -rf "$cluster_dir" "$cluster_out"
 echo "cluster chaos smoke passed"
 
+echo "==> cluster loopback gate (8x8 in-process: parity, and the net: line's exact counts are pinned)"
+# The same runtime over the in-process hub is deterministic to the
+# datagram, so what the links did is a fixed string: a lost dedup, an
+# extra retransmission, a changed send order or one journal record more
+# fails here on any host, however its clock swings. Both lines were
+# computed at the commit before the pump was rebuilt around what
+# arrives (PR 19) and have not moved since.
+loopback_gate() {
+    want=$1; shift
+    out=target/cluster_loopback.out
+    cargo run -q --release --bin rbcast -- cluster --transport loopback \
+        --width 8 --height 8 --protocol indirect-simplified --instances 16 "$@" \
+        > "$out" 2>&1 \
+        || { cat "$out"; echo "cluster loopback gate: run failed ($*)"; exit 1; }
+    grep -q "parity: MATCH" "$out" \
+        || { cat "$out"; echo "cluster loopback gate: digest mismatch vs sim oracle ($*)"; exit 1; }
+    test "$(grep '^net: ' "$out")" = "$want" \
+        || { grep '^net: ' "$out"; echo "$want"; \
+             echo "cluster loopback gate: the net: line above moved from its pin below it ($*)"; exit 1; }
+    rm -f "$out"
+}
+loopback_gate "net: 17 ticks | 81920 frames sent, 0 retransmitted | rx 0 duplicate, 0 stale-epoch, 8072 acks, 0 window drops | 0 stale frames, 0 forced rounds, 0 wire errors | journal 83072 records (81.12/commit)"
+loopback_gate "net: 22418 ticks | 81920 frames sent, 90730 retransmitted | rx 66284 duplicate, 0 stale-epoch, 9940 acks, 0 window drops | 12 stale frames, 0 forced rounds, 0 wire errors | journal 83159 records (81.21/commit)" \
+    --chaos-seed 3405691582 --kill 12
+echo "cluster loopback gate passed"
+
 echo "==> attack search gate (pinned seed beats the hand-built library; replay is exact)"
 # The adversary search must earn its keep: at the pinned seed it has to
 # find a placement strictly worse (for the protocol) than every

@@ -102,9 +102,22 @@ impl JsonlFile {
     ///
     /// On any I/O failure.
     pub fn append(&mut self, mut line: String) -> io::Result<()> {
-        debug_assert!(!line.contains('\n'), "a JSONL record is one line");
         line.push('\n');
-        self.file.write_all(line.as_bytes())?;
+        self.append_terminated(line.as_bytes())
+    }
+
+    /// [`JsonlFile::append`] for a caller that encodes each record into
+    /// a buffer it reuses: `line` already ends in its one `\n`.
+    ///
+    /// # Errors
+    ///
+    /// On any I/O failure.
+    pub fn append_terminated(&mut self, line: &[u8]) -> io::Result<()> {
+        debug_assert!(
+            line.ends_with(b"\n") && !line[..line.len() - 1].contains(&b'\n'),
+            "a JSONL record is one newline-terminated line"
+        );
+        self.file.write_all(line)?;
         self.empty = false;
         self.file.flush()
     }
@@ -117,12 +130,18 @@ pub struct Lines(String);
 impl Lines {
     /// `(1-based line number, line)` for every non-blank line.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &str)> {
-        self.0
-            .lines()
-            .enumerate()
-            .map(|(i, line)| (i + 1, line))
-            .filter(|(_, line)| !line.trim().is_empty())
+        numbered_lines(&self.0)
     }
+}
+
+/// `(1-based line number, line)` for every non-blank line of `text` —
+/// the numbering every reader of a JSONL image shares, on disk
+/// ([`read_lines`]) or held in memory.
+pub fn numbered_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    text.lines()
+        .enumerate()
+        .map(|(i, line)| (i + 1, line))
+        .filter(|(_, line)| !line.trim().is_empty())
 }
 
 /// Reads the newline-terminated lines of the file at `path`; bytes

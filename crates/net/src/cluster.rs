@@ -443,7 +443,12 @@ mod tests {
         cluster.kill(4);
         assert!(cluster.restart(4), "intact journal must boot");
         assert!(cluster.run(100_000));
-        assert!(cluster.report().quarantined.is_empty());
+        let report = cluster.report();
+        assert!(report.quarantined.is_empty());
+        // Replayed records count too: the stat is the journal's length.
+        for (node, journal) in report.nodes.iter().zip(&cluster.journals) {
+            assert_eq!(node.stats.journal_records, journal.len() as u64);
+        }
     }
 
     #[test]

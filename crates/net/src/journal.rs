@@ -29,8 +29,8 @@
 //! and complete-lines-only rules: a tail torn by `kill -9` is dropped,
 //! not quarantined.
 
-use crate::wire::{decode_frame, from_hex, SeqFrame};
-use rbcast_core::jsonl::{read_lines, JsonlFile};
+use crate::wire::{decode_frame, encode_frame, from_hex, SeqFrame};
+use rbcast_core::jsonl::{numbered_lines, read_lines, JsonlFile};
 use rbcast_grid::plumbing::{json_field, json_field_u64};
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -108,26 +108,67 @@ pub trait NetJournal {
     fn records(&self) -> Result<Vec<Record>, JournalError>;
 }
 
-/// Serializes one record to its JSONL line (no trailing newline).
-#[must_use]
-pub fn encode_record(record: &Record) -> String {
+const HEX: &[u8; 16] = b"0123456789abcdef";
+
+/// Appends `key` and then `x` in decimal.
+fn put_field(out: &mut Vec<u8>, key: &[u8], mut x: u64) {
+    out.extend_from_slice(key);
+    let mut digits = [0u8; 20]; // u64::MAX has 20
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (x % 10) as u8;
+        x /= 10;
+        if x == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// Appends one record's JSONL line (no trailing newline) to `out` —
+/// the journal's one writer. Every byte is written in place: a frame's
+/// wire body is encoded into the tail of `out` and widened to hex where
+/// it lies, back to front, so no byte is overwritten before it is read.
+pub fn encode_record_into(out: &mut Vec<u8>, record: &Record) {
     match record {
-        Record::Boot { epoch } => format!("{{\"boot\":{{\"epoch\":{epoch}}}}}"),
+        Record::Boot { epoch } => put_field(out, b"{\"boot\":{\"epoch\":", u64::from(*epoch)),
         Record::Frame {
             peer,
             peer_epoch,
             seq,
             frame,
         } => {
-            let mut body = Vec::new();
-            crate::wire::encode_frame(&mut body, frame);
-            format!(
-                "{{\"frame\":{{\"peer\":{peer},\"pe\":{peer_epoch},\"seq\":{seq},\"body\":\"{}\"}}}}",
-                crate::wire::to_hex(&body)
-            )
+            put_field(out, b"{\"frame\":{\"peer\":", u64::from(*peer));
+            put_field(out, b",\"pe\":", u64::from(*peer_epoch));
+            put_field(out, b",\"seq\":", *seq);
+            out.extend_from_slice(b",\"body\":\"");
+            let start = out.len();
+            encode_frame(out, frame);
+            let n = out.len() - start;
+            out.resize(start + 2 * n, 0);
+            let body = &mut out[start..];
+            for i in (0..n).rev() {
+                let byte = body[i];
+                body[2 * i] = HEX[usize::from(byte >> 4)];
+                body[2 * i + 1] = HEX[usize::from(byte & 0xf)];
+            }
+            out.push(b'"');
         }
-        Record::Complete { round } => format!("{{\"complete\":{{\"round\":{round}}}}}"),
+        Record::Complete { round } => {
+            put_field(out, b"{\"complete\":{\"round\":", u64::from(*round));
+        }
     }
+    out.extend_from_slice(b"}}");
+}
+
+/// [`encode_record_into`] a fresh `String`, for callers off the append
+/// path.
+#[must_use]
+pub fn encode_record(record: &Record) -> String {
+    let mut line = Vec::new();
+    encode_record_into(&mut line, record);
+    String::from_utf8(line).expect("a record line is ASCII")
 }
 
 /// Parses one JSONL line back into a [`Record`].
@@ -147,7 +188,8 @@ pub fn decode_record(line: &str) -> Result<Record, String> {
         let seq = json_field_u64(line, "seq").ok_or("frame without seq")?;
         let hex = json_field(line, "body").ok_or("frame without body")?;
         let body = from_hex(hex).ok_or("body is not hex")?;
-        let frame = decode_frame(&body).map_err(|e| format!("bad frame body: {e}"))?;
+        let frame =
+            decode_frame(&body).map_err(|e| "bad frame body: ".to_owned() + &e.to_string())?;
         return Ok(Record::Frame {
             peer: u32::try_from(peer).map_err(|_| "peer exceeds u32")?,
             peer_epoch: u32::try_from(peer_epoch).map_err(|_| "pe exceeds u32")?,
@@ -163,13 +205,29 @@ pub fn decode_record(line: &str) -> Result<Record, String> {
     Err("unknown record shape".to_string())
 }
 
+/// Decodes numbered journal lines — the one reader behind both
+/// backends, so they agree on what a blank line, a garbage line and a
+/// line number are.
+fn decode_lines<'a>(
+    lines: impl Iterator<Item = (usize, &'a str)>,
+) -> Result<Vec<Record>, JournalError> {
+    lines
+        .map(|(line, text)| {
+            decode_record(text).map_err(|why| JournalError::BadRecord { line, why })
+        })
+        .collect()
+}
+
 /// In-memory journal for the loopback cluster: contents survive a
 /// simulated process kill because the *cluster* owns the store and
 /// hands it back to the restarted runtime (mirroring a file surviving
-/// an OS process).
+/// an OS process). It holds exactly the bytes a [`FileJournal`] fed the
+/// same appends would hold on disk — one contiguous run of
+/// newline-terminated lines — and reads them back the same way.
 #[derive(Debug, Default, Clone)]
 pub struct MemJournal {
-    lines: Vec<String>,
+    bytes: Vec<u8>,
+    lines: usize,
 }
 
 impl MemJournal {
@@ -182,13 +240,13 @@ impl MemJournal {
     /// Number of records held.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.lines.len()
+        self.lines
     }
 
     /// True when no records were appended yet.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.lines.is_empty()
+        self.lines == 0
     }
 
     /// Appends a raw line without encoding it — the fault-injection
@@ -196,23 +254,23 @@ impl MemJournal {
     /// write, bit rot) that [`NetJournal::records`] must surface as a
     /// [`JournalError`] instead of a panic.
     pub fn inject_raw(&mut self, line: &str) {
-        self.lines.push(line.to_string());
+        self.bytes.extend_from_slice(line.as_bytes());
+        self.bytes.push(b'\n');
+        self.lines += 1;
     }
 }
 
 impl NetJournal for MemJournal {
     fn append(&mut self, record: &Record) {
-        self.lines.push(encode_record(record));
+        encode_record_into(&mut self.bytes, record);
+        self.bytes.push(b'\n');
+        self.lines += 1;
     }
 
     fn records(&self) -> Result<Vec<Record>, JournalError> {
-        let mut out = Vec::with_capacity(self.lines.len());
-        for (i, line) in self.lines.iter().enumerate() {
-            out.push(
-                decode_record(line).map_err(|why| JournalError::BadRecord { line: i + 1, why })?,
-            );
-        }
-        Ok(out)
+        let text = std::str::from_utf8(&self.bytes)
+            .expect("only ASCII record lines and injected &str lines are ever appended");
+        decode_lines(numbered_lines(text))
     }
 }
 
@@ -267,6 +325,8 @@ impl NetJournal for SharedJournal {
 pub struct FileJournal {
     path: PathBuf,
     file: JsonlFile,
+    /// The line being appended, reused from record to record.
+    line: Vec<u8>,
 }
 
 impl FileJournal {
@@ -281,26 +341,26 @@ impl FileJournal {
         Ok(FileJournal {
             path: path.to_path_buf(),
             file: JsonlFile::open_append(path)?,
+            line: Vec::new(),
         })
     }
 }
 
 impl NetJournal for FileJournal {
     fn append(&mut self, record: &Record) {
+        self.line.clear();
+        encode_record_into(&mut self.line, record);
+        self.line.push(b'\n');
         // A full disk mid-smoke is indistinguishable from corruption;
         // surfacing it loudly beats silently weakening the ack
         // invariant.
         self.file
-            .append(encode_record(record))
+            .append_terminated(&self.line)
             .expect("journal append failed: ack invariant would be violated");
     }
 
     fn records(&self) -> Result<Vec<Record>, JournalError> {
-        let mut records = Vec::new();
-        for (line, text) in read_lines(&self.path)?.iter() {
-            records.push(decode_record(text).map_err(|why| JournalError::BadRecord { line, why })?);
-        }
-        Ok(records)
+        decode_lines(read_lines(&self.path)?.iter())
     }
 }
 
@@ -428,5 +488,171 @@ mod tests {
                 grown
             },
         );
+    }
+
+    /// The writer as it was before it wrote in place — `format!` over an
+    /// intermediate body `Vec` and hex `String`, verbatim from the parent
+    /// commit (with `wire::to_hex`, deleted there, folded in) — kept as
+    /// the reference for the byte-equality property below.
+    fn parent_encode_record(record: &Record) -> String {
+        fn parent_hex(bytes: &[u8]) -> String {
+            let mut s = String::with_capacity(bytes.len() * 2);
+            for b in bytes {
+                s.push(char::from_digit(u32::from(b >> 4), 16).expect("nibble < 16"));
+                s.push(char::from_digit(u32::from(b & 0xf), 16).expect("nibble < 16"));
+            }
+            s
+        }
+        match record {
+            Record::Boot { epoch } => format!("{{\"boot\":{{\"epoch\":{epoch}}}}}"),
+            Record::Frame {
+                peer,
+                peer_epoch,
+                seq,
+                frame,
+            } => {
+                let mut body = Vec::new();
+                crate::wire::encode_frame(&mut body, frame);
+                format!(
+                    "{{\"frame\":{{\"peer\":{peer},\"pe\":{peer_epoch},\"seq\":{seq},\"body\":\"{}\"}}}}",
+                    parent_hex(&body)
+                )
+            }
+            Record::Complete { round } => format!("{{\"complete\":{{\"round\":{round}}}}}"),
+        }
+    }
+
+    /// `x`, or one of its type's two ends a time in four each.
+    fn edgy(x: u64, pick: u8, max: u64) -> u64 {
+        match pick % 4 {
+            0 => max,
+            1 => 0,
+            _ => x % max,
+        }
+    }
+
+    /// Expands generator inputs into a record: every shape, every `Msg`
+    /// kind, `0..=CHAIN_CAP` relays, fields out to their types' ends.
+    fn build_record(shape: u8, a: u64, b: u64, c: u64, picks: u8) -> Record {
+        use rbcast_protocols::CHAIN_CAP;
+        let m32 = u64::from(u32::MAX);
+        let word = |x: u64, pick: u8| edgy(x, pick, m32) as u32;
+        let relays: Vec<NodeId> = (0..c as usize % (CHAIN_CAP + 1))
+            .map(|i| NodeId(word(b >> i, picks >> i)))
+            .collect();
+        let msg = match shape % 3 {
+            0 => Msg::Source(a.is_multiple_of(2)),
+            1 => Msg::Committed(b.is_multiple_of(2)),
+            _ => Msg::heard(NodeId(word(c, picks >> 3)), a % 2 == 1, &relays),
+        };
+        let frame = match shape % 4 {
+            0 => SeqFrame::Mark {
+                round: word(a >> 7, picks >> 5),
+            },
+            _ => SeqFrame::Data {
+                round: word(a >> 9, picks >> 1),
+                instance: InstanceId {
+                    origin: NodeId(word(b >> 11, picks >> 4)),
+                    seq: word(c >> 13, picks >> 6),
+                },
+                msg,
+            },
+        };
+        match shape % 6 {
+            0 => Record::Boot {
+                epoch: word(a, picks),
+            },
+            1 => Record::Complete {
+                round: word(b, picks),
+            },
+            _ => Record::Frame {
+                peer: word(a, picks),
+                peer_epoch: word(b, picks >> 2),
+                seq: edgy(c, picks >> 4, u64::MAX),
+                frame,
+            },
+        }
+    }
+
+    /// What a reader made of a journal, comparable across backends.
+    fn outcome(read: Result<Vec<Record>, JournalError>) -> Result<Vec<Record>, (usize, String)> {
+        read.map_err(|e| match e {
+            JournalError::BadRecord { line, why } => (line, why),
+            JournalError::Io(e) => panic!("unexpected I/O failure: {e}"),
+        })
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The in-place writer emits the parent's bytes, and they read
+        /// back as the record.
+        #[test]
+        fn lines_are_byte_equal_to_the_parent_writer(
+            shape in 0u8..24, a in 0u64..u64::MAX, b in 0u64..u64::MAX, c in 0u64..u64::MAX,
+            picks in 0u8..=255,
+        ) {
+            let record = build_record(shape, a, b, c, picks);
+            let mut line = b"untouched prefix ".to_vec();
+            encode_record_into(&mut line, &record);
+            let line = String::from_utf8(line).expect("ASCII");
+            let line = line.strip_prefix("untouched prefix ").expect("appends, never rewrites");
+            prop_assert_eq!(line, parent_encode_record(&record));
+            prop_assert_eq!(decode_record(line), Ok(record));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A record stream with raw lines — garbage, blank, torn-looking
+        /// — injected anywhere reads back the same from memory and from
+        /// a file: the same records or the same `BadRecord` at the same
+        /// line, over the same bytes.
+        #[test]
+        fn mem_and_file_journals_hold_the_same_bytes_and_read_them_alike(
+            ops in proptest::collection::vec(
+                (0u8..24, 0u64..u64::MAX, 0u64..u64::MAX, 0u8..=255), 0..24,
+            ),
+        ) {
+            use std::io::Write;
+            use std::sync::atomic::{AtomicUsize, Ordering};
+            static CASE: AtomicUsize = AtomicUsize::new(0);
+            const RAW: [&str; 6] = [
+                "gibberish",
+                "",
+                "  \t",
+                "{\"frame\":{\"peer\":4,\"pe\":1,\"seq\":7,\"bo",
+                "{\"boot\":{}}",
+                "{\"complete\":{\"round\":3}}\r",
+            ];
+            let path = std::env::temp_dir().join(format!(
+                "rbcast-journal-twin-{}-{}.jsonl",
+                std::process::id(),
+                CASE.fetch_add(1, Ordering::Relaxed),
+            ));
+            let _ = std::fs::remove_file(&path);
+            let mut mem = MemJournal::new();
+            let mut file = FileJournal::open(&path).expect("open");
+            let mut raw = std::fs::OpenOptions::new().append(true).open(&path).expect("open raw");
+            for &(shape, a, b, picks) in &ops {
+                // One op in four injects; blank lines twice as often.
+                if picks % 4 == 0 {
+                    let line = RAW[(a % 8) as usize % RAW.len()];
+                    mem.inject_raw(line);
+                    writeln!(raw, "{line}").expect("inject");
+                } else {
+                    let record = build_record(shape, a, b, a ^ b, picks);
+                    mem.append(&record);
+                    file.append(&record);
+                }
+            }
+            prop_assert_eq!(mem.len(), ops.len());
+            prop_assert_eq!(std::fs::read(&path).expect("read back"), mem.bytes.clone());
+            prop_assert_eq!(outcome(mem.records()), outcome(file.records()));
+            let _ = std::fs::remove_file(&path);
+        }
     }
 }

@@ -81,6 +81,9 @@ pub struct RuntimeStats {
     pub unknown_instance: u64,
     /// Rounds completed without a full mark set (degraded).
     pub forced_rounds: u64,
+    /// Records in this node's journal: those replayed at boot plus
+    /// every append since.
+    pub journal_records: u64,
 }
 
 /// End-of-run summary for one node.
@@ -122,9 +125,10 @@ pub struct NodeRuntime {
     rank_of: Vec<u32>,
     host: InstanceHost<Msg>,
     links: BTreeMap<u32, Link>,
-    /// Un-consumed deliveries per round per sending neighbor, in link
-    /// release (= sequence) order.
-    buffers: BTreeMap<Round, BTreeMap<u32, Vec<(InstanceId, Msg)>>>,
+    /// Un-consumed deliveries per round as `(sender, instance, msg)` in
+    /// arrival order — which, sender by sender, is link release
+    /// (= sequence) order.
+    buffers: BTreeMap<Round, Vec<(u32, InstanceId, Msg)>>,
     /// Barrier tokens per round.
     marks: BTreeMap<Round, BTreeSet<u32>>,
     /// Highest epoch ingested per neighbor (restart detection for the
@@ -213,7 +217,10 @@ impl NodeRuntime {
             replaying: true,
             tick: 0,
             last_progress: 0,
-            stats: RuntimeStats::default(),
+            stats: RuntimeStats {
+                journal_records: prior.len() as u64 + 1,
+                ..RuntimeStats::default()
+            },
         };
 
         // Deterministic re-ingestion: the journal records exactly the
@@ -332,8 +339,8 @@ impl NodeRuntime {
             // the new one (its outboxes regenerate deterministically),
             // so partial old-epoch buffers must go.
             *seen = peer_epoch;
-            for by_peer in self.buffers.values_mut() {
-                by_peer.remove(&peer);
+            for batch in self.buffers.values_mut() {
+                batch.retain(|&(sender, ..)| sender != peer);
             }
             for marked in self.marks.values_mut() {
                 marked.remove(&peer);
@@ -356,9 +363,7 @@ impl NodeRuntime {
                 self.buffers
                     .entry(round)
                     .or_default()
-                    .entry(peer)
-                    .or_default()
-                    .push((instance, msg));
+                    .push((peer, instance, msg));
             }
             SeqFrame::Mark { round } => {
                 if round < current || round > self.cfg.rounds {
@@ -376,15 +381,12 @@ impl NodeRuntime {
     /// and queues the next round's broadcasts.
     fn complete_round(&mut self) {
         let k = self.host.round();
-        if let Some(by_peer) = self.buffers.remove(&k) {
-            let mut senders: Vec<u32> = by_peer.keys().copied().collect();
-            senders.sort_by_key(|&p| self.rank_of[p as usize]);
-            for peer in senders {
-                let from = NodeId(peer);
-                for (instance, msg) in &by_peer[&peer] {
-                    if !self.host.deliver(*instance, from, msg) {
-                        self.stats.unknown_instance += 1;
-                    }
+        if let Some(mut batch) = self.buffers.remove(&k) {
+            // Stable, so each sender's frames stay in arrival order.
+            batch.sort_by_key(|&(sender, ..)| self.rank_of[sender as usize]);
+            for (sender, instance, msg) in &batch {
+                if !self.host.deliver(*instance, NodeId(*sender), msg) {
+                    self.stats.unknown_instance += 1;
                 }
             }
         }
@@ -392,6 +394,7 @@ impl NodeRuntime {
         let out = self.host.end_round();
         if !self.replaying {
             self.journal.append(&Record::Complete { round: k });
+            self.stats.journal_records += 1;
         }
         self.recent_outs.push_back((k + 1, out.clone()));
         if self.recent_outs.len() > 2 {
@@ -403,15 +406,18 @@ impl NodeRuntime {
         self.last_progress = self.tick;
     }
 
-    /// Neighbors whose round-`k` mark the barrier is still waiting on.
-    fn missing_marks(&self, k: Round) -> Vec<u32> {
-        let marked = self.marks.get(&k);
-        self.links
-            .keys()
-            .filter(|p| !self.suspects.contains(p))
-            .filter(|p| !marked.is_some_and(|m| m.contains(p)))
-            .copied()
-            .collect()
+    /// True while the collecting round's barrier waits on neighbor
+    /// `peer`: its mark is not in and it is not suspected.
+    fn awaited(&self, peer: u32) -> bool {
+        let marked = self.marks.get(&self.host.round());
+        !self.suspects.contains(&peer) && !marked.is_some_and(|m| m.contains(&peer))
+    }
+
+    /// Completes rounds for as long as nobody is [`Self::awaited`].
+    fn advance_barrier(&mut self) {
+        while !self.finished() && !self.links.keys().any(|&p| self.awaited(p)) {
+            self.complete_round();
+        }
     }
 
     /// One cooperative scheduling step: drain the transport, advance
@@ -421,6 +427,7 @@ impl NodeRuntime {
         self.transport.tick(self.tick);
 
         // Ingest everything the transport has.
+        let mut released = Vec::new();
         while let Some(bytes) = self.transport.poll() {
             let Ok(pkt) = decode_packet(&bytes) else {
                 self.stats.wire_errors += 1;
@@ -430,7 +437,8 @@ impl NodeRuntime {
                 self.stats.unknown_src += 1;
                 continue;
             };
-            let (_event, released) = link.on_packet(&pkt);
+            released.clear();
+            link.on_packet(&pkt, &mut released);
             if released.is_empty() {
                 continue;
             }
@@ -448,44 +456,38 @@ impl NodeRuntime {
                     frame,
                 });
             }
-            self.links
-                .get_mut(&pkt.src)
-                .expect("link existed a moment ago")
-                .confirm_released();
-            for (_seq, frame) in released {
+            self.stats.journal_records += released.len() as u64;
+            link.confirm_released();
+            for &(_seq, frame) in &released {
                 self.ingest(pkt.src, pe, frame);
             }
             self.last_progress = self.tick;
         }
 
         // Advance the barrier as far as the marks allow.
-        while !self.finished() && self.missing_marks(self.host.round()).is_empty() {
-            self.complete_round();
-        }
+        self.advance_barrier();
 
         // Patience: a barrier stalled too long proceeds without the
         // silent peers (degraded, not wedged).
         if !self.finished() && self.tick.saturating_sub(self.last_progress) > self.cfg.patience {
-            let missing = self.missing_marks(self.host.round());
+            let missing: Vec<u32> = self
+                .links
+                .keys()
+                .copied()
+                .filter(|&p| self.awaited(p))
+                .collect();
             if !missing.is_empty() {
                 self.suspects.extend(missing);
                 self.stats.forced_rounds += 1;
             }
             self.last_progress = self.tick;
-            while !self.finished() && self.missing_marks(self.host.round()).is_empty() {
-                self.complete_round();
-            }
+            self.advance_barrier();
         }
 
         // Fire acks and due retransmissions.
-        let mut out = Vec::new();
         for link in self.links.values_mut() {
-            out.clear();
-            link.flush(self.tick, &mut out);
             let to = link.peer();
-            for bytes in &out {
-                self.transport.send(to, bytes);
-            }
+            link.flush(self.tick, |bytes| self.transport.send(to, bytes));
         }
         self.finished()
     }
@@ -500,6 +502,7 @@ impl NodeRuntime {
             link_totals.dup_rx += l.stats.dup_rx;
             link_totals.stale_rx += l.stats.stale_rx;
             link_totals.acks_rx += l.stats.acks_rx;
+            link_totals.window_drops += l.stats.window_drops;
         }
         NodeReport {
             node: self.me,
@@ -509,6 +512,130 @@ impl NodeRuntime {
             suspects: self.suspects.iter().copied().collect(),
             stats: self.stats,
             link_totals,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::journal::MemJournal;
+    use proptest::prelude::*;
+    use rbcast_grid::{Metric, Torus};
+    use rbcast_sim::Ctx;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    type Heard = Vec<(u32, InstanceId, Msg)>;
+
+    /// A process that only writes down what it is told, in order.
+    struct Recorder(InstanceId, Rc<RefCell<Heard>>);
+
+    impl Process<Msg> for Recorder {
+        fn on_start(&mut self, _ctx: &mut Ctx<'_, Msg>) {}
+        fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, from: NodeId, msg: &Msg) {
+            self.1.borrow_mut().push((from.0, self.0, *msg));
+        }
+    }
+
+    struct Silence;
+
+    impl Datagram for Silence {
+        fn send(&mut self, _to: u32, _bytes: &[u8]) {}
+        fn poll(&mut self) -> Option<Vec<u8>> {
+            None
+        }
+    }
+
+    /// The round buffers as they were before they were flattened: a map
+    /// per round of a `Vec` per sender, purged by `remove` on an epoch
+    /// bump and drained sender by sender in rank order — the three
+    /// pieces of the parent's `ingest`/`complete_round` that touch
+    /// them, verbatim, kept as the reference for the property below.
+    #[derive(Default)]
+    struct PerPeerMaps {
+        buffers: BTreeMap<Round, BTreeMap<u32, Vec<(InstanceId, Msg)>>>,
+        peer_epochs: BTreeMap<u32, u32>,
+    }
+
+    impl PerPeerMaps {
+        fn ingest(&mut self, peer: u32, peer_epoch: u32, round: Round, inst: InstanceId, msg: Msg) {
+            let seen = self.peer_epochs.entry(peer).or_insert(peer_epoch);
+            if peer_epoch > *seen {
+                *seen = peer_epoch;
+                for by_peer in self.buffers.values_mut() {
+                    by_peer.remove(&peer);
+                }
+            }
+            self.buffers
+                .entry(round)
+                .or_default()
+                .entry(peer)
+                .or_default()
+                .push((inst, msg));
+        }
+
+        fn complete_round(&mut self, k: Round, rank_of: &[u32], heard: &mut Heard) {
+            if let Some(by_peer) = self.buffers.remove(&k) {
+                let mut senders: Vec<u32> = by_peer.keys().copied().collect();
+                senders.sort_by_key(|&p| rank_of[p as usize]);
+                for peer in senders {
+                    for (instance, msg) in &by_peer[&peer] {
+                        heard.push((peer, *instance, *msg));
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Frames of eight senders interleaved in one flat buffer — many
+        /// per sender, so only a *stable* sort keeps each sender's FIFO —
+        /// with epoch bumps landing mid-round reach the host exactly as
+        /// the per-peer maps delivered them.
+        #[test]
+        fn flat_round_buffers_deliver_what_the_per_peer_maps_did(
+            arrivals in proptest::collection::vec((0usize..8, 0u32..3, 0u8..16), 1..200),
+        ) {
+            let arena = Arc::new(NeighborTable::build_wrapping(&Torus::new(5, 5), 1, Metric::Linf));
+            let me = NodeId(12);
+            let instances: Vec<InstanceId> =
+                (0..3).map(|seq| InstanceId { origin: NodeId(seq), seq }).collect();
+            let heard = Rc::new(RefCell::new(Heard::new()));
+            let mut rt = NodeRuntime::open(
+                Arc::clone(&arena),
+                me,
+                &instances,
+                &mut |inst| Box::new(Recorder(inst, Rc::clone(&heard))),
+                Box::new(Silence),
+                Box::new(MemJournal::new()),
+                RuntimeConfig::default(),
+            )
+            .expect("an empty journal boots");
+            prop_assert_eq!(rt.host.round(), 1, "round 0 closes at boot");
+
+            let peers: Vec<u32> = arena.neighbors(me).iter().map(|n| n.0).collect();
+            let mut reference = PerPeerMaps::default();
+            let mut epochs = [1u32; 8];
+            for (i, &(p, round_ahead, roll)) in arrivals.iter().enumerate() {
+                // One arrival in sixteen is the first frame of a
+                // restarted sender.
+                epochs[p] += u32::from(roll == 0);
+                let (round, inst) = (1 + round_ahead, instances[i % 3]);
+                // The committer field numbers the frame: no two alike.
+                let msg = Msg::heard(NodeId(i as u32), true, &[]);
+                rt.ingest(peers[p], epochs[p], SeqFrame::Data { round, instance: inst, msg });
+                reference.ingest(peers[p], epochs[p], round, inst, msg);
+            }
+            let mut want = Heard::new();
+            for k in 1..=3 {
+                rt.complete_round();
+                reference.complete_round(k, &rt.rank_of, &mut want);
+            }
+            prop_assert_eq!(&*heard.borrow(), &want);
+            prop_assert!(rt.buffers.is_empty() && reference.buffers.is_empty());
         }
     }
 }

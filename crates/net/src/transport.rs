@@ -8,7 +8,7 @@
 //! everything above it deals in already-framed byte vectors.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::ErrorKind;
 use std::net::{Ipv4Addr, SocketAddrV4, UdpSocket};
 use std::rc::Rc;
@@ -91,12 +91,13 @@ impl Datagram for UdpTransport {
 }
 
 /// Shared mailbox set for an in-process cluster: one FIFO of datagrams
-/// per node id. Single-threaded by design (`Rc`, not `Arc`) — the
+/// per node, indexed by node id (`None` until that node first
+/// attaches). Single-threaded by design (`Rc`, not `Arc`) — the
 /// loopback cluster pumps its nodes round-robin on one thread, which
 /// keeps parity tests deterministic without any thread scheduling.
 #[derive(Debug, Default)]
 pub struct LoopbackHub {
-    queues: RefCell<BTreeMap<u32, VecDeque<Vec<u8>>>>,
+    queues: RefCell<Vec<Option<VecDeque<Vec<u8>>>>>,
 }
 
 impl LoopbackHub {
@@ -106,10 +107,15 @@ impl LoopbackHub {
         Rc::new(LoopbackHub::default())
     }
 
-    /// Attaches node `me`, creating its mailbox.
+    /// Attaches node `me`, creating its mailbox (a node attaching again
+    /// after a restart finds what was sent to it meanwhile).
     #[must_use]
     pub fn attach(self: &Rc<Self>, me: u32) -> LoopbackPort {
-        self.queues.borrow_mut().entry(me).or_default();
+        let mut queues = self.queues.borrow_mut();
+        if queues.len() <= me as usize {
+            queues.resize_with(me as usize + 1, || None);
+        }
+        queues[me as usize].get_or_insert_with(VecDeque::new);
         LoopbackPort {
             hub: Rc::clone(self),
             me,
@@ -119,7 +125,12 @@ impl LoopbackHub {
     /// Total undelivered datagrams across all mailboxes.
     #[must_use]
     pub fn in_flight(&self) -> usize {
-        self.queues.borrow().values().map(VecDeque::len).sum()
+        self.queues
+            .borrow()
+            .iter()
+            .flatten()
+            .map(VecDeque::len)
+            .sum()
     }
 }
 
@@ -133,7 +144,7 @@ pub struct LoopbackPort {
 impl Datagram for LoopbackPort {
     fn send(&mut self, to: u32, bytes: &[u8]) {
         // Sends to detached nodes vanish, like UDP to a dead port.
-        if let Some(q) = self.hub.queues.borrow_mut().get_mut(&to) {
+        if let Some(Some(q)) = self.hub.queues.borrow_mut().get_mut(to as usize) {
             q.push_back(bytes.to_vec());
         }
     }
@@ -142,8 +153,9 @@ impl Datagram for LoopbackPort {
         self.hub
             .queues
             .borrow_mut()
-            .get_mut(&self.me)
-            .and_then(VecDeque::pop_front)
+            .get_mut(self.me as usize)?
+            .as_mut()?
+            .pop_front()
     }
 }
 

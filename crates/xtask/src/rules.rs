@@ -38,6 +38,18 @@ const LIB_SRC: &[&str] = &[
 /// Crates whose round/delivery order feeds the deterministic trace.
 const ORDER_SENSITIVE_SRC: &[&str] = &["crates/sim/src", "crates/protocols/src"];
 
+/// Where a per-iteration allocation is a per-delivery or per-datagram
+/// cost: the simulator and protocols, and the four net files a frame
+/// crosses between the datagram and the round buffer.
+const HOT_ALLOC_SRC: &[&str] = &[
+    "crates/sim/src",
+    "crates/protocols/src",
+    "crates/net/src/runtime.rs",
+    "crates/net/src/link.rs",
+    "crates/net/src/wire.rs",
+    "crates/net/src/journal.rs",
+];
+
 /// Crates holding the L2/L∞ grid geometry.
 const GEOMETRY_SRC: &[&str] = &["crates/grid/src", "crates/construct/src"];
 
@@ -276,10 +288,11 @@ pub fn all_rules() -> &'static [Rule] {
             allow_name: "hot-loop-alloc",
             summary: "no allocation (clone / format! / to_string / to_vec / vec! / \
                       String::new / Box::new) inside for/while/loop bodies in the \
-                      sim and protocols hot paths, nor anywhere in a protocol \
+                      sim and protocols hot paths or on the net frame path \
+                      (runtime, link, wire, journal), nor anywhere in a protocol \
                       on_message body (it runs once per delivery — an implicit loop)",
             fix: "hoist the allocation out of the loop or reuse a scratch buffer",
-            scopes: ORDER_SENSITIVE_SRC,
+            scopes: HOT_ALLOC_SRC,
             check: check_hot_loop_alloc,
         },
         Rule {
@@ -607,7 +620,7 @@ fn check_hot_loop_alloc(m: &FileModel, _ctx: &Ctx) -> Vec<Finding> {
                 m,
                 i,
                 format!(
-                    "{name} {site} on a sim/protocols hot \
+                    "{name} {site} on a sim/protocols/net hot \
                      path: per-iteration allocation dominates round cost at scale; \
                      hoist it out of the loop, reuse a scratch buffer, or annotate \
                      audit:allow(hot-loop-alloc) at a proven-cold site"
@@ -914,6 +927,21 @@ mod tests {
              }\n",
         );
         assert_eq!(run(check_hot_loop_alloc, &f), vec![4, 5]);
+    }
+
+    #[test]
+    fn hot_loop_alloc_covers_the_net_frame_path_and_no_other_net_file() {
+        let rule = all_rules()
+            .iter()
+            .find(|r| r.id == "hot-loop-alloc")
+            .expect("the rule exists");
+        for hot in ["runtime", "link", "wire", "journal"] {
+            assert!(rule.applies_to(Path::new(&format!("crates/net/src/{hot}.rs"))));
+        }
+        for cold in ["chaos", "cluster", "transport", "lib"] {
+            assert!(!rule.applies_to(Path::new(&format!("crates/net/src/{cold}.rs"))));
+        }
+        assert!(rule.applies_to(Path::new("crates/sim/src/network.rs")));
     }
 
     #[test]

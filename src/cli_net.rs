@@ -15,8 +15,8 @@ use rbcast_core::ProtocolKind;
 use rbcast_grid::plumbing::json_field_u64;
 use rbcast_grid::Metric;
 use rbcast_net::{
-    ChaosConfig, ClusterSpec, Datagram, FileJournal, LoopbackCluster, MemJournal, NetJournal,
-    NodeReport, NodeRuntime, RuntimeConfig, UdpTransport,
+    ChaosConfig, ClusterReport, ClusterSpec, Datagram, FileJournal, LoopbackCluster, MemJournal,
+    NetJournal, NodeReport, NodeRuntime, RuntimeConfig, UdpTransport,
 };
 use rbcast_sim::driver::InstanceId;
 use rbcast_sim::Round;
@@ -376,7 +376,7 @@ pub fn execute_cluster(spec: &NetSpec, opts: &ClusterOpts) -> i32 {
         run_loopback_cluster(spec, opts)
     };
     let elapsed_ms = watch.elapsed_ms();
-    let (decisions, degraded) = match outcome {
+    let (decisions, degraded, net) = match outcome {
         Ok(v) => v,
         Err(msg) => {
             eprintln!("error: {msg}");
@@ -416,6 +416,7 @@ pub fn execute_cluster(spec: &NetSpec, opts: &ClusterOpts) -> i32 {
         decisions.len(),
         if degraded { " | DEGRADED" } else { "" },
     );
+    println!("net: {net}");
     if digest == oracle.digest {
         println!("parity: MATCH");
         0
@@ -427,10 +428,35 @@ pub fn execute_cluster(spec: &NetSpec, opts: &ClusterOpts) -> i32 {
 
 type ClusterDecisions = Vec<(InstanceId, rbcast_grid::NodeId, bool, Round)>;
 
-fn run_loopback_cluster(
-    spec: &NetSpec,
-    opts: &ClusterOpts,
-) -> Result<(ClusterDecisions, bool), String> {
+/// Decisions, whether any node degraded, and what follows `net: ` in
+/// the summary: what the links and runtimes did, in exact counts summed
+/// over nodes — no wall-clock value, so the line repeats byte for byte.
+type ClusterOutcome = (ClusterDecisions, bool, String);
+
+/// The loopback cluster's `net:` line, from the report every node
+/// already keeps.
+fn net_counts(report: &ClusterReport) -> String {
+    let sum = |of: fn(&NodeReport) -> u64| report.nodes.iter().map(of).sum::<u64>();
+    let records = sum(|n| n.stats.journal_records);
+    format!(
+        "{} ticks | {} frames sent, {} retransmitted | rx {} duplicate, {} stale-epoch, \
+         {} acks, {} window drops | {} stale frames, {} forced rounds, {} wire errors | \
+         journal {records} records ({:.2}/commit)",
+        report.ticks,
+        sum(|n| n.link_totals.sent),
+        sum(|n| n.link_totals.retransmits),
+        sum(|n| n.link_totals.dup_rx),
+        sum(|n| n.link_totals.stale_rx),
+        sum(|n| n.link_totals.acks_rx),
+        sum(|n| n.link_totals.window_drops),
+        sum(|n| n.stats.stale_frames),
+        sum(|n| n.stats.forced_rounds),
+        sum(|n| n.stats.wire_errors),
+        records as f64 / report.decisions.len().max(1) as f64,
+    )
+}
+
+fn run_loopback_cluster(spec: &NetSpec, opts: &ClusterOpts) -> Result<ClusterOutcome, String> {
     let mut cluster = LoopbackCluster::new(spec.cluster, spec.runtime_config(), spec.chaos());
     if let Some(victim) = opts.kill {
         for _ in 0..20 {
@@ -454,14 +480,11 @@ fn run_loopback_cluster(
         eprintln!("quarantined node {node}: {why}");
     }
     let degraded = report.nodes.iter().any(|nr| !nr.healthy()) || !report.quarantined.is_empty();
-    Ok((report.decisions, degraded))
+    let net = net_counts(&report);
+    Ok((report.decisions, degraded, net))
 }
 
-fn run_udp_cluster(
-    spec: &NetSpec,
-    opts: &ClusterOpts,
-    n: usize,
-) -> Result<(ClusterDecisions, bool), String> {
+fn run_udp_cluster(spec: &NetSpec, opts: &ClusterOpts, n: usize) -> Result<ClusterOutcome, String> {
     let dir = match &opts.dir {
         Some(d) => d.clone(),
         None => std::env::temp_dir().join(format!("rbcast-cluster-{}", std::process::id())),
@@ -523,6 +546,7 @@ fn run_udp_cluster(
 
     let mut decisions = Vec::new();
     let mut degraded = false;
+    let mut retransmits = 0;
     for node in 0..n as u32 {
         let path = dir.join(format!("node{node}.out.json"));
         let line = std::fs::read_to_string(&path)
@@ -535,8 +559,11 @@ fn run_udp_cluster(
         if line.contains("\"healthy\":false") {
             degraded = true;
         }
+        retransmits += json_field_u64(line, "retransmits").unwrap_or(0);
     }
-    Ok((decisions, degraded))
+    // All a child's report carries of its links; a count no process
+    // knows (there is no shared tick over UDP) is left out, not zeroed.
+    Ok((decisions, degraded, format!("{retransmits} retransmitted")))
 }
 
 fn push_shared_flags(cmd: &mut std::process::Command, spec: &NetSpec) {
@@ -650,6 +677,21 @@ mod tests {
         assert!(parsed[0].2, "first decision carries value true");
         assert_eq!(parsed[1].3, 5);
         assert!(line.contains("\"healthy\":false"), "suspects mean degraded");
+    }
+
+    #[test]
+    fn net_line_repeats_byte_for_byte_under_chaos_and_a_kill() {
+        let (mut spec, opts) =
+            parse_cluster(&argv("--transport loopback --kill 4")).expect("parses");
+        spec.chaos_seed = Some(7);
+        let (_, _, first) = run_loopback_cluster(&spec, &opts).expect("finishes");
+        let (_, _, again) = run_loopback_cluster(&spec, &opts).expect("finishes");
+        assert_eq!(first, again);
+        assert!(first.contains(" retransmitted | rx "), "{first}");
+        assert!(
+            !first.contains(" 0 retransmitted"),
+            "chaos must show: {first}"
+        );
     }
 
     #[test]
