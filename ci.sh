@@ -46,6 +46,19 @@ for pat in 'cbf2_\?9ce4_\?8422_\?2325' 'fn splitmix' 'fn \(json_escape\|escape_j
         || { grep -rni --include='*.rs' "$pat" $one_home; echo "one-of-each: '$pat' has a second home"; exit 1; }
 done
 
+echo "==> one-lender gate (one Ctx literal under crates/sim/src; NodeDriver only as a #[cfg(test)] reference)"
+# Every host builds its Ctx through sim::process::Lent; a second
+# hand-assembled literal, or the per-instance driver coming back into
+# production code, must not land quietly.
+test "$(grep -rl --include='*.rs' 'Ctx {' crates/sim/src | wc -l)" -eq 1 \
+    || { grep -rn --include='*.rs' 'Ctx {' crates/sim/src; echo "one-lender: the Ctx literal has a second home"; exit 1; }
+find crates/*/src src -name '*.rs' -exec awk '
+    FNR == 1 { in_test = 0 }
+    /^#\[cfg\(test\)\]/ { in_test = 1 }
+    /NodeDriver/ && !in_test { print FILENAME ":" FNR ": " $0; bad = 1 }
+    END { exit bad }' {} + \
+    || { echo "one-lender: NodeDriver outside a #[cfg(test)] reference"; exit 1; }
+
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
@@ -122,6 +135,10 @@ run --r 0
 run --placement bernoulli --prob 2
 run --placement file:$bad_ids
 run --t x
+sweep --protocol flood --r 1 --t 5 --t-max 2
+sweep --t-max 2 --threads 0
+sweep --t-max 2 --retries 0
+attack --threads 0
 attack --r 0
 cluster --width 0 --height 3
 cluster --instances 0

@@ -82,14 +82,6 @@ pub enum TaskError {
         /// The budget that was exhausted.
         round_budget: u32,
     },
-    /// The experiment's own `max_rounds` cap was reached and the
-    /// supervisor was configured to treat that as a failure
-    /// ([`SupervisorConfig::fail_on_round_cap`]; off by default, since
-    /// partitioned runs legitimately idle at the cap).
-    RoundCapHit {
-        /// Rounds executed when the cap was hit.
-        rounds: u32,
-    },
     /// An executor invariant broke (e.g. the work queue never produced a
     /// result for this index) — a harness bug, not a model outcome.
     Invariant {
@@ -111,9 +103,6 @@ impl std::fmt::Display for TaskError {
             TaskError::Panicked { message } => write!(f, "panicked: {message}"),
             TaskError::DeadlineExceeded { round_budget } => {
                 write!(f, "deadline exceeded (round budget {round_budget})")
-            }
-            TaskError::RoundCapHit { rounds } => {
-                write!(f, "round cap hit after {rounds} rounds")
             }
             TaskError::Invariant { message } => write!(f, "invariant violated: {message}"),
             TaskError::Retried { attempts, last } => {
@@ -722,9 +711,6 @@ pub struct SupervisorConfig {
     /// Default round budget threaded into experiments that did not set
     /// their own (`None` disarms the watchdog).
     pub round_budget: Option<u32>,
-    /// Treat [`rbcast_sim::StopReason::RoundCap`] as a failure. Off by
-    /// default: impossibility experiments legitimately idle at the cap.
-    pub fail_on_round_cap: bool,
     /// Chaos injection (test-only; `None` in production).
     pub chaos: Option<ChaosConfig>,
     /// Checkpoint journal to append completed tasks to.
@@ -787,13 +773,6 @@ impl SupervisorConfig {
     #[must_use]
     pub fn with_round_budget(mut self, budget: Option<u32>) -> Self {
         self.round_budget = budget;
-        self
-    }
-
-    /// Sets whether a round-cap stop quarantines the task.
-    #[must_use]
-    pub fn with_fail_on_round_cap(mut self, fail: bool) -> Self {
-        self.fail_on_round_cap = fail;
         self
     }
 
@@ -1102,9 +1081,6 @@ pub fn run_experiments_supervised(
         match outcome.stats.stop_reason {
             StopReason::DeadlineExceeded => Err(TaskError::DeadlineExceeded {
                 round_budget: e.round_budget().unwrap_or(outcome.stats.rounds),
-            }),
-            StopReason::RoundCap if config.fail_on_round_cap => Err(TaskError::RoundCapHit {
-                rounds: outcome.stats.rounds,
             }),
             _ => Ok((outcome, digest)),
         }

@@ -165,9 +165,9 @@ pub struct ChainPacker {
     has_direct: bool,
 }
 
-/// Default branch-and-bound node budget used by
-/// [`ChainPacker::max_disjoint`].
-pub(crate) const DEFAULT_BB_BUDGET: u64 = 200_000;
+/// Branch-and-bound node budget of every [`ChainPacker::max_disjoint`]
+/// query.
+const BB_BUDGET: u64 = 200_000;
 
 /// Instances larger than this many (reduced) chains are truncated to the
 /// shortest chains before packing; this only under-counts, never
@@ -258,8 +258,8 @@ impl ChainPacker {
     }
 
     /// Size of the largest set of pairwise disjoint chains whose relays
-    /// all satisfy `admit`, computed with the default search budget and
-    /// stopping early once `target` chains are found.
+    /// all satisfy `admit`, stopping early once `target` chains are
+    /// found.
     ///
     /// Returns `min(target, true maximum)` when the search completes
     /// within budget; may under-report on pathological instances (never
@@ -269,28 +269,7 @@ impl ChainPacker {
     where
         F: Fn(u64) -> bool,
     {
-        self.max_disjoint_budgeted(admit, target, DEFAULT_BB_BUDGET)
-    }
-
-    /// [`ChainPacker::max_disjoint`] reusing caller-owned scratch
-    /// buffers, with the default search budget.
-    #[must_use]
-    pub fn max_disjoint_reusing<F>(&self, scratch: &mut PackScratch, admit: F, target: u32) -> u32
-    where
-        F: Fn(u64) -> bool,
-    {
-        self.max_disjoint_scratch(scratch, admit, target, DEFAULT_BB_BUDGET)
-    }
-
-    /// [`ChainPacker::max_disjoint`] with an explicit branch-and-bound
-    /// node budget.
-    #[must_use]
-    pub fn max_disjoint_budgeted<F>(&self, admit: F, target: u32, budget: u64) -> u32
-    where
-        F: Fn(u64) -> bool,
-    {
-        let mut scratch = PackScratch::default();
-        self.max_disjoint_scratch(&mut scratch, admit, target, budget)
+        self.max_disjoint_reusing(&mut PackScratch::default(), admit, target)
     }
 
     /// [`ChainPacker::max_disjoint`] reusing caller-owned scratch
@@ -300,13 +279,7 @@ impl ChainPacker {
     /// per-query allocation (chain filters, conflict bitsets, and the
     /// branch-and-bound candidate stacks are all reused).
     #[must_use]
-    pub fn max_disjoint_scratch<F>(
-        &self,
-        scratch: &mut PackScratch,
-        admit: F,
-        target: u32,
-        budget: u64,
-    ) -> u32
+    pub fn max_disjoint_reusing<F>(&self, scratch: &mut PackScratch, admit: F, target: u32) -> u32
     where
         F: Fn(u64) -> bool,
     {
@@ -338,12 +311,12 @@ impl ChainPacker {
             return target.min(direct_bonus);
         }
 
-        let packed = max_disjoint_sets(chains, scratch, need, budget);
+        let packed = max_disjoint_sets(chains, scratch, need);
         (direct_bonus + packed).min(target)
     }
 }
 
-/// Reusable scratch buffers for [`ChainPacker::max_disjoint_scratch`].
+/// Reusable scratch buffers for [`ChainPacker::max_disjoint_reusing`].
 ///
 /// One instance per thread suffices, whichever packers it serves;
 /// buffers grow to the high-water mark of the queries they serve and
@@ -373,9 +346,9 @@ pub struct PackScratch {
 }
 
 /// Maximum independent set over the chain conflict graph, early-exiting at
-/// `target`, with a recursion-node `budget`. `scratch.kept` holds the
+/// `target`, within [`BB_BUDGET`] recursion nodes. `scratch.kept` holds the
 /// instance's chain indices; the other buffers are reused scratch.
-fn max_disjoint_sets(chains: &[Chain], scratch: &mut PackScratch, target: u32, budget: u64) -> u32 {
+fn max_disjoint_sets(chains: &[Chain], scratch: &mut PackScratch, target: u32) -> u32 {
     let PackScratch {
         kept,
         order,
@@ -458,7 +431,7 @@ fn max_disjoint_sets(chains: &[Chain], scratch: &mut PackScratch, target: u32, b
         pool,
         target,
         best: greedy,
-        nodes_left: budget,
+        nodes_left: BB_BUDGET,
     };
     search.bb(0, full, 0);
     search.best.min(target)
@@ -773,10 +746,7 @@ mod tests {
         assert_eq!(p.max_disjoint(|_| true, 32), 12);
         let nodes = BB_NODES.with(std::cell::Cell::get);
         assert!(nodes > 0, "greedy alone cannot prove a maximum");
-        assert!(
-            nodes < DEFAULT_BB_BUDGET / 100,
-            "{nodes} branch-and-bound nodes"
-        );
+        assert!(nodes < BB_BUDGET / 100, "{nodes} branch-and-bound nodes");
     }
 
     /// The packer this module replaced — two full passes per insert over

@@ -5,7 +5,7 @@
 //! whole [`crate::Network`]. The protocols crate uses it to pin down
 //! message-validation behaviour hop by hop.
 
-use crate::process::{Decision, DecisionLedger, Notes, Transmission};
+use crate::process::Lent;
 use crate::{Ctx, Process, Round, Value};
 use rbcast_grid::{Metric, NeighborTable, NodeId, Torus};
 
@@ -36,12 +36,9 @@ use rbcast_grid::{Metric, NeighborTable, NodeId, Torus};
 pub struct Harness<M> {
     arena: NeighborTable,
     id: NodeId,
-    decision: Decision,
-    outbox: Vec<Transmission<M>>,
-    notes: Notes,
     round: Round,
-    messages_sent: u64,
-    ledger: DecisionLedger,
+    /// One slot, and a note buffer always: the test is the reader.
+    lent: Lent<M>,
 }
 
 impl<M> Harness<M> {
@@ -49,31 +46,18 @@ impl<M> Harness<M> {
     /// private topology arena for it).
     #[must_use]
     pub fn new(torus: Torus, radius: u32, metric: Metric, id: NodeId) -> Self {
-        let n = torus.len();
+        let mut lent = Lent::new(torus.len(), 1);
+        lent.notes = Some(Vec::new());
         Harness {
             arena: NeighborTable::build(&torus, radius, metric),
             id,
-            decision: None,
-            outbox: Vec::new(),
-            notes: Vec::new(),
             round: 0,
-            messages_sent: 0,
-            ledger: DecisionLedger::new(n),
+            lent,
         }
     }
 
     fn with_ctx<F: FnOnce(&mut Ctx<'_, M>)>(&mut self, f: F) {
-        let mut ctx = Ctx {
-            id: self.id,
-            arena: &self.arena,
-            round: self.round,
-            decision: &mut self.decision,
-            outbox: &mut self.outbox,
-            notes: Some(&mut self.notes),
-            messages_sent: &mut self.messages_sent,
-            ledger: &mut self.ledger,
-        };
-        f(&mut ctx);
+        f(&mut self.lent.ctx(&self.arena, self.id, self.round, 0));
     }
 
     /// Invokes the process's `on_start`.
@@ -96,12 +80,13 @@ impl<M> Harness<M> {
     /// only; claimed identities are dropped — use
     /// [`Harness::drain_outbox_claimed`] to observe spoofing attempts).
     pub fn drain_outbox(&mut self) -> Vec<M> {
-        self.outbox.drain(..).map(|tx| tx.msg).collect()
+        self.lent.queued.drain(..).map(|tx| tx.msg).collect()
     }
 
     /// Takes the queued broadcasts with their claimed sender identities.
     pub fn drain_outbox_claimed(&mut self) -> Vec<(NodeId, M)> {
-        self.outbox
+        self.lent
+            .queued
             .drain(..)
             .map(|tx| (tx.claimed, tx.msg))
             .collect()
@@ -110,19 +95,19 @@ impl<M> Harness<M> {
     /// The decision recorded so far, if any.
     #[must_use]
     pub fn decision(&self) -> Option<Value> {
-        self.decision.map(|(v, _)| v)
+        self.lent.decisions[0].map(|(v, _)| v)
     }
 
     /// Takes the protocol-level trace notes recorded via
     /// [`Ctx::note`] since the last drain.
     pub fn drain_notes(&mut self) -> Vec<(&'static str, u64)> {
-        std::mem::take(&mut self.notes)
+        self.lent.notes.replace(Vec::new()).unwrap_or_default()
     }
 
     /// Total broadcasts the process has performed.
     #[must_use]
     pub fn messages_sent(&self) -> u64 {
-        self.messages_sent
+        self.lent.messages_sent
     }
 
     /// The current round counter.

@@ -65,7 +65,7 @@ mod stats;
 pub mod trace;
 
 pub use channel::{BurstChain, BurstLoss, ChannelConfig};
-pub use driver::{InstanceHost, InstanceId, NodeDriver};
+pub use driver::{InstanceHost, InstanceId};
 pub use harness::Harness;
 pub use network::{EngineKind, Network};
 pub use process::{Ctx, Process};

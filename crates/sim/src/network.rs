@@ -1,7 +1,7 @@
 //! The synchronous round-based network engine.
 
 use crate::channel::delivery_lost;
-use crate::process::{Decision, DecisionLedger, Notes, Transmission};
+use crate::process::{Lent, Transmission};
 use crate::trace::{TraceEvent, TraceSink, FNV_OFFSET};
 use crate::{ChannelConfig, Ctx, Process, Round, RoundReport, RunStats, StopReason, Value};
 use rbcast_grid::{BitSet, Metric, NeighborTable, NodeId, Torus};
@@ -65,9 +65,14 @@ pub struct Network<M> {
     /// transmission order without consulting the schedule.
     rank_of: Vec<u32>,
     engine: EngineKind,
+    /// What callbacks borrow: one decision per node (all the simulator
+    /// keeps per node, 8 bytes), next round's transmissions in the
+    /// order [`Ctx::broadcast`] was called, the send counter, the note
+    /// buffer while a sink reads it, and the decision ledger — decided
+    /// bitset, completion mask and popcount-maintained counters, so no
+    /// round recounts decisions or scans the mask.
+    lent: Lent<M>,
     processes: Vec<Box<dyn Process<M>>>,
-    /// All the simulator keeps per node (8 bytes).
-    decisions: Vec<Decision>,
     /// SoA crash schedule: round at which each node crash-stops,
     /// [`NEVER`] if it doesn't. Replaces a `Vec<Option<Round>>` so the
     /// per-delivery liveness test is one compare on a dense `u32` array.
@@ -85,11 +90,6 @@ pub struct Network<M> {
     oracle: Option<SafetyOracle>,
     classifier: Option<fn(&M) -> &'static str>,
     kind_counts: std::collections::BTreeMap<&'static str, u64>,
-    /// Incremental decision bookkeeping: decided bitset, completion
-    /// mask, and popcount-maintained counters, updated by [`Ctx::decide`]
-    /// at the moment a node commits. Replaces both the O(n) per-round
-    /// decided recount and the O(n) completion-mask scan.
-    ledger: DecisionLedger,
     early_termination: bool,
     /// Cooperative per-run deadline set by the supervisor (see
     /// [`Network::set_round_budget`]): the watchdog that turns a runaway
@@ -100,7 +100,6 @@ pub struct Network<M> {
     /// decided. From then on `trace_mix` is a no-op, so a run that stops
     /// early and one that idles to quiescence hash identically.
     hash_frozen: bool,
-    messages_sent: u64,
     deliveries: u64,
     lost_deliveries: u64,
     jammed_deliveries: u64,
@@ -123,15 +122,9 @@ pub struct Network<M> {
     /// vector): which jammer, if any, collides each transmission.
     /// Hoisted out of the round loop — same pattern as `PackScratch`.
     jam_scratch: Vec<Option<NodeId>>,
-    /// This round's transmissions. Swapped with `queued` at every round
-    /// end, so the two allocations alternate for the whole run.
+    /// This round's transmissions. Swapped with `lent.queued` at every
+    /// round end, so the two allocations alternate for the whole run.
     on_air: Vec<Transmission<M>>,
-    /// Next round's transmissions, in the order [`Ctx::broadcast`] was
-    /// called — the one buffer every node's `Ctx` pushes into.
-    queued: Vec<Transmission<M>>,
-    /// The note buffer lent to callbacks while tracing; emptied into the
-    /// sink after each one.
-    notes: Notes,
 }
 
 impl<M> Network<M> {
@@ -191,8 +184,8 @@ impl<M> Network<M> {
             order,
             rank_of,
             engine: EngineKind::default(),
+            lent: Lent::new(n, n),
             processes,
-            decisions: vec![None; n],
             crashed_at: vec![NEVER; n],
             jam_remaining: vec![channel.jam_budget; channel.jammers.len()],
             channel,
@@ -201,11 +194,9 @@ impl<M> Network<M> {
             oracle: None,
             classifier: None,
             kind_counts: std::collections::BTreeMap::new(),
-            ledger: DecisionLedger::new(n),
             early_termination: false,
             round_budget: None,
             hash_frozen: false,
-            messages_sent: 0,
             deliveries: 0,
             lost_deliveries: 0,
             jammed_deliveries: 0,
@@ -216,8 +207,6 @@ impl<M> Network<M> {
             frontier: Vec::new(),
             jam_scratch: Vec::new(),
             on_air: Vec::new(),
-            queued: Vec::new(),
-            notes: Vec::new(),
         }
     }
 
@@ -264,7 +253,7 @@ impl<M> Network<M> {
         for id in nodes {
             mask.set(id.index());
         }
-        self.ledger.set_mask(Some(mask));
+        self.lent.ledger.set_mask(Some(mask));
     }
 
     /// Selects the round loop (see [`EngineKind`]). Both engines are
@@ -324,7 +313,7 @@ impl<M> Network<M> {
         self.history.clear();
         self.trace_hash = FNV_OFFSET;
         self.hash_frozen = false;
-        self.messages_sent = 0;
+        self.lent.messages_sent = 0;
         self.deliveries = 0;
         self.lost_deliveries = 0;
         self.jammed_deliveries = 0;
@@ -335,10 +324,10 @@ impl<M> Network<M> {
         // round 0, exactly as the dense scan used to after its
         // `decided_seen` reset.
         {
-            let mut fresh = std::mem::take(&mut self.ledger.fresh);
+            let mut fresh = std::mem::take(&mut self.lent.ledger.fresh);
             fresh.clear();
-            self.ledger.decided.for_each(|idx| fresh.push(idx));
-            self.ledger.fresh = fresh;
+            self.lent.ledger.decided.for_each(|idx| fresh.push(idx));
+            self.lent.ledger.fresh = fresh;
         }
 
         // Hot-path de-allocation: `order` is moved out of `self` and the
@@ -392,7 +381,7 @@ impl<M> Network<M> {
         while !on_air.is_empty() && round < cap {
             round += 1;
             let deliveries_before = self.deliveries;
-            let decided_before = self.ledger.decided_count;
+            let decided_before = self.lent.ledger.decided_count;
             // Deliberate collisions (§X): each jammer destroys up to its
             // budget of this round's transmissions, greedily in order; a
             // jammed transmission is lost exactly at receivers within the
@@ -524,8 +513,8 @@ impl<M> Network<M> {
             // not early termination is on and both modes hash
             // identically. O(1): the ledger's popcounts replace the old
             // zip scan over the whole mask.
-            let frozen_after =
-                self.hash_frozen || (self.ledger.mask.is_some() && self.ledger.mask_complete());
+            let frozen_after = self.hash_frozen
+                || (self.lent.ledger.mask.is_some() && self.lent.ledger.mask_complete());
             self.emit(TraceEvent::RoundEnd {
                 round,
                 decided: decided_after,
@@ -567,7 +556,7 @@ impl<M> Network<M> {
         RunStats {
             rounds: round,
             stop_reason,
-            messages_sent: self.messages_sent,
+            messages_sent: self.lent.messages_sent,
             deliveries: self.deliveries,
             lost_deliveries: self.lost_deliveries,
             jammed_deliveries: self.jammed_deliveries,
@@ -602,12 +591,12 @@ impl<M> Network<M> {
     /// Returns the (incrementally maintained) decided count; no O(n)
     /// scan in either mode.
     fn scan_decisions(&mut self, round: Round) -> u64 {
-        let mut fresh = std::mem::take(&mut self.ledger.fresh);
+        let mut fresh = std::mem::take(&mut self.lent.ledger.fresh);
         if self.tracing() && !fresh.is_empty() {
             fresh.sort_unstable();
             for &idx in &fresh {
                 let (value, _) =
-                    self.decisions[idx as usize].expect("ledger fresh entry has a decision");
+                    self.lent.decisions[idx as usize].expect("ledger fresh entry has a decision");
                 self.emit(TraceEvent::Decision {
                     round,
                     node: u64::from(idx),
@@ -616,8 +605,8 @@ impl<M> Network<M> {
             }
         }
         fresh.clear();
-        self.ledger.fresh = fresh;
-        self.ledger.decided_count
+        self.lent.ledger.fresh = fresh;
+        self.lent.ledger.decided_count
     }
 
     /// Satellite regression gate: the incremental decided counter must
@@ -626,15 +615,15 @@ impl<M> Network<M> {
     /// under `debug-invariants`, which the determinism gate runs with.
     #[cfg(feature = "debug-invariants")]
     fn check_decided_counter(&self, round: Round) {
-        let scanned = self.decisions.iter().filter(|d| d.is_some()).count() as u64;
+        let scanned = self.lent.decisions.iter().filter(|d| d.is_some()).count() as u64;
         assert_eq!(
-            self.ledger.decided_count, scanned,
+            self.lent.ledger.decided_count, scanned,
             "incremental decided counter diverged from the full scan at round {round}",
         );
-        if let Some(mask) = &self.ledger.mask {
+        if let Some(mask) = &self.lent.ledger.mask {
             assert_eq!(
-                self.ledger.masked_decided,
-                mask.intersection_count(&self.ledger.decided),
+                self.lent.ledger.masked_decided,
+                mask.intersection_count(&self.lent.ledger.decided),
                 "masked decided counter diverged from a recount at round {round}",
             );
         }
@@ -647,12 +636,7 @@ impl<M> Network<M> {
     /// next (and any later) [`Network::run`] — see [`crate::trace`].
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
         self.sink = Some(sink);
-    }
-
-    /// Removes and returns the installed trace sink, if any (e.g. to
-    /// inspect a [`crate::trace::MemorySink`] after a run).
-    pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.sink.take()
+        self.lent.notes.get_or_insert_with(Vec::new);
     }
 
     /// Greedy jammer assignment for one round: each jammer, in listed
@@ -726,7 +710,7 @@ impl<M> Network<M> {
         let Some(oracle) = &self.oracle else {
             return;
         };
-        for (i, decision) in self.decisions.iter().enumerate() {
+        for (i, decision) in self.lent.decisions.iter().enumerate() {
             if oracle.faulty[i] {
                 continue;
             }
@@ -767,13 +751,13 @@ impl<M> Network<M> {
     /// The decisions of every node, indexed by node id.
     #[must_use]
     pub fn decisions(&self) -> Vec<Option<(Value, Round)>> {
-        self.decisions.clone()
+        self.lent.decisions.clone()
     }
 
     /// One node's decision.
     #[must_use]
     pub fn decision(&self, id: NodeId) -> Option<(Value, Round)> {
-        self.decisions[id.index()]
+        self.lent.decisions[id.index()]
     }
 
     /// The latest round at which any node in `ids` decided, or `None`
@@ -782,7 +766,7 @@ impl<M> Network<M> {
     #[must_use]
     pub fn latest_decision_round(&self, ids: &[NodeId]) -> Option<Round> {
         ids.iter()
-            .filter_map(|&id| self.decisions[id.index()].map(|(_, round)| round))
+            .filter_map(|&id| self.lent.decisions[id.index()].map(|(_, round)| round))
             .max()
     }
 
@@ -797,26 +781,10 @@ impl<M> Network<M> {
     where
         F: FnOnce(&mut dyn Process<M>, &mut Ctx<'_, M>),
     {
-        // Disjoint field borrows: the process box, its decision, the
-        // shared queue, the send counter and the ledger are lent to the
-        // callback in place; the note buffer only while a sink reads it.
-        let mut ctx = Ctx {
-            id,
-            arena: &self.arena,
-            round,
-            decision: &mut self.decisions[id.index()],
-            outbox: &mut self.queued,
-            notes: if self.sink.is_some() {
-                Some(&mut self.notes)
-            } else {
-                None
-            },
-            messages_sent: &mut self.messages_sent,
-            ledger: &mut self.ledger,
-        };
+        // A node is its own slot.
+        let mut ctx = self.lent.ctx(&self.arena, id, round, id.0);
         f(self.processes[id.index()].as_mut(), &mut ctx);
-        if !self.notes.is_empty() {
-            let mut notes = std::mem::take(&mut self.notes);
+        if let Some(mut notes) = self.lent.notes.take_if(|n| !n.is_empty()) {
             for (label, value) in notes.drain(..) {
                 self.emit(TraceEvent::Note {
                     round,
@@ -825,7 +793,7 @@ impl<M> Network<M> {
                     value,
                 });
             }
-            self.notes = notes;
+            self.lent.notes = Some(notes);
         }
     }
 
@@ -837,7 +805,7 @@ impl<M> Network<M> {
     /// order, so equal ranks keep per-sender FIFO.
     fn collect_transmissions(&mut self, round: Round, on_air: &mut Vec<Transmission<M>>) {
         on_air.clear();
-        std::mem::swap(on_air, &mut self.queued);
+        std::mem::swap(on_air, &mut self.lent.queued);
         let crashed_at = &self.crashed_at;
         let spoofing = self.channel.spoofing;
         let classifier = self.classifier;
@@ -863,7 +831,7 @@ impl<M> std::fmt::Debug for Network<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Network")
             .field("arena", &self.arena)
-            .field("messages_sent", &self.messages_sent)
+            .field("messages_sent", &self.lent.messages_sent)
             .finish_non_exhaustive()
     }
 }
@@ -1631,7 +1599,7 @@ mod tests {
         assert_eq!(net.kind_counts, dense.kind_counts);
         assert_eq!(net.kind_counts, sparse.kind_counts);
         let sent: usize = rounds.iter().map(Vec::len).sum();
-        assert_eq!(net.messages_sent, sent as u64);
+        assert_eq!(net.lent.messages_sent, sent as u64);
     }
 
     #[test]

@@ -43,13 +43,14 @@ pub trait Process<M> {
     }
 }
 
-/// Everything the simulator keeps per node: the irrevocable decision
-/// and the round it was made in. Queued transmissions and trace notes
-/// live in buffers owned by whoever builds the [`Ctx`] — one per
-/// network, not one per node.
+/// Everything a host keeps per slot beside the process itself: the
+/// irrevocable decision and the round it was made in. Queued
+/// transmissions and trace notes live in the host's one [`Lent`].
 pub(crate) type Decision = Option<(Value, Round)>;
 
 const _: () = assert!(std::mem::size_of::<Decision>() <= 8);
+// Two references and three `u32`s, whatever the message type.
+const _: () = assert!(std::mem::size_of::<Ctx<'static, ()>>() <= 32);
 
 /// One queued or on-air transmission: the true sender, the identity the
 /// channel reports to receivers (differs only under the §X spoofing
@@ -131,23 +132,70 @@ impl DecisionLedger {
     }
 }
 
+/// Everything a host lends to the callbacks it runs, owned once per
+/// host — a [`crate::Network`], an [`crate::InstanceHost`], a
+/// [`crate::Harness`] — however many nodes or instances it drives.
+#[derive(Debug)]
+pub(crate) struct Lent<M> {
+    /// One decision per slot: a node of a network, an instance of a
+    /// host.
+    pub decisions: Vec<Decision>,
+    /// Where broadcasts queue until the round closes, in call order,
+    /// whichever slot made them.
+    pub queued: Vec<Transmission<M>>,
+    /// Present only when something will read the notes; `None` drops
+    /// them unbuilt.
+    pub notes: Option<Notes>,
+    /// Broadcasts queued so far.
+    pub messages_sent: u64,
+    /// Which nodes have decided — for a host of one node's instances,
+    /// one bit: it decided in some instance.
+    pub ledger: DecisionLedger,
+}
+
+impl<M> Lent<M> {
+    /// State for `slots` slots over a torus of `nodes` nodes; notes
+    /// are dropped until a buffer is installed.
+    pub(crate) fn new(nodes: usize, slots: usize) -> Lent<M> {
+        Lent {
+            decisions: vec![None; slots],
+            queued: Vec::new(),
+            notes: None,
+            messages_sent: 0,
+            ledger: DecisionLedger::new(nodes),
+        }
+    }
+
+    /// The context of one callback: node `id` running slot `slot` in
+    /// round `round`. Every host builds its [`Ctx`] here.
+    pub(crate) fn ctx<'a>(
+        &'a mut self,
+        arena: &'a NeighborTable,
+        id: NodeId,
+        round: Round,
+        slot: u32,
+    ) -> Ctx<'a, M> {
+        Ctx {
+            id,
+            round,
+            slot,
+            arena,
+            lent: self,
+        }
+    }
+}
+
 /// The execution context handed to [`Process`] callbacks: node identity,
 /// network geometry, and the two effects a node can have — broadcasting a
 /// message and deciding a value.
 #[derive(Debug)]
 pub struct Ctx<'a, M> {
-    pub(crate) id: NodeId,
-    pub(crate) arena: &'a NeighborTable,
-    pub(crate) round: Round,
-    pub(crate) decision: &'a mut Decision,
-    /// Where broadcasts queue until the round closes, in call order —
-    /// shared by every node the lender drives.
-    pub(crate) outbox: &'a mut Vec<Transmission<M>>,
-    /// Lent only when something will read the notes; `None` drops them
-    /// unbuilt.
-    pub(crate) notes: Option<&'a mut Notes>,
-    pub(crate) messages_sent: &'a mut u64,
-    pub(crate) ledger: &'a mut DecisionLedger,
+    id: NodeId,
+    round: Round,
+    /// Which of the lender's decisions is this callback's.
+    slot: u32,
+    arena: &'a NeighborTable,
+    lent: &'a mut Lent<M>,
 }
 
 impl<'a, M> Ctx<'a, M> {
@@ -216,8 +264,8 @@ impl<'a, M> Ctx<'a, M> {
     /// spoofing enabled, and is silently corrected to the true identity
     /// otherwise.
     pub fn broadcast_as(&mut self, claimed: NodeId, msg: M) {
-        *self.messages_sent += 1;
-        self.outbox.push(Transmission {
+        self.lent.messages_sent += 1;
+        self.lent.queued.push(Transmission {
             sender: self.id,
             claimed,
             msg,
@@ -227,9 +275,10 @@ impl<'a, M> Ctx<'a, M> {
     /// Records this node's irrevocable decision (the paper's *commit*).
     /// Later calls are ignored — a node commits at most once.
     pub fn decide(&mut self, v: Value) {
-        if self.decision.is_none() {
-            *self.decision = Some((v, self.round));
-            self.ledger.record(self.id.index());
+        let decision = &mut self.lent.decisions[self.slot as usize];
+        if decision.is_none() {
+            *decision = Some((v, self.round));
+            self.lent.ledger.record(self.id.index());
         }
     }
 
@@ -247,7 +296,7 @@ impl<'a, M> Ctx<'a, M> {
     /// runs only when a reader is attached (a trace sink, or the test
     /// [`crate::Harness`]), so an untraced run never builds it.
     pub fn note_with(&mut self, label: &'static str, value: impl FnOnce() -> u64) {
-        if let Some(notes) = self.notes.as_deref_mut() {
+        if let Some(notes) = self.lent.notes.as_mut() {
             notes.push((label, value()));
         }
     }
@@ -255,12 +304,12 @@ impl<'a, M> Ctx<'a, M> {
     /// The value this node has decided, if any.
     #[must_use]
     pub fn decision(&self) -> Option<Value> {
-        self.decision.map(|(v, _)| v)
+        self.lent.decisions[self.slot as usize].map(|(v, _)| v)
     }
 
     /// True once [`Ctx::decide`] has been called.
     #[must_use]
     pub fn has_decided(&self) -> bool {
-        self.decision.is_some()
+        self.lent.decisions[self.slot as usize].is_some()
     }
 }

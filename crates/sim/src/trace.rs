@@ -54,18 +54,6 @@ pub fn fold_words(hash: &mut u64, words: &[u64]) {
     *hash = h;
 }
 
-/// One-shot FNV-1a digest of a word sequence — the same fold the trace
-/// hash uses, for compact fingerprints carried in [`TraceEvent::Note`]
-/// payloads (e.g. a digest of the evidence a commit rested on).
-#[must_use]
-pub fn digest_words(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for w in words {
-        fold_words(&mut hash, &[w]);
-    }
-    hash
-}
-
 /// One typed event in a run's trace stream.
 ///
 /// Node and transmission identities are plain indices (not

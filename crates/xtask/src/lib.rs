@@ -23,8 +23,7 @@
 //! Every rule (and both meta-diagnostics) ships a fixture tree under
 //! `crates/xtask/fixtures/`; `cargo xtask audit --self-test` fails if
 //! any rule stops firing on its fixture. `--format json` emits a
-//! SARIF-lite report for CI, and `--baseline FILE` filters known
-//! findings for incremental adoption.
+//! SARIF-lite report for CI.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,8 +54,6 @@ pub enum AuditError {
     Io(PathBuf, io::Error),
     /// `--rule` named a rule that does not exist.
     UnknownRule(String),
-    /// A baseline file could not be parsed.
-    Baseline(PathBuf, String),
 }
 
 impl fmt::Display for AuditError {
@@ -65,9 +62,6 @@ impl fmt::Display for AuditError {
             AuditError::Io(p, e) => write!(f, "cannot read {}: {e}", p.display()),
             AuditError::UnknownRule(id) => {
                 write!(f, "unknown rule `{id}` (try `cargo xtask audit --list`)")
-            }
-            AuditError::Baseline(p, why) => {
-                write!(f, "malformed baseline {}: {why}", p.display())
             }
         }
     }
@@ -270,7 +264,7 @@ pub fn workspace_root() -> PathBuf {
 }
 
 // ---------------------------------------------------------------------
-// JSON output (SARIF-lite) and baselines
+// JSON output (SARIF-lite)
 // ---------------------------------------------------------------------
 
 /// Escape a string for embedding in JSON.
@@ -305,7 +299,7 @@ fn render_finding(v: &Violation) -> String {
 /// Render the audit result as a SARIF-lite JSON document: schema tag,
 /// rule inventory, and one finding object per violation (rule id, span,
 /// message, fix direction). One finding per line keeps the document
-/// greppable and the baseline loader trivial.
+/// greppable.
 #[must_use]
 pub fn render_json(violations: &[Violation]) -> String {
     let mut out = String::new();
@@ -322,68 +316,6 @@ pub fn render_json(violations: &[Violation]) -> String {
     }
     out.push_str("\n]}\n");
     out
-}
-
-/// A baseline: the set of `(rule, path, line)` triples to ignore.
-pub type Baseline = BTreeSet<(String, String, usize)>;
-
-/// Write `violations` as a baseline file (the JSON findings array).
-pub fn write_baseline(path: &Path, violations: &[Violation]) -> io::Result<()> {
-    fs::write(path, render_json(violations))
-}
-
-fn field_str<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!("\"{key}\":\"");
-    let start = obj.find(&tag)? + tag.len();
-    let end = obj[start..].find('"')? + start;
-    Some(&obj[start..end])
-}
-
-fn field_num(obj: &str, key: &str) -> Option<usize> {
-    let tag = format!("\"{key}\":");
-    let start = obj.find(&tag)? + tag.len();
-    let digits: String = obj[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
-
-/// Load a baseline previously written by [`write_baseline`] (or
-/// `--format json` output): one finding object per line.
-pub fn load_baseline(path: &Path) -> Result<Baseline, AuditError> {
-    let text = fs::read_to_string(path).map_err(|e| AuditError::Io(path.to_path_buf(), e))?;
-    let mut out = Baseline::new();
-    for line in text.lines() {
-        let line = line.trim().trim_end_matches(',');
-        if !line.starts_with('{') || !line.contains("\"rule\"") {
-            continue;
-        }
-        let (rule, p, l) = match (
-            field_str(line, "rule"),
-            field_str(line, "path"),
-            field_num(line, "line"),
-        ) {
-            (Some(r), Some(p), Some(l)) => (r.to_string(), p.to_string(), l),
-            _ => {
-                return Err(AuditError::Baseline(
-                    path.to_path_buf(),
-                    format!("cannot parse finding line: {line}"),
-                ))
-            }
-        };
-        out.insert((rule, p, l));
-    }
-    Ok(out)
-}
-
-/// Drop violations recorded in the baseline.
-#[must_use]
-pub fn apply_baseline(violations: Vec<Violation>, baseline: &Baseline) -> Vec<Violation> {
-    violations
-        .into_iter()
-        .filter(|v| !baseline.contains(&(v.rule.to_string(), v.path.clone(), v.line)))
-        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -548,19 +480,5 @@ mod tests {
         let empty = render_json(&[]);
         assert!(empty.contains("\"clean\":true"));
         assert!(empty.contains("\"findings\":[\n]"));
-    }
-
-    #[test]
-    fn baseline_roundtrip_filters_known_findings() {
-        let root = fixtures().join("unwrap-panic");
-        let v = run_audit(&root, None).expect("fixture readable");
-        assert!(!v.is_empty());
-        let tmp = std::env::temp_dir().join("rbcast_audit_baseline_test.json");
-        write_baseline(&tmp, &v).expect("baseline writable");
-        let base = load_baseline(&tmp).expect("baseline readable");
-        assert_eq!(base.len(), v.len());
-        let left = apply_baseline(v, &base);
-        assert!(left.is_empty(), "baselined findings must be filtered");
-        let _ = fs::remove_file(&tmp);
     }
 }

@@ -8,8 +8,6 @@
 //!     `unknown-allow` are selectable too)
 //!   * `--list` print the rule inventory
 //!   * `--format json` emit the SARIF-lite report on stdout
-//!   * `--baseline FILE` drop findings recorded in FILE
-//!   * `--write-baseline FILE` record current findings and exit 0
 //!   * `--self-test` check every rule fires on its fixture
 //!
 //! Exit codes: 0 clean, 1 findings (or self-test failure), 2 usage/IO
@@ -24,15 +22,12 @@ use std::process::ExitCode;
 use xtask::rules::{
     all_rules, Violation, STALE_ALLOW, STALE_ALLOW_FIX, UNKNOWN_ALLOW, UNKNOWN_ALLOW_FIX,
 };
-use xtask::{
-    apply_baseline, load_baseline, render_json, run_audit, self_test, workspace_root,
-    write_baseline,
-};
+use xtask::{render_json, run_audit, self_test, workspace_root};
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: cargo xtask audit [--root DIR] [--rule ID] [--list] \
-         [--format json] [--baseline FILE] [--write-baseline FILE] [--self-test]"
+         [--format json] [--self-test]"
     );
     ExitCode::from(2)
 }
@@ -100,8 +95,6 @@ fn audit(args: &[String]) -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut rule: Option<String> = None;
     let mut format_json = false;
-    let mut baseline: Option<PathBuf> = None;
-    let mut write_baseline_to: Option<PathBuf> = None;
     let mut list = false;
     let mut fixture_self_test = false;
 
@@ -121,14 +114,6 @@ fn audit(args: &[String]) -> ExitCode {
                 Some("text") => format_json = false,
                 _ => return usage(),
             },
-            "--baseline" => match it.next() {
-                Some(v) => baseline = Some(PathBuf::from(v)),
-                None => return usage(),
-            },
-            "--write-baseline" => match it.next() {
-                Some(v) => write_baseline_to = Some(PathBuf::from(v)),
-                None => return usage(),
-            },
             "--list" => list = true,
             "--self-test" => fixture_self_test = true,
             _ => return usage(),
@@ -144,36 +129,13 @@ fn audit(args: &[String]) -> ExitCode {
     }
 
     let root = root.unwrap_or_else(workspace_root);
-    let mut violations = match run_audit(&root, rule.as_deref()) {
+    let violations = match run_audit(&root, rule.as_deref()) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("audit error: {e}");
             return ExitCode::from(2);
         }
     };
-
-    if let Some(path) = write_baseline_to {
-        if let Err(e) = write_baseline(&path, &violations) {
-            eprintln!("audit error: cannot write baseline {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "audit: wrote baseline with {} finding(s) to {}",
-            violations.len(),
-            path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    if let Some(path) = baseline {
-        match load_baseline(&path) {
-            Ok(base) => violations = apply_baseline(violations, &base),
-            Err(e) => {
-                eprintln!("audit error: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
 
     if format_json {
         print!("{}", render_json(&violations));

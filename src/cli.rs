@@ -127,11 +127,11 @@ USAGE:
                [--behavior B] [--seed N] [--prob F in [0,1]] [--repeats N>=1]
                [--loss F in [0,1)] [--redundancy N>=1] [--spoofing] [--jam N]
                [--no-early-term] [--trace FILE] [--dense]
-  rbcast sweep --t-max N [--threads N] [--journal FILE] [--resume FILE]
-               [--retries N] [--round-budget N] [--trace-dir DIR]
-               [--timings] [run options]
+  rbcast sweep --t-max N>=t [--threads N>=1] [--journal FILE]
+               [--resume FILE] [--retries N>=1] [--round-budget N]
+               [--trace-dir DIR] [--timings] [run options]
   rbcast audit --placement PL [--r N>=1] [--t N] [--seed N] [--metric M]
-  rbcast attack [--seed N] [--steps N] [--threads N] [--r N>=1]...
+  rbcast attack [--seed N] [--steps N] [--threads N>=1] [--r N>=1]...
                [--protocol P] [--behavior B] [--metric M] [--gate]
                [--journal FILE | --resume FILE] [--checkpoint-every N]
                [--out DIR] [--timings]
@@ -245,6 +245,9 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         "sweep" => {
             let (spec, t_max, opts) = parse_run(rest)?;
             let t_max = t_max.ok_or("sweep requires --t-max")?;
+            if let Some(t) = spec.t.filter(|&t| t_max < t) {
+                return Err(format!("--t-max must be at least --t ({t}): {t_max}"));
+            }
             if spec.trace.is_some() {
                 return Err("sweep traces per task: use --trace-dir DIR, not --trace".to_string());
             }
@@ -412,10 +415,10 @@ fn parse_run(args: &[String]) -> Result<(RunSpec, Option<usize>, SweepOpts), Str
             "--protocol" => protocol = f.protocol()?,
             "--t" => t = Some(f.value()?),
             "--t-max" => t_max = Some(f.value()?),
-            "--threads" => opts.threads = Some(f.value()?),
+            "--threads" => opts.threads = Some(f.at_least(1)?),
             "--journal" => opts.journal = Some(f.path()?),
             "--resume" => opts.resume = Some(f.path()?),
-            "--retries" => opts.retries = Some(f.value()?),
+            "--retries" => opts.retries = Some(f.at_least(1)?),
             "--round-budget" => opts.round_budget = Some(f.value()?),
             "--trace" => trace = Some(f.path()?),
             "--trace-dir" => opts.trace_dir = Some(f.path()?),
@@ -991,6 +994,19 @@ mod tests {
             ("sweep --t-max 2 --t x", "--t"),
             ("sweep --t-max", "--t-max"),
             ("sweep --t-max 2 --bogus", "--bogus"),
+            (
+                "sweep --protocol flood --r 1 --t 5 --t-max 2",
+                "--t-max must be at least --t (5): 2",
+            ),
+            (
+                "sweep --t-max 2 --threads 0",
+                "--threads must be at least 1",
+            ),
+            (
+                "sweep --t-max 2 --retries 0",
+                "--retries must be at least 1",
+            ),
+            ("attack --threads 0", "--threads must be at least 1"),
             ("audit --placement cluster --t x", "--t"),
             ("audit --placement", "--placement"),
             ("audit --placement cluster --bogus", "--bogus"),

@@ -37,7 +37,7 @@ pub fn parse_attack(args: &[String]) -> Result<AttackSpec, String> {
         match flag {
             "--seed" => config.seed = f.value()?,
             "--steps" => config.steps = f.value()?,
-            "--threads" => config.threads = f.value()?,
+            "--threads" => config.threads = f.at_least(1)?,
             "--checkpoint-every" => config.checkpoint_every = f.value()?,
             "--r" => rs.push(f.radius()?),
             "--journal" => config.journal = Some(f.path()?),

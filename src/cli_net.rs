@@ -14,12 +14,14 @@ use crate::cli::Flags;
 use rbcast_core::ProtocolKind;
 use rbcast_grid::plumbing::json_field_u64;
 use rbcast_grid::Metric;
+use rbcast_net::cluster::summarize;
+use rbcast_net::link::LinkStats;
+use rbcast_net::runtime::RuntimeStats;
 use rbcast_net::{
     ChaosConfig, ClusterReport, ClusterSpec, Datagram, FileJournal, LoopbackCluster, MemJournal,
     NetJournal, NodeReport, NodeRuntime, RuntimeConfig, UdpTransport,
 };
 use rbcast_sim::driver::InstanceId;
-use rbcast_sim::Round;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -208,66 +210,91 @@ pub fn parse_cluster(args: &[String]) -> Result<(NetSpec, ClusterOpts), String> 
 // journal's — the parent parses exactly what the child writes)
 // ---------------------------------------------------------------------
 
+/// Every counter of a report under the name its line carries it by —
+/// one table, so the writer and the reader cannot disagree on a name.
+fn counters(report: &mut NodeReport) -> [(&'static str, &mut u64); 13] {
+    let (stats, link) = (&mut report.stats, &mut report.link_totals);
+    [
+        ("wire_errors", &mut stats.wire_errors),
+        ("unknown_src", &mut stats.unknown_src),
+        ("frames_ingested", &mut stats.frames_ingested),
+        ("stale_frames", &mut stats.stale_frames),
+        ("unknown_instance", &mut stats.unknown_instance),
+        ("forced_rounds", &mut stats.forced_rounds),
+        ("journal_records", &mut stats.journal_records),
+        ("sent", &mut link.sent),
+        ("retransmits", &mut link.retransmits),
+        ("dup_rx", &mut link.dup_rx),
+        ("stale_rx", &mut link.stale_rx),
+        ("acks_rx", &mut link.acks_rx),
+        ("window_drops", &mut link.window_drops),
+    ]
+}
+
+/// One node's whole report as one line.
 fn encode_report(report: &NodeReport) -> String {
-    let mut decisions = String::new();
-    for (i, (inst, value, round)) in report.decisions.iter().enumerate() {
-        if i > 0 {
-            decisions.push(',');
-        }
-        decisions.push_str(&format!(
-            "{{\"o\":{},\"s\":{},\"v\":{},\"r\":{}}}",
-            inst.origin.0,
-            inst.seq,
-            u8::from(*value),
-            round
-        ));
-    }
-    let suspects = report
-        .suspects
-        .iter()
-        .map(ToString::to_string)
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        "{{\"node\":{},\"epoch\":{},\"rounds\":{},\"healthy\":{},\"suspects\":[{}],\"retransmits\":{},\"decisions\":[{}]}}",
+    let suspects: Vec<String> = report.suspects.iter().map(ToString::to_string).collect();
+    let mut line = format!(
+        "{{\"node\":{},\"epoch\":{},\"rounds\":{},\"suspects\":[{}]",
         report.node.0,
         report.epoch,
         report.rounds_closed,
-        report.healthy(),
-        suspects,
-        report.link_totals.retransmits,
-        decisions
-    )
+        suspects.join(","),
+    );
+    for (name, count) in counters(&mut report.clone()) {
+        line.push_str(&format!(",\"{name}\":{count}"));
+    }
+    let decisions: Vec<String> = report
+        .decisions
+        .iter()
+        .map(|(inst, value, round)| {
+            format!(
+                "{{\"o\":{},\"s\":{},\"v\":{},\"r\":{round}}}",
+                inst.origin.0,
+                inst.seq,
+                u8::from(*value),
+            )
+        })
+        .collect();
+    line.push_str(&format!(",\"decisions\":[{}]}}", decisions.join(",")));
+    line
 }
 
-/// Decisions parsed out of one child report line, as oracle tuples.
-fn decode_report_decisions(
-    line: &str,
-) -> Option<Vec<(InstanceId, rbcast_grid::NodeId, bool, Round)>> {
-    let node = rbcast_grid::NodeId(u32::try_from(json_field_u64(line, "node")?).ok()?);
-    let start = line.find("\"decisions\":[")? + "\"decisions\":[".len();
-    let end = line[start..].find(']')? + start;
-    let body = &line[start..end];
-    let mut out = Vec::new();
-    if body.is_empty() {
-        return Some(out);
+/// The report a child wrote with [`encode_report`]; `None` for anything
+/// else.
+fn decode_report(line: &str) -> Option<NodeReport> {
+    let u32_of = |text: &str, key: &str| u32::try_from(json_field_u64(text, key)?).ok();
+    // The inside of `"key":[…]`, split at `sep`; an empty list has no items.
+    let items = |key: &str, sep: &'static str| {
+        let tag = format!("\"{key}\":[");
+        let start = line.find(&tag)? + tag.len();
+        let body = &line[start..start + line[start..].find(']')?];
+        Some(body.split(sep).filter(|item| !item.is_empty()))
+    };
+    let mut report = NodeReport {
+        node: rbcast_grid::NodeId(u32_of(line, "node")?),
+        epoch: u32_of(line, "epoch")?,
+        rounds_closed: u32_of(line, "rounds")?,
+        decisions: Vec::new(),
+        suspects: Vec::new(),
+        stats: RuntimeStats::default(),
+        link_totals: LinkStats::default(),
+    };
+    for (name, count) in counters(&mut report) {
+        *count = json_field_u64(line, name)?;
     }
-    for entry in body.split("},{") {
-        let origin = u32::try_from(json_field_u64(entry, "o")?).ok()?;
-        let seq = u32::try_from(json_field_u64(entry, "s")?).ok()?;
+    for suspect in items("suspects", ",")? {
+        report.suspects.push(suspect.parse().ok()?);
+    }
+    for entry in items("decisions", "},{")? {
+        let inst = InstanceId {
+            origin: rbcast_grid::NodeId(u32_of(entry, "o")?),
+            seq: u32_of(entry, "s")?,
+        };
         let value = json_field_u64(entry, "v")? == 1;
-        let round = u32::try_from(json_field_u64(entry, "r")?).ok()?;
-        out.push((
-            InstanceId {
-                origin: rbcast_grid::NodeId(origin),
-                seq,
-            },
-            node,
-            value,
-            round,
-        ));
+        report.decisions.push((inst, value, u32_of(entry, "r")?));
     }
-    Some(out)
+    Some(report)
 }
 
 // ---------------------------------------------------------------------
@@ -376,16 +403,19 @@ pub fn execute_cluster(spec: &NetSpec, opts: &ClusterOpts) -> i32 {
         run_loopback_cluster(spec, opts)
     };
     let elapsed_ms = watch.elapsed_ms();
-    let (decisions, degraded, net) = match outcome {
-        Ok(v) => v,
+    let report = match outcome {
+        Ok(report) => report,
         Err(msg) => {
             eprintln!("error: {msg}");
             return 2;
         }
     };
-    let digest = rbcast_sim::driver::commit_digest(&decisions);
+    for (node, why) in &report.quarantined {
+        eprintln!("quarantined node {node}: {why}");
+    }
+    let degraded = report.nodes.iter().any(|nr| !nr.healthy()) || !report.quarantined.is_empty();
+    let (digest, rate) = (report.digest, report.commit_rate);
     let pairs = (n as u64) * u64::from(cluster.instances);
-    let rate = decisions.len() as f64 / pairs as f64;
     let oracle_rate = oracle.decisions.len() as f64 / pairs as f64;
     let secs = elapsed_ms / 1_000.0;
     let bps = if secs > 0.0 {
@@ -413,10 +443,17 @@ pub fn execute_cluster(spec: &NetSpec, opts: &ClusterOpts) -> i32 {
     );
     println!(
         "throughput: {bps:.1} broadcasts/sec ({} commits in {elapsed_ms:.0} ms){}",
-        decisions.len(),
+        report.decisions.len(),
         if degraded { " | DEGRADED" } else { "" },
     );
-    println!("net: {net}");
+    // No process of a UDP cluster knows a shared tick: left out, not
+    // zeroed.
+    let ticks = if opts.udp {
+        String::new()
+    } else {
+        format!("{} ticks | ", report.ticks)
+    };
+    println!("net: {ticks}{}", net_counts(&report));
     if digest == oracle.digest {
         println!("parity: MATCH");
         0
@@ -426,23 +463,17 @@ pub fn execute_cluster(spec: &NetSpec, opts: &ClusterOpts) -> i32 {
     }
 }
 
-type ClusterDecisions = Vec<(InstanceId, rbcast_grid::NodeId, bool, Round)>;
-
-/// Decisions, whether any node degraded, and what follows `net: ` in
-/// the summary: what the links and runtimes did, in exact counts summed
-/// over nodes — no wall-clock value, so the line repeats byte for byte.
-type ClusterOutcome = (ClusterDecisions, bool, String);
-
-/// The loopback cluster's `net:` line, from the report every node
-/// already keeps.
+/// What follows `net: ` in the summary (after the loopback cluster's
+/// tick count): what the links and runtimes did, in exact counts summed
+/// over the nodes' reports — no wall-clock value, so over loopback the
+/// line repeats byte for byte.
 fn net_counts(report: &ClusterReport) -> String {
     let sum = |of: fn(&NodeReport) -> u64| report.nodes.iter().map(of).sum::<u64>();
     let records = sum(|n| n.stats.journal_records);
     format!(
-        "{} ticks | {} frames sent, {} retransmitted | rx {} duplicate, {} stale-epoch, \
+        "{} frames sent, {} retransmitted | rx {} duplicate, {} stale-epoch, \
          {} acks, {} window drops | {} stale frames, {} forced rounds, {} wire errors | \
          journal {records} records ({:.2}/commit)",
-        report.ticks,
         sum(|n| n.link_totals.sent),
         sum(|n| n.link_totals.retransmits),
         sum(|n| n.link_totals.dup_rx),
@@ -456,7 +487,7 @@ fn net_counts(report: &ClusterReport) -> String {
     )
 }
 
-fn run_loopback_cluster(spec: &NetSpec, opts: &ClusterOpts) -> Result<ClusterOutcome, String> {
+fn run_loopback_cluster(spec: &NetSpec, opts: &ClusterOpts) -> Result<ClusterReport, String> {
     let mut cluster = LoopbackCluster::new(spec.cluster, spec.runtime_config(), spec.chaos());
     if let Some(victim) = opts.kill {
         for _ in 0..20 {
@@ -475,16 +506,10 @@ fn run_loopback_cluster(spec: &NetSpec, opts: &ClusterOpts) -> Result<ClusterOut
     if !cluster.run(spec.max_ticks) {
         return Err("loopback cluster did not finish within --max-ticks".into());
     }
-    let report = cluster.report();
-    for (node, why) in &report.quarantined {
-        eprintln!("quarantined node {node}: {why}");
-    }
-    let degraded = report.nodes.iter().any(|nr| !nr.healthy()) || !report.quarantined.is_empty();
-    let net = net_counts(&report);
-    Ok((report.decisions, degraded, net))
+    Ok(cluster.report())
 }
 
-fn run_udp_cluster(spec: &NetSpec, opts: &ClusterOpts, n: usize) -> Result<ClusterOutcome, String> {
+fn run_udp_cluster(spec: &NetSpec, opts: &ClusterOpts, n: usize) -> Result<ClusterReport, String> {
     let dir = match &opts.dir {
         Some(d) => d.clone(),
         None => std::env::temp_dir().join(format!("rbcast-cluster-{}", std::process::id())),
@@ -544,26 +569,18 @@ fn run_udp_cluster(spec: &NetSpec, opts: &ClusterOpts, n: usize) -> Result<Clust
         return Err(format!("{failures} node(s) failed"));
     }
 
-    let mut decisions = Vec::new();
-    let mut degraded = false;
-    let mut retransmits = 0;
+    let mut nodes = Vec::with_capacity(n);
     for node in 0..n as u32 {
         let path = dir.join(format!("node{node}.out.json"));
         let line = std::fs::read_to_string(&path)
             .map_err(|e| format!("reading {}: {e}", path.display()))?;
         let line = line.trim();
-        decisions.extend(
-            decode_report_decisions(line)
+        nodes.push(
+            decode_report(line)
                 .ok_or_else(|| format!("unparseable report from node {node}: {line}"))?,
         );
-        if line.contains("\"healthy\":false") {
-            degraded = true;
-        }
-        retransmits += json_field_u64(line, "retransmits").unwrap_or(0);
     }
-    // All a child's report carries of its links; a count no process
-    // knows (there is no shared tick over UDP) is left out, not zeroed.
-    Ok((decisions, degraded, format!("{retransmits} retransmitted")))
+    Ok(summarize(&spec.cluster, nodes, 0, Vec::new()))
 }
 
 fn push_shared_flags(cmd: &mut std::process::Command, spec: &NetSpec) {
@@ -598,8 +615,6 @@ fn push_shared_flags(cmd: &mut std::process::Command, spec: &NetSpec) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rbcast_net::link::LinkStats;
-    use rbcast_net::runtime::RuntimeStats;
     use std::path::Path;
 
     fn argv(s: &str) -> Vec<String> {
@@ -644,39 +659,51 @@ mod tests {
 
     #[test]
     fn report_lines_round_trip() {
+        let inst = |origin, seq| InstanceId {
+            origin: rbcast_grid::NodeId(origin),
+            seq,
+        };
+        // No `..Default::default()`: a counter added to either struct
+        // must be given a value here, and so a name in `counters`.
         let report = NodeReport {
             node: rbcast_grid::NodeId(3),
             epoch: 2,
             rounds_closed: 17,
-            decisions: vec![
-                (
-                    InstanceId {
-                        origin: rbcast_grid::NodeId(0),
-                        seq: 0,
-                    },
-                    true,
-                    4,
-                ),
-                (
-                    InstanceId {
-                        origin: rbcast_grid::NodeId(1),
-                        seq: 1,
-                    },
-                    false,
-                    5,
-                ),
-            ],
-            suspects: vec![7],
-            stats: RuntimeStats::default(),
-            link_totals: LinkStats::default(),
+            decisions: vec![(inst(0, 0), true, 4), (inst(1, 1), false, 5)],
+            suspects: vec![7, 11],
+            stats: RuntimeStats {
+                wire_errors: 1,
+                unknown_src: 2,
+                frames_ingested: 3,
+                stale_frames: 4,
+                unknown_instance: 5,
+                forced_rounds: 6,
+                journal_records: 7,
+            },
+            link_totals: LinkStats {
+                sent: 8,
+                retransmits: 9,
+                dup_rx: 10,
+                stale_rx: 11,
+                acks_rx: 12,
+                window_drops: 13,
+            },
         };
-        let line = encode_report(&report);
-        let parsed = decode_report_decisions(&line).expect("parses");
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].1, rbcast_grid::NodeId(3));
-        assert!(parsed[0].2, "first decision carries value true");
-        assert_eq!(parsed[1].3, 5);
-        assert!(line.contains("\"healthy\":false"), "suspects mean degraded");
+        assert_eq!(decode_report(&encode_report(&report)), Some(report.clone()));
+        assert!(!report.healthy(), "suspects mean degraded");
+
+        let quiet = NodeReport {
+            decisions: Vec::new(),
+            suspects: Vec::new(),
+            ..report
+        };
+        let line = encode_report(&quiet);
+        assert_eq!(decode_report(&line), Some(quiet));
+        // The decisions close the line: cut anywhere before that, it is
+        // refused, not half-read.
+        for cut in 0..line.len() - 1 {
+            assert_eq!(decode_report(&line[..cut]), None, "{}", &line[..cut]);
+        }
     }
 
     #[test]
@@ -684,8 +711,11 @@ mod tests {
         let (mut spec, opts) =
             parse_cluster(&argv("--transport loopback --kill 4")).expect("parses");
         spec.chaos_seed = Some(7);
-        let (_, _, first) = run_loopback_cluster(&spec, &opts).expect("finishes");
-        let (_, _, again) = run_loopback_cluster(&spec, &opts).expect("finishes");
+        let line = || {
+            let report = run_loopback_cluster(&spec, &opts).expect("finishes");
+            format!("{} ticks | {}", report.ticks, net_counts(&report))
+        };
+        let (first, again) = (line(), line());
         assert_eq!(first, again);
         assert!(first.contains(" retransmitted | rx "), "{first}");
         assert!(
