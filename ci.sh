@@ -81,6 +81,7 @@ echo "==> chaos smoke (injected panics/stalls quarantined, journal well-formed)"
 # quarantined, never fatal — and the checkpoint journal must hold one
 # well-formed line per task, including the failed ones.
 rm -rf results/journal
+journal_header='^\{"fingerprint":"0x[0-9a-f]{16}","tasks":[0-9]+\}$'
 chaos_out=target/chaos_smoke.out
 RBCAST_CHAOS="panic:0.05,stall:0.02,seed=4" RBCAST_RETRIES=1 \
     cargo run -q -p rbcast-bench -- thresh_byz --smoke > "$chaos_out" 2>&1 \
@@ -92,10 +93,13 @@ test -s "$journal" \
     || { echo "chaos smoke: missing checkpoint journal $journal"; exit 1; }
 grep -q '"status":"failed"' "$journal" \
     || { cat "$journal"; echo "chaos smoke: no failed entry journalled"; exit 1; }
-# Every line is a task entry, except an optional leading sweep-spec
-# fingerprint header (written by `rbcast sweep`, checked on --resume).
-if grep -v '^{"task":[0-9][0-9]*,"status":"\(ok\|failed\)","attempts":[0-9][0-9]*,' "$journal" \
-    | grep -v '^{"fingerprint":"0x[0-9a-f]*","tasks":[0-9][0-9]*}$' | grep .; then
+# The first line is the sweep-spec fingerprint header every journal
+# opens with (Journal::open, checked on --resume); every other line is
+# a task entry.
+head -n 1 "$journal" | grep -Eq "$journal_header" \
+    || { head -n 1 "$journal"; echo "chaos smoke: journal does not open with its fingerprint header"; exit 1; }
+if tail -n +2 "$journal" \
+    | grep -v '^{"task":[0-9][0-9]*,"status":"\(ok\|failed\)","attempts":[0-9][0-9]*,' | grep .; then
     echo "chaos smoke: malformed journal line(s) above"; exit 1
 fi
 rm -rf results/journal
@@ -117,7 +121,12 @@ echo "==> bad-invocation gate (out-of-range input is one error: line and exit 2,
 # silently different experiment.
 bad_err=target/bad_invocation.err
 bad_ids=target/bad_invocation_ids.txt
+bad_headerless=target/bad_invocation_headerless.jsonl
 printf '3\n9999\n' > "$bad_ids"
+printf '%s\n' '{"task":0,"status":"ok","attempts":1,"correct":1,"wrong":0,"undecided":0,"messages":1}' \
+    > "$bad_headerless"
+cp "$bad_headerless" "$bad_headerless.orig"
+rm -f target/no-such.jsonl
 while read -r line; do
     status=0
     # shellcheck disable=SC2086 # splitting the line into arguments is the point
@@ -140,6 +149,10 @@ sweep --t-max 2 --threads 0
 sweep --t-max 2 --retries 0
 attack --threads 0
 attack --r 0
+sweep --t-max 2 --journal a --resume b
+attack --journal a --resume b
+attack --resume target/no-such.jsonl
+sweep --protocol flood --r 1 --t-max 0 --resume $bad_headerless
 cluster --width 0 --height 3
 cluster --instances 0
 cluster --transport loopback --kill 99
@@ -147,7 +160,11 @@ cluster --protocol indirect
 run --r 1000000
 cluster --width 100000 --height 100000
 BAD
-rm -f "$bad_err" "$bad_ids"
+# A refused resume leaves the journal as it was and creates nothing.
+cmp -s "$bad_headerless" "$bad_headerless.orig" && test ! -e target/no-such.jsonl \
+    && test ! -e a && test ! -e b \
+    || { echo "bad-invocation gate: a refused resume touched a journal"; exit 1; }
+rm -f "$bad_err" "$bad_ids" "$bad_headerless" "$bad_headerless.orig"
 echo "bad-invocation gate passed"
 
 echo "==> cluster chaos smoke (3x3 UDP processes, burst loss, kill+restart)"
@@ -232,6 +249,8 @@ resume_gate() {
     cargo run -q --release --bin rbcast -- "$@" --journal "$journal" \
         > "target/${name}_full.out" 2>&1
     test -s "$journal" || { echo "$name gate: no checkpoint journal written"; exit 1; }
+    head -n 1 "$journal" | grep -Eq "$journal_header" \
+        || { head -n 1 "$journal"; echo "$name gate: journal does not open with its fingerprint header"; exit 1; }
     mv "$journal" "$journal.full"
     mid=$(( $(head -n 2 "$journal.full" | wc -c) + $(sed -n 3p "$journal.full" | wc -c) / 2 ))
     for cut in "head -n 3" "head -c $mid"; do

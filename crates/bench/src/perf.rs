@@ -10,7 +10,9 @@
 //! must not depend on the host. End-to-end and per-layer performance is
 //! measured from outside, by `benchmark/`.
 
-use rbcast_core::supervisor::{self, SupervisorConfig, SweepReport, TaskReport};
+use rbcast_core::supervisor::{
+    self, Checkpoint, Journal, JournalHeader, SupervisorConfig, SweepReport, TaskReport,
+};
 use rbcast_core::{engine, Experiment, Outcome};
 use rbcast_grid::plumbing::json_escape;
 use std::fmt::Write as _;
@@ -75,19 +77,20 @@ pub fn journal_path(label: &str) -> PathBuf {
 /// for every thread count — so callers print rows exactly as a serial
 /// loop would; failed tasks are quarantined (reported on stdout, since
 /// they change verdicts, and journalled) instead of killing the run.
-/// Each sweep checkpoints to [`journal_path`]`(label)` as tasks complete
-/// (best effort: an unwritable path warns and continues), and a one-line
-/// timing summary goes to stderr.
+/// Each sweep checkpoints to a fresh [`journal_path`]`(label)` under its
+/// fingerprint header as tasks complete (best effort: an unwritable path
+/// warns and continues), and a one-line timing summary goes to stderr.
 #[must_use]
 pub fn run_sweep(label: &str, experiments: &[Experiment]) -> SweepRows {
     let threads = engine::thread_count(None);
     let mut config = env_config();
-    match supervisor::Journal::create(&journal_path(label)) {
-        Ok(journal) => config.journal = Some(journal),
-        Err(e) => eprintln!(
-            "warning: cannot open journal {}: {e}",
-            journal_path(label).display()
-        ),
+    let header = JournalHeader {
+        fingerprint: supervisor::sweep_fingerprint(experiments),
+        tasks: experiments.len(),
+    };
+    match Journal::open(&Checkpoint::Fresh(journal_path(label)), header) {
+        Ok((journal, _)) => config.journal = Some(journal),
+        Err(e) => eprintln!("warning: {e}"),
     }
     let t0 = rbcast_core::obs::Stopwatch::start();
     let report = supervisor::run_experiments_supervised(experiments, threads, &config);

@@ -22,12 +22,13 @@
 //! strictly beat it on at least one cell.
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 use crate::experiment::{Experiment, FaultKind, Outcome, ProtocolKind};
-use crate::jsonl::{parse_flat_json, read_lines, JsonValue, JsonlFile};
-use crate::supervisor::{supervise, Supervised, SupervisorConfig, TaskError};
+use crate::jsonl::{parse_flat_json, JsonValue};
+use crate::supervisor::{
+    parse_rows, supervise, Checkpoint, CheckpointError, Journal, JournalHeader, Supervised,
+    SupervisorConfig, TaskError,
+};
 use rbcast_adversary::{
     anneal, initial_state, local_fault_bound, mix, AnnealState, AttackScore, Placement,
     SearchConfig,
@@ -55,10 +56,8 @@ pub struct AttackConfig {
     /// Checkpoint the annealing state every this many steps (0 = final
     /// checkpoint only).
     pub checkpoint_every: u32,
-    /// Checkpoint journal path.
-    pub journal: Option<PathBuf>,
-    /// Resume from the journal instead of truncating it.
-    pub resume: bool,
+    /// Checkpoint journal to start or resume (`--journal` / `--resume`).
+    pub checkpoint: Option<Checkpoint>,
 }
 
 impl AttackConfig {
@@ -75,8 +74,7 @@ impl AttackConfig {
             fault_kind: FaultKind::Liar,
             metric: Metric::Linf,
             checkpoint_every: 20,
-            journal: None,
-            resume: false,
+            checkpoint: None,
         }
     }
 }
@@ -142,17 +140,8 @@ impl AttackReport {
 /// Why an attack run could not complete.
 #[derive(Debug)]
 pub enum AttackError {
-    /// Journal I/O failed.
-    Io(std::io::Error),
-    /// A resume journal belongs to a differently-configured search.
-    JournalMismatch {
-        /// Fingerprint of the requested configuration.
-        expected: u64,
-        /// Fingerprint stored in the journal.
-        found: u64,
-    },
-    /// A journal line failed to parse.
-    Journal(String),
+    /// The checkpoint journal was refused or could not be opened.
+    Checkpoint(CheckpointError),
     /// A cell search failed terminally under supervision.
     Search(String),
 }
@@ -160,14 +149,7 @@ pub enum AttackError {
 impl std::fmt::Display for AttackError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            AttackError::Io(e) => write!(f, "journal I/O: {e}"),
-            AttackError::JournalMismatch { expected, found } => write!(
-                f,
-                "journal belongs to a different search \
-                 (fingerprint {found:#018x}, expected {expected:#018x}); \
-                 delete it or drop --resume"
-            ),
-            AttackError::Journal(e) => write!(f, "journal: {e}"),
+            AttackError::Checkpoint(e) => e.fmt(f),
             AttackError::Search(e) => write!(f, "search failed: {e}"),
         }
     }
@@ -175,9 +157,9 @@ impl std::fmt::Display for AttackError {
 
 impl std::error::Error for AttackError {}
 
-impl From<std::io::Error> for AttackError {
-    fn from(e: std::io::Error) -> Self {
-        AttackError::Io(e)
+impl From<CheckpointError> for AttackError {
+    fn from(e: CheckpointError) -> Self {
+        AttackError::Checkpoint(e)
     }
 }
 
@@ -223,13 +205,6 @@ struct CellCheckpoint {
     done: bool,
 }
 
-/// Append-only JSONL journal of annealing checkpoints, one line per
-/// checkpoint, last-entry-per-cell wins (same discipline as the sweep
-/// journal in [`crate::supervisor`], same [`JsonlFile`] underneath).
-struct AttackJournal {
-    file: Mutex<JsonlFile>,
-}
-
 fn ids_to_field(ids: &[NodeId]) -> String {
     let mut out = String::new();
     for (i, id) in ids.iter().enumerate() {
@@ -271,93 +246,49 @@ fn score_from_field(s: &str) -> Result<AttackScore, String> {
     })
 }
 
-impl AttackJournal {
-    fn create(path: &Path, fingerprint: u64, cells: usize) -> std::io::Result<AttackJournal> {
-        AttackJournal::over(JsonlFile::create(path)?, fingerprint, cells)
-    }
-
-    fn append_to(path: &Path, fingerprint: u64, cells: usize) -> std::io::Result<AttackJournal> {
-        AttackJournal::over(JsonlFile::open_append(path)?, fingerprint, cells)
-    }
-
-    /// Wraps `file`, writing the fingerprint header first when the file
-    /// is empty: freshly created, or a resumed journal cut inside its
-    /// header line.
-    fn over(mut file: JsonlFile, fingerprint: u64, cells: usize) -> std::io::Result<AttackJournal> {
-        if file.is_empty() {
-            file.append(format!(
-                "{{\"fingerprint\":\"{fingerprint:016x}\",\"cells\":{cells}}}"
-            ))?;
-        }
-        Ok(AttackJournal {
-            file: Mutex::new(file),
-        })
-    }
-
-    fn record(&self, cell: usize, state: &AnnealState, done: bool) -> std::io::Result<()> {
-        let line = format!(
-            "{{\"cell\":{cell},\"step\":{step},\"evaluations\":{evals},\
-             \"accepted\":{acc},\"current_score\":\"{cs}\",\"best_score\":\"{bs}\",\
-             \"current\":\"{cur}\",\"best\":\"{best}\",\"done\":{done}}}",
-            step = state.step,
-            evals = state.evaluations,
-            acc = state.accepted,
-            cs = score_to_field(state.current_score),
-            bs = score_to_field(state.best_score),
-            cur = ids_to_field(&state.current),
-            best = ids_to_field(&state.best),
-            done = u8::from(done),
-        );
-        self.file
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .append(line)
-    }
+/// One cell's annealing checkpoint as a journal task line (the journal
+/// is a [`Journal`] under the attack's [`attack_fingerprint`] header;
+/// last line per task wins).
+pub(crate) fn checkpoint_line(task: usize, state: &AnnealState, done: bool) -> String {
+    format!(
+        "{{\"task\":{task},\"step\":{step},\"evaluations\":{evals},\
+         \"accepted\":{acc},\"current_score\":\"{cs}\",\"best_score\":\"{bs}\",\
+         \"current\":\"{cur}\",\"best\":\"{best}\",\"done\":{done}}}",
+        step = state.step,
+        evals = state.evaluations,
+        acc = state.accepted,
+        cs = score_to_field(state.current_score),
+        bs = score_to_field(state.best_score),
+        cur = ids_to_field(&state.current),
+        best = ids_to_field(&state.best),
+        done = u8::from(done),
+    )
 }
 
-/// Reads the fingerprint header and last checkpoint per cell from a
-/// journal file.
-fn load_attack_journal(
-    path: &Path,
-) -> Result<(Option<u64>, BTreeMap<usize, CellCheckpoint>), AttackError> {
-    let mut fingerprint = None;
-    let mut entries = BTreeMap::new();
-    for (n, line) in read_lines(path)?.iter() {
-        let fields =
-            parse_flat_json(line).map_err(|e| AttackError::Journal(format!("line {n}: {e}")))?;
-        let err = |msg: &str| AttackError::Journal(format!("line {n}: {msg}"));
-        if let Some(JsonValue::String(fp)) = fields.get("fingerprint") {
-            if n == 1 {
-                fingerprint = Some(
-                    u64::from_str_radix(fp, 16)
-                        .map_err(|e| err(&format!("bad fingerprint: {e}")))?,
-                );
-                continue;
-            }
-            return Err(err("header line after entries"));
-        }
+impl CellCheckpoint {
+    /// Parses a [`checkpoint_line`].
+    fn from_line(line: &str) -> Result<CellCheckpoint, String> {
+        let fields = parse_flat_json(line)?;
         let num = |key: &str| match fields.get(key) {
             Some(JsonValue::Number(v)) => Ok(*v),
-            _ => Err(err(&format!("missing numeric field {key:?}"))),
+            _ => Err(format!("missing numeric field {key:?}")),
         };
         let text = |key: &str| match fields.get(key) {
             Some(JsonValue::String(v)) => Ok(v.as_str()),
-            _ => Err(err(&format!("missing string field {key:?}"))),
+            _ => Err(format!("missing string field {key:?}")),
         };
-        let cell = usize::try_from(num("cell")?).map_err(|e| err(&e.to_string()))?;
         let state = AnnealState {
-            step: u32::try_from(num("step")?).map_err(|e| err(&e.to_string()))?,
-            current: ids_from_field(text("current")?).map_err(|e| err(&e))?,
-            current_score: score_from_field(text("current_score")?).map_err(|e| err(&e))?,
-            best: ids_from_field(text("best")?).map_err(|e| err(&e))?,
-            best_score: score_from_field(text("best_score")?).map_err(|e| err(&e))?,
+            step: u32::try_from(num("step")?).map_err(|e| e.to_string())?,
+            current: ids_from_field(text("current")?)?,
+            current_score: score_from_field(text("current_score")?)?,
+            best: ids_from_field(text("best")?)?,
+            best_score: score_from_field(text("best_score")?)?,
             evaluations: num("evaluations")?,
             accepted: num("accepted")?,
         };
         let done = num("done")? == 1;
-        entries.insert(cell, CellCheckpoint { state, done });
+        Ok(CellCheckpoint { state, done })
     }
-    Ok((fingerprint, entries))
 }
 
 // ---------------------------------------------------------------------
@@ -402,7 +333,7 @@ fn run_cell(
     index: usize,
     cell: AttackCell,
     prior: Option<&CellCheckpoint>,
-    journal: Option<&AttackJournal>,
+    journal: Option<&Journal>,
 ) -> Result<CellResult, TaskError> {
     use std::sync::OnceLock;
     static COUNTERS: OnceLock<[crate::obs::Counter; 2]> = OnceLock::new();
@@ -496,7 +427,8 @@ fn run_cell(
                 cfg.checkpoint_every,
                 &mut |s| {
                     if let (Some(j), None) = (journal, journal_failure.as_ref()) {
-                        if let Err(e) = j.record(index, s, s.step >= search_cfg.steps) {
+                        let line = checkpoint_line(index, s, s.step >= search_cfg.steps);
+                        if let Err(e) = j.append_line(line) {
                             journal_failure = Some(e);
                         }
                     }
@@ -529,29 +461,22 @@ fn run_cell(
 ///
 /// # Errors
 ///
-/// On journal I/O or parse failures, a resume-fingerprint mismatch, or
-/// a cell search failing terminally after its retry budget.
+/// When [`Journal::open`] refuses the checkpoint journal, a journalled
+/// checkpoint does not parse, or a cell search fails terminally after
+/// its retry budget.
 pub fn run_attack(cfg: &AttackConfig) -> Result<AttackReport, AttackError> {
     let cells = attack_cells(cfg);
-    let fingerprint = attack_fingerprint(cfg, &cells);
-
-    let mut prior: BTreeMap<usize, CellCheckpoint> = BTreeMap::new();
-    let journal = match (&cfg.journal, cfg.resume) {
-        (Some(path), true) if path.exists() => {
-            let (stored, entries) = load_attack_journal(path)?;
-            if let Some(found) = stored {
-                if found != fingerprint {
-                    return Err(AttackError::JournalMismatch {
-                        expected: fingerprint,
-                        found,
-                    });
-                }
-            }
-            prior = entries;
-            Some(AttackJournal::append_to(path, fingerprint, cells.len())?)
+    let header = JournalHeader {
+        fingerprint: attack_fingerprint(cfg, &cells),
+        tasks: cells.len(),
+    };
+    let (journal, prior) = match &cfg.checkpoint {
+        Some(checkpoint) => {
+            let (journal, rows) = Journal::open(checkpoint, header)?;
+            let prior = parse_rows(checkpoint, rows, CellCheckpoint::from_line)?;
+            (Some(journal), prior)
         }
-        (Some(path), _) => Some(AttackJournal::create(path, fingerprint, cells.len())?),
-        (None, _) => None,
+        None => (None, BTreeMap::new()),
     };
     let journal = journal.as_ref();
 
@@ -613,7 +538,7 @@ mod tests {
         let mut same = cfg.clone();
         same.threads = 8;
         same.checkpoint_every = 999;
-        same.journal = Some(PathBuf::from("elsewhere.jsonl"));
+        same.checkpoint = Some(Checkpoint::Fresh("elsewhere.jsonl".into()));
         assert_eq!(fp, attack_fingerprint(&same, &cells));
         let mut other = cfg.clone();
         other.seed = 4;
@@ -632,35 +557,16 @@ mod tests {
     }
 
     #[test]
-    fn journal_roundtrips_checkpoints() {
-        let dir = std::env::temp_dir().join(format!("rbcast-attack-test-{}", std::process::id()));
-        let path = dir.join("attack.jsonl");
-        let journal = AttackJournal::create(&path, 0xabcd, 2).expect("create journal");
-        let state = AnnealState {
-            step: 4,
-            current: vec![NodeId(3), NodeId(9)],
-            current_score: AttackScore {
-                wrong: 0,
-                undecided: 2,
-                last_round: 7,
-            },
-            best: vec![NodeId(3)],
-            best_score: AttackScore {
-                wrong: 1,
-                undecided: 0,
-                last_round: 2,
-            },
-            evaluations: 11,
-            accepted: 5,
-        };
-        journal.record(1, &state, false).expect("record");
-        journal.record(1, &state, true).expect("record");
-        let (fp, entries) = load_attack_journal(&path).expect("load");
-        assert_eq!(fp, Some(0xabcd));
-        let cp = entries.get(&1).expect("cell 1 present");
-        assert_eq!(cp.state, state);
-        assert!(cp.done);
-        std::fs::remove_dir_all(&dir).ok();
+    fn checkpoint_lines_roundtrip() {
+        let line = checkpoint_line(1, &sample_state(4), true);
+        assert_eq!(
+            CellCheckpoint::from_line(&line).expect("parse"),
+            CellCheckpoint {
+                state: sample_state(4),
+                done: true
+            }
+        );
+        assert!(CellCheckpoint::from_line("{\"task\":1,\"step\":4}").is_err());
     }
 
     #[test]
@@ -670,7 +576,7 @@ mod tests {
         let path = dir.join("attack.jsonl");
 
         let mut cfg = tiny_cfg();
-        cfg.journal = Some(path.clone());
+        cfg.checkpoint = Some(Checkpoint::Fresh(path.clone()));
         let straight = run_attack(&cfg).expect("straight run");
 
         // Truncate the journal to a partial prefix (header + first few
@@ -682,7 +588,7 @@ mod tests {
         std::fs::write(&path, partial).expect("truncate");
 
         let mut resume_cfg = cfg.clone();
-        resume_cfg.resume = true;
+        resume_cfg.checkpoint = Some(Checkpoint::Resume(path.clone()));
         let resumed = run_attack(&resume_cfg).expect("resumed run");
         // `resumed` flags may differ; compare the search results.
         for (a, b) in straight.cells.iter().zip(resumed.cells.iter()) {
@@ -702,16 +608,18 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("attack.jsonl");
         let mut cfg = tiny_cfg();
-        cfg.journal = Some(path.clone());
+        cfg.checkpoint = Some(Checkpoint::Fresh(path.clone()));
         run_attack(&cfg).expect("first run");
+        let written = std::fs::read(&path).expect("journal written");
 
         let mut other = cfg.clone();
         other.seed ^= 1;
-        other.resume = true;
+        other.checkpoint = Some(Checkpoint::Resume(path.clone()));
         match run_attack(&other) {
-            Err(AttackError::JournalMismatch { .. }) => {}
+            Err(AttackError::Checkpoint(CheckpointError::Mismatch(..))) => {}
             other => panic!("expected fingerprint refusal, got {other:?}"),
         }
+        assert_eq!(std::fs::read(&path).expect("journal kept"), written);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -735,9 +643,9 @@ mod tests {
         }
     }
 
-    /// Values computed at the commit before the byte fold moved to
-    /// `rbcast_grid::plumbing` and the escape calls were dropped: the
-    /// fingerprint and every journal byte must stay where they were.
+    /// The fingerprint computed at the commit before the byte fold moved
+    /// to `rbcast_grid::plumbing`, and the journal bytes since the attack
+    /// checkpoints became `"task"` lines under the sweep's header.
     #[test]
     fn fingerprint_and_journal_bytes_are_pinned() {
         let cfg = AttackConfig::new(3);
@@ -747,65 +655,21 @@ mod tests {
         );
         let dir = std::env::temp_dir().join(format!("rbcast-attack-pin-{}", std::process::id()));
         let path = dir.join("attack.jsonl");
-        let journal = AttackJournal::create(&path, 0xabcd, 2).expect("create journal");
-        journal.record(1, &sample_state(4), true).expect("record");
+        let header = JournalHeader {
+            fingerprint: 0xabcd,
+            tasks: 2,
+        };
+        let (journal, _) = Journal::open(&Checkpoint::Fresh(path.clone()), header).expect("open");
+        journal
+            .append_line(checkpoint_line(1, &sample_state(4), true))
+            .expect("append");
         assert_eq!(
             std::fs::read_to_string(&path).expect("journal written"),
-            "{\"fingerprint\":\"000000000000abcd\",\"cells\":2}\n\
-             {\"cell\":1,\"step\":4,\"evaluations\":11,\"accepted\":5,\
+            "{\"fingerprint\":\"0x000000000000abcd\",\"tasks\":2}\n\
+             {\"task\":1,\"step\":4,\"evaluations\":11,\"accepted\":5,\
              \"current_score\":\"0,2,7\",\"best_score\":\"1,0,2\",\
              \"current\":\"3,9\",\"best\":\"3\",\"done\":1}\n"
         );
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    include!(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/support/torn_write.rs"
-    ));
-
-    #[test]
-    fn an_attack_journal_cut_at_any_byte_resumes_from_its_complete_lines() {
-        const FP: u64 = 0xabcd;
-        let dir = std::env::temp_dir().join(format!("rbcast-attack-torn-{}", std::process::id()));
-        let path = dir.join("attack.jsonl");
-        let journal = AttackJournal::create(&path, FP, 2).expect("create journal");
-        journal.record(0, &sample_state(2), false).expect("record");
-        journal.record(1, &sample_state(2), false).expect("record");
-        journal.record(0, &sample_state(4), true).expect("record");
-        drop(journal);
-        let full = std::fs::read(&path).expect("journal written");
-        std::fs::remove_dir_all(&dir).ok();
-
-        let cp = |step, done| CellCheckpoint {
-            state: sample_state(step),
-            done,
-        };
-        type Loaded = (Option<u64>, BTreeMap<usize, CellCheckpoint>);
-        let loaded = |fp: Option<u64>, cells: &[(usize, CellCheckpoint)]| -> Loaded {
-            (fp, cells.iter().cloned().collect())
-        };
-        check_torn_writes(
-            "attack",
-            &full,
-            &[
-                loaded(None, &[]),
-                loaded(Some(FP), &[]),
-                loaded(Some(FP), &[(0, cp(2, false))]),
-                loaded(Some(FP), &[(0, cp(2, false)), (1, cp(2, false))]),
-                loaded(Some(FP), &[(0, cp(4, true)), (1, cp(2, false))]),
-            ],
-            |path| load_attack_journal(path).map_err(|e| e.to_string()),
-            |path| {
-                let journal = AttackJournal::append_to(path, FP, 2).expect("append_to");
-                journal.record(1, &sample_state(6), true).expect("record");
-            },
-            // A journal healed to empty gets its header back.
-            |(_, cells)| {
-                let mut cells = cells.clone();
-                cells.insert(1, cp(6, true));
-                (Some(FP), cells)
-            },
-        );
     }
 }

@@ -1,5 +1,6 @@
-//! The workspace's one JSONL checkpoint file: every journal (sweep,
-//! attack search, net crash-recovery) is a record codec over this.
+//! The workspace's one JSONL checkpoint file: every journal (the sweep
+//! and attack checkpoints through `supervisor::Journal`, net
+//! crash-recovery) is a record codec over this.
 //!
 //! The contract, chosen so a process killed at any instant leaves a
 //! file the next run can resume from:
@@ -8,7 +9,9 @@
 //!   its `\n` to the OS in a single `write_all` and flushes before it
 //!   returns, so an acknowledged record is a newline-terminated line.
 //! * **Heal on open.** [`JsonlFile::open_append`] truncates a file that
-//!   does not end in `\n` back to its last `\n`. A line whose newline
+//!   does not end in `\n` back to its last `\n`; a resume opens with
+//!   [`JsonlFile::open_existing`], checks what it read, then
+//!   [`JsonlFile::heal`]s. A line whose newline
 //!   never reached disk was never acknowledged to anyone — journals are
 //!   written *before* the ack they cover — so dropping it loses nothing
 //!   a peer or a resumed run relies on, and the next append starts on a
@@ -30,7 +33,6 @@ use std::path::Path;
 #[derive(Debug)]
 pub struct JsonlFile {
     file: File,
-    empty: bool,
 }
 
 /// Length of the longest prefix of `bytes` made of complete lines.
@@ -56,7 +58,6 @@ impl JsonlFile {
         make_parent(path)?;
         Ok(JsonlFile {
             file: File::create(path)?,
-            empty: true,
         })
     }
 
@@ -81,17 +82,35 @@ impl JsonlFile {
         if len < bytes.len() {
             file.set_len(len as u64)?;
         }
-        Ok(JsonlFile {
-            file,
-            empty: len == 0,
-        })
+        Ok(JsonlFile { file })
     }
 
-    /// True while the file holds no line — freshly created, or healed
-    /// back to nothing. A journal with a header line writes it now.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.empty
+    /// Opens the existing file at `path` for appending and reads it
+    /// once, returning its complete lines. Unlike
+    /// [`JsonlFile::open_append`] it neither creates nor heals the file,
+    /// so a caller that refuses what it read leaves the file exactly as
+    /// it found it; one that accepts calls [`JsonlFile::heal`] before
+    /// appending.
+    ///
+    /// # Errors
+    ///
+    /// On I/O failure (`NotFound` for a missing file), or as
+    /// [`read_lines`] for a complete line that is not UTF-8.
+    pub fn open_existing(path: &Path) -> io::Result<(JsonlFile, Lines)> {
+        let mut file = OpenOptions::new().read(true).append(true).open(path)?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+        Ok((JsonlFile { file }, lines_of(path, bytes)?))
+    }
+
+    /// Truncates the file back to `lines`, the complete lines
+    /// [`JsonlFile::open_existing`] read from it: drops a torn tail.
+    ///
+    /// # Errors
+    ///
+    /// On any I/O failure.
+    pub fn heal(&mut self, lines: &Lines) -> io::Result<()> {
+        self.file.set_len(lines.0.len() as u64)
     }
 
     /// Appends `line` (which must not contain `\n`) and its newline as
@@ -118,7 +137,6 @@ impl JsonlFile {
             "a JSONL record is one newline-terminated line"
         );
         self.file.write_all(line)?;
-        self.empty = false;
         self.file.flush()
     }
 }
@@ -152,7 +170,11 @@ pub fn numbered_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
 /// On I/O failure, or `InvalidData` naming `path:line` when a complete
 /// line is not UTF-8.
 pub fn read_lines(path: &Path) -> io::Result<Lines> {
-    let mut bytes = std::fs::read(path)?;
+    lines_of(path, std::fs::read(path)?)
+}
+
+/// The complete lines of `bytes`, read from `path`.
+fn lines_of(path: &Path, mut bytes: Vec<u8>) -> io::Result<Lines> {
     bytes.truncate(complete_len(&bytes));
     String::from_utf8(bytes).map(Lines).map_err(|e| {
         let good = &e.as_bytes()[..e.utf8_error().valid_up_to()];

@@ -21,15 +21,15 @@
 //!   [`TaskError::DeadlineExceeded`]. No threads are killed — the
 //!   watchdog is a loop bound, so determinism is untouched.
 //! * **Bounded deterministic retry** — failed attempts are retried up to
-//!   [`SupervisorConfig::max_attempts`] times. Retry seeds are
-//!   [`retry_seed`]`(index, attempt)`, a pure function, so a sweep's
-//!   output stays byte-identical at any thread count no matter which
-//!   worker retries what.
+//!   [`SupervisorConfig::max_attempts`] times. A task body sees only its
+//!   index ([`TaskCtx`]) and chaos draws are pure in `(index, attempt)`,
+//!   so a sweep's output stays byte-identical at any thread count no
+//!   matter which worker retries what.
 //! * **Checkpoint journal** — completed tasks append one JSONL line
 //!   (index, status, attempts, outcome digest + summary) to a
-//!   [`Journal`]; a killed sweep resumes via
-//!   [`SupervisorConfig::resume_from`], re-running only failed/missing
-//!   tasks and converging to the uninterrupted output.
+//!   [`Journal`]; a killed sweep resumes through [`Journal::open`]
+//!   ([`SupervisorConfig::with_checkpoint`]), re-running only
+//!   failed/missing tasks and converging to the uninterrupted output.
 //! * **Graceful degradation** — [`run_experiments_supervised`] always
 //!   returns every healthy result in input order together with a
 //!   quarantine report; it never trades completed work for an error.
@@ -41,7 +41,7 @@
 //!   a fresh draw and usually succeeds.
 
 use crate::engine::{self, payload_message};
-use crate::jsonl::{parse_flat_json, read_lines, JsonValue, JsonlFile};
+use crate::jsonl::{parse_flat_json, JsonValue, JsonlFile};
 use crate::{Experiment, Outcome};
 use rbcast_grid::plumbing::{fnv1a, json_escape, splitmix64, FNV_OFFSET};
 use rbcast_sim::StopReason;
@@ -130,9 +130,9 @@ fn mix(base: u64, index: usize, attempt: u32) -> u64 {
 }
 
 /// The derived seed for attempt `attempt` of task `index` — a pure
-/// function of its arguments, so retries are identical no matter which
-/// worker thread performs them or in what order. Attempt 0 is the
-/// original run; each retry gets a fresh but reproducible seed.
+/// function of its arguments, so anything drawn from it is identical no
+/// matter which thread performs the attempt or in what order
+/// (`net::link` jitters its retransmissions with it).
 #[must_use]
 pub fn retry_seed(index: usize, attempt: u32) -> u64 {
     mix(0xA076_1D64_78BD_642F, index, attempt)
@@ -488,16 +488,18 @@ impl JournalEntry {
     }
 }
 
-/// The journal's header line: a fingerprint of the sweep specification,
+/// The journal's header line: a fingerprint of the run's specification
+/// (a sweep's [`sweep_fingerprint`], an attack's `attack_fingerprint`),
 /// written when the journal is created so a resume against the journal
-/// of a *different* sweep is refused instead of silently splicing
+/// of a *different* run is refused instead of silently splicing
 /// incompatible checkpoints (the task indices would alias unrelated
-/// experiments). Legacy journals have no header and skip the check.
+/// experiments). [`Journal::open`] refuses to resume a headerless
+/// journal: nothing says which run wrote it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JournalHeader {
-    /// [`sweep_fingerprint`] of the experiment list.
+    /// Fingerprint of the run's specification.
     pub fingerprint: u64,
-    /// Number of tasks in the sweep.
+    /// Number of tasks in the run.
     pub tasks: usize,
 }
 
@@ -556,12 +558,109 @@ pub fn sweep_fingerprint(experiments: &[Experiment]) -> u64 {
     hash
 }
 
-/// Append-only JSONL checkpoint journal. Each completed task appends
-/// (and flushes) one [`JournalEntry`] line as it finishes, so a killed
-/// sweep loses at most the in-flight tasks. Line *order* is
-/// scheduling-dependent; the determinism contract lives in the entries
+/// Where a run keeps its checkpoint journal, and whether it continues
+/// one — what `--journal FILE` and `--resume FILE` parse to.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Checkpoint {
+    /// Start a journal at this path, truncating any file there.
+    Fresh(PathBuf),
+    /// Continue the journal a killed run left at this path.
+    Resume(PathBuf),
+}
+
+impl Checkpoint {
+    /// The journal's path.
+    #[must_use]
+    pub fn path(&self) -> &Path {
+        match self {
+            Checkpoint::Fresh(path) | Checkpoint::Resume(path) => path,
+        }
+    }
+}
+
+/// Why [`Journal::open`] refused a journal, each naming its path. A
+/// refused resume journal is left as it was found.
+#[derive(Debug)]
+pub enum CheckpointError {
+    /// The journal could not be created, read or written — a missing
+    /// resume journal among them.
+    Io(PathBuf, std::io::Error),
+    /// The resume journal's first line is not a header, so nothing says
+    /// which run wrote its rows.
+    Headerless(PathBuf),
+    /// The resume journal holds this header, another run's: its task
+    /// indices would alias unrelated work.
+    Mismatch(PathBuf, JournalHeader),
+    /// A complete line that is not a task record of this run's codec:
+    /// which line or task, and what is wrong with it.
+    Corrupt(PathBuf, String),
+}
+
+impl std::fmt::Display for CheckpointError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CheckpointError::Io(path, e) => write!(f, "journal {}: {e}", path.display()),
+            CheckpointError::Headerless(path) => write!(
+                f,
+                "journal {} has no fingerprint header, so nothing says which run wrote it \
+                 — refusing to resume from it",
+                path.display()
+            ),
+            CheckpointError::Mismatch(path, found) => write!(
+                f,
+                "journal {} records a different run (fingerprint {:#018x}, {} tasks) \
+                 — refusing to splice checkpoints across specifications",
+                path.display(),
+                found.fingerprint,
+                found.tasks
+            ),
+            CheckpointError::Corrupt(path, why) => write!(f, "journal {}: {why}", path.display()),
+        }
+    }
+}
+
+impl std::error::Error for CheckpointError {}
+
+/// The `"task"` index of a journal line.
+fn task_of(line: &str) -> Result<usize, String> {
+    match parse_flat_json(line)?.get("task") {
+        Some(JsonValue::Number(n)) => usize::try_from(*n).map_err(|e| format!("task: {e}")),
+        _ => Err("not a task line (no numeric \"task\")".to_string()),
+    }
+}
+
+/// Parses the task lines [`Journal::open`] returned with the run's codec.
+///
+/// # Errors
+///
+/// [`CheckpointError::Corrupt`] naming the first task whose line `parse`
+/// rejects.
+pub fn parse_rows<R>(
+    checkpoint: &Checkpoint,
+    rows: BTreeMap<usize, String>,
+    parse: impl Fn(&str) -> Result<R, String>,
+) -> Result<BTreeMap<usize, R>, CheckpointError> {
+    let mut parsed = BTreeMap::new();
+    for (task, line) in rows {
+        let row = parse(&line).map_err(|why| {
+            CheckpointError::Corrupt(
+                checkpoint.path().to_path_buf(),
+                format!("task {task}: {why}"),
+            )
+        })?;
+        parsed.insert(task, row);
+    }
+    Ok(parsed)
+}
+
+/// Append-only JSONL checkpoint journal: a [`JournalHeader`] line, then
+/// one line per task record, each appended and flushed as it happens,
+/// so a killed run loses at most the in-flight tasks. Line *order* is
+/// scheduling-dependent; the determinism contract lives in the records
 /// themselves (pure functions of the task), which is why
-/// [`Journal::load`] folds last-entry-wins into an index-keyed map.
+/// [`Journal::open`] folds last-line-wins into an index-keyed map.
+/// Sweeps write [`JournalEntry`] lines; other runs (`rbcast attack`)
+/// write their own codec's lines, keyed by the same `"task"` field.
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
@@ -576,11 +675,53 @@ impl Journal {
         }
     }
 
-    fn append_line(&self, line: String) -> std::io::Result<()> {
-        self.file
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .append(line)
+    /// Opens the checkpoint journal of a run that `header` fingerprints —
+    /// the one way `rbcast sweep`, `rbcast attack` and the bench sweeps
+    /// start or continue a journal.
+    ///
+    /// * [`Checkpoint::Fresh`] truncates the file and writes `header`.
+    /// * [`Checkpoint::Resume`] reads the file once. Its first line must
+    ///   equal `header`; a file that is empty, or was cut inside its
+    ///   header, gets `header` written back. A torn tail is healed, and
+    ///   the last complete line of each `"task"` is returned for the
+    ///   caller's codec to parse. New lines append to the same file.
+    ///
+    /// # Errors
+    ///
+    /// A missing, headerless or foreign resume journal, a line without a
+    /// `"task"`, or any I/O failure. A refused journal is left untouched.
+    pub fn open(
+        checkpoint: &Checkpoint,
+        header: JournalHeader,
+    ) -> Result<(Journal, BTreeMap<usize, String>), CheckpointError> {
+        let path = checkpoint.path();
+        let io = |e| CheckpointError::Io(path.to_path_buf(), e);
+        if let Checkpoint::Fresh(_) = checkpoint {
+            let journal = Journal::create_with_header(path, &header).map_err(io)?;
+            return Ok((journal, BTreeMap::new()));
+        }
+        let (mut file, lines) = JsonlFile::open_existing(path).map_err(io)?;
+        let mut numbered = lines.iter();
+        let first = numbered.next();
+        if let Some((_, line)) = first {
+            match JournalHeader::from_line(line) {
+                Ok(found) if found == header => {}
+                Ok(found) => return Err(CheckpointError::Mismatch(path.to_path_buf(), found)),
+                Err(_) => return Err(CheckpointError::Headerless(path.to_path_buf())),
+            }
+        }
+        let mut rows = BTreeMap::new();
+        for (n, line) in numbered {
+            let task = task_of(line).map_err(|why| {
+                CheckpointError::Corrupt(path.to_path_buf(), format!("line {n}: {why}"))
+            })?;
+            rows.insert(task, line.to_string());
+        }
+        file.heal(&lines).map_err(io)?;
+        if first.is_none() {
+            file.append(header.to_line()).map_err(io)?;
+        }
+        Ok((Journal::over(path, file), rows))
     }
 
     /// Creates (truncating) a journal at `path`, making parent
@@ -594,7 +735,7 @@ impl Journal {
     }
 
     /// [`Journal::create`], then writes `header` as the first line, so
-    /// later resumes can verify they are resuming the same sweep.
+    /// later resumes can verify they are resuming the same run.
     ///
     /// # Errors
     ///
@@ -605,52 +746,13 @@ impl Journal {
         Ok(journal)
     }
 
-    /// Reads the header of the journal at `path`, if it has one.
-    /// `Ok(None)` for headerless (pre-fingerprint) journals — those
-    /// resume without the cross-check.
-    ///
-    /// # Errors
-    ///
-    /// On I/O failure opening or reading the file.
-    pub fn read_header(path: &Path) -> std::io::Result<Option<JournalHeader>> {
-        let lines = read_lines(path)?;
-        let first = lines.iter().next();
-        Ok(first.and_then(|(_, line)| JournalHeader::from_line(line).ok()))
-    }
-
-    /// Opens a journal for appending (creating it if absent, healing a
-    /// torn tail — see [`crate::jsonl`]) — the resume path, where prior
-    /// entries must survive.
-    ///
-    /// # Errors
-    ///
-    /// On any I/O failure.
-    pub fn append_to(path: &Path) -> std::io::Result<Journal> {
-        Ok(Journal::over(path, JsonlFile::open_append(path)?))
-    }
-
-    /// [`Journal::append_to`], writing `header` first when the journal
-    /// is empty — missing, or cut inside its header line by the kill
-    /// being resumed from — so it never continues headerless.
-    ///
-    /// # Errors
-    ///
-    /// On any I/O failure.
-    pub fn append_to_with_header(path: &Path, header: &JournalHeader) -> std::io::Result<Journal> {
-        let mut file = JsonlFile::open_append(path)?;
-        if file.is_empty() {
-            file.append(header.to_line())?;
-        }
-        Ok(Journal::over(path, file))
-    }
-
     /// Where this journal lives.
     #[must_use]
     pub fn path(&self) -> &Path {
         &self.path
     }
 
-    /// Appends one entry and flushes it to disk.
+    /// Appends one sweep entry and flushes it to disk.
     ///
     /// # Errors
     ///
@@ -659,30 +761,17 @@ impl Journal {
         self.append_line(entry.to_line())
     }
 
-    /// Loads a journal into an index-keyed map, last entry per task
-    /// winning (a resumed sweep may re-record a task it re-ran).
+    /// Appends one line of a caller's own task codec (a flat JSON object
+    /// with a `"task"` index) and flushes it to disk.
     ///
     /// # Errors
     ///
-    /// On I/O failure or any malformed line (reported with its line
-    /// number).
-    pub fn load(path: &Path) -> std::io::Result<BTreeMap<usize, JournalEntry>> {
-        let mut entries = BTreeMap::new();
-        for (n, line) in read_lines(path)?.iter() {
-            // Header lines are not task entries; the fingerprint
-            // cross-check reads them via [`Journal::read_header`].
-            if n == 1 && JournalHeader::from_line(line).is_ok() {
-                continue;
-            }
-            let entry = JournalEntry::from_line(line).map_err(|e| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("{}:{n}: {e}", path.display()),
-                )
-            })?;
-            entries.insert(entry.task, entry);
-        }
-        Ok(entries)
+    /// On any I/O failure.
+    pub fn append_line(&self, line: String) -> std::io::Result<()> {
+        self.file
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .append(line)
     }
 }
 
@@ -690,16 +779,11 @@ impl Journal {
 // The supervisor proper
 // ---------------------------------------------------------------------
 
-/// Per-attempt context handed to a supervised task body.
+/// Context handed to a supervised task body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskCtx {
     /// Task index within the sweep (input order).
     pub index: usize,
-    /// Attempt number, 0-based (0 is the original run).
-    pub attempt: u32,
-    /// [`retry_seed`]`(index, attempt)` — deterministic per-attempt
-    /// entropy for task bodies that want it.
-    pub seed: u64,
 }
 
 /// Supervisor policy: retries, deadlines, chaos, and checkpointing.
@@ -716,7 +800,8 @@ pub struct SupervisorConfig {
     /// Checkpoint journal to append completed tasks to.
     pub journal: Option<Journal>,
     /// Prior journal state: tasks with an `ok` entry are skipped and
-    /// their stored summaries returned as [`TaskReport::Resumed`].
+    /// their stored summaries returned as [`TaskReport::Resumed`]
+    /// (filled by [`SupervisorConfig::with_checkpoint`]).
     pub resume: BTreeMap<usize, JournalEntry>,
 }
 
@@ -790,11 +875,23 @@ impl SupervisorConfig {
         self
     }
 
-    /// Loads prior journal state for resumption.
-    #[must_use]
-    pub fn resume_from(mut self, entries: BTreeMap<usize, JournalEntry>) -> Self {
-        self.resume = entries;
-        self
+    /// Opens `checkpoint` through [`Journal::open`] under the sweep's
+    /// `header`, attaches it, and loads a resumed journal's entries as
+    /// the prior state.
+    ///
+    /// # Errors
+    ///
+    /// As [`Journal::open`], or a task line that is not a
+    /// [`JournalEntry`].
+    pub fn with_checkpoint(
+        mut self,
+        checkpoint: &Checkpoint,
+        header: JournalHeader,
+    ) -> Result<Self, CheckpointError> {
+        let (journal, rows) = Journal::open(checkpoint, header)?;
+        self.resume = parse_rows(checkpoint, rows, JournalEntry::from_line)?;
+        self.journal = Some(journal);
+        Ok(self)
     }
 
     fn attempts(&self) -> u32 {
@@ -850,11 +947,7 @@ where
             });
             continue;
         }
-        let ctx = TaskCtx {
-            index,
-            attempt,
-            seed: retry_seed(index, attempt),
-        };
+        let ctx = TaskCtx { index };
         let caught = quiet_catch_unwind(|| {
             if matches!(chaos_event, Some(ChaosEvent::Panic)) {
                 // Chaos mode exercises the real unwind path, not a
@@ -918,16 +1011,21 @@ where
     slots
         .into_iter()
         .map(|slot| {
-            slot.unwrap_or(Supervised::Failed {
-                error: TaskError::Invariant {
-                    message: "engine produced no result for this task \
-                              (worker lost before hand-off)"
-                        .to_string(),
-                },
+            slot.unwrap_or_else(|| Supervised::Failed {
+                error: lost_slot(),
                 attempts: 0,
             })
         })
         .collect()
+}
+
+/// The error of a task whose slot the engine never filled — a harness
+/// bug, reported in place rather than shortening the result vector.
+fn lost_slot() -> TaskError {
+    TaskError::Invariant {
+        message: "engine produced no result for this task (worker lost before hand-off)"
+            .to_string(),
+    }
 }
 
 /// One task's slot in a supervised sweep report.
@@ -1149,12 +1247,8 @@ pub fn run_experiments_supervised(
         tasks: slots
             .into_iter()
             .map(|slot| {
-                slot.unwrap_or(TaskReport::Failed {
-                    error: TaskError::Invariant {
-                        message: "engine produced no result for this task \
-                                  (worker lost before hand-off)"
-                            .to_string(),
-                    },
+                slot.unwrap_or_else(|| TaskReport::Failed {
+                    error: lost_slot(),
                     attempts: 0,
                 })
             })
@@ -1165,7 +1259,10 @@ pub fn run_experiments_supervised(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attack::checkpoint_line;
     use crate::ProtocolKind;
+    use rbcast_adversary::AttackScore;
+    use rbcast_grid::NodeId;
 
     #[test]
     fn retry_seed_is_pure_and_attempt_sensitive() {
@@ -1248,15 +1345,22 @@ mod tests {
         }
     }
 
+    /// Counts a task body's calls: the attempt number it is on.
+    fn attempt_counter() -> impl Fn() -> u32 + Sync {
+        let calls = std::sync::atomic::AtomicU32::new(0);
+        move || calls.fetch_add(1, Ordering::Relaxed)
+    }
+
     #[test]
     fn retries_wrap_the_last_error() {
+        let attempt = attempt_counter();
         let out = supervise(
             &[0u32],
             1,
             &SupervisorConfig::new().with_max_attempts(3),
-            |ctx, _| -> Result<u32, TaskError> {
+            |_, _| -> Result<u32, TaskError> {
                 Err(TaskError::Invariant {
-                    message: format!("attempt {}", ctx.attempt),
+                    message: format!("attempt {}", attempt()),
                 })
             },
         );
@@ -1278,17 +1382,19 @@ mod tests {
 
     #[test]
     fn a_flaky_task_succeeds_on_retry() {
+        let attempt = attempt_counter();
         let out = supervise(
             &[0u32],
             1,
             &SupervisorConfig::new().with_max_attempts(2),
-            |ctx, _| {
-                assert!(ctx.attempt != 0, "first attempt always dies");
-                Ok(ctx.seed)
+            |_, _| {
+                let n = attempt();
+                assert!(n != 0, "first attempt always dies");
+                Ok(n)
             },
         );
         match &out[0] {
-            Supervised::Done { value, attempts: 2 } => assert_eq!(*value, retry_seed(0, 1)),
+            Supervised::Done { value, attempts: 2 } => assert_eq!(*value, 1),
             other => panic!("expected second-attempt success, got {other:?}"),
         }
     }
@@ -1342,9 +1448,12 @@ mod tests {
 
     #[test]
     fn journal_records_and_reloads() {
-        let dir = std::env::temp_dir().join("rbcast-supervisor-test");
-        let path = dir.join("journal-roundtrip.jsonl");
-        let journal = Journal::create(&path).expect("create journal");
+        let path = std::env::temp_dir().join(format!(
+            "rbcast-supervisor-roundtrip-{}.jsonl",
+            std::process::id()
+        ));
+        let header = torn_sample().0;
+        let (journal, _) = Journal::open(&Checkpoint::Fresh(path.clone()), header).expect("open");
         for task in 0..3usize {
             journal
                 .record(&JournalEntry {
@@ -1380,7 +1489,10 @@ mod tests {
                 error: None,
             })
             .expect("record");
-        let loaded = Journal::load(&path).expect("load");
+        let loaded = SupervisorConfig::new()
+            .with_checkpoint(&Checkpoint::Resume(path.clone()), header)
+            .expect("resume")
+            .resume;
         assert_eq!(loaded.len(), 3);
         assert!(loaded[&1].ok);
         assert_eq!(loaded[&1].attempts, 2);
@@ -1408,11 +1520,8 @@ mod tests {
     }
 
     #[test]
-    fn journal_header_roundtrips_and_load_skips_it() {
-        let header = JournalHeader {
-            fingerprint: 0x0123_4567_89ab_cdef,
-            tasks: 3,
-        };
+    fn journal_open_starts_checks_and_resumes() {
+        let (header, [ok, failed]) = torn_sample();
         assert_eq!(
             JournalHeader::from_line(&header.to_line()).expect("roundtrip"),
             header
@@ -1420,32 +1529,69 @@ mod tests {
         assert!(JournalHeader::from_line("{\"tasks\":3}").is_err());
         assert!(JournalHeader::from_line("{\"fingerprint\":\"0xzz\",\"tasks\":3}").is_err());
 
-        let dir = std::env::temp_dir().join("rbcast-supervisor-test");
-        let path = dir.join("journal-header.jsonl");
-        let journal = Journal::create_with_header(&path, &header).expect("create");
-        let entry = JournalEntry {
-            task: 0,
-            ok: false,
-            attempts: 1,
-            digest: None,
-            summary: None,
-            metrics: None,
-            error: Some("boom".to_string()),
+        let path = std::env::temp_dir().join(format!(
+            "rbcast-supervisor-open-{}.jsonl",
+            std::process::id()
+        ));
+        let (fresh, resume) = (
+            Checkpoint::Fresh(path.clone()),
+            Checkpoint::Resume(path.clone()),
+        );
+        let open = |checkpoint: &Checkpoint, header| {
+            Journal::open(checkpoint, header).map(|(_, rows)| rows)
         };
-        journal.record(&entry).expect("record");
-        assert_eq!(Journal::read_header(&path).expect("read"), Some(header));
-        let loaded = Journal::load(&path).expect("load");
-        assert_eq!(loaded.len(), 1, "the header line is not a task entry");
-        assert_eq!(loaded[&0], entry);
+        let head = format!("{}\n", header.to_line());
+        let body = format!("{head}{}\n{}\n", ok.to_line(), failed.to_line());
 
-        // Headerless (legacy) journals read back `None` and still load.
-        let legacy = dir.join("journal-legacy.jsonl");
-        let j = Journal::create(&legacy).expect("create");
-        j.record(&entry).expect("record");
-        assert_eq!(Journal::read_header(&legacy).expect("read"), None);
-        assert_eq!(Journal::load(&legacy).expect("load").len(), 1);
+        // Fresh truncates and writes the header.
+        std::fs::write(&path, &body).expect("write");
+        assert_eq!(open(&fresh, header).expect("fresh"), BTreeMap::new());
+        assert_eq!(std::fs::read_to_string(&path).expect("read"), head);
+
+        // Resume returns each task's line; the header is not a task.
+        std::fs::write(&path, &body).expect("write");
+        let rows = open(&resume, header).expect("resume");
+        assert_eq!(
+            rows,
+            BTreeMap::from([(4, ok.to_line()), (5, failed.to_line())])
+        );
+
+        // Refusals leave the file as they found it, torn tail included.
+        let refused = |bytes: &str, header, want: &str| {
+            std::fs::write(&path, bytes).expect("write");
+            let err = open(&resume, header).expect_err(want).to_string();
+            assert!(err.contains(want), "{want}: {err}");
+            assert_eq!(std::fs::read_to_string(&path).expect("read"), bytes);
+        };
+        let other = JournalHeader {
+            fingerprint: 1,
+            tasks: 3,
+        };
+        refused(&format!("{body}{{\"task\":9,"), other, "different run");
+        refused(
+            &format!("{}\n{{\"ta", ok.to_line()),
+            header,
+            "no fingerprint header",
+        );
+        refused(
+            &format!("{head}{{\"step\":3}}\n"),
+            header,
+            "line 2: not a task line",
+        );
+        std::fs::remove_file(&path).expect("remove");
+        match open(&resume, header) {
+            Err(CheckpointError::Io(_, e)) => assert_eq!(e.kind(), std::io::ErrorKind::NotFound),
+            other => panic!("a missing journal must be refused, got {other:?}"),
+        }
+        assert!(!path.exists(), "a refused resume creates nothing");
+
+        // Empty, or cut inside its header: the header is written back.
+        for cut in [0, 10] {
+            std::fs::write(&path, &head[..cut]).expect("write");
+            assert_eq!(open(&resume, header).expect("resume"), BTreeMap::new());
+            assert_eq!(std::fs::read_to_string(&path).expect("read"), head);
+        }
         std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&legacy).ok();
     }
 
     #[test]
@@ -1529,7 +1675,10 @@ mod tests {
                 error: Some("panicked: chaos".to_string()),
             },
         );
-        let config = SupervisorConfig::new().resume_from(resume);
+        let config = SupervisorConfig {
+            resume,
+            ..SupervisorConfig::new()
+        };
         let report = run_experiments_supervised(&experiments, 2, &config);
         // Task 0: reprinted from the journal verbatim (even the bogus
         // summary — resume trusts its checkpoint).
@@ -1684,59 +1833,81 @@ mod tests {
         (header, [ok, failed])
     }
 
-    #[test]
-    fn a_sweep_journal_cut_at_any_byte_resumes_from_its_complete_lines() {
-        let (header, [ok, failed]) = torn_sample();
-        let full = format!(
-            "{}\n{}\n{}\n",
-            header.to_line(),
-            ok.to_line(),
-            failed.to_line()
+    /// The torn-write property over [`Journal::open`]'s resume: `lines`
+    /// are task lines of one codec under `torn_sample`'s header; cut
+    /// anywhere, the journal resumes to the last complete line of each
+    /// task, and `extra` appends after the healed prefix.
+    fn check_torn_resumes(tag: &str, lines: &[String], extra: &str) {
+        let header = torn_sample().0;
+        let full: String = std::iter::once(header.to_line())
+            .chain(lines.iter().cloned())
+            .map(|line| line + "\n")
+            .collect();
+        let last_wins = |lines: &[String]| -> BTreeMap<usize, String> {
+            lines
+                .iter()
+                .map(|line| (task_of(line).expect("a task line"), line.clone()))
+                .collect()
+        };
+        // k complete lines hold the header and k - 1 task lines.
+        let expected: Vec<_> = (0..=lines.len() + 1)
+            .map(|k| last_wins(&lines[..k.saturating_sub(1)]))
+            .collect();
+        let resume = |path: &Path| Journal::open(&Checkpoint::Resume(path.to_path_buf()), header);
+        check_torn_writes(
+            tag,
+            full.as_bytes(),
+            &expected,
+            |path| {
+                resume(path)
+                    .map(|(_, rows)| rows)
+                    .map_err(|e| e.to_string())
+            },
+            |path| {
+                let (journal, _) = resume(path).expect("resume");
+                journal.append_line(extra.to_string()).expect("append");
+            },
+            |prefix| {
+                let mut grown = prefix.clone();
+                grown.extend(last_wins(&[extra.to_string()]));
+                grown
+            },
         );
+    }
+
+    #[test]
+    fn a_journal_cut_at_any_byte_resumes_from_its_complete_lines() {
+        let (_, [ok, failed]) = torn_sample();
         let extra = JournalEntry {
             task: 9,
             error: Some("boom".to_string()),
             ..failed.clone()
         };
-        let map = |entries: &[&JournalEntry]| -> BTreeMap<usize, JournalEntry> {
-            entries.iter().map(|&e| (e.task, e.clone())).collect()
-        };
-        check_torn_writes(
-            "sweep",
-            full.as_bytes(),
-            &[map(&[]), map(&[]), map(&[&ok]), map(&[&ok, &failed])],
-            |path| Journal::load(path).map_err(|e| e.to_string()),
-            |path| {
-                let journal = Journal::append_to_with_header(path, &header).expect("append_to");
-                journal.record(&extra).expect("record");
-            },
-            |prefix| {
-                let mut grown = prefix.clone();
-                grown.insert(extra.task, extra.clone());
-                grown
-            },
-        );
+        check_torn_resumes("sweep", &[ok.to_line(), failed.to_line()], &extra.to_line());
 
-        // The edge healing opens: a journal cut inside its header line
-        // heals to empty, and the resuming run rewrites the header
-        // rather than continuing headerless.
-        let path = std::env::temp_dir().join(format!(
-            "rbcast-sweep-torn-header-{}.jsonl",
-            std::process::id()
-        ));
-        std::fs::write(&path, &full.as_bytes()[..10]).expect("write");
-        assert_eq!(Journal::read_header(&path).expect("read"), None);
-        let journal = Journal::append_to_with_header(&path, &header).expect("append_to");
-        journal.record(&extra).expect("record");
-        assert_eq!(Journal::read_header(&path).expect("read"), Some(header));
-        assert_eq!(Journal::load(&path).expect("load"), map(&[&extra]));
-        // A journal that still has lines keeps the header it has.
-        let other = JournalHeader {
-            fingerprint: 1,
-            tasks: 1,
+        // The attack's cell checkpoints, with a last-wins overwrite.
+        let state = |step| rbcast_adversary::AnnealState {
+            step,
+            current: vec![NodeId(3), NodeId(9)],
+            current_score: AttackScore {
+                wrong: 0,
+                undecided: 2,
+                last_round: 7,
+            },
+            best: vec![NodeId(3)],
+            best_score: AttackScore {
+                wrong: 1,
+                undecided: 0,
+                last_round: 2,
+            },
+            evaluations: 11,
+            accepted: 5,
         };
-        drop(Journal::append_to_with_header(&path, &other).expect("append_to"));
-        assert_eq!(Journal::read_header(&path).expect("read"), Some(header));
-        std::fs::remove_file(&path).ok();
+        let line = |task, step, done| checkpoint_line(task, &state(step), done);
+        check_torn_resumes(
+            "attack",
+            &[line(0, 2, false), line(1, 2, false), line(0, 4, true)],
+            &line(1, 6, true),
+        );
     }
 }

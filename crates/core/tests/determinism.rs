@@ -9,7 +9,9 @@
 //! this test doubles as the engine-level replay gate in CI.
 
 use rbcast_adversary::Placement;
-use rbcast_core::supervisor::{self, ChaosConfig, Journal, SupervisorConfig, TaskReport};
+use rbcast_core::supervisor::{
+    self, ChaosConfig, Checkpoint, JournalEntry, JournalHeader, SupervisorConfig, TaskReport,
+};
 use rbcast_core::{engine, percolation, EngineKind, Experiment, FaultKind, ProtocolKind};
 use rbcast_grid::Torus;
 
@@ -165,11 +167,21 @@ fn supervised_sweep_is_byte_identical_to_the_plain_engine_at_1_2_8_threads() {
 
 #[test]
 fn killed_and_resumed_sweep_converges_on_the_straight_through_rows() {
-    // Simulate a sweep killed partway: a journal holding only a prefix
-    // of the completed tasks. Resuming must re-run exactly the missing
+    // Simulate a sweep killed partway: a journal holding only some of
+    // the completed tasks. Resuming it through `Journal::open`, as
+    // `rbcast sweep --resume` does, must re-run exactly the missing
     // tasks and end with every row's summary and digest equal to the
     // uninterrupted run's — at every thread count.
     let experiments = sweep_grid();
+    let header = JournalHeader {
+        fingerprint: supervisor::sweep_fingerprint(&experiments),
+        tasks: experiments.len(),
+    };
+    let open = |checkpoint: Checkpoint| {
+        SupervisorConfig::new()
+            .with_checkpoint(&checkpoint, header)
+            .expect("journal opens")
+    };
     let dir = std::env::temp_dir().join("rbcast_determinism_resume");
     std::fs::create_dir_all(&dir).expect("temp dir is writable");
 
@@ -184,28 +196,25 @@ fn killed_and_resumed_sweep_converges_on_the_straight_through_rows() {
     for threads in [1usize, 2, 8] {
         let path = dir.join(format!("killed_t{threads}.jsonl"));
 
-        // The "killed" journal: only the even-index tasks made it.
-        {
-            let journal = Journal::create(&path).expect("journal is creatable");
-            let partial = SupervisorConfig::new().with_journal(journal);
-            let survivors: Vec<Experiment> = experiments.iter().step_by(2).cloned().collect();
-            let _ = supervisor::run_experiments_supervised(&survivors, threads, &partial);
-        }
-        // Re-key the surviving entries to their original indices, as a
-        // kill at a chunk boundary would have left them.
-        let survived = Journal::load(&path).expect("journal is readable");
-        let remapped: std::collections::BTreeMap<usize, _> = survived
-            .into_iter()
-            .map(|(i, mut e)| {
-                e.task = i * 2;
-                (i * 2, e)
-            })
+        // The "killed" journal: the header and only the even-index
+        // tasks' lines made it.
+        let _ = supervisor::run_experiments_supervised(
+            &experiments,
+            threads,
+            &open(Checkpoint::Fresh(path.clone())),
+        );
+        let written = std::fs::read_to_string(&path).expect("journal is readable");
+        let killed: String = written
+            .lines()
+            .filter(|line| JournalEntry::from_line(line).map_or(true, |e| e.task % 2 == 0))
+            .map(|line| format!("{line}\n"))
             .collect();
+        std::fs::write(&path, killed).expect("journal is writable");
 
         let resumed = supervisor::run_experiments_supervised(
             &experiments,
             threads,
-            &SupervisorConfig::new().resume_from(remapped),
+            &open(Checkpoint::Resume(path.clone())),
         );
         assert!(resumed.fully_healthy());
         let mut recomputed = 0;
@@ -225,6 +234,11 @@ fn killed_and_resumed_sweep_converges_on_the_straight_through_rows() {
             recomputed,
             experiments.len() / 2,
             "resume must re-run exactly the missing tasks at {threads} threads"
+        );
+        // The recomputed rows were appended: a second resume has them all.
+        assert_eq!(
+            open(Checkpoint::Resume(path.clone())).resume.len(),
+            experiments.len()
         );
         std::fs::remove_file(&path).expect("journal is removable");
     }

@@ -1,7 +1,8 @@
 // The torn-write property every journal over `rbcast_core::jsonl` must
-// hold, shared by its three users with `include!` (the sweep and attack
-// journal tests in this crate, the net journal's in `rbcast-net`) so
-// the kill-mid-write case is stated once.
+// hold, shared by its two users with `include!` (the supervisor's
+// `Journal::open` test in this crate, run with sweep and attack lines,
+// and the net journal's in `rbcast-net`) so the kill-mid-write case is
+// stated once.
 //
 // `full` is a valid journal of `expected.len() - 1` lines and
 // `expected[k]` is what `load` must return once exactly `k` of them are

@@ -11,7 +11,7 @@
 //! grammar and `rbcast help` for usage.
 
 use crate::adversary::{local_fault_bound, Placement};
-use crate::core::supervisor::{self, Journal, JournalHeader, SupervisorConfig, TaskReport};
+use crate::core::supervisor::{self, Checkpoint, JournalHeader, SupervisorConfig, TaskReport};
 use crate::core::{engine, obs, thresholds, EngineKind, Experiment, FaultKind, ProtocolKind};
 use crate::grid::{Metric, NeighborTable, NodeId, Torus};
 use crate::sim::ChannelConfig;
@@ -65,13 +65,12 @@ pub enum Command {
 pub struct SweepOpts {
     /// Worker threads (`None` = `RBCAST_THREADS` or all cores).
     pub threads: Option<usize>,
-    /// Checkpoint journal to write (`--journal`). No default path: the
-    /// sweep journals only when asked to.
-    pub journal: Option<PathBuf>,
-    /// Journal to resume from (`--resume`): completed tasks are skipped
-    /// and their stored rows reprinted; failures re-run. New completions
-    /// are appended to the same file, so repeated resumes converge.
-    pub resume: Option<PathBuf>,
+    /// Checkpoint journal to start (`--journal`) or resume (`--resume`:
+    /// completed tasks are skipped and their stored rows reprinted;
+    /// failures re-run; new completions append to the same file, so
+    /// repeated resumes converge). No default: the sweep journals only
+    /// when asked to.
+    pub checkpoint: Option<Checkpoint>,
     /// Attempts per task (`--retries`; `None` = `RBCAST_RETRIES` or 2).
     pub retries: Option<u32>,
     /// Per-task round budget (`--round-budget`; `None` =
@@ -127,8 +126,8 @@ USAGE:
                [--behavior B] [--seed N] [--prob F in [0,1]] [--repeats N>=1]
                [--loss F in [0,1)] [--redundancy N>=1] [--spoofing] [--jam N]
                [--no-early-term] [--trace FILE] [--dense]
-  rbcast sweep --t-max N>=t [--threads N>=1] [--journal FILE]
-               [--resume FILE] [--retries N>=1] [--round-budget N]
+  rbcast sweep --t-max N>=t [--threads N>=1] [--journal FILE | --resume FILE]
+               [--retries N>=1] [--round-budget N]
                [--trace-dir DIR] [--timings] [run options]
   rbcast audit --placement PL [--r N>=1] [--t N] [--seed N] [--metric M]
   rbcast attack [--seed N] [--steps N] [--threads N>=1] [--r N>=1]...
@@ -185,11 +184,11 @@ USAGE:
   sweep task (task-<i>.jsonl). --timings prints a wall-clock per-phase
   table after the sweep; timing never feeds anything deterministic.
 
-  Journals created by this version begin with a header line
-  fingerprinting the sweep specification; --resume refuses a journal
-  whose fingerprint does not match the requested sweep (exit 2), since
-  its task indices would alias unrelated experiments. Headerless
-  journals from older versions resume without the check.
+  A sweep or attack journal starts with a header fingerprinting the
+  run. --resume continues that file and refuses (exit 2, file
+  untouched) a missing journal, a headerless one, or one whose
+  fingerprint differs, since its task indices would alias unrelated
+  experiments. --journal and --resume together are an error.
 
   `attack` searches for worst-case fault placements: for each radius it
   sweeps the local bound t across the protocol's proven threshold (half,
@@ -307,6 +306,32 @@ impl<'a> Flags<'a> {
         self.raw().map(PathBuf::from)
     }
 
+    /// `--journal FILE` (start) or `--resume FILE` (continue) into the
+    /// one checkpoint a run keeps: a second is an error, so no run
+    /// writes one journal while resuming from another.
+    pub(crate) fn checkpoint(&mut self, slot: &mut Option<Checkpoint>) -> Result<(), String> {
+        let path = self.path()?;
+        if let Some(prior) = slot {
+            let (flag, prior) = match prior {
+                Checkpoint::Fresh(p) => ("--journal", p),
+                Checkpoint::Resume(p) => ("--resume", p),
+            };
+            return Err(format!(
+                "{} {} conflicts with {flag} {}: a run keeps one journal \
+                 (--journal FILE starts it, --resume FILE continues it)",
+                self.flag,
+                path.display(),
+                prior.display()
+            ));
+        }
+        *slot = Some(if self.flag == "--resume" {
+            Checkpoint::Resume(path)
+        } else {
+            Checkpoint::Fresh(path)
+        });
+        Ok(())
+    }
+
     pub(crate) fn value<T: std::str::FromStr>(&mut self) -> Result<T, String> {
         let raw = self.raw()?;
         raw.parse()
@@ -416,8 +441,7 @@ fn parse_run(args: &[String]) -> Result<(RunSpec, Option<usize>, SweepOpts), Str
             "--t" => t = Some(f.value()?),
             "--t-max" => t_max = Some(f.value()?),
             "--threads" => opts.threads = Some(f.at_least(1)?),
-            "--journal" => opts.journal = Some(f.path()?),
-            "--resume" => opts.resume = Some(f.path()?),
+            "--journal" | "--resume" => f.checkpoint(&mut opts.checkpoint)?,
             "--retries" => opts.retries = Some(f.at_least(1)?),
             "--round-budget" => opts.round_budget = Some(f.value()?),
             "--trace" => trace = Some(f.path()?),
@@ -600,16 +624,9 @@ pub fn execute(cmd: &Command) -> i32 {
 
 /// Builds the supervisor policy for a sweep: the environment knobs
 /// (`RBCAST_CHAOS`, `RBCAST_RETRIES`, `RBCAST_ROUND_BUDGET`) overridden
-/// by the explicit flags, plus journal/resume wiring. `--resume` implies
-/// appending new completions to the same file, so repeated resumes of an
-/// interrupted sweep converge.
-///
-/// `header` fingerprints the sweep being executed: a fresh journal is
-/// created with it as its first line, and a resume journal carrying a
-/// *different* header is refused — its task indices would alias
-/// unrelated experiments. Headerless (older) journals resume unchecked;
-/// an empty one (cut inside its header line) gets the header rewritten.
-fn sweep_config(opts: &SweepOpts, header: &JournalHeader) -> Result<SupervisorConfig, String> {
+/// by the explicit flags, and the checkpoint journal opened under
+/// `header`, the sweep's fingerprint.
+fn sweep_config(opts: &SweepOpts, header: JournalHeader) -> Result<SupervisorConfig, String> {
     let mut config = SupervisorConfig::from_env()?;
     if let Some(n) = opts.retries {
         config = config.with_max_attempts(n);
@@ -617,38 +634,12 @@ fn sweep_config(opts: &SweepOpts, header: &JournalHeader) -> Result<SupervisorCo
     if opts.round_budget.is_some() {
         config = config.with_round_budget(opts.round_budget);
     }
-    if let Some(path) = &opts.resume {
-        let prior = Journal::read_header(path)
-            .map_err(|e| format!("cannot read resume journal {}: {e}", path.display()))?;
-        if let Some(prior) = prior {
-            if prior != *header {
-                return Err(format!(
-                    "resume journal {} records a different sweep \
-                     (fingerprint {:#018x}, {} tasks; this sweep is {:#018x}, {} tasks) — \
-                     refusing to splice checkpoints across specifications",
-                    path.display(),
-                    prior.fingerprint,
-                    prior.tasks,
-                    header.fingerprint,
-                    header.tasks,
-                ));
-            }
-        }
-        let entries = Journal::load(path)
-            .map_err(|e| format!("cannot load resume journal {}: {e}", path.display()))?;
-        config = config.resume_from(entries);
+    match &opts.checkpoint {
+        Some(checkpoint) => config
+            .with_checkpoint(checkpoint, header)
+            .map_err(|e| e.to_string()),
+        None => Ok(config),
     }
-    if let Some(path) = opts.journal.as_ref().or(opts.resume.as_ref()) {
-        let journal = if opts.resume.is_some() {
-            Journal::append_to_with_header(path, header)
-        } else {
-            Journal::create_with_header(path, header)
-        };
-        config = config.with_journal(
-            journal.map_err(|e| format!("cannot open journal {}: {e}", path.display()))?,
-        );
-    }
-    Ok(config)
 }
 
 /// The supervised sweep: one row per `t`, recomputed, resumed, or
@@ -680,7 +671,7 @@ fn execute_sweep(spec: &RunSpec, t_max: usize, opts: &SweepOpts) -> i32 {
         fingerprint: supervisor::sweep_fingerprint(&experiments),
         tasks: experiments.len(),
     };
-    let config = match sweep_config(opts, &header) {
+    let config = match sweep_config(opts, header) {
         Ok(config) => config,
         Err(e) => {
             eprintln!("error: {e}");
@@ -861,13 +852,15 @@ mod tests {
     #[test]
     fn sweep_parses_supervision_flags() {
         let Command::Sweep { opts, .. } = parse(&argv(
-            "sweep --t-max 2 --journal a.jsonl --resume b.jsonl --retries 3 --round-budget 40",
+            "sweep --t-max 2 --resume b.jsonl --retries 3 --round-budget 40",
         ))
         .unwrap() else {
             panic!("not a sweep");
         };
-        assert_eq!(opts.journal, Some(PathBuf::from("a.jsonl")));
-        assert_eq!(opts.resume, Some(PathBuf::from("b.jsonl")));
+        assert_eq!(
+            opts.checkpoint,
+            Some(Checkpoint::Resume(PathBuf::from("b.jsonl")))
+        );
         assert_eq!(opts.retries, Some(3));
         assert_eq!(opts.round_budget, Some(40));
         assert!(parse(&argv("sweep --t-max 2 --retries many")).is_err());
@@ -1007,6 +1000,12 @@ mod tests {
                 "--retries must be at least 1",
             ),
             ("attack --threads 0", "--threads must be at least 1"),
+            (
+                "sweep --t-max 2 --journal a --resume b",
+                "--resume b conflicts with --journal a",
+            ),
+            ("attack --journal a --resume b", "--resume b conflicts"),
+            ("attack --resume a --journal a", "--journal a conflicts"),
             ("audit --placement cluster --t x", "--t"),
             ("audit --placement", "--placement"),
             ("audit --placement cluster --bogus", "--bogus"),
@@ -1148,10 +1147,22 @@ mod tests {
         assert_eq!(execute(&cmd), 2);
     }
 
+    /// A sweep journal's entries, last line per task winning, after
+    /// checking that its first line is the fingerprint header.
+    fn journal_entries(
+        path: &std::path::Path,
+    ) -> std::collections::BTreeMap<usize, supervisor::JournalEntry> {
+        let text = std::fs::read_to_string(path).unwrap();
+        let mut lines = text.lines();
+        assert!(JournalHeader::from_line(lines.next().unwrap()).is_ok());
+        lines
+            .map(|line| supervisor::JournalEntry::from_line(line).unwrap())
+            .map(|e| (e.task, e))
+            .collect()
+    }
+
     #[test]
     fn execute_sweep_journals_and_resumes_without_recomputing() {
-        use crate::core::supervisor::Journal;
-
         let path = std::env::temp_dir().join("rbcast_cli_sweep_journal.jsonl");
         let _ = std::fs::remove_file(&path);
         let base = format!(
@@ -1160,7 +1171,7 @@ mod tests {
             path.display()
         );
         assert_eq!(execute(&parse(&argv(&base)).unwrap()), 0);
-        let entries = Journal::load(&path).unwrap();
+        let entries = journal_entries(&path);
         assert_eq!(entries.len(), 3);
         assert!(entries.values().all(|e| e.ok));
 
@@ -1266,29 +1277,116 @@ mod tests {
 
     #[test]
     fn execute_sweep_resume_converges_on_a_partial_journal() {
-        use crate::core::supervisor::Journal;
-
-        // Seed the journal with only t=1 completed: the resume run must
-        // compute t=0 and t=2, append them, and end fully healthy.
+        // Seed the journal with its header and only t=1 completed: the
+        // resume run must compute t=0 and t=2, append them, and end
+        // fully healthy.
         let path = std::env::temp_dir().join("rbcast_cli_sweep_partial.jsonl");
-        let _ = std::fs::remove_file(&path);
-        std::fs::write(
-            &path,
-            "{\"task\":1,\"status\":\"ok\",\"attempts\":1,\
-             \"correct\":7,\"wrong\":0,\"undecided\":0,\"messages\":9}\n",
-        )
-        .unwrap();
-        let resume = format!(
+        let sweep = format!(
             "sweep --protocol flood --r 1 --t 0 --t-max 2 --placement cluster \
-             --behavior crash --threads 1 --resume {}",
+             --behavior crash --threads 1 --journal {}",
             path.display()
         );
+        assert_eq!(execute(&parse(&argv(&sweep)).unwrap()), 0);
+        let header = std::fs::read_to_string(&path).unwrap();
+        let header = header.lines().next().unwrap();
+        std::fs::write(
+            &path,
+            format!(
+                "{header}\n{{\"task\":1,\"status\":\"ok\",\"attempts\":1,\
+                 \"correct\":7,\"wrong\":0,\"undecided\":0,\"messages\":9}}\n"
+            ),
+        )
+        .unwrap();
+        let resume = sweep.replace("--journal", "--resume");
         assert_eq!(execute(&parse(&argv(&resume)).unwrap()), 0);
-        let entries = Journal::load(&path).unwrap();
+        let entries = journal_entries(&path);
         assert_eq!(entries.len(), 3);
         assert!(entries.values().all(|e| e.ok));
         // the seeded row was trusted verbatim, not recomputed
         assert_eq!(entries[&1].summary.unwrap().correct, 7);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// The splice reproduced at d1bb6c8: `--journal A --resume B` (B a
+    /// CPA sweep's journal cut to its header) appended the CPA rows
+    /// under flood journal A's header, and the flood sweep resumed from
+    /// A then printed the CPA broadcast counts, 152 and 174, where it
+    /// computes 143 and 142.
+    #[test]
+    fn a_journal_and_a_resume_together_are_refused_not_spliced() {
+        let dir = std::env::temp_dir().join(format!("rbcast_cli_splice_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (a, b) = (dir.join("a.jsonl"), dir.join("b.jsonl"));
+        let flood = "sweep --protocol flood --r 1 --t-max 2 --placement cluster --behavior crash \
+                     --threads 1";
+        let cpa = "sweep --protocol cpa --r 1 --t-max 2 --placement cluster --behavior liar \
+                   --threads 1";
+        let run = |line: String| execute(&parse(&argv(&line)).unwrap());
+        assert_eq!(run(format!("{flood} --journal {}", a.display())), 0);
+        assert_eq!(run(format!("{cpa} --journal {}", b.display())), 0);
+        let b_header = std::fs::read_to_string(&b).unwrap();
+        std::fs::write(&b, format!("{}\n", b_header.lines().next().unwrap())).unwrap();
+        let flood_journal = std::fs::read_to_string(&a).unwrap();
+
+        let spliced = parse(&argv(&format!(
+            "{cpa} --journal {} --resume {}",
+            a.display(),
+            b.display()
+        )));
+        if let Ok(cmd) = &spliced {
+            let _ = execute(cmd); // what a parse that let the pair through ran
+        }
+        assert_eq!(
+            std::fs::read_to_string(&a).unwrap(),
+            flood_journal,
+            "A was spliced"
+        );
+        let err = spliced.expect_err("--journal A --resume B must not parse");
+        assert!(
+            err.contains("conflicts with") && !err.contains('\n'),
+            "{err}"
+        );
+
+        assert_eq!(run(format!("{flood} --resume {}", a.display())), 0);
+        let broadcasts: Vec<u64> = journal_entries(&a)
+            .values()
+            .map(|e| e.summary.unwrap().messages)
+            .collect();
+        assert_eq!(broadcasts, [144, 143, 142], "not the CPA sweep's 152/174");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn sweep_resume_refuses_a_headerless_journal_and_leaves_it_untouched() {
+        let path = std::env::temp_dir().join(format!(
+            "rbcast_cli_headerless_{}.jsonl",
+            std::process::id()
+        ));
+        let line = "{\"task\":0,\"status\":\"ok\",\"attempts\":1,\
+                    \"correct\":1,\"wrong\":0,\"undecided\":0,\"messages\":1}\n";
+        std::fs::write(&path, line).unwrap();
+        let resume = format!(
+            "sweep --protocol flood --r 1 --t-max 0 --placement cluster --behavior crash \
+             --threads 1 --resume {}",
+            path.display()
+        );
+        assert_eq!(execute(&parse(&argv(&resume)).unwrap()), 2);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), line);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn attack_resume_refuses_a_missing_journal() {
+        let path = std::env::temp_dir().join(format!(
+            "rbcast_cli_attack_missing_{}.jsonl",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let resume = format!(
+            "attack --seed 5 --steps 4 --r 1 --resume {}",
+            path.display()
+        );
+        assert_eq!(execute(&parse(&argv(&resume)).unwrap()), 2);
+        assert!(!path.exists(), "a refused resume creates nothing");
     }
 }

@@ -40,11 +40,7 @@ pub fn parse_attack(args: &[String]) -> Result<AttackSpec, String> {
             "--threads" => config.threads = f.at_least(1)?,
             "--checkpoint-every" => config.checkpoint_every = f.value()?,
             "--r" => rs.push(f.radius()?),
-            "--journal" => config.journal = Some(f.path()?),
-            "--resume" => {
-                config.journal = Some(f.path()?);
-                config.resume = true;
-            }
+            "--journal" | "--resume" => f.checkpoint(&mut config.checkpoint)?,
             "--gate" => gate = true,
             "--timings" => timings = true,
             "--out" => out_dir = Some(f.path()?),
@@ -183,6 +179,7 @@ fn write_placements(dir: &std::path::Path, report: &AttackReport) -> std::io::Re
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::core::supervisor::Checkpoint;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()
@@ -195,14 +192,16 @@ mod tests {
         assert_eq!(spec.config.steps, 40);
         assert_eq!(spec.config.rs, vec![1, 2]);
         assert!(spec.gate);
-        assert!(!spec.config.resume);
+        assert_eq!(spec.config.checkpoint, None);
     }
 
     #[test]
     fn resume_implies_journal() {
         let spec = parse_attack(&argv("--resume search.jsonl")).unwrap();
-        assert!(spec.config.resume);
-        assert_eq!(spec.config.journal, Some(PathBuf::from("search.jsonl")));
+        assert_eq!(
+            spec.config.checkpoint,
+            Some(Checkpoint::Resume(PathBuf::from("search.jsonl")))
+        );
     }
 
     #[test]
