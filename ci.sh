@@ -296,5 +296,10 @@ grep -q '"peak_rss_kb"' BENCH_scale.json \
 rss=$(sed -n 's/.*"indirect-simplified", "side": 1000,.*"peak_rss_kb": \([0-9]*\).*/\1/p' BENCH_scale.json)
 test -n "$rss" && test "$rss" -lt 512000 \
     || { echo "BENCH_scale.json: indirect-simplified at 10^6 nodes reads ${rss:-no} kB peak RSS (limit 512000)"; exit 1; }
+# Honest nodes are stored inline (24 B a flood node, not a 16 B box
+# pointer plus a heap chunk), so the flood 10^6 cell stays under 100 MB.
+rss=$(sed -n 's/.*"flood", "side": 1000,.*"peak_rss_kb": \([0-9]*\).*/\1/p' BENCH_scale.json)
+test -n "$rss" && test "$rss" -lt 100000 \
+    || { echo "BENCH_scale.json: flood at 10^6 nodes reads ${rss:-no} kB peak RSS (limit 100000)"; exit 1; }
 
 echo "CI: all gates passed"

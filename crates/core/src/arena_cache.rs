@@ -66,6 +66,19 @@ pub(crate) fn shared(torus: &Torus, r: u32, metric: Metric) -> Arc<NeighborTable
     built
 }
 
+/// Drops `table` and then every registry entry whose table is gone. A
+/// dead entry's `Weak` keeps the table's `Arc` allocation alive, and
+/// where that chunk lands decides whether the allocator can trim the
+/// heap once a run has freed everything else — so the run that drops
+/// the last strong reference takes the entry with it.
+pub(crate) fn release(table: Arc<NeighborTable>) {
+    drop(table);
+    registry()
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .retain(|_, w| w.strong_count() > 0);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,5 +133,32 @@ mod tests {
         let _ = ptr;
         assert_eq!(second.radius(), 3);
         assert_eq!(second.len(), 625);
+    }
+
+    #[test]
+    fn a_finished_experiment_leaves_no_registry_entry() {
+        // A geometry no other test uses.
+        let torus = Torus::new(27, 27);
+        let key = (27, 27, 2, metric_tag(Metric::L2));
+        let registered = || {
+            registry()
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .contains_key(&key)
+        };
+        let experiment = crate::Experiment::new(2, crate::ProtocolKind::Flood)
+            .with_torus(torus)
+            .with_metric(Metric::L2);
+        let guard = experiment.arena_guard().expect("shared by default");
+        assert!(registered());
+        assert!(experiment.run().all_honest_correct());
+        assert!(registered(), "a live guard keeps its entry");
+        release(guard);
+        assert!(!registered(), "the last release prunes the entry");
+        assert!(experiment.run().all_honest_correct());
+        assert!(
+            !registered(),
+            "a run that held the last reference prunes it"
+        );
     }
 }

@@ -6,7 +6,7 @@ use rbcast_grid::{Coord, Metric, NeighborTable, NodeId, Torus};
 use rbcast_protocols::{
     attackers, Cpa, Flood, Indirect, IndirectConfig, Msg, PersistentFlood, ProtocolParams,
 };
-use rbcast_sim::{ChannelConfig, EngineKind, Network, Process, RunStats, Value};
+use rbcast_sim::{ChannelConfig, EngineKind, Network, Node, Process, RunStats, Value};
 use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -85,27 +85,67 @@ impl ProtocolKind {
         }) as usize
     }
 
-    /// Builds one honest node's process.
+    /// The one protocol table: hands `visitor` this protocol's process
+    /// type and its constructor, so each caller is monomorphised per
+    /// process type rather than matching on the kind itself.
+    pub(crate) fn visit<V: ProtocolVisitor>(&self, visitor: V) -> V::Output {
+        match *self {
+            ProtocolKind::Flood => visitor.visit(&Flood::new),
+            ProtocolKind::PersistentFlood { repeats } => {
+                visitor.visit(&move |params| PersistentFlood::new(params, repeats))
+            }
+            ProtocolKind::Cpa => visitor.visit(&Cpa::new),
+            ProtocolKind::IndirectFull => {
+                visitor.visit(&|params| Indirect::new(params, IndirectConfig::full()))
+            }
+            ProtocolKind::IndirectSimplified => {
+                visitor.visit(&|params| Indirect::new(params, IndirectConfig::simplified()))
+            }
+            ProtocolKind::IndirectCustom(cfg) => {
+                visitor.visit(&move |params| Indirect::new(params, cfg))
+            }
+        }
+    }
+
+    /// Builds one honest node's process, boxed — for hosts that mix
+    /// protocols in one table ([`rbcast_sim::InstanceHost`]).
     ///
     /// # Panics
     ///
     /// Panics on `PersistentFlood { repeats: 0 }`.
     #[must_use]
     pub fn spawn(&self, params: ProtocolParams) -> Box<dyn Process<Msg>> {
-        match *self {
-            ProtocolKind::Flood => Box::new(Flood::new(params)),
-            ProtocolKind::PersistentFlood { repeats } => {
-                Box::new(PersistentFlood::new(params, repeats))
+        struct Boxed(ProtocolParams);
+        impl ProtocolVisitor for Boxed {
+            type Output = Box<dyn Process<Msg>>;
+            fn visit<P: Process<Msg> + 'static>(
+                self,
+                make: &dyn Fn(ProtocolParams) -> P,
+            ) -> Self::Output {
+                Box::new(make(self.0))
             }
-            ProtocolKind::Cpa => Box::new(Cpa::new(params)),
-            ProtocolKind::IndirectFull => Box::new(Indirect::new(params, IndirectConfig::full())),
-            ProtocolKind::IndirectSimplified => {
-                Box::new(Indirect::new(params, IndirectConfig::simplified()))
-            }
-            ProtocolKind::IndirectCustom(cfg) => Box::new(Indirect::new(params, cfg)),
         }
+        self.visit(Boxed(params))
     }
 }
+
+/// What [`ProtocolKind::visit`] calls with the protocol's process type
+/// `P` and its constructor.
+pub(crate) trait ProtocolVisitor {
+    /// What the visit returns, whatever `P` was.
+    type Output;
+    /// Runs with honest processes of type `P`, each built by `make`.
+    fn visit<P: Process<Msg> + 'static>(self, make: &dyn Fn(ProtocolParams) -> P) -> Self::Output;
+}
+
+// A typed slot costs its protocol's bytes and not one more: the faulty
+// variant's box lives in the protocol's niche.
+const fn slot_is_inline<P>(bytes: usize) -> bool {
+    std::mem::size_of::<Node<P, Msg>>() == bytes && std::mem::size_of::<P>() == bytes
+}
+const _: () = assert!(slot_is_inline::<Flood>(24));
+const _: () = assert!(slot_is_inline::<Cpa>(64));
+const _: () = assert!(slot_is_inline::<Indirect>(144));
 
 /// How faulty nodes behave.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -523,7 +563,34 @@ impl Experiment {
     /// delivery-trace hash. `primary` is false for the `debug-invariants`
     /// shadow replica, which must not write the trace file.
     fn run_once(&self, primary: bool) -> (Outcome, u64) {
+        struct Run<'a>(&'a Experiment, bool);
+        impl ProtocolVisitor for Run<'_> {
+            type Output = (Outcome, u64);
+            fn visit<P: Process<Msg> + 'static>(
+                self,
+                make: &dyn Fn(ProtocolParams) -> P,
+            ) -> Self::Output {
+                let Run(exp, primary) = self;
+                let (outcome, net) = exp.simulate(primary, make);
+                let hash = net.trace_hash();
+                let arena = Arc::clone(net.arena());
+                drop(net);
+                crate::arena_cache::release(arena);
+                (outcome, hash)
+            }
+        }
         let _span = crate::obs::span("experiment/run");
+        self.protocol.visit(Run(self, primary))
+    }
+
+    /// The run itself: honest nodes built by `make` and stored inline,
+    /// faulty nodes in [`FaultKind::spawn`]'s box. Returns the outcome
+    /// and the network it was read from.
+    fn simulate<P: Process<Msg>>(
+        &self,
+        primary: bool,
+        make: &dyn Fn(ProtocolParams) -> P,
+    ) -> (Outcome, Network<Msg, Node<P, Msg>>) {
         let torus = self.resolve_torus();
         let arena = if self.shared_arena {
             crate::arena_cache::shared(&torus, self.r, self.metric)
@@ -545,19 +612,16 @@ impl Experiment {
         let audited_bound = local_fault_bound_in(&arena, &faults);
         let fault_set: HashSet<NodeId> = faults.iter().copied().collect();
 
-        let protocol = self.protocol;
-        let fault_kind = self.fault_kind;
         let wrong = !self.value;
-        let fs = fault_set.clone();
         let mut channel = self.channel.clone();
         if channel.jam_budget > 0 && channel.jammers.is_empty() {
             channel.jammers = faults.clone();
         }
-        let mut net = Network::with_arena(Arc::clone(&arena), channel, move |id| {
-            if fs.contains(&id) {
-                fault_kind.spawn(wrong, id)
+        let mut net = Network::with_arena(arena, channel, |id| {
+            if fault_set.contains(&id) {
+                Node::Faulty(self.fault_kind.spawn(wrong, id))
             } else {
-                protocol.spawn(params)
+                Node::Honest(make(params))
             }
         });
         net.set_classifier(Msg::kind);
@@ -622,7 +686,7 @@ impl Experiment {
             message_kinds,
             last_decision_round: net.latest_decision_round(&honest_ids),
         };
-        (outcome, net.trace_hash())
+        (outcome, net)
     }
 }
 
@@ -801,6 +865,138 @@ mod tests {
         let o = Experiment::new(1, ProtocolKind::Flood).run();
         assert!(runs.get() > r0);
         assert!(deliveries.get() >= d0 + o.stats.deliveries);
+    }
+
+    /// Everything a run shows beyond its outcome.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        hash: u64,
+        stats: RunStats,
+        decisions: Vec<Option<(Value, rbcast_sim::Round)>>,
+        kinds: std::collections::BTreeMap<&'static str, u64>,
+        events: String,
+    }
+
+    fn observe<P>(net: &Network<Msg, P>, stats: RunStats, trace: &std::path::Path) -> Observed
+    where
+        P: Process<Msg>,
+    {
+        Observed {
+            hash: net.trace_hash(),
+            stats,
+            decisions: net.decisions(),
+            kinds: net.kind_counts().clone(),
+            events: std::fs::read_to_string(trace).expect("trace written"),
+        }
+    }
+
+    /// `exp` through `Experiment`'s own typed path, with its trace
+    /// stream written to `trace`.
+    fn typed(exp: &Experiment, trace: &std::path::Path) -> Observed {
+        struct Typed<'a>(&'a Experiment, &'a std::path::Path);
+        impl ProtocolVisitor for Typed<'_> {
+            type Output = Observed;
+            fn visit<P: Process<Msg> + 'static>(
+                self,
+                make: &dyn Fn(ProtocolParams) -> P,
+            ) -> Observed {
+                let (outcome, net) = self.0.simulate(true, make);
+                // The sink flushed when the run ended.
+                let observed = observe(&net, outcome.stats, self.1);
+                assert_eq!(self.0.run_traced(), (outcome, net.trace_hash()));
+                observed
+            }
+        }
+        let exp = exp.clone().with_trace_path(trace);
+        exp.protocol.visit(Typed(&exp, trace))
+    }
+
+    /// The same inputs through a hand-built network that boxes every
+    /// node, as `run_once` did before honest processes were stored
+    /// inline.
+    fn boxed(exp: &Experiment, trace: &std::path::Path) -> Observed {
+        let torus = exp.resolve_torus();
+        let t = exp.t.unwrap_or_else(|| exp.protocol.proven_t(exp.r));
+        let params = ProtocolParams {
+            source: torus.id(Coord::ORIGIN),
+            value: exp.value,
+            t,
+        };
+        let faults = exp
+            .placement
+            .as_ref()
+            .map_or_else(Vec::new, |p| p.place(&torus, exp.r, exp.metric));
+        let arena = Arc::new(NeighborTable::build(&torus, exp.r, exp.metric));
+        let mut net: Network<Msg> = Network::with_arena(arena, exp.channel.clone(), |id| {
+            if faults.contains(&id) {
+                exp.fault_kind.spawn(!exp.value, id)
+            } else {
+                exp.protocol.spawn(params)
+            }
+        });
+        net.set_classifier(Msg::kind);
+        let honest: Vec<NodeId> = torus.node_ids().filter(|id| !faults.contains(id)).collect();
+        net.set_completion_mask(&honest);
+        net.set_early_termination(exp.early_termination);
+        net.set_engine(exp.engine);
+        if exp.fault_kind == FaultKind::CrashStop {
+            for &f in &faults {
+                net.crash_at(f, 0);
+            }
+        }
+        let file = std::fs::File::create(trace).expect("trace file");
+        net.set_trace_sink(Box::new(crate::obs::JsonlSink::new(
+            std::io::BufWriter::new(file),
+        )));
+        let stats = net.run(exp.max_rounds);
+        observe(&net, stats, trace)
+    }
+
+    #[test]
+    fn typed_storage_runs_exactly_as_boxed() {
+        let protocols = ProtocolKind::ALL
+            .into_iter()
+            .chain([ProtocolKind::IndirectCustom(IndirectConfig {
+                max_relays: 2,
+                ..IndirectConfig::full()
+            })]);
+        let faults = [
+            FaultKind::CrashStop,
+            FaultKind::Liar,
+            FaultKind::Forger,
+            FaultKind::Mixed { seed: 5 },
+        ];
+        let placement = Placement::RandomLocal {
+            t: 1,
+            seed: 3,
+            attempts: 40,
+        };
+        let placed = placement
+            .place(&Torus::for_radius(1), 1, Metric::Linf)
+            .len();
+        assert!(placed > 4, "{placed} faults");
+        let dir = std::env::temp_dir();
+        let pid = std::process::id();
+        for protocol in protocols {
+            for fault in faults {
+                for engine in [EngineKind::Sparse, EngineKind::Dense] {
+                    let case = format!("{}-{}-{engine:?}", protocol.name(), fault.name());
+                    let exp = Experiment::new(1, protocol)
+                        .with_placement(placement.clone())
+                        .with_fault_kind(fault)
+                        .with_engine(engine);
+                    let (a, b) = (
+                        dir.join(format!("rbcast-typed-{pid}-{case}.jsonl")),
+                        dir.join(format!("rbcast-boxed-{pid}-{case}.jsonl")),
+                    );
+                    let typed = typed(&exp, &a);
+                    let boxed = boxed(&exp, &b);
+                    let _ = (std::fs::remove_file(a), std::fs::remove_file(b));
+                    assert!(typed.stats.deliveries > 0, "{case}");
+                    assert_eq!(typed, boxed, "{case}");
+                }
+            }
+        }
     }
 
     #[test]

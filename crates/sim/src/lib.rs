@@ -68,7 +68,7 @@ pub use channel::{BurstChain, BurstLoss, ChannelConfig};
 pub use driver::{InstanceHost, InstanceId};
 pub use harness::Harness;
 pub use network::{EngineKind, Network};
-pub use process::{Ctx, Process};
+pub use process::{Ctx, Node, Process};
 pub use stats::{RoundReport, RunStats, StopReason};
 
 /// The broadcast payload domain: the paper's message is a binary value.

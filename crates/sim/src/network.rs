@@ -54,7 +54,12 @@ struct SafetyOracle {
 ///    nodes crashed at or before the current round transmit nothing.
 ///
 /// The run ends at quiescence (nothing on the air) or after `max_rounds`.
-pub struct Network<M> {
+///
+/// `P` is what one node's slot stores. The default boxes every process,
+/// so any mix of implementations fits; a host that knows its honest
+/// protocol stores [`crate::Node`]`<Protocol, M>` and keeps the honest
+/// processes inline.
+pub struct Network<M, P = Box<dyn Process<M>>> {
     /// The shared topology arena: torus, radius, metric, and the CSR
     /// neighbor table, immutable and possibly shared with other
     /// networks (and threads) running the same geometry.
@@ -72,7 +77,7 @@ pub struct Network<M> {
     /// bitset, completion mask and popcount-maintained counters, so no
     /// round recounts decisions or scans the mask.
     lent: Lent<M>,
-    processes: Vec<Box<dyn Process<M>>>,
+    processes: Vec<P>,
     /// SoA crash schedule: round at which each node crash-stops,
     /// [`NEVER`] if it doesn't. Replaces a `Vec<Option<Round>>` so the
     /// per-delivery liveness test is one compare on a dense `u32` array.
@@ -127,7 +132,7 @@ pub struct Network<M> {
     on_air: Vec<Transmission<M>>,
 }
 
-impl<M> Network<M> {
+impl<M, P: Process<M>> Network<M, P> {
     /// Builds a network over `torus` with transmission radius `radius`
     /// under `metric`, instantiating each node's process with `make`.
     ///
@@ -137,7 +142,7 @@ impl<M> Network<M> {
     /// this radius (see [`Torus::supports_radius`]).
     pub fn new<F>(torus: Torus, radius: u32, metric: Metric, make: F) -> Self
     where
-        F: FnMut(NodeId) -> Box<dyn Process<M>>,
+        F: FnMut(NodeId) -> P,
     {
         Network::new_with_channel(torus, radius, metric, ChannelConfig::reliable(), make)
     }
@@ -156,7 +161,7 @@ impl<M> Network<M> {
         make: F,
     ) -> Self
     where
-        F: FnMut(NodeId) -> Box<dyn Process<M>>,
+        F: FnMut(NodeId) -> P,
     {
         let arena = Arc::new(NeighborTable::build(&torus, radius, metric));
         Network::with_arena(arena, channel, make)
@@ -168,7 +173,7 @@ impl<M> Network<M> {
     /// performs no neighborhood computation at all.
     pub fn with_arena<F>(arena: Arc<NeighborTable>, channel: ChannelConfig, mut make: F) -> Self
     where
-        F: FnMut(NodeId) -> Box<dyn Process<M>>,
+        F: FnMut(NodeId) -> P,
     {
         let torus = arena.torus();
         let n = torus.len();
@@ -773,17 +778,17 @@ impl<M> Network<M> {
     /// Immutable access to a node's process (e.g. to inspect protocol
     /// state after a run).
     #[must_use]
-    pub fn process(&self, id: NodeId) -> &dyn Process<M> {
-        self.processes[id.index()].as_ref()
+    pub fn process(&self, id: NodeId) -> &P {
+        &self.processes[id.index()]
     }
 
     fn with_ctx<F>(&mut self, id: NodeId, round: Round, f: F)
     where
-        F: FnOnce(&mut dyn Process<M>, &mut Ctx<'_, M>),
+        F: FnOnce(&mut P, &mut Ctx<'_, M>),
     {
         // A node is its own slot.
         let mut ctx = self.lent.ctx(&self.arena, id, round, id.0);
-        f(self.processes[id.index()].as_mut(), &mut ctx);
+        f(&mut self.processes[id.index()], &mut ctx);
         if let Some(mut notes) = self.lent.notes.take_if(|n| !n.is_empty()) {
             for (label, value) in notes.drain(..) {
                 self.emit(TraceEvent::Note {
@@ -827,7 +832,7 @@ impl<M> Network<M> {
     }
 }
 
-impl<M> std::fmt::Debug for Network<M> {
+impl<M, P> std::fmt::Debug for Network<M, P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Network")
             .field("arena", &self.arena)
@@ -1243,9 +1248,7 @@ mod tests {
             fn on_message(&mut self, _: &mut Ctx<'_, u32>, _: NodeId, _: &u32) {}
         }
         let torus = Torus::new(12, 12);
-        let mut net = Network::new(torus.clone(), 2, Metric::Linf, |_| {
-            Box::new(DecideTwice) as _
-        });
+        let mut net = Network::new(torus.clone(), 2, Metric::Linf, |_| DecideTwice);
         net.run(5);
         let id = torus.id(Coord::new(0, 0));
         assert_eq!(net.decision(id), Some((true, 0)));

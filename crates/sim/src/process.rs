@@ -43,6 +43,67 @@ pub trait Process<M> {
     }
 }
 
+/// A boxed process is a process: hosts that mix implementations in one
+/// table store `Box<dyn Process<M>>` and call through the vtable.
+impl<M, P: Process<M> + ?Sized> Process<M> for Box<P> {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, M>) {
+        (**self).on_start(ctx);
+    }
+
+    fn on_message(&mut self, ctx: &mut Ctx<'_, M>, from: NodeId, msg: &M) {
+        (**self).on_message(ctx, from, msg);
+    }
+
+    fn on_round_end(&mut self, ctx: &mut Ctx<'_, M>) {
+        (**self).on_round_end(ctx);
+    }
+
+    fn needs_round_end(&self) -> bool {
+        (**self).needs_round_end()
+    }
+}
+
+/// One node of a network whose honest nodes all run protocol `P`: the
+/// honest process stored inline, or a faulty node's boxed adversary.
+/// The box fits in `P`'s niche, so a slot costs `size_of::<P>()` — no
+/// per-node heap chunk and no vtable call on the honest path.
+pub enum Node<P, M> {
+    /// The protocol under test.
+    Honest(P),
+    /// Whatever a faulty node runs.
+    Faulty(Box<dyn Process<M>>),
+}
+
+impl<P: Process<M>, M> Process<M> for Node<P, M> {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, M>) {
+        match self {
+            Node::Honest(p) => p.on_start(ctx),
+            Node::Faulty(p) => p.on_start(ctx),
+        }
+    }
+
+    fn on_message(&mut self, ctx: &mut Ctx<'_, M>, from: NodeId, msg: &M) {
+        match self {
+            Node::Honest(p) => p.on_message(ctx, from, msg),
+            Node::Faulty(p) => p.on_message(ctx, from, msg),
+        }
+    }
+
+    fn on_round_end(&mut self, ctx: &mut Ctx<'_, M>) {
+        match self {
+            Node::Honest(p) => p.on_round_end(ctx),
+            Node::Faulty(p) => p.on_round_end(ctx),
+        }
+    }
+
+    fn needs_round_end(&self) -> bool {
+        match self {
+            Node::Honest(p) => p.needs_round_end(),
+            Node::Faulty(p) => p.needs_round_end(),
+        }
+    }
+}
+
 /// Everything a host keeps per slot beside the process itself: the
 /// irrevocable decision and the round it was made in. Queued
 /// transmissions and trace notes live in the host's one [`Lent`].
