@@ -267,6 +267,59 @@ resume_gate attack attack --seed 10976964 --steps 60 --r 1 --checkpoint-every 8
 resume_gate sweep sweep --protocol flood --r 1 --t-max 4 --placement cluster --behavior crash
 echo "resume gates passed"
 
+echo "==> journal write-failure gates (a lost checkpoint write: same stdout, one error: line, exit 2, and the cut journal resumes)"
+# failure_gate NAME ARGS...: run `rbcast ARGS --journal J` under a
+# one-block file-size limit with SIGXFSZ ignored, so the write that
+# crosses it is short and the next fails with EFBIG. Stdout and stderr
+# go through pipes, which the limit does not cover. The run must print
+# what an unlimited run prints, then exit 2 with one error: line naming
+# J and a task; `--resume J` without the limit must finish the output.
+failure_gate() {
+    name=$1; shift
+    out=target/${name}_failure
+    journal=$out.jsonl
+    rm -f "$journal"
+    target/release/rbcast "$@" --journal "$out.full.jsonl" > "$out.full" 2>&1 \
+        || { cat "$out.full"; echo "$name failure gate: unlimited run failed"; exit 1; }
+    echo 0 > "$out.status"
+    { { sh -c "trap '' XFSZ; ulimit -f 1; exec \"\$@\"" sh target/release/rbcast "$@" \
+            --journal "$journal" 2>&1 1>&3 3>&- || echo $? > "$out.status"; } \
+        | cat > "$out.err"; } 3>&1 | cat > "$out.cut"
+    test "$(cat "$out.status")" -eq 2 \
+        || { cat "$out.err"; echo "$name failure gate: exited $(cat "$out.status"), not 2"; exit 1; }
+    test "$(grep -c . "$out.err")" -eq 1 \
+        && grep -q "^error: .*$journal.* at task [0-9]" "$out.err" \
+        || { cat "$out.err"; echo "$name failure gate: want one error: line naming the journal and a task"; exit 1; }
+    cmp -s "$out.full" "$out.cut" \
+        || { diff "$out.full" "$out.cut"; echo "$name failure gate: the lost write changed stdout"; exit 1; }
+    head -n 1 "$journal" | grep -Eq "$journal_header" \
+        || { head -n 1 "$journal"; echo "$name failure gate: cut journal lost its fingerprint header"; exit 1; }
+    target/release/rbcast "$@" --resume "$journal" > "$out.resumed" 2>&1 \
+        || { cat "$out.resumed"; echo "$name failure gate: resume of the cut journal failed"; exit 1; }
+    cmp -s "$out.full" "$out.resumed" \
+        || { diff "$out.full" "$out.resumed"; echo "$name failure gate: resume diverged from the unlimited run"; exit 1; }
+    rm -f "$out".*
+}
+failure_gate attack attack --seed 10976964 --steps 60 --r 1 --checkpoint-every 8 --threads 1
+failure_gate sweep sweep --protocol flood --r 1 --t-max 8 --placement cluster --behavior crash --threads 1
+echo "journal write-failure gates passed"
+
+echo "==> arena allocation gate (--r 63 under a 4 GB address-space limit is one error: line and exit 2, not an abort)"
+# r = 63 fits the arena's u32 row ends (cli::arena_fits passes it) but
+# needs 16.6 GB of neighbour ids; the reservation must fail as an error.
+arena_err=target/arena_gate.err
+for cmd in "run --r 63 --protocol flood" "sweep --r 63 --protocol flood --t-max 0" \
+    "attack --r 63 --steps 1"; do
+    status=0
+    # shellcheck disable=SC2086 # splitting the command into arguments is the point
+    (ulimit -v 4000000; exec target/release/rbcast $cmd) > /dev/null 2> "$arena_err" || status=$?
+    test "$status" -eq 2 && test "$(grep -c . "$arena_err")" -eq 1 \
+        && grep -q '^error: .*cannot allocate' "$arena_err" \
+        || { cat "$arena_err"; echo "arena allocation gate: 'rbcast $cmd' exited $status"; exit 1; }
+done
+rm -f "$arena_err"
+echo "arena allocation gate passed"
+
 echo "==> scale smoke (sparse engine matches the dense oracle at 10^4 nodes)"
 # Release build: the smoke gate carries a wall budget, and a debug
 # build is opt-0 here ([profile.dev] is not overridden), an order of

@@ -1,6 +1,7 @@
 //! `rbcast-bench <id> [--smoke]` runs one row of the experiment table
-//! and exits nonzero if any of its checks failed; `rbcast-bench --list`
-//! prints the ids.
+//! and exits nonzero if any of its checks failed, 2 if a sweep's
+//! checkpoint journal lost a write; `rbcast-bench --list` prints the
+//! ids.
 
 use rbcast_bench::experiments::EXPERIMENTS;
 use rbcast_bench::{Size, Verdicts};
@@ -35,7 +36,12 @@ fn main() -> ExitCode {
     };
     let mut v = Verdicts::new();
     run(&mut v, size);
-    if v.finish() {
+    let passed = v.finish();
+    if let Some(failure) = rbcast_bench::perf::journal_error() {
+        eprintln!("error: {failure}");
+        return ExitCode::from(2);
+    }
+    if passed {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -11,12 +11,14 @@
 //! measured from outside, by `benchmark/`.
 
 use rbcast_core::supervisor::{
-    self, Checkpoint, Journal, JournalHeader, SupervisorConfig, SweepReport, TaskReport,
+    self, Checkpoint, Journal, JournalFailure, JournalHeader, SupervisorConfig, SweepReport,
+    TaskReport,
 };
 use rbcast_core::{engine, Experiment, Outcome};
 use rbcast_grid::plumbing::json_escape;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 /// The supervised results of one sweep: healthy outcomes in experiment
 /// order (quarantined slots are `None`) plus the quarantine report.
@@ -58,6 +60,17 @@ fn env_config() -> SupervisorConfig {
     }
 }
 
+/// The first journal write any sweep of this process lost.
+static JOURNAL_ERROR: OnceLock<JournalFailure> = OnceLock::new();
+
+/// The first checkpoint write a [`run_sweep`] of this process could not
+/// make: the binary prints it as its one `error:` line and exits 2 once
+/// every row is printed, as `rbcast sweep` does.
+#[must_use]
+pub fn journal_error() -> Option<&'static JournalFailure> {
+    JOURNAL_ERROR.get()
+}
+
 /// Where a sweep's checkpoint journal lives:
 /// `results/journal/<label>.jsonl` under the workspace root (anchored
 /// at compile time — `cargo test` sets a per-crate cwd,
@@ -78,8 +91,10 @@ pub fn journal_path(label: &str) -> PathBuf {
 /// loop would; failed tasks are quarantined (reported on stdout, since
 /// they change verdicts, and journalled) instead of killing the run.
 /// Each sweep checkpoints to a fresh [`journal_path`]`(label)` under its
-/// fingerprint header as tasks complete (best effort: an unwritable path
-/// warns and continues), and a one-line timing summary goes to stderr.
+/// fingerprint header as tasks complete, and a one-line timing summary
+/// goes to stderr. A journal that cannot be created exits 2 at once, as
+/// `rbcast sweep --journal` does; one that loses a write later keeps the
+/// sweep running, and [`journal_error`] holds the first loss.
 #[must_use]
 pub fn run_sweep(label: &str, experiments: &[Experiment]) -> SweepRows {
     let threads = engine::thread_count(None);
@@ -90,11 +105,17 @@ pub fn run_sweep(label: &str, experiments: &[Experiment]) -> SweepRows {
     };
     match Journal::open(&Checkpoint::Fresh(journal_path(label)), header) {
         Ok((journal, _)) => config.journal = Some(journal),
-        Err(e) => eprintln!("warning: {e}"),
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
     }
     let t0 = rbcast_core::obs::Stopwatch::start();
     let report = supervisor::run_experiments_supervised(experiments, threads, &config);
     let wall_ms = t0.elapsed_ms();
+    if let Some(failure) = &report.journal_error {
+        let _ = JOURNAL_ERROR.set(failure.clone());
+    }
     let rows = rows_of(label, report);
     let quarantine_note = if rows.fully_healthy() {
         String::new()
@@ -124,7 +145,10 @@ fn rows_of(label: &str, report: SweepReport) -> SweepRows {
         .tasks
         .into_iter()
         .map(|t| match t {
-            TaskReport::Done { outcome, .. } => Some(outcome),
+            TaskReport::Done {
+                value: (outcome, _),
+                ..
+            } => Some(outcome),
             // Bench sweeps never resume; a Resumed slot would mean a
             // stale resume map leaked in — treat it as unavailable.
             TaskReport::Resumed { .. } | TaskReport::Failed { .. } => None,

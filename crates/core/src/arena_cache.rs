@@ -14,7 +14,7 @@
 //! the same key would build byte-identical tables, so handing both the
 //! same `Arc` cannot change any outcome or trace hash.
 
-use rbcast_grid::{Metric, NeighborTable, Torus};
+use rbcast_grid::{ArenaError, Metric, NeighborTable, Torus};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 
@@ -41,11 +41,20 @@ fn registry() -> &'static Mutex<BTreeMap<Key, Weak<NeighborTable>>> {
 /// The shared arena for `(torus, r, metric)`: returns the live cached
 /// table if one exists, otherwise builds, caches, and returns it.
 ///
+/// # Errors
+///
+/// As [`NeighborTable::try_build`]: an arena too large to index or to
+/// allocate.
+///
 /// # Panics
 ///
 /// Panics if the torus cannot host the radius (see
 /// [`NeighborTable::build`]).
-pub(crate) fn shared(torus: &Torus, r: u32, metric: Metric) -> Arc<NeighborTable> {
+pub(crate) fn shared(
+    torus: &Torus,
+    r: u32,
+    metric: Metric,
+) -> Result<Arc<NeighborTable>, ArenaError> {
     static HITS: OnceLock<crate::obs::Counter> = OnceLock::new();
     static MISSES: OnceLock<crate::obs::Counter> = OnceLock::new();
     let key = (torus.width(), torus.height(), r, metric_tag(metric));
@@ -55,15 +64,15 @@ pub(crate) fn shared(torus: &Torus, r: u32, metric: Metric) -> Arc<NeighborTable
     if let Some(table) = map.get(&key).and_then(Weak::upgrade) {
         HITS.get_or_init(|| crate::obs::counter("arena/hits"))
             .incr();
-        return table;
+        return Ok(table);
     }
     MISSES
         .get_or_init(|| crate::obs::counter("arena/misses"))
         .incr();
-    let built = Arc::new(NeighborTable::build(torus, r, metric));
+    let built = Arc::new(NeighborTable::try_build(torus, r, metric)?);
     map.retain(|_, w| w.strong_count() > 0);
     map.insert(key, Arc::downgrade(&built));
-    built
+    Ok(built)
 }
 
 /// Drops `table` and then every registry entry whose table is gone. A
@@ -86,17 +95,17 @@ mod tests {
     #[test]
     fn same_key_yields_the_same_table() {
         let torus = Torus::for_radius(1);
-        let a = shared(&torus, 1, Metric::Linf);
-        let b = shared(&torus, 1, Metric::Linf);
+        let a = shared(&torus, 1, Metric::Linf).expect("a small arena");
+        let b = shared(&torus, 1, Metric::Linf).expect("a small arena");
         assert!(Arc::ptr_eq(&a, &b));
     }
 
     #[test]
     fn distinct_keys_yield_distinct_tables() {
         let torus = Torus::for_radius(2);
-        let a = shared(&torus, 1, Metric::Linf);
-        let b = shared(&torus, 2, Metric::Linf);
-        let c = shared(&torus, 1, Metric::L2);
+        let a = shared(&torus, 1, Metric::Linf).expect("a small arena");
+        let b = shared(&torus, 2, Metric::Linf).expect("a small arena");
+        let c = shared(&torus, 1, Metric::L2).expect("a small arena");
         assert!(!Arc::ptr_eq(&a, &b));
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(b.radius(), 2);
@@ -111,8 +120,8 @@ mod tests {
         // A geometry no other test uses: the first request must miss,
         // the second (while the first guard is alive) must hit.
         let torus = Torus::new(21, 21);
-        let a = shared(&torus, 1, Metric::L2);
-        let _b = shared(&torus, 1, Metric::L2);
+        let a = shared(&torus, 1, Metric::L2).expect("a small arena");
+        let _b = shared(&torus, 1, Metric::L2).expect("a small arena");
         drop(a);
         // Counters are process-global and tests run concurrently, so
         // only lower bounds are stable.
@@ -123,11 +132,11 @@ mod tests {
     #[test]
     fn dropped_tables_are_rebuilt_not_leaked() {
         let torus = Torus::new(25, 25);
-        let first = shared(&torus, 3, Metric::L2);
+        let first = shared(&torus, 3, Metric::L2).expect("a small arena");
         let ptr = Arc::as_ptr(&first);
         drop(first);
         // The weak entry is dead; a fresh request builds a new table.
-        let second = shared(&torus, 3, Metric::L2);
+        let second = shared(&torus, 3, Metric::L2).expect("a small arena");
         // Can't assert pointer inequality (the allocator may reuse the
         // address) — but the table must be valid and correctly keyed.
         let _ = ptr;
@@ -149,7 +158,10 @@ mod tests {
         let experiment = crate::Experiment::new(2, crate::ProtocolKind::Flood)
             .with_torus(torus)
             .with_metric(Metric::L2);
-        let guard = experiment.arena_guard().expect("shared by default");
+        let guard = experiment
+            .arena_guard()
+            .expect("a small arena")
+            .expect("shared by default");
         assert!(registered());
         assert!(experiment.run().all_honest_correct());
         assert!(registered(), "a live guard keeps its entry");

@@ -24,10 +24,10 @@
 use std::collections::BTreeMap;
 
 use crate::experiment::{Experiment, FaultKind, Outcome, ProtocolKind};
-use crate::jsonl::{parse_flat_json, JsonValue};
+use crate::jsonl::parse_flat_json;
 use crate::supervisor::{
-    parse_rows, supervise, Checkpoint, CheckpointError, Journal, JournalHeader, Supervised,
-    SupervisorConfig, TaskError,
+    parse_rows, supervise, Checkpoint, CheckpointError, Journal, JournalFailure, JournalHeader,
+    Journaled, Supervised, SupervisorConfig, TaskError,
 };
 use rbcast_adversary::{
     anneal, initial_state, local_fault_bound, mix, AnnealState, AttackScore, Placement,
@@ -112,6 +112,10 @@ pub struct CellResult {
     pub resumed: bool,
 }
 
+/// Cells checkpoint their own annealing state; the supervisor journals
+/// nothing for them.
+impl Journaled for CellResult {}
+
 impl CellResult {
     /// True iff the search strictly beat every hand-built strategy on
     /// this cell.
@@ -126,6 +130,8 @@ impl CellResult {
 pub struct AttackReport {
     /// Per-cell results, in cell order.
     pub cells: Vec<CellResult>,
+    /// The first checkpoint the search could not write, if any.
+    pub journal_error: Option<JournalFailure>,
 }
 
 impl AttackReport {
@@ -269,24 +275,18 @@ impl CellCheckpoint {
     /// Parses a [`checkpoint_line`].
     fn from_line(line: &str) -> Result<CellCheckpoint, String> {
         let fields = parse_flat_json(line)?;
-        let num = |key: &str| match fields.get(key) {
-            Some(JsonValue::Number(v)) => Ok(*v),
-            _ => Err(format!("missing numeric field {key:?}")),
-        };
-        let text = |key: &str| match fields.get(key) {
-            Some(JsonValue::String(v)) => Ok(v.as_str()),
-            _ => Err(format!("missing string field {key:?}")),
-        };
+        let text =
+            |key: &str| (fields.text(key)?).ok_or_else(|| format!("missing string field {key:?}"));
         let state = AnnealState {
-            step: u32::try_from(num("step")?).map_err(|e| e.to_string())?,
+            step: fields.int("step")?,
             current: ids_from_field(text("current")?)?,
             current_score: score_from_field(text("current_score")?)?,
             best: ids_from_field(text("best")?)?,
             best_score: score_from_field(text("best_score")?)?,
-            evaluations: num("evaluations")?,
-            accepted: num("accepted")?,
+            evaluations: fields.int("evaluations")?,
+            accepted: fields.int("accepted")?,
         };
-        let done = num("done")? == 1;
+        let done = fields.int::<u64>("done")? == 1;
         Ok(CellCheckpoint { state, done })
     }
 }
@@ -370,10 +370,6 @@ fn run_cell(
         score_outcome(&outcome)
     };
 
-    let journal_err = |e: std::io::Error| TaskError::Invariant {
-        message: format!("attack journal write failed: {e}"),
-    };
-
     // Baselines are cheap and deterministic; recompute them every run
     // (journals only store search state). They double as anneal seeds:
     // a fresh search starts from whichever is worse for the protocol —
@@ -416,7 +412,6 @@ fn run_cell(
     };
     if !(resumed && state.step >= search_cfg.steps) {
         let accepted_before = state.accepted;
-        let mut journal_failure: Option<std::io::Error> = None;
         {
             let _guard = crate::obs::span("attack/anneal");
             anneal(
@@ -426,17 +421,14 @@ fn run_cell(
                 &mut eval,
                 cfg.checkpoint_every,
                 &mut |s| {
-                    if let (Some(j), None) = (journal, journal_failure.as_ref()) {
+                    if let Some(j) = journal {
                         let line = checkpoint_line(index, s, s.step >= search_cfg.steps);
-                        if let Err(e) = j.append_line(line) {
-                            journal_failure = Some(e);
-                        }
+                        // A failed write is latched on the journal and
+                        // reaches the report through `Journal::failure`.
+                        let _ = j.append_line(index, line);
                     }
                 },
             );
-        }
-        if let Some(e) = journal_failure {
-            return Err(journal_err(e));
         }
         accepted_ctr.add(state.accepted - accepted_before);
     }
@@ -457,7 +449,9 @@ fn run_cell(
 ///
 /// One supervised task per `(r, t)` cell: panics inside an evaluation
 /// are isolated and retried like any sweep task, and results come back
-/// in cell order regardless of `threads`.
+/// in cell order regardless of `threads`. A checkpoint that cannot be
+/// written does not stop the search: the journal stops taking writes and
+/// the report's `journal_error` names the first one lost.
 ///
 /// # Errors
 ///
@@ -492,9 +486,19 @@ pub fn run_attack(cfg: &AttackConfig) -> Result<AttackReport, AttackError> {
             Supervised::Failed { error, .. } => {
                 return Err(AttackError::Search(format!("cell {i}: {error}")));
             }
+            // `sup` holds no resume map: cells resume from their own
+            // checkpoints inside `run_cell`.
+            Supervised::Resumed { .. } => {
+                return Err(AttackError::Search(format!(
+                    "cell {i}: resumed without a result"
+                )));
+            }
         }
     }
-    Ok(AttackReport { cells: out })
+    Ok(AttackReport {
+        cells: out,
+        journal_error: journal.and_then(Journal::failure),
+    })
 }
 
 #[cfg(test)]
@@ -661,7 +665,7 @@ mod tests {
         };
         let (journal, _) = Journal::open(&Checkpoint::Fresh(path.clone()), header).expect("open");
         journal
-            .append_line(checkpoint_line(1, &sample_state(4), true))
+            .append_line(1, checkpoint_line(1, &sample_state(4), true))
             .expect("append");
         assert_eq!(
             std::fs::read_to_string(&path).expect("journal written"),

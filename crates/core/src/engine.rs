@@ -223,13 +223,18 @@ pub fn run_experiments_traced(experiments: &[Experiment], threads: usize) -> Vec
 /// for its duration. Without the prewarm, workers racing on a cold cache
 /// could each build the same table (correct but wasted work), and
 /// back-to-back runs of one experiment would rebuild a table whose last
-/// `Arc` died between them.
-pub(crate) fn prewarm_arenas(
+/// `Arc` died between them. The sweeps here hold the `Result` as it is:
+/// an arena that cannot be built fails each run that needs it.
+///
+/// # Errors
+///
+/// The first arena that cannot be built ([`Experiment::arena_guard`]).
+pub fn prewarm_arenas(
     experiments: &[Experiment],
-) -> Vec<std::sync::Arc<rbcast_grid::NeighborTable>> {
+) -> Result<Vec<std::sync::Arc<rbcast_grid::NeighborTable>>, rbcast_grid::ArenaError> {
     experiments
         .iter()
-        .filter_map(Experiment::arena_guard)
+        .filter_map(|e| e.arena_guard().transpose())
         .collect()
 }
 

@@ -2,7 +2,7 @@
 //! → outcome.
 
 use rbcast_adversary::{local_fault_bound_in, Placement};
-use rbcast_grid::{Coord, Metric, NeighborTable, NodeId, Torus};
+use rbcast_grid::{ArenaError, Coord, Metric, NeighborTable, NodeId, Torus};
 use rbcast_protocols::{
     attackers, Cpa, Flood, Indirect, IndirectConfig, Msg, PersistentFlood, ProtocolParams,
 };
@@ -552,11 +552,18 @@ impl Experiment {
     /// A strong reference to this experiment's shared arena, building it
     /// if needed. The sweep engine calls this for every experiment
     /// *before* fanning out, so each distinct geometry is built exactly
-    /// once per sweep and workers only ever clone `Arc`s. Returns `None`
-    /// when the experiment opted out of sharing.
-    pub(crate) fn arena_guard(&self) -> Option<Arc<NeighborTable>> {
+    /// once per sweep and workers only ever clone `Arc`s; the CLI calls
+    /// it before a run, so an arena that cannot be built is an error
+    /// rather than an abort mid-run. Returns `None` when the experiment
+    /// opted out of sharing.
+    ///
+    /// # Errors
+    ///
+    /// As [`NeighborTable::try_build`].
+    pub fn arena_guard(&self) -> Result<Option<Arc<NeighborTable>>, ArenaError> {
         self.shared_arena
             .then(|| crate::arena_cache::shared(&self.resolve_torus(), self.r, self.metric))
+            .transpose()
     }
 
     /// One full simulation, returning the outcome and the simulator's
@@ -593,7 +600,10 @@ impl Experiment {
     ) -> (Outcome, Network<Msg, Node<P, Msg>>) {
         let torus = self.resolve_torus();
         let arena = if self.shared_arena {
-            crate::arena_cache::shared(&torus, self.r, self.metric)
+            crate::arena_cache::shared(&torus, self.r, self.metric).unwrap_or_else(|e| {
+                // audit:allow(panic): `arena_guard` is the fallible path; a run cannot go on without its arena
+                panic!("{e}")
+            })
         } else {
             Arc::new(NeighborTable::build(&torus, self.r, self.metric))
         };

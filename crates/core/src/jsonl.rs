@@ -188,17 +188,60 @@ fn lines_of(path: &Path, mut bytes: Vec<u8>) -> io::Result<Lines> {
 
 /// The value shapes the journal formats use.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum JsonValue {
+enum JsonValue {
     /// An unsigned integer.
     Number(u64),
     /// A string literal.
     String(String),
 }
 
+/// The fields of one flat JSON object, read by the type each codec
+/// expects; a field of the wrong shape is an error naming its key.
+#[derive(Debug)]
+pub(crate) struct Fields(BTreeMap<String, JsonValue>);
+
+impl Fields {
+    /// Whether `key` is present.
+    pub(crate) fn has(&self, key: &str) -> bool {
+        self.0.contains_key(key)
+    }
+
+    /// The number at `key`, as a `T`.
+    pub(crate) fn int<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String>
+    where
+        T::Error: std::fmt::Display,
+    {
+        match self.0.get(key) {
+            Some(JsonValue::Number(n)) => T::try_from(*n).map_err(|e| format!("{key}: {e}")),
+            Some(JsonValue::String(_)) => Err(format!("field {key:?} must be a number")),
+            None => Err(format!("missing field {key:?}")),
+        }
+    }
+
+    /// The string at `key`, if present.
+    pub(crate) fn text(&self, key: &str) -> Result<Option<&str>, String> {
+        match self.0.get(key) {
+            Some(JsonValue::String(s)) => Ok(Some(s)),
+            Some(JsonValue::Number(_)) => Err(format!("field {key:?} must be a string")),
+            None => Ok(None),
+        }
+    }
+
+    /// The `0x`-prefixed hex string at `key`, if present.
+    pub(crate) fn hex(&self, key: &str) -> Result<Option<u64>, String> {
+        let parse = |s: &str| {
+            let hex = (s.strip_prefix("0x"))
+                .ok_or_else(|| format!("{key} {s:?} is not 0x-prefixed hex"))?;
+            u64::from_str_radix(hex, 16).map_err(|e| format!("{key} {s:?}: {e}"))
+        };
+        self.text(key)?.map(parse).transpose()
+    }
+}
+
 /// Parses one flat JSON object (string/unsigned-number values only — the
 /// exact shape the journals write; this is not a general JSON parser,
 /// and stays std-only because the container has no registry access).
-pub(crate) fn parse_flat_json(line: &str) -> Result<BTreeMap<String, JsonValue>, String> {
+pub(crate) fn parse_flat_json(line: &str) -> Result<Fields, String> {
     let body = line
         .trim()
         .strip_prefix('{')
@@ -242,7 +285,7 @@ pub(crate) fn parse_flat_json(line: &str) -> Result<BTreeMap<String, JsonValue>,
             Some(c) => return Err(format!("expected ',' between fields, found {c:?}")),
         }
     }
-    Ok(fields)
+    Ok(Fields(fields))
 }
 
 fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {

@@ -25,14 +25,17 @@
 //!   index ([`TaskCtx`]) and chaos draws are pure in `(index, attempt)`,
 //!   so a sweep's output stays byte-identical at any thread count no
 //!   matter which worker retries what.
-//! * **Checkpoint journal** — completed tasks append one JSONL line
-//!   (index, status, attempts, outcome digest + summary) to a
-//!   [`Journal`]; a killed sweep resumes through [`Journal::open`]
-//!   ([`SupervisorConfig::with_checkpoint`]), re-running only
-//!   failed/missing tasks and converging to the uninterrupted output.
+//! * **Checkpoint journal** — [`supervise`] appends one JSONL line per
+//!   settled task (index, status, attempts, outcome digest + summary) to
+//!   the configured [`Journal`]; a killed sweep resumes through
+//!   [`Journal::open`] ([`SupervisorConfig::with_checkpoint`]), re-running
+//!   only failed/missing tasks and converging to the uninterrupted output.
 //! * **Graceful degradation** — [`run_experiments_supervised`] always
 //!   returns every healthy result in input order together with a
-//!   quarantine report; it never trades completed work for an error.
+//!   quarantine report; it never trades completed work for an error. A
+//!   journal write that fails does not stop the run either: the
+//!   [`Journal`] latches the first failure, stops writing, and the
+//!   report carries it as a [`JournalFailure`] for the caller to exit on.
 //! * **Chaos injection** — `RBCAST_CHAOS=panic:0.05,stall:0.02,seed=N`
 //!   (test-only) deterministically injects synthetic panics/stalls so CI
 //!   can exercise every supervisor path; draws are a pure function of
@@ -41,7 +44,7 @@
 //!   a fresh draw and usually succeeds.
 
 use crate::engine::{self, payload_message};
-use crate::jsonl::{parse_flat_json, JsonValue, JsonlFile};
+use crate::jsonl::{parse_flat_json, JsonlFile};
 use crate::{Experiment, Outcome};
 use rbcast_grid::plumbing::{fnv1a, json_escape, splitmix64, FNV_OFFSET};
 use rbcast_sim::StopReason;
@@ -50,7 +53,6 @@ use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, Once};
 
 /// Environment variable holding the chaos-injection spec
@@ -363,7 +365,7 @@ impl TaskMetrics {
 }
 
 /// One journal line: the durable record of one task's fate.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct JournalEntry {
     /// Task index within the sweep (input order).
     pub task: usize,
@@ -421,69 +423,43 @@ impl JournalEntry {
     /// On malformed JSON, missing required fields, or bad field types.
     pub fn from_line(line: &str) -> Result<JournalEntry, String> {
         let fields = parse_flat_json(line)?;
-        let get_num = |key: &str| -> Result<u64, String> {
-            match fields.get(key) {
-                Some(JsonValue::Number(n)) => Ok(*n),
-                Some(JsonValue::String(_)) => Err(format!("field {key:?} must be a number")),
-                None => Err(format!("missing field {key:?}")),
-            }
+        let ok = match fields.text("status")? {
+            Some("ok") => true,
+            Some("failed") => false,
+            Some(s) => return Err(format!("unknown status {s:?}")),
+            None => return Err("missing field \"status\"".to_string()),
         };
-        let task = usize::try_from(get_num("task")?).map_err(|e| format!("task: {e}"))?;
-        let attempts = u32::try_from(get_num("attempts")?).map_err(|e| format!("attempts: {e}"))?;
-        let ok = match fields.get("status") {
-            Some(JsonValue::String(s)) if s == "ok" => true,
-            Some(JsonValue::String(s)) if s == "failed" => false,
-            Some(JsonValue::String(s)) => return Err(format!("unknown status {s:?}")),
-            _ => return Err("missing field \"status\"".to_string()),
-        };
-        let digest = match fields.get("digest") {
-            Some(JsonValue::String(s)) => {
-                let hex = s
-                    .strip_prefix("0x")
-                    .ok_or_else(|| format!("digest {s:?} is not 0x-prefixed hex"))?;
-                Some(u64::from_str_radix(hex, 16).map_err(|e| format!("digest {s:?}: {e}"))?)
-            }
-            Some(JsonValue::Number(_)) => return Err("digest must be a hex string".to_string()),
-            None => None,
-        };
-        let summary = if fields.contains_key("correct") {
+        let summary = if fields.has("correct") {
             Some(OutcomeSummary {
-                correct: usize::try_from(get_num("correct")?)
-                    .map_err(|e| format!("correct: {e}"))?,
-                wrong: usize::try_from(get_num("wrong")?).map_err(|e| format!("wrong: {e}"))?,
-                undecided: usize::try_from(get_num("undecided")?)
-                    .map_err(|e| format!("undecided: {e}"))?,
-                messages: get_num("messages")?,
+                correct: fields.int("correct")?,
+                wrong: fields.int("wrong")?,
+                undecided: fields.int("undecided")?,
+                messages: fields.int("messages")?,
             })
         } else {
             None
         };
-        let metrics = if fields.contains_key("rounds") {
+        let metrics = if fields.has("rounds") {
             Some(TaskMetrics {
-                rounds: u32::try_from(get_num("rounds")?).map_err(|e| format!("rounds: {e}"))?,
-                deliveries: get_num("deliveries")?,
-                jammed: get_num("jammed")?,
-                lost: get_num("lost")?,
+                rounds: fields.int("rounds")?,
+                deliveries: fields.int("deliveries")?,
+                jammed: fields.int("jammed")?,
+                lost: fields.int("lost")?,
             })
         } else {
             None
-        };
-        let error = match fields.get("error") {
-            Some(JsonValue::String(s)) => Some(s.clone()),
-            Some(JsonValue::Number(_)) => return Err("error must be a string".to_string()),
-            None => None,
         };
         if ok && summary.is_none() {
             return Err("ok entry lacks an outcome summary".to_string());
         }
         Ok(JournalEntry {
-            task,
+            task: fields.int("task")?,
             ok,
-            attempts,
-            digest,
+            attempts: fields.int("attempts")?,
+            digest: fields.hex("digest")?,
             summary,
             metrics,
-            error,
+            error: fields.text("error")?.map(str::to_string),
         })
     }
 }
@@ -520,24 +496,10 @@ impl JournalHeader {
     /// On malformed JSON or missing/mistyped fields.
     pub fn from_line(line: &str) -> Result<JournalHeader, String> {
         let fields = parse_flat_json(line)?;
-        let fingerprint = match fields.get("fingerprint") {
-            Some(JsonValue::String(s)) => {
-                let hex = s
-                    .strip_prefix("0x")
-                    .ok_or_else(|| format!("fingerprint {s:?} is not 0x-prefixed hex"))?;
-                u64::from_str_radix(hex, 16).map_err(|e| format!("fingerprint {s:?}: {e}"))?
-            }
-            Some(JsonValue::Number(_)) => {
-                return Err("fingerprint must be a hex string".to_string())
-            }
-            None => return Err("missing field \"fingerprint\"".to_string()),
-        };
-        let tasks = match fields.get("tasks") {
-            Some(JsonValue::Number(n)) => usize::try_from(*n).map_err(|e| format!("tasks: {e}"))?,
-            Some(JsonValue::String(_)) => return Err("tasks must be a number".to_string()),
-            None => return Err("missing field \"tasks\"".to_string()),
-        };
-        Ok(JournalHeader { fingerprint, tasks })
+        Ok(JournalHeader {
+            fingerprint: (fields.hex("fingerprint")?).ok_or("missing field \"fingerprint\"")?,
+            tasks: fields.int("tasks")?,
+        })
     }
 }
 
@@ -623,10 +585,8 @@ impl std::error::Error for CheckpointError {}
 
 /// The `"task"` index of a journal line.
 fn task_of(line: &str) -> Result<usize, String> {
-    match parse_flat_json(line)?.get("task") {
-        Some(JsonValue::Number(n)) => usize::try_from(*n).map_err(|e| format!("task: {e}")),
-        _ => Err("not a task line (no numeric \"task\")".to_string()),
-    }
+    (parse_flat_json(line)?.int("task"))
+        .map_err(|_| "not a task line (no numeric \"task\")".to_string())
 }
 
 /// Parses the task lines [`Journal::open`] returned with the run's codec.
@@ -653,6 +613,33 @@ pub fn parse_rows<R>(
     Ok(parsed)
 }
 
+/// The first checkpoint record a run could not write: the journal's
+/// path, the task whose record was lost, and the OS cause. A run that
+/// meets one keeps computing without its journal and hands this to its
+/// caller on the report, which prints it as one `error:` line and exits
+/// 2: the output is complete, the journal is not, and resuming from it
+/// recomputes what it lacks.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JournalFailure {
+    /// The journal's path, as the error line prints it.
+    pub path: String,
+    /// The first task whose record was not written.
+    pub task: usize,
+    /// The error the write returned.
+    pub cause: String,
+}
+
+impl std::fmt::Display for JournalFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "checkpoint journal {} stopped at task {}: {}; the output is complete, the \
+             journal is not, and resuming from it recomputes what it lacks",
+            self.path, self.task, self.cause
+        )
+    }
+}
+
 /// Append-only JSONL checkpoint journal: a [`JournalHeader`] line, then
 /// one line per task record, each appended and flushed as it happens,
 /// so a killed run loses at most the in-flight tasks. Line *order* is
@@ -661,17 +648,21 @@ pub fn parse_rows<R>(
 /// [`Journal::open`] folds last-line-wins into an index-keyed map.
 /// Sweeps write [`JournalEntry`] lines; other runs (`rbcast attack`)
 /// write their own codec's lines, keyed by the same `"task"` field.
+///
+/// The first append that fails is latched as a [`JournalFailure`]: the
+/// file is closed, every later append is a no-op that returns the same
+/// error, and [`Journal::failure`] reports it.
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
-    file: Mutex<JsonlFile>,
+    file: Mutex<Result<JsonlFile, JournalFailure>>,
 }
 
 impl Journal {
     fn over(path: &Path, file: JsonlFile) -> Journal {
         Journal {
             path: path.to_path_buf(),
-            file: Mutex::new(file),
+            file: Mutex::new(Ok(file)),
         }
     }
 
@@ -741,37 +732,57 @@ impl Journal {
     ///
     /// On any I/O failure.
     pub fn create_with_header(path: &Path, header: &JournalHeader) -> std::io::Result<Journal> {
-        let journal = Journal::create(path)?;
-        journal.append_line(header.to_line())?;
-        Ok(journal)
-    }
-
-    /// Where this journal lives.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
+        let mut file = JsonlFile::create(path)?;
+        file.append(header.to_line())?;
+        Ok(Journal::over(path, file))
     }
 
     /// Appends one sweep entry and flushes it to disk.
     ///
     /// # Errors
     ///
-    /// On any I/O failure.
+    /// As [`Journal::append_line`].
     pub fn record(&self, entry: &JournalEntry) -> std::io::Result<()> {
-        self.append_line(entry.to_line())
+        self.append_line(entry.task, entry.to_line())
     }
 
-    /// Appends one line of a caller's own task codec (a flat JSON object
-    /// with a `"task"` index) and flushes it to disk.
+    /// Appends `line`, task `task`'s record in a caller's own codec (a
+    /// flat JSON object with that `"task"` index), and flushes it to
+    /// disk.
     ///
     /// # Errors
     ///
-    /// On any I/O failure.
-    pub fn append_line(&self, line: String) -> std::io::Result<()> {
+    /// When this write fails — it is latched as the journal's
+    /// [`JournalFailure`] — or an earlier one did, in which case nothing
+    /// is written.
+    pub fn append_line(&self, task: usize, line: String) -> std::io::Result<()> {
+        let mut file = self
+            .file
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let written = match &mut *file {
+            Ok(open) => open.append(line),
+            Err(failure) => return Err(std::io::Error::other(failure.to_string())),
+        };
+        if let Err(e) = &written {
+            *file = Err(JournalFailure {
+                path: self.path.display().to_string(),
+                task,
+                cause: e.to_string(),
+            });
+        }
+        written
+    }
+
+    /// The first append that failed, if any did.
+    #[must_use]
+    pub fn failure(&self) -> Option<JournalFailure> {
         self.file
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .append(line)
+            .as_ref()
+            .err()
+            .cloned()
     }
 }
 
@@ -800,7 +811,7 @@ pub struct SupervisorConfig {
     /// Checkpoint journal to append completed tasks to.
     pub journal: Option<Journal>,
     /// Prior journal state: tasks with an `ok` entry are skipped and
-    /// their stored summaries returned as [`TaskReport::Resumed`]
+    /// their stored summaries returned as [`Supervised::Resumed`]
     /// (filled by [`SupervisorConfig::with_checkpoint`]).
     pub resume: BTreeMap<usize, JournalEntry>,
 }
@@ -917,15 +928,40 @@ pub enum Supervised<R> {
         /// Attempts spent.
         attempts: u32,
     },
+    /// Not run: [`SupervisorConfig::resume`] holds its completed record.
+    Resumed {
+        /// The stored summary.
+        summary: OutcomeSummary,
+        /// The stored digest.
+        digest: Option<u64>,
+    },
 }
 
 impl<R> Supervised<R> {
-    /// The completed value, if any.
+    /// The completed value, if this run computed one.
     pub fn value(&self) -> Option<&R> {
         match self {
             Supervised::Done { value, .. } => Some(value),
-            Supervised::Failed { .. } => None,
+            Supervised::Failed { .. } | Supervised::Resumed { .. } => None,
         }
+    }
+}
+
+/// What a completed task's [`JournalEntry`] records besides its index,
+/// status and attempts. A value the supervisor never journals — a run
+/// without [`SupervisorConfig::journal`] — keeps the default, which adds
+/// nothing.
+pub trait Journaled {
+    /// Writes this value's fields into its task's entry.
+    fn fill(&self, _entry: &mut JournalEntry) {}
+}
+
+impl Journaled for (Outcome, u64) {
+    fn fill(&self, entry: &mut JournalEntry) {
+        let (outcome, digest) = self;
+        entry.digest = Some(*digest);
+        entry.summary = Some(OutcomeSummary::of(outcome));
+        entry.metrics = Some(TaskMetrics::of(outcome));
     }
 }
 
@@ -989,13 +1025,20 @@ where
     }
 }
 
-/// Supervises an arbitrary task list on the deterministic engine: each
-/// task body runs under panic isolation with bounded deterministic
-/// retry, and the result vector is in input order with one
-/// [`Supervised`] cell per task — never fewer. Journalling and resume
-/// are experiment-shaped concerns and live in
-/// [`run_experiments_supervised`]; this entry point applies
-/// `max_attempts` and `chaos` only.
+/// Supervises a task list on the deterministic engine — the one
+/// supervised runner. For each task, keyed by its index in `tasks`:
+///
+/// 1. a task [`SupervisorConfig::resume`] records as completed is not
+///    run and comes back [`Supervised::Resumed`] (it never sees a chaos
+///    draw);
+/// 2. any other runs the ladder — chaos draw, `catch_unwind`, structured
+///    error, bounded retry — under `max_attempts` and `chaos`;
+/// 3. its fate is appended to [`SupervisorConfig::journal`], with the
+///    value's [`Journaled`] fields.
+///
+/// The result vector is in input order with one [`Supervised`] cell per
+/// task — never fewer. A failed journal write does not stop the run:
+/// the journal latches it (see [`Journal::failure`]).
 pub fn supervise<T, R, F>(
     tasks: &[T],
     threads: usize,
@@ -1004,10 +1047,45 @@ pub fn supervise<T, R, F>(
 ) -> Vec<Supervised<R>>
 where
     T: Sync,
-    R: Send,
+    R: Send + Journaled,
     F: Fn(&TaskCtx, &T) -> Result<R, TaskError> + Sync,
 {
-    let slots = engine::run_indexed_partial(tasks, threads, |i, t| run_one(config, i, t, &body));
+    let slots = engine::run_indexed_partial(tasks, threads, |i, t| {
+        if let Some(JournalEntry {
+            ok: true,
+            summary: Some(summary),
+            digest,
+            ..
+        }) = config.resume.get(&i)
+        {
+            return Supervised::Resumed {
+                summary: *summary,
+                digest: *digest,
+            };
+        }
+        let settled = run_one(config, i, t, &body);
+        if let Some(journal) = &config.journal {
+            let mut entry = JournalEntry {
+                task: i,
+                ..JournalEntry::default()
+            };
+            match &settled {
+                Supervised::Done { value, attempts } => {
+                    (entry.ok, entry.attempts) = (true, *attempts);
+                    value.fill(&mut entry);
+                }
+                Supervised::Failed { error, attempts } => {
+                    entry.attempts = *attempts;
+                    entry.error = Some(error.to_string());
+                }
+                Supervised::Resumed { .. } => {}
+            }
+            // A failed write is latched on the journal and reaches the
+            // caller through `Journal::failure`.
+            let _ = journal.record(&entry);
+        }
+        settled
+    });
     slots
         .into_iter()
         .map(|slot| {
@@ -1028,52 +1106,25 @@ fn lost_slot() -> TaskError {
     }
 }
 
-/// One task's slot in a supervised sweep report.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TaskReport {
-    /// Computed this run.
-    Done {
-        /// The experiment's outcome.
-        outcome: Outcome,
-        /// Delivery-trace hash (the determinism witness and journal
-        /// digest).
-        digest: u64,
-        /// Attempts spent.
-        attempts: u32,
-    },
-    /// Skipped: the resume journal already holds a completed record.
-    Resumed {
-        /// The stored summary (sweep rows reprint from this).
-        summary: OutcomeSummary,
-        /// The stored digest.
-        digest: Option<u64>,
-    },
-    /// Quarantined after exhausting its attempts.
-    Failed {
-        /// The terminal error.
-        error: TaskError,
-        /// Attempts spent.
-        attempts: u32,
-    },
-}
+/// One task's slot in a supervised sweep report: its outcome and
+/// delivery-trace hash (the determinism witness and journal digest)
+/// when computed this run.
+pub type TaskReport = Supervised<(Outcome, u64)>;
 
 impl TaskReport {
     /// The computed outcome, if this task ran to completion this run.
     #[must_use]
     pub fn outcome(&self) -> Option<&Outcome> {
-        match self {
-            TaskReport::Done { outcome, .. } => Some(outcome),
-            _ => None,
-        }
+        self.value().map(|(outcome, _)| outcome)
     }
 
     /// The row summary, whether computed or resumed.
     #[must_use]
     pub fn summary(&self) -> Option<OutcomeSummary> {
         match self {
-            TaskReport::Done { outcome, .. } => Some(OutcomeSummary::of(outcome)),
-            TaskReport::Resumed { summary, .. } => Some(*summary),
-            TaskReport::Failed { .. } => None,
+            Supervised::Done { value, .. } => Some(OutcomeSummary::of(&value.0)),
+            Supervised::Resumed { summary, .. } => Some(*summary),
+            Supervised::Failed { .. } => None,
         }
     }
 
@@ -1081,9 +1132,9 @@ impl TaskReport {
     #[must_use]
     pub fn digest(&self) -> Option<u64> {
         match self {
-            TaskReport::Done { digest, .. } => Some(*digest),
-            TaskReport::Resumed { digest, .. } => *digest,
-            TaskReport::Failed { .. } => None,
+            Supervised::Done { value, .. } => Some(value.1),
+            Supervised::Resumed { digest, .. } => *digest,
+            Supervised::Failed { .. } => None,
         }
     }
 }
@@ -1095,6 +1146,8 @@ impl TaskReport {
 pub struct SweepReport {
     /// Per-task reports, indexed like the input experiments.
     pub tasks: Vec<TaskReport>,
+    /// The first journal record the sweep could not write, if any.
+    pub journal_error: Option<JournalFailure>,
 }
 
 impl SweepReport {
@@ -1118,10 +1171,11 @@ impl SweepReport {
     }
 }
 
-/// The supervised counterpart of [`engine::run_experiments`]: runs every
-/// experiment under panic isolation, the configured watchdog budget, and
-/// bounded retry; journals completions as they happen; honours a resume
-/// map; and always returns a full-length, input-ordered report.
+/// The supervised counterpart of [`engine::run_experiments`]: threads
+/// the configured round budget into experiments that lack one, builds
+/// their arenas once, and runs them through [`supervise`] — panic
+/// isolation, watchdog, bounded retry, resume and journal included —
+/// always returning a full-length, input-ordered report.
 ///
 /// Healthy slots are byte-identical to what the unsupervised engine
 /// produces for the same experiments — supervision only adds an
@@ -1132,6 +1186,24 @@ pub fn run_experiments_supervised(
     threads: usize,
     config: &SupervisorConfig,
 ) -> SweepReport {
+    let _span = crate::obs::span("sweep/supervised");
+    let prepared: Vec<Experiment> = experiments
+        .iter()
+        .map(|e| match (e.round_budget(), config.round_budget) {
+            (None, Some(_)) => e.clone().with_round_budget(config.round_budget),
+            _ => e.clone(),
+        })
+        .collect();
+    let _arenas = engine::prewarm_arenas(&prepared);
+    let tasks = supervise(&prepared, threads, config, |_, e| {
+        let (outcome, digest) = e.run_traced();
+        match outcome.stats.stop_reason {
+            StopReason::DeadlineExceeded => Err(TaskError::DeadlineExceeded {
+                round_budget: e.round_budget().unwrap_or(outcome.stats.rounds),
+            }),
+            _ => Ok((outcome, digest)),
+        }
+    });
     use std::sync::OnceLock;
     static COUNTERS: OnceLock<[crate::obs::Counter; 4]> = OnceLock::new();
     let [done_c, retries_c, quarantined_c, resumed_c] = COUNTERS.get_or_init(|| {
@@ -1142,117 +1214,18 @@ pub fn run_experiments_supervised(
             crate::obs::counter("supervisor/resumed"),
         ]
     });
-    let _span = crate::obs::span("sweep/supervised");
-
-    // Thread the default round budget into experiments lacking one.
-    let prepared: Vec<Experiment> = experiments
-        .iter()
-        .map(|e| {
-            if e.round_budget().is_none() && config.round_budget.is_some() {
-                e.clone().with_round_budget(config.round_budget)
-            } else {
-                e.clone()
-            }
-        })
-        .collect();
-    let _arenas = engine::prewarm_arenas(&prepared);
-
-    let journal_sick = AtomicBool::new(false);
-    let record = |entry: &JournalEntry| {
-        if let Some(journal) = &config.journal {
-            if let Err(e) = journal.record(entry) {
-                // Journalling is a convenience, not a correctness
-                // dependency: warn once, keep sweeping.
-                // audit:allow(atomic-ordering): once-flag for a warning, guards no data
-                if !journal_sick.swap(true, Ordering::Relaxed) {
-                    eprintln!(
-                        "warning: checkpoint journal {} unwritable: {e}",
-                        journal.path().display()
-                    );
-                }
-            }
-        }
-    };
-
-    let body = |_ctx: &TaskCtx, e: &Experiment| -> Result<(Outcome, u64), TaskError> {
-        let (outcome, digest) = e.run_traced();
-        match outcome.stats.stop_reason {
-            StopReason::DeadlineExceeded => Err(TaskError::DeadlineExceeded {
-                round_budget: e.round_budget().unwrap_or(outcome.stats.rounds),
-            }),
-            _ => Ok((outcome, digest)),
-        }
-    };
-
-    let slots = engine::run_indexed_partial(&prepared, threads, |i, e| {
-        if let Some(entry) = config.resume.get(&i) {
-            if entry.ok {
-                if let Some(summary) = entry.summary {
-                    resumed_c.incr();
-                    return TaskReport::Resumed {
-                        summary,
-                        digest: entry.digest,
-                    };
-                }
-            }
-        }
-        let report = match run_one(config, i, e, &body) {
-            Supervised::Done {
-                value: (outcome, digest),
-                attempts,
-            } => TaskReport::Done {
-                outcome,
-                digest,
-                attempts,
-            },
-            Supervised::Failed { error, attempts } => TaskReport::Failed { error, attempts },
+    for task in &tasks {
+        let (counter, attempts) = match task {
+            Supervised::Done { attempts, .. } => (done_c, *attempts),
+            Supervised::Failed { attempts, .. } => (quarantined_c, *attempts),
+            Supervised::Resumed { .. } => (resumed_c, 1),
         };
-        match &report {
-            TaskReport::Done {
-                outcome,
-                digest,
-                attempts,
-            } => {
-                done_c.incr();
-                retries_c.add(u64::from(attempts.saturating_sub(1)));
-                record(&JournalEntry {
-                    task: i,
-                    ok: true,
-                    attempts: *attempts,
-                    digest: Some(*digest),
-                    summary: Some(OutcomeSummary::of(outcome)),
-                    metrics: Some(TaskMetrics::of(outcome)),
-                    error: None,
-                });
-            }
-            TaskReport::Failed { error, attempts } => {
-                quarantined_c.incr();
-                retries_c.add(u64::from(attempts.saturating_sub(1)));
-                record(&JournalEntry {
-                    task: i,
-                    ok: false,
-                    attempts: *attempts,
-                    digest: None,
-                    summary: None,
-                    metrics: None,
-                    error: Some(error.to_string()),
-                });
-            }
-            TaskReport::Resumed { .. } => {}
-        }
-        report
-    });
-
+        counter.incr();
+        retries_c.add(u64::from(attempts.saturating_sub(1)));
+    }
     SweepReport {
-        tasks: slots
-            .into_iter()
-            .map(|slot| {
-                slot.unwrap_or_else(|| TaskReport::Failed {
-                    error: lost_slot(),
-                    attempts: 0,
-                })
-            })
-            .collect(),
+        tasks,
+        journal_error: config.journal.as_ref().and_then(Journal::failure),
     }
 }
 
@@ -1263,6 +1236,10 @@ mod tests {
     use crate::ProtocolKind;
     use rbcast_adversary::AttackScore;
     use rbcast_grid::NodeId;
+    use std::sync::atomic::Ordering;
+
+    /// The test tasks' values are never journalled.
+    impl Journaled for u32 {}
 
     #[test]
     fn retry_seed_is_pure_and_attempt_sensitive() {
@@ -1737,11 +1714,8 @@ mod tests {
             );
             // …and healthy slots byte-identical to the fault-free run.
             for (i, task) in report.tasks.iter().enumerate() {
-                if let TaskReport::Done {
-                    outcome, digest, ..
-                } = task
-                {
-                    assert_eq!((outcome, *digest), (&baseline[i].0, baseline[i].1));
+                if let TaskReport::Done { value, .. } = task {
+                    assert_eq!(value, &baseline[i]);
                 }
             }
         }
@@ -1865,7 +1839,10 @@ mod tests {
             },
             |path| {
                 let (journal, _) = resume(path).expect("resume");
-                journal.append_line(extra.to_string()).expect("append");
+                let task = task_of(extra).expect("a task line");
+                journal
+                    .append_line(task, extra.to_string())
+                    .expect("append");
             },
             |prefix| {
                 let mut grown = prefix.clone();

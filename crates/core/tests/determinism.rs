@@ -10,7 +10,8 @@
 
 use rbcast_adversary::Placement;
 use rbcast_core::supervisor::{
-    self, ChaosConfig, Checkpoint, JournalEntry, JournalHeader, SupervisorConfig, TaskReport,
+    self, ChaosConfig, Checkpoint, JournalEntry, JournalHeader, SupervisorConfig, SweepReport,
+    TaskReport,
 };
 use rbcast_core::{engine, percolation, EngineKind, Experiment, FaultKind, ProtocolKind};
 use rbcast_grid::Torus;
@@ -151,8 +152,7 @@ fn supervised_sweep_is_byte_identical_to_the_plain_engine_at_1_2_8_threads() {
         assert!(report.fully_healthy());
         for (i, (task, (outcome, hash))) in report.tasks.iter().zip(&baseline).enumerate() {
             let TaskReport::Done {
-                outcome: got,
-                digest,
+                value: (got, digest),
                 attempts,
             } = task
             else {
@@ -163,6 +163,43 @@ fn supervised_sweep_is_byte_identical_to_the_plain_engine_at_1_2_8_threads() {
             assert_eq!(*attempts, 1, "task {i} needed retries without chaos");
         }
     }
+}
+
+/// Runs `experiments` under `base()` with a fresh journal at `path`,
+/// "kills" it — keeps the header and only the even-index tasks' lines —
+/// and resumes the cut journal under `base()` at `threads` threads.
+fn kill_and_resume(
+    experiments: &[Experiment],
+    base: impl Fn() -> SupervisorConfig,
+    threads: usize,
+    path: &std::path::Path,
+) -> SweepReport {
+    let header = JournalHeader {
+        fingerprint: supervisor::sweep_fingerprint(experiments),
+        tasks: experiments.len(),
+    };
+    let open = |checkpoint: Checkpoint| {
+        base()
+            .with_checkpoint(&checkpoint, header)
+            .expect("journal opens")
+    };
+    let _ = supervisor::run_experiments_supervised(
+        experiments,
+        threads,
+        &open(Checkpoint::Fresh(path.to_path_buf())),
+    );
+    let written = std::fs::read_to_string(path).expect("journal is readable");
+    let killed: String = written
+        .lines()
+        .filter(|line| JournalEntry::from_line(line).map_or(true, |e| e.task % 2 == 0))
+        .map(|line| format!("{line}\n"))
+        .collect();
+    std::fs::write(path, killed).expect("journal is writable");
+    supervisor::run_experiments_supervised(
+        experiments,
+        threads,
+        &open(Checkpoint::Resume(path.to_path_buf())),
+    )
 }
 
 #[test]
@@ -177,11 +214,6 @@ fn killed_and_resumed_sweep_converges_on_the_straight_through_rows() {
         fingerprint: supervisor::sweep_fingerprint(&experiments),
         tasks: experiments.len(),
     };
-    let open = |checkpoint: Checkpoint| {
-        SupervisorConfig::new()
-            .with_checkpoint(&checkpoint, header)
-            .expect("journal opens")
-    };
     let dir = std::env::temp_dir().join("rbcast_determinism_resume");
     std::fs::create_dir_all(&dir).expect("temp dir is writable");
 
@@ -195,27 +227,7 @@ fn killed_and_resumed_sweep_converges_on_the_straight_through_rows() {
 
     for threads in [1usize, 2, 8] {
         let path = dir.join(format!("killed_t{threads}.jsonl"));
-
-        // The "killed" journal: the header and only the even-index
-        // tasks' lines made it.
-        let _ = supervisor::run_experiments_supervised(
-            &experiments,
-            threads,
-            &open(Checkpoint::Fresh(path.clone())),
-        );
-        let written = std::fs::read_to_string(&path).expect("journal is readable");
-        let killed: String = written
-            .lines()
-            .filter(|line| JournalEntry::from_line(line).map_or(true, |e| e.task % 2 == 0))
-            .map(|line| format!("{line}\n"))
-            .collect();
-        std::fs::write(&path, killed).expect("journal is writable");
-
-        let resumed = supervisor::run_experiments_supervised(
-            &experiments,
-            threads,
-            &open(Checkpoint::Resume(path.clone())),
-        );
+        let resumed = kill_and_resume(&experiments, SupervisorConfig::new, threads, &path);
         assert!(resumed.fully_healthy());
         let mut recomputed = 0;
         for (i, task) in resumed.tasks.iter().enumerate() {
@@ -236,10 +248,62 @@ fn killed_and_resumed_sweep_converges_on_the_straight_through_rows() {
             "resume must re-run exactly the missing tasks at {threads} threads"
         );
         // The recomputed rows were appended: a second resume has them all.
-        assert_eq!(
-            open(Checkpoint::Resume(path.clone())).resume.len(),
-            experiments.len()
+        let reopened = SupervisorConfig::new()
+            .with_checkpoint(&Checkpoint::Resume(path.clone()), header)
+            .expect("journal opens");
+        assert_eq!(reopened.resume.len(), experiments.len());
+        std::fs::remove_file(&path).expect("journal is removable");
+    }
+
+    // The same kill and resume with chaos armed and no retry. A draw is
+    // pure in (seed, input index, attempt), so a recomputed task meets
+    // the fate it met straight through, and a resumed task meets no draw.
+    let chaos = || {
+        SupervisorConfig::new()
+            .with_max_attempts(1)
+            .with_chaos(Some(
+                ChaosConfig::new(0.25, 0.15, 3).expect("valid probabilities"),
+            ))
+    };
+    let quarantined_in = |report: &SweepReport| -> Vec<usize> {
+        report.quarantined().iter().map(|(i, _)| *i).collect()
+    };
+    let straight = quarantined_in(&supervisor::run_experiments_supervised(
+        &experiments,
+        1,
+        &chaos(),
+    ));
+    assert!(
+        !straight.is_empty(),
+        "chaos at 25%/15% must quarantine a task"
+    );
+    for threads in [1usize, 2, 8] {
+        let path = dir.join(format!("killed_chaos_t{threads}.jsonl"));
+        let resumed = kill_and_resume(&experiments, chaos, threads, &path);
+        let recomputed: Vec<usize> = (0..experiments.len())
+            .filter(|&i| !matches!(resumed.tasks[i], TaskReport::Resumed { .. }))
+            .collect();
+        assert!(
+            recomputed.len() < experiments.len(),
+            "some task must resume at {threads} threads"
         );
+        assert_eq!(
+            quarantined_in(&resumed),
+            straight
+                .iter()
+                .copied()
+                .filter(|i| recomputed.contains(i))
+                .collect::<Vec<_>>(),
+            "resume changed a recomputed task's chaos fate at {threads} threads"
+        );
+        for (i, task) in resumed.tasks.iter().enumerate() {
+            if i % 2 == 0 && !straight.contains(&i) {
+                assert!(
+                    matches!(task, TaskReport::Resumed { .. }),
+                    "row {i}, completed in the journal, did not resume at {threads} threads"
+                );
+            }
+        }
         std::fs::remove_file(&path).expect("journal is removable");
     }
 }

@@ -51,20 +51,68 @@ pub struct NeighborTable {
     balls: Vec<Vec<Coord>>,
 }
 
+/// Why a [`NeighborTable`] could not be built: its `nodes × stencil`
+/// neighbour entries are more than `u32` row ends can index, or more
+/// than the allocator would hand out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ArenaError {
+    /// Nodes on the torus.
+    pub nodes: usize,
+    /// Neighbour offsets per node.
+    pub stencil: usize,
+    /// True when the count fit the row ends but the allocation failed.
+    pub out_of_memory: bool,
+}
+
+impl fmt::Display for ArenaError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (nodes, stencil) = (self.nodes, self.stencil);
+        let entries = (nodes as u64).saturating_mul(stencil as u64);
+        if self.out_of_memory {
+            let bytes = entries.saturating_mul(std::mem::size_of::<NodeId>() as u64);
+            write!(
+                f,
+                "{nodes} nodes × {stencil} neighbours = {entries} entries: \
+                 cannot allocate the arena's {bytes} bytes"
+            )
+        } else {
+            write!(
+                f,
+                "{nodes} nodes × {stencil} neighbours = {entries} entries exceeds \
+                 the arena's 2³² neighbour entries"
+            )
+        }
+    }
+}
+
+impl std::error::Error for ArenaError {}
+
 impl NeighborTable {
     /// The most neighbor entries (`nodes × |stencil|`) a table can hold:
     /// CSR row ends are `u32`.
     pub const MAX_ENTRIES: u64 = u32::MAX as u64;
 
-    /// `nodes × stencil`, the CSR capacity — refused, before anything is
-    /// allocated for it, when the row ends could not index it.
-    fn capacity(nodes: usize, stencil: usize) -> usize {
+    /// Empty CSR arrays with room for `nodes × stencil` entries and
+    /// `nodes + 1` row ends — refused, before anything is allocated,
+    /// when the row ends could not index them, and refused rather than
+    /// aborting when the allocator cannot supply them.
+    fn reserve(nodes: usize, stencil: usize) -> Result<(Vec<NodeId>, Vec<u32>), ArenaError> {
+        let mut error = ArenaError {
+            nodes,
+            stencil,
+            out_of_memory: false,
+        };
         let entries = (nodes as u64).saturating_mul(stencil as u64);
-        assert!(
-            entries <= Self::MAX_ENTRIES,
-            "{nodes} nodes × {stencil} neighbours = {entries} entries exceeds the arena's 2³² neighbour entries",
-        );
-        entries as usize
+        if entries > Self::MAX_ENTRIES {
+            return Err(error);
+        }
+        error.out_of_memory = true;
+        let (mut targets, mut offsets) = (Vec::new(), Vec::new());
+        targets
+            .try_reserve_exact(entries as usize)
+            .map_err(|_| error)?;
+        offsets.try_reserve_exact(nodes + 1).map_err(|_| error)?;
+        Ok((targets, offsets))
     }
 
     /// Builds the table for `torus` at transmission radius `radius`
@@ -74,19 +122,36 @@ impl NeighborTable {
     ///
     /// Panics if the torus is too small to emulate the infinite grid at
     /// this radius (see [`Torus::supports_radius`]) — undersized tori
-    /// would alias neighborhoods through the wrap-around — or if
-    /// `nodes × |stencil|` exceeds [`NeighborTable::MAX_ENTRIES`].
+    /// would alias neighborhoods through the wrap-around — or on the
+    /// [`ArenaError`] of [`NeighborTable::try_build`].
     #[must_use]
     pub fn build(torus: &Torus, radius: u32, metric: Metric) -> Self {
+        NeighborTable::try_build(torus, radius, metric).unwrap_or_else(|e| {
+            // audit:allow(panic): documented; `try_build` is the fallible form
+            panic!("{e}")
+        })
+    }
+
+    /// [`NeighborTable::build`], returning an arena too large to index
+    /// or to allocate as an error.
+    ///
+    /// # Errors
+    ///
+    /// When `nodes × |stencil|` exceeds [`NeighborTable::MAX_ENTRIES`] or
+    /// the allocator refuses the entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the torus cannot host the radius, as
+    /// [`NeighborTable::build`].
+    pub fn try_build(torus: &Torus, radius: u32, metric: Metric) -> Result<Self, ArenaError> {
         assert!(
             torus.supports_radius(radius),
             "{torus} cannot faithfully host radius {radius} (needs side > {})",
             2 * (2 * radius + 1),
         );
         let offs = crate::metric_offsets(radius, metric);
-        let n = torus.len();
-        let mut targets = Vec::with_capacity(Self::capacity(n, offs.len()));
-        let mut offsets = Vec::with_capacity(n + 1);
+        let (mut targets, mut offsets) = Self::reserve(torus.len(), offs.len())?;
         offsets.push(0u32);
         for id in torus.node_ids() {
             let c = torus.coord(id);
@@ -94,14 +159,14 @@ impl NeighborTable {
             offsets.push(row_end(&targets));
         }
         let balls = (0..=radius + 1).map(|d| ball_stencil(d, metric)).collect();
-        NeighborTable {
+        Ok(NeighborTable {
             torus: torus.clone(),
             radius,
             metric,
             offsets,
             targets,
             balls,
-        }
+        })
     }
 
     /// Builds the table for tori too small to faithfully emulate the
@@ -115,15 +180,21 @@ impl NeighborTable {
     /// relaxed form for small deployments (e.g. a 3×3 torus at `r = 1`,
     /// where every node simply hears every other node); the faithful
     /// constructor remains the required path for paper experiments.
+    ///
+    /// # Panics
+    ///
+    /// On the [`ArenaError`] of [`NeighborTable::try_build`].
     #[must_use]
     pub fn build_wrapping(torus: &Torus, radius: u32, metric: Metric) -> Self {
         if torus.supports_radius(radius) {
             return NeighborTable::build(torus, radius, metric);
         }
         let offs = crate::metric_offsets(radius, metric);
-        let n = torus.len();
-        let mut targets: Vec<NodeId> = Vec::with_capacity(Self::capacity(n, offs.len()));
-        let mut offsets = Vec::with_capacity(n + 1);
+        let (mut targets, mut offsets) =
+            Self::reserve(torus.len(), offs.len()).unwrap_or_else(|e| {
+                // audit:allow(panic): documented; the cluster's tori are small
+                panic!("{e}")
+            });
         offsets.push(0u32);
         for id in torus.node_ids() {
             let c = torus.coord(id);
@@ -353,12 +424,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds the arena's 2³² neighbour entries")]
     fn a_huge_stencil_on_a_tiny_torus_is_refused_too() {
         // What `build_wrapping` reserves for 3×3 at r = 11 000, before
         // aliasing collapses it: (22 001)² − 1 entries for each node.
         let stencil = Metric::Linf.neighborhood_size(11_000);
-        let _ = NeighborTable::capacity(9, stencil);
+        let refused = NeighborTable::reserve(9, stencil).expect_err("past the row ends");
+        assert!(!refused.out_of_memory);
+        assert!(refused
+            .to_string()
+            .ends_with("exceeds the arena's 2³² neighbour entries"));
     }
 
     #[test]

@@ -53,7 +53,7 @@ mod region;
 mod tdma;
 mod torus;
 
-pub use arena::{LocalFrame, NeighborTable};
+pub use arena::{ArenaError, LocalFrame, NeighborTable};
 pub use bitset::BitSet;
 pub use coord::Coord;
 pub use metric::Metric;

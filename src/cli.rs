@@ -11,11 +11,14 @@
 //! grammar and `rbcast help` for usage.
 
 use crate::adversary::{local_fault_bound, Placement};
-use crate::core::supervisor::{self, Checkpoint, JournalHeader, SupervisorConfig, TaskReport};
+use crate::core::supervisor::{
+    self, Checkpoint, JournalFailure, JournalHeader, SupervisorConfig, TaskReport,
+};
 use crate::core::{engine, obs, thresholds, EngineKind, Experiment, FaultKind, ProtocolKind};
 use crate::grid::{Metric, NeighborTable, NodeId, Torus};
 use crate::sim::ChannelConfig;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// A parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -596,7 +599,12 @@ pub fn execute(cmd: &Command) -> i32 {
             0
         }
         Command::Run(spec) => {
-            let outcome = build(spec, None).run();
+            let experiment = build(spec, None);
+            let _arena = match arenas(std::slice::from_ref(&experiment)) {
+                Ok(arena) => arena,
+                Err(code) => return code,
+            };
+            let outcome = experiment.run();
             println!("{outcome}");
             i32::from(!outcome.all_honest_correct())
         }
@@ -619,6 +627,29 @@ pub fn execute(cmd: &Command) -> i32 {
         Command::Attack(spec) => crate::cli_attack::execute_attack(spec),
         Command::Serve(spec) => crate::cli_net::execute_serve(spec),
         Command::Cluster { spec, opts } => crate::cli_net::execute_cluster(spec, opts),
+    }
+}
+
+/// Builds, and holds for the caller, the arenas `experiments` run on: a
+/// geometry this host cannot allocate is one `error:` line and exit 2
+/// before anything runs, not an allocator abort in the middle of one.
+pub(crate) fn arenas(experiments: &[Experiment]) -> Result<Vec<Arc<NeighborTable>>, i32> {
+    engine::prewarm_arenas(experiments).map_err(|e| {
+        eprintln!("error: cannot build the topology arena: {e}");
+        2
+    })
+}
+
+/// How `rbcast sweep` and `rbcast attack` end once their output is
+/// printed: with `code`, or — when the checkpoint journal lost a write —
+/// with its one `error:` line and exit 2.
+pub(crate) fn journal_exit(code: i32, failure: Option<&JournalFailure>) -> i32 {
+    match failure {
+        Some(failure) => {
+            eprintln!("error: {failure}");
+            2
+        }
+        None => code,
     }
 }
 
@@ -645,8 +676,8 @@ fn sweep_config(opts: &SweepOpts, header: JournalHeader) -> Result<SupervisorCon
 /// The supervised sweep: one row per `t`, recomputed, resumed, or
 /// quarantined in place. Exit codes: 0 — every row completed with all
 /// honest nodes correct; 1 — some completed row has wrong or undecided
-/// honest nodes; 2 — at least one task was quarantined, or the
-/// supervision config itself is malformed.
+/// honest nodes; 2 — at least one task was quarantined, the checkpoint
+/// journal lost a write, or the supervision config or arena is unusable.
 fn execute_sweep(spec: &RunSpec, t_max: usize, opts: &SweepOpts) -> i32 {
     let ts: Vec<usize> = (spec.t.unwrap_or(0)..=t_max).collect();
     let mut experiments: Vec<Experiment> = ts
@@ -670,6 +701,10 @@ fn execute_sweep(spec: &RunSpec, t_max: usize, opts: &SweepOpts) -> i32 {
     let header = JournalHeader {
         fingerprint: supervisor::sweep_fingerprint(&experiments),
         tasks: experiments.len(),
+    };
+    let _arenas = match arenas(&experiments) {
+        Ok(arenas) => arenas,
+        Err(code) => return code,
     };
     let config = match sweep_config(opts, header) {
         Ok(config) => config,
@@ -745,7 +780,7 @@ fn execute_sweep(spec: &RunSpec, t_max: usize, opts: &SweepOpts) -> i32 {
             );
         }
     }
-    worst
+    journal_exit(worst, report.journal_error.as_ref())
 }
 
 #[cfg(test)]

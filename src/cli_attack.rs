@@ -3,7 +3,7 @@
 
 use crate::cli::Flags;
 use crate::core::attack::{run_attack, AttackConfig, AttackReport};
-use crate::core::{obs, FaultKind};
+use crate::core::{obs, Experiment, FaultKind};
 use std::path::PathBuf;
 
 /// Parsed `rbcast attack` invocation.
@@ -120,10 +120,22 @@ fn print_report(spec: &AttackSpec, report: &AttackReport) {
 
 /// Runs a parsed attack. Exit codes: 0 — search completed (and, with
 /// `--gate`, beat the hand-built library); 1 — `--gate` set and no cell
-/// beat its baseline; 2 — the search itself failed.
+/// beat its baseline; 2 — the search itself failed, or its checkpoint
+/// journal lost a write.
 #[must_use]
 pub fn execute_attack(spec: &AttackSpec) -> i32 {
-    let report = match run_attack(&spec.config) {
+    let cfg = &spec.config;
+    // A cell's arena is its radius's default torus (`attack_torus`).
+    let radii: Vec<Experiment> = cfg
+        .rs
+        .iter()
+        .map(|&r| Experiment::new(r, cfg.protocol).with_metric(cfg.metric))
+        .collect();
+    let _arenas = match crate::cli::arenas(&radii) {
+        Ok(arenas) => arenas,
+        Err(code) => return code,
+    };
+    let report = match run_attack(cfg) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("error: {e}");
@@ -139,11 +151,11 @@ pub fn execute_attack(spec: &AttackSpec) -> i32 {
         println!("placements written to {}", dir.display());
     }
     let gate_passed = report.gate_passed();
+    let mut code = 0;
     if spec.gate {
         println!("gate: {}", if gate_passed { "PASS" } else { "FAIL" });
-        return i32::from(!gate_passed);
-    }
-    if spec.timings {
+        code = i32::from(!gate_passed);
+    } else if spec.timings {
         println!();
         for (name, stat) in obs::timings_snapshot() {
             if name.starts_with("attack/") {
@@ -157,7 +169,7 @@ pub fn execute_attack(spec: &AttackSpec) -> i32 {
             }
         }
     }
-    0
+    crate::cli::journal_exit(code, report.journal_error.as_ref())
 }
 
 /// Writes each cell's found placement as `attack-r<r>-t<t>.txt` (one
