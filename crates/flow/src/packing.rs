@@ -257,6 +257,18 @@ impl ChainPacker {
         self.chains.iter()
     }
 
+    /// Drops every chain with `keys` or more keys and returns the freed
+    /// capacity to the allocator. What stays is still an antichain, so
+    /// [`ChainPacker::insert`] keeps answering exactly as before for any
+    /// chain with fewer than `keys` keys: only a chain at most as long as
+    /// the newcomer can dominate it. Longer newcomers lose that
+    /// guarantee — a repeat of a dropped chain is accepted as new.
+    pub fn retain_shorter_than(&mut self, keys: usize) {
+        self.chains.retain(|c| c.relays().len() < keys);
+        self.chains.shrink_to_fit();
+        self.has_direct &= keys > 0;
+    }
+
     /// Size of the largest set of pairwise disjoint chains whose relays
     /// all satisfy `admit`, stopping early once `target` chains are
     /// found.
@@ -553,6 +565,22 @@ mod tests {
         assert!(p.insert(&[1, 2]));
         assert!(!p.insert(&[1, 2]));
         assert_eq!(p.len(), 1);
+    }
+
+    #[test]
+    fn retain_shorter_than_keeps_the_verdicts_of_short_chains() {
+        let mut p = ChainPacker::new();
+        p.insert(&[]);
+        p.insert(&[1, 2]);
+        p.insert(&[3, 4, 5]);
+        p.retain_shorter_than(3);
+        assert_eq!(p.len(), 2);
+        assert!(!p.insert(&[2, 1]), "a kept chain still dominates");
+        assert!(p.insert(&[3, 4]), "a dropped chain dominates nothing");
+        assert!(!p.insert(&[]), "the direct observation stays");
+        p.retain_shorter_than(0);
+        assert!(p.is_empty() && !p.has_direct());
+        assert!(p.insert(&[]));
     }
 
     #[test]

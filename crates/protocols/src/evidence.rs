@@ -83,7 +83,9 @@ impl<'a> Geometry<'a> {
 /// A store holds only what its rule reads: the one-level rule's two
 /// packers sit inline and never allocate until a chain arrives; the
 /// two-level rule's frame, slots and determinations sit behind one
-/// allocation made in [`EvidenceStore::new`].
+/// allocation made in [`EvidenceStore::new`]. Once its node commits,
+/// [`EvidenceStore::retire`] cuts it down to what the relay rule still
+/// reads.
 ///
 /// # Example
 ///
@@ -117,6 +119,9 @@ enum RuleState {
         commit_dirty: bool,
     },
     TwoLevel(Box<TwoLevel>),
+    /// A committed node that can no longer forward any chain (at most
+    /// one relay per report): nothing it records would ever be read.
+    Retired,
 }
 
 /// Two-level evidence: chains per `(committer, value)` and the
@@ -140,11 +145,15 @@ struct TwoLevel {
     dirty: Vec<(NodeId, Value)>,
     /// `dirty_mark[2 * slot + value]` is set while that pair sits in
     /// `dirty`, so a dense pair is listed once however many chains
-    /// arrive — a committed node records but never drains. Sized in
-    /// [`EvidenceStore::bind`] like `slots`.
+    /// arrive between two evaluations. Sized in [`EvidenceStore::bind`]
+    /// like `slots`.
     dirty_mark: Vec<bool>,
     /// Committers reliably determined (first value wins).
     determined: BTreeMap<NodeId, Value>,
+    /// Set by [`EvidenceStore::retire`]: the refresh list, marks and
+    /// determinations are gone, and a committer heard directly keeps
+    /// nothing but that observation.
+    retired: bool,
 }
 
 /// What [`EvidenceStore::determined`] returns under the one-level rule,
@@ -238,24 +247,63 @@ impl EvidenceStore {
         EvidenceStore { t, state }
     }
 
-    /// Binds the store to its node's ball-local committer frame. Every
-    /// legal committer lies within L∞ distance `3r` of the receiver (at
-    /// most `2r` from the last relay — they share a radius-`r` ball —
-    /// which itself is within `r`), so a span-`3r` frame indexes all of
-    /// them; two-level evidence then lives in dense slot vectors
-    /// instead of an ordered map. The one-level rule keys nothing by
-    /// committer, so binding a one-level store does nothing.
+    /// Binds the store to the ball-local committer frame of the node at
+    /// `me`. Every legal committer lies within L∞ distance `3r` of the
+    /// receiver (at most `2r` from the last relay — they share a
+    /// radius-`r` ball — which itself is within `r`), so a span-`3r`
+    /// frame indexes all of them; two-level evidence then lives in dense
+    /// slot vectors instead of an ordered map. The one-level rule keys
+    /// nothing by committer, so binding a one-level store does nothing
+    /// and builds no frame.
     ///
     /// Call before recording any evidence (the protocol binds in
     /// `on_start`). Stores that never bind, and committers outside the
     /// frame, use the ordered spill map with identical semantics.
-    pub fn bind(&mut self, frame: LocalFrame) {
+    pub fn bind(&mut self, arena: &NeighborTable, me: Coord) {
         debug_assert_eq!(self.chain_count(), 0, "bind() after evidence was recorded");
         if let RuleState::TwoLevel(two) = &mut self.state {
+            // audit:allow(checked-threshold-arith): a frame span, and an arena's radius is far below u32::MAX / 3
+            let frame = arena.local_frame(me, 3 * arena.radius());
             // audit:allow(checked-threshold-arith): slot-vector sizing, not bound arithmetic
             two.slots.resize_with(2 * frame.slots(), ChainPacker::new);
             two.dirty_mark.resize(two.slots.len(), false);
             two.frame = Some(frame);
+        }
+    }
+
+    /// Drops, when the owning node commits, every chain its relay rule
+    /// can no longer read. After the commit a node never evaluates again;
+    /// the one thing a record still decides is whether a `HEARD` with
+    /// fewer than `max_relays` relays, about a committer the node has not
+    /// heard directly, is new and so forwarded. From here on the store
+    /// answers exactly that question as before — for those queries only:
+    ///
+    /// * `max_relays ≤ 1`: a `HEARD` carries at least one relay, so no
+    ///   such query exists. Everything goes, and nothing is recorded
+    ///   again.
+    /// * A query with `k` relays can only be dominated by a chain of at
+    ///   most `k` relays (one-level keys: `k + 1`), so every chain with
+    ///   `max_relays` relays goes.
+    /// * Two-level keys are per committer, so a committer heard directly
+    ///   keeps only that direct observation: it marks the committer, and
+    ///   every later chain about it is ignored. A direct record after
+    ///   this call cuts its committer down the same way. Refresh list,
+    ///   marks and determinations are the commit rule's and go.
+    /// * One-level keys carry the committer, so a stored chain about one
+    ///   committer can dominate a report about another: the rest stays.
+    pub fn retire(&mut self, max_relays: usize) {
+        if max_relays <= 1 {
+            self.state = RuleState::Retired;
+            return;
+        }
+        match &mut self.state {
+            RuleState::TwoLevel(two) => two.retire(max_relays),
+            RuleState::OneLevel { combined, .. } => {
+                for packer in combined {
+                    packer.retain_shorter_than(max_relays + 1);
+                }
+            }
+            RuleState::Retired => {}
         }
     }
 
@@ -282,16 +330,17 @@ impl EvidenceStore {
                 *commit_dirty |= new;
                 new
             }
+            RuleState::Retired => false,
         }
     }
 
-    /// Committers reliably determined so far (two-level rule; always
-    /// empty under the one-level rule).
+    /// Committers reliably determined so far (two-level rule, until
+    /// [`EvidenceStore::retire`]; always empty under the one-level rule).
     #[must_use]
     pub fn determined(&self) -> &BTreeMap<NodeId, Value> {
         match &self.state {
             RuleState::TwoLevel(two) => &two.determined,
-            RuleState::OneLevel { .. } => &NO_DETERMINATIONS,
+            RuleState::OneLevel { .. } | RuleState::Retired => &NO_DETERMINATIONS,
         }
     }
 
@@ -313,6 +362,7 @@ impl EvidenceStore {
                     f(v as u64, p);
                 }
             }
+            RuleState::Retired => {}
         }
     }
 
@@ -380,6 +430,7 @@ impl EvidenceStore {
                     None
                 })
             }
+            RuleState::Retired => None,
         }
     }
 }
@@ -395,6 +446,9 @@ impl TwoLevel {
         let Some(keys) = KeyBuf::pack(None, relays) else {
             return false;
         };
+        if self.retired && self.heard_directly(committer) {
+            return false;
+        }
         let slot = self.slot_index(committer);
         // audit:allow(checked-threshold-arith): dense slot indexing, not bound arithmetic
         let dense = slot.map(|slot| 2 * slot + usize::from(v));
@@ -403,10 +457,81 @@ impl TwoLevel {
             None => self.packers.entry((committer, v)).or_default(),
         };
         let new = packer.insert(keys.as_slice());
-        if new {
+        if self.retired {
+            if relays.is_empty() {
+                self.keep_only_direct(committer);
+            }
+        } else if new {
             self.mark_dirty(dense, committer, v);
         }
         new
+    }
+
+    /// The packer of `(committer, v)`, if one exists.
+    fn packer(&self, committer: NodeId, v: Value) -> Option<&ChainPacker> {
+        match self.slot_index(committer) {
+            // audit:allow(checked-threshold-arith): dense slot indexing, not bound arithmetic
+            Some(slot) => Some(&self.slots[2 * slot + usize::from(v)]),
+            None => self.packers.get(&(committer, v)),
+        }
+    }
+
+    /// Whether `committer` was heard directly, with either value.
+    fn heard_directly(&self, committer: NodeId) -> bool {
+        [false, true].into_iter().any(|v| {
+            self.packer(committer, v)
+                .is_some_and(ChainPacker::has_direct)
+        })
+    }
+
+    /// Drops every chain about `committer` but a direct observation.
+    fn keep_only_direct(&mut self, committer: NodeId) {
+        match self.slot_index(committer) {
+            Some(slot) => {
+                // audit:allow(checked-threshold-arith): dense slot indexing, not bound arithmetic
+                for packer in &mut self.slots[2 * slot..2 * slot + 2] {
+                    packer.retain_shorter_than(1);
+                }
+            }
+            None => {
+                for v in [false, true] {
+                    if let Some(packer) = self.packers.get_mut(&(committer, v)) {
+                        packer.retain_shorter_than(1);
+                        if packer.is_empty() {
+                            self.packers.remove(&(committer, v));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// See [`EvidenceStore::retire`].
+    fn retire(&mut self, max_relays: usize) {
+        for pair in self.slots.chunks_exact_mut(2) {
+            let keep = if pair.iter().any(ChainPacker::has_direct) {
+                1
+            } else {
+                max_relays
+            };
+            for packer in pair {
+                packer.retain_shorter_than(keep);
+            }
+        }
+        let settled: Vec<NodeId> = self
+            .packers
+            .iter()
+            .filter(|(_, packer)| packer.has_direct())
+            .map(|(&(c, _), _)| c)
+            .collect();
+        self.packers.retain(|(c, _), packer| {
+            packer.retain_shorter_than(if settled.contains(c) { 1 } else { max_relays });
+            !packer.is_empty()
+        });
+        self.dirty = Vec::new();
+        self.dirty_mark = Vec::new();
+        self.determined = BTreeMap::new();
+        self.retired = true;
     }
 
     /// Lists `(committer, v)` for the next level-1 refresh, once: a dense
@@ -491,13 +616,8 @@ impl TwoLevel {
         committer: NodeId,
         v: Value,
     ) -> bool {
-        let packer = match self.slot_index(committer) {
-            // audit:allow(checked-threshold-arith): dense slot indexing, not bound arithmetic
-            Some(slot) => &self.slots[2 * slot + usize::from(v)],
-            None => match self.packers.get(&(committer, v)) {
-                Some(p) => p,
-                None => return false,
-            },
+        let Some(packer) = self.packer(committer, v) else {
+            return false;
         };
         if packer.has_direct() {
             return true;
@@ -530,7 +650,9 @@ mod tests {
     fn dirty(ev: &EvidenceStore) -> &[(NodeId, Value)] {
         match &ev.state {
             RuleState::TwoLevel(two) => &two.dirty,
-            RuleState::OneLevel { .. } => panic!("one-level stores keep no dirty list"),
+            RuleState::OneLevel { .. } | RuleState::Retired => {
+                panic!("only a live two-level store keeps a dirty list")
+            }
         }
     }
 
@@ -862,7 +984,7 @@ mod tests {
             ]
         };
         let mut bound = EvidenceStore::new(t, CommitRule::TwoLevel);
-        bound.bind(table.local_frame(me, 6));
+        bound.bind(&table, me);
         let mut unbound = EvidenceStore::new(t, CommitRule::TwoLevel);
         let verdicts = feed(&mut bound);
         assert_eq!(verdicts, feed(&mut unbound), "insertion verdicts agree");
@@ -882,11 +1004,11 @@ mod tests {
         // the stream into a fresh bound store reproduces it exactly,
         // and dropping the forged chains changes it.
         let mut replay = EvidenceStore::new(t, CommitRule::TwoLevel);
-        replay.bind(table.local_frame(me, 6));
+        replay.bind(&table, me);
         let _ = feed(&mut replay);
         assert_eq!(bound.digest(), replay.digest());
         let mut clean = EvidenceStore::new(t, CommitRule::TwoLevel);
-        clean.bind(table.local_frame(me, 6));
+        clean.bind(&table, me);
         clean.record_chain(near, true, &[id(&torus, 11, 12)]);
         clean.record_chain(near, true, &[id(&torus, 12, 11)]);
         assert_ne!(clean.digest(), bound.digest(), "spill chains are folded");
@@ -901,7 +1023,7 @@ mod tests {
         let table = table(&torus);
         let me = Coord::new(10, 10);
         let mut ev = EvidenceStore::new(1, CommitRule::TwoLevel);
-        ev.bind(table.local_frame(me, 6));
+        ev.bind(&table, me);
         let near = id(&torus, 12, 12);
         let other = id(&torus, 9, 8);
         let far = id(&torus, 22, 22);
@@ -968,7 +1090,7 @@ mod tests {
         let me = Coord::new(10, 10);
         let geo = Geometry::new(&table, me);
         let mut bound = EvidenceStore::new(1, CommitRule::OneLevel);
-        bound.bind(table.local_frame(me, 6));
+        bound.bind(&table, me);
         assert!(
             matches!(bound.state, RuleState::OneLevel { .. }),
             "a one-level store holds no two-level state, bound or not"
@@ -1018,7 +1140,7 @@ mod tests {
                 FRESH_SCRATCH_PER_QUERY.set(fresh);
                 let mut one = EvidenceStore::new(t, CommitRule::OneLevel);
                 let mut two = EvidenceStore::new(t, CommitRule::TwoLevel);
-                two.bind(table.local_frame(me, 6));
+                two.bind(&table, me);
                 let mut answers = Vec::new();
                 for ((cx, cy), relay_pts, flags) in &stream {
                     let committer = id(&torus, *cx, *cy);
@@ -1045,9 +1167,9 @@ mod tests {
 
     #[test]
     fn dirty_list_is_bounded_by_distinct_pairs() {
-        // A committed node keeps recording but never evaluates, so the
-        // dirty list must not grow with the chains that arrive: 1 000 new
-        // chains about 3 committers (both values) list at most 6 pairs.
+        // The dirty list must not grow with the chains that arrive
+        // between two evaluations: 1 000 new chains about 3 committers
+        // (both values) list at most 6 pairs.
         let torus = Torus::new(24, 24);
         let table = table(&torus);
         let me = Coord::new(10, 10);
@@ -1065,7 +1187,7 @@ mod tests {
             new
         };
         let mut bound = EvidenceStore::new(1, CommitRule::TwoLevel);
-        bound.bind(table.local_frame(me, 6));
+        bound.bind(&table, me);
         assert_eq!(feed(&mut bound), 1_000);
         assert!(
             dirty(&bound).len() <= 6,
@@ -1098,5 +1220,117 @@ mod tests {
         ev.record_chain(committer, false, &[id(&torus, 12, 11)]);
         let _ = ev.evaluate(&geo);
         assert_eq!(ev.determined().get(&committer), Some(&true));
+    }
+
+    #[test]
+    fn retire_keeps_a_direct_observation_and_the_shorter_chains() {
+        let torus = Torus::new(24, 24);
+        let table = table(&torus);
+        let me = Coord::new(10, 10);
+        let (a, b, far) = (id(&torus, 12, 12), id(&torus, 9, 8), id(&torus, 22, 22));
+        let relay = |x| id(&torus, 11, x);
+        let mut ev = EvidenceStore::new(1, CommitRule::TwoLevel);
+        ev.bind(&table, me);
+        ev.record_direct(a, true);
+        ev.record_chain(a, false, &[relay(8)]);
+        for c in [b, far] {
+            ev.record_chain(c, true, &[relay(9)]);
+            ev.record_chain(c, true, &[relay(10), relay(11), relay(12)]);
+        }
+        assert_eq!(ev.chain_count(), 6);
+        ev.retire(3);
+        // a's direct observation, and the one-relay chain about b and far
+        assert_eq!(ev.chain_count(), 3);
+        assert!(ev.determined().is_empty() && dirty(&ev).is_empty());
+        assert!(!ev.record_chain(a, false, &[relay(13)]), "a is settled");
+        assert!(ev.record_chain(b, true, &[relay(10), relay(11)]));
+        assert!(dirty(&ev).is_empty(), "a retired store lists nothing");
+        // A late direct observation settles its committer, dense or spilled.
+        for c in [b, far] {
+            ev.record_direct(c, true);
+            assert!(!ev.record_chain(c, true, &[relay(13)]));
+        }
+        assert_eq!(ev.chain_count(), 3, "three direct observations");
+
+        let mut one = EvidenceStore::new(1, CommitRule::OneLevel);
+        one.record_chain(a, true, &[relay(9)]);
+        one.retire(1);
+        assert_eq!(one.chain_count(), 0);
+        assert!(!one.record_chain(a, true, &[]), "nothing is recorded again");
+    }
+
+    proptest::prelude::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// A retired store gives the answers the protocol can still ask
+        /// for, as a store that was never retired gives them. Two stores
+        /// take one stream of chains, with committers and relays drawn
+        /// from a few ids (two committers double as relays, so one-level
+        /// keys of different committers overlap). One store is retired at
+        /// a random point, the commit. After it, the protocol drops a
+        /// chain with `max_relays` relays on arrival and forwards only a
+        /// chain about a committer not yet heard directly. So only the
+        /// verdicts on those forwardable chains must agree. As in the
+        /// protocol, each committer is recorded directly at most once,
+        /// and the stores are bound so both the dense and the spill path
+        /// run (the last committer lies outside the frame).
+        #[test]
+        fn retire_keeps_every_verdict_a_committed_node_reads(
+            stream in proptest::collection::vec(
+                (0usize..4, proptest::collection::vec(0usize..5, 3), 0u8..32),
+                1..96,
+            ),
+            commit_at in 0usize..96,
+        ) {
+            use proptest::prelude::prop_assert_eq;
+
+            let torus = Torus::new(24, 24);
+            let table = table(&torus);
+            let me = Coord::new(10, 10);
+            let committers =
+                [(12, 12), (9, 8), (11, 10), (22, 22)].map(|(x, y)| id(&torus, x, y));
+            let pool = [committers[1], committers[2], id(&torus, 10, 11), id(&torus, 11, 11), id(&torus, 9, 10)];
+            for rule in [CommitRule::TwoLevel, CommitRule::OneLevel] {
+                for max_relays in [1, 3] {
+                    let mut kept = EvidenceStore::new(1, rule);
+                    let mut retired = EvidenceStore::new(1, rule);
+                    kept.bind(&table, me);
+                    retired.bind(&table, me);
+                    let mut heard = BTreeSet::new();
+                    for (i, (c, picks, shape)) in stream.iter().enumerate() {
+                        let committed = i >= commit_at % (stream.len() + 1);
+                        if i == commit_at % (stream.len() + 1) {
+                            retired.retire(max_relays);
+                        }
+                        let committer = committers[*c];
+                        let v = shape % 5 != 0;
+                        let len = if shape % 16 == 0 { 0 } else { 1 + usize::from(shape % 3) };
+                        let mut relays = Vec::new();
+                        for &k in picks {
+                            if pool[k] != committer && !relays.contains(&pool[k]) {
+                                relays.push(pool[k]);
+                            }
+                        }
+                        relays.truncate(len.min(max_relays));
+                        if relays.is_empty() && !heard.insert(committer) {
+                            continue;
+                        }
+                        if committed && relays.len() >= max_relays {
+                            continue;
+                        }
+                        let settled = heard.contains(&committer);
+                        let before = kept.record_chain(committer, v, &relays);
+                        let after = retired.record_chain(committer, v, &relays);
+                        if committed && !settled {
+                            prop_assert_eq!(
+                                before, after,
+                                "{:?} max_relays={} chain #{} {:?}",
+                                rule, max_relays, i, relays
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

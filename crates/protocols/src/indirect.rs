@@ -133,6 +133,9 @@ impl Indirect {
         if !self.committed {
             self.committed = true;
             ctx.decide(v);
+            // Free what the relay rule no longer reads before the
+            // announcement allocates.
+            self.evidence.retire(self.config.max_relays);
             ctx.broadcast(Msg::Committed(v));
         }
     }
@@ -156,33 +159,32 @@ impl Indirect {
         }
     }
 
-    /// Whether the chain (committer + relays + optionally us) can still
-    /// fit inside a single neighborhood — if not, it can never be
-    /// evidence and is not worth relaying or storing.
+    /// Whether the chain (committer + relays) can still fit inside a
+    /// single neighborhood — if not, it can never be evidence and is not
+    /// worth storing — and whether it still does with us (at `me`, when
+    /// given) affixed — if not, it is not worth relaying. Both verdicts
+    /// come from one pass over the members.
     fn fits_single_neighborhood(
         ctx: &Ctx<'_, Msg>,
         committer: Coord,
         relays: &[NodeId],
-        include_self: bool,
-    ) -> bool {
+        me: Option<Coord>,
+    ) -> (bool, bool) {
         let torus = ctx.torus();
         let r = ctx.radius();
         let metric = ctx.metric();
         // Work in displacement space relative to the committer (chain
         // members are always within a few hops, far from the wrap seam).
         // Chains are bounded at CHAIN_CAP relays, so the member list
-        // (origin + relays + optionally us) lives on the stack.
-        let mut members = [Coord::ORIGIN; CHAIN_CAP + 2];
+        // (origin + relays) lives on the stack.
+        let mut members = [Coord::ORIGIN; CHAIN_CAP + 1];
         let mut n = 1;
         for &k in relays {
             members[n] = torus.displacement(committer, torus.coord(k));
             n += 1;
         }
-        if include_self {
-            members[n] = torus.displacement(committer, ctx.coord());
-            n += 1;
-        }
         let members = &members[..n];
+        let me = me.map(|me| torus.displacement(committer, me));
         match metric {
             Metric::Linf => {
                 // A lattice center within r of every member exists iff the
@@ -195,11 +197,17 @@ impl Indirect {
                     max_y = max_y.max(m.y);
                 }
                 let span = 2 * i64::from(r);
-                max_x - min_x <= span && max_y - min_y <= span
+                let fits = max_x - min_x <= span && max_y - min_y <= span;
+                let fits_with_me = me.is_some_and(|m| {
+                    max_x.max(m.x) - min_x.min(m.x) <= span
+                        && max_y.max(m.y) - min_y.min(m.y) <= span
+                });
+                (fits, fits_with_me)
             }
             Metric::L2 => {
                 // Scan candidate centers within r of the committer.
                 let ri = i64::from(r);
+                let mut fits = false;
                 for dy in -ri..=ri {
                     for dx in -ri..=ri {
                         let c = Coord::new(dx, dy);
@@ -207,11 +215,16 @@ impl Indirect {
                             continue;
                         }
                         if members.iter().all(|&m| metric.within(c, m, r)) {
-                            return true;
+                            fits = true;
+                            match me {
+                                None => return (true, false),
+                                Some(m) if metric.within(c, m, r) => return (true, true),
+                                Some(_) => {}
+                            }
                         }
                     }
                 }
-                false
+                (fits, false)
             }
         }
     }
@@ -222,11 +235,11 @@ impl Process<Msg> for Indirect {
         // Bind the evidence store to this node's ball-local committer
         // frame: any committer a valid chain can name is within 3r (2r
         // from the last relay, which is within r of us).
-        self.evidence
-            .bind(ctx.arena().local_frame(ctx.coord(), 3 * ctx.radius()));
+        self.evidence.bind(ctx.arena(), ctx.coord());
         if ctx.id() == self.params.source {
             self.committed = true;
             ctx.decide(self.params.value);
+            self.evidence.retire(self.config.max_relays);
             // The source's initial broadcast doubles as its commit
             // announcement; neighbors treat it as COMMITTED(source, v).
             ctx.broadcast(Msg::Source(self.params.value));
@@ -284,24 +297,28 @@ impl Process<Msg> for Indirect {
                 if (1..relays.len()).any(|i| relays[..i].contains(&relays[i])) {
                     return;
                 }
-                let committer_coord = ctx.torus().coord(committer);
-                if !Self::fits_single_neighborhood(ctx, committer_coord, relays, false) {
-                    return; // can never be evidence for anyone
-                }
-                let new = self.evidence.record_chain(committer, chain.value(), relays);
                 // Forward with our identifier affixed while the extended
                 // chain remains potentially useful. If we heard the
                 // committer's own COMMITTED, our one-relay report
                 // `[me]` dominates every extension `[…, me]` at every
                 // receiver, so deeper chains need not be forwarded —
-                // the paper's "earmarking" state reduction. The packed
-                // repr makes the fan-out a pure copy: extend in place,
-                // no per-hop reallocation.
-                if new
-                    && self.first_commit.binary_search(&committer).is_err()
-                    && chain.len() < self.config.max_relays
-                    && Self::fits_single_neighborhood(ctx, committer_coord, relays, true)
-                {
+                // the paper's "earmarking" state reduction.
+                let relayable = chain.len() < self.config.max_relays
+                    && self.first_commit.binary_search(&committer).is_err();
+                let committer_coord = ctx.torus().coord(committer);
+                let (fits, fits_with_me) = Self::fits_single_neighborhood(
+                    ctx,
+                    committer_coord,
+                    relays,
+                    relayable.then(|| ctx.coord()),
+                );
+                if !fits {
+                    return; // can never be evidence for anyone
+                }
+                let new = self.evidence.record_chain(committer, chain.value(), relays);
+                // The packed repr makes the fan-out a pure copy: extend
+                // in place, no per-hop reallocation.
+                if new && fits_with_me {
                     ctx.broadcast(Msg::Heard(chain.extended(me)));
                 }
             }
@@ -593,6 +610,47 @@ mod tests {
             let relay = id(&torus, 10, 11);
             h.deliver(&mut p, relay, &Msg::heard(committer, true, &[relay]));
             assert!(h.drain_outbox().is_empty());
+        }
+
+        #[test]
+        fn committed_simplified_node_keeps_no_chains_and_relays_a_late_commit_once() {
+            let torus = Torus::for_radius(2);
+            let me = id(&torus, 10, 10);
+            let params = ProtocolParams {
+                source: torus.id(Coord::ORIGIN),
+                value: true,
+                t: 1,
+            };
+            let mut p = Indirect::new(params, IndirectConfig::simplified());
+            let mut h = Harness::new(torus.clone(), 2, Metric::Linf, me);
+            h.start(&mut p);
+            // Two neighbours' commits are t + 1 = 2 disjoint reports
+            // inside one neighbourhood.
+            for committer in [id(&torus, 11, 10), id(&torus, 9, 10)] {
+                h.deliver(&mut p, committer, &Msg::Committed(true));
+            }
+            assert_eq!(p.evidence().chain_count(), 2);
+            h.end_round(&mut p);
+            assert_eq!(h.decision(), Some(true));
+            assert_eq!(
+                p.evidence().chain_count(),
+                0,
+                "a §VI-B node frees its chains"
+            );
+            let _ = h.drain_outbox();
+
+            let late = id(&torus, 10, 11);
+            h.deliver(&mut p, late, &Msg::Committed(true));
+            match h.drain_outbox().as_slice() {
+                [Msg::Heard(chain)] => {
+                    assert_eq!(chain.committer(), late);
+                    assert_eq!(chain.relays(), &[me]);
+                }
+                other => panic!("expected one relayed HEARD, got {other:?}"),
+            }
+            h.deliver(&mut p, late, &Msg::Committed(true));
+            assert!(h.drain_outbox().is_empty(), "a repeat is not relayed");
+            assert_eq!(p.evidence().chain_count(), 0);
         }
 
         #[test]
