@@ -345,15 +345,26 @@ grep -q '"timings": {' BENCH_scale.json \
     || { echo "BENCH_scale.json: missing the obs timings block"; exit 1; }
 grep -q '"peak_rss_kb"' BENCH_scale.json \
     || { echo "BENCH_scale.json: missing the v2 peak-RSS column"; exit 1; }
+# Per node a network keeps only what a run changes: the process slot,
+# the 8-byte decision and a few bits. The TDMA order is the arena's, a
+# crash is a bit, and a slot holds no run constant.
 # A committed node frees its chains, so the indirect 10^6 cell stays
-# under 320 000 kB (it read 424 744 kB while every node kept them).
+# under 240 000 kB (259 828 kB while every network and slot kept its own
+# order and constants; 424 744 kB while every node kept its chains).
 rss=$(sed -n 's/.*"indirect-simplified", "side": 1000,.*"peak_rss_kb": \([0-9]*\).*/\1/p' BENCH_scale.json)
-test -n "$rss" && test "$rss" -lt 320000 \
-    || { echo "BENCH_scale.json: indirect-simplified at 10^6 nodes reads ${rss:-no} kB peak RSS (limit 320000)"; exit 1; }
-# Honest nodes are stored inline (24 B a flood node, not a 16 B box
-# pointer plus a heap chunk), so the flood 10^6 cell stays under 100 MB.
+test -n "$rss" && test "$rss" -lt 240000 \
+    || { echo "BENCH_scale.json: indirect-simplified at 10^6 nodes reads ${rss:-no} kB peak RSS (limit 240000)"; exit 1; }
+# A CPA node is 48 bytes and frees its announcer list at commit, so the
+# CPA 10^6 cell stays under 128 000 kB (156 892 kB at 64 bytes a node
+# that kept the list).
+rss=$(sed -n 's/.*"cpa", "side": 1000,.*"peak_rss_kb": \([0-9]*\).*/\1/p' BENCH_scale.json)
+test -n "$rss" && test "$rss" -lt 128000 \
+    || { echo "BENCH_scale.json: cpa at 10^6 nodes reads ${rss:-no} kB peak RSS (limit 128000)"; exit 1; }
+# Honest nodes are stored inline, 16 B a flood node (a 16 B box pointer
+# plus a heap chunk before, then 24 B holding the run's parameters), so
+# the flood 10^6 cell stays under 80 000 kB (93 068 kB at 24 B a node).
 rss=$(sed -n 's/.*"flood", "side": 1000,.*"peak_rss_kb": \([0-9]*\).*/\1/p' BENCH_scale.json)
-test -n "$rss" && test "$rss" -lt 100000 \
-    || { echo "BENCH_scale.json: flood at 10^6 nodes reads ${rss:-no} kB peak RSS (limit 100000)"; exit 1; }
+test -n "$rss" && test "$rss" -lt 80000 \
+    || { echo "BENCH_scale.json: flood at 10^6 nodes reads ${rss:-no} kB peak RSS (limit 80000)"; exit 1; }
 
 echo "CI: all gates passed"

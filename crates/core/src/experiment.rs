@@ -138,14 +138,16 @@ pub(crate) trait ProtocolVisitor {
     fn visit<P: Process<Msg> + 'static>(self, make: &dyn Fn(ProtocolParams) -> P) -> Self::Output;
 }
 
-// A typed slot costs its protocol's bytes and not one more: the faulty
-// variant's box lives in the protocol's niche.
+// A slot holds only what varies per node, no run constant. A CPA or
+// indirect slot costs its protocol's bytes and not one more — the
+// faulty variant's pointer lives in the protocol's niche; an 8-byte
+// flood node sits beside it.
 const fn slot_is_inline<P>(bytes: usize) -> bool {
     std::mem::size_of::<Node<P, Msg>>() == bytes && std::mem::size_of::<P>() == bytes
 }
-const _: () = assert!(slot_is_inline::<Flood>(24));
-const _: () = assert!(slot_is_inline::<Cpa>(64));
-const _: () = assert!(slot_is_inline::<Indirect>(144));
+const _: () = assert!(std::mem::size_of::<Node<Flood, Msg>>() == 16);
+const _: () = assert!(slot_is_inline::<Cpa>(48));
+const _: () = assert!(slot_is_inline::<Indirect>(112));
 
 /// How faulty nodes behave.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -629,7 +631,7 @@ impl Experiment {
         }
         let mut net = Network::with_arena(arena, channel, |id| {
             if fault_set.contains(&id) {
-                Node::Faulty(self.fault_kind.spawn(wrong, id))
+                Node::Faulty(Box::new(self.fault_kind.spawn(wrong, id)))
             } else {
                 Node::Honest(make(params))
             }
@@ -638,11 +640,7 @@ impl Experiment {
         // The completion mask is installed unconditionally so the trace
         // hash freezes at the same round whether or not the run is
         // allowed to stop early — the two modes stay byte-identical.
-        let honest_ids: Vec<NodeId> = torus
-            .node_ids()
-            .filter(|id| !fault_set.contains(id))
-            .collect();
-        net.set_completion_mask(&honest_ids);
+        net.set_completion_mask_except(&faults);
         net.set_early_termination(self.early_termination);
         net.set_round_budget(self.round_budget);
         net.set_engine(self.engine);
@@ -674,16 +672,22 @@ impl Experiment {
         let mut committed_wrong = 0;
         let mut undecided = 0;
         let mut honest = 0;
+        let mut last_decision_round = None;
         for id in torus.node_ids() {
             if fault_set.contains(&id) {
                 continue;
             }
             honest += 1;
-            match net.decision(id) {
-                Some((v, _)) if v == self.value => committed_correct += 1,
-                Some(_) => committed_wrong += 1,
-                None => undecided += 1,
+            let Some((v, round)) = net.decision(id) else {
+                undecided += 1;
+                continue;
+            };
+            if v == self.value {
+                committed_correct += 1;
+            } else {
+                committed_wrong += 1;
             }
+            last_decision_round = last_decision_round.max(Some(round));
         }
         let outcome = Outcome {
             honest,
@@ -694,7 +698,7 @@ impl Experiment {
             audited_bound,
             stats,
             message_kinds,
-            last_decision_round: net.latest_decision_round(&honest_ids),
+            last_decision_round,
         };
         (outcome, net)
     }

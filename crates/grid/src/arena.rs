@@ -15,11 +15,17 @@
 //!   radius ([`Torus::supports_radius`]) that set is a fixed
 //!   position-independent offset stencil.
 //!
+//! * the transmission order every host delivers in: TDMA slot order
+//!   when a periodic [`TdmaSchedule`] fits the torus, id order
+//!   otherwise — a function of the geometry, so it is computed here
+//!   once and not per network.
+//!
 //! The table is immutable after construction, so one instance can be
 //! shared across worker threads behind an `Arc` and across every run of
 //! a sweep, keyed by `(torus dims, r, metric)`.
 
-use crate::{Coord, Metric, NodeId, Torus};
+use crate::{Coord, Metric, NodeId, TdmaSchedule, Torus};
+use std::collections::TryReserveError;
 use std::fmt;
 
 /// Precomputed radius-`r` topology of a [`Torus`] under one [`Metric`]:
@@ -49,7 +55,50 @@ pub struct NeighborTable {
     /// origin, *including* the origin, for `d ∈ 0..=radius + 1`, in the
     /// row-major scan order the commit-rule center scans rely on.
     balls: Vec<Vec<Coord>>,
+    /// The TDMA transmission order and its inverse, present only when
+    /// a periodic schedule fits the torus; without one the order is id
+    /// order and a node's rank is its id, so no table is kept.
+    schedule: Option<Schedule>,
 }
+
+/// A TDMA torus's transmission order: `order[k]` transmits `k`-th, and
+/// `ranks[id]` is `id`'s position in `order`.
+struct Schedule {
+    order: Box<[NodeId]>,
+    ranks: Box<[u32]>,
+}
+
+impl Schedule {
+    /// Slot order, ties by id — `None` when no periodic schedule fits
+    /// `torus` at `radius` (the model guarantees collision-freedom
+    /// either way; id order is then the order).
+    fn build(torus: &Torus, radius: u32) -> Result<Option<Schedule>, TryReserveError> {
+        let Ok(tdma) = TdmaSchedule::new(torus, radius) else {
+            return Ok(None);
+        };
+        let n = torus.len();
+        let mut order = Vec::new();
+        order.try_reserve_exact(n)?;
+        order.extend(torus.node_ids());
+        order.sort_by_key(|&id| (tdma.slot_of(torus.coord(id)), id));
+        // Zeroed (`calloc`), which cannot be asked to fail; `order`, of
+        // the same size, just could. Reserved and filled instead, the
+        // table raised `attack_search`'s peak RSS, which builds and
+        // frees a tiny arena per evaluation (DESIGN.md, "Node state").
+        let mut ranks = vec![0u32; n];
+        for (rank, &id) in order.iter().enumerate() {
+            ranks[id.index()] = u32::try_from(rank).expect("node count fits u32");
+        }
+        Ok(Some(Schedule {
+            order: order.into_boxed_slice(),
+            ranks: ranks.into_boxed_slice(),
+        }))
+    }
+}
+
+/// What [`NeighborTable::reserve`] hands a constructor to fill: the
+/// schedule, complete, and the empty CSR arrays with their room.
+type Reserved = (Option<Schedule>, Vec<NodeId>, Vec<u32>);
 
 /// Why a [`NeighborTable`] could not be built: its `nodes × stencil`
 /// neighbour entries are more than `u32` row ends can index, or more
@@ -92,11 +141,17 @@ impl NeighborTable {
     /// CSR row ends are `u32`.
     pub const MAX_ENTRIES: u64 = u32::MAX as u64;
 
-    /// Empty CSR arrays with room for `nodes × stencil` entries and
-    /// `nodes + 1` row ends — refused, before anything is allocated,
-    /// when the row ends could not index them, and refused rather than
-    /// aborting when the allocator cannot supply them.
-    fn reserve(nodes: usize, stencil: usize) -> Result<(Vec<NodeId>, Vec<u32>), ArenaError> {
+    /// `torus`'s transmission schedule at `radius`, then empty CSR
+    /// arrays with room for `nodes × stencil` entries and `nodes + 1`
+    /// row ends — refused, before anything is allocated, when the row
+    /// ends could not index them, and refused rather than aborting when
+    /// the allocator cannot supply them.
+    ///
+    /// The schedule is allocated first: after the neighbour arrays, it
+    /// raised the peak RSS of a run that builds and frees tiny arenas
+    /// over and over (DESIGN.md, "Node state").
+    fn reserve(torus: &Torus, radius: u32, stencil: usize) -> Result<Reserved, ArenaError> {
+        let nodes = torus.len();
         let mut error = ArenaError {
             nodes,
             stencil,
@@ -107,12 +162,13 @@ impl NeighborTable {
             return Err(error);
         }
         error.out_of_memory = true;
+        let schedule = Schedule::build(torus, radius).map_err(|_| error)?;
         let (mut targets, mut offsets) = (Vec::new(), Vec::new());
         targets
             .try_reserve_exact(entries as usize)
             .map_err(|_| error)?;
         offsets.try_reserve_exact(nodes + 1).map_err(|_| error)?;
-        Ok((targets, offsets))
+        Ok((schedule, targets, offsets))
     }
 
     /// Builds the table for `torus` at transmission radius `radius`
@@ -151,7 +207,7 @@ impl NeighborTable {
             2 * (2 * radius + 1),
         );
         let offs = crate::metric_offsets(radius, metric);
-        let (mut targets, mut offsets) = Self::reserve(torus.len(), offs.len())?;
+        let (schedule, mut targets, mut offsets) = Self::reserve(torus, radius, offs.len())?;
         offsets.push(0u32);
         for id in torus.node_ids() {
             let c = torus.coord(id);
@@ -166,6 +222,7 @@ impl NeighborTable {
             offsets,
             targets,
             balls,
+            schedule,
         })
     }
 
@@ -190,8 +247,8 @@ impl NeighborTable {
             return NeighborTable::build(torus, radius, metric);
         }
         let offs = crate::metric_offsets(radius, metric);
-        let (mut targets, mut offsets) =
-            Self::reserve(torus.len(), offs.len()).unwrap_or_else(|e| {
+        let (schedule, mut targets, mut offsets) = Self::reserve(torus, radius, offs.len())
+            .unwrap_or_else(|e| {
                 // audit:allow(panic): documented; the cluster's tori are small
                 panic!("{e}")
             });
@@ -215,6 +272,7 @@ impl NeighborTable {
             offsets,
             targets,
             balls,
+            schedule,
         }
     }
 
@@ -259,6 +317,47 @@ impl NeighborTable {
     pub fn neighbors(&self, id: NodeId) -> &[NodeId] {
         let i = id.index();
         &self.targets[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// `id`'s position in the global transmission order every host
+    /// delivers in: TDMA slot order (ties by id) when a periodic
+    /// schedule fits the torus, id order otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range for the torus.
+    #[must_use]
+    pub fn rank(&self, id: NodeId) -> u32 {
+        match &self.schedule {
+            Some(s) => s.ranks[id.index()],
+            None => {
+                assert!(id.index() < self.len(), "{id} is off the torus");
+                id.0
+            }
+        }
+    }
+
+    /// Every node's [`NeighborTable::rank`], indexed by id — `None` on
+    /// a torus no periodic schedule fits, where the rank is the id.
+    #[must_use]
+    pub fn ranks(&self) -> Option<&[u32]> {
+        self.schedule.as_ref().map(|s| &*s.ranks)
+    }
+
+    /// Calls `f` on every node in transmission order.
+    pub fn for_each_in_order(&self, mut f: impl FnMut(NodeId)) {
+        match &self.schedule {
+            Some(s) => {
+                for &id in &*s.order {
+                    f(id);
+                }
+            }
+            None => {
+                for id in self.torus.node_ids() {
+                    f(id);
+                }
+            }
+        }
     }
 
     /// All offsets within metric distance `d` of the origin, including
@@ -364,6 +463,7 @@ impl fmt::Debug for NeighborTable {
             .field("radius", &self.radius)
             .field("metric", &self.metric)
             .field("edges", &self.targets.len())
+            .field("tdma", &self.schedule.is_some())
             .finish()
     }
 }
@@ -428,7 +528,9 @@ mod tests {
         // What `build_wrapping` reserves for 3×3 at r = 11 000, before
         // aliasing collapses it: (22 001)² − 1 entries for each node.
         let stencil = Metric::Linf.neighborhood_size(11_000);
-        let refused = NeighborTable::reserve(9, stencil).expect_err("past the row ends");
+        let Err(refused) = NeighborTable::reserve(&Torus::new(3, 3), 11_000, stencil) else {
+            panic!("past the row ends");
+        };
         assert!(!refused.out_of_memory);
         assert!(refused
             .to_string()
@@ -579,6 +681,55 @@ mod tests {
             let nbrs = table.neighbors(id);
             assert_eq!(nbrs.len(), 3, "node {id}: {nbrs:?}");
         }
+    }
+
+    /// The transmission order as every host computed it for itself
+    /// before the arena kept it: all ids sorted by `(slot, id)` when a
+    /// schedule fits, id order otherwise.
+    fn sorted_by_slot(torus: &Torus, r: u32) -> Vec<NodeId> {
+        let mut order: Vec<NodeId> = torus.node_ids().collect();
+        if let Ok(tdma) = TdmaSchedule::new(torus, r) {
+            order.sort_by_key(|&id| (tdma.slot_of(torus.coord(id)), id));
+        }
+        order
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The arena's order and ranks are the `(slot, id)` sort, on
+        /// tori a schedule fits (whole periods) and on tori it does not
+        /// (a side one or two past a period), roomy and wrapping alike.
+        #[test]
+        fn order_and_ranks_are_the_slot_sort(
+            r in 1u32..4, a in 1u32..7, b in 1u32..7, fit in 0u8..2, dw in 1u32..3,
+        ) {
+            let k = 2 * r + 1;
+            let (w, h) = if fit == 1 { (a * k, b * k) } else { (a * k + dw, b * k) };
+            let torus = Torus::new(w, h);
+            let table = NeighborTable::build_wrapping(&torus, r, Metric::Linf);
+            let want = sorted_by_slot(&torus, r);
+            let mut order = Vec::new();
+            table.for_each_in_order(|id| order.push(id));
+            proptest::prop_assert_eq!(&order, &want);
+            proptest::prop_assert_eq!(table.ranks().is_some(), fit == 1);
+            for (rank, &id) in want.iter().enumerate() {
+                proptest::prop_assert_eq!(table.rank(id) as usize, rank);
+                if let Some(ranks) = table.ranks() {
+                    proptest::prop_assert_eq!(ranks[id.index()] as usize, rank);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_unscheduled_torus_keeps_no_rank_table() {
+        // 1000 is not a multiple of 3: the rank is the id.
+        let table = NeighborTable::build(&Torus::new(1000, 7), 1, Metric::Linf);
+        assert!(table.ranks().is_none());
+        assert_eq!(table.rank(NodeId(6_999)), 6_999);
+        let scheduled = NeighborTable::build(&Torus::for_radius(1), 1, Metric::Linf);
+        assert_eq!(scheduled.ranks().map(<[u32]>::len), Some(144));
     }
 
     #[test]

@@ -28,6 +28,17 @@ impl BitSet {
         }
     }
 
+    /// The set of every index in `0..len`.
+    #[must_use]
+    pub fn full(len: usize) -> BitSet {
+        let mut words = vec![u64::MAX; len.div_ceil(64)];
+        if let Some(last) = words.last_mut() {
+            // Keep the bits past `len` zero, as every other constructor.
+            *last >>= (64 - len % 64) % 64;
+        }
+        BitSet { words, len }
+    }
+
     /// Capacity (the exclusive upper bound on indices).
     #[must_use]
     pub fn len(&self) -> usize {
@@ -220,6 +231,15 @@ mod tests {
         let mut got = Vec::new();
         s.for_each(|i| got.push(i as usize));
         assert_eq!(got, (0..97).step_by(7).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn full_holds_every_index_and_nothing_past_len() {
+        for len in [0usize, 1, 63, 64, 65, 128, 200] {
+            let s = BitSet::full(len);
+            assert_eq!(s.count_ones(), len as u64, "len {len}");
+            assert!((0..len).all(|i| s.get(i)), "len {len}");
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   non-suspected neighbor — the link's in-order release guarantees
 //!   all of a peer's round-`k` data precedes its mark;
 //! * completed deliveries are replayed to the host sorted by the
-//!   sender's TDMA rank ([`transmission_order`]), per-sender FIFO — the
+//!   sender's TDMA rank ([`NeighborTable::rank`]), per-sender FIFO — the
 //!   simulator's exact global delivery order restricted to this
 //!   neighborhood. Same inputs, same callbacks, same decisions: the
 //!   golden parity tests assert digest equality against the sim oracle.
@@ -37,7 +37,7 @@ use crate::transport::Datagram;
 use crate::wire::{decode_packet, SeqFrame};
 use rbcast_grid::{NeighborTable, NodeId};
 use rbcast_protocols::Msg;
-use rbcast_sim::driver::{transmission_order, transmission_ranks, InstanceHost, InstanceId};
+use rbcast_sim::driver::{InstanceHost, InstanceId};
 use rbcast_sim::{Process, Round, Value};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -122,7 +122,6 @@ pub struct NodeRuntime {
     me: NodeId,
     epoch: u32,
     cfg: RuntimeConfig,
-    rank_of: Vec<u32>,
     host: InstanceHost<Msg>,
     links: BTreeMap<u32, Link>,
     /// Un-consumed deliveries per round as `(sender, instance, msg)` in
@@ -193,8 +192,6 @@ impl NodeRuntime {
             .unwrap_or(0);
         journal.append(&Record::Boot { epoch });
 
-        let order = transmission_order(&arena);
-        let rank_of = transmission_ranks(&order, arena.len());
         let mut host = InstanceHost::new(Arc::clone(&arena), me);
         for &inst in instances {
             host.spawn(inst, spawn(inst));
@@ -204,7 +201,6 @@ impl NodeRuntime {
             me,
             epoch,
             cfg,
-            rank_of,
             host,
             links: BTreeMap::new(),
             buffers: BTreeMap::new(),
@@ -383,7 +379,8 @@ impl NodeRuntime {
         let k = self.host.round();
         if let Some(mut batch) = self.buffers.remove(&k) {
             // Stable, so each sender's frames stay in arrival order.
-            batch.sort_by_key(|&(sender, ..)| self.rank_of[sender as usize]);
+            let arena = self.host.arena();
+            batch.sort_by_key(|&(sender, ..)| arena.rank(NodeId(sender)));
             for (sender, instance, msg) in &batch {
                 if !self.host.deliver(*instance, NodeId(*sender), msg) {
                     self.stats.unknown_instance += 1;
@@ -575,10 +572,10 @@ mod tests {
                 .push((inst, msg));
         }
 
-        fn complete_round(&mut self, k: Round, rank_of: &[u32], heard: &mut Heard) {
+        fn complete_round(&mut self, k: Round, arena: &NeighborTable, heard: &mut Heard) {
             if let Some(by_peer) = self.buffers.remove(&k) {
                 let mut senders: Vec<u32> = by_peer.keys().copied().collect();
-                senders.sort_by_key(|&p| rank_of[p as usize]);
+                senders.sort_by_key(|&p| arena.rank(NodeId(p)));
                 for peer in senders {
                     for (instance, msg) in &by_peer[&peer] {
                         heard.push((peer, *instance, *msg));
@@ -632,7 +629,7 @@ mod tests {
             let mut want = Heard::new();
             for k in 1..=3 {
                 rt.complete_round();
-                reference.complete_round(k, &rt.rank_of, &mut want);
+                reference.complete_round(k, &arena, &mut want);
             }
             prop_assert_eq!(&*heard.borrow(), &want);
             prop_assert!(rt.buffers.is_empty() && reference.buffers.is_empty());

@@ -33,16 +33,21 @@ use rbcast_sim::{Ctx, Process, Value};
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cpa {
-    params: ProtocolParams,
+    // Whether the node committed is whether it decided, which the host
+    // keeps (`Ctx::has_decided`).
     /// Neighbors whose first announcement has been counted (later
     /// contradictions from a duplicitous neighbor are ignored, per §V —
     /// the value itself lives in `votes`). Membership only, kept sorted:
     /// at most (2r+1)² − 1 ids, so a binary search over one small
-    /// allocation.
+    /// allocation — freed at commit, when the rule stops reading it.
     announced: Vec<NodeId>,
-    /// Votes per value from distinct neighbors.
-    votes: [usize; 2],
-    committed: bool,
+    /// Votes per value from distinct neighbors: at most (2r+1)² − 1.
+    votes: [u32; 2],
+    source: NodeId,
+    /// The fault budget, saturated at `u32::MAX`: no vote count reaches
+    /// it there, as none reached the `usize` it was.
+    t: u32,
+    value: Value,
 }
 
 impl Cpa {
@@ -50,26 +55,28 @@ impl Cpa {
     #[must_use]
     pub fn new(params: ProtocolParams) -> Self {
         Cpa {
-            params,
             announced: Vec::new(),
             votes: [0, 0],
-            committed: false,
+            source: params.source,
+            t: u32::try_from(params.t).unwrap_or(u32::MAX),
+            value: params.value,
         }
     }
 
     /// Number of distinct neighbors that have announced `v`.
     #[must_use]
     pub fn votes_for(&self, v: Value) -> usize {
-        self.votes[usize::from(v)]
+        self.votes[usize::from(v)] as usize
     }
 
     fn commit(&mut self, ctx: &mut Ctx<'_, Msg>, v: Value) {
-        if !self.committed {
-            self.committed = true;
+        if !ctx.has_decided() {
             // Trace the vote count behind the commit (0 when the commit
             // came straight from the source's own broadcast).
-            ctx.note("commit-votes", self.votes[usize::from(v)] as u64);
+            ctx.note("commit-votes", u64::from(self.votes[usize::from(v)]));
             ctx.decide(v);
+            // Only an uncommitted node reads who announced.
+            self.announced = Vec::new();
             ctx.broadcast(Msg::Committed(v));
         }
     }
@@ -77,10 +84,9 @@ impl Cpa {
 
 impl Process<Msg> for Cpa {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        if ctx.id() == self.params.source {
-            self.committed = true;
-            ctx.decide(self.params.value);
-            ctx.broadcast(Msg::Source(self.params.value));
+        if ctx.id() == self.source {
+            ctx.decide(self.value);
+            ctx.broadcast(Msg::Source(self.value));
         }
     }
 
@@ -89,12 +95,12 @@ impl Process<Msg> for Cpa {
             Msg::Source(v) => {
                 // Only the designated source can originate the broadcast
                 // (identities cannot be spoofed, so `from` is authentic).
-                if from == self.params.source {
+                if from == self.source {
                     self.commit(ctx, *v);
                 }
             }
             Msg::Committed(v) => {
-                if self.committed {
+                if ctx.has_decided() {
                     return;
                 }
                 // First announcement per neighbor only.
@@ -103,7 +109,7 @@ impl Process<Msg> for Cpa {
                 };
                 self.announced.insert(at, from);
                 self.votes[usize::from(*v)] += 1;
-                if self.votes[usize::from(*v)] > self.params.t {
+                if self.votes[usize::from(*v)] > self.t {
                     self.commit(ctx, *v);
                 }
             }
@@ -183,7 +189,7 @@ mod tests {
         // should count — exercised through the public run API in
         // `equivocating_neighbor_counts_once` below; here check initial
         // state invariants.
-        assert!(!cpa.committed);
+        assert!(cpa.announced.is_empty());
         cpa.votes[1] = 3;
         assert_eq!(cpa.votes_for(true), 3);
     }
@@ -213,6 +219,36 @@ mod tests {
         assert_eq!((cpa.votes_for(true), cpa.votes_for(false)), (2, 1));
         assert_eq!(h.decision(), None, "two votes do not beat t = 2");
         assert_eq!(cpa.announced, [b, c, a], "sorted by id");
+        let d = torus.id(Coord::new(3, 4));
+        h.deliver(&mut cpa, d, &Msg::Committed(true));
+        assert_eq!(h.decision(), Some(true), "three votes beat t = 2");
+        assert_eq!(
+            cpa.announced.capacity(),
+            0,
+            "a committed node frees its list"
+        );
+        assert_eq!(h.drain_outbox(), [Msg::Committed(true)]);
+        let e = torus.id(Coord::new(5, 5));
+        h.deliver(&mut cpa, e, &Msg::Committed(true));
+        assert!(h.drain_outbox().is_empty() && cpa.announced.capacity() == 0);
+    }
+
+    #[test]
+    fn a_budget_past_u32_saturates_and_never_commits_on_votes() {
+        let torus = Torus::for_radius(1);
+        let params = ProtocolParams {
+            source: torus.id(Coord::ORIGIN),
+            value: true,
+            t: usize::MAX,
+        };
+        let mut cpa = Cpa::new(params);
+        let me = torus.id(Coord::new(4, 4));
+        let mut h = rbcast_sim::Harness::new(torus.clone(), 1, Metric::Linf, me);
+        for from in torus.neighborhood(me, 1, Metric::Linf) {
+            h.deliver(&mut cpa, from, &Msg::Committed(true));
+        }
+        assert_eq!(cpa.votes_for(true), 8);
+        assert_eq!(h.decision(), None);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::{Msg, ProtocolParams};
 use rbcast_grid::NodeId;
-use rbcast_sim::{Ctx, Process};
+use rbcast_sim::{Ctx, Process, Value};
 
 /// Flooding process for the crash-stop fault model.
 ///
@@ -33,38 +33,38 @@ use rbcast_sim::{Ctx, Process};
 /// ```
 #[derive(Debug, Clone)]
 pub struct Flood {
-    params: ProtocolParams,
-    done: bool,
+    // Whether the node is done is whether it decided, which the host
+    // keeps (`Ctx::has_decided`): nothing else varies per node.
+    source: NodeId,
+    value: Value,
 }
 
 impl Flood {
     /// Creates the process; the node identified by `params.source` seeds
-    /// the broadcast.
+    /// the broadcast. Flooding has no fault budget: `params.t` is unread.
     #[must_use]
     pub fn new(params: ProtocolParams) -> Self {
         Flood {
-            params,
-            done: false,
+            source: params.source,
+            value: params.value,
         }
     }
 }
 
 impl Process<Msg> for Flood {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        if ctx.id() == self.params.source {
-            self.done = true;
-            ctx.decide(self.params.value);
-            ctx.broadcast(Msg::Source(self.params.value));
+        if ctx.id() == self.source {
+            ctx.decide(self.value);
+            ctx.broadcast(Msg::Source(self.value));
         }
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, _from: NodeId, msg: &Msg) {
-        if self.done {
+        if ctx.has_decided() {
             return;
         }
         // Under crash-stop faults every received value is genuine; commit
         // to the first and relay it once.
-        self.done = true;
         ctx.decide(msg.value());
         ctx.broadcast(Msg::Committed(msg.value()));
     }

@@ -31,7 +31,8 @@ use rbcast_sim::{Ctx, Process, Value};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndirectConfig {
     /// Maximum relays a report chain may accumulate (3 = full §VI
-    /// protocol, 1 = simplified §VI-B protocol).
+    /// protocol, 1 = simplified §VI-B protocol); [`Indirect::new`]
+    /// clamps it to [`CHAIN_CAP`], the most a report can carry.
     pub max_relays: usize,
     /// The commit rule to evaluate.
     pub rule: CommitRule,
@@ -89,8 +90,12 @@ impl Default for IndirectConfig {
 /// ```
 #[derive(Debug)]
 pub struct Indirect {
-    params: ProtocolParams,
-    config: IndirectConfig,
+    // Of the run's constants a node keeps only what its callbacks read:
+    // `t` and the rule are the evidence store's from `new` on.
+    source: NodeId,
+    value: Value,
+    /// [`IndirectConfig::max_relays`], at most [`CHAIN_CAP`].
+    max_relays: u8,
     evidence: EvidenceStore,
     /// Neighbors whose first `COMMITTED` has been heard (§V: on
     /// contradiction, accept only the first — the value itself lives in
@@ -100,17 +105,21 @@ pub struct Indirect {
     committed: bool,
 }
 
-// Every node boxes one of these, so its size is what bounds the
+// Every node stores one of these, so its size is what bounds the
 // networks a host can simulate.
-const _: () = assert!(std::mem::size_of::<Indirect>() <= 160);
+const _: () = assert!(std::mem::size_of::<Indirect>() <= 112);
 
 impl Indirect {
-    /// Creates the process.
+    /// Creates the process. A `config.max_relays` past [`CHAIN_CAP`]
+    /// is [`CHAIN_CAP`]: no report can carry more relays, so a node
+    /// must not try to extend a full one.
     #[must_use]
     pub fn new(params: ProtocolParams, config: IndirectConfig) -> Self {
+        const CAP: u8 = CHAIN_CAP as u8;
         Indirect {
-            params,
-            config,
+            source: params.source,
+            value: params.value,
+            max_relays: u8::try_from(config.max_relays).map_or(CAP, |m| m.min(CAP)),
             evidence: EvidenceStore::new(params.t, config.rule),
             first_commit: Vec::new(),
             committed: false,
@@ -135,7 +144,7 @@ impl Indirect {
             ctx.decide(v);
             // Free what the relay rule no longer reads before the
             // announcement allocates.
-            self.evidence.retire(self.config.max_relays);
+            self.evidence.retire(usize::from(self.max_relays));
             ctx.broadcast(Msg::Committed(v));
         }
     }
@@ -152,7 +161,7 @@ impl Indirect {
         self.first_commit.insert(at, committer);
         self.evidence.record_direct(committer, v);
         // Relay the report one hop, affixing our identifier.
-        if self.config.max_relays >= 1 {
+        if self.max_relays >= 1 {
             ctx.broadcast(Msg::Heard(
                 ChainRepr::direct(committer, v).extended(ctx.id()),
             ));
@@ -236,20 +245,20 @@ impl Process<Msg> for Indirect {
         // frame: any committer a valid chain can name is within 3r (2r
         // from the last relay, which is within r of us).
         self.evidence.bind(ctx.arena(), ctx.coord());
-        if ctx.id() == self.params.source {
+        if ctx.id() == self.source {
             self.committed = true;
-            ctx.decide(self.params.value);
-            self.evidence.retire(self.config.max_relays);
+            ctx.decide(self.value);
+            self.evidence.retire(usize::from(self.max_relays));
             // The source's initial broadcast doubles as its commit
             // announcement; neighbors treat it as COMMITTED(source, v).
-            ctx.broadcast(Msg::Source(self.params.value));
+            ctx.broadcast(Msg::Source(self.value));
         }
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, msg: &Msg) {
         match msg {
             Msg::Source(v) => {
-                if from != self.params.source {
+                if from != self.source {
                     return; // only the designated source originates
                 }
                 // Source neighbors commit immediately (base case).
@@ -273,7 +282,7 @@ impl Process<Msg> for Indirect {
                 // fault-free run most deliveries are post-commit
                 // re-reports, so this gate is the difference between
                 // O(1) and a packer scan for the bulk of the traffic.
-                if self.committed && chain.len() >= self.config.max_relays {
+                if self.committed && chain.len() >= usize::from(self.max_relays) {
                     return;
                 }
                 // Validate: the last affixed relay must be the true
@@ -282,7 +291,7 @@ impl Process<Msg> for Indirect {
                 if chain.last_relay() != Some(from) {
                     return;
                 }
-                if chain.len() > self.config.max_relays {
+                if chain.len() > usize::from(self.max_relays) {
                     return;
                 }
                 let me = ctx.id();
@@ -291,7 +300,7 @@ impl Process<Msg> for Indirect {
                     return;
                 }
                 let relays = chain.relays();
-                // Repeated relay = degenerate chain. k ≤ max_relays ≤ 3,
+                // Repeated relay = degenerate chain. k ≤ max_relays ≤ CHAIN_CAP,
                 // so a quadratic scan beats clone + sort + dedup and
                 // allocates nothing.
                 if (1..relays.len()).any(|i| relays[..i].contains(&relays[i])) {
@@ -303,7 +312,7 @@ impl Process<Msg> for Indirect {
                 // `[me]` dominates every extension `[…, me]` at every
                 // receiver, so deeper chains need not be forwarded —
                 // the paper's "earmarking" state reduction.
-                let relayable = chain.len() < self.config.max_relays
+                let relayable = chain.len() < usize::from(self.max_relays)
                     && self.first_commit.binary_search(&committer).is_err();
                 let committer_coord = ctx.torus().coord(committer);
                 let (fits, fits_with_me) = Self::fits_single_neighborhood(
@@ -651,6 +660,43 @@ mod tests {
             h.deliver(&mut p, late, &Msg::Committed(true));
             assert!(h.drain_outbox().is_empty(), "a repeat is not relayed");
             assert_eq!(p.evidence().chain_count(), 0);
+        }
+
+        #[test]
+        fn a_full_chain_is_not_extended_past_the_cap() {
+            // max_relays past CHAIN_CAP used to let a forwardable
+            // CHAIN_CAP-relay chain reach `ChainRepr::extended`, which
+            // panics on a full chain.
+            let torus = Torus::for_radius(2);
+            let params = ProtocolParams {
+                source: torus.id(Coord::ORIGIN),
+                value: true,
+                t: 1,
+            };
+            let config = IndirectConfig {
+                max_relays: CHAIN_CAP + 1,
+                ..IndirectConfig::full()
+            };
+            let mut p = Indirect::new(params, config);
+            let mut h = Harness::new(torus.clone(), 2, Metric::Linf, id(&torus, 10, 10));
+            h.start(&mut p);
+            let last = id(&torus, 11, 10);
+            let relays = [
+                id(&torus, 12, 11),
+                id(&torus, 11, 12),
+                id(&torus, 11, 11),
+                last,
+            ];
+            h.deliver(&mut p, last, &Msg::heard(id(&torus, 12, 12), true, &relays));
+            assert_eq!(
+                p.evidence().chain_count(),
+                1,
+                "a full chain is still evidence"
+            );
+            assert!(
+                h.drain_outbox().is_empty(),
+                "a full chain has no room for us"
+            );
         }
 
         #[test]

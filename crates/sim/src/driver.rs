@@ -9,7 +9,7 @@
 //!
 //! * round `k`'s deliveries are the messages broadcast during round
 //!   `k − 1`, presented in global transmission order (TDMA slot order
-//!   across senders — [`transmission_order`] — FIFO per sender);
+//!   across senders — [`NeighborTable::rank`] — FIFO per sender);
 //! * `on_round_end` runs after all of a round's deliveries, under the
 //!   sparse-engine quiescence contract ([`Process::needs_round_end`]);
 //! * round 0 is `on_start` plus an unconditional first `on_round_end`.
@@ -28,7 +28,7 @@
 use crate::process::Lent;
 use crate::trace::{fold_words, FNV_OFFSET};
 use crate::{Ctx, Process, Round, Value};
-use rbcast_grid::{NeighborTable, NodeId, TdmaSchedule};
+use rbcast_grid::{NeighborTable, NodeId};
 use std::sync::Arc;
 
 /// Identifies one broadcast instance among many running concurrently:
@@ -47,35 +47,6 @@ impl std::fmt::Display for InstanceId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}#{}", self.origin, self.seq)
     }
-}
-
-/// The global transmission order every driver must deliver in: TDMA
-/// slot order when a periodic schedule fits the torus, id order
-/// otherwise (the model guarantees collision-freedom either way).
-///
-/// Extracted from the `Network` constructor so the sim engine and the
-/// networked runtime sort by the *same* schedule — a receiver sorting
-/// its round-`k` arrivals by these ranks reproduces the sim's delivery
-/// order restricted to its own neighborhood.
-#[must_use]
-pub fn transmission_order(arena: &NeighborTable) -> Vec<NodeId> {
-    let torus = arena.torus();
-    let mut order: Vec<NodeId> = torus.node_ids().collect();
-    if let Ok(tdma) = TdmaSchedule::new(torus, arena.radius()) {
-        order.sort_by_key(|&id| (tdma.slot_of(torus.coord(id)), id));
-    }
-    order
-}
-
-/// Inverse of [`transmission_order`]: `ranks[id.index()]` is `id`'s
-/// position in the schedule.
-#[must_use]
-pub fn transmission_ranks(order: &[NodeId], n: usize) -> Vec<u32> {
-    let mut rank_of = vec![0u32; n];
-    for (rank, &id) in order.iter().enumerate() {
-        rank_of[id.index()] = u32::try_from(rank).expect("node count fits u32");
-    }
-    rank_of
 }
 
 /// One hosted instance: its process and the two flags of the sparse
@@ -494,7 +465,8 @@ mod tests {
         let expect: Vec<Option<(Value, Round)>> =
             torus.node_ids().map(|id| net.decision(id)).collect();
 
-        let order = transmission_order(&arena);
+        let mut order = Vec::new();
+        arena.for_each_in_order(|id| order.push(id));
         let mut hosts: Vec<InstanceHost<bool>> = torus
             .node_ids()
             .map(|id| {
@@ -861,15 +833,5 @@ mod tests {
         let c = vec![(i0, NodeId(2), true, 4), (i1, NodeId(4), false, 5)];
         assert_ne!(commit_digest(&a), commit_digest(&c));
         assert_ne!(commit_digest(&a), commit_digest(&a[..1]));
-    }
-
-    #[test]
-    fn transmission_ranks_invert_the_order() {
-        let arena = arena();
-        let order = transmission_order(&arena);
-        let ranks = transmission_ranks(&order, arena.len());
-        for (rank, &id) in order.iter().enumerate() {
-            assert_eq!(ranks[id.index()] as usize, rank);
-        }
     }
 }

@@ -7,10 +7,6 @@ use crate::{ChannelConfig, Ctx, Process, Round, RoundReport, RunStats, StopReaso
 use rbcast_grid::{BitSet, Metric, NeighborTable, NodeId, Torus};
 use std::sync::Arc;
 
-/// Sentinel for "never crashes" in the SoA crash array: no real crash
-/// round can reach it, so `crashed_at[i] <= round` is the whole test.
-const NEVER: Round = Round::MAX;
-
 /// Which round loop drives [`Network::run`].
 ///
 /// Both engines execute the same model and are **byte-identical** in
@@ -37,7 +33,50 @@ pub enum EngineKind {
 #[cfg_attr(not(feature = "debug-invariants"), allow(dead_code))]
 struct SafetyOracle {
     truth: Value,
-    faulty: Vec<bool>,
+    faulty: BitSet,
+}
+
+/// The crash-stop schedule: one bit per node — does it ever crash? —
+/// and, for the few that do, the round it stops in. Almost every node
+/// never crashes, so the per-delivery liveness test is one bit and the
+/// rounds cost nothing for them.
+#[derive(Debug)]
+struct Crashes {
+    /// Nodes with an entry in `at`.
+    down: BitSet,
+    /// `(node, first crashed round)`, sorted by node.
+    at: Vec<(NodeId, Round)>,
+}
+
+impl Crashes {
+    fn new(n: usize) -> Crashes {
+        Crashes {
+            down: BitSet::new(n),
+            at: Vec::new(),
+        }
+    }
+
+    /// Crashes `id` from `round` on; a node crashed twice stops at the
+    /// earlier round.
+    fn crash_at(&mut self, id: NodeId, round: Round) {
+        let at = self.entry(id);
+        if self.down.set(id.index()) {
+            self.at.insert(at, (id, round));
+        } else {
+            let first = &mut self.at[at].1;
+            *first = (*first).min(round);
+        }
+    }
+
+    #[inline]
+    fn is_crashed(&self, id: NodeId, round: Round) -> bool {
+        self.down.get(id.index()) && self.at[self.entry(id)].1 <= round
+    }
+
+    /// Where `id`'s entry in `at` is, or would go.
+    fn entry(&self, id: NodeId) -> usize {
+        self.at.partition_point(|&(node, _)| node < id)
+    }
 }
 
 /// A finite toroidal radio network executing one [`Process`] per node.
@@ -60,15 +99,11 @@ struct SafetyOracle {
 /// protocol stores [`crate::Node`]`<Protocol, M>` and keeps the honest
 /// processes inline.
 pub struct Network<M, P = Box<dyn Process<M>>> {
-    /// The shared topology arena: torus, radius, metric, and the CSR
-    /// neighbor table, immutable and possibly shared with other
-    /// networks (and threads) running the same geometry.
+    /// The shared topology arena: torus, radius, metric, the CSR
+    /// neighbor table and the transmission order, immutable and
+    /// possibly shared with other networks (and threads) running the
+    /// same geometry.
     arena: Arc<NeighborTable>,
-    order: Vec<NodeId>,
-    /// TDMA rank of each node: `rank_of[id.index()]` is `id`'s position
-    /// in `order`. Lets the sparse engine sort a frontier into
-    /// transmission order without consulting the schedule.
-    rank_of: Vec<u32>,
     engine: EngineKind,
     /// What callbacks borrow: one decision per node (all the simulator
     /// keeps per node, 8 bytes), next round's transmissions in the
@@ -78,10 +113,8 @@ pub struct Network<M, P = Box<dyn Process<M>>> {
     /// round recounts decisions or scans the mask.
     lent: Lent<M>,
     processes: Vec<P>,
-    /// SoA crash schedule: round at which each node crash-stops,
-    /// [`NEVER`] if it doesn't. Replaces a `Vec<Option<Round>>` so the
-    /// per-delivery liveness test is one compare on a dense `u32` array.
-    crashed_at: Vec<Round>,
+    /// Crash-stop schedule: a bit per node, a round per crashed node.
+    crashes: Crashes,
     channel: ChannelConfig,
     /// Remaining collision battery per jammer (parallel to
     /// `channel.jammers`).
@@ -177,21 +210,13 @@ impl<M, P: Process<M>> Network<M, P> {
     {
         let torus = arena.torus();
         let n = torus.len();
-        // Transmission order: TDMA slot order when a periodic schedule
-        // fits this torus, id order otherwise (the model guarantees
-        // collision-freedom either way). Shared with the networked
-        // runtime via the driver module so both sort identically.
-        let order = crate::driver::transmission_order(&arena);
-        let rank_of = crate::driver::transmission_ranks(&order, n);
         let processes = torus.node_ids().map(&mut make).collect();
         Network {
             arena,
-            order,
-            rank_of,
             engine: EngineKind::default(),
             lent: Lent::new(n, n),
             processes,
-            crashed_at: vec![NEVER; n],
+            crashes: Crashes::new(n),
             jam_remaining: vec![channel.jam_budget; channel.jammers.len()],
             channel,
             history: Vec::new(),
@@ -261,6 +286,17 @@ impl<M, P: Process<M>> Network<M, P> {
         self.lent.ledger.set_mask(Some(mask));
     }
 
+    /// [`Network::set_completion_mask`] over every node *except*
+    /// `excluded` (typically the placed faults), without listing the
+    /// rest.
+    pub fn set_completion_mask_except(&mut self, excluded: &[NodeId]) {
+        let mut mask = BitSet::full(self.arena.len());
+        for id in excluded {
+            mask.clear(id.index());
+        }
+        self.lent.ledger.set_mask(Some(mask));
+    }
+
     /// Selects the round loop (see [`EngineKind`]). Both engines are
     /// observationally identical; the dense loop exists as a parity
     /// oracle and costs torus-area work per round.
@@ -296,15 +332,18 @@ impl<M, P: Process<M>> Network<M, P> {
     /// Schedules a crash-stop fault: the node performs no actions (no
     /// callbacks, no transmissions) from round `round` onward. `round 0`
     /// means the node never participates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range for the torus.
     pub fn crash_at(&mut self, id: NodeId, round: Round) {
-        let slot = &mut self.crashed_at[id.index()];
-        *slot = (*slot).min(round);
+        self.crashes.crash_at(id, round);
     }
 
     /// Whether `id` is crashed as of round `round`.
     #[must_use]
     pub fn is_crashed(&self, id: NodeId, round: Round) -> bool {
-        self.crashed_at[id.index()] <= round
+        self.crashes.is_crashed(id, round)
     }
 
     /// Runs the simulation until quiescence or `max_rounds`, returning
@@ -335,29 +374,27 @@ impl<M, P: Process<M>> Network<M, P> {
             self.lent.ledger.fresh = fresh;
         }
 
-        // Hot-path de-allocation: `order` is moved out of `self` and the
-        // arena handle cloned (one refcount bump) for the duration of
-        // the run, so deliveries can borrow the receiver slice and the
-        // on-air message while `with_ctx` borrows `self` mutably — no
-        // per-transmission receiver-list clone and no per-delivery
-        // message clone.
-        let order = std::mem::take(&mut self.order);
+        // Hot-path de-allocation: the arena handle is cloned (one
+        // refcount bump) for the duration of the run, so deliveries can
+        // borrow the receiver slice and the transmission order while
+        // `with_ctx` borrows `self` mutably — no per-transmission
+        // receiver-list clone and no per-delivery message clone.
         let arena = Arc::clone(&self.arena);
         let sparse = self.engine == EngineKind::Sparse;
         let lossy = self.channel.burst.is_some() || self.channel.loss != 0.0;
 
         // Round 0 runs dense under both engines: every process gets its
         // `on_start` and first `on_round_end` regardless of traffic.
-        for &id in &order {
+        arena.for_each_in_order(|id| {
             if !self.is_crashed(id, 0) {
                 self.with_ctx(id, 0, |proc, ctx| proc.on_start(ctx));
             }
-        }
-        for &id in &order {
+        });
+        arena.for_each_in_order(|id| {
             if !self.is_crashed(id, 0) {
                 self.with_ctx(id, 0, |proc, ctx| proc.on_round_end(ctx));
             }
-        }
+        });
         if sparse {
             // Seed the wake set: ask every live process once whether it
             // wants round-end callbacks without traffic. From here on the
@@ -365,11 +402,11 @@ impl<M, P: Process<M>> Network<M, P> {
             // contract forbids spontaneous changes in between).
             self.wake.clear_all();
             self.delivered.clear_all();
-            for &id in &order {
+            arena.for_each_in_order(|id| {
                 if !self.is_crashed(id, 0) && self.process(id).needs_round_end() {
                     self.wake.set(id.index());
                 }
-            }
+            });
         }
         // Round-0 decisions (e.g. a source committing at start-up)
         // predate the first delivery round; surface them in the stream.
@@ -478,10 +515,10 @@ impl<M, P: Process<M>> Network<M, P> {
                 {
                     // Crash-stop is permanent: drop crashed nodes from
                     // the frontier and retire their standing wakeups.
-                    let crashed_at = &self.crashed_at;
+                    let crashes = &self.crashes;
                     let wake = &mut self.wake;
-                    frontier.retain(|id| {
-                        if crashed_at[id.index()] <= round {
+                    frontier.retain(|&id| {
+                        if crashes.is_crashed(id, round) {
                             wake.clear(id.index());
                             false
                         } else {
@@ -489,9 +526,10 @@ impl<M, P: Process<M>> Network<M, P> {
                         }
                     });
                 }
-                {
-                    let rank_of = &self.rank_of;
-                    frontier.sort_unstable_by_key(|id| rank_of[id.index()]);
+                // The union walk yields id order, which is rank order
+                // unless a TDMA schedule permutes it.
+                if let Some(ranks) = arena.ranks() {
+                    frontier.sort_unstable_by_key(|id| ranks[id.index()]);
                 }
                 for &id in &frontier {
                     self.with_ctx(id, round, |proc, ctx| proc.on_round_end(ctx));
@@ -505,11 +543,11 @@ impl<M, P: Process<M>> Network<M, P> {
                 }
                 self.frontier = frontier;
             } else {
-                for &id in &order {
+                arena.for_each_in_order(|id| {
                     if !self.is_crashed(id, round) {
                         self.with_ctx(id, round, |proc, ctx| proc.on_round_end(ctx));
                     }
-                }
+                });
             }
             let decided_after = self.scan_decisions(round);
             // Completion check, before the round-end fold so the event
@@ -543,7 +581,6 @@ impl<M, P: Process<M>> Network<M, P> {
                 break;
             }
         }
-        self.order = order;
         if let Some(sink) = self.sink.as_mut() {
             sink.flush();
         }
@@ -700,9 +737,9 @@ impl<M, P: Process<M>> Network<M, P> {
     /// committed a value other than `truth` (Theorem 2 safety); without
     /// the feature the oracle is stored but never consulted.
     pub fn set_safety_oracle(&mut self, truth: Value, faulty: &[NodeId]) {
-        let mut mask = vec![false; self.arena.len()];
+        let mut mask = BitSet::new(self.arena.len());
         for f in faulty {
-            mask[f.index()] = true;
+            mask.set(f.index());
         }
         self.oracle = Some(SafetyOracle {
             truth,
@@ -716,7 +753,7 @@ impl<M, P: Process<M>> Network<M, P> {
             return;
         };
         for (i, decision) in self.lent.decisions.iter().enumerate() {
-            if oracle.faulty[i] {
+            if oracle.faulty.get(i) {
                 continue;
             }
             if let Some((v, at)) = *decision {
@@ -811,12 +848,12 @@ impl<M, P: Process<M>> Network<M, P> {
     fn collect_transmissions(&mut self, round: Round, on_air: &mut Vec<Transmission<M>>) {
         on_air.clear();
         std::mem::swap(on_air, &mut self.lent.queued);
-        let crashed_at = &self.crashed_at;
+        let crashes = &self.crashes;
         let spoofing = self.channel.spoofing;
         let classifier = self.classifier;
         let kind_counts = &mut self.kind_counts;
         on_air.retain_mut(|tx| {
-            if crashed_at[tx.sender.index()] <= round {
+            if crashes.is_crashed(tx.sender, round) {
                 return false;
             }
             if !spoofing {
@@ -827,8 +864,10 @@ impl<M, P: Process<M>> Network<M, P> {
             }
             true
         });
-        let rank_of = &self.rank_of;
-        on_air.sort_by_key(|tx| rank_of[tx.sender.index()]);
+        match self.arena.ranks() {
+            Some(ranks) => on_air.sort_by_key(|tx| ranks[tx.sender.index()]),
+            None => on_air.sort_by_key(|tx| tx.sender),
+        }
     }
 }
 
@@ -1557,10 +1596,17 @@ mod tests {
         for &(node, round) in crashes {
             net.crash_at(NodeId(node), round);
         }
-        assert_ne!(net.order[1], NodeId(1), "TDMA must reorder the ids");
+        let mut order = Vec::new();
+        net.arena.for_each_in_order(|id| order.push(id));
+        assert_ne!(order[1], NodeId(1), "TDMA must reorder the ids");
+        let mut crashed_at = vec![Round::MAX; net.arena.len()];
+        for &(node, round) in crashes {
+            let at = &mut crashed_at[node as usize];
+            *at = (*at).min(round);
+        }
         let reference = || OutboxCollector {
             outboxes: vec![Vec::new(); net.arena.len()],
-            crashed_at: net.crashed_at.clone(),
+            crashed_at: crashed_at.clone(),
             spoofing,
             classifier: Some(classify),
             kind_counts: BTreeMap::new(),
@@ -1585,13 +1631,12 @@ mod tests {
             }
             net.collect_transmissions(round, &mut on_air);
 
-            let order = net.order.clone();
             dense.collect_transmissions(&order, round, &mut dense_air);
             // The sparse frontier: every live node that ran a callback
             // (here: broadcast, plus a silent bystander), in rank order.
             let mut frontier: Vec<NodeId> = pushes.iter().map(|p| NodeId(p.0)).collect();
             frontier.push(NodeId(200));
-            frontier.sort_unstable_by_key(|id| net.rank_of[id.index()]);
+            frontier.sort_unstable_by_key(|&id| net.arena.rank(id));
             frontier.dedup();
             frontier.retain(|&id| !net.is_crashed(id, round));
             sparse.collect_transmissions(&frontier, round, &mut sparse_air);
@@ -1637,6 +1682,84 @@ mod tests {
             spoofing in 0u8..2,
         ) {
             assert_collects_like_the_outbox_drain(&rounds, &crashes, spoofing == 1);
+        }
+
+        /// The crash bit and its sorted round list answer as one round
+        /// per node did — for repeated, decreasing and past-the-run
+        /// crash rounds — and under both engines a node runs no
+        /// callback, hears nothing and sends nothing from the round it
+        /// crashed in.
+        #[test]
+        fn crash_bits_answer_as_a_round_per_node(
+            crashes in proptest::collection::vec((0u32..144, 0u32..12), 0..24),
+        ) {
+            /// Echoes once and logs every callback with its round.
+            struct Tracker {
+                seed: bool,
+                echoed: bool,
+                log: Rc<RefCell<Vec<(Round, NodeId)>>>,
+            }
+            impl Process<u32> for Tracker {
+                fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+                    self.log.borrow_mut().push((ctx.round(), ctx.id()));
+                    if self.seed {
+                        ctx.broadcast(0);
+                    }
+                }
+                fn on_message(&mut self, ctx: &mut Ctx<'_, u32>, _: NodeId, m: &u32) {
+                    self.log.borrow_mut().push((ctx.round(), ctx.id()));
+                    if !self.echoed {
+                        self.echoed = true;
+                        ctx.broadcast(m + 1);
+                    }
+                }
+                fn on_round_end(&mut self, ctx: &mut Ctx<'_, u32>) {
+                    self.log.borrow_mut().push((ctx.round(), ctx.id()));
+                }
+            }
+            let mut reference = vec![Round::MAX; 144];
+            for &(node, round) in &crashes {
+                let at = &mut reference[node as usize];
+                *at = (*at).min(round);
+            }
+            let mut runs = Vec::new();
+            for engine in [EngineKind::Sparse, EngineKind::Dense] {
+                let torus = Torus::new(12, 12);
+                let seed = torus.id(Coord::new(5, 5));
+                let log = Rc::new(RefCell::new(Vec::new()));
+                let mut net = Network::new(torus.clone(), 1, Metric::Linf, |id| Tracker {
+                    seed: id == seed,
+                    echoed: false,
+                    log: Rc::clone(&log),
+                });
+                net.set_engine(engine);
+                for &(node, round) in &crashes {
+                    net.crash_at(NodeId(node), round);
+                }
+                for id in torus.node_ids() {
+                    for round in 0..14 {
+                        proptest::prop_assert_eq!(
+                            net.is_crashed(id, round),
+                            reference[id.index()] <= round,
+                            "{} at round {}", id, round
+                        );
+                    }
+                }
+                let stats = net.run(10);
+                let log = log.borrow().clone();
+                for &(round, id) in &log {
+                    proptest::prop_assert!(
+                        round < reference[id.index()],
+                        "{} ran a callback in round {} after crashing", id, round
+                    );
+                }
+                // Every node alive at round 0 started.
+                let started = log.iter().filter(|&&(round, _)| round == 0).count();
+                let alive = reference.iter().filter(|&&at| at > 0).count();
+                proptest::prop_assert_eq!(started, 2 * alive);
+                runs.push((stats, net.trace_hash(), net.history().to_vec(), net.decisions()));
+            }
+            proptest::prop_assert_eq!(&runs[0], &runs[1]);
         }
     }
 

@@ -65,13 +65,15 @@ impl<M, P: Process<M> + ?Sized> Process<M> for Box<P> {
 
 /// One node of a network whose honest nodes all run protocol `P`: the
 /// honest process stored inline, or a faulty node's boxed adversary.
-/// The box fits in `P`'s niche, so a slot costs `size_of::<P>()` — no
-/// per-node heap chunk and no vtable call on the honest path.
+/// The adversary sits behind one thin pointer — a box of its box — so
+/// a slot costs `size_of::<P>()`, or one word more when `P` is smaller
+/// than two: no per-node heap chunk and no vtable call on the honest
+/// path, and the few faulty nodes pay the second hop.
 pub enum Node<P, M> {
     /// The protocol under test.
     Honest(P),
     /// Whatever a faulty node runs.
-    Faulty(Box<dyn Process<M>>),
+    Faulty(Box<Box<dyn Process<M>>>),
 }
 
 impl<P: Process<M>, M> Process<M> for Node<P, M> {
