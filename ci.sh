@@ -304,12 +304,16 @@ failure_gate attack attack --seed 10976964 --steps 60 --r 1 --checkpoint-every 8
 failure_gate sweep sweep --protocol flood --r 1 --t-max 8 --placement cluster --behavior crash --threads 1
 echo "journal write-failure gates passed"
 
-echo "==> arena allocation gate (--r 63 under a 4 GB address-space limit is one error: line and exit 2, not an abort)"
-# r = 63 fits the arena's u32 row ends (cli::arena_fits passes it) but
-# needs 16.6 GB of neighbour ids; the reservation must fail as an error.
+echo "==> arena allocation gate (--r 2000 under a 4 GB address-space limit is one error: line and exit 2, not an abort)"
+# r = 2000 is a 16 004-side torus, 256 128 016 nodes: within the 2^32 ids
+# cli::arena_fits allows. The arena itself is a stencil plus the TDMA
+# order and ranks, 8 B a node (2.0 GB), but the node table a run keeps
+# beside it is a slot and an 8 B decision a node: 24 B for flood
+# (6.1 GB), 120 B for the attack's indirect-simplified (30.7 GB). The run
+# guard's reservation of it must fail as an error.
 arena_err=target/arena_gate.err
-for cmd in "run --r 63 --protocol flood" "sweep --r 63 --protocol flood --t-max 0" \
-    "attack --r 63 --steps 1"; do
+for cmd in "run --r 2000 --protocol flood" "sweep --r 2000 --protocol flood --t-max 0" \
+    "attack --r 2000 --steps 1"; do
     status=0
     # shellcheck disable=SC2086 # splitting the command into arguments is the point
     (ulimit -v 4000000; exec target/release/rbcast $cmd) > /dev/null 2> "$arena_err" || status=$?
@@ -347,24 +351,29 @@ grep -q '"peak_rss_kb"' BENCH_scale.json \
     || { echo "BENCH_scale.json: missing the v2 peak-RSS column"; exit 1; }
 # Per node a network keeps only what a run changes: the process slot,
 # the 8-byte decision and a few bits. The TDMA order is the arena's, a
-# crash is a bit, and a slot holds no run constant.
+# crash is a bit, and a slot holds no run constant. The arena keeps no
+# neighbour table: rows come from the radius-r stencil, so each ceiling
+# below sits 35 200 kB under where it was while the arena stored every
+# row (8 ids of 4 B plus a 4 B row end a node at r = 1, 36 MB at 10^6).
 # A committed node frees its chains, so the indirect 10^6 cell stays
-# under 240 000 kB (259 828 kB while every network and slot kept its own
-# order and constants; 424 744 kB while every node kept its chains).
+# under 204 800 kB (212 340 kB with the neighbour table; 259 828 kB while
+# every network and slot kept its own order and constants; 424 744 kB
+# while every node kept its chains).
 rss=$(sed -n 's/.*"indirect-simplified", "side": 1000,.*"peak_rss_kb": \([0-9]*\).*/\1/p' BENCH_scale.json)
-test -n "$rss" && test "$rss" -lt 240000 \
-    || { echo "BENCH_scale.json: indirect-simplified at 10^6 nodes reads ${rss:-no} kB peak RSS (limit 240000)"; exit 1; }
+test -n "$rss" && test "$rss" -lt 204800 \
+    || { echo "BENCH_scale.json: indirect-simplified at 10^6 nodes reads ${rss:-no} kB peak RSS (limit 204800)"; exit 1; }
 # A CPA node is 48 bytes and frees its announcer list at commit, so the
-# CPA 10^6 cell stays under 128 000 kB (156 892 kB at 64 bytes a node
-# that kept the list).
+# CPA 10^6 cell stays under 92 800 kB (99 296 kB with the neighbour
+# table; 156 892 kB at 64 bytes a node that kept the list).
 rss=$(sed -n 's/.*"cpa", "side": 1000,.*"peak_rss_kb": \([0-9]*\).*/\1/p' BENCH_scale.json)
-test -n "$rss" && test "$rss" -lt 128000 \
-    || { echo "BENCH_scale.json: cpa at 10^6 nodes reads ${rss:-no} kB peak RSS (limit 128000)"; exit 1; }
+test -n "$rss" && test "$rss" -lt 92800 \
+    || { echo "BENCH_scale.json: cpa at 10^6 nodes reads ${rss:-no} kB peak RSS (limit 92800)"; exit 1; }
 # Honest nodes are stored inline, 16 B a flood node (a 16 B box pointer
 # plus a heap chunk before, then 24 B holding the run's parameters), so
-# the flood 10^6 cell stays under 80 000 kB (93 068 kB at 24 B a node).
+# the flood 10^6 cell stays under 44 800 kB (68 096 kB with the neighbour
+# table; 93 068 kB at 24 B a node).
 rss=$(sed -n 's/.*"flood", "side": 1000,.*"peak_rss_kb": \([0-9]*\).*/\1/p' BENCH_scale.json)
-test -n "$rss" && test "$rss" -lt 80000 \
-    || { echo "BENCH_scale.json: flood at 10^6 nodes reads ${rss:-no} kB peak RSS (limit 80000)"; exit 1; }
+test -n "$rss" && test "$rss" -lt 44800 \
+    || { echo "BENCH_scale.json: flood at 10^6 nodes reads ${rss:-no} kB peak RSS (limit 44800)"; exit 1; }
 
 echo "CI: all gates passed"

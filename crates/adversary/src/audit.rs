@@ -40,8 +40,9 @@ pub fn local_fault_bound(torus: &Torus, r: u32, metric: Metric, faulty: &[NodeId
 }
 
 /// [`local_fault_bound`] computed from a prebuilt [`NeighborTable`]:
-/// each neighborhood is a CSR slice lookup instead of an offset scan, so
-/// auditing a placement costs one pass over the flat adjacency arrays.
+/// each neighborhood is computed from the arena's precompiled stencil
+/// instead of re-deriving the metric offsets, so auditing a placement
+/// costs one pass over the nodes and their rows.
 ///
 /// # Example
 ///
@@ -65,7 +66,6 @@ pub fn local_fault_bound_in(table: &NeighborTable, faulty: &[NodeId]) -> usize {
         let mut count = usize::from(is_fault[center.index()]);
         count += table
             .neighbors(center)
-            .iter()
             .filter(|n| is_fault[n.index()])
             .count();
         best = best.max(count);

@@ -100,8 +100,9 @@ pub struct CellResult {
     pub found: Vec<NodeId>,
     /// Score of [`CellResult::found`].
     pub found_score: AttackScore,
-    /// Name of the best hand-built strategy admissible at this bound.
-    pub baseline_name: String,
+    /// Name of the best hand-built strategy admissible at this bound —
+    /// a [`Placement::name`], not an allocation made mid-search.
+    pub baseline_name: &'static str,
     /// Score of that strategy.
     pub baseline_score: AttackScore,
     /// Simulations executed for this cell (search + baselines).
@@ -375,7 +376,7 @@ fn run_cell(
     // a fresh search starts from whichever is worse for the protocol —
     // the min-cut seed or the best admissible hand-built placement — so
     // the refinement can only extend the library, never trail it.
-    let mut baseline_name = String::from("none");
+    let mut baseline_name = "none";
     let mut baseline_score = AttackScore::default();
     let mut baseline_faults: Vec<NodeId> = Vec::new();
     let mut baseline_evals = 0u64;
@@ -389,7 +390,7 @@ fn run_cell(
         let score = eval(&faults);
         baseline_evals += 1;
         if baseline_name == "none" || score > baseline_score {
-            baseline_name = placement.name().to_string();
+            baseline_name = placement.name();
             baseline_score = score;
             baseline_faults = faults;
         }

@@ -129,6 +129,27 @@ impl ProtocolKind {
     }
 }
 
+/// Reserves `nodes × per_node` bytes — what a host keeps per node — or
+/// returns the allocator's refusal; the caller drops the reservation
+/// once it has built what must fit beside it.
+///
+/// # Errors
+///
+/// [`ArenaError::OutOfMemory`] naming the node table.
+pub fn reserve_node_table(nodes: u64, per_node: usize) -> Result<Vec<u8>, ArenaError> {
+    let bytes = nodes.saturating_mul(per_node as u64);
+    let mut table = Vec::new();
+    usize::try_from(bytes)
+        .ok()
+        .and_then(|len| table.try_reserve_exact(len).ok())
+        .ok_or(ArenaError::OutOfMemory {
+            nodes,
+            what: "node table",
+            bytes,
+        })?;
+    Ok(table)
+}
+
 /// What [`ProtocolKind::visit`] calls with the protocol's process type
 /// `P` and its constructor.
 pub(crate) trait ProtocolVisitor {
@@ -566,6 +587,32 @@ impl Experiment {
         self.shared_arena
             .then(|| crate::arena_cache::shared(&self.resolve_torus(), self.r, self.metric))
             .transpose()
+    }
+
+    /// [`Experiment::arena_guard`] for a run about to start: the node
+    /// table the network will keep — one process slot and one decision
+    /// per node — is reserved first and held while the arena is built,
+    /// so a geometry the host cannot run is an error before anything
+    /// allocates infallibly.
+    ///
+    /// # Errors
+    ///
+    /// A torus past [`NeighborTable::MAX_NODES`], a node table the
+    /// allocator refuses, or the arena's own errors.
+    pub fn run_guard(&self) -> Result<Option<Arc<NeighborTable>>, ArenaError> {
+        struct SlotBytes;
+        impl ProtocolVisitor for SlotBytes {
+            type Output = usize;
+            fn visit<P: Process<Msg> + 'static>(self, _: &dyn Fn(ProtocolParams) -> P) -> usize {
+                std::mem::size_of::<Node<P, Msg>>()
+            }
+        }
+        let nodes = self.resolve_torus().len() as u64;
+        NeighborTable::check_nodes(nodes)?;
+        let per_node = self.protocol.visit(SlotBytes)
+            + std::mem::size_of::<Option<(Value, rbcast_sim::Round)>>();
+        let _nodes = reserve_node_table(nodes, per_node)?;
+        self.arena_guard()
     }
 
     /// One full simulation, returning the outcome and the simulator's

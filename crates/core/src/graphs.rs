@@ -17,7 +17,7 @@
 //! * example graphs exhibiting topology effects the grid cannot (a cut
 //!   vertex stalling CPA at `t = 1`).
 
-use rbcast_grid::{Metric, NeighborTable, Torus};
+use rbcast_grid::{Metric, NeighborTable, NodeId, Torus};
 use std::collections::HashSet;
 
 /// A simple undirected graph over nodes `0..n`.
@@ -54,7 +54,7 @@ impl Graph {
         let table = NeighborTable::build(torus, r, metric);
         let adj = torus
             .node_ids()
-            .map(|id| table.neighbors(id).iter().map(|n| n.index()).collect())
+            .map(|id| table.neighbors(id).map(NodeId::index).collect())
             .collect();
         Graph { adj }
     }

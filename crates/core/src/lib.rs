@@ -51,5 +51,5 @@ pub mod render;
 pub mod supervisor;
 pub mod thresholds;
 
-pub use experiment::{Experiment, FaultKind, Outcome, ProtocolKind};
+pub use experiment::{reserve_node_table, Experiment, FaultKind, Outcome, ProtocolKind};
 pub use rbcast_sim::EngineKind;

@@ -89,6 +89,7 @@ impl Chain {
     }
 
     /// The relay sequence.
+    #[inline]
     #[must_use]
     pub fn relays(&self) -> &[u32] {
         let len = self
@@ -100,6 +101,7 @@ impl Chain {
     }
 
     /// True iff this chain is a direct observation (no relays).
+    #[inline]
     #[must_use]
     pub fn is_direct(&self) -> bool {
         self.keys[0] == EMPTY
@@ -130,6 +132,7 @@ impl Chain {
     /// `other` can swap in `self`, so `other` is redundant. The direct
     /// (empty) chain is deliberately excluded: it conflicts with nothing
     /// and can share a packing with its supersets.
+    #[inline]
     #[must_use]
     pub fn dominates(&self, other: &Chain) -> bool {
         !self.is_direct()
@@ -138,6 +141,7 @@ impl Chain {
     }
 
     /// True iff the two chains share a relay.
+    #[inline]
     #[must_use]
     pub fn conflicts_with(&self, other: &Chain) -> bool {
         self.sig & other.sig != 0 && self.relays().iter().any(|&r| other.contains(r))

@@ -1,36 +1,34 @@
-//! Shared, immutable CSR neighbor tables — the topology arena.
+//! Shared, immutable topology arena: the radius-`r` geometry of a torus.
 //!
-//! Every run of a sweep used to rebuild the same neighbor lists
-//! (`Vec<Vec<NodeId>>`, one heap allocation per node) and re-derive the
-//! same commit-rule geometry from scratch each round. A [`NeighborTable`]
-//! precomputes both once, in compressed-sparse-row form:
+//! The paper's network is the infinite grid, where every node's
+//! neighbourhood is the same ball, translated; the torus emulates it. A
+//! [`NeighborTable`] therefore keeps the geometry, not the graph:
 //!
-//! * a flat neighbor array (`offsets` + `targets`) whose per-node slices
-//!   reproduce [`Torus::neighborhood`] exactly — same members, in the
-//!   same order — so swapping the table in changes no observable
-//!   behavior, only where the bytes live;
-//! * closed-ball offset tables for every distance `d ≤ r + 1`: the
-//!   candidate-center scans of the §VI commit rules enumerate "all grid
-//!   points within `d` of here", and on a torus large enough to host the
-//!   radius ([`Torus::supports_radius`]) that set is a fixed
-//!   position-independent offset stencil.
-//!
+//! * the neighbour stencil — the ball's offsets, compiled once for the
+//!   torus — from which [`NeighborTable::neighbors`] computes any node's
+//!   row, yielding exactly the ids of [`Torus::neighborhood`] in the
+//!   same order, so no observable behaviour depends on where the ids
+//!   come from;
+//! * the closed balls at `r` and `r + 1`, the only distances the §VI
+//!   commit rules scan for candidate centers; on a torus large enough to
+//!   host the radius ([`Torus::supports_radius`]) that set is a fixed
+//!   position-independent offset stencil;
 //! * the transmission order every host delivers in: TDMA slot order
 //!   when a periodic [`TdmaSchedule`] fits the torus, id order
 //!   otherwise — a function of the geometry, so it is computed here
-//!   once and not per network.
+//!   once and not per network. It is the one thing kept per node.
 //!
 //! The table is immutable after construction, so one instance can be
 //! shared across worker threads behind an `Arc` and across every run of
 //! a sweep, keyed by `(torus dims, r, metric)`.
 
-use crate::{Coord, Metric, NodeId, TdmaSchedule, Torus};
-use std::collections::TryReserveError;
+use crate::{BitSet, Coord, Metric, NodeId, TdmaSchedule, Torus};
 use std::fmt;
+use std::iter::FusedIterator;
 
 /// Precomputed radius-`r` topology of a [`Torus`] under one [`Metric`]:
-/// CSR neighbor lists plus the closed-ball offset stencils used by the
-/// commit-rule center scans.
+/// the neighbour stencil every row is computed from, the closed-ball
+/// offsets the commit-rule center scans use, and the transmission order.
 ///
 /// # Example
 ///
@@ -46,19 +44,34 @@ pub struct NeighborTable {
     torus: Torus,
     radius: u32,
     metric: Metric,
-    /// CSR row starts: `offsets[i]..offsets[i + 1]` indexes node `i`'s
-    /// neighbors inside `targets`. Length `n + 1`.
-    offsets: Vec<u32>,
-    /// All neighbor lists, flattened into one allocation.
-    targets: Vec<NodeId>,
-    /// `balls[d]` holds every offset within metric distance `d` of the
-    /// origin, *including* the origin, for `d ∈ 0..=radius + 1`, in the
-    /// row-major scan order the commit-rule center scans rely on.
-    balls: Vec<Vec<Coord>>,
+    /// Every offset within distance `radius` of the origin, origin
+    /// included, in row-major (`dy` outer, `dx` inner) scan order.
+    /// Without the origin it is the neighbour stencil, which `stencil`
+    /// compiles for this torus.
+    ball: Box<[Coord]>,
+    /// The same closed ball at distance `radius + 1`.
+    outer: Box<[Coord]>,
+    /// The neighbour stencil in row order: `ball` without the origin,
+    /// less any offset that aliases an earlier one or the node itself on
+    /// a torus too small for the radius.
+    stencil: Box<[Step]>,
     /// The TDMA transmission order and its inverse, present only when
     /// a periodic schedule fits the torus; without one the order is id
     /// order and a node's rank is its id, so no table is kept.
     schedule: Option<Schedule>,
+}
+
+/// One neighbour offset, compiled for the torus.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    /// The x offset reduced into `0..width`, so a seam node wraps with
+    /// one compare-and-subtract.
+    dx: u32,
+    /// The y offset reduced into `0..height`.
+    dy: u32,
+    /// `dy·width + dx` from the signed offset: the id step of a node no
+    /// offset carries across a seam.
+    delta: i64,
 }
 
 /// A TDMA torus's transmission order: `order[k]` transmits `k`-th, and
@@ -72,22 +85,21 @@ impl Schedule {
     /// Slot order, ties by id — `None` when no periodic schedule fits
     /// `torus` at `radius` (the model guarantees collision-freedom
     /// either way; id order is then the order).
-    fn build(torus: &Torus, radius: u32) -> Result<Option<Schedule>, TryReserveError> {
+    fn build(torus: &Torus, radius: u32) -> Result<Option<Schedule>, ArenaError> {
         let Ok(tdma) = TdmaSchedule::new(torus, radius) else {
             return Ok(None);
         };
         let n = torus.len();
-        let mut order = Vec::new();
-        order.try_reserve_exact(n)?;
+        let mut order = reserve(torus, "TDMA order", n)?;
         order.extend(torus.node_ids());
         order.sort_by_key(|&id| (tdma.slot_of(torus.coord(id)), id));
-        // Zeroed (`calloc`), which cannot be asked to fail; `order`, of
-        // the same size, just could. Reserved and filled instead, the
-        // table raised `attack_search`'s peak RSS, which builds and
-        // frees a tiny arena per evaluation (DESIGN.md, "Node state").
-        let mut ranks = vec![0u32; n];
+        // Reserved, then zeroed: `vec![0; n]` (`calloc`) cannot be
+        // asked to fail, and a rank table the host cannot hold must be
+        // an error, not an abort.
+        let mut ranks = reserve(torus, "TDMA rank table", n)?;
+        ranks.resize(n, 0u32);
         for (rank, &id) in order.iter().enumerate() {
-            ranks[id.index()] = u32::try_from(rank).expect("node count fits u32");
+            ranks[id.index()] = rank as u32;
         }
         Ok(Some(Schedule {
             order: order.into_boxed_slice(),
@@ -96,79 +108,72 @@ impl Schedule {
     }
 }
 
-/// What [`NeighborTable::reserve`] hands a constructor to fill: the
-/// schedule, complete, and the empty CSR arrays with their room.
-type Reserved = (Option<Schedule>, Vec<NodeId>, Vec<u32>);
-
-/// Why a [`NeighborTable`] could not be built: its `nodes × stencil`
-/// neighbour entries are more than `u32` row ends can index, or more
-/// than the allocator would hand out.
+/// Why a [`NeighborTable`], or the node table a run keeps beside it,
+/// could not be built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ArenaError {
-    /// Nodes on the torus.
-    pub nodes: usize,
-    /// Neighbour offsets per node.
-    pub stencil: usize,
-    /// True when the count fit the row ends but the allocation failed.
-    pub out_of_memory: bool,
+pub enum ArenaError {
+    /// More nodes than a `u32` [`NodeId`] can name
+    /// ([`NeighborTable::MAX_NODES`]).
+    TooManyNodes {
+        /// Nodes on the torus.
+        nodes: u64,
+    },
+    /// The allocator refused an allocation.
+    OutOfMemory {
+        /// Nodes on the torus.
+        nodes: u64,
+        /// What was being allocated.
+        what: &'static str,
+        /// Its size.
+        bytes: u64,
+    },
 }
 
 impl fmt::Display for ArenaError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let (nodes, stencil) = (self.nodes, self.stencil);
-        let entries = (nodes as u64).saturating_mul(stencil as u64);
-        if self.out_of_memory {
-            let bytes = entries.saturating_mul(std::mem::size_of::<NodeId>() as u64);
-            write!(
-                f,
-                "{nodes} nodes × {stencil} neighbours = {entries} entries: \
-                 cannot allocate the arena's {bytes} bytes"
-            )
-        } else {
-            write!(
-                f,
-                "{nodes} nodes × {stencil} neighbours = {entries} entries exceeds \
-                 the arena's 2³² neighbour entries"
-            )
+        match *self {
+            ArenaError::TooManyNodes { nodes } => {
+                write!(f, "{nodes} nodes exceeds the 2³² a u32 node id can name")
+            }
+            ArenaError::OutOfMemory { nodes, what, bytes } => {
+                write!(
+                    f,
+                    "{nodes} nodes: cannot allocate the {what}'s {bytes} bytes"
+                )
+            }
         }
     }
 }
 
 impl std::error::Error for ArenaError {}
 
-impl NeighborTable {
-    /// The most neighbor entries (`nodes × |stencil|`) a table can hold:
-    /// CSR row ends are `u32`.
-    pub const MAX_ENTRIES: u64 = u32::MAX as u64;
+/// An empty vector with room for `len` items, or the allocator's
+/// refusal as an [`ArenaError`] naming `what` on `torus`.
+fn reserve<T>(torus: &Torus, what: &'static str, len: usize) -> Result<Vec<T>, ArenaError> {
+    let mut v = Vec::new();
+    v.try_reserve_exact(len)
+        .map_err(|_| ArenaError::OutOfMemory {
+            nodes: torus.len() as u64,
+            what,
+            bytes: (len as u64).saturating_mul(std::mem::size_of::<T>() as u64),
+        })?;
+    Ok(v)
+}
 
-    /// `torus`'s transmission schedule at `radius`, then empty CSR
-    /// arrays with room for `nodes × stencil` entries and `nodes + 1`
-    /// row ends — refused, before anything is allocated, when the row
-    /// ends could not index them, and refused rather than aborting when
-    /// the allocator cannot supply them.
+impl NeighborTable {
+    /// The most nodes a table can hold: node ids are `u32`.
+    pub const MAX_NODES: u64 = 1 << 32;
+
+    /// Refuses a torus whose nodes a `u32` id cannot name.
     ///
-    /// The schedule is allocated first: after the neighbour arrays, it
-    /// raised the peak RSS of a run that builds and frees tiny arenas
-    /// over and over (DESIGN.md, "Node state").
-    fn reserve(torus: &Torus, radius: u32, stencil: usize) -> Result<Reserved, ArenaError> {
-        let nodes = torus.len();
-        let mut error = ArenaError {
-            nodes,
-            stencil,
-            out_of_memory: false,
-        };
-        let entries = (nodes as u64).saturating_mul(stencil as u64);
-        if entries > Self::MAX_ENTRIES {
-            return Err(error);
+    /// # Errors
+    ///
+    /// [`ArenaError::TooManyNodes`] past [`NeighborTable::MAX_NODES`].
+    pub fn check_nodes(nodes: u64) -> Result<(), ArenaError> {
+        if nodes > Self::MAX_NODES {
+            return Err(ArenaError::TooManyNodes { nodes });
         }
-        error.out_of_memory = true;
-        let schedule = Schedule::build(torus, radius).map_err(|_| error)?;
-        let (mut targets, mut offsets) = (Vec::new(), Vec::new());
-        targets
-            .try_reserve_exact(entries as usize)
-            .map_err(|_| error)?;
-        offsets.try_reserve_exact(nodes + 1).map_err(|_| error)?;
-        Ok((schedule, targets, offsets))
+        Ok(())
     }
 
     /// Builds the table for `torus` at transmission radius `radius`
@@ -188,13 +193,13 @@ impl NeighborTable {
         })
     }
 
-    /// [`NeighborTable::build`], returning an arena too large to index
-    /// or to allocate as an error.
+    /// [`NeighborTable::build`], returning a torus too large for `u32`
+    /// ids, or an arena the allocator refuses, as an error.
     ///
     /// # Errors
     ///
-    /// When `nodes × |stencil|` exceeds [`NeighborTable::MAX_ENTRIES`] or
-    /// the allocator refuses the entries.
+    /// When the torus has more than [`NeighborTable::MAX_NODES`] nodes or
+    /// the allocator refuses the schedule or the stencils.
     ///
     /// # Panics
     ///
@@ -206,24 +211,7 @@ impl NeighborTable {
             "{torus} cannot faithfully host radius {radius} (needs side > {})",
             2 * (2 * radius + 1),
         );
-        let offs = crate::metric_offsets(radius, metric);
-        let (schedule, mut targets, mut offsets) = Self::reserve(torus, radius, offs.len())?;
-        offsets.push(0u32);
-        for id in torus.node_ids() {
-            let c = torus.coord(id);
-            targets.extend(offs.iter().map(|&off| torus.id(c + off)));
-            offsets.push(row_end(&targets));
-        }
-        let balls = (0..=radius + 1).map(|d| ball_stencil(d, metric)).collect();
-        Ok(NeighborTable {
-            torus: torus.clone(),
-            radius,
-            metric,
-            offsets,
-            targets,
-            balls,
-            schedule,
-        })
+        NeighborTable::assemble(torus, radius, metric)
     }
 
     /// Builds the table for tori too small to faithfully emulate the
@@ -240,61 +228,103 @@ impl NeighborTable {
     ///
     /// # Panics
     ///
-    /// On the [`ArenaError`] of [`NeighborTable::try_build`].
+    /// On the [`ArenaError`] of [`NeighborTable::try_build_wrapping`].
     #[must_use]
     pub fn build_wrapping(torus: &Torus, radius: u32, metric: Metric) -> Self {
-        if torus.supports_radius(radius) {
-            return NeighborTable::build(torus, radius, metric);
-        }
-        let offs = crate::metric_offsets(radius, metric);
-        let (schedule, mut targets, mut offsets) = Self::reserve(torus, radius, offs.len())
-            .unwrap_or_else(|e| {
-                // audit:allow(panic): documented; the cluster's tori are small
-                panic!("{e}")
-            });
-        offsets.push(0u32);
-        for id in torus.node_ids() {
-            let c = torus.coord(id);
-            let row_start = targets.len();
-            for &off in &offs {
-                let nb = torus.id(c + off);
-                if nb != id && !targets[row_start..].contains(&nb) {
-                    targets.push(nb);
+        NeighborTable::try_build_wrapping(torus, radius, metric).unwrap_or_else(|e| {
+            // audit:allow(panic): documented; `try_build_wrapping` is the fallible form
+            panic!("{e}")
+        })
+    }
+
+    /// [`NeighborTable::build_wrapping`], returning the errors of
+    /// [`NeighborTable::try_build`].
+    ///
+    /// # Errors
+    ///
+    /// As [`NeighborTable::try_build`].
+    pub fn try_build_wrapping(
+        torus: &Torus,
+        radius: u32,
+        metric: Metric,
+    ) -> Result<Self, ArenaError> {
+        NeighborTable::assemble(torus, radius, metric)
+    }
+
+    /// Both constructors: aliasing on a torus too small for the radius
+    /// is the same for every node, so the stencil is deduplicated once,
+    /// at the origin, and a faithful torus keeps every offset. The
+    /// schedule is allocated first: built after the stencils, it raised
+    /// the peak RSS of a run that builds and frees tiny arenas over and
+    /// over (DESIGN.md, "Node state").
+    fn assemble(torus: &Torus, radius: u32, metric: Metric) -> Result<Self, ArenaError> {
+        NeighborTable::check_nodes(torus.len() as u64)?;
+        let schedule = Schedule::build(torus, radius)?;
+        let ball = ball_stencil(torus, radius, metric)?;
+        let outer = ball_stencil(torus, radius + 1, metric)?;
+        let (w, h) = (i64::from(torus.width()), i64::from(torus.height()));
+        let faithful = torus.supports_radius(radius);
+        // An aliased stencil keeps at most one offset per other node.
+        let room = if faithful {
+            ball.len() - 1
+        } else {
+            (ball.len() - 1).min(torus.len() - 1)
+        };
+        let mut stencil = reserve(torus, "neighbour stencil", room)?;
+        // Which residues an earlier offset (or the node itself) took;
+        // only an aliasing torus needs the record.
+        let mut taken = (!faithful).then(|| {
+            let mut taken = BitSet::new(torus.len());
+            taken.set(0);
+            taken
+        });
+        for off in ball.iter().filter(|&&off| off != Coord::ORIGIN) {
+            let (dx, dy) = (off.x.rem_euclid(w), off.y.rem_euclid(h));
+            if let Some(taken) = &mut taken {
+                if !taken.set((dy * w + dx) as usize) {
+                    continue;
                 }
             }
-            offsets.push(row_end(&targets));
+            stencil.push(Step {
+                dx: dx as u32,
+                dy: dy as u32,
+                delta: off.y * w + off.x,
+            });
         }
-        let balls = (0..=radius + 1).map(|d| ball_stencil(d, metric)).collect();
-        NeighborTable {
+        Ok(NeighborTable {
             torus: torus.clone(),
             radius,
             metric,
-            offsets,
-            targets,
-            balls,
+            ball: ball.into_boxed_slice(),
+            outer: outer.into_boxed_slice(),
+            stencil: stencil.into_boxed_slice(),
             schedule,
-        }
+        })
     }
 
     /// The torus this table was built for.
+    #[inline]
     #[must_use]
     pub fn torus(&self) -> &Torus {
         &self.torus
     }
 
     /// The transmission radius.
+    #[inline]
     #[must_use]
     pub fn radius(&self) -> u32 {
         self.radius
     }
 
     /// The distance metric.
+    #[inline]
     #[must_use]
     pub fn metric(&self) -> Metric {
         self.metric
     }
 
     /// Number of nodes.
+    #[inline]
     #[must_use]
     pub fn len(&self) -> usize {
         self.torus.len()
@@ -308,15 +338,32 @@ impl NeighborTable {
     }
 
     /// The radius-`radius` neighborhood of `id` (excluding `id` itself):
-    /// the same ids, in the same order, as [`Torus::neighborhood`].
+    /// the same ids, in the same order, as [`Torus::neighborhood`],
+    /// computed from the stencil. A node no offset carries across a seam
+    /// steps by a fixed id delta; a seam node wraps each axis.
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range for the torus.
+    #[inline]
     #[must_use]
-    pub fn neighbors(&self, id: NodeId) -> &[NodeId] {
-        let i = id.index();
-        &self.targets[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    pub fn neighbors(&self, id: NodeId) -> Neighbors<'_> {
+        let (w, h) = (self.torus.width(), self.torus.height());
+        let (x, y) = (id.0 % w, id.0 / w);
+        assert!(y < h, "{id} is off the torus");
+        let (x, y, w, h, r) = (
+            u64::from(x),
+            u64::from(y),
+            u64::from(w),
+            u64::from(h),
+            u64::from(self.radius),
+        );
+        let interior = x >= r && x + r < w && y >= r && y + r < h;
+        Neighbors {
+            steps: self.stencil.iter(),
+            id,
+            seam: (!interior).then_some(Seam { x, y, w, h }),
+        }
     }
 
     /// `id`'s position in the global transmission order every host
@@ -326,6 +373,7 @@ impl NeighborTable {
     /// # Panics
     ///
     /// Panics if `id` is out of range for the torus.
+    #[inline]
     #[must_use]
     pub fn rank(&self, id: NodeId) -> u32 {
         match &self.schedule {
@@ -339,6 +387,7 @@ impl NeighborTable {
 
     /// Every node's [`NeighborTable::rank`], indexed by id — `None` on
     /// a torus no periodic schedule fits, where the rank is the id.
+    #[inline]
     #[must_use]
     pub fn ranks(&self) -> Option<&[u32]> {
         self.schedule.as_ref().map(|s| &*s.ranks)
@@ -367,11 +416,22 @@ impl NeighborTable {
     ///
     /// # Panics
     ///
-    /// Panics if `d > radius + 1` (the rules never look further than the
-    /// frontier distance `r + 1`).
+    /// Panics unless `d` is the radius or the frontier distance `r + 1`,
+    /// the only two distances the rules look at.
+    #[inline]
     #[must_use]
     pub fn ball_offsets(&self, d: u32) -> &[Coord] {
-        &self.balls[d as usize]
+        if d == self.radius {
+            &self.ball
+        } else if d == self.radius + 1 {
+            &self.outer
+        } else {
+            // audit:allow(panic): documented; the rules scan only r and r + 1
+            panic!(
+                "the arena keeps the balls at r = {} and r + 1 only, not {d}",
+                self.radius
+            )
+        }
     }
 
     /// A [`LocalFrame`] centered on `me` spanning L∞ displacement
@@ -388,10 +448,58 @@ impl NeighborTable {
     }
 }
 
-/// The CSR row end after a node's neighbors were appended.
-fn row_end(targets: &[NodeId]) -> u32 {
-    u32::try_from(targets.len()).expect("at most the capacity `build` checked")
+/// A node's row of the neighbour table, computed from the stencil: the
+/// iterator [`NeighborTable::neighbors`] returns.
+#[derive(Debug, Clone)]
+pub struct Neighbors<'a> {
+    steps: std::slice::Iter<'a, Step>,
+    id: NodeId,
+    /// The node's coordinates and the torus sides when an offset
+    /// carries it across a seam; `None` when every neighbour is one id
+    /// delta away.
+    seam: Option<Seam>,
 }
+
+/// A seam node's coordinates and the torus it wraps on.
+#[derive(Debug, Clone, Copy)]
+struct Seam {
+    x: u64,
+    y: u64,
+    w: u64,
+    h: u64,
+}
+
+impl Iterator for Neighbors<'_> {
+    type Item = NodeId;
+
+    #[inline]
+    fn next(&mut self) -> Option<NodeId> {
+        let step = self.steps.next()?;
+        Some(match self.seam {
+            None => NodeId((i64::from(self.id.0) + step.delta) as u32),
+            Some(Seam { x, y, w, h }) => {
+                let mut nx = x + u64::from(step.dx);
+                if nx >= w {
+                    nx -= w;
+                }
+                let mut ny = y + u64::from(step.dy);
+                if ny >= h {
+                    ny -= h;
+                }
+                NodeId((ny * w + nx) as u32)
+            }
+        })
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.steps.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Neighbors<'_> {}
+
+impl FusedIterator for Neighbors<'_> {}
 
 /// Ball-local coordinate frame around one node: maps every torus
 /// coordinate whose minimal wrap displacement from the center fits in
@@ -423,6 +531,7 @@ impl LocalFrame {
     }
 
     /// Dense slot of node `id` (see [`LocalFrame::slot_of`]).
+    #[inline]
     #[must_use]
     pub fn slot_of_id(&self, id: NodeId) -> Option<usize> {
         self.slot_of(self.torus.coord(id))
@@ -430,6 +539,7 @@ impl LocalFrame {
 
     /// Dense slot of `c`, or `None` if its minimal displacement from
     /// the center exceeds the span on either axis.
+    #[inline]
     #[must_use]
     pub fn slot_of(&self, c: Coord) -> Option<usize> {
         let d = self.torus.displacement(self.me, c);
@@ -441,10 +551,12 @@ impl LocalFrame {
 }
 
 /// Every offset with metric distance ≤ `d` from the origin (origin
-/// included), in row-major (`dy` outer, `dx` inner) scan order.
-fn ball_stencil(d: u32, metric: Metric) -> Vec<Coord> {
+/// included), in row-major (`dy` outer, `dx` inner) scan order — or the
+/// allocator's refusal of its `|ball|` coordinates.
+fn ball_stencil(torus: &Torus, d: u32, metric: Metric) -> Result<Vec<Coord>, ArenaError> {
+    let size = metric.neighborhood_size(d).saturating_add(1);
+    let mut v = reserve(torus, "ball stencil", size)?;
     let di = i64::from(d);
-    let mut v = Vec::new();
     for dy in -di..=di {
         for dx in -di..=di {
             let off = Coord::new(dx, dy);
@@ -453,7 +565,7 @@ fn ball_stencil(d: u32, metric: Metric) -> Vec<Coord> {
             }
         }
     }
-    v
+    Ok(v)
 }
 
 impl fmt::Debug for NeighborTable {
@@ -462,7 +574,7 @@ impl fmt::Debug for NeighborTable {
             .field("torus", &self.torus)
             .field("radius", &self.radius)
             .field("metric", &self.metric)
-            .field("edges", &self.targets.len())
+            .field("stencil", &self.stencil.len())
             .field("tdma", &self.schedule.is_some())
             .finish()
     }
@@ -479,24 +591,71 @@ mod tests {
         [Torus::for_radius(r), Torus::new(min_side, min_side)]
     }
 
+    /// Every row as the compressed-sparse-row table that the stencil
+    /// replaced stored it, built the way it built them: each stencil
+    /// offset translated to the node, and on a torus too small for the
+    /// radius the aliased repeats and the node itself dropped.
+    fn csr_rows(torus: &Torus, r: u32, metric: Metric) -> Vec<Vec<NodeId>> {
+        let offs = crate::metric_offsets(r, metric);
+        let faithful = torus.supports_radius(r);
+        torus
+            .node_ids()
+            .map(|id| {
+                let c = torus.coord(id);
+                let mut row: Vec<NodeId> = Vec::new();
+                for &off in &offs {
+                    let nb = torus.id(c + off);
+                    if faithful || (nb != id && !row.contains(&nb)) {
+                        row.push(nb);
+                    }
+                }
+                row
+            })
+            .collect()
+    }
+
     #[test]
-    fn csr_matches_naive_neighborhood_exhaustively() {
-        // The tentpole's correctness anchor: for r ∈ {1, 2, 3}, both
-        // metrics, every node of both a roomy and a minimal torus, the
-        // CSR slice must equal the naive enumeration *element for
-        // element* (same members, same order).
+    fn rows_match_naive_neighborhood_exhaustively() {
+        // The correctness anchor: for r ∈ {1, 2, 3}, both metrics, every
+        // node of both a roomy and a minimal torus, the computed row must
+        // equal the naive enumeration *element for element* (same
+        // members, same order).
         for r in 1..=3u32 {
             for metric in [Metric::Linf, Metric::L2] {
                 for torus in tori_for(r) {
                     let table = NeighborTable::build(&torus, r, metric);
                     for id in torus.node_ids() {
                         let naive: Vec<NodeId> = torus.neighborhood(id, r, metric).collect();
-                        assert_eq!(
-                            table.neighbors(id),
-                            naive.as_slice(),
-                            "node {id} on {torus} r={r} {metric}"
-                        );
+                        let row: Vec<NodeId> = table.neighbors(id).collect();
+                        assert_eq!(row, naive, "node {id} on {torus} r={r} {metric}");
                     }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// On any torus, tori too small for the radius included, every
+        /// row the stencil computes is the row the CSR table stored, and
+        /// it knows its length.
+        #[test]
+        fn stencil_rows_are_the_csr_rows(
+            w in 1u32..28, h in 1u32..28, r in 1u32..6, l2 in 0u8..2,
+        ) {
+            let metric = if l2 == 1 { Metric::L2 } else { Metric::Linf };
+            let torus = Torus::new(w, h);
+            let table = NeighborTable::build_wrapping(&torus, r, metric);
+            for (id, want) in torus.node_ids().zip(csr_rows(&torus, r, metric)) {
+                let row = table.neighbors(id);
+                proptest::prop_assert_eq!(row.len(), want.len());
+                proptest::prop_assert_eq!(row.collect::<Vec<_>>(), want, "node {}", id);
+                if torus.supports_radius(r) {
+                    proptest::prop_assert_eq!(
+                        table.neighbors(id).len(),
+                        metric.neighborhood_size(r)
+                    );
                 }
             }
         }
@@ -516,25 +675,33 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "10000000000 nodes × 8 neighbours = 80000000000 entries exceeds")]
-    fn a_product_past_the_u32_row_ends_is_refused_before_allocating() {
-        // 10¹⁰ nodes × 8 neighbours: the row ends used to wrap silently
-        // (`as u32`); the refusal comes before the 320 GB allocation.
+    #[should_panic(expected = "10000000000 nodes exceeds the 2³² a u32 node id can name")]
+    fn a_torus_past_u32_ids_is_refused_before_allocating() {
+        // 10¹⁰ nodes: more than a `NodeId` can name, refused before the
+        // schedule or a stencil is allocated.
         let _ = NeighborTable::build(&Torus::new(100_000, 100_000), 1, Metric::Linf);
     }
 
     #[test]
-    fn a_huge_stencil_on_a_tiny_torus_is_refused_too() {
-        // What `build_wrapping` reserves for 3×3 at r = 11 000, before
-        // aliasing collapses it: (22 001)² − 1 entries for each node.
-        let stencil = Metric::Linf.neighborhood_size(11_000);
-        let Err(refused) = NeighborTable::reserve(&Torus::new(3, 3), 11_000, stencil) else {
-            panic!("past the row ends");
+    fn a_ball_the_allocator_refuses_is_an_error_not_an_abort() {
+        // A 3×3 torus at r = 2³⁰: its (2³¹ + 1)² ball offsets are more
+        // bytes than a vector can hold.
+        let Err(refused) =
+            NeighborTable::try_build_wrapping(&Torus::new(3, 3), 1 << 30, Metric::Linf)
+        else {
+            panic!("a ball past the address space");
         };
-        assert!(!refused.out_of_memory);
+        assert!(matches!(
+            refused,
+            ArenaError::OutOfMemory {
+                nodes: 9,
+                what: "ball stencil",
+                ..
+            }
+        ));
         assert!(refused
             .to_string()
-            .ends_with("exceeds the arena's 2³² neighbour entries"));
+            .starts_with("9 nodes: cannot allocate the ball stencil's"));
     }
 
     #[test]
@@ -547,10 +714,10 @@ mod tests {
                 let [_, torus] = tori_for(r);
                 let table = NeighborTable::build(&torus, r, metric);
                 for id in torus.node_ids() {
-                    let nbrs = table.neighbors(id);
+                    let nbrs: Vec<NodeId> = table.neighbors(id).collect();
                     let set: std::collections::BTreeSet<NodeId> = nbrs.iter().copied().collect();
                     assert_eq!(set.len(), nbrs.len(), "duplicate neighbor of {id}");
-                    for &nb in nbrs {
+                    for &nb in &nbrs {
                         assert!(nb != id);
                         assert!(torus.within(torus.coord(id), torus.coord(nb), r, metric));
                     }
@@ -568,7 +735,7 @@ mod tests {
             for metric in [Metric::Linf, Metric::L2] {
                 let [_, torus] = tori_for(r);
                 let table = NeighborTable::build(&torus, r, metric);
-                for d in 0..=r + 1 {
+                for d in [r, r + 1] {
                     for around in [Coord::ORIGIN, Coord::new(1, i64::from(torus.height()) - 1)] {
                         let via_table: std::collections::BTreeSet<Coord> = table
                             .ball_offsets(d)
@@ -588,14 +755,26 @@ mod tests {
 
     #[test]
     fn ball_offsets_are_center_inclusive_and_ordered() {
-        let table = NeighborTable::build(&Torus::for_radius(2), 2, Metric::Linf);
-        assert_eq!(table.ball_offsets(0), &[Coord::ORIGIN]);
+        let table = NeighborTable::build(&Torus::for_radius(1), 1, Metric::Linf);
         // row-major scan order: dy outer, dx inner
         let d1 = table.ball_offsets(1);
         assert_eq!(d1.len(), 9);
         assert_eq!(d1[0], Coord::new(-1, -1));
         assert_eq!(d1[4], Coord::ORIGIN);
         assert_eq!(d1[8], Coord::new(1, 1));
+        // the ball at r without the origin is the neighbour stencil
+        let stencil: Vec<Coord> = d1.iter().copied().filter(|&c| c != Coord::ORIGIN).collect();
+        assert_eq!(stencil, crate::metric_offsets(1, Metric::Linf));
+        let d2 = table.ball_offsets(2);
+        assert_eq!(d2.len(), 25);
+        assert_eq!(d2[12], Coord::ORIGIN);
+    }
+
+    #[test]
+    #[should_panic(expected = "the arena keeps the balls at r = 2 and r + 1 only, not 1")]
+    fn a_ball_the_rules_never_scan_is_not_kept() {
+        let table = NeighborTable::build(&Torus::for_radius(2), 2, Metric::Linf);
+        let _ = table.ball_offsets(1);
     }
 
     #[test]
@@ -651,7 +830,7 @@ mod tests {
                 let strict = NeighborTable::build(&torus, r, metric);
                 let relaxed = NeighborTable::build_wrapping(&torus, r, metric);
                 for id in torus.node_ids() {
-                    assert_eq!(strict.neighbors(id), relaxed.neighbors(id), "node {id}");
+                    assert!(strict.neighbors(id).eq(relaxed.neighbors(id)), "node {id}");
                 }
             }
         }
@@ -663,7 +842,7 @@ mod tests {
         let torus = Torus::new(3, 3);
         let table = NeighborTable::build_wrapping(&torus, 1, Metric::Linf);
         for id in torus.node_ids() {
-            let nbrs = table.neighbors(id);
+            let nbrs: Vec<NodeId> = table.neighbors(id).collect();
             assert_eq!(nbrs.len(), 8, "node {id} must hear all 8 others");
             let set: std::collections::BTreeSet<NodeId> = nbrs.iter().copied().collect();
             assert_eq!(set.len(), 8, "duplicate neighbor of {id}");
@@ -678,9 +857,16 @@ mod tests {
         let torus = Torus::new(2, 2);
         let table = NeighborTable::build_wrapping(&torus, 1, Metric::Linf);
         for id in torus.node_ids() {
-            let nbrs = table.neighbors(id);
+            let nbrs: Vec<NodeId> = table.neighbors(id).collect();
             assert_eq!(nbrs.len(), 3, "node {id}: {nbrs:?}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "n144 is off the torus")]
+    fn a_row_off_the_torus_panics() {
+        let table = NeighborTable::build(&Torus::for_radius(1), 1, Metric::Linf);
+        let _ = table.neighbors(NodeId(144));
     }
 
     /// The transmission order as every host computed it for itself

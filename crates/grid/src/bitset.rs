@@ -40,6 +40,7 @@ impl BitSet {
     }
 
     /// Capacity (the exclusive upper bound on indices).
+    #[inline]
     #[must_use]
     pub fn len(&self) -> usize {
         self.len
@@ -56,6 +57,7 @@ impl BitSet {
     /// # Panics
     ///
     /// If `idx >= len()`.
+    #[inline]
     pub fn set(&mut self, idx: usize) -> bool {
         assert!(
             idx < self.len,
@@ -74,6 +76,7 @@ impl BitSet {
     /// # Panics
     ///
     /// If `idx >= len()`.
+    #[inline]
     pub fn clear(&mut self, idx: usize) -> bool {
         assert!(
             idx < self.len,
@@ -92,6 +95,7 @@ impl BitSet {
     /// # Panics
     ///
     /// If `idx >= len()`.
+    #[inline]
     #[must_use]
     pub fn get(&self, idx: usize) -> bool {
         assert!(

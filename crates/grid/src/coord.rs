@@ -50,6 +50,7 @@ impl Coord {
     /// use rbcast_grid::Coord;
     /// assert_eq!(Coord::new(0, 0).linf_dist(Coord::new(3, -2)), 3);
     /// ```
+    #[inline]
     #[must_use]
     pub fn linf_dist(self, other: Coord) -> u64 {
         let dx = self.x.abs_diff(other.x);
@@ -66,6 +67,7 @@ impl Coord {
     /// use rbcast_grid::Coord;
     /// assert_eq!(Coord::new(0, 0).l2_dist_sq(Coord::new(3, 4)), 25);
     /// ```
+    #[inline]
     #[must_use]
     pub fn l2_dist_sq(self, other: Coord) -> u64 {
         let dx = self.x.abs_diff(other.x);
@@ -74,6 +76,7 @@ impl Coord {
     }
 
     /// Manhattan (L1) distance, used by a few auxiliary bounds.
+    #[inline]
     #[must_use]
     pub fn l1_dist(self, other: Coord) -> u64 {
         self.x.abs_diff(other.x) + self.y.abs_diff(other.y)
@@ -93,6 +96,7 @@ impl Coord {
 impl Add for Coord {
     type Output = Coord;
 
+    #[inline]
     fn add(self, rhs: Coord) -> Coord {
         Coord::new(self.x + rhs.x, self.y + rhs.y)
     }
@@ -101,6 +105,7 @@ impl Add for Coord {
 impl Sub for Coord {
     type Output = Coord;
 
+    #[inline]
     fn sub(self, rhs: Coord) -> Coord {
         Coord::new(self.x - rhs.x, self.y - rhs.y)
     }
@@ -109,6 +114,7 @@ impl Sub for Coord {
 impl Neg for Coord {
     type Output = Coord;
 
+    #[inline]
     fn neg(self) -> Coord {
         Coord::new(-self.x, -self.y)
     }

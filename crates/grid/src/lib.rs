@@ -13,9 +13,10 @@
 //!   [`Metric::Linf`] and [`Metric::L2`].
 //! * [`Torus`] — a finite `width × height` toroidal node arena mapping
 //!   coordinates to dense [`NodeId`]s.
-//! * [`NeighborTable`] — the shared, immutable CSR topology arena: flat
-//!   neighbor lists plus closed-ball center stencils, built once per
-//!   `(torus, r, metric)` and shared across runs and worker threads.
+//! * [`NeighborTable`] — the shared, immutable topology arena: the
+//!   radius-`r` stencil every node's neighbour row is computed from, the
+//!   closed-ball center stencils and the transmission order, built once
+//!   per `(torus, r, metric)` and shared across runs and worker threads.
 //! * [`Neighborhood`] helpers — `nbd(c)` and the paper's perturbed
 //!   neighborhood `pnbd(c)` (§IV).
 //! * [`Rect`] — inclusive rectangular lattice regions (used heavily by the
@@ -53,7 +54,7 @@ mod region;
 mod tdma;
 mod torus;
 
-pub use arena::{ArenaError, LocalFrame, NeighborTable};
+pub use arena::{ArenaError, LocalFrame, NeighborTable, Neighbors};
 pub use bitset::BitSet;
 pub use coord::Coord;
 pub use metric::Metric;

@@ -55,6 +55,7 @@ impl Metric {
     /// other, i.e. when a transmission by one is heard by the other.
     ///
     /// The comparison is exact (integer) in both metrics.
+    #[inline]
     #[must_use]
     pub fn within(self, a: Coord, b: Coord, r: u32) -> bool {
         match self {

@@ -70,18 +70,21 @@ impl Torus {
     }
 
     /// Torus width.
+    #[inline]
     #[must_use]
     pub fn width(&self) -> u32 {
         self.width
     }
 
     /// Torus height.
+    #[inline]
     #[must_use]
     pub fn height(&self) -> u32 {
         self.height
     }
 
     /// Total number of nodes.
+    #[inline]
     #[must_use]
     pub fn len(&self) -> usize {
         (self.width as usize) * (self.height as usize)
@@ -97,6 +100,7 @@ impl Torus {
     /// Canonical (wrapped) representative of `c`. A component already in
     /// `[0, dim)` — every coordinate the arena hands out — is returned
     /// untouched; only out-of-range components pay the division.
+    #[inline]
     #[must_use]
     pub fn canonical(&self, c: Coord) -> Coord {
         let wrap = |v: i64, dim: i64| -> i64 {
@@ -113,6 +117,7 @@ impl Torus {
     }
 
     /// Dense id of the node at (the canonical representative of) `c`.
+    #[inline]
     #[must_use]
     pub fn id(&self, c: Coord) -> NodeId {
         let c = self.canonical(c);
@@ -124,6 +129,7 @@ impl Torus {
     /// # Panics
     ///
     /// Panics if `id` is out of range for this torus.
+    #[inline]
     #[must_use]
     pub fn coord(&self, id: NodeId) -> Coord {
         assert!(
@@ -135,6 +141,7 @@ impl Torus {
 
     /// Minimal toroidal displacement from `a` to `b`: each component is
     /// reduced to the range `(-dim/2, dim/2]`.
+    #[inline]
     #[must_use]
     pub fn displacement(&self, a: Coord, b: Coord) -> Coord {
         // Both operands are canonical, so `d` lies in `(-dim, dim)` and one
@@ -170,6 +177,7 @@ impl Torus {
 
     /// Whether nodes at `a` and `b` are within transmission radius `r`
     /// under `metric`, accounting for wrap-around.
+    #[inline]
     #[must_use]
     pub fn within(&self, a: Coord, b: Coord, r: u32, metric: Metric) -> bool {
         let d = self.displacement(a, b);
@@ -178,7 +186,9 @@ impl Torus {
 
     /// Iterates over all node ids.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.len() as u32).map(NodeId)
+        // Counted in `usize`: a torus of exactly 2³² nodes has ids up to
+        // `u32::MAX`, and its length does not fit `u32`.
+        (0..self.len()).map(|i| NodeId(i as u32))
     }
 
     /// Iterates over all node coordinates (canonical representatives).

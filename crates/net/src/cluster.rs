@@ -19,7 +19,7 @@ use crate::journal::{JournalError, SharedJournal};
 use crate::runtime::{NodeReport, NodeRuntime, RuntimeConfig};
 use crate::transport::{Datagram, LoopbackHub};
 use rbcast_core::ProtocolKind;
-use rbcast_grid::{Metric, NeighborTable, NodeId, Torus};
+use rbcast_grid::{ArenaError, Metric, NeighborTable, NodeId, Torus};
 use rbcast_protocols::{Msg, ProtocolParams};
 use rbcast_sim::driver::{commit_digest, InstanceId};
 use rbcast_sim::{ChannelConfig, Network, Process, Round, Value};
@@ -52,13 +52,27 @@ impl ClusterSpec {
     /// The shared topology. Uses the wrapping builder so small
     /// clusters (3×3 at r = 1, where wrap-around aliases neighbors)
     /// host correctly.
+    ///
+    /// # Panics
+    ///
+    /// On the error of [`ClusterSpec::try_arena`].
     #[must_use]
     pub fn arena(&self) -> Arc<NeighborTable> {
-        Arc::new(NeighborTable::build_wrapping(
-            &Torus::new(self.width, self.height),
-            self.radius,
-            self.metric,
-        ))
+        self.try_arena().unwrap_or_else(|e| {
+            // audit:allow(panic): documented; `try_arena` is the fallible form
+            panic!("{e}")
+        })
+    }
+
+    /// [`ClusterSpec::arena`], returning a geometry the host cannot
+    /// allocate as an error.
+    ///
+    /// # Errors
+    ///
+    /// As [`NeighborTable::try_build_wrapping`].
+    pub fn try_arena(&self) -> Result<Arc<NeighborTable>, ArenaError> {
+        let torus = Torus::new(self.width, self.height);
+        NeighborTable::try_build_wrapping(&torus, self.radius, self.metric).map(Arc::new)
     }
 
     /// The run's instance set: instance `i` originates at node

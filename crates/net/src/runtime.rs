@@ -248,7 +248,7 @@ impl NodeRuntime {
         // Links come up under the new epoch; receive windows resume
         // where the journal proves delivery (journal-before-ack: every
         // acked frame is journaled, so peers lose nothing).
-        let neighbors: Vec<u32> = arena.neighbors(me).iter().map(|n| n.0).collect();
+        let neighbors: Vec<u32> = arena.neighbors(me).map(|n| n.0).collect();
         for &peer in &neighbors {
             let mut link = Link::new(me.0, epoch, peer, cfg.link);
             if let Some(&(pe, count)) = rx_state.get(&peer) {
@@ -613,7 +613,7 @@ mod tests {
             .expect("an empty journal boots");
             prop_assert_eq!(rt.host.round(), 1, "round 0 closes at boot");
 
-            let peers: Vec<u32> = arena.neighbors(me).iter().map(|n| n.0).collect();
+            let peers: Vec<u32> = arena.neighbors(me).map(|n| n.0).collect();
             let mut reference = PerPeerMaps::default();
             let mut epochs = [1u32; 8];
             for (i, &(p, round_ahead, roll)) in arrivals.iter().enumerate() {

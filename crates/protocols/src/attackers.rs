@@ -40,9 +40,8 @@ struct Spoofer {
 impl Process<Msg> for Spoofer {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
         // impersonate every neighbor announcing the wrong value (the
-        // arena slice matches `torus.neighborhood` order exactly)
-        let neighbors = ctx.neighbors();
-        for &n in neighbors {
+        // arena's rows match `torus.neighborhood` order exactly)
+        for n in ctx.neighbors() {
             ctx.broadcast_as(n, Msg::Committed(self.wrong));
         }
         ctx.broadcast(Msg::Committed(self.wrong));
@@ -152,16 +151,16 @@ impl Process<Msg> for Forger {
         let me = ctx.id();
         ctx.broadcast(Msg::Committed(self.wrong));
         // Fabricate: every neighbor "committed" wrong (observed by us).
-        // The arena slice matches `torus.neighborhood` order exactly.
+        // The arena's rows match `torus.neighborhood` order exactly.
         let neighbors = ctx.neighbors();
-        for &n in neighbors {
+        for n in neighbors.clone() {
             ctx.broadcast(Msg::Heard(ChainRepr::direct(n, self.wrong).extended(me)));
         }
-        // Deep fabrications: invent a relay between a committer and us.
+        // Deep fabrications: invent a relay between a committer and us —
+        // each neighbor's successor in the row, the last one's the first.
         // (Bounded to keep the message volume proportional to a node's
         // honest traffic.)
-        for (i, &c) in neighbors.iter().enumerate() {
-            let relay = neighbors[(i + 1) % neighbors.len()];
+        for (c, relay) in neighbors.clone().zip(neighbors.cycle().skip(1)) {
             if relay != c {
                 ctx.broadcast(Msg::Heard(
                     ChainRepr::direct(c, self.wrong)

@@ -486,7 +486,7 @@ mod tests {
             for &sender in &order {
                 for &(inst, m) in &outs[sender.index()] {
                     any = true;
-                    for &rid in arena.neighbors(sender) {
+                    for rid in arena.neighbors(sender) {
                         assert!(hosts[rid.index()].deliver(inst, sender, &m));
                     }
                 }

@@ -4,7 +4,7 @@ use crate::channel::delivery_lost;
 use crate::process::{Lent, Transmission};
 use crate::trace::{TraceEvent, TraceSink, FNV_OFFSET};
 use crate::{ChannelConfig, Ctx, Process, Round, RoundReport, RunStats, StopReason, Value};
-use rbcast_grid::{BitSet, Metric, NeighborTable, NodeId, Torus};
+use rbcast_grid::{BitSet, Metric, NeighborTable, Neighbors, NodeId, Torus};
 use std::sync::Arc;
 
 /// Which round loop drives [`Network::run`].
@@ -99,8 +99,8 @@ impl Crashes {
 /// protocol stores [`crate::Node`]`<Protocol, M>` and keeps the honest
 /// processes inline.
 pub struct Network<M, P = Box<dyn Process<M>>> {
-    /// The shared topology arena: torus, radius, metric, the CSR
-    /// neighbor table and the transmission order, immutable and
+    /// The shared topology arena: torus, radius, metric, the
+    /// neighbour stencil and the transmission order, immutable and
     /// possibly shared with other networks (and threads) running the
     /// same geometry.
     arena: Arc<NeighborTable>,
@@ -264,9 +264,9 @@ impl<M, P: Process<M>> Network<M, P> {
         &self.arena
     }
 
-    /// Precomputed neighborhood of `id`.
+    /// The neighborhood of `id`, computed from the arena's stencil.
     #[must_use]
-    pub fn neighbors(&self, id: NodeId) -> &[NodeId] {
+    pub fn neighbors(&self, id: NodeId) -> Neighbors<'_> {
         self.arena.neighbors(id)
     }
 
@@ -440,7 +440,7 @@ impl<M, P: Process<M>> Network<M, P> {
                 self.delivered.clear_all();
             }
             // Deliver everything on the air, in global transmission
-            // order, walking each sender's fan-out as a flat CSR slice.
+            // order, walking each sender's fan-out off the stencil.
             for (tx_index, tx) in on_air.iter().enumerate() {
                 if tracing {
                     self.emit(TraceEvent::Transmission {
@@ -451,7 +451,7 @@ impl<M, P: Process<M>> Network<M, P> {
                     });
                 }
                 let jammer = self.jam_scratch[tx_index];
-                for &rid in arena.neighbors(tx.sender) {
+                for rid in arena.neighbors(tx.sender) {
                     if self.is_crashed(rid, round) {
                         continue;
                     }
@@ -709,8 +709,7 @@ impl<M, P: Process<M>> Network<M, P> {
                 }
                 let reachable = arena
                     .neighbors(tx.sender)
-                    .iter()
-                    .any(|&rid| torus.within(jc, torus.coord(rid), arena.radius(), arena.metric()));
+                    .any(|rid| torus.within(jc, torus.coord(rid), arena.radius(), arena.metric()));
                 if reachable {
                     self.jam_scratch[i] = Some(jammer);
                     self.jam_remaining[j] -= 1;

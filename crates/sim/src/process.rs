@@ -1,7 +1,7 @@
 //! The protocol-facing node abstraction.
 
 use crate::{Round, Value};
-use rbcast_grid::{BitSet, Coord, Metric, NeighborTable, NodeId, Torus};
+use rbcast_grid::{BitSet, Coord, Metric, NeighborTable, Neighbors, NodeId, Torus};
 
 /// A node's protocol logic.
 ///
@@ -276,17 +276,18 @@ impl<'a, M> Ctx<'a, M> {
         self.arena.torus().coord(self.id)
     }
 
-    /// The shared topology arena: precomputed CSR neighbor lists and the
+    /// The shared topology arena: the neighbour stencil and the
     /// commit-rule ball stencils for this network's `(torus, r, metric)`.
     #[must_use]
     pub fn arena(&self) -> &'a NeighborTable {
         self.arena
     }
 
-    /// This node's precomputed radius-`r` neighborhood (excluding the
-    /// node itself), in the canonical [`Torus::neighborhood`] order.
+    /// This node's radius-`r` neighborhood (excluding the node itself),
+    /// in the canonical [`Torus::neighborhood`] order, computed from the
+    /// arena's stencil.
     #[must_use]
-    pub fn neighbors(&self) -> &'a [NodeId] {
+    pub fn neighbors(&self) -> Neighbors<'a> {
         self.arena.neighbors(self.id)
     }
 

@@ -133,7 +133,7 @@ impl Ctx<'_> {
     }
 
     /// The file sanctioned to scan `torus.neighborhood`: wherever
-    /// `struct NeighborTable` (the CSR arena) is defined.
+    /// `struct NeighborTable` (the stencil arena) is defined.
     fn arena_module(&self) -> PathBuf {
         self.index.exempt_file(
             ItemKind::Struct,
@@ -268,9 +268,9 @@ pub fn all_rules() -> &'static [Rule] {
             id: "adhoc-neighborhood",
             allow_name: "adhoc-neighborhood",
             summary: "torus.neighborhood scans are confined to the grid arena module \
-                      (hot paths must read the shared CSR NeighborTable; annotate \
+                      (hot paths must read the shared stencil NeighborTable; annotate \
                       audit:allow(adhoc-neighborhood) at cold one-shot sites)",
-            fix: "read the shared CSR NeighborTable from the topology arena",
+            fix: "read the shared stencil NeighborTable from the topology arena",
             scopes: LIB_SRC,
             check: check_adhoc_neighborhood,
         },
@@ -553,7 +553,7 @@ fn check_adhoc_neighborhood(m: &FileModel, ctx: &Ctx) -> Vec<Finding> {
     scan_seqs(m, &[&[".", "neighborhood", "("]], |_| {
         "ad-hoc torus.neighborhood scan outside the arena module: \
          it re-derives metric offsets on every call; read the shared \
-         CSR NeighborTable instead, or annotate \
+         stencil NeighborTable instead, or annotate \
          audit:allow(adhoc-neighborhood) at a cold one-shot site"
             .to_string()
     })

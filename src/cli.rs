@@ -394,25 +394,19 @@ impl<'a> Flags<'a> {
 }
 
 /// The geometry check a subcommand runs after its flag loop (so flag
-/// order is irrelevant): a topology arena holds `nodes × |stencil|`
-/// neighbour entries behind `u32` row ends, and past that a run could
-/// only die allocating it.
-pub(crate) fn arena_fits(flags: &str, nodes: u64, r: u32, metric: Metric) -> Result<(), String> {
-    let stencil = metric.neighborhood_size(r) as u64;
-    if nodes.saturating_mul(stencil) <= NeighborTable::MAX_ENTRIES {
-        return Ok(());
-    }
-    Err(format!(
-        "{flags}: {nodes} nodes × {stencil} neighbours exceeds the arena's 2³² neighbour entries"
-    ))
+/// order is irrelevant): node ids are `u32`, so a torus names at most
+/// 2³² nodes. What fits the ids but not the host is the run guard's
+/// `error:` line ([`arenas`]).
+pub(crate) fn arena_fits(flags: &str, nodes: u64) -> Result<(), String> {
+    NeighborTable::check_nodes(nodes).map_err(|e| format!("{flags}: {e}"))
 }
 
 /// [`arena_fits`] on the `Torus::for_radius(r)` that `run`, `sweep`,
 /// `audit` and `attack` build, sized here in `u64` because a radius
 /// this check exists to refuse overflows the torus's own `u32` side.
-pub(crate) fn experiment_arena_fits(r: u32, metric: Metric) -> Result<(), String> {
+pub(crate) fn experiment_arena_fits(r: u32) -> Result<(), String> {
     let side = 4 * (2 * u64::from(r) + 1);
-    arena_fits("--r", side.saturating_mul(side), r, metric)
+    arena_fits("--r", side.saturating_mul(side))
 }
 
 #[allow(clippy::too_many_lines)]
@@ -466,7 +460,7 @@ fn parse_run(args: &[String]) -> Result<(RunSpec, Option<usize>, SweepOpts), Str
         }
     }
 
-    experiment_arena_fits(r, metric)?;
+    experiment_arena_fits(r)?;
     // resolved after the loop so `--seed` and `--repeats` order is irrelevant
     if let FaultKind::Mixed { seed: draw } = &mut behavior {
         *draw = seed;
@@ -630,14 +624,20 @@ pub fn execute(cmd: &Command) -> i32 {
     }
 }
 
-/// Builds, and holds for the caller, the arenas `experiments` run on: a
-/// geometry this host cannot allocate is one `error:` line and exit 2
-/// before anything runs, not an allocator abort in the middle of one.
+/// Builds, and holds for the caller, the arenas `experiments` run on,
+/// each with its run's node table reserved beside it
+/// ([`Experiment::run_guard`]): a geometry this host cannot allocate is
+/// one `error:` line and exit 2 before anything runs, not an allocator
+/// abort in the middle of one.
 pub(crate) fn arenas(experiments: &[Experiment]) -> Result<Vec<Arc<NeighborTable>>, i32> {
-    engine::prewarm_arenas(experiments).map_err(|e| {
-        eprintln!("error: cannot build the topology arena: {e}");
-        2
-    })
+    experiments
+        .iter()
+        .filter_map(|e| e.run_guard().transpose())
+        .collect::<Result<_, _>>()
+        .map_err(|e| {
+            eprintln!("error: cannot build the network: {e}");
+            2
+        })
 }
 
 /// How `rbcast sweep` and `rbcast attack` end once their output is
@@ -999,16 +999,22 @@ mod tests {
             ("cluster --kill 12 --width 4", "--kill"),
             (
                 "run --r 1000000",
-                "--r: 64000064000016 nodes × 4000004000000 neighbours exceeds the arena's 2³²",
+                "--r: 64000064000016 nodes exceeds the 2³² a u32 node id can name",
             ),
-            ("run --r 80 --metric l2", "--r"),
-            ("sweep --t-max 1 --r 4000000000", "exceeds the arena's"),
+            (
+                "run --r 8192 --metric l2",
+                "--r: 4295491600 nodes exceeds the 2³²",
+            ),
+            ("sweep --t-max 1 --r 4000000000", "nodes exceeds the 2³²"),
             ("attack --r 1 --r 1000000", "--r"),
             (
                 "cluster --width 100000 --height 100000",
-                "--width/--height/--r: 10000000000 nodes × 8 neighbours exceeds",
+                "--width/--height: 10000000000 nodes exceeds",
             ),
-            ("serve --node 0 --r 40000", "--width/--height/--r"),
+            (
+                "serve --node 0 --width 65536 --height 65537",
+                "--width/--height: 4295032832 nodes exceeds",
+            ),
             (
                 "cluster --protocol indirect",
                 "indirect-full | indirect-simplified",

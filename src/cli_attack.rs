@@ -54,7 +54,7 @@ pub fn parse_attack(args: &[String]) -> Result<AttackSpec, String> {
         config.rs = rs;
     }
     for &r in &config.rs {
-        crate::cli::experiment_arena_fits(r, config.metric)?;
+        crate::cli::experiment_arena_fits(r)?;
     }
     // resolved after the loop so `--seed` order is irrelevant
     if let FaultKind::Mixed { seed } = &mut config.fault_kind {

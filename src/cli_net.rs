@@ -142,15 +142,8 @@ fn parse_net_flags(
             }
         }
     }
-    let ClusterSpec {
-        width,
-        height,
-        radius,
-        metric,
-        ..
-    } = spec.cluster;
-    let nodes = u64::from(width) * u64::from(height);
-    crate::cli::arena_fits("--width/--height/--r", nodes, radius, metric)
+    let ClusterSpec { width, height, .. } = spec.cluster;
+    crate::cli::arena_fits("--width/--height", u64::from(width) * u64::from(height))
 }
 
 /// Parses `rbcast serve` flags.
@@ -305,7 +298,13 @@ fn decode_report(line: &str) -> Option<NodeReport> {
 #[must_use]
 pub fn execute_serve(spec: &ServeSpec) -> i32 {
     let cluster = spec.net.cluster;
-    let arena = cluster.arena();
+    let arena = match cluster.try_arena() {
+        Ok(arena) => arena,
+        Err(e) => {
+            eprintln!("error: cannot build the network: {e}");
+            return 2;
+        }
+    };
     if u64::from(spec.node) >= arena.len() as u64 {
         eprintln!(
             "error: node {} outside a {} node torus",
@@ -394,8 +393,20 @@ pub fn execute_serve(spec: &ServeSpec) -> i32 {
 #[must_use]
 pub fn execute_cluster(spec: &NetSpec, opts: &ClusterOpts) -> i32 {
     let cluster = spec.cluster;
+    // The loopback cluster keeps a runtime per node: reserved beside the
+    // arena first, a cluster the host cannot hold is an `error:` line.
+    let guard = cluster.try_arena().and_then(|arena| {
+        let per_node = std::mem::size_of::<Option<NodeRuntime>>();
+        rbcast_core::reserve_node_table(arena.len() as u64, per_node).map(|_| arena)
+    });
+    let n = match guard {
+        Ok(arena) => arena.len(),
+        Err(e) => {
+            eprintln!("error: cannot build the network: {e}");
+            return 2;
+        }
+    };
     let oracle = cluster.sim_oracle();
-    let n = cluster.arena().len();
     let watch = rbcast_core::obs::Stopwatch::start();
     let outcome = if opts.udp {
         run_udp_cluster(spec, opts, n)
