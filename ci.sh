@@ -59,6 +59,12 @@ find crates/*/src src -name '*.rs' -exec awk '
     END { exit bad }' {} + \
     || { echo "one-lender: NodeDriver outside a #[cfg(test)] reference"; exit 1; }
 
+echo "==> one-storage gate (the bound committer frame is the one index of §VI evidence)"
+# A two-level EvidenceStore keys chains by its frame's slots alone; an
+# ordered (committer, value) map beside them must not come back quietly.
+! grep -rn --include='*.rs' 'BTreeMap<(NodeId, Value)' crates/protocols/src \
+    || { echo "one-storage: a second committer index under crates/protocols/src"; exit 1; }
+
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 

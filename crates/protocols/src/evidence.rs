@@ -95,8 +95,10 @@ impl<'a> Geometry<'a> {
 ///
 /// let torus = Torus::new(24, 24);
 /// let table = NeighborTable::build(&torus, 2, Metric::Linf);
-/// let geo = Geometry::new(&table, Coord::new(10, 10));
+/// let me = Coord::new(10, 10);
+/// let geo = Geometry::new(&table, me);
 /// let mut ev = EvidenceStore::new(1, CommitRule::TwoLevel);
+/// ev.bind(&table, me); // the frame of committers `me` can use
 /// // two committers in one neighborhood heard directly: t+1 = 2 → commit
 /// ev.record_direct(torus.id(Coord::new(9, 9)), true);
 /// ev.record_direct(torus.id(Coord::new(11, 9)), true);
@@ -129,24 +131,21 @@ enum RuleState {
 #[derive(Debug, Default)]
 struct TwoLevel {
     /// Ball-local committer frame (span `3r`), bound once per run by
-    /// the protocol's `on_start` via [`EvidenceStore::bind`]. When
-    /// bound, evidence lives in dense slot-indexed vectors; unbound
-    /// stores (harness-driven tests) spill to the ordered map with
-    /// identical semantics.
+    /// the protocol's `on_start` via [`EvidenceStore::bind`]. It is the
+    /// store's only index: every committer a chain can be evidence
+    /// about lies inside it, and a store that was never bound indexes
+    /// nothing.
     frame: Option<LocalFrame>,
-    /// Dense per-(slot, value) chain packers: `slots[2 * slot + value]`.
+    /// One chain packer per (slot, value) pair, at `slots[2 * slot + value]`.
     slots: Vec<ChainPacker>,
-    /// Ordered spill: unbound stores and out-of-frame committers
-    /// (relays only).
-    packers: BTreeMap<(NodeId, Value), ChainPacker>,
     /// Pairs whose evidence changed since the last evaluation.
-    /// Unsorted; drained sorted + deduped so the refresh order matches
-    /// the old ordered-set drain exactly.
+    /// Unsorted; drained sorted so the refresh order matches the old
+    /// ordered-set drain exactly.
     dirty: Vec<(NodeId, Value)>,
     /// `dirty_mark[2 * slot + value]` is set while that pair sits in
-    /// `dirty`, so a dense pair is listed once however many chains
-    /// arrive between two evaluations. Sized in [`EvidenceStore::bind`]
-    /// like `slots`.
+    /// `dirty`, so a pair is listed once however many chains arrive
+    /// between two evaluations. Sized in [`EvidenceStore::bind`] like
+    /// `slots`.
     dirty_mark: Vec<bool>,
     /// Committers reliably determined (first value wins).
     determined: BTreeMap<NodeId, Value>,
@@ -248,17 +247,19 @@ impl EvidenceStore {
     }
 
     /// Binds the store to the ball-local committer frame of the node at
-    /// `me`. Every legal committer lies within L∞ distance `3r` of the
-    /// receiver (at most `2r` from the last relay — they share a
-    /// radius-`r` ball — which itself is within `r`), so a span-`3r`
-    /// frame indexes all of them; two-level evidence then lives in dense
-    /// slot vectors instead of an ordered map. The one-level rule keys
-    /// nothing by committer, so binding a one-level store does nothing
-    /// and builds no frame.
+    /// `me`. A chain is evidence only if it fits inside one radius-`r`
+    /// ball, and its last relay is the receiver's neighbour, so its
+    /// committer lies within L∞ distance `3r` of the receiver (at most
+    /// `2r` from the last relay, which itself is within `r`): a
+    /// span-`3r` frame indexes every committer a chain can be evidence
+    /// about, and two-level evidence lives in its dense slot vectors.
+    /// The one-level rule keys nothing by committer, so binding a
+    /// one-level store does nothing and builds no frame.
     ///
     /// Call before recording any evidence (the protocol binds in
-    /// `on_start`). Stores that never bind, and committers outside the
-    /// frame, use the ordered spill map with identical semantics.
+    /// `on_start`). A two-level store refuses a chain about a committer
+    /// outside the frame, and a store that was never bound indexes
+    /// nothing: recording into it is a bug in its host.
     pub fn bind(&mut self, arena: &NeighborTable, me: Coord) {
         debug_assert_eq!(self.chain_count(), 0, "bind() after evidence was recorded");
         if let RuleState::TwoLevel(two) = &mut self.state {
@@ -315,7 +316,9 @@ impl EvidenceStore {
     /// Records a report chain (`relays` committer-side first, excluding
     /// the committer and the receiving node). Returns `true` if the chain
     /// was new and undominated (dominated chains can never matter — see
-    /// `ChainPacker::insert`).
+    /// `ChainPacker::insert`). A two-level store refuses, storing and
+    /// marking nothing, a chain whose committer its frame does not
+    /// index (see [`EvidenceStore::bind`]).
     pub fn record_chain(&mut self, committer: NodeId, v: Value, relays: &[NodeId]) -> bool {
         match &mut self.state {
             RuleState::TwoLevel(two) => two.record_chain(committer, v, relays),
@@ -345,16 +348,13 @@ impl EvidenceStore {
     }
 
     /// Visits every packer with the key [`EvidenceStore::digest`] folds
-    /// it under, in storage order: dense slots, then the spill map — or
-    /// the two combined per-value packers.
+    /// it under, in storage order: the frame's slots, or the two
+    /// combined per-value packers.
     fn for_each_packer(&self, mut f: impl FnMut(u64, &ChainPacker)) {
         match &self.state {
             RuleState::TwoLevel(two) => {
                 for (slot, p) in two.slots.iter().enumerate() {
                     f(slot as u64, p);
-                }
-                for (&(id, v), p) in &two.packers {
-                    f((u64::from(id.0) << 1) | u64::from(v), p);
                 }
             }
             RuleState::OneLevel { combined, .. } => {
@@ -436,73 +436,49 @@ impl EvidenceStore {
 }
 
 impl TwoLevel {
-    /// Dense slot of `committer` when the store is bound and the
-    /// committer is inside the frame.
-    fn slot_index(&self, committer: NodeId) -> Option<usize> {
-        self.frame.as_ref()?.slot_of_id(committer)
+    /// Index of `(committer, v)` in `slots` and `dirty_mark`, if the
+    /// frame indexes `committer`.
+    fn index(&self, committer: NodeId, v: Value) -> Option<usize> {
+        debug_assert!(self.frame.is_some(), "two-level evidence before bind()");
+        let slot = self.frame.as_ref()?.slot_of_id(committer)?;
+        // audit:allow(checked-threshold-arith): dense slot indexing, not bound arithmetic
+        Some(2 * slot + usize::from(v))
     }
 
     fn record_chain(&mut self, committer: NodeId, v: Value, relays: &[NodeId]) -> bool {
         let Some(keys) = KeyBuf::pack(None, relays) else {
             return false;
         };
-        if self.retired && self.heard_directly(committer) {
+        let Some(i) = self.index(committer, v) else {
+            return false;
+        };
+        if self.retired && self.heard_directly(i) {
             return false;
         }
-        let slot = self.slot_index(committer);
-        // audit:allow(checked-threshold-arith): dense slot indexing, not bound arithmetic
-        let dense = slot.map(|slot| 2 * slot + usize::from(v));
-        let packer = match dense {
-            Some(i) => &mut self.slots[i],
-            None => self.packers.entry((committer, v)).or_default(),
-        };
-        let new = packer.insert(keys.as_slice());
+        let new = self.slots[i].insert(keys.as_slice());
         if self.retired {
             if relays.is_empty() {
-                self.keep_only_direct(committer);
+                self.keep_only_direct(i);
             }
         } else if new {
-            self.mark_dirty(dense, committer, v);
+            self.mark_dirty(i, committer, v);
         }
         new
     }
 
-    /// The packer of `(committer, v)`, if one exists.
-    fn packer(&self, committer: NodeId, v: Value) -> Option<&ChainPacker> {
-        match self.slot_index(committer) {
-            // audit:allow(checked-threshold-arith): dense slot indexing, not bound arithmetic
-            Some(slot) => Some(&self.slots[2 * slot + usize::from(v)]),
-            None => self.packers.get(&(committer, v)),
-        }
+    /// Whether the committer at index `i` was heard directly, with
+    /// either value (its pair sits at `i & !1` and `i | 1`).
+    fn heard_directly(&self, i: usize) -> bool {
+        self.slots[i & !1..=i | 1]
+            .iter()
+            .any(ChainPacker::has_direct)
     }
 
-    /// Whether `committer` was heard directly, with either value.
-    fn heard_directly(&self, committer: NodeId) -> bool {
-        [false, true].into_iter().any(|v| {
-            self.packer(committer, v)
-                .is_some_and(ChainPacker::has_direct)
-        })
-    }
-
-    /// Drops every chain about `committer` but a direct observation.
-    fn keep_only_direct(&mut self, committer: NodeId) {
-        match self.slot_index(committer) {
-            Some(slot) => {
-                // audit:allow(checked-threshold-arith): dense slot indexing, not bound arithmetic
-                for packer in &mut self.slots[2 * slot..2 * slot + 2] {
-                    packer.retain_shorter_than(1);
-                }
-            }
-            None => {
-                for v in [false, true] {
-                    if let Some(packer) = self.packers.get_mut(&(committer, v)) {
-                        packer.retain_shorter_than(1);
-                        if packer.is_empty() {
-                            self.packers.remove(&(committer, v));
-                        }
-                    }
-                }
-            }
+    /// Drops every chain but a direct observation about the committer
+    /// at index `i`, under either value.
+    fn keep_only_direct(&mut self, i: usize) {
+        for packer in &mut self.slots[i & !1..=i | 1] {
+            packer.retain_shorter_than(1);
         }
     }
 
@@ -518,36 +494,19 @@ impl TwoLevel {
                 packer.retain_shorter_than(keep);
             }
         }
-        let settled: Vec<NodeId> = self
-            .packers
-            .iter()
-            .filter(|(_, packer)| packer.has_direct())
-            .map(|(&(c, _), _)| c)
-            .collect();
-        self.packers.retain(|(c, _), packer| {
-            packer.retain_shorter_than(if settled.contains(c) { 1 } else { max_relays });
-            !packer.is_empty()
-        });
         self.dirty = Vec::new();
         self.dirty_mark = Vec::new();
         self.determined = BTreeMap::new();
         self.retired = true;
     }
 
-    /// Lists `(committer, v)` for the next level-1 refresh, once: a dense
-    /// pair by its mark, a spill pair against the last entry (a forged
-    /// committer's burst; the sorted drain dedups the rest).
-    fn mark_dirty(&mut self, dense: Option<usize>, committer: NodeId, v: Value) {
-        let listed = match dense {
-            Some(i) => self.dirty_mark[i],
-            None => self.dirty.last() == Some(&(committer, v)),
-        };
-        if listed || self.determined.contains_key(&committer) {
+    /// Lists `(committer, v)`, whose pair holds slot index `i`, for the
+    /// next level-1 refresh, once: its mark stays set until the refresh.
+    fn mark_dirty(&mut self, i: usize, committer: NodeId, v: Value) {
+        if self.dirty_mark[i] || self.determined.contains_key(&committer) {
             return;
         }
-        if let Some(i) = dense {
-            self.dirty_mark[i] = true;
-        }
+        self.dirty_mark[i] = true;
         self.dirty.push((committer, v));
     }
 
@@ -555,16 +514,16 @@ impl TwoLevel {
         // Level 1: refresh determinations for dirty (committer, value)
         // pairs. A pair failing now is re-marked dirty by the next chain
         // arrival for it.
-        // Sorted + deduped drain: reproduces the (committer, value)
-        // iteration order of the ordered set this list replaced, so
-        // refresh order is identical on every run with the same seed.
+        // Sorted drain: reproduces the (committer, value) iteration order
+        // of the ordered set this list replaced, so refresh order is
+        // identical on every run with the same seed. The marks already
+        // list each pair once.
         if self.dirty.is_empty() {
             return None;
         }
         let mut dirty = std::mem::take(&mut self.dirty);
         self.dirty_mark.fill(false);
         dirty.sort_unstable();
-        dirty.dedup();
         let mut newly = false;
         with_scratch(|scratch| {
             for (committer, v) in dirty {
@@ -616,9 +575,10 @@ impl TwoLevel {
         committer: NodeId,
         v: Value,
     ) -> bool {
-        let Some(packer) = self.packer(committer, v) else {
+        let Some(i) = self.index(committer, v) else {
             return false;
         };
+        let packer = &self.slots[i];
         if packer.has_direct() {
             return true;
         }
@@ -646,6 +606,14 @@ mod tests {
         torus.id(Coord::new(x, y))
     }
 
+    /// A store for the node at (10, 10), the evaluator of every test,
+    /// bound as `Indirect::on_start` binds it.
+    fn store(t: usize, rule: CommitRule, table: &NeighborTable) -> EvidenceStore {
+        let mut ev = EvidenceStore::new(t, rule);
+        ev.bind(table, Coord::new(10, 10));
+        ev
+    }
+
     /// A two-level store's pending level-1 refresh list.
     fn dirty(ev: &EvidenceStore) -> &[(NodeId, Value)] {
         match &ev.state {
@@ -661,7 +629,7 @@ mod tests {
         let torus = Torus::new(24, 24);
         let table = table(&torus);
         let geo = Geometry::new(&table, Coord::new(10, 10));
-        let mut ev = EvidenceStore::new(2, CommitRule::TwoLevel);
+        let mut ev = store(2, CommitRule::TwoLevel, &table);
         ev.record_direct(id(&torus, 9, 9), true);
         let _ = ev.evaluate(&geo);
         assert_eq!(ev.determined().len(), 1);
@@ -673,7 +641,7 @@ mod tests {
         let table = table(&torus);
         let geo = Geometry::new(&table, Coord::new(10, 10));
         let t = 2;
-        let mut ev = EvidenceStore::new(t, CommitRule::TwoLevel);
+        let mut ev = store(t, CommitRule::TwoLevel, &table);
         // three committers inside one neighborhood of `me`, all heard
         // directly
         for x in 0..3 {
@@ -687,7 +655,7 @@ mod tests {
         let torus = Torus::new(24, 24);
         let table = table(&torus);
         let geo = Geometry::new(&table, Coord::new(10, 10));
-        let mut ev = EvidenceStore::new(2, CommitRule::TwoLevel);
+        let mut ev = store(2, CommitRule::TwoLevel, &table);
         ev.record_direct(id(&torus, 9, 9), true);
         ev.record_direct(id(&torus, 10, 9), true);
         assert_eq!(ev.evaluate(&geo), None);
@@ -699,7 +667,7 @@ mod tests {
         let table = table(&torus);
         let geo = Geometry::new(&table, Coord::new(10, 10));
         let t = 1;
-        let mut ev = EvidenceStore::new(t, CommitRule::TwoLevel);
+        let mut ev = store(t, CommitRule::TwoLevel, &table);
         let committer = id(&torus, 12, 12); // not a direct neighbor of me
                                             // two disjoint chains through distinct relays near the committer
         ev.record_chain(committer, true, &[id(&torus, 11, 12)]);
@@ -713,7 +681,7 @@ mod tests {
         let torus = Torus::new(24, 24);
         let table = table(&torus);
         let geo = Geometry::new(&table, Coord::new(10, 10));
-        let mut ev = EvidenceStore::new(1, CommitRule::TwoLevel);
+        let mut ev = store(1, CommitRule::TwoLevel, &table);
         let committer = id(&torus, 12, 12);
         let shared_relay = id(&torus, 11, 12);
         ev.record_chain(committer, true, &[shared_relay]);
@@ -727,7 +695,7 @@ mod tests {
         let torus = Torus::new(24, 24);
         let table = table(&torus);
         let geo = Geometry::new(&table, Coord::new(10, 10));
-        let mut ev = EvidenceStore::new(1, CommitRule::TwoLevel);
+        let mut ev = store(1, CommitRule::TwoLevel, &table);
         let committer = id(&torus, 12, 12);
         // relays too far apart to share a ball with the committer
         ev.record_chain(committer, true, &[id(&torus, 10, 12)]);
@@ -742,7 +710,7 @@ mod tests {
         let table = table(&torus);
         let geo = Geometry::new(&table, Coord::new(10, 10));
         let t = 1;
-        let mut ev = EvidenceStore::new(t, CommitRule::OneLevel);
+        let mut ev = store(t, CommitRule::OneLevel, &table);
         // two chains with distinct committers and distinct relays, all
         // within the ball centered at (10, 10)
         ev.record_chain(id(&torus, 9, 9), true, &[id(&torus, 10, 9)]);
@@ -755,7 +723,7 @@ mod tests {
         let torus = Torus::new(24, 24);
         let table = table(&torus);
         let geo = Geometry::new(&table, Coord::new(10, 10));
-        let mut ev = EvidenceStore::new(1, CommitRule::OneLevel);
+        let mut ev = store(1, CommitRule::OneLevel, &table);
         let committer = id(&torus, 9, 9);
         ev.record_chain(committer, true, &[id(&torus, 10, 9)]);
         ev.record_chain(committer, true, &[id(&torus, 9, 10)]);
@@ -765,7 +733,8 @@ mod tests {
     #[test]
     fn duplicate_chains_are_ignored() {
         let torus = Torus::new(24, 24);
-        let mut ev = EvidenceStore::new(1, CommitRule::TwoLevel);
+        let table = table(&torus);
+        let mut ev = store(1, CommitRule::TwoLevel, &table);
         let committer = id(&torus, 12, 12);
         assert!(ev.record_chain(committer, true, &[id(&torus, 11, 12)]));
         assert!(!ev.record_chain(committer, true, &[id(&torus, 11, 12)]));
@@ -777,7 +746,7 @@ mod tests {
         let torus = Torus::new(24, 24);
         let table = table(&torus);
         let geo = Geometry::new(&table, Coord::new(10, 10));
-        let mut ev = EvidenceStore::new(0, CommitRule::TwoLevel);
+        let mut ev = store(0, CommitRule::TwoLevel, &table);
         ev.record_direct(id(&torus, 9, 9), false);
         assert_eq!(ev.evaluate(&geo), Some(false));
         // no new evidence: second call must be cheap and return None
@@ -789,7 +758,7 @@ mod tests {
         let torus = Torus::new(24, 24);
         let table = table(&torus);
         let geo = Geometry::new(&table, Coord::new(10, 10));
-        let mut ev = EvidenceStore::new(1, CommitRule::TwoLevel);
+        let mut ev = store(1, CommitRule::TwoLevel, &table);
         ev.record_direct(id(&torus, 9, 9), true);
         ev.record_direct(id(&torus, 10, 9), false);
         // one vote each: neither reaches t+1 = 2
@@ -809,7 +778,7 @@ mod tests {
         let table = table(&torus);
         let geo = Geometry::new(&table, Coord::new(10, 10));
         let t = 3;
-        let mut ev = EvidenceStore::new(t, CommitRule::TwoLevel);
+        let mut ev = store(t, CommitRule::TwoLevel, &table);
         let victim = id(&torus, 12, 12);
         for k in 0..t {
             let forger = id(&torus, 11, 11 + k as i64 - 1);
@@ -827,7 +796,7 @@ mod tests {
         let torus = Torus::new(24, 24);
         let table = table(&torus);
         let geo = Geometry::new(&table, Coord::new(10, 10));
-        let mut ev = EvidenceStore::new(1, CommitRule::TwoLevel);
+        let mut ev = store(1, CommitRule::TwoLevel, &table);
         let victim = id(&torus, 12, 12);
         let forger = id(&torus, 11, 12);
         for k in 0..6i64 {
@@ -843,7 +812,7 @@ mod tests {
         let table = table(&torus);
         let geo = Geometry::new(&table, Coord::new(10, 10));
         let t = 2;
-        let mut ev = EvidenceStore::new(t, CommitRule::TwoLevel);
+        let mut ev = store(t, CommitRule::TwoLevel, &table);
         let committer = id(&torus, 12, 12);
         // t disjoint chains (possibly faulty relays) plus one more —
         // t+1 disjoint chains within one ball determine the value.
@@ -864,7 +833,7 @@ mod tests {
         // (10, 13) — distance r+1 = 3 from me (r = 2).
         let table = table(&torus);
         let geo = Geometry::new(&table, Coord::new(10, 10));
-        let mut ev = EvidenceStore::new(t, CommitRule::TwoLevel);
+        let mut ev = store(t, CommitRule::TwoLevel, &table);
         ev.record_direct(id(&torus, 10, 12), true);
         ev.record_direct(id(&torus, 9, 12), true);
         assert_eq!(ev.evaluate(&geo), Some(true));
@@ -886,13 +855,15 @@ mod tests {
         /// *honest* committer must pass through at least one faulty
         /// relay. Everything else — chain shapes, committer choices,
         /// interleaving with truthful evidence — is adversarial.
+        /// Committers are drawn from the frame the store binds, so no
+        /// generated chain is refused.
         #[test]
         fn bounded_faults_never_produce_a_wrong_commit(
             t in 1usize..=3,
             fault_pts in proptest::collection::vec((0i64..24, 0i64..24), 0..4),
-            truth_pts in proptest::collection::vec((0i64..24, 0i64..24), 0..6),
+            truth_pts in proptest::collection::vec((4i64..=16, 4i64..=16), 0..6),
             chain_spec in proptest::collection::vec(
-                ((0i64..24, 0i64..24), proptest::collection::vec((0i64..24, 0i64..24), 0..4)),
+                ((4i64..=16, 4i64..=16), proptest::collection::vec((0i64..24, 0i64..24), 0..4)),
                 0..32,
             ),
         ) {
@@ -908,7 +879,7 @@ mod tests {
             let faulty: BTreeSet<NodeId> = fault_pts.iter().take(t).map(at).collect();
 
             for rule in [CommitRule::TwoLevel, CommitRule::OneLevel] {
-                let mut ev = EvidenceStore::new(t, rule);
+                let mut ev = store(t, rule, &table);
                 // Truthful background: direct announcements of the true
                 // value, which must never help a wrong commit.
                 for p in &truth_pts {
@@ -951,79 +922,60 @@ mod tests {
     }
 
     #[test]
-    fn out_of_frame_committer_spills_and_matches_unbound_semantics() {
+    fn out_of_frame_committer_is_refused() {
         // A forged chain can name a committer far beyond the 3r frame a
-        // bound store indexes densely (no *valid* chain can — 2r from
-        // the last relay, which is within r of us — but a liar is not
-        // bound by validity). Such a committer must take the ordered
-        // spill path, and the spill path must be observably identical
-        // to the unbound store's: same insertion verdicts, same chain
-        // counts, same determinations, same commit decision.
+        // bound store indexes (no *valid* chain can — 2r from the last
+        // relay, which is within r of us — but a liar is not bound by
+        // validity). Such a chain is refused: it stores and marks
+        // nothing, so the store is exactly the in-frame stream's.
         let torus = Torus::new(24, 24);
         let table = table(&torus);
         let me = Coord::new(10, 10);
         let geo = Geometry::new(&table, me);
         let t = 1;
 
-        let near = id(&torus, 12, 12); // inside the frame: dense slots
+        let near = id(&torus, 12, 12); // inside the frame
         let far = id(&torus, 22, 22); // wrap displacement (±12, ±12) > 3r = 6
         let frame = table.local_frame(me, 6);
         assert!(frame.slot_of_id(near).is_some(), "near committer indexed");
-        assert!(frame.slot_of_id(far).is_none(), "forged committer spills");
+        assert!(frame.slot_of_id(far).is_none(), "forged committer outside");
 
-        // Identical evidence stream for both stores: an honestly
-        // determined in-frame committer, then forged chains about the
-        // out-of-frame one (including an exact duplicate).
-        let feed = |ev: &mut EvidenceStore| {
-            vec![
-                ev.record_chain(near, true, &[id(&torus, 11, 12)]),
-                ev.record_chain(near, true, &[id(&torus, 12, 11)]),
-                ev.record_chain(far, false, &[id(&torus, 11, 11)]),
-                ev.record_chain(far, false, &[id(&torus, 11, 11)]),
-                ev.record_chain(far, false, &[id(&torus, 13, 11)]),
-            ]
-        };
-        let mut bound = EvidenceStore::new(t, CommitRule::TwoLevel);
-        bound.bind(&table, me);
-        let mut unbound = EvidenceStore::new(t, CommitRule::TwoLevel);
-        let verdicts = feed(&mut bound);
-        assert_eq!(verdicts, feed(&mut unbound), "insertion verdicts agree");
-        assert_eq!(verdicts, [true, true, true, false, true], "dup dominated");
-        assert_eq!(bound.chain_count(), unbound.chain_count());
+        // An honestly determined in-frame committer, then forged chains
+        // about the out-of-frame one (including an exact duplicate).
+        let mut bound = store(t, CommitRule::TwoLevel, &table);
+        let verdicts = [
+            bound.record_chain(near, true, &[id(&torus, 11, 12)]),
+            bound.record_chain(near, true, &[id(&torus, 12, 11)]),
+            bound.record_chain(far, false, &[id(&torus, 11, 11)]),
+            bound.record_chain(far, false, &[id(&torus, 11, 11)]),
+            bound.record_chain(far, false, &[id(&torus, 13, 11)]),
+        ];
+        assert_eq!(verdicts, [true, true, false, false, false], "far refused");
 
-        // The forged chains are stored but inert: the far committer
-        // shares no ball with its claimed relays, so only the honest
-        // in-frame committer is determined — identically in both
-        // stores — and neither store commits (one determination < t+1).
-        assert_eq!(bound.evaluate(&geo), unbound.evaluate(&geo));
-        assert_eq!(bound.determined(), unbound.determined());
-        assert_eq!(bound.determined().get(&near), Some(&true));
-        assert!(!bound.determined().contains_key(&far));
-
-        // The spill map participates in the evidence digest: replaying
-        // the stream into a fresh bound store reproduces it exactly,
-        // and dropping the forged chains changes it.
-        let mut replay = EvidenceStore::new(t, CommitRule::TwoLevel);
-        replay.bind(&table, me);
-        let _ = feed(&mut replay);
-        assert_eq!(bound.digest(), replay.digest());
-        let mut clean = EvidenceStore::new(t, CommitRule::TwoLevel);
-        clean.bind(&table, me);
+        let mut clean = store(t, CommitRule::TwoLevel, &table);
         clean.record_chain(near, true, &[id(&torus, 11, 12)]);
         clean.record_chain(near, true, &[id(&torus, 12, 11)]);
-        assert_ne!(clean.digest(), bound.digest(), "spill chains are folded");
+        assert_eq!(dirty(&bound), dirty(&clean), "far marks nothing");
+        assert_eq!(bound.chain_count(), clean.chain_count());
+        assert_eq!(bound.digest(), clean.digest());
+
+        // Only the honest in-frame committer is determined, and neither
+        // store commits (one determination < t+1).
+        assert_eq!(bound.evaluate(&geo), clean.evaluate(&geo));
+        assert_eq!(bound.determined(), clean.determined());
+        assert_eq!(bound.determined().get(&near), Some(&true));
+        assert!(!bound.determined().contains_key(&far));
     }
 
     #[test]
     fn digest_is_pinned_for_a_fixed_two_level_stream() {
-        // Dense slots, a direct observation and one spill committer. The
-        // value was computed when chains stored `u64` relays and `digest`
-        // folded them as a slice; it must not move with the layout.
+        // Dense slots, a direct observation and one refused committer.
+        // The value was computed when chains stored `u64` relays and
+        // `digest` folded them as a slice; it must not move with the
+        // layout.
         let torus = Torus::new(24, 24);
         let table = table(&torus);
-        let me = Coord::new(10, 10);
-        let mut ev = EvidenceStore::new(1, CommitRule::TwoLevel);
-        ev.bind(&table, me);
+        let mut ev = store(1, CommitRule::TwoLevel, &table);
         let near = id(&torus, 12, 12);
         let other = id(&torus, 9, 8);
         let far = id(&torus, 22, 22);
@@ -1036,10 +988,10 @@ mod tests {
             &[id(&torus, 13, 11), id(&torus, 12, 10), id(&torus, 11, 10)],
         );
         ev.record_chain(other, true, &[id(&torus, 9, 9)]);
-        ev.record_chain(far, false, &[id(&torus, 11, 11)]);
-        ev.record_chain(far, false, &[id(&torus, 13, 11), id(&torus, 11, 9)]);
-        assert_eq!(ev.chain_count(), 7);
-        assert_eq!(ev.digest(), 0xde42_5854_baca_d606);
+        assert!(!ev.record_chain(far, false, &[id(&torus, 11, 11)]));
+        assert!(!ev.record_chain(far, false, &[id(&torus, 13, 11), id(&torus, 11, 9)]));
+        assert_eq!(ev.chain_count(), 5);
+        assert_eq!(ev.digest(), 0x1514_fda2_84a8_5630);
     }
 
     /// The fixed one-level stream the digest below is pinned for; every
@@ -1073,7 +1025,8 @@ mod tests {
         // every rule's fields at once; splitting it by rule must not
         // move it.
         let torus = Torus::new(24, 24);
-        let mut ev = EvidenceStore::new(1, CommitRule::OneLevel);
+        let table = table(&torus);
+        let mut ev = store(1, CommitRule::OneLevel, &table);
         let verdicts = feed_one_level(&mut ev, &torus);
         assert_eq!(
             verdicts,
@@ -1138,9 +1091,8 @@ mod tests {
             let geo = Geometry::new(&table, me);
             let answers = |fresh: bool| {
                 FRESH_SCRATCH_PER_QUERY.set(fresh);
-                let mut one = EvidenceStore::new(t, CommitRule::OneLevel);
-                let mut two = EvidenceStore::new(t, CommitRule::TwoLevel);
-                two.bind(&table, me);
+                let mut one = store(t, CommitRule::OneLevel, &table);
+                let mut two = store(t, CommitRule::TwoLevel, &table);
                 let mut answers = Vec::new();
                 for ((cx, cy), relay_pts, flags) in &stream {
                     let committer = id(&torus, *cx, *cy);
@@ -1175,32 +1127,40 @@ mod tests {
         let me = Coord::new(10, 10);
         let geo = Geometry::new(&table, me);
         let committers = [id(&torus, 12, 12), id(&torus, 9, 12), id(&torus, 12, 9)];
-        let feed = |ev: &mut EvidenceStore| {
-            let mut new = 0;
+        // Feeds the chains, evaluating after each one when `each` is set;
+        // returns how many were new and the first commit an evaluation
+        // returned.
+        let feed = |ev: &mut EvidenceStore, each: bool| {
+            let (mut new, mut commit) = (0, None);
             for k in 0..1_000u32 {
                 // k mod 6 picks the pair; within a pair the two-relay
                 // chains are pairwise incomparable, so all of them stick
                 let relays = [NodeId(k / 6), NodeId(200 + k / 6)];
                 new +=
                     usize::from(ev.record_chain(committers[k as usize % 3], k % 2 == 0, &relays));
+                if each {
+                    assert!(dirty(ev).len() <= 1, "one chain lists one pair");
+                    commit = commit.or(ev.evaluate(&geo));
+                }
             }
-            new
+            (new, commit)
         };
-        let mut bound = EvidenceStore::new(1, CommitRule::TwoLevel);
-        bound.bind(&table, me);
-        assert_eq!(feed(&mut bound), 1_000);
+        let mut bound = store(1, CommitRule::TwoLevel, &table);
+        assert_eq!(feed(&mut bound, false), (1_000, None));
         assert!(
             dirty(&bound).len() <= 6,
             "{} dirty entries",
             dirty(&bound).len()
         );
 
-        // The marks only dedupe: the refresh answers as the unmarked
-        // (unbound) store does, and listing starts afresh afterwards.
-        let mut unbound = EvidenceStore::new(1, CommitRule::TwoLevel);
-        assert_eq!(feed(&mut unbound), 1_000);
-        assert_eq!(bound.evaluate(&geo), unbound.evaluate(&geo));
-        assert_eq!(bound.determined(), unbound.determined());
+        // The marks only dedupe: the refresh answers as a store evaluated
+        // after every chain does (its marks never meet a listed pair),
+        // and listing starts afresh afterwards.
+        let mut reference = store(1, CommitRule::TwoLevel, &table);
+        let (new, commit) = feed(&mut reference, true);
+        assert_eq!(new, 1_000);
+        assert_eq!(bound.evaluate(&geo), commit);
+        assert_eq!(bound.determined(), reference.determined());
         assert!(dirty(&bound).is_empty());
         assert!(bound.record_chain(committers[0], true, &[NodeId(500)]));
         assert_eq!(dirty(&bound), [(committers[0], true)]);
@@ -1211,7 +1171,7 @@ mod tests {
         let torus = Torus::new(24, 24);
         let table = table(&torus);
         let geo = Geometry::new(&table, Coord::new(10, 10));
-        let mut ev = EvidenceStore::new(0, CommitRule::TwoLevel);
+        let mut ev = store(0, CommitRule::TwoLevel, &table);
         let committer = id(&torus, 12, 12);
         ev.record_chain(committer, true, &[id(&torus, 11, 12)]);
         let _ = ev.evaluate(&geo);
@@ -1226,33 +1186,31 @@ mod tests {
     fn retire_keeps_a_direct_observation_and_the_shorter_chains() {
         let torus = Torus::new(24, 24);
         let table = table(&torus);
-        let me = Coord::new(10, 10);
         let (a, b, far) = (id(&torus, 12, 12), id(&torus, 9, 8), id(&torus, 22, 22));
         let relay = |x| id(&torus, 11, x);
-        let mut ev = EvidenceStore::new(1, CommitRule::TwoLevel);
-        ev.bind(&table, me);
+        let mut ev = store(1, CommitRule::TwoLevel, &table);
         ev.record_direct(a, true);
         ev.record_chain(a, false, &[relay(8)]);
-        for c in [b, far] {
-            ev.record_chain(c, true, &[relay(9)]);
-            ev.record_chain(c, true, &[relay(10), relay(11), relay(12)]);
-        }
-        assert_eq!(ev.chain_count(), 6);
+        ev.record_chain(b, true, &[relay(9)]);
+        ev.record_chain(b, true, &[relay(10), relay(11), relay(12)]);
+        assert!(!ev.record_chain(far, true, &[relay(9)]), "far is refused");
+        assert!(!ev.record_chain(far, true, &[relay(10), relay(11), relay(12)]));
+        assert_eq!(ev.chain_count(), 4);
         ev.retire(3);
-        // a's direct observation, and the one-relay chain about b and far
-        assert_eq!(ev.chain_count(), 3);
+        // a's direct observation, and the one-relay chain about b
+        assert_eq!(ev.chain_count(), 2);
         assert!(ev.determined().is_empty() && dirty(&ev).is_empty());
         assert!(!ev.record_chain(a, false, &[relay(13)]), "a is settled");
         assert!(ev.record_chain(b, true, &[relay(10), relay(11)]));
         assert!(dirty(&ev).is_empty(), "a retired store lists nothing");
-        // A late direct observation settles its committer, dense or spilled.
-        for c in [b, far] {
-            ev.record_direct(c, true);
-            assert!(!ev.record_chain(c, true, &[relay(13)]));
-        }
-        assert_eq!(ev.chain_count(), 3, "three direct observations");
+        // A late direct observation settles its committer.
+        ev.record_direct(b, true);
+        assert!(!ev.record_chain(b, true, &[relay(13)]));
+        ev.record_direct(far, true);
+        assert!(!ev.record_chain(far, true, &[relay(13)]), "far is refused");
+        assert_eq!(ev.chain_count(), 2, "two direct observations");
 
-        let mut one = EvidenceStore::new(1, CommitRule::OneLevel);
+        let mut one = store(1, CommitRule::OneLevel, &table);
         one.record_chain(a, true, &[relay(9)]);
         one.retire(1);
         assert_eq!(one.chain_count(), 0);
@@ -1272,8 +1230,7 @@ mod tests {
         /// chain about a committer not yet heard directly. So only the
         /// verdicts on those forwardable chains must agree. As in the
         /// protocol, each committer is recorded directly at most once,
-        /// and the stores are bound so both the dense and the spill path
-        /// run (the last committer lies outside the frame).
+        /// and the stores are bound as the protocol binds them.
         #[test]
         fn retire_keeps_every_verdict_a_committed_node_reads(
             stream in proptest::collection::vec(
@@ -1286,16 +1243,13 @@ mod tests {
 
             let torus = Torus::new(24, 24);
             let table = table(&torus);
-            let me = Coord::new(10, 10);
             let committers =
-                [(12, 12), (9, 8), (11, 10), (22, 22)].map(|(x, y)| id(&torus, x, y));
+                [(12, 12), (9, 8), (11, 10), (14, 6)].map(|(x, y)| id(&torus, x, y));
             let pool = [committers[1], committers[2], id(&torus, 10, 11), id(&torus, 11, 11), id(&torus, 9, 10)];
             for rule in [CommitRule::TwoLevel, CommitRule::OneLevel] {
                 for max_relays in [1, 3] {
-                    let mut kept = EvidenceStore::new(1, rule);
-                    let mut retired = EvidenceStore::new(1, rule);
-                    kept.bind(&table, me);
-                    retired.bind(&table, me);
+                    let mut kept = store(1, rule, &table);
+                    let mut retired = store(1, rule, &table);
                     let mut heard = BTreeSet::new();
                     for (i, (c, picks, shape)) in stream.iter().enumerate() {
                         let committed = i >= commit_at % (stream.len() + 1);

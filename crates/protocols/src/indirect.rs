@@ -242,8 +242,10 @@ impl Indirect {
 impl Process<Msg> for Indirect {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
         // Bind the evidence store to this node's ball-local committer
-        // frame: any committer a valid chain can name is within 3r (2r
-        // from the last relay, which is within r of us).
+        // frame, its only index: a chain is evidence only if it fits in
+        // one radius-r ball with its last relay, our neighbour, so its
+        // committer is within 3r of us. A store never bound would
+        // record nothing and never commit.
         self.evidence.bind(ctx.arena(), ctx.coord());
         if ctx.id() == self.source {
             self.committed = true;
@@ -464,12 +466,10 @@ mod tests {
                 value: true,
                 t: 1,
             };
-            let proc = Indirect::new(params, IndirectConfig::full());
-            (
-                Harness::new(torus.clone(), 2, Metric::Linf, me),
-                proc,
-                torus,
-            )
+            let mut proc = Indirect::new(params, IndirectConfig::full());
+            let mut h = Harness::new(torus.clone(), 2, Metric::Linf, me);
+            h.start(&mut proc);
+            (h, proc, torus)
         }
 
         fn id(torus: &Torus, x: i64, y: i64) -> rbcast_grid::NodeId {
@@ -697,6 +697,60 @@ mod tests {
                 h.drain_outbox().is_empty(),
                 "a full chain has no room for us"
             );
+        }
+
+        /// The frame a store binds indexes every committer a one-relay
+        /// chain can be evidence about, so refusing the rest changes no
+        /// verdict. For each receiver, on the seam and off it, every
+        /// neighbour `from` delivers `HEARD(C, true, [from])` about every
+        /// committer `C` within L∞ `3r + 1`, each to a freshly started
+        /// node: it is recorded iff some lattice center lies within `r`
+        /// of both `C` and `from`.
+        #[test]
+        fn every_chain_that_fits_one_neighborhood_is_recorded() {
+            for r in [1, 2] {
+                let torus = Torus::for_radius(r);
+                let params = ProtocolParams {
+                    source: torus.id(Coord::ORIGIN),
+                    value: true,
+                    t: 1,
+                };
+                let reach = 3 * i64::from(r) + 1;
+                let side = i64::from(torus.width());
+                for metric in [Metric::Linf, Metric::L2] {
+                    for me in [
+                        Coord::new(1, 0),
+                        Coord::new(side - 1, side - 2),
+                        Coord::new(side / 2, side / 2),
+                    ] {
+                        let me_id = torus.id(me);
+                        let mut h = Harness::new(torus.clone(), r, metric, me_id);
+                        let near = |a: Coord, b: Coord| torus.within(a, b, r, metric);
+                        for from in torus.coords().filter(|&c| c != me && near(me, c)) {
+                            let from_id = torus.id(from);
+                            for dy in -reach..=reach {
+                                for dx in -reach..=reach {
+                                    let c = torus.canonical(me + Coord::new(dx, dy));
+                                    if c == me || c == from {
+                                        continue;
+                                    }
+                                    let fits = torus.coords().any(|z| near(z, c) && near(z, from));
+                                    let mut p = Indirect::new(params, IndirectConfig::full());
+                                    h.start(&mut p);
+                                    let msg = Msg::heard(torus.id(c), true, &[from_id]);
+                                    h.deliver(&mut p, from_id, &msg);
+                                    let _ = h.drain_outbox();
+                                    assert_eq!(
+                                        p.evidence().chain_count() == 1,
+                                        fits,
+                                        "r={r} {metric:?} me={me} from={from} committer={c}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
         }
 
         #[test]

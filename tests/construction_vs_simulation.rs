@@ -22,7 +22,10 @@ fn constructed_chains_determine_committer() {
     assert_eq!(paths.len(), r_2r_plus_1(r));
 
     let t = 4usize; // t_max for r = 2
+    let me = worst_case_p(r) + offset;
+    let arena = NeighborTable::build(&torus, r, Metric::Linf);
     let mut ev = EvidenceStore::new(t, CommitRule::TwoLevel);
+    ev.bind(&arena, me);
     let committer = torus.id(committer_rel + offset);
     for path in &paths {
         // path = [N, relays..., P]; the receiving node is P itself.
@@ -32,8 +35,6 @@ fn constructed_chains_determine_committer() {
             .collect();
         ev.record_chain(committer, true, &relays);
     }
-    let me = worst_case_p(r) + offset;
-    let arena = NeighborTable::build(&torus, r, Metric::Linf);
     let geo = Geometry::new(&arena, me);
     let _ = ev.evaluate(&geo);
     assert_eq!(ev.determined().get(&committer), Some(&true));
