@@ -15,6 +15,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo clippy (debug-invariants) -- -D warnings"
 cargo clippy --workspace --all-targets --features rbcast/debug-invariants -- -D warnings
 
+echo "==> cargo doc -D warnings (public docs link only to public items)"
+# Narrowing an item to pub(crate) turns a public doc's link to it into
+# rustdoc's private_intra_doc_links warning; the vendored stand-ins are
+# not this workspace's documentation.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --exclude proptest --exclude rand --no-deps
+
 echo "==> cargo xtask audit --format json (machine-readable gate)"
 audit_json=target/audit_report.json
 cargo xtask audit --format json > "$audit_json" \

@@ -13,7 +13,7 @@ use rbcast_adversary::Placement;
 use rbcast_core::{thresholds, Experiment, FaultKind, ProtocolKind};
 use rbcast_protocols::{CommitRule, IndirectConfig};
 
-pub fn run(v: &mut Verdicts, _: Size) {
+pub(crate) fn run(v: &mut Verdicts, _: Size) {
     let r = 2u32;
     let t = thresholds::byzantine_max_t(r) as usize;
     header(&format!(

@@ -21,7 +21,7 @@ use rbcast_adversary::{local_fault_bound, AttackScore, Placement};
 use rbcast_core::attack::{run_attack, AttackConfig};
 use rbcast_core::{Experiment, FaultKind, ProtocolKind};
 
-pub fn run(v: &mut Verdicts, size: Size) {
+pub(crate) fn run(v: &mut Verdicts, size: Size) {
     let mut cfg = AttackConfig::new(0xA77AC4);
     cfg.protocol = ProtocolKind::IndirectSimplified;
     cfg.fault_kind = FaultKind::Liar;

@@ -6,7 +6,7 @@
 use crate::{header, rule, Size, Verdicts};
 use rbcast_core::{complexity, ProtocolKind};
 
-pub fn run(v: &mut Verdicts, _: Size) {
+pub(crate) fn run(v: &mut Verdicts, _: Size) {
     header("Fault-free message complexity, r = 1 (torus 12x12, n = 144)");
     println!("{:<22} {:>12} {:>12}", "protocol", "predicted", "measured");
     rule(48);

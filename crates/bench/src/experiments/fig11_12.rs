@@ -6,7 +6,7 @@
 use crate::{header, rule, Size, Verdicts};
 use rbcast_construct::l2;
 
-pub fn run(v: &mut Verdicts, _: Size) {
+pub(crate) fn run(v: &mut Verdicts, _: Size) {
     header("Fig. 11 — half-neighborhood populations (L2)");
     println!(
         "{:>4} {:>10} {:>12} {:>14} {:>12}",

@@ -9,7 +9,7 @@ use rbcast_construct::l2;
 use rbcast_core::{Experiment, FaultKind, ProtocolKind};
 use rbcast_grid::Metric;
 
-pub fn run(v: &mut Verdicts, _: Size) {
+pub(crate) fn run(v: &mut Verdicts, _: Size) {
     header("Fig. 13 — strip counts under the L2 metric");
     println!(
         "{:>4} {:>12} {:>12} {:>12} {:>12} {:>10}",

@@ -8,7 +8,7 @@ use rbcast_adversary::Placement;
 use rbcast_construct::cpa_stages;
 use rbcast_core::{Experiment, FaultKind, ProtocolKind};
 
-pub fn run(v: &mut Verdicts, _: Size) {
+pub(crate) fn run(v: &mut Verdicts, _: Size) {
     header("Figs. 14-19 — Theorem 6 stage geometry");
     println!(
         "{:>4} {:>8} {:>8} {:>10} {:>10} {:>10} {:>12} {:>12}",

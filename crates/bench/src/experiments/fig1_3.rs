@@ -5,7 +5,7 @@ use crate::{header, rule, Size, Verdicts};
 use rbcast_construct::corner;
 use rbcast_construct::r_2r_plus_1;
 
-pub fn run(v: &mut Verdicts, _: Size) {
+pub(crate) fn run(v: &mut Verdicts, _: Size) {
     header("Figs. 1-3 — committer regions for the worst-case frontier node P");
     println!(
         "{:>3} {:>10} {:>10} {:>10} {:>6} {:>10} {:>12}",

@@ -10,7 +10,7 @@ use rbcast_construct::{paths_u, r_2r_plus_1, worst_case_p};
 use rbcast_flow::vertex_disjoint_count;
 use rbcast_grid::{Coord, Metric, Neighborhood};
 
-pub fn run(v: &mut Verdicts, _: Size) {
+pub(crate) fn run(v: &mut Verdicts, _: Size) {
     header("Figs. 4-5 — disjoint paths N→P for region-U committers");
     println!(
         "{:>3} {:>4} {:>4} {:>8} {:>8} {:>8} {:>8} {:>8}",

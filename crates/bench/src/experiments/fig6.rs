@@ -7,7 +7,7 @@ use rbcast_construct::verify::verify_family;
 use rbcast_construct::{paths_s1, r_2r_plus_1, symmetry, worst_case_p};
 use rbcast_grid::{Coord, Metric};
 
-pub fn run(v: &mut Verdicts, _: Size) {
+pub(crate) fn run(v: &mut Verdicts, _: Size) {
     header("Fig. 6 — disjoint paths N→P for region-S1 committers (J, K1, K2)");
     println!(
         "{:>3} {:>4} {:>10} {:>10} {:>8} {:>8}",

@@ -11,7 +11,7 @@ use rbcast_construct::arbitrary_p::{direct_count, frontier_table};
 use rbcast_construct::r_2r_plus_1;
 use rbcast_grid::Coord;
 
-pub fn run(v: &mut Verdicts, _: Size) {
+pub(crate) fn run(v: &mut Verdicts, _: Size) {
     for r in 1..=3u32 {
         header(&format!("Fig. 7 — frontier connectivity, r = {r}"));
         println!(

@@ -7,7 +7,7 @@ use rbcast_adversary::Placement;
 use rbcast_construct::impossibility;
 use rbcast_core::{thresholds, Experiment, FaultKind, ProtocolKind};
 
-pub fn run(v: &mut Verdicts, _: Size) {
+pub(crate) fn run(v: &mut Verdicts, _: Size) {
     header("Fig. 8 — crash-stop impossibility strip (Theorem 4)");
     println!(
         "{:>3} {:>18} {:>12} {:>14} {:>12} {:>12}",

@@ -11,7 +11,7 @@ use rbcast_grid::{Coord, Metric, Torus};
 use rbcast_protocols::{Flood, Msg, ProtocolParams};
 use rbcast_sim::{Network, Process};
 
-pub fn run(v: &mut Verdicts, _: Size) {
+pub(crate) fn run(v: &mut Verdicts, _: Size) {
     // Stage visualisation: rounds at which each Chebyshev ring from the
     // source commits, r = 2, t_max cluster on the wavefront.
     let r = 2u32;

@@ -7,7 +7,7 @@ use rbcast_core::{engine, percolation};
 use rbcast_grid::Torus;
 
 #[allow(clippy::float_cmp)] // a rate of exactly 1.0 means every trial covered
-pub fn run(v: &mut Verdicts, _: Size) {
+pub(crate) fn run(v: &mut Verdicts, _: Size) {
     let ps = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95];
     let trials = 10;
     // Rows are byte-identical for every thread count (engine fan-out

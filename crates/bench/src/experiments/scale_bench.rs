@@ -155,7 +155,7 @@ fn smoke(v: &mut Verdicts) {
     }
 }
 
-pub fn run(v: &mut Verdicts, size: Size) {
+pub(crate) fn run(v: &mut Verdicts, size: Size) {
     if size == Size::Smoke {
         return smoke(v);
     }

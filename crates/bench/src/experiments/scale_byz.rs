@@ -9,7 +9,7 @@ use rbcast_adversary::Placement;
 use rbcast_core::{thresholds, Experiment, FaultKind, ProtocolKind};
 
 /// `Size::Smoke` stops at r = 3 (r = 4 is most of the full run's time).
-pub fn run(v: &mut Verdicts, size: Size) {
+pub(crate) fn run(v: &mut Verdicts, size: Size) {
     header("Scaling the exact threshold (indirect-simplified, liar cluster)");
     println!(
         "{:>3} {:>8} {:>6} {:>9} {:>7} {:>12} {:>10} {:>8}",

@@ -14,7 +14,7 @@ use rbcast_adversary::Placement;
 use rbcast_core::{thresholds, Experiment, FaultKind, ProtocolKind};
 use rbcast_sim::ChannelConfig;
 
-pub fn run(v: &mut Verdicts, _: Size) {
+pub(crate) fn run(v: &mut Verdicts, _: Size) {
     let r = 2u32;
     let t = thresholds::byzantine_max_t(r) as usize;
 

@@ -8,7 +8,7 @@ use crate::{header, rule, Size, Verdicts};
 use rbcast_construct::{r_2r_plus_1, simplified, worst_case_p};
 use rbcast_grid::Coord;
 
-pub fn run(v: &mut Verdicts, _: Size) {
+pub(crate) fn run(v: &mut Verdicts, _: Size) {
     header("§VI-B — simplified-protocol connectivity (≤1-relay disjoint paths)");
     println!(
         "{:>4} {:>10} {:>14} {:>14}",

@@ -8,7 +8,7 @@ use crate::{header, rule, Size, Verdicts};
 use rbcast_construct::r_2r_plus_1;
 use rbcast_construct::regions::{table_one, S1Params, UParams};
 
-pub fn run(v: &mut Verdicts, _: Size) {
+pub(crate) fn run(v: &mut Verdicts, _: Size) {
     let (r, p, q, p_s1) = (4u32, 2u32, 3u32, 1u32);
     header(&format!(
         "Table I — region extents (r={r}, p={p}, q={q}; S1 offset p={p_s1})"

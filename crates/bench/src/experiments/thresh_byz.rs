@@ -31,7 +31,7 @@ fn attacks(t: usize) -> [(Placement, FaultKind); 4] {
 
 /// `Size::Smoke` keeps only the r = 1 configs: a seconds-scale CI
 /// invocation exercising the full pipeline (engine fan-out included).
-pub fn run(v: &mut Verdicts, size: Size) {
+pub(crate) fn run(v: &mut Verdicts, size: Size) {
     let smoke = size == Size::Smoke;
 
     header("Byzantine threshold experiments (Theorem 1 / exact threshold)");

@@ -7,7 +7,7 @@ use crate::{header, perf, rule, Size, Verdicts};
 use rbcast_adversary::Placement;
 use rbcast_core::{thresholds, Experiment, FaultKind, ProtocolKind};
 
-pub fn run(v: &mut Verdicts, _: Size) {
+pub(crate) fn run(v: &mut Verdicts, _: Size) {
     header("Bound curves");
     println!(
         "{:>4} {:>14} {:>14} {:>16} {:>14}",

@@ -20,7 +20,7 @@ fn placements(t_max: usize) -> [Placement; 3] {
     ]
 }
 
-pub fn run(v: &mut Verdicts, _: Size) {
+pub(crate) fn run(v: &mut Verdicts, _: Size) {
     header("Crash-stop threshold experiments (Theorems 4-5)");
     println!(
         "{:>3} {:>6} {:<18} {:>8} {:>9} {:>10} {:>8}",

@@ -26,7 +26,7 @@ fn byz_attacks(t: usize) -> [(Placement, FaultKind); 3] {
     ]
 }
 
-pub fn run(v: &mut Verdicts, _: Size) {
+pub(crate) fn run(v: &mut Verdicts, _: Size) {
     header("Euclidean-metric thresholds (§VIII), simulated");
     println!(
         "{:>3} {:>8} {:>12} {:>12} {:>14}",

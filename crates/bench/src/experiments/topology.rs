@@ -10,7 +10,7 @@ use rbcast_core::graphs::{bottleneck_graph, run_cpa, Graph};
 use rbcast_core::{Experiment, FaultKind, ProtocolKind};
 use rbcast_grid::{Coord, Metric, Torus};
 
-pub fn run(v: &mut Verdicts, _: Size) {
+pub(crate) fn run(v: &mut Verdicts, _: Size) {
     header("Cross-validation: generic-graph CPA vs the radio simulator");
     println!(
         "{:>3} {:>4} {:<18} {:>14} {:>14}",

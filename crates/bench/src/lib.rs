@@ -26,18 +26,18 @@ pub enum Size {
 }
 
 /// Prints a section header.
-pub fn header(title: &str) {
+fn header(title: &str) {
     println!();
     println!("== {title} ==");
 }
 
 /// Prints a table rule sized to `width`.
-pub fn rule(width: usize) {
+fn rule(width: usize) {
     println!("{}", "-".repeat(width));
 }
 
 /// Prints a PASS/FAIL verdict line (also used by EXPERIMENTS.md).
-pub fn verdict(label: &str, ok: bool) {
+fn verdict(label: &str, ok: bool) {
     println!("[{}] {label}", if ok { "PASS" } else { "FAIL" });
 }
 
@@ -57,7 +57,7 @@ impl Verdicts {
     }
 
     /// Records and prints one verdict.
-    pub fn check(&mut self, label: &str, ok: bool) {
+    fn check(&mut self, label: &str, ok: bool) {
         verdict(label, ok);
         self.total += 1;
         if !ok {
@@ -70,7 +70,7 @@ impl Verdicts {
     /// visible but not a failure: the quarantine report already carries
     /// the underlying errors, and failing the run on top of it would
     /// turn graceful degradation back into all-or-nothing.
-    pub fn skip(&mut self, label: &str) {
+    fn skip(&mut self, label: &str) {
         println!("[SKIP] {label} (inputs quarantined)");
         self.total += 1;
         self.skipped += 1;
@@ -82,12 +82,7 @@ impl Verdicts {
     ///
     /// [`check`]: Verdicts::check
     /// [`skip`]: Verdicts::skip
-    pub fn check_all(
-        &mut self,
-        label: &str,
-        rows: &[Option<Outcome>],
-        ok: impl Fn(&Outcome) -> bool,
-    ) {
+    fn check_all(&mut self, label: &str, rows: &[Option<Outcome>], ok: impl Fn(&Outcome) -> bool) {
         if rows.iter().any(Option::is_none) {
             self.skip(label);
         } else {
@@ -100,7 +95,7 @@ impl Verdicts {
     /// the task up — then settles `label` with [`check_all`].
     ///
     /// [`check_all`]: Verdicts::check_all
-    pub fn check_rows(
+    fn check_rows(
         &mut self,
         label: &str,
         rows: &[Option<Outcome>],

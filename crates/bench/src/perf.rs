@@ -1,5 +1,5 @@
 //! What the experiments share around a sweep: the supervised,
-//! journalled fan-out ([`run_sweep`]) and the `BENCH_scale.json` writer.
+//! journalled fan-out (`run_sweep`) and the `BENCH_scale.json` writer.
 //!
 //! Every sweep-shaped experiment fans its grid out through
 //! [`rbcast_core::engine`] under the sweep supervisor. Timing lives here
@@ -41,7 +41,7 @@ impl std::ops::Deref for SweepRows {
 impl SweepRows {
     /// True when no task was quarantined.
     #[must_use]
-    pub fn fully_healthy(&self) -> bool {
+    pub(crate) fn fully_healthy(&self) -> bool {
         self.quarantined.is_empty()
     }
 }
@@ -63,7 +63,7 @@ fn env_config() -> SupervisorConfig {
 /// The first journal write any sweep of this process lost.
 static JOURNAL_ERROR: OnceLock<JournalFailure> = OnceLock::new();
 
-/// The first checkpoint write a [`run_sweep`] of this process could not
+/// The first checkpoint write a `run_sweep` of this process could not
 /// make: the binary prints it as its one `error:` line and exits 2 once
 /// every row is printed, as `rbcast sweep` does.
 #[must_use]
@@ -76,7 +76,7 @@ pub fn journal_error() -> Option<&'static JournalFailure> {
 /// at compile time — `cargo test` sets a per-crate cwd,
 /// and journals must not scatter with it), with `/` flattened to `_`.
 #[must_use]
-pub fn journal_path(label: &str) -> PathBuf {
+fn journal_path(label: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join("results")
@@ -96,7 +96,7 @@ pub fn journal_path(label: &str) -> PathBuf {
 /// `rbcast sweep --journal` does; one that loses a write later keeps the
 /// sweep running, and [`journal_error`] holds the first loss.
 #[must_use]
-pub fn run_sweep(label: &str, experiments: &[Experiment]) -> SweepRows {
+pub(crate) fn run_sweep(label: &str, experiments: &[Experiment]) -> SweepRows {
     let threads = engine::thread_count(None);
     let mut config = env_config();
     let header = JournalHeader {
@@ -191,7 +191,7 @@ pub struct ScaleCell {
 /// `/proc/self/status` (`VmHWM`). Std-only, no allocator hooks; returns
 /// `None` on platforms without procfs or if the field is missing.
 #[must_use]
-pub fn peak_rss_kb() -> Option<u64> {
+pub(crate) fn peak_rss_kb() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     line.split_whitespace().nth(1)?.parse().ok()
@@ -200,7 +200,7 @@ pub fn peak_rss_kb() -> Option<u64> {
 impl ScaleCell {
     /// Nodes simulated per second of wall time.
     #[must_use]
-    pub fn nodes_per_sec(&self) -> f64 {
+    pub(crate) fn nodes_per_sec(&self) -> f64 {
         if self.wall_ms <= 0.0 {
             0.0
         } else {
@@ -210,7 +210,7 @@ impl ScaleCell {
 
     /// Simulated rounds per second of wall time.
     #[must_use]
-    pub fn rounds_per_sec(&self) -> f64 {
+    pub(crate) fn rounds_per_sec(&self) -> f64 {
         if self.wall_ms <= 0.0 {
             0.0
         } else {
@@ -226,7 +226,7 @@ impl ScaleCell {
 /// order is fixed and floats print with three decimals, so the output
 /// is byte-stable for identical inputs and identical counter state.
 #[must_use]
-pub fn to_scale_json(engine: &str, cells: &[ScaleCell]) -> String {
+fn to_scale_json(engine: &str, cells: &[ScaleCell]) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     let _ = writeln!(s, "  \"schema\": \"rbcast-bench-scale/v2\",");
@@ -281,7 +281,7 @@ pub fn to_scale_json(engine: &str, cells: &[ScaleCell]) -> String {
 
 /// Writes [`to_scale_json`] to `path`. I/O errors are reported, not
 /// fatal — a read-only checkout must not fail a bench run.
-pub fn write_scale_json(path: &Path, engine: &str, cells: &[ScaleCell]) {
+pub(crate) fn write_scale_json(path: &Path, engine: &str, cells: &[ScaleCell]) {
     match std::fs::write(path, to_scale_json(engine, cells)) {
         Ok(()) => eprintln!("wrote {}", path.display()),
         Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),

@@ -16,7 +16,7 @@ use std::collections::HashMap;
 /// The frontier `pnbd(0,0) − nbd(0,0)` under the L∞ metric — the
 /// `4(2r+1)` nodes the inductive step must newly reach.
 #[must_use]
-pub fn frontier_nodes(r: u32) -> Vec<Coord> {
+pub(crate) fn frontier_nodes(r: u32) -> Vec<Coord> {
     Neighborhood::new(Coord::ORIGIN, r, Metric::Linf).frontier()
 }
 
@@ -48,7 +48,7 @@ fn ball(r: u32, c: Coord) -> Vec<Coord> {
 /// radius `r` (searching every candidate ball containing both `P` and
 /// `x`).
 #[must_use]
-pub fn connected_via_single_neighborhood(r: u32, p: Coord, x: Coord, k: u32) -> bool {
+fn connected_via_single_neighborhood(r: u32, p: Coord, x: Coord, k: u32) -> bool {
     let ri = i64::from(r);
     // candidate centers must cover both x and p
     for dy in -ri..=ri {
@@ -84,7 +84,7 @@ pub fn connected_via_single_neighborhood(r: u32, p: Coord, x: Coord, k: u32) -> 
 ///
 /// The §VI-A claim is that this is ≥ `r(2r+1)` for every frontier node.
 #[must_use]
-pub fn determinable_count(r: u32, p: Coord) -> usize {
+fn determinable_count(r: u32, p: Coord) -> usize {
     let k = r_2r_plus_1(r) as u32;
     ball(r, Coord::ORIGIN)
         .into_iter()

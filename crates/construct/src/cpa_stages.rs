@@ -48,14 +48,6 @@ pub fn cpa_commit_threshold(r: u32) -> u32 {
     u32::try_from(t).expect("2t+1 exceeds u32 for this radius")
 }
 
-/// Koo's original CPA bound `½(r(r+√(r/2)+1))` that Theorem 6 dominates
-/// asymptotically.
-#[must_use]
-pub fn koo_cpa_bound(r: u32) -> f64 {
-    let r = f64::from(r);
-    0.5 * (r * (r + (r / 2.0).sqrt() + 1.0))
-}
-
 /// Exact committed-neighbor count for a stage-1 seed node `(x, r+1)` with
 /// `|x| ≤ ⌈r/2⌉`, assuming all of `ball(0, r)` has committed:
 /// `r·(2r+1−|x|)`.
@@ -74,7 +66,7 @@ pub fn seed_committed_neighbors(r: u32, x: i64) -> u64 {
 /// Whether every stage-1 seed on an edge can commit at `t = ⌊⅔r²⌋`
 /// (Fig. 14): `seed_committed_neighbors ≥ 2t+1` for all `|x| ≤ ⌈r/2⌉`.
 #[must_use]
-pub fn stage1_seeds_commit(r: u32) -> bool {
+fn stage1_seeds_commit(r: u32) -> bool {
     let need = u64::from(cpa_commit_threshold(r));
     (0..=i64::from(half_up(r))).all(|x| seed_committed_neighbors(r, x) >= need)
 }
@@ -82,7 +74,7 @@ pub fn stage1_seeds_commit(r: u32) -> bool {
 /// The paper's row-`i` growth inequality (Figs. 15–16), compared exactly:
 /// `3·[(⌈³⁄₂r⌉+1)(r+1−i) + (i−1)(2⌈r/2⌉+1) + (i−1)(⌈r/2⌉−i+1)] ≥ 4r²+3`.
 #[must_use]
-pub fn row_condition(r: u32, i: u32) -> bool {
+fn row_condition(r: u32, i: u32) -> bool {
     let r64 = i64::from(r);
     let i64v = i64::from(i);
     let term1 = (i64::from((3 * r).div_ceil(2)) + 1) * (r64 + 1 - i64v);
@@ -91,7 +83,7 @@ pub fn row_condition(r: u32, i: u32) -> bool {
     3 * (term1 + term2 + term3) >= 4 * r64 * r64 + 3
 }
 
-/// Number of committed-stack rows guaranteed by [`row_condition`] — the
+/// Number of committed-stack rows guaranteed by `row_condition` — the
 /// largest `i` such that rows `1..=i` all satisfy it.
 #[must_use]
 pub fn guaranteed_stack_rows(r: u32) -> u32 {
@@ -157,21 +149,6 @@ mod tests {
                 "r={r}"
             );
         }
-    }
-
-    #[test]
-    fn theorem6_dominates_koo_for_large_r() {
-        // ⅔r² > ½(r(r+√(r/2)+1)) for sufficiently large r; the paper says
-        // "for all sufficiently large r" — verify the crossover exists
-        // and the domination holds beyond it.
-        let crossover = (2..200u32)
-            .find(|&r| f64::from(cpa_max_t(r)) > koo_cpa_bound(r))
-            .expect("no crossover found");
-        for r in crossover..200 {
-            assert!(f64::from(cpa_max_t(r)) > koo_cpa_bound(r), "r={r}");
-        }
-        // and the crossover is small (the bounds are close from the start)
-        assert!(crossover <= 20, "crossover={crossover}");
     }
 
     #[test]

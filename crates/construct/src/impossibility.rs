@@ -15,14 +15,14 @@ use rbcast_grid::Coord;
 /// Membership test for the width-`r` faulty strip `0 ≤ x < r`
 /// (normalised to `a = 0`).
 #[must_use]
-pub fn in_crash_strip(r: u32, c: Coord) -> bool {
+pub(crate) fn in_crash_strip(r: u32, c: Coord) -> bool {
     c.x >= 0 && c.x < i64::from(r)
 }
 
 /// Membership test for the checkerboard half-strip used at the Byzantine
 /// impossibility threshold: strip nodes with `x + y` even.
-#[must_use]
-pub fn in_byzantine_half_strip(r: u32, c: Coord) -> bool {
+#[cfg(test)]
+fn in_byzantine_half_strip(r: u32, c: Coord) -> bool {
     in_crash_strip(r, c) && (c.x + c.y).rem_euclid(2) == 0
 }
 
@@ -36,8 +36,8 @@ pub fn max_crash_faults_per_ball(r: u32) -> usize {
 
 /// Maximum number of checkerboard half-strip nodes in any closed L∞
 /// ball of radius `r`. Equals Koo's impossibility bound `⌈½·r(2r+1)⌉`.
-#[must_use]
-pub fn max_byzantine_faults_per_ball(r: u32) -> usize {
+#[cfg(test)]
+fn max_byzantine_faults_per_ball(r: u32) -> usize {
     max_faults_per_ball(r, |c| in_byzantine_half_strip(r, c))
 }
 

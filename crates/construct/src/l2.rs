@@ -58,8 +58,8 @@ pub fn half_disk_count(r: u32) -> usize {
 /// # Panics
 ///
 /// Panics if `(dx, dy)` is the zero vector.
-#[must_use]
-pub fn half_disk_count_dir(r: u32, dx: i64, dy: i64) -> usize {
+#[cfg(test)]
+fn half_disk_count_dir(r: u32, dx: i64, dy: i64) -> usize {
     assert!(dx != 0 || dy != 0, "direction must be non-zero");
     let ri = i64::from(r);
     let r_sq = ri * ri;
@@ -76,7 +76,7 @@ pub fn half_disk_count_dir(r: u32, dx: i64, dy: i64) -> usize {
 
 /// The integer separation used for the Fig. 12 worst case: `⌊r·√2⌋`.
 #[must_use]
-pub fn worst_case_separation(r: u32) -> i64 {
+fn worst_case_separation(r: u32) -> i64 {
     (f64::from(r) * std::f64::consts::SQRT_2).floor() as i64
 }
 
@@ -321,14 +321,6 @@ pub fn fig13(r: u32) -> Fig13Result {
     }
 }
 
-/// The exact area of the circle/strip overlap that the strip count
-/// approximates: `r²(√3/2 + π/3) ≈ 0.609·πr²`.
-#[must_use]
-pub fn strip_overlap_area(r: u32) -> f64 {
-    let r = f64::from(r);
-    r * r * (3.0f64.sqrt() / 2.0 + std::f64::consts::PI / 3.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -507,12 +499,6 @@ mod tests {
         // half-strip ≈ half of the strip
         let half_ratio = res.max_half_strip_per_disk as f64 / res.max_strip_per_disk as f64;
         assert!((half_ratio - 0.5).abs() < 0.05, "half ratio {half_ratio}");
-    }
-
-    #[test]
-    fn strip_overlap_area_close_to_0_6_pi() {
-        let a = strip_overlap_area(1);
-        assert!((a / std::f64::consts::PI - 0.609).abs() < 0.01);
     }
 
     #[test]

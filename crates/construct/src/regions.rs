@@ -45,40 +45,40 @@ impl UParams {
     /// Region `A`: common neighbors of `N` and `P`;
     /// `{(x,y) | p−r ≤ x ≤ 0, 1 ≤ y ≤ q+r}` — `(r−p+1)(r+q)` nodes.
     #[must_use]
-    pub fn region_a(&self) -> Rect {
+    pub(crate) fn region_a(&self) -> Rect {
         Rect::new(self.p - self.r, 0, 1, self.q + self.r)
     }
 
     /// Region `B1 ⊂ nbd(N)`: `{(x,y) | 1 ≤ x ≤ p−1, 1 ≤ y ≤ q+r}` —
     /// `(p−1)(r+q)` nodes.
     #[must_use]
-    pub fn region_b1(&self) -> Rect {
+    pub(crate) fn region_b1(&self) -> Rect {
         Rect::new(1, self.p - 1, 1, self.q + self.r)
     }
 
     /// Region `B2 ⊂ nbd(P)`: `B1` translated left by `r`.
     #[must_use]
-    pub fn region_b2(&self) -> Rect {
+    fn region_b2(&self) -> Rect {
         Rect::new(1 - self.r, self.p - 1 - self.r, 1, self.q + self.r)
     }
 
     /// Region `C1 ⊂ nbd(N)`: `{(x,y) | p+1 ≤ x ≤ r, q+1 ≤ y ≤ r+1}` —
     /// `(r−p)(r−q+1)` nodes.
     #[must_use]
-    pub fn region_c1(&self) -> Rect {
+    pub(crate) fn region_c1(&self) -> Rect {
         Rect::new(self.p + 1, self.r, self.q + 1, self.r + 1)
     }
 
     /// Region `C2 ⊂ nbd(P)`: `C1` translated by `(−r, +r)`.
     #[must_use]
-    pub fn region_c2(&self) -> Rect {
+    fn region_c2(&self) -> Rect {
         Rect::new(self.p + 1 - self.r, 0, self.q + 1 + self.r, 1 + 2 * self.r)
     }
 
     /// Region `D1 ⊂ nbd(N)`:
     /// `{(x,y) | p ≤ x ≤ p+r−q, r+q−p+1 ≤ y ≤ r+q}` — `p(r−q+1)` nodes.
     #[must_use]
-    pub fn region_d1(&self) -> Rect {
+    pub(crate) fn region_d1(&self) -> Rect {
         Rect::new(
             self.p,
             self.p + self.r - self.q,
@@ -90,13 +90,13 @@ impl UParams {
     /// Region `D2`: `{(x,y) | 1 ≤ x ≤ p, 1+r+q ≤ y ≤ 1+2r}` —
     /// `p(r−q+1)` nodes; every node of `D2` neighbors every node of `D1`.
     #[must_use]
-    pub fn region_d2(&self) -> Rect {
+    pub(crate) fn region_d2(&self) -> Rect {
         Rect::new(1, self.p, 1 + self.r + self.q, 1 + 2 * self.r)
     }
 
     /// Region `D3 ⊂ nbd(P)`: `D2` translated left by `r`.
     #[must_use]
-    pub fn region_d3(&self) -> Rect {
+    fn region_d3(&self) -> Rect {
         Rect::new(
             1 - self.r,
             self.p - self.r,
@@ -144,20 +144,20 @@ impl S1Params {
     /// Region `J`: common neighbors of `N` and `P`;
     /// `{(x,y) | −2r ≤ x ≤ 0, 1 ≤ y ≤ r−p}` — `(r−p)(2r+1)` nodes.
     #[must_use]
-    pub fn region_j(&self) -> Rect {
+    pub(crate) fn region_j(&self) -> Rect {
         Rect::new(-2 * self.r, 0, 1, self.r - self.p)
     }
 
     /// Region `K1 ⊂ nbd(N)`: `{(x,y) | −2r ≤ x ≤ 0, 1−p ≤ y ≤ 0}` —
     /// `p(2r+1)` nodes.
     #[must_use]
-    pub fn region_k1(&self) -> Rect {
+    pub(crate) fn region_k1(&self) -> Rect {
         Rect::new(-2 * self.r, 0, 1 - self.p, 0)
     }
 
     /// Region `K2 ⊂ nbd(P)`: `K1` translated up by `r`.
     #[must_use]
-    pub fn region_k2(&self) -> Rect {
+    fn region_k2(&self) -> Rect {
         Rect::new(-2 * self.r, 0, 1 - self.p + self.r, self.r)
     }
 

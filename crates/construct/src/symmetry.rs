@@ -11,7 +11,7 @@ use rbcast_grid::Coord;
 /// The reflection across the anti-diagonal axis through `P`:
 /// `(x, y) ↦ (1 − y, 1 − x)`. It is an involution fixing `P`.
 #[must_use]
-pub fn reflect(c: Coord) -> Coord {
+fn reflect(c: Coord) -> Coord {
     Coord::new(1 - c.y, 1 - c.x)
 }
 

@@ -5,7 +5,7 @@
 //! against full simulations: each candidate placement is scored by one
 //! complete [`Experiment`] run, and the annealing chain walks toward
 //! the placement doing the most damage (see
-//! [`AttackScore`](rbcast_adversary::AttackScore)).
+//! [`AttackScore`]).
 //!
 //! The search sweeps a grid of `(r, t)` *cells* — one independent
 //! search per cell, supervised like any other sweep task (panic
@@ -193,7 +193,7 @@ pub fn attack_cells(cfg: &AttackConfig) -> Vec<AttackCell> {
 /// Thread count and checkpoint cadence are deliberately excluded — they
 /// do not change any journalled value.
 #[must_use]
-pub fn attack_fingerprint(cfg: &AttackConfig, cells: &[AttackCell]) -> u64 {
+fn attack_fingerprint(cfg: &AttackConfig, cells: &[AttackCell]) -> u64 {
     let spec = format!(
         "{:?}|{}|{}|{:?}|{:?}|{:?}|{cells:?}",
         cfg.rs, cfg.seed, cfg.steps, cfg.protocol, cfg.fault_kind, cfg.metric
@@ -212,7 +212,11 @@ struct CellCheckpoint {
     done: bool,
 }
 
-fn ids_to_field(ids: &[NodeId]) -> String {
+/// Node ids as a comma-separated decimal list (`"3,17,40"`; empty for
+/// none) — the journal's placement field and `rbcast attack`'s
+/// `placement:` line.
+#[must_use]
+pub fn ids_to_field(ids: &[NodeId]) -> String {
     let mut out = String::new();
     for (i, id) in ids.iter().enumerate() {
         if i > 0 {

@@ -25,12 +25,7 @@ use rbcast_grid::{Metric, Torus};
 /// `kind` on `torus` (L∞ or L2), or `None` when the volume is
 /// data-dependent (the full indirect protocol).
 #[must_use]
-pub fn predicted_broadcasts(
-    kind: ProtocolKind,
-    torus: &Torus,
-    r: u32,
-    metric: Metric,
-) -> Option<u64> {
+fn predicted_broadcasts(kind: ProtocolKind, torus: &Torus, r: u32, metric: Metric) -> Option<u64> {
     let n = torus.len() as u64;
     let d = metric.neighborhood_size(r) as u64;
     match kind {

@@ -1,7 +1,7 @@
 //! The config layer: the single sanctioned home for process-environment
 //! reads.
 //!
-//! Every `RBCAST_*` knob flows through [`env_var`], so the full set of
+//! Every `RBCAST_*` knob flows through `env_var`, so the full set of
 //! environment switches is discoverable from this module's callers and
 //! the audit (`env-read` rule) can keep `std::env` out of the rest of
 //! the workspace. Knob *names* stay with the subsystem that owns them
@@ -14,7 +14,7 @@
 /// callers treat both as "not configured" and apply their own defaults
 /// and parse-failure diagnostics.
 #[must_use]
-pub fn env_var(name: &str) -> Option<String> {
+pub(crate) fn env_var(name: &str) -> Option<String> {
     std::env::var(name).ok()
 }
 

@@ -20,9 +20,9 @@
 //! Two entry points share the machinery and differ only in failure
 //! behaviour:
 //!
-//! * [`run_indexed`] — the infallible path: a worker panic is
+//! * `run_indexed` — the infallible path: a worker panic is
 //!   re-raised on the calling thread;
-//! * [`run_indexed_partial`] — graceful degradation: every slot a live
+//! * `run_indexed_partial` — graceful degradation: every slot a live
 //!   worker filled is returned, missing slots are `None`. This is the
 //!   substrate the [`crate::supervisor`] builds on.
 //!
@@ -40,7 +40,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Once;
 
 /// Environment variable overriding the default worker-thread count.
-pub const THREADS_ENV: &str = "RBCAST_THREADS";
+const THREADS_ENV: &str = "RBCAST_THREADS";
 
 /// Tasks are claimed in chunks of this size to bound cursor contention;
 /// chunking only affects which worker computes a task, never where its
@@ -104,7 +104,7 @@ pub fn thread_count(requested: Option<usize>) -> usize {
 /// worker panic observed is re-raised on the calling thread. Callers
 /// that need isolation instead of propagation use
 /// [`run_indexed_partial`].
-pub fn run_indexed<T, R, F>(tasks: &[T], threads: usize, f: F) -> Vec<R>
+pub(crate) fn run_indexed<T, R, F>(tasks: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -136,7 +136,7 @@ where
 /// layer only guarantees the caller gets everything that survived.
 /// Unlike [`run_indexed`], the single-thread path also runs on a worker
 /// thread, so a panic is contained at every thread count.
-pub fn run_indexed_partial<T, R, F>(tasks: &[T], threads: usize, f: F) -> Vec<Option<R>>
+pub(crate) fn run_indexed_partial<T, R, F>(tasks: &[T], threads: usize, f: F) -> Vec<Option<R>>
 where
     T: Sync,
     R: Send,
@@ -200,7 +200,7 @@ where
     (slots, first_panic)
 }
 
-/// [`run_indexed`] over a slice of experiments: the deterministic
+/// `run_indexed` over a slice of experiments: the deterministic
 /// parallel sweep primitive used by the bench binaries and the `rbcast
 /// sweep` CLI. Results are outcomes in experiment order.
 #[must_use]
@@ -229,7 +229,7 @@ pub fn run_experiments_traced(experiments: &[Experiment], threads: usize) -> Vec
 /// # Errors
 ///
 /// The first arena that cannot be built ([`Experiment::arena_guard`]).
-pub fn prewarm_arenas(
+pub(crate) fn prewarm_arenas(
     experiments: &[Experiment],
 ) -> Result<Vec<std::sync::Arc<rbcast_grid::NeighborTable>>, rbcast_grid::ArenaError> {
     experiments

@@ -227,7 +227,7 @@ impl FaultKind {
     /// Builds faulty node `id`'s process; Byzantine behaviours push
     /// `wrong`.
     #[must_use]
-    pub fn spawn(&self, wrong: Value, id: NodeId) -> Box<dyn Process<Msg>> {
+    fn spawn(&self, wrong: Value, id: NodeId) -> Box<dyn Process<Msg>> {
         match *self {
             // the harness crashes crash-stop nodes at round 0
             // (`Network::crash_at`); a silent process stands in
@@ -394,16 +394,9 @@ impl Experiment {
     }
 
     /// Sets the source's value (default `true`).
-    #[must_use]
-    pub fn with_value(mut self, value: Value) -> Self {
+    #[cfg(test)]
+    fn with_value(mut self, value: Value) -> Self {
         self.value = value;
-        self
-    }
-
-    /// Sets the round cap (default 10 000).
-    #[must_use]
-    pub fn with_max_rounds(mut self, max_rounds: u32) -> Self {
-        self.max_rounds = max_rounds;
         self
     }
 
@@ -444,7 +437,7 @@ impl Experiment {
     /// instead of running to the cap; budgets at or above the cap never
     /// bind, so a generous budget is byte-identical to no budget.
     #[must_use]
-    pub fn with_round_budget(mut self, budget: Option<u32>) -> Self {
+    pub(crate) fn with_round_budget(mut self, budget: Option<u32>) -> Self {
         self.round_budget = budget;
         self
     }
@@ -452,7 +445,7 @@ impl Experiment {
     /// The configured watchdog budget, if any (the supervisor threads
     /// its default through experiments that did not set their own).
     #[must_use]
-    pub fn round_budget(&self) -> Option<u32> {
+    pub(crate) fn round_budget(&self) -> Option<u32> {
         self.round_budget
     }
 
@@ -478,12 +471,6 @@ impl Experiment {
     pub fn with_engine(mut self, engine: EngineKind) -> Self {
         self.engine = engine;
         self
-    }
-
-    /// The configured simulator engine.
-    #[must_use]
-    pub fn engine(&self) -> EngineKind {
-        self.engine
     }
 
     /// Runs the experiment.
@@ -583,13 +570,13 @@ impl Experiment {
     /// # Errors
     ///
     /// As [`NeighborTable::try_build`].
-    pub fn arena_guard(&self) -> Result<Option<Arc<NeighborTable>>, ArenaError> {
+    pub(crate) fn arena_guard(&self) -> Result<Option<Arc<NeighborTable>>, ArenaError> {
         self.shared_arena
             .then(|| crate::arena_cache::shared(&self.resolve_torus(), self.r, self.metric))
             .transpose()
     }
 
-    /// [`Experiment::arena_guard`] for a run about to start: the node
+    /// `Experiment::arena_guard` for a run about to start: the node
     /// table the network will keep — one process slot and one decision
     /// per node — is reserved first and held while the arena is built,
     /// so a geometry the host cannot run is an error before anything

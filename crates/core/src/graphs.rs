@@ -10,8 +10,6 @@
 //!   radio torus (so the generic executor can be cross-validated against
 //!   the radio simulator — two independent implementations of the same
 //!   protocol);
-//! * [`local_fault_bound`] — the graph version of the locally bounded
-//!   audit (max faults in any closed neighborhood `N[v]`);
 //! * [`run_cpa`] — a synchronous executor returning each node's commit
 //!   round;
 //! * example graphs exhibiting topology effects the grid cannot (a cut
@@ -33,7 +31,7 @@ impl Graph {
     ///
     /// Panics on out-of-range endpoints or self-loops.
     #[must_use]
-    pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Self {
+    fn from_edges(n: usize, edges: &[(usize, usize)]) -> Self {
         let mut adj = vec![Vec::new(); n];
         for &(u, v) in edges {
             assert!(u < n && v < n, "edge endpoint out of range");
@@ -73,15 +71,15 @@ impl Graph {
 
     /// Neighbors of `v`.
     #[must_use]
-    pub fn neighbors(&self, v: usize) -> &[usize] {
+    fn neighbors(&self, v: usize) -> &[usize] {
         &self.adj[v]
     }
 }
 
 /// Maximum number of faulty nodes in any closed neighborhood `N[v]` —
 /// the graph form of the paper's locally bounded constraint.
-#[must_use]
-pub fn local_fault_bound(graph: &Graph, faulty: &[usize]) -> usize {
+#[cfg(test)]
+fn local_fault_bound(graph: &Graph, faulty: &[usize]) -> usize {
     let fault_set: HashSet<usize> = faulty.iter().copied().collect();
     (0..graph.len())
         .map(|v| {

@@ -5,13 +5,13 @@
 //! The contract, chosen so a process killed at any instant leaves a
 //! file the next run can resume from:
 //!
-//! * **One write per line.** [`JsonlFile::append`] hands the line and
+//! * **One write per line.** `JsonlFile::append` hands the line and
 //!   its `\n` to the OS in a single `write_all` and flushes before it
 //!   returns, so an acknowledged record is a newline-terminated line.
 //! * **Heal on open.** [`JsonlFile::open_append`] truncates a file that
 //!   does not end in `\n` back to its last `\n`; a resume opens with
-//!   [`JsonlFile::open_existing`], checks what it read, then
-//!   [`JsonlFile::heal`]s. A line whose newline
+//!   `JsonlFile::open_existing`, checks what it read, then
+//!   `JsonlFile::heal`s. A line whose newline
 //!   never reached disk was never acknowledged to anyone — journals are
 //!   written *before* the ack they cover — so dropping it loses nothing
 //!   a peer or a resumed run relies on, and the next append starts on a
@@ -54,7 +54,7 @@ impl JsonlFile {
     /// # Errors
     ///
     /// On any I/O failure.
-    pub fn create(path: &Path) -> io::Result<JsonlFile> {
+    pub(crate) fn create(path: &Path) -> io::Result<JsonlFile> {
         make_parent(path)?;
         Ok(JsonlFile {
             file: File::create(path)?,
@@ -96,7 +96,7 @@ impl JsonlFile {
     ///
     /// On I/O failure (`NotFound` for a missing file), or as
     /// [`read_lines`] for a complete line that is not UTF-8.
-    pub fn open_existing(path: &Path) -> io::Result<(JsonlFile, Lines)> {
+    pub(crate) fn open_existing(path: &Path) -> io::Result<(JsonlFile, Lines)> {
         let mut file = OpenOptions::new().read(true).append(true).open(path)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
@@ -109,7 +109,7 @@ impl JsonlFile {
     /// # Errors
     ///
     /// On any I/O failure.
-    pub fn heal(&mut self, lines: &Lines) -> io::Result<()> {
+    pub(crate) fn heal(&mut self, lines: &Lines) -> io::Result<()> {
         self.file.set_len(lines.0.len() as u64)
     }
 
@@ -120,12 +120,12 @@ impl JsonlFile {
     /// # Errors
     ///
     /// On any I/O failure.
-    pub fn append(&mut self, mut line: String) -> io::Result<()> {
+    pub(crate) fn append(&mut self, mut line: String) -> io::Result<()> {
         line.push('\n');
         self.append_terminated(line.as_bytes())
     }
 
-    /// [`JsonlFile::append`] for a caller that encodes each record into
+    /// `JsonlFile::append` for a caller that encodes each record into
     /// a buffer it reuses: `line` already ends in its one `\n`.
     ///
     /// # Errors

@@ -14,14 +14,14 @@
 //!    snapshotted by [`metrics_snapshot`]. Counters aggregate across
 //!    threads with commutative atomics, so totals are deterministic for
 //!    a fixed workload even though increment order is not.
-//! 3. **Timing** — scoped wall-clock spans ([`span`]) and stopwatches
+//! 3. **Timing** — scoped wall-clock spans (`span`) and stopwatches
 //!    ([`Stopwatch`]), aggregated by [`timings_snapshot`]. This is the
 //!    *only* module in the workspace allowed to read the wall clock
 //!    (`cargo xtask audit` rule `obs-wallclock`); timing never feeds
 //!    anything hashed, journaled, or compared for determinism.
 
 pub use rbcast_sim::trace::{
-    fold_words, replay_hash, replay_hash_events, JsonlSink, MemorySink, TraceEvent, TraceSink,
+    fold_words, replay_hash, JsonlSink, MemorySink, TraceEvent, TraceSink,
 };
 
 use std::collections::BTreeMap;
@@ -36,12 +36,12 @@ pub struct Counter(&'static AtomicU64);
 
 impl Counter {
     /// Adds `n` to the counter.
-    pub fn add(&self, n: u64) {
+    pub(crate) fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds one.
-    pub fn incr(&self) {
+    pub(crate) fn incr(&self) {
         self.add(1);
     }
 
@@ -126,7 +126,7 @@ impl SpanStat {
 
 static TIMINGS: Mutex<BTreeMap<&'static str, SpanStat>> = Mutex::new(BTreeMap::new());
 
-/// A scoped wall-clock timer: measures from [`span`] until drop, then
+/// A scoped wall-clock timer: measures from `span` until drop, then
 /// folds the elapsed time into the per-name aggregate.
 #[derive(Debug)]
 pub struct Span {
@@ -149,7 +149,7 @@ impl Drop for Span {
 /// e.g. `"flow/dinic"`, `"sweep/task"`). The measurement ends when the
 /// returned guard drops.
 #[must_use = "a span measures until dropped; binding it to _ ends it immediately"]
-pub fn span(name: &'static str) -> Span {
+pub(crate) fn span(name: &'static str) -> Span {
     Span {
         name,
         start: Instant::now(), // audit:allow(wall-clock) obs is the sanctioned timing module

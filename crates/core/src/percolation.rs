@@ -29,7 +29,7 @@ pub struct PercolationSample {
 /// Runs flooding with Bernoulli(`p`) crash faults on `torus` and reports
 /// the coverage.
 #[must_use]
-pub fn sample(r: u32, torus: &Torus, p: f64, seed: u64) -> PercolationSample {
+fn sample(r: u32, torus: &Torus, p: f64, seed: u64) -> PercolationSample {
     let outcome = Experiment::new(r, ProtocolKind::Flood)
         .with_torus(torus.clone())
         .with_t(0) // t is irrelevant to flooding; audit is skipped anyway
@@ -71,7 +71,7 @@ pub fn sweep(r: u32, torus: &Torus, ps: &[f64], trials: u64) -> Vec<SweepRow> {
 
 /// [`sweep`] on an explicit number of worker threads. Every
 /// `(probability, seed)` sample is an independent task with its seed
-/// fixed up front, fanned out through [`crate::engine::run_indexed`] and
+/// fixed up front, fanned out through `crate::engine::run_indexed` and
 /// aggregated in input order — rows are byte-identical for every thread
 /// count.
 #[must_use]

@@ -15,7 +15,7 @@
 //!   shim keeps supervised panics off stderr without hiding anyone
 //!   else's.
 //! * **Cooperative deadlines** — a per-task round budget is threaded
-//!   through [`Experiment::with_round_budget`] into the simulator's run
+//!   through `Experiment::with_round_budget` into the simulator's run
 //!   loop; a runaway run stops at the budget with
 //!   [`rbcast_sim::StopReason::DeadlineExceeded`] and surfaces as
 //!   [`TaskError::DeadlineExceeded`]. No threads are killed — the
@@ -25,7 +25,7 @@
 //!   index ([`TaskCtx`]) and chaos draws are pure in `(index, attempt)`,
 //!   so a sweep's output stays byte-identical at any thread count no
 //!   matter which worker retries what.
-//! * **Checkpoint journal** — [`supervise`] appends one JSONL line per
+//! * **Checkpoint journal** — `supervise` appends one JSONL line per
 //!   settled task (index, status, attempts, outcome digest + summary) to
 //!   the configured [`Journal`]; a killed sweep resumes through
 //!   [`Journal::open`] ([`SupervisorConfig::with_checkpoint`]), re-running
@@ -57,13 +57,13 @@ use std::sync::{Mutex, Once};
 
 /// Environment variable holding the chaos-injection spec
 /// (`panic:0.05,stall:0.02,seed=7`; `:` and `=` are interchangeable).
-pub const CHAOS_ENV: &str = "RBCAST_CHAOS";
+const CHAOS_ENV: &str = "RBCAST_CHAOS";
 
 /// Environment variable overriding the supervisor's attempt bound.
-pub const RETRIES_ENV: &str = "RBCAST_RETRIES";
+const RETRIES_ENV: &str = "RBCAST_RETRIES";
 
 /// Environment variable arming a default per-task round budget.
-pub const ROUND_BUDGET_ENV: &str = "RBCAST_ROUND_BUDGET";
+const ROUND_BUDGET_ENV: &str = "RBCAST_ROUND_BUDGET";
 
 // ---------------------------------------------------------------------
 // Error taxonomy
@@ -150,7 +150,7 @@ pub enum ChaosEvent {
     Stall,
 }
 
-/// Deterministic fault injection (test-only; armed via [`CHAOS_ENV`]).
+/// Deterministic fault injection (test-only; armed via `CHAOS_ENV`).
 ///
 /// Probabilities are stored in parts-per-million so drawing never
 /// compares floats; a draw is a pure function of
@@ -189,7 +189,7 @@ impl ChaosConfig {
     /// # Errors
     ///
     /// On any malformed field, unknown key, or out-of-range probability.
-    pub fn parse(spec: &str) -> Result<ChaosConfig, String> {
+    fn parse(spec: &str) -> Result<ChaosConfig, String> {
         let mut cfg = ChaosConfig::default();
         for field in spec.split(',') {
             let field = field.trim();
@@ -221,13 +221,13 @@ impl ChaosConfig {
         Ok(cfg)
     }
 
-    /// Reads and parses [`CHAOS_ENV`]. `None` when unset or empty.
+    /// Reads and parses `CHAOS_ENV`. `None` when unset or empty.
     ///
     /// # Errors
     ///
     /// If the variable is set but malformed (strict: a broken spec must
     /// fail loudly, not silently run without chaos).
-    pub fn from_env() -> Result<Option<ChaosConfig>, String> {
+    fn from_env() -> Result<Option<ChaosConfig>, String> {
         match crate::config::env_var(CHAOS_ENV) {
             Some(raw) if !raw.trim().is_empty() => ChaosConfig::parse(&raw)
                 .map(Some)
@@ -238,7 +238,7 @@ impl ChaosConfig {
 
     /// The deterministic draw for one attempt of one task.
     #[must_use]
-    pub fn draw(&self, index: usize, attempt: u32) -> Option<ChaosEvent> {
+    fn draw(&self, index: usize, attempt: u32) -> Option<ChaosEvent> {
         if self.panic_ppm == 0 && self.stall_ppm == 0 {
             return None;
         }
@@ -386,7 +386,7 @@ pub struct JournalEntry {
 impl JournalEntry {
     /// Serialises to one JSONL line (no trailing newline).
     #[must_use]
-    pub fn to_line(&self) -> String {
+    fn to_line(&self) -> String {
         let mut line = format!(
             "{{\"task\":{},\"status\":\"{}\",\"attempts\":{}",
             self.task,
@@ -482,7 +482,7 @@ pub struct JournalHeader {
 impl JournalHeader {
     /// Serialises to one JSONL line (no trailing newline).
     #[must_use]
-    pub fn to_line(&self) -> String {
+    fn to_line(self) -> String {
         format!(
             "{{\"fingerprint\":\"{:#018x}\",\"tasks\":{}}}",
             self.fingerprint, self.tasks
@@ -533,7 +533,7 @@ pub enum Checkpoint {
 impl Checkpoint {
     /// The journal's path.
     #[must_use]
-    pub fn path(&self) -> &Path {
+    fn path(&self) -> &Path {
         match self {
             Checkpoint::Fresh(path) | Checkpoint::Resume(path) => path,
         }
@@ -595,7 +595,7 @@ fn task_of(line: &str) -> Result<usize, String> {
 ///
 /// [`CheckpointError::Corrupt`] naming the first task whose line `parse`
 /// rejects.
-pub fn parse_rows<R>(
+pub(crate) fn parse_rows<R>(
     checkpoint: &Checkpoint,
     rows: BTreeMap<usize, String>,
     parse: impl Fn(&str) -> Result<R, String>,
@@ -651,7 +651,7 @@ impl std::fmt::Display for JournalFailure {
 ///
 /// The first append that fails is latched as a [`JournalFailure`]: the
 /// file is closed, every later append is a no-op that returns the same
-/// error, and [`Journal::failure`] reports it.
+/// error, and `Journal::failure` reports it.
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
@@ -741,7 +741,7 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// As [`Journal::append_line`].
+    /// As `Journal::append_line`.
     pub fn record(&self, entry: &JournalEntry) -> std::io::Result<()> {
         self.append_line(entry.task, entry.to_line())
     }
@@ -755,7 +755,7 @@ impl Journal {
     /// When this write fails — it is latched as the journal's
     /// [`JournalFailure`] — or an earlier one did, in which case nothing
     /// is written.
-    pub fn append_line(&self, task: usize, line: String) -> std::io::Result<()> {
+    pub(crate) fn append_line(&self, task: usize, line: String) -> std::io::Result<()> {
         let mut file = self
             .file
             .lock()
@@ -776,7 +776,7 @@ impl Journal {
 
     /// The first append that failed, if any did.
     #[must_use]
-    pub fn failure(&self) -> Option<JournalFailure> {
+    pub(crate) fn failure(&self) -> Option<JournalFailure> {
         self.file
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -827,8 +827,8 @@ impl SupervisorConfig {
         }
     }
 
-    /// [`SupervisorConfig::new`] with [`CHAOS_ENV`], [`RETRIES_ENV`] and
-    /// [`ROUND_BUDGET_ENV`] applied — the bench binaries' entry point.
+    /// [`SupervisorConfig::new`] with `CHAOS_ENV`, `RETRIES_ENV` and
+    /// `ROUND_BUDGET_ENV` applied — the bench binaries' entry point.
     ///
     /// # Errors
     ///
@@ -939,7 +939,7 @@ pub enum Supervised<R> {
 
 impl<R> Supervised<R> {
     /// The completed value, if this run computed one.
-    pub fn value(&self) -> Option<&R> {
+    fn value(&self) -> Option<&R> {
         match self {
             Supervised::Done { value, .. } => Some(value),
             Supervised::Failed { .. } | Supervised::Resumed { .. } => None,
@@ -1039,7 +1039,7 @@ where
 /// The result vector is in input order with one [`Supervised`] cell per
 /// task — never fewer. A failed journal write does not stop the run:
 /// the journal latches it (see [`Journal::failure`]).
-pub fn supervise<T, R, F>(
+pub(crate) fn supervise<T, R, F>(
     tasks: &[T],
     threads: usize,
     config: &SupervisorConfig,
@@ -1173,7 +1173,7 @@ impl SweepReport {
 
 /// The supervised counterpart of [`engine::run_experiments`]: threads
 /// the configured round budget into experiments that lack one, builds
-/// their arenas once, and runs them through [`supervise`] — panic
+/// their arenas once, and runs them through `supervise` — panic
 /// isolation, watchdog, bounded retry, resume and journal included —
 /// always returning a full-length, input-ordered report.
 ///

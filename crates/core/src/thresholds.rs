@@ -11,7 +11,7 @@
 
 /// `r(2r+1)` — the pivotal quantity of the L∞ analysis.
 #[must_use]
-pub fn r_2r_plus_1(r: u32) -> u64 {
+fn r_2r_plus_1(r: u32) -> u64 {
     let r = u64::from(r);
     r * (2 * r + 1)
 }
@@ -97,19 +97,6 @@ pub fn l2_crash_estimate(r: u32) -> f64 {
     0.46 * std::f64::consts::PI * f64::from(r) * f64::from(r)
 }
 
-/// Fraction of a closed L∞ neighborhood (`(2r+1)²` nodes) the Byzantine
-/// threshold represents — approaches ¼ ("slightly less than one-fourth").
-#[must_use]
-pub fn byzantine_fraction(r: u32) -> f64 {
-    byzantine_max_t(r) as f64 / ((2 * u64::from(r) + 1).pow(2)) as f64
-}
-
-/// Fraction for crash-stop — approaches ½ ("slightly less than half").
-#[must_use]
-pub fn crash_fraction(r: u32) -> f64 {
-    crash_max_t(r) as f64 / ((2 * u64::from(r) + 1).pow(2)) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,11 +171,14 @@ mod tests {
 
     #[test]
     fn fractions_approach_quarter_and_half() {
-        assert!((byzantine_fraction(1000) - 0.25).abs() < 0.001);
-        assert!((crash_fraction(1000) - 0.5).abs() < 0.001);
-        // and from below
-        assert!(byzantine_fraction(1000) < 0.25);
-        assert!(crash_fraction(1000) < 0.5);
+        // Of a closed L∞ neighborhood ((2r+1)² nodes) the Byzantine bound
+        // is "slightly less than one-fourth", the crash bound "slightly
+        // less than half".
+        let ball = (2 * 1000 + 1_u64).pow(2) as f64;
+        let byzantine = byzantine_max_t(1000) as f64 / ball;
+        let crash = crash_max_t(1000) as f64 / ball;
+        assert!(byzantine < 0.25 && 0.25 - byzantine < 0.001);
+        assert!(crash < 0.5 && 0.5 - crash < 0.001);
     }
 
     #[test]

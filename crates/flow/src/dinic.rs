@@ -2,8 +2,8 @@
 
 /// Identifier of a directed edge added to a [`FlowNetwork`].
 ///
-/// Returned by [`FlowNetwork::add_edge`] so callers can later query the
-/// flow routed over that specific edge with [`FlowNetwork::flow_on`].
+/// Returned by [`FlowNetwork::add_edge`]; it names one forward edge of
+/// the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EdgeId(usize);
 
@@ -56,14 +56,8 @@ impl FlowNetwork {
 
     /// Number of nodes.
     #[must_use]
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.graph.len()
-    }
-
-    /// True iff the network has no nodes.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.graph.is_empty()
     }
 
     /// Adds a directed edge `from → to` with capacity `cap` and returns
@@ -90,25 +84,10 @@ impl FlowNetwork {
         EdgeId(fwd)
     }
 
-    /// Drains all routed flow, restoring every edge to its original
-    /// capacity, so the same network can be solved again (for a
-    /// different terminal pair, or to cross-check a previous answer)
-    /// without rebuilding it edge by edge.
-    ///
-    /// Edges are stored as forward/reverse pairs: the reverse edge's
-    /// capacity is exactly the flow pushed over the forward edge, so
-    /// returning it undoes the routing.
-    pub fn reset(&mut self) {
-        for pair in self.edges.chunks_exact_mut(2) {
-            pair[0].cap += pair[1].cap;
-            pair[1].cap = 0;
-        }
-    }
-
     /// Flow currently routed over edge `e` (meaningful after
     /// [`FlowNetwork::max_flow`]).
-    #[must_use]
-    pub fn flow_on(&self, e: EdgeId) -> u32 {
+    #[cfg(test)]
+    fn flow_on(&self, e: EdgeId) -> u32 {
         // flow = capacity of the reverse edge
         let rev = self.edges[e.0].rev;
         self.edges[rev].cap
@@ -117,7 +96,7 @@ impl FlowNetwork {
     /// Vertices reachable from `from` in the residual graph of the last
     /// flow — the source side of a minimum cut (max-flow/min-cut).
     #[must_use]
-    pub fn residual_reachable(&self, from: usize) -> Vec<bool> {
+    pub(crate) fn residual_reachable(&self, from: usize) -> Vec<bool> {
         let mut reach = vec![false; self.len()];
         let mut queue = std::collections::VecDeque::from([from]);
         reach[from] = true;
@@ -147,7 +126,7 @@ impl FlowNetwork {
     /// # Panics
     ///
     /// Panics if `s == t` or either is out of range.
-    pub fn max_flow_capped(&mut self, s: usize, t: usize, target: u32) -> u32 {
+    pub(crate) fn max_flow_capped(&mut self, s: usize, t: usize, target: u32) -> u32 {
         assert!(s < self.len() && t < self.len(), "terminal out of range");
         assert_ne!(s, t, "source and sink must differ");
         let mut flow = 0;
@@ -334,36 +313,6 @@ mod tests {
                 .sum();
             assert_eq!(inflow, outflow, "conservation at node {node}");
         }
-    }
-
-    #[test]
-    fn reset_restores_capacities_exactly() {
-        let mut net = FlowNetwork::new(4);
-        let a = net.add_edge(0, 1, 1);
-        net.add_edge(0, 2, 1);
-        net.add_edge(1, 2, 1);
-        net.add_edge(1, 3, 1);
-        net.add_edge(2, 3, 1);
-        assert_eq!(net.max_flow(0, 3), 2);
-        net.reset();
-        assert_eq!(net.flow_on(a), 0, "reset must drain routed flow");
-        // The drained network solves identically, repeatedly.
-        assert_eq!(net.max_flow(0, 3), 2);
-        net.reset();
-        assert_eq!(net.max_flow(0, 3), 2);
-    }
-
-    #[test]
-    fn reset_allows_a_different_terminal_pair() {
-        let mut net = FlowNetwork::new(4);
-        net.add_edge(0, 1, 3);
-        net.add_edge(1, 2, 2);
-        net.add_edge(2, 3, 1);
-        assert_eq!(net.max_flow(0, 2), 2);
-        net.reset();
-        assert_eq!(net.max_flow(1, 3), 1);
-        net.reset();
-        assert_eq!(net.max_flow(0, 3), 1);
     }
 
     #[test]

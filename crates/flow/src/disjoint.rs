@@ -118,77 +118,6 @@ pub fn try_vertex_disjoint_count(
     Ok(net.max_flow_capped(s_out, t_in, cap.unwrap_or(u32::MAX)))
 }
 
-/// Computes a maximum set of internally-vertex-disjoint `s–t` paths and
-/// returns them as vertex sequences `s, …, t`.
-///
-/// Same reduction as [`vertex_disjoint_count`], followed by a flow
-/// decomposition. Direct `s–t` edges yield the 2-vertex path `[s, t]`.
-///
-/// # Panics
-///
-/// Same conditions as [`vertex_disjoint_count`];
-/// [`try_vertex_disjoint_paths`] is the non-panicking form.
-#[must_use]
-pub fn vertex_disjoint_paths(
-    adj: &[Vec<usize>],
-    s: usize,
-    t: usize,
-    cap: Option<u32>,
-) -> Vec<Vec<usize>> {
-    try_vertex_disjoint_paths(adj, s, t, cap)
-        .expect("caller guarantees distinct in-range terminals and a closed adjacency list")
-}
-
-/// Non-panicking form of [`vertex_disjoint_paths`].
-pub fn try_vertex_disjoint_paths(
-    adj: &[Vec<usize>],
-    s: usize,
-    t: usize,
-    cap: Option<u32>,
-) -> Result<Vec<Vec<usize>>, DisjointError> {
-    validate(adj, s, t)?;
-    let n = adj.len();
-    // Build the split network once, recording edge ids so the routed
-    // flow can be read back per vertex-to-vertex edge.
-    let (mut net, s_out, t_in, edge_ids) = build_split_network_with_ids(adj, s, t);
-    let flow = net.max_flow_capped(s_out, t_in, cap.unwrap_or(u32::MAX));
-
-    // successors[u] = list of v with positive flow on u->v
-    let mut successors: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for &(u, v, id) in &edge_ids {
-        if net.flow_on(id) > 0 {
-            successors[u].push(v);
-        }
-    }
-
-    #[cfg(debug_assertions)]
-    {
-        // Cross-check: drain the routed flow and solve the restored
-        // network again — the flow value must reproduce exactly.
-        net.reset();
-        let replay = net.max_flow_capped(s_out, t_in, cap.unwrap_or(u32::MAX));
-        debug_assert_eq!(
-            flow, replay,
-            "FlowNetwork::reset failed to restore capacities"
-        );
-    }
-
-    let mut paths = Vec::with_capacity(flow as usize);
-    for _ in 0..flow {
-        let mut path = vec![s];
-        let mut cur = s;
-        while cur != t {
-            let next = successors[cur]
-                .pop()
-                .expect("flow decomposition: dead end before reaching sink");
-            path.push(next);
-            cur = next;
-        }
-        paths.push(path);
-    }
-    Ok(paths)
-}
-
 /// Extracts a *minimum vertex cut* separating `s` from `t`: a smallest
 /// set of vertices (excluding the terminals) whose removal disconnects
 /// them. By Menger's theorem its size equals
@@ -196,21 +125,9 @@ pub fn try_vertex_disjoint_paths(
 /// witness dual to the disjoint-path families (a fault placement hitting
 /// every path).
 ///
-/// Returns `None` when `s` and `t` are adjacent (no vertex cut exists).
-///
-/// # Panics
-///
-/// Same conditions as [`vertex_disjoint_count`]; [`try_min_vertex_cut`]
-/// is the non-panicking form.
-#[must_use]
-pub fn min_vertex_cut(adj: &[Vec<usize>], s: usize, t: usize) -> Option<Vec<usize>> {
-    try_min_vertex_cut(adj, s, t)
-        .expect("caller guarantees distinct in-range terminals and a closed adjacency list")
-}
-
-/// Non-panicking form of [`min_vertex_cut`]: the outer `Result` reports
-/// precondition violations, the inner `Option` stays `None` for adjacent
-/// terminals.
+/// Returns `Ok(None)` when `s` and `t` are adjacent (no vertex cut
+/// exists), and a [`DisjointError`] naming the broken invariant when the
+/// input violates a precondition of [`vertex_disjoint_count`].
 pub fn try_min_vertex_cut(
     adj: &[Vec<usize>],
     s: usize,
@@ -254,20 +171,6 @@ pub fn try_min_vertex_cut(
 /// Builds the node-split network. Returns `(network, source, sink)` where
 /// `source` is `s`'s out-copy and `sink` is `t`'s in-copy.
 fn build_split_network(adj: &[Vec<usize>], s: usize, t: usize) -> (FlowNetwork, usize, usize) {
-    let (net, s_out, t_in, _) = build_split_network_with_ids(adj, s, t);
-    (net, s_out, t_in)
-}
-
-fn build_split_network_with_ids(
-    adj: &[Vec<usize>],
-    s: usize,
-    t: usize,
-) -> (
-    FlowNetwork,
-    usize,
-    usize,
-    Vec<(usize, usize, crate::EdgeId)>,
-) {
     // Preconditions hold here: every caller has gone through validate().
     let n = adj.len();
 
@@ -278,15 +181,13 @@ fn build_split_network_with_ids(
         let cap = if v == s || v == t { u32::MAX } else { 1 };
         net.add_edge(2 * v, 2 * v + 1, cap);
     }
-    let mut ids = Vec::new();
     for (u, nbrs) in adj.iter().enumerate() {
         for &v in nbrs {
             // one direction per listed arc; undirected graphs list both.
-            let id = net.add_edge(2 * u + 1, 2 * v, 1);
-            ids.push((u, v, id));
+            net.add_edge(2 * u + 1, 2 * v, 1);
         }
     }
-    (net, 2 * s + 1, 2 * t, ids)
+    (net, 2 * s + 1, 2 * t)
 }
 
 #[cfg(test)]
@@ -295,6 +196,10 @@ mod tests {
     use proptest::prelude::*;
 
     /// Convenience: build symmetric adjacency from an edge list.
+    fn min_vertex_cut(adj: &[Vec<usize>], s: usize, t: usize) -> Option<Vec<usize>> {
+        try_min_vertex_cut(adj, s, t).expect("well-formed test graph")
+    }
+
     fn undirected(n: usize, edges: &[(usize, usize)]) -> Vec<Vec<usize>> {
         let mut adj = vec![Vec::new(); n];
         for &(u, v) in edges {
@@ -349,36 +254,9 @@ mod tests {
     }
 
     #[test]
-    fn paths_are_valid_and_disjoint() {
-        let mut edges = Vec::new();
-        for u in 0..7 {
-            for v in (u + 1)..7 {
-                edges.push((u, v));
-            }
-        }
-        let adj = undirected(7, &edges);
-        let paths = vertex_disjoint_paths(&adj, 0, 6, None);
-        assert_eq!(paths.len(), 6);
-        let mut seen = std::collections::HashSet::new();
-        for p in &paths {
-            assert_eq!(*p.first().unwrap(), 0);
-            assert_eq!(*p.last().unwrap(), 6);
-            // edges exist
-            for w in p.windows(2) {
-                assert!(adj[w[0]].contains(&w[1]), "missing edge {w:?}");
-            }
-            // internal disjointness
-            for &v in &p[1..p.len() - 1] {
-                assert!(seen.insert(v), "vertex {v} reused");
-            }
-        }
-    }
-
-    #[test]
     fn disconnected_graph_zero_paths() {
         let adj = undirected(4, &[(0, 1), (2, 3)]);
         assert_eq!(vertex_disjoint_count(&adj, 0, 3, None), 0);
-        assert!(vertex_disjoint_paths(&adj, 0, 3, None).is_empty());
     }
 
     #[test]
@@ -419,7 +297,7 @@ mod tests {
             Err(DisjointError::TerminalOutOfRange { terminal: 9, n: 4 })
         );
         assert_eq!(
-            try_vertex_disjoint_paths(&adj, 2, 2, None),
+            try_vertex_disjoint_count(&adj, 2, 2, None),
             Err(DisjointError::IdenticalTerminals { terminal: 2 })
         );
         let mut bad = adj.clone();
@@ -443,14 +321,6 @@ mod tests {
         assert_eq!(
             try_vertex_disjoint_count(&adj, 0, 5, None),
             Ok(vertex_disjoint_count(&adj, 0, 5, None))
-        );
-        assert_eq!(
-            try_vertex_disjoint_paths(&adj, 0, 5, None),
-            Ok(vertex_disjoint_paths(&adj, 0, 5, None))
-        );
-        assert_eq!(
-            try_min_vertex_cut(&adj, 0, 5),
-            Ok(min_vertex_cut(&adj, 0, 5))
         );
     }
 
@@ -514,27 +384,6 @@ mod tests {
                 }
             }
             prop_assert!(!reach[8]);
-        }
-
-        /// On a random graph, count from `vertex_disjoint_count` equals the
-        /// number of paths extracted, and extracted paths verify.
-        #[test]
-        fn extraction_matches_count(seed_edges in proptest::collection::vec((0usize..10, 0usize..10), 0..40)) {
-            let edges: Vec<(usize, usize)> =
-                seed_edges.into_iter().filter(|&(u, v)| u != v).collect();
-            let adj = undirected(10, &edges);
-            let count = vertex_disjoint_count(&adj, 0, 9, None);
-            let paths = vertex_disjoint_paths(&adj, 0, 9, None);
-            prop_assert_eq!(count as usize, paths.len());
-            let mut used = std::collections::HashSet::new();
-            for p in &paths {
-                for w in p.windows(2) {
-                    prop_assert!(adj[w[0]].contains(&w[1]));
-                }
-                for &v in &p[1..p.len().saturating_sub(1)] {
-                    prop_assert!(used.insert(v));
-                }
-            }
         }
 
         /// The cap parameter never changes feasibility, only truncates.

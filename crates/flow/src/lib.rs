@@ -8,9 +8,10 @@
 //!
 //! * [`FlowNetwork`] — a from-scratch Dinic max-flow implementation with
 //!   early termination at a target flow value.
-//! * [`vertex_disjoint_count`] / [`vertex_disjoint_paths`] — maximum sets
-//!   of internally-vertex-disjoint paths in an undirected graph, via the
-//!   standard node-splitting reduction.
+//! * [`vertex_disjoint_count`] / [`try_min_vertex_cut`] — the size of a
+//!   maximum set of internally-vertex-disjoint paths in an undirected
+//!   graph, via the standard node-splitting reduction, and a minimum
+//!   vertex cut that witnesses it (Menger).
 //! * [`ChainPacker`] — maximum sets of pairwise node-disjoint *reported
 //!   relay chains* (the `HEARD(...)` evidence of the paper's §VI
 //!   protocol). Chains are packed over a prefix trie so that a unit of
@@ -38,7 +39,6 @@ pub mod stats;
 
 pub use dinic::{EdgeId, FlowNetwork};
 pub use disjoint::{
-    min_vertex_cut, try_min_vertex_cut, try_vertex_disjoint_count, try_vertex_disjoint_paths,
-    vertex_disjoint_count, vertex_disjoint_paths, DisjointError,
+    try_min_vertex_cut, try_vertex_disjoint_count, vertex_disjoint_count, DisjointError,
 };
 pub use packing::{Chain, ChainPacker, PackScratch, MAX_CHAIN_KEYS};

@@ -64,15 +64,15 @@ impl Chain {
     /// # Panics
     ///
     /// Panics if `relays` does not fit (see [`Chain::try_new`]).
-    #[must_use]
-    pub fn new(relays: &[u64]) -> Self {
+    #[cfg(test)]
+    fn new(relays: &[u64]) -> Self {
         Chain::try_new(relays).expect("chain exceeds MAX_CHAIN_KEYS or the u32 key range")
     }
 
     /// Creates a chain from its relay sequence, or `None` if it exceeds
     /// [`MAX_CHAIN_KEYS`] or holds a key that is not below `u32::MAX`.
     #[must_use]
-    pub fn try_new(relays: &[u64]) -> Option<Self> {
+    fn try_new(relays: &[u64]) -> Option<Self> {
         if relays.len() > MAX_CHAIN_KEYS {
             return None;
         }
@@ -103,14 +103,14 @@ impl Chain {
     /// True iff this chain is a direct observation (no relays).
     #[inline]
     #[must_use]
-    pub fn is_direct(&self) -> bool {
+    fn is_direct(&self) -> bool {
         self.keys[0] == EMPTY
     }
 
     /// True iff the chain repeats a relay (degenerate; only a faulty relay
     /// fabricates these, and they are discarded on arrival).
     #[must_use]
-    pub fn has_repeats(&self) -> bool {
+    fn has_repeats(&self) -> bool {
         // relay chains are short (≤ 3 in the paper's protocol): quadratic
         // scan beats hashing
         let relays = self.relays();
@@ -134,7 +134,7 @@ impl Chain {
     /// and can share a packing with its supersets.
     #[inline]
     #[must_use]
-    pub fn dominates(&self, other: &Chain) -> bool {
+    fn dominates(&self, other: &Chain) -> bool {
         !self.is_direct()
             && self.sig & !other.sig == 0
             && self.relays().iter().all(|&r| other.contains(r))
@@ -143,7 +143,7 @@ impl Chain {
     /// True iff the two chains share a relay.
     #[inline]
     #[must_use]
-    pub fn conflicts_with(&self, other: &Chain) -> bool {
+    fn conflicts_with(&self, other: &Chain) -> bool {
         self.sig & other.sig != 0 && self.relays().iter().any(|&r| other.contains(r))
     }
 }

@@ -113,7 +113,7 @@ impl Schedule {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArenaError {
     /// More nodes than a `u32` [`NodeId`] can name
-    /// ([`NeighborTable::MAX_NODES`]).
+    /// (`NeighborTable::MAX_NODES`).
     TooManyNodes {
         /// Nodes on the torus.
         nodes: u64,
@@ -162,13 +162,13 @@ fn reserve<T>(torus: &Torus, what: &'static str, len: usize) -> Result<Vec<T>, A
 
 impl NeighborTable {
     /// The most nodes a table can hold: node ids are `u32`.
-    pub const MAX_NODES: u64 = 1 << 32;
+    const MAX_NODES: u64 = 1 << 32;
 
     /// Refuses a torus whose nodes a `u32` id cannot name.
     ///
     /// # Errors
     ///
-    /// [`ArenaError::TooManyNodes`] past [`NeighborTable::MAX_NODES`].
+    /// [`ArenaError::TooManyNodes`] past `NeighborTable::MAX_NODES`.
     pub fn check_nodes(nodes: u64) -> Result<(), ArenaError> {
         if nodes > Self::MAX_NODES {
             return Err(ArenaError::TooManyNodes { nodes });
@@ -182,7 +182,7 @@ impl NeighborTable {
     /// # Panics
     ///
     /// Panics if the torus is too small to emulate the infinite grid at
-    /// this radius (see [`Torus::supports_radius`]) — undersized tori
+    /// this radius (see `Torus::supports_radius`) — undersized tori
     /// would alias neighborhoods through the wrap-around — or on the
     /// [`ArenaError`] of [`NeighborTable::try_build`].
     #[must_use]
@@ -198,7 +198,7 @@ impl NeighborTable {
     ///
     /// # Errors
     ///
-    /// When the torus has more than [`NeighborTable::MAX_NODES`] nodes or
+    /// When the torus has more than `NeighborTable::MAX_NODES` nodes or
     /// the allocator refuses the schedule or the stencils.
     ///
     /// # Panics
@@ -519,8 +519,8 @@ pub struct LocalFrame {
 
 impl LocalFrame {
     /// The center coordinate the frame was built around.
-    #[must_use]
-    pub fn center(&self) -> Coord {
+    #[cfg(test)]
+    fn center(&self) -> Coord {
         self.me
     }
 
@@ -530,7 +530,7 @@ impl LocalFrame {
         (self.side * self.side) as usize
     }
 
-    /// Dense slot of node `id` (see [`LocalFrame::slot_of`]).
+    /// Dense slot of node `id` (see `LocalFrame::slot_of`).
     #[inline]
     #[must_use]
     pub fn slot_of_id(&self, id: NodeId) -> Option<usize> {
@@ -541,7 +541,7 @@ impl LocalFrame {
     /// the center exceeds the span on either axis.
     #[inline]
     #[must_use]
-    pub fn slot_of(&self, c: Coord) -> Option<usize> {
+    fn slot_of(&self, c: Coord) -> Option<usize> {
         let d = self.torus.displacement(self.me, c);
         if d.x.abs() > self.span || d.y.abs() > self.span {
             return None;
@@ -596,7 +596,7 @@ mod tests {
     /// offset translated to the node, and on a torus too small for the
     /// radius the aliased repeats and the node itself dropped.
     fn csr_rows(torus: &Torus, r: u32, metric: Metric) -> Vec<Vec<NodeId>> {
-        let offs = crate::metric_offsets(r, metric);
+        let offs = crate::nbd::metric_offsets(r, metric);
         let faithful = torus.supports_radius(r);
         torus
             .node_ids()
@@ -764,7 +764,7 @@ mod tests {
         assert_eq!(d1[8], Coord::new(1, 1));
         // the ball at r without the origin is the neighbour stencil
         let stencil: Vec<Coord> = d1.iter().copied().filter(|&c| c != Coord::ORIGIN).collect();
-        assert_eq!(stencil, crate::metric_offsets(1, Metric::Linf));
+        assert_eq!(stencil, crate::nbd::metric_offsets(1, Metric::Linf));
         let d2 = table.ball_offsets(2);
         assert_eq!(d2.len(), 25);
         assert_eq!(d2[12], Coord::ORIGIN);

@@ -41,15 +41,9 @@ impl BitSet {
 
     /// Capacity (the exclusive upper bound on indices).
     #[inline]
-    #[must_use]
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.len
-    }
-
-    /// Whether the capacity is zero.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Inserts `idx`. Returns `true` iff the bit was newly set.

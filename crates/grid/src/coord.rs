@@ -74,23 +74,6 @@ impl Coord {
         let dy = self.y.abs_diff(other.y);
         dx * dx + dy * dy
     }
-
-    /// Manhattan (L1) distance, used by a few auxiliary bounds.
-    #[inline]
-    #[must_use]
-    pub fn l1_dist(self, other: Coord) -> u64 {
-        self.x.abs_diff(other.x) + self.y.abs_diff(other.y)
-    }
-
-    /// The four axis-aligned unit displacements (right, left, up, down).
-    ///
-    /// These are the perturbations that define the paper's `pnbd` (§IV).
-    pub const UNIT_STEPS: [Coord; 4] = [
-        Coord { x: 1, y: 0 },
-        Coord { x: -1, y: 0 },
-        Coord { x: 0, y: 1 },
-        Coord { x: 0, y: -1 },
-    ];
 }
 
 impl Add for Coord {
@@ -158,11 +141,6 @@ mod tests {
     }
 
     #[test]
-    fn l1_dist_examples() {
-        assert_eq!(Coord::new(0, 0).l1_dist(Coord::new(3, -2)), 5);
-    }
-
-    #[test]
     fn arithmetic_round_trip() {
         let a = Coord::new(7, -3);
         let b = Coord::new(-2, 9);
@@ -179,16 +157,6 @@ mod tests {
     fn from_tuple() {
         let c: Coord = (4, 5).into();
         assert_eq!(c, Coord::new(4, 5));
-    }
-
-    #[test]
-    fn unit_steps_are_the_four_axis_neighbors() {
-        let set: std::collections::HashSet<_> = Coord::UNIT_STEPS.into_iter().collect();
-        assert_eq!(set.len(), 4);
-        for s in Coord::UNIT_STEPS {
-            assert_eq!(Coord::ORIGIN.linf_dist(s), 1);
-            assert_eq!(Coord::ORIGIN.l1_dist(s), 1);
-        }
     }
 
     fn arb_coord() -> impl Strategy<Value = Coord> {
@@ -216,7 +184,7 @@ mod tests {
         fn metric_sandwich(a in arb_coord(), b in arb_coord()) {
             // L∞ ≤ L2 ≤ L1, expressed without floats:
             let linf = a.linf_dist(b);
-            let l1 = a.l1_dist(b);
+            let l1 = a.x.abs_diff(b.x) + a.y.abs_diff(b.y);
             let l2sq = a.l2_dist_sq(b);
             prop_assert!(linf * linf <= l2sq);
             prop_assert!(l2sq <= l1 * l1);

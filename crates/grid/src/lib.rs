@@ -58,7 +58,7 @@ pub use arena::{ArenaError, LocalFrame, NeighborTable, Neighbors};
 pub use bitset::BitSet;
 pub use coord::Coord;
 pub use metric::Metric;
-pub use nbd::{linf_offsets, metric_offsets, pnbd_centers, Neighborhood};
+pub use nbd::{linf_offsets, Neighborhood};
 pub use region::Rect;
 pub use tdma::{ScheduleError, TdmaSchedule};
 pub use torus::{NodeId, Torus};

@@ -94,34 +94,6 @@ impl Metric {
         };
         usize::try_from(ball - 1).unwrap_or(usize::MAX)
     }
-
-    /// The paper's Byzantine achievability threshold for this metric:
-    /// reliable broadcast is possible whenever `t < threshold`.
-    ///
-    /// * L∞ (Theorem 1): `½·r(2r+1)` — exact (matches Koo's impossibility).
-    /// * L2 (§VIII): `0.23·πr²` — approximate, valid for large `r`.
-    #[must_use]
-    pub fn byzantine_threshold(self, r: u32) -> f64 {
-        let r = f64::from(r);
-        match self {
-            Metric::Linf => 0.5 * r * (2.0 * r + 1.0),
-            Metric::L2 => 0.23 * std::f64::consts::PI * r * r,
-        }
-    }
-
-    /// The paper's crash-stop achievability threshold for this metric:
-    /// reliable broadcast is possible whenever `t < threshold`.
-    ///
-    /// * L∞ (Theorems 4–5): `r(2r+1)` — exact.
-    /// * L2 (§VIII): `0.46·πr²` — approximate.
-    #[must_use]
-    pub fn crash_threshold(self, r: u32) -> f64 {
-        let r = f64::from(r);
-        match self {
-            Metric::Linf => r * (2.0 * r + 1.0),
-            Metric::L2 => 0.46 * std::f64::consts::PI * r * r,
-        }
-    }
 }
 
 impl fmt::Display for Metric {
@@ -170,7 +142,7 @@ mod tests {
             for r in 0..=24 {
                 assert_eq!(
                     metric.neighborhood_size(r),
-                    crate::metric_offsets(r, metric).len(),
+                    crate::nbd::metric_offsets(r, metric).len(),
                     "{metric} r={r}"
                 );
             }
@@ -196,33 +168,6 @@ mod tests {
         for r in 1..8u32 {
             assert!(Metric::L2.neighborhood_size(r) <= Metric::Linf.neighborhood_size(r));
         }
-    }
-
-    #[test]
-    #[allow(clippy::float_cmp)] // thresholds are exact halves of integers
-    fn byzantine_threshold_linf_values() {
-        // ½ r(2r+1): r=2 → 5, r=3 → 10.5, r=4 → 18
-        assert_eq!(Metric::Linf.byzantine_threshold(2), 5.0);
-        assert_eq!(Metric::Linf.byzantine_threshold(3), 10.5);
-        assert_eq!(Metric::Linf.byzantine_threshold(4), 18.0);
-    }
-
-    #[test]
-    fn crash_threshold_is_twice_byzantine_in_linf() {
-        for r in 1..12u32 {
-            let byz = Metric::Linf.byzantine_threshold(r);
-            let crash = Metric::Linf.crash_threshold(r);
-            assert!((crash - 2.0 * byz).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn byzantine_fraction_of_neighborhood_approaches_one_fourth_linf() {
-        // The paper: "slightly less than one-fourth fraction of nodes in
-        // any neighborhood". t/|nbd| = ½r(2r+1) / ((2r+1)²−1) → ¼.
-        let r = 200u32;
-        let frac = Metric::Linf.byzantine_threshold(r) / Metric::Linf.neighborhood_size(r) as f64;
-        assert!((frac - 0.25).abs() < 0.01, "frac={frac}");
     }
 
     #[test]

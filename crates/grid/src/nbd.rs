@@ -28,7 +28,7 @@ pub fn linf_offsets(r: u32) -> Vec<Coord> {
 /// For [`Metric::Linf`] this is [`linf_offsets`]; for [`Metric::L2`] it is
 /// the lattice points of the punctured disk of radius `r`.
 #[must_use]
-pub fn metric_offsets(r: u32, metric: Metric) -> Vec<Coord> {
+pub(crate) fn metric_offsets(r: u32, metric: Metric) -> Vec<Coord> {
     match metric {
         Metric::Linf => linf_offsets(r),
         Metric::L2 => {
@@ -57,7 +57,7 @@ pub fn metric_offsets(r: u32, metric: Metric) -> Vec<Coord> {
 /// `pnbd(x,y) = nbd(x−1,y) ∪ nbd(x+1,y) ∪ nbd(x,y−1) ∪ nbd(x,y+1)` — the
 /// "perturbed neighborhood" obtained by nudging the center one step.
 #[must_use]
-pub fn pnbd_centers(c: Coord) -> [Coord; 4] {
+fn pnbd_centers(c: Coord) -> [Coord; 4] {
     [
         c + Coord::new(1, 0),
         c + Coord::new(-1, 0),
@@ -101,24 +101,6 @@ impl Neighborhood {
         }
     }
 
-    /// The center node (not itself a member).
-    #[must_use]
-    pub fn center(&self) -> Coord {
-        self.center
-    }
-
-    /// The transmission radius.
-    #[must_use]
-    pub fn radius(&self) -> u32 {
-        self.radius
-    }
-
-    /// The metric.
-    #[must_use]
-    pub fn metric(&self) -> Metric {
-        self.metric
-    }
-
     /// Whether `p` belongs to the neighborhood (center excluded).
     #[must_use]
     pub fn contains(&self, p: Coord) -> bool {
@@ -128,8 +110,8 @@ impl Neighborhood {
     /// Whether `p` is the center or a member — the paper's "nbd(c) ∪ {c}",
     /// useful when a region constraint says paths "lie within" a
     /// neighborhood (the center itself is allowed on such paths).
-    #[must_use]
-    pub fn covers(&self, p: Coord) -> bool {
+    #[cfg(test)]
+    fn covers(&self, p: Coord) -> bool {
         self.metric.within(self.center, p, self.radius)
     }
 
@@ -141,20 +123,14 @@ impl Neighborhood {
     }
 
     /// Number of members.
-    #[must_use]
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.metric.neighborhood_size(self.radius)
-    }
-
-    /// True iff the neighborhood has no members (only at radius 0).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Iterates over the perturbed neighborhood `pnbd(center)` — the union
     /// of the four perturbed neighborhoods, *without* duplicates.
-    pub fn perturbed_members(&self) -> Vec<Coord> {
+    fn perturbed_members(&self) -> Vec<Coord> {
         let mut set = std::collections::BTreeSet::new();
         for pc in pnbd_centers(self.center) {
             for m in Neighborhood::new(pc, self.radius, self.metric).members() {

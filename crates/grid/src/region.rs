@@ -42,21 +42,9 @@ impl Rect {
     }
 
     /// The canonical empty rectangle.
-    #[must_use]
-    pub const fn empty() -> Self {
+    #[cfg(test)]
+    const fn empty() -> Self {
         Rect::new(1, 0, 1, 0)
-    }
-
-    /// Inclusive x-extent `(x0, x1)`.
-    #[must_use]
-    pub fn x_extent(&self) -> (i64, i64) {
-        (self.x0, self.x1)
-    }
-
-    /// Inclusive y-extent `(y0, y1)`.
-    #[must_use]
-    pub fn y_extent(&self) -> (i64, i64) {
-        (self.y0, self.y1)
     }
 
     /// Number of lattice points contained.
@@ -89,7 +77,7 @@ impl Rect {
 
     /// Intersection of two rectangles (possibly empty).
     #[must_use]
-    pub fn intersect(&self, other: &Rect) -> Rect {
+    fn intersect(&self, other: &Rect) -> Rect {
         Rect::new(
             self.x0.max(other.x0),
             self.x1.min(other.x1),
@@ -158,8 +146,7 @@ mod tests {
     fn translate_moves_every_point() {
         let r = Rect::new(0, 2, 0, 2);
         let t = r.translate(Coord::new(10, -5));
-        assert_eq!(t.x_extent(), (10, 12));
-        assert_eq!(t.y_extent(), (-5, -3));
+        assert_eq!(t, Rect::new(10, 12, -5, -3));
         assert_eq!(t.len(), r.len());
     }
 

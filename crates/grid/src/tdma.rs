@@ -72,12 +72,6 @@ impl TdmaSchedule {
         Ok(TdmaSchedule { period, radius: r })
     }
 
-    /// The schedule period `k = 2r + 1`.
-    #[must_use]
-    pub fn period(&self) -> u32 {
-        self.period
-    }
-
     /// Number of slots in one TDMA frame (`k²`).
     #[must_use]
     pub fn slots_per_frame(&self) -> u32 {
@@ -87,7 +81,7 @@ impl TdmaSchedule {
     /// The slot (in `0..slots_per_frame()`) in which the node at `c`
     /// transmits.
     #[must_use]
-    pub fn slot_of(&self, c: Coord) -> u32 {
+    pub(crate) fn slot_of(&self, c: Coord) -> u32 {
         let k = i64::from(self.period);
         let sx = c.x.rem_euclid(k) as u32;
         let sy = c.y.rem_euclid(k) as u32;
@@ -132,7 +126,6 @@ mod tests {
     fn accepts_divisible_torus() {
         let torus = Torus::new(15, 30);
         let tdma = TdmaSchedule::new(&torus, 2).unwrap();
-        assert_eq!(tdma.period(), 5);
         assert_eq!(tdma.slots_per_frame(), 25);
     }
 

@@ -205,7 +205,7 @@ impl Torus {
         metric: Metric,
     ) -> impl Iterator<Item = NodeId> + '_ {
         let c = self.coord(center);
-        crate::metric_offsets(r, metric)
+        crate::nbd::metric_offsets(r, metric)
             .into_iter()
             .map(move |off| self.id(c + off))
     }
@@ -214,7 +214,7 @@ impl Torus {
     /// neighborhood (L∞: a `(2r+1)`-square) cannot wrap onto itself —
     /// required for experiments to faithfully emulate the infinite grid.
     #[must_use]
-    pub fn supports_radius(&self, r: u32) -> bool {
+    pub(crate) fn supports_radius(&self, r: u32) -> bool {
         self.width > 2 * (2 * r + 1) && self.height > 2 * (2 * r + 1)
     }
 }

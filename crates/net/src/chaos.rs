@@ -40,8 +40,8 @@ pub struct ChaosConfig {
 
 impl ChaosConfig {
     /// No chaos at all: the shim becomes a transparent pass-through.
-    #[must_use]
-    pub fn quiet(seed: u64) -> Self {
+    #[cfg(test)]
+    fn quiet(seed: u64) -> Self {
         ChaosConfig {
             seed,
             burst: None,

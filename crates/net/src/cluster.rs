@@ -91,7 +91,7 @@ impl ClusterSpec {
     /// The value instance `inst` broadcasts (alternating, so parity
     /// failures that swap values are caught).
     #[must_use]
-    pub fn instance_value(inst: InstanceId) -> Value {
+    fn instance_value(inst: InstanceId) -> Value {
         inst.seq.is_multiple_of(2)
     }
 
@@ -273,20 +273,22 @@ impl LoopbackCluster {
     /// recovery tests' stand-in for a torn write on disk. Takes effect
     /// at the next [`LoopbackCluster::restart`] (a live runtime never
     /// re-reads its own journal).
-    pub fn corrupt_journal(&mut self, node: u32, line: &str) {
+    #[cfg(test)]
+    fn corrupt_journal(&mut self, node: u32, line: &str) {
         self.journals[node as usize].inject_raw(line);
     }
 
     /// Freezes a node for `ticks` cluster steps: it receives nothing
     /// and sends nothing, then resumes with its state intact (a GC
     /// pause / SIGSTOP, as opposed to a crash).
-    pub fn stall(&mut self, node: u32, ticks: u64) {
+    #[cfg(test)]
+    fn stall(&mut self, node: u32, ticks: u64) {
         self.stalled_until[node as usize] = self.ticks + ticks;
     }
 
     /// True when a node is currently live (booted and not killed).
-    #[must_use]
-    pub fn is_live(&self, node: u32) -> bool {
+    #[cfg(test)]
+    fn is_live(&self, node: u32) -> bool {
         self.nodes[node as usize].is_some()
     }
 
@@ -317,12 +319,6 @@ impl LoopbackCluster {
             }
         }
         false
-    }
-
-    /// Ticks stepped so far.
-    #[must_use]
-    pub fn ticks(&self) -> u64 {
-        self.ticks
     }
 
     /// Aggregates decisions and digest across all live nodes.

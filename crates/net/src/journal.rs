@@ -130,7 +130,7 @@ fn put_field(out: &mut Vec<u8>, key: &[u8], mut x: u64) {
 /// the journal's one writer. Every byte is written in place: a frame's
 /// wire body is encoded into the tail of `out` and widened to hex where
 /// it lies, back to front, so no byte is overwritten before it is read.
-pub fn encode_record_into(out: &mut Vec<u8>, record: &Record) {
+fn encode_record_into(out: &mut Vec<u8>, record: &Record) {
     match record {
         Record::Boot { epoch } => put_field(out, b"{\"boot\":{\"epoch\":", u64::from(*epoch)),
         Record::Frame {
@@ -164,8 +164,8 @@ pub fn encode_record_into(out: &mut Vec<u8>, record: &Record) {
 
 /// [`encode_record_into`] a fresh `String`, for callers off the append
 /// path.
-#[must_use]
-pub fn encode_record(record: &Record) -> String {
+#[cfg(test)]
+fn encode_record(record: &Record) -> String {
     let mut line = Vec::new();
     encode_record_into(&mut line, record);
     String::from_utf8(line).expect("a record line is ASCII")
@@ -176,7 +176,7 @@ pub fn encode_record(record: &Record) -> String {
 /// # Errors
 ///
 /// Returns the reason the line is not a valid record.
-pub fn decode_record(line: &str) -> Result<Record, String> {
+fn decode_record(line: &str) -> Result<Record, String> {
     if line.contains("\"boot\"") {
         let epoch = json_field_u64(line, "epoch").ok_or("boot without epoch")?;
         let epoch = u32::try_from(epoch).map_err(|_| "epoch exceeds u32")?;
@@ -239,21 +239,16 @@ impl MemJournal {
 
     /// Number of records held.
     #[must_use]
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.lines
-    }
-
-    /// True when no records were appended yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.lines == 0
     }
 
     /// Appends a raw line without encoding it — the fault-injection
     /// hook recovery tests use to model on-disk corruption (a torn
     /// write, bit rot) that [`NetJournal::records`] must surface as a
     /// [`JournalError`] instead of a panic.
-    pub fn inject_raw(&mut self, line: &str) {
+    #[cfg(test)]
+    fn inject_raw(&mut self, line: &str) {
         self.bytes.extend_from_slice(line.as_bytes());
         self.bytes.push(b'\n');
         self.lines += 1;
@@ -298,12 +293,13 @@ impl SharedJournal {
     /// True when no records were appended yet.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.0.borrow().is_empty()
+        self.len() == 0
     }
 
     /// Injects a raw (possibly corrupt) line; see
     /// [`MemJournal::inject_raw`].
-    pub fn inject_raw(&self, line: &str) {
+    #[cfg(test)]
+    pub(crate) fn inject_raw(&self, line: &str) {
         self.0.borrow_mut().inject_raw(line);
     }
 }

@@ -12,7 +12,7 @@
 //!   [`rbcast_core::supervisor::retry_seed`], so two runs of the same
 //!   schedule retransmit at identical ticks.
 //! * **Rx** — frames release strictly in sequence order; out-of-order
-//!   arrivals buffer up to [`RX_WINDOW`] ahead (beyond it they are
+//!   arrivals buffer up to `RX_WINDOW` ahead (beyond it they are
 //!   dropped unacked and retransmission brings them back), duplicates
 //!   re-trigger an ack and are dropped. An incoming *higher* epoch
 //!   means the peer restarted: its new stream starts over at sequence
@@ -22,9 +22,9 @@
 //!   consume frames of the new stream.
 //!
 //! The ack split supports journal-before-ack crash recovery: the link
-//! *releases* frames immediately ([`Link::on_packet`]) but only
+//! *releases* frames immediately (`Link::on_packet`) but only
 //! acknowledges what the runtime has *confirmed*
-//! ([`Link::confirm_released`]) after journaling. A crash between
+//! (`Link::confirm_released`) after journaling. A crash between
 //! release and confirm merely means the peer retransmits — frames the
 //! peer saw acked are always journaled.
 
@@ -71,7 +71,7 @@ pub struct LinkStats {
     pub stale_rx: u64,
     /// Cumulative acks received that advanced the tx window.
     pub acks_rx: u64,
-    /// Frames dropped unacked for lying [`RX_WINDOW`] or more ahead of
+    /// Frames dropped unacked for lying `RX_WINDOW` or more ahead of
     /// the next release.
     pub window_drops: u64,
 }
@@ -83,7 +83,7 @@ pub struct LinkStats {
 /// ordinary retransmission once the window has advanced. A constant,
 /// far above what a correct sender ever has in flight (one round's
 /// broadcasts per instance).
-pub const RX_WINDOW: u64 = 65_536;
+const RX_WINDOW: u64 = 65_536;
 
 #[derive(Debug)]
 struct Outstanding {
@@ -120,7 +120,7 @@ pub struct Link {
     pub stats: LinkStats,
 }
 
-/// What [`Link::on_packet`] observed, so the runtime can react.
+/// What `Link::on_packet` observed, so the runtime can react.
 #[derive(Debug, PartialEq, Eq)]
 pub enum RxEvent {
     /// Nothing released (ack, duplicate, stale, or out-of-order hold).
@@ -134,7 +134,7 @@ pub enum RxEvent {
 impl Link {
     /// A fresh link from `me` (at boot epoch `my_epoch`) to `peer`.
     #[must_use]
-    pub fn new(me: u32, my_epoch: u32, peer: u32, cfg: LinkConfig) -> Self {
+    pub(crate) fn new(me: u32, my_epoch: u32, peer: u32, cfg: LinkConfig) -> Self {
         Link {
             me,
             my_epoch,
@@ -156,7 +156,7 @@ impl Link {
 
     /// The neighbor this link serves.
     #[must_use]
-    pub fn peer(&self) -> u32 {
+    pub(crate) fn peer(&self) -> u32 {
         self.peer
     }
 
@@ -164,7 +164,7 @@ impl Link {
     /// every journaled frame of `peer_epoch` was released in sequence
     /// order starting at 0, so `count` frames are both released and
     /// confirmed.
-    pub fn restore_rx(&mut self, peer_epoch: u32, count: u64) {
+    pub(crate) fn restore_rx(&mut self, peer_epoch: u32, count: u64) {
         self.peer_epoch = Some(peer_epoch);
         self.next_release = count;
         self.confirmed = count;
@@ -174,7 +174,7 @@ impl Link {
 
     /// Queues `frame` on the tx stream; it transmits on the next
     /// [`Link::flush`] and retransmits until acked.
-    pub fn send(&mut self, frame: SeqFrame) {
+    pub(crate) fn send(&mut self, frame: SeqFrame) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.stats.sent += 1;
@@ -191,7 +191,11 @@ impl Link {
     /// order (paired with their sequence numbers) are pushed onto
     /// `released`, which the caller lends; the returned [`RxEvent`] is
     /// what the runtime may need to act on *first*.
-    pub fn on_packet(&mut self, pkt: &Packet, released: &mut Vec<(u64, SeqFrame)>) -> RxEvent {
+    pub(crate) fn on_packet(
+        &mut self,
+        pkt: &Packet,
+        released: &mut Vec<(u64, SeqFrame)>,
+    ) -> RxEvent {
         match pkt.kind {
             PacketKind::Ack { ack_epoch, cum } => {
                 // Acks are valid only for the stream they acknowledge:
@@ -253,7 +257,7 @@ impl Link {
     /// Marks every released frame as journaled, scheduling a cumulative
     /// ack. Call after durably recording the frames [`Link::on_packet`]
     /// returned — never before.
-    pub fn confirm_released(&mut self) {
+    pub(crate) fn confirm_released(&mut self) {
         if self.confirmed != self.next_release {
             self.confirmed = self.next_release;
             self.ack_due = true;
@@ -261,9 +265,9 @@ impl Link {
     }
 
     /// Emits every datagram due at `tick`, each handed to `sink` (all
-    /// destined for [`Link::peer`]): a cumulative ack if one is pending,
+    /// destined for `Link::peer`): a cumulative ack if one is pending,
     /// and any unacked frame whose retransmission timer expired.
-    pub fn flush(&mut self, tick: u64, mut sink: impl FnMut(&[u8])) {
+    pub(crate) fn flush(&mut self, tick: u64, mut sink: impl FnMut(&[u8])) {
         let (src, epoch) = (self.me, self.my_epoch);
         let datagram = &mut self.datagram;
         let mut emit = |kind: PacketKind| {
@@ -317,21 +321,15 @@ impl Link {
 
     /// Frames sent but not yet cumulatively acked.
     #[must_use]
-    pub fn in_flight(&self) -> usize {
+    pub(crate) fn in_flight(&self) -> usize {
         self.unacked.len()
     }
 
     /// True once any frame ran out of retransmission attempts (only
     /// possible with a bounded [`LinkConfig::max_attempts`]).
-    #[must_use]
-    pub fn exhausted(&self) -> bool {
+    #[cfg(test)]
+    fn exhausted(&self) -> bool {
         self.exhausted
-    }
-
-    /// The peer's epoch as last observed (None before first contact).
-    #[must_use]
-    pub fn peer_epoch(&self) -> Option<u32> {
-        self.peer_epoch
     }
 }
 

@@ -274,18 +274,6 @@ impl NodeRuntime {
         Ok(rt)
     }
 
-    /// The node id.
-    #[must_use]
-    pub fn id(&self) -> NodeId {
-        self.me
-    }
-
-    /// This incarnation's boot epoch.
-    #[must_use]
-    pub fn epoch(&self) -> u32 {
-        self.epoch
-    }
-
     /// Rounds closed so far (including round 0).
     #[must_use]
     pub fn rounds_closed(&self) -> Round {
@@ -294,7 +282,7 @@ impl NodeRuntime {
 
     /// True once every configured round has closed.
     #[must_use]
-    pub fn finished(&self) -> bool {
+    fn finished(&self) -> bool {
         self.host.round() > self.cfg.rounds
     }
 
@@ -418,7 +406,7 @@ impl NodeRuntime {
     }
 
     /// One cooperative scheduling step: drain the transport, advance
-    /// the barrier, fire retransmissions. Returns [`Self::finished`].
+    /// the barrier, fire retransmissions. Returns `Self::finished`.
     pub fn pump(&mut self) -> bool {
         self.tick += 1;
         self.transport.tick(self.tick);

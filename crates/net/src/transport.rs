@@ -123,8 +123,8 @@ impl LoopbackHub {
     }
 
     /// Total undelivered datagrams across all mailboxes.
-    #[must_use]
-    pub fn in_flight(&self) -> usize {
+    #[cfg(test)]
+    fn in_flight(&self) -> usize {
         self.queues
             .borrow()
             .iter()

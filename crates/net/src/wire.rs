@@ -35,16 +35,16 @@ use rbcast_sim::Round;
 use std::fmt;
 
 /// Wire protocol version.
-pub const VERSION: u8 = 1;
+const VERSION: u8 = 1;
 /// Magic prefix of every datagram.
-pub const MAGIC: [u8; 2] = *b"RB";
+const MAGIC: [u8; 2] = *b"RB";
 /// Upper bound on an encoded datagram (header + largest frame +
 /// checksum, with slack); anything longer is rejected before parsing.
 pub const MAX_DATAGRAM: usize = 128;
 
 /// FNV-1a over `bytes` — the datagram checksum.
 #[must_use]
-pub fn checksum(bytes: &[u8]) -> u64 {
+fn checksum(bytes: &[u8]) -> u64 {
     fnv1a(FNV_OFFSET, bytes)
 }
 
@@ -59,7 +59,7 @@ pub enum WireError {
         /// Bytes actually remaining.
         got: usize,
     },
-    /// The first two bytes are not [`MAGIC`].
+    /// The first two bytes are not `MAGIC`.
     BadMagic([u8; 2]),
     /// Unknown protocol version.
     BadVersion(u8),
@@ -237,7 +237,7 @@ pub fn encode_frame(out: &mut Vec<u8>, frame: &SeqFrame) {
 // Inlined so that `encode_packet` keeps its fresh buffer's pointer and
 // length in registers, as it did when this body was its own.
 #[inline]
-pub fn encode_packet_into(out: &mut Vec<u8>, pkt: &Packet) {
+pub(crate) fn encode_packet_into(out: &mut Vec<u8>, pkt: &Packet) {
     let start = out.len();
     out.extend_from_slice(&MAGIC);
     out.push(VERSION);
@@ -265,7 +265,7 @@ pub fn encode_packet_into(out: &mut Vec<u8>, pkt: &Packet) {
     );
 }
 
-/// [`encode_packet_into`] a fresh buffer.
+/// `encode_packet_into` a fresh buffer.
 #[must_use]
 pub fn encode_packet(pkt: &Packet) -> Vec<u8> {
     let mut out = Vec::with_capacity(MAX_DATAGRAM);
@@ -435,7 +435,7 @@ pub fn decode_packet(bytes: &[u8]) -> Result<Packet, WireError> {
 /// Decodes the hex `body` field of a journal frame record; `None` on
 /// odd length or non-hex characters.
 #[must_use]
-pub fn from_hex(s: &str) -> Option<Vec<u8>> {
+pub(crate) fn from_hex(s: &str) -> Option<Vec<u8>> {
     if !s.len().is_multiple_of(2) {
         return None;
     }

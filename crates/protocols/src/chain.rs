@@ -38,7 +38,7 @@ impl ChainRepr {
     /// Panics if `relays` exceeds [`CHAIN_CAP`]; use
     /// [`ChainRepr::try_new`] for untrusted lengths.
     #[must_use]
-    pub fn new(committer: NodeId, value: Value, relays: &[NodeId]) -> Self {
+    pub(crate) fn new(committer: NodeId, value: Value, relays: &[NodeId]) -> Self {
         ChainRepr::try_new(committer, value, relays).expect("relay chain exceeds CHAIN_CAP")
     }
 
@@ -61,7 +61,7 @@ impl ChainRepr {
     /// A direct report: no relays yet (the committer's own announcement
     /// as observed by a neighbor about to affix itself).
     #[must_use]
-    pub fn direct(committer: NodeId, value: Value) -> Self {
+    pub(crate) fn direct(committer: NodeId, value: Value) -> Self {
         ChainRepr::new(committer, value, &[])
     }
 
@@ -85,26 +85,26 @@ impl ChainRepr {
 
     /// Number of affixed relays.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len as usize
     }
 
     /// True iff no relay has been affixed yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// The most recent relay — the node that must match the true
     /// transmitter for the report to be credible.
     #[must_use]
-    pub fn last_relay(&self) -> Option<NodeId> {
+    pub(crate) fn last_relay(&self) -> Option<NodeId> {
         self.relays().last().copied()
     }
 
     /// True iff `id` appears anywhere in the relay chain.
     #[must_use]
-    pub fn contains_relay(&self, id: NodeId) -> bool {
+    pub(crate) fn contains_relay(&self, id: NodeId) -> bool {
         self.relays().contains(&id)
     }
 
@@ -116,7 +116,7 @@ impl ChainRepr {
     /// Panics if the chain is already at [`CHAIN_CAP`] — callers gate on
     /// `len() < max_relays` first.
     #[must_use]
-    pub fn extended(&self, relay: NodeId) -> ChainRepr {
+    pub(crate) fn extended(&self, relay: NodeId) -> ChainRepr {
         assert!((self.len as usize) < CHAIN_CAP, "chain already full");
         let mut next = *self;
         next.relays[next.len as usize] = relay;

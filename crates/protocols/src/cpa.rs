@@ -64,8 +64,8 @@ impl Cpa {
     }
 
     /// Number of distinct neighbors that have announced `v`.
-    #[must_use]
-    pub fn votes_for(&self, v: Value) -> usize {
+    #[cfg(test)]
+    fn votes_for(&self, v: Value) -> usize {
         self.votes[usize::from(v)] as usize
     }
 

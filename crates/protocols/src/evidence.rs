@@ -84,7 +84,7 @@ impl<'a> Geometry<'a> {
 /// packers sit inline and never allocate until a chain arrives; the
 /// two-level rule's frame, slots and determinations sit behind one
 /// allocation made in [`EvidenceStore::new`]. Once its node commits,
-/// [`EvidenceStore::retire`] cuts it down to what the relay rule still
+/// `EvidenceStore::retire` cuts it down to what the relay rule still
 /// reads.
 ///
 /// # Example
@@ -292,7 +292,7 @@ impl EvidenceStore {
     ///   marks and determinations are the commit rule's and go.
     /// * One-level keys carry the committer, so a stored chain about one
     ///   committer can dominate a report about another: the rest stays.
-    pub fn retire(&mut self, max_relays: usize) {
+    pub(crate) fn retire(&mut self, max_relays: usize) {
         if max_relays <= 1 {
             self.state = RuleState::Retired;
             return;
@@ -338,7 +338,7 @@ impl EvidenceStore {
     }
 
     /// Committers reliably determined so far (two-level rule, until
-    /// [`EvidenceStore::retire`]; always empty under the one-level rule).
+    /// `EvidenceStore::retire`; always empty under the one-level rule).
     #[must_use]
     pub fn determined(&self) -> &BTreeMap<NodeId, Value> {
         match &self.state {
@@ -369,7 +369,7 @@ impl EvidenceStore {
     /// Total stored (undominated) chains across all committers and
     /// values.
     #[must_use]
-    pub fn chain_count(&self) -> usize {
+    pub(crate) fn chain_count(&self) -> usize {
         let mut chains = 0;
         self.for_each_packer(|_, p| chains += p.len());
         chains
@@ -382,7 +382,7 @@ impl EvidenceStore {
     /// contribute nothing, so the digest is independent of how many
     /// unused slots the frame reserved.
     #[must_use]
-    pub fn digest(&self) -> u64 {
+    pub(crate) fn digest(&self) -> u64 {
         use rbcast_sim::trace::{fold_words, FNV_OFFSET};
         let mut hash = FNV_OFFSET;
         self.for_each_packer(|key, p| {

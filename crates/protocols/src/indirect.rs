@@ -126,16 +126,10 @@ impl Indirect {
         }
     }
 
-    /// Read-only access to the evidence store (for experiments).
-    #[must_use]
-    pub fn evidence(&self) -> &EvidenceStore {
+    /// Read-only access to the evidence store.
+    #[cfg(test)]
+    fn evidence(&self) -> &EvidenceStore {
         &self.evidence
-    }
-
-    /// Whether this node has committed.
-    #[must_use]
-    pub fn committed(&self) -> bool {
-        self.committed
     }
 
     fn commit(&mut self, ctx: &mut Ctx<'_, Msg>, v: Value) {

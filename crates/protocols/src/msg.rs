@@ -44,7 +44,7 @@ impl Msg {
 
     /// The value carried by this message.
     #[must_use]
-    pub fn value(&self) -> Value {
+    pub(crate) fn value(&self) -> Value {
         match self {
             Msg::Source(v) | Msg::Committed(v) => *v,
             Msg::Heard(chain) => chain.value(),

@@ -84,7 +84,7 @@ impl BurstLoss {
     /// computed by walking the chain from its good start — a pure
     /// function of `(seed, edge, step)`.
     #[must_use]
-    pub fn state_at(&self, seed: u64, edge: (u32, u32), step: u64) -> bool {
+    fn state_at(&self, seed: u64, edge: (u32, u32), step: u64) -> bool {
         let mut bad = false;
         for s in 1..=step {
             bad = self.next_state(bad, seed, edge, s);
@@ -120,8 +120,8 @@ impl BurstLoss {
 
     /// Stationary probability of the bad state,
     /// `p_gb / (p_gb + p_bg)` — handy for sizing experiments.
-    #[must_use]
-    pub fn stationary_bad(&self) -> f64 {
+    #[cfg(test)]
+    fn stationary_bad(&self) -> f64 {
         let denom = self.p_good_to_bad + self.p_bad_to_good;
         if denom == 0.0 {
             0.0
@@ -133,7 +133,7 @@ impl BurstLoss {
 
 /// Incrementally advanced Gilbert–Elliot chain for one directed edge.
 ///
-/// [`BurstLoss::state_at`] walks from round 0 on every query — exact but
+/// `BurstLoss::state_at` walks from round 0 on every query — exact but
 /// O(step). A long-lived consumer tracking one edge (the networked
 /// chaos shim, which queries per datagram) keeps a `BurstChain` and
 /// advances it monotonically instead; the state sequence is identical.
@@ -144,14 +144,8 @@ pub struct BurstChain {
 }
 
 impl BurstChain {
-    /// A chain at step 0 (good state).
-    #[must_use]
-    pub fn new() -> Self {
-        BurstChain::default()
-    }
-
     /// Advances the chain to `step` (monotonic) and returns its state
-    /// there (true = bad). Matches [`BurstLoss::state_at`] exactly.
+    /// there (true = bad). Matches `BurstLoss::state_at` exactly.
     ///
     /// # Panics
     ///
@@ -242,8 +236,8 @@ impl ChannelConfig {
     /// coin; `redundancy` retransmissions still mask individual losses
     /// (but not a bad state with `loss_bad = 1`, which is exactly the
     /// point of modelling bursts).
-    #[must_use]
-    pub fn bursty(burst: BurstLoss, seed: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn bursty(burst: BurstLoss, seed: u64) -> Self {
         ChannelConfig {
             burst: Some(burst),
             seed,
@@ -265,20 +259,6 @@ impl ChannelConfig {
         self.jammers = jammers;
         self.jam_budget = budget;
         self
-    }
-
-    /// Effective delivery probability of one local broadcast to one
-    /// neighbor under this configuration (ignoring jamming).
-    #[must_use]
-    pub fn delivery_probability(&self) -> f64 {
-        1.0 - self.loss.powi(self.redundancy as i32)
-    }
-
-    /// True iff this is the baseline reliable channel (used to skip the
-    /// RNG on the hot path).
-    #[must_use]
-    pub fn is_reliable(&self) -> bool {
-        self.loss == 0.0 && self.jam_budget == 0 && self.burst.is_none()
     }
 }
 
@@ -368,11 +348,8 @@ mod tests {
     use super::*;
 
     #[test]
-    #[allow(clippy::float_cmp)] // the reliable channel's probability is exactly 1.0
     fn default_is_reliable() {
         let cfg = ChannelConfig::default();
-        assert!(cfg.is_reliable());
-        assert_eq!(cfg.delivery_probability(), 1.0);
         assert!(!delivery_lost(&cfg, 0, 0, NodeId(1), NodeId(0)));
     }
 
@@ -390,7 +367,6 @@ mod tests {
     #[test]
     fn redundancy_masks_losses() {
         let cfg = ChannelConfig::lossy(0.5, 4, 42);
-        assert!((cfg.delivery_probability() - 0.9375).abs() < 1e-12);
         let n = 20_000;
         let lost = (0..n)
             .filter(|&i| delivery_lost(&cfg, 1, i, NodeId(1), NodeId(7)))
@@ -445,7 +421,6 @@ mod tests {
             .with_jammers(vec![NodeId(3)], 2);
         assert!(cfg.spoofing);
         assert_eq!(cfg.jam_budget, 2);
-        assert!(!cfg.is_reliable());
     }
 
     fn gilbert() -> BurstLoss {
@@ -455,7 +430,6 @@ mod tests {
     #[test]
     fn bursty_channel_is_not_reliable() {
         let cfg = ChannelConfig::bursty(gilbert(), 7);
-        assert!(!cfg.is_reliable());
         assert!(cfg.burst.is_some());
         // The flat independent coin stays off; losses come from the chain.
         assert!((cfg.loss - 0.0).abs() < f64::EPSILON);
@@ -512,7 +486,7 @@ mod tests {
     fn incremental_chain_matches_pure_walk() {
         let model = BurstLoss::new(0.1, 0.3, 0.02, 0.9);
         let edge = (3u32, 8u32);
-        let mut chain = BurstChain::new();
+        let mut chain = BurstChain::default();
         for step in [0u64, 1, 2, 5, 6, 40, 41, 100] {
             assert_eq!(
                 chain.bad_at(&model, 77, edge, step),
@@ -526,7 +500,7 @@ mod tests {
     #[should_panic(expected = "queried backwards")]
     fn incremental_chain_rejects_rewind() {
         let model = gilbert();
-        let mut chain = BurstChain::new();
+        let mut chain = BurstChain::default();
         let _ = chain.bad_at(&model, 1, (0, 1), 10);
         let _ = chain.bad_at(&model, 1, (0, 1), 9);
     }

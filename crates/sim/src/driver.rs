@@ -220,21 +220,9 @@ impl<M> InstanceHost<M> {
     }
 
     /// Number of hosted instances.
-    #[must_use]
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.slots.len()
-    }
-
-    /// True iff no instance is hosted.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// This node's id.
-    #[must_use]
-    pub fn id(&self) -> NodeId {
-        self.id
     }
 
     /// The shared topology arena.

@@ -77,14 +77,14 @@ impl<M> Harness<M> {
     }
 
     /// Takes everything the process has queued for broadcast (payloads
-    /// only; claimed identities are dropped — use
-    /// [`Harness::drain_outbox_claimed`] to observe spoofing attempts).
+    /// only; claimed identities are dropped).
     pub fn drain_outbox(&mut self) -> Vec<M> {
         self.lent.queued.drain(..).map(|tx| tx.msg).collect()
     }
 
     /// Takes the queued broadcasts with their claimed sender identities.
-    pub fn drain_outbox_claimed(&mut self) -> Vec<(NodeId, M)> {
+    #[cfg(test)]
+    fn drain_outbox_claimed(&mut self) -> Vec<(NodeId, M)> {
         self.lent
             .queued
             .drain(..)
@@ -100,19 +100,20 @@ impl<M> Harness<M> {
 
     /// Takes the protocol-level trace notes recorded via
     /// [`Ctx::note`] since the last drain.
-    pub fn drain_notes(&mut self) -> Vec<(&'static str, u64)> {
+    #[cfg(test)]
+    pub(crate) fn drain_notes(&mut self) -> Vec<(&'static str, u64)> {
         self.lent.notes.replace(Vec::new()).unwrap_or_default()
     }
 
     /// Total broadcasts the process has performed.
-    #[must_use]
-    pub fn messages_sent(&self) -> u64 {
+    #[cfg(test)]
+    fn messages_sent(&self) -> u64 {
         self.lent.messages_sent
     }
 
     /// The current round counter.
-    #[must_use]
-    pub fn round(&self) -> Round {
+    #[cfg(test)]
+    fn round(&self) -> Round {
         self.round
     }
 }

@@ -4,7 +4,7 @@ use crate::channel::delivery_lost;
 use crate::process::{Lent, Transmission};
 use crate::trace::{TraceEvent, TraceSink, FNV_OFFSET};
 use crate::{ChannelConfig, Ctx, Process, Round, RoundReport, RunStats, StopReason, Value};
-use rbcast_grid::{BitSet, Metric, NeighborTable, Neighbors, NodeId, Torus};
+use rbcast_grid::{BitSet, Metric, NeighborTable, NodeId, Torus};
 use std::sync::Arc;
 
 /// Which round loop drives [`Network::run`].
@@ -240,34 +240,10 @@ impl<M, P: Process<M>> Network<M, P> {
         }
     }
 
-    /// The torus.
-    #[must_use]
-    pub fn torus(&self) -> &Torus {
-        self.arena.torus()
-    }
-
-    /// The transmission radius.
-    #[must_use]
-    pub fn radius(&self) -> u32 {
-        self.arena.radius()
-    }
-
-    /// The metric in force.
-    #[must_use]
-    pub fn metric(&self) -> Metric {
-        self.arena.metric()
-    }
-
     /// The shared topology arena.
     #[must_use]
     pub fn arena(&self) -> &Arc<NeighborTable> {
         &self.arena
-    }
-
-    /// The neighborhood of `id`, computed from the arena's stencil.
-    #[must_use]
-    pub fn neighbors(&self, id: NodeId) -> Neighbors<'_> {
-        self.arena.neighbors(id)
     }
 
     /// Declares the set of nodes whose decisions complete the run
@@ -304,12 +280,6 @@ impl<M, P: Process<M>> Network<M, P> {
         self.engine = engine;
     }
 
-    /// The engine currently selected.
-    #[must_use]
-    pub fn engine(&self) -> EngineKind {
-        self.engine
-    }
-
     /// Enables or disables early termination at the completion round
     /// (no-op unless a completion mask is installed).
     pub fn set_early_termination(&mut self, on: bool) {
@@ -342,7 +312,7 @@ impl<M, P: Process<M>> Network<M, P> {
 
     /// Whether `id` is crashed as of round `round`.
     #[must_use]
-    pub fn is_crashed(&self, id: NodeId, round: Round) -> bool {
+    fn is_crashed(&self, id: NodeId, round: Round) -> bool {
         self.crashes.is_crashed(id, round)
     }
 
@@ -814,7 +784,7 @@ impl<M, P: Process<M>> Network<M, P> {
     /// Immutable access to a node's process (e.g. to inspect protocol
     /// state after a run).
     #[must_use]
-    pub fn process(&self, id: NodeId) -> &P {
+    fn process(&self, id: NodeId) -> &P {
         &self.processes[id.index()]
     }
 
@@ -1325,7 +1295,6 @@ mod tests {
         assert_eq!(stats.rounds, 3);
         assert_eq!(stats.stop_reason, StopReason::DeadlineExceeded);
         assert!(!stats.quiescent());
-        assert!(!stats.early_stopped());
     }
 
     #[test]

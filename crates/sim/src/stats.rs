@@ -22,9 +22,8 @@ pub struct RoundReport {
 /// Why a simulation run stopped — the single source of truth, covering
 /// quiescence, early termination, the experiment's own round cap, and
 /// the supervisor's cooperative deadline (see
-/// [`crate::Network::set_round_budget`]). The legacy `quiescent` /
-/// `early_stopped` booleans are derived views: [`RunStats::quiescent`]
-/// and [`RunStats::early_stopped`].
+/// [`crate::Network::set_round_budget`]). The legacy `quiescent`
+/// boolean is a derived view: [`RunStats::quiescent`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StopReason {
     /// Nothing remained on the air.
@@ -70,14 +69,6 @@ impl RunStats {
     #[must_use]
     pub fn quiescent(&self) -> bool {
         self.stop_reason == StopReason::Quiescent
-    }
-
-    /// True when the run stopped because every node in the completion
-    /// mask (the honest nodes) had decided — messages may still have
-    /// been on the air. Derived from [`RunStats::stop_reason`].
-    #[must_use]
-    pub fn early_stopped(&self) -> bool {
-        self.stop_reason == StopReason::AllDecided
     }
 }
 
@@ -135,15 +126,14 @@ mod tests {
     fn booleans_are_pure_views_of_the_stop_reason() {
         let mut s = RunStats::default();
         let table = [
-            (StopReason::Quiescent, true, false),
-            (StopReason::AllDecided, false, true),
-            (StopReason::RoundCap, false, false),
-            (StopReason::DeadlineExceeded, false, false),
+            (StopReason::Quiescent, true),
+            (StopReason::AllDecided, false),
+            (StopReason::RoundCap, false),
+            (StopReason::DeadlineExceeded, false),
         ];
-        for (reason, quiescent, early) in table {
+        for (reason, quiescent) in table {
             s.stop_reason = reason;
             assert_eq!(s.quiescent(), quiescent, "{reason:?}");
-            assert_eq!(s.early_stopped(), early, "{reason:?}");
         }
     }
 

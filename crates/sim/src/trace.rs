@@ -9,7 +9,7 @@
 //!
 //! The legacy delivery-trace hash is *derived from this stream by
 //! construction*: the network folds exactly the words returned by
-//! [`TraceEvent::fold_into`] into its FNV-1a accumulator, and
+//! `TraceEvent::fold_into` into its FNV-1a accumulator, and
 //! [`replay_hash`] re-derives the same hash from a serialized stream, so
 //! the two representations can never diverge.
 
@@ -150,7 +150,7 @@ impl TraceEvent {
     /// Folds this event's hash contribution into `hash`. Only
     /// [`TraceEvent::Delivery`] and [`TraceEvent::RoundEnd`] contribute;
     /// the words match the network's historical fold exactly.
-    pub fn fold_into(&self, hash: &mut u64) {
+    pub(crate) fn fold_into(&self, hash: &mut u64) {
         match *self {
             TraceEvent::Delivery {
                 round,
@@ -169,7 +169,7 @@ impl TraceEvent {
     /// Keys are emitted in a fixed order, so equal events serialize to
     /// equal bytes.
     #[must_use]
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         match *self {
             TraceEvent::RoundStart { round, on_air } => {
                 format!("{{\"ev\":\"round_start\",\"round\":{round},\"on_air\":{on_air}}}")
@@ -265,8 +265,8 @@ impl<W: Write> JsonlSink<W> {
     }
 
     /// True once any write has failed.
-    #[must_use]
-    pub fn failed(&self) -> bool {
+    #[cfg(test)]
+    fn failed(&self) -> bool {
         self.failed
     }
 }
@@ -306,8 +306,8 @@ impl TraceSink for MemorySink {
 ///
 /// Folding stops after the first [`TraceEvent::RoundEnd`] carrying
 /// `frozen: true` — exactly where the live network froze its hash.
-#[must_use]
-pub fn replay_hash_events(events: &[TraceEvent]) -> u64 {
+#[cfg(test)]
+pub(crate) fn replay_hash_events(events: &[TraceEvent]) -> u64 {
     let mut hash = FNV_OFFSET;
     let mut frozen = false;
     for ev in events {

@@ -5,13 +5,13 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-pub static DROPPED: AtomicU64 = AtomicU64::new(0);
+static DROPPED: AtomicU64 = AtomicU64::new(0);
 
-pub fn record_drop() {
+fn record_drop() {
     DROPPED.fetch_add(1, Ordering::Relaxed);
 }
 
-pub fn record_ok(count: &AtomicU64) {
+fn record_ok(count: &AtomicU64) {
     // audit:allow(atomic-ordering): monotone counter, read after writers join
     count.fetch_add(1, Ordering::Relaxed);
 }

@@ -6,6 +6,6 @@
 /// through `rbcast_core::supervisor` — the failure never reaches the
 /// quarantine report or the checkpoint journal, which is exactly what
 /// the rule forbids.
-pub fn run_quietly(f: impl FnOnce() -> u64 + std::panic::UnwindSafe) -> Option<u64> {
+fn run_quietly(f: impl FnOnce() -> u64 + std::panic::UnwindSafe) -> Option<u64> {
     std::panic::catch_unwind(f).ok()
 }

@@ -3,15 +3,15 @@
 //! crates/xtask/fixtures/checked-threshold-arith` must exit non-zero
 //! with `checked-threshold-arith` findings.
 
-pub fn naive_bound(r: u32) -> u32 {
+fn naive_bound(r: u32) -> u32 {
     2 * r * r / 3
 }
 
-pub fn widened_bound(r: u32) -> u64 {
+fn widened_bound(r: u32) -> u64 {
     let r = u64::from(r);
     2 * r * r / 3
 }
 
-pub fn checked_bound(r: u32) -> Option<u32> {
+fn checked_bound(r: u32) -> Option<u32> {
     r.checked_mul(r)?.checked_mul(2).map(|x| x / 3)
 }

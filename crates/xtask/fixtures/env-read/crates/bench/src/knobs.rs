@@ -2,13 +2,13 @@
 //! `cargo xtask audit --root crates/xtask/fixtures/env-read` must exit
 //! non-zero with `env-read` findings.
 
-pub fn threads() -> usize {
+fn threads() -> usize {
     std::env::var("RBCAST_THREADS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(1)
 }
 
-pub fn chaos_seed() -> Option<std::ffi::OsString> {
+fn chaos_seed() -> Option<std::ffi::OsString> {
     std::env::var_os("RBCAST_CHAOS")
 }

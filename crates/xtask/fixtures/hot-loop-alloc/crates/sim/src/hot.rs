@@ -2,7 +2,7 @@
 //! `cargo xtask audit --root crates/xtask/fixtures/hot-loop-alloc`
 //! must exit non-zero with `hot-loop-alloc` findings.
 
-pub fn relay(rounds: &[Vec<u64>]) -> u64 {
+fn relay(rounds: &[Vec<u64>]) -> u64 {
     let mut acc = 0u64;
     for round in rounds {
         let copy = round.clone();
@@ -12,7 +12,7 @@ pub fn relay(rounds: &[Vec<u64>]) -> u64 {
     acc
 }
 
-pub fn nested(rounds: &[Vec<u64>]) -> usize {
+fn nested(rounds: &[Vec<u64>]) -> usize {
     let mut total = 0;
     while total < rounds.len() {
         let scratch = vec![0u8; 16];
@@ -21,7 +21,7 @@ pub fn nested(rounds: &[Vec<u64>]) -> usize {
     total
 }
 
-pub fn hoisted(rounds: &[Vec<u64>]) -> u64 {
+fn hoisted(rounds: &[Vec<u64>]) -> u64 {
     // Allocation outside the loop and reuse inside: the sanctioned shape.
     let mut scratch: Vec<u64> = Vec::new();
     let mut acc = 0;
@@ -36,7 +36,7 @@ pub fn hoisted(rounds: &[Vec<u64>]) -> u64 {
 // The jammer-table shape: a fresh Option table sized to the round's
 // on-air traffic, allocated every round. (The real fix owns one table
 // and clear()+resize()s it — see `jam_table_hoisted` below.)
-pub fn jam_table_per_round(rounds: &[Vec<u64>]) -> usize {
+fn jam_table_per_round(rounds: &[Vec<u64>]) -> usize {
     let mut assigned = 0;
     for round in rounds {
         let jam_of: Vec<Option<u64>> = vec![None; round.len()];
@@ -45,7 +45,7 @@ pub fn jam_table_per_round(rounds: &[Vec<u64>]) -> usize {
     assigned
 }
 
-pub fn jam_table_hoisted(rounds: &[Vec<u64>]) -> usize {
+fn jam_table_hoisted(rounds: &[Vec<u64>]) -> usize {
     // The sanctioned shape: one reusable table, cleared and resized.
     let mut jam_of: Vec<Option<u64>> = Vec::new();
     let mut assigned = 0;
@@ -65,12 +65,12 @@ pub struct Proto {
 }
 
 impl Proto {
-    pub fn on_message(&mut self, from: u32) {
+    fn on_message(&mut self, from: u32) {
         let key = from.to_string();
         self.seen.push(key);
     }
 
-    pub fn on_round_end(&mut self) -> usize {
+    fn on_round_end(&mut self) -> usize {
         // Same allocation outside on_message: cold, does not fire.
         let snapshot = self.seen.clone();
         snapshot.len()

@@ -3,4 +3,4 @@
 //! `cargo xtask audit --root crates/xtask/fixtures/lint-header`
 //! must exit non-zero with `lint-header` findings.
 
-pub fn noop() {}
+fn noop() {}

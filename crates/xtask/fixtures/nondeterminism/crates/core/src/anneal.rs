@@ -4,7 +4,7 @@
 //! `nondeterminism` finding — proposal, acceptance, and schedule alike
 //! — and nothing else.
 
-pub fn propose_and_accept(current: u64, steps: u32) -> u64 {
+fn propose_and_accept(current: u64, steps: u32) -> u64 {
     let mut best = current;
     for step in 0..steps {
         // Proposal draw: swap target from the thread-local RNG.
@@ -19,7 +19,7 @@ pub fn propose_and_accept(current: u64, steps: u32) -> u64 {
     best
 }
 
-pub fn cooling_deadline_nanos() -> u64 {
+fn cooling_deadline_nanos() -> u64 {
     // Wall-clock cooling schedule: irreproducible across runs. The
     // annotation keeps this fixture firing only its own rule.
     let started = std::time::SystemTime::now(); // audit:allow(obs-wallclock)

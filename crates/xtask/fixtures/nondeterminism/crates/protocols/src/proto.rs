@@ -4,12 +4,12 @@
 
 use std::time::Instant;
 
-pub fn roll() -> u64 {
+fn roll() -> u64 {
     let mut rng = rand::thread_rng();
     rng.next_u64()
 }
 
-pub fn stamp() -> Instant {
+fn stamp() -> Instant {
     // The annotation keeps this fixture firing only its own rule.
     Instant::now() // audit:allow(obs-wallclock)
 }

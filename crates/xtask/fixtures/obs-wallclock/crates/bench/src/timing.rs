@@ -4,12 +4,12 @@
 //! `wall-clock` annotations below keep `nondeterminism` quiet, and
 //! `SystemTime` appears without `::now` so only the token rule sees it).
 
-pub fn elapsed_ms<F: FnOnce()>(f: F) -> f64 {
+fn elapsed_ms<F: FnOnce()>(f: F) -> f64 {
     let t0 = std::time::Instant::now(); // audit:allow(wall-clock)
     f();
     t0.elapsed().as_secs_f64() * 1000.0
 }
 
-pub fn epoch() -> std::time::SystemTime {
+fn epoch() -> std::time::SystemTime {
     std::time::SystemTime::UNIX_EPOCH
 }

@@ -3,10 +3,10 @@
 //! exit non-zero with `raw-socket-io` findings (and only those — the
 //! socket opens below use `expect` so `unwrap-panic` stays quiet).
 
-pub fn sidechannel() -> std::net::UdpSocket {
+fn sidechannel() -> std::net::UdpSocket {
     std::net::UdpSocket::bind("127.0.0.1:0").expect("fixture bind")
 }
 
-pub fn control_plane(addr: &str) -> std::io::Result<TcpStream> {
+fn control_plane(addr: &str) -> std::io::Result<TcpStream> {
     TcpStream::connect(addr)
 }

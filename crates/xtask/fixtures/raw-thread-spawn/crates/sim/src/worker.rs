@@ -5,7 +5,7 @@
 /// Fans work out by hand instead of going through
 /// `rbcast_core::engine::run_indexed` — result order then depends on
 /// thread scheduling, which is exactly what the rule forbids.
-pub fn fan_out(tasks: Vec<u64>) -> Vec<u64> {
+fn fan_out(tasks: Vec<u64>) -> Vec<u64> {
     let mut handles = Vec::new();
     for task in tasks {
         handles.push(std::thread::spawn(move || task * 2));

@@ -2,7 +2,7 @@
 //! `cargo xtask audit --root crates/xtask/fixtures/stale-allow` must
 //! exit non-zero with `stale-allow` findings.
 
-pub fn sum(values: &[u64]) -> u64 {
+fn sum(values: &[u64]) -> u64 {
     let mut acc = 0; // audit:allow(hot-loop-alloc)
     for v in values {
         acc += v;
@@ -11,6 +11,6 @@ pub fn sum(values: &[u64]) -> u64 {
 }
 
 // audit:allow(panic) rationale not introduced by a colon never attaches
-pub fn double(n: u64) -> u64 {
+fn double(n: u64) -> u64 {
     n + n
 }

@@ -2,6 +2,6 @@
 //! `cargo xtask audit --root crates/xtask/fixtures/unknown-allow` must
 //! exit non-zero with `unknown-allow` findings.
 
-pub fn relay_count(n: u32) -> u32 {
+fn relay_count(n: u32) -> u32 {
     n + 1 // audit:allow(pancake)
 }

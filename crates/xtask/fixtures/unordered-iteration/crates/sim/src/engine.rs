@@ -4,7 +4,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-pub fn tally(events: &[(u32, u32)]) -> Vec<(u32, u32)> {
+fn tally(events: &[(u32, u32)]) -> Vec<(u32, u32)> {
     let mut counts: HashMap<u32, u32> = HashMap::new();
     let mut seen: HashSet<u32> = HashSet::new();
     for &(node, _) in events {

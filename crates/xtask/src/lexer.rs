@@ -65,7 +65,7 @@ impl TokenKind {
     /// Trivia does not participate in code queries (comments only —
     /// whitespace never becomes a token).
     #[must_use]
-    pub fn is_trivia(self) -> bool {
+    pub(crate) fn is_trivia(self) -> bool {
         matches!(
             self,
             TokenKind::LineComment | TokenKind::DocComment | TokenKind::BlockComment
@@ -75,7 +75,7 @@ impl TokenKind {
     /// String-ish literal whose *contents* must be blanked before token
     /// text is searched (quotes/prefix stay visible).
     #[must_use]
-    pub fn is_textual_literal(self) -> bool {
+    pub(crate) fn is_textual_literal(self) -> bool {
         matches!(
             self,
             TokenKind::Str
@@ -126,7 +126,7 @@ const OPERATORS: &[&str] = &[
 /// of input, so the audit still sees the rest of a broken file as far
 /// as structurally possible.
 #[must_use]
-pub fn lex(text: &str) -> Vec<Token> {
+pub(crate) fn lex(text: &str) -> Vec<Token> {
     Lexer::new(text).run()
 }
 

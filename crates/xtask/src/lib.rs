@@ -32,7 +32,8 @@ pub mod index;
 pub mod lexer;
 pub mod model;
 pub mod rules;
-pub mod source;
+#[cfg(test)]
+mod source;
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -40,7 +41,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use index::WorkspaceIndex;
+use index::{WorkspaceIndex, REFERENCE_ROOTS};
 use model::FileModel;
 use rules::{
     all_rules, allow_name_matches, is_known_allow_name, rule_by_id, Ctx, Violation, STALE_ALLOW,
@@ -107,20 +108,23 @@ pub fn run_audit(root: &Path, only: Option<&str>) -> Result<Vec<Violation>, Audi
     }
     let selection = resolve_selection(only)?;
 
-    // Union of scope prefixes across all rules: the index and the
+    // Union of scope prefixes across all rules, plus the trees that can
+    // name a library item from outside its crate: the index and the
     // suppression lifecycle always see the whole audited surface.
     let mut prefixes: Vec<&str> = all_rules()
         .iter()
         .flat_map(|r| r.scopes.iter().copied())
+        .chain(REFERENCE_ROOTS.iter().copied())
         .collect();
     prefixes.sort_unstable();
     prefixes.dedup();
 
     let mut files: Vec<PathBuf> = Vec::new();
     for prefix in prefixes {
-        let dir = root.join(prefix);
-        if dir.is_dir() {
-            collect_rs_files(&dir, root, &mut files)?;
+        for dir in expand_prefix(root, prefix)? {
+            if dir.is_dir() {
+                collect_rs_files(&dir, root, &mut files)?;
+            }
         }
     }
     files.sort();
@@ -231,6 +235,24 @@ fn selected(sel: &Selection, rule_id: &str) -> bool {
         Selection::All => true,
         Selection::Rule(id) | Selection::Meta(id) => *id == rule_id,
     }
+}
+
+/// The directories a scope prefix names under `root`: itself, or with
+/// its `*` component replaced by every directory found there.
+fn expand_prefix(root: &Path, prefix: &str) -> Result<Vec<PathBuf>, AuditError> {
+    let Some((parent, rest)) = prefix.split_once("/*") else {
+        return Ok(vec![root.join(prefix)]);
+    };
+    let dir = root.join(parent);
+    if !dir.is_dir() {
+        return Ok(Vec::new());
+    }
+    let mut out = Vec::new();
+    for entry in fs::read_dir(&dir).map_err(|e| AuditError::Io(dir.clone(), e))? {
+        let path = entry.map_err(|e| AuditError::Io(dir.clone(), e))?.path();
+        out.push(PathBuf::from(format!("{}{rest}", path.display())));
+    }
+    Ok(out)
 }
 
 /// Recursively collect `.rs` files under `dir`, pushing paths relative
@@ -437,6 +459,60 @@ mod tests {
                 .map(|v| format!("{}:{}: [{}] {}", v.path, v.line, v.rule, v.message))
                 .collect::<Vec<_>>()
                 .join("\n")
+        );
+    }
+
+    #[test]
+    fn unused_pub_fixture_flags_exactly_the_uncalled_items() {
+        let findings = run_audit(&fixtures().join("unused-pub"), None).expect("fixture readable");
+        let flagged: Vec<&str> = findings
+            .iter()
+            .map(|v| v.message.split('`').nth(1).unwrap_or(""))
+            .collect();
+        // Not flagged: called_by_beta, LIMIT and Gauge::read (another
+        // package), doc_only (a doctest), from_tests (tests/),
+        // from_benchmark (benchmark/), `pub(crate)` and test-only items.
+        assert_eq!(
+            flagged,
+            [
+                "uncalled",
+                "mentioned_only",
+                "text_block_only",
+                "reexported_only",
+                "UNREAD",
+                "reset"
+            ]
+        );
+    }
+
+    #[test]
+    fn a_benchmark_only_caller_keeps_an_item_public() {
+        // `Network::latest_decision_round` has one caller, in the
+        // benchmark package, which no `cargo build --workspace` compiles:
+        // only the audit's reference roots stand between it and going
+        // private.
+        let root = workspace_root();
+        let network = fs::read_to_string(root.join("crates/sim/src/network.rs"))
+            .expect("network.rs readable");
+        let def = network
+            .lines()
+            .position(|l| l.trim_start().starts_with("pub fn latest_decision_round("))
+            .expect("Network::latest_decision_round is a pub fn in network.rs")
+            + 1;
+        assert!(
+            !network
+                .lines()
+                .nth(def - 2)
+                .unwrap_or("")
+                .contains("audit:allow"),
+            "the item must be kept public by its caller, not by an annotation"
+        );
+        let findings = run_audit(&root, Some("unused-pub")).expect("workspace readable");
+        assert!(
+            !findings
+                .iter()
+                .any(|v| v.path == "crates/sim/src/network.rs" && v.line == def),
+            "latest_decision_round is called from benchmark/src"
         );
     }
 

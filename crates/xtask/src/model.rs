@@ -80,7 +80,7 @@ pub struct FileModel {
 impl FileModel {
     /// Lex and analyse `text` as the file `rel`.
     #[must_use]
-    pub fn parse(rel: &Path, text: &str) -> Self {
+    pub(crate) fn parse(rel: &Path, text: &str) -> Self {
         let tokens = lex(text);
         let code: Vec<usize> = (0..tokens.len())
             .filter(|&i| !tokens[i].kind.is_trivia())
@@ -100,20 +100,20 @@ impl FileModel {
 
     /// Number of code tokens.
     #[must_use]
-    pub fn code_len(&self) -> usize {
+    pub(crate) fn code_len(&self) -> usize {
         self.code.len()
     }
 
     /// The `i`-th code token.
     #[must_use]
-    pub fn ct(&self, i: usize) -> &Token {
+    pub(crate) fn ct(&self, i: usize) -> &Token {
         &self.tokens[self.code[i]]
     }
 
     /// Search text of the `i`-th code token: literal contents are
     /// blanked so a banned name inside a string cannot match.
     #[must_use]
-    pub fn code_text(&self, i: usize) -> &str {
+    pub(crate) fn code_text(&self, i: usize) -> &str {
         let t = self.ct(i);
         if t.kind.is_textual_literal() {
             ""
@@ -125,7 +125,7 @@ impl FileModel {
     /// Does the code token at `i` start the given `(text, …)` sequence?
     /// Each pattern entry matches one code token's full text.
     #[must_use]
-    pub fn seq_at(&self, i: usize, pats: &[&str]) -> bool {
+    pub(crate) fn seq_at(&self, i: usize, pats: &[&str]) -> bool {
         pats.len() <= self.code.len().saturating_sub(i)
             && pats
                 .iter()
@@ -136,7 +136,7 @@ impl FileModel {
     /// All code indices where `pats` matches (non-test tokens only when
     /// `skip_tests`).
     #[must_use]
-    pub fn find_seq(&self, pats: &[&str], skip_tests: bool) -> Vec<usize> {
+    pub(crate) fn find_seq(&self, pats: &[&str], skip_tests: bool) -> Vec<usize> {
         (0..self.code.len())
             .filter(|&i| !(skip_tests && self.meta[i].in_test) && self.seq_at(i, pats))
             .collect()
@@ -144,7 +144,7 @@ impl FileModel {
 
     /// `(line, col)` of the `i`-th code token.
     #[must_use]
-    pub fn at(&self, i: usize) -> (usize, usize) {
+    pub(crate) fn at(&self, i: usize) -> (usize, usize) {
         let t = self.ct(i);
         (t.line, t.col)
     }
@@ -420,53 +420,6 @@ fn parse_names(inside: &str) -> Vec<String> {
         .filter(|s| !s.is_empty())
         .map(str::to_string)
         .collect()
-}
-
-/// Reconstruct the legacy "blanked" view of `text` from the token
-/// stream: comments and literal contents become spaces (newlines kept),
-/// everything else stays byte-identical. Rendering matches the legacy
-/// [`crate::source::blank_comments_and_strings`] exactly on input both
-/// models classify the same way, which is what the differential
-/// self-test exploits.
-#[must_use]
-pub fn blanked_view(text: &str, tokens: &[Token]) -> String {
-    let mut chars: Vec<char> = text.chars().collect();
-    for t in tokens {
-        if t.kind.is_trivia() {
-            for c in &mut chars[t.start..t.end] {
-                if *c != '\n' {
-                    *c = ' ';
-                }
-            }
-        } else if t.kind.is_textual_literal() {
-            let delim = match t.kind {
-                TokenKind::Char | TokenKind::Byte => '\'',
-                _ => '"',
-            };
-            blank_literal(&mut chars[t.start..t.end], delim);
-        }
-    }
-    chars.into_iter().collect()
-}
-
-/// Blank one literal token in place, legacy-compatibly: keep a leading
-/// `b` prefix, the opening and closing delimiter, blank raw-string
-/// hashes and all interior chars (newlines preserved).
-fn blank_literal(span: &mut [char], delim: char) {
-    let open = match span.iter().position(|&c| c == delim) {
-        Some(o) => o,
-        None => return,
-    };
-    let close = span.iter().rposition(|&c| c == delim).unwrap_or(open);
-    for (i, c) in span.iter_mut().enumerate() {
-        let keep = i == open
-            || (i == close && close > open)
-            || (i < open && *c == 'b') // byte prefix stays; `r`/`#` blank
-            || *c == '\n';
-        if !keep {
-            *c = ' ';
-        }
-    }
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 
 use std::path::{Path, PathBuf};
 
-use crate::index::{ItemKind, WorkspaceIndex};
+use crate::index::{library_of, ItemKind, WorkspaceIndex};
 use crate::lexer::TokenKind;
 use crate::model::FileModel;
 
@@ -170,7 +170,8 @@ pub struct Rule {
     pub summary: &'static str,
     /// Short fix direction, stable per rule (surfaced in JSON output).
     pub fix: &'static str,
-    /// Path prefixes (relative to the audit root) the rule applies to.
+    /// Path prefixes (relative to the audit root) the rule applies to;
+    /// a `*` component matches any one directory.
     pub scopes: &'static [&'static str],
     /// Per-file check returning raw findings (suppression is central).
     pub check: fn(&FileModel, &Ctx) -> Vec<Finding>,
@@ -178,9 +179,18 @@ pub struct Rule {
 
 impl Rule {
     /// Whether `rel` falls under one of the rule's scope prefixes.
-    pub fn applies_to(&self, rel: &Path) -> bool {
-        self.scopes.iter().any(|s| rel.starts_with(s))
+    pub(crate) fn applies_to(&self, rel: &Path) -> bool {
+        self.scopes.iter().any(|s| under(rel, s))
     }
+}
+
+/// Does `rel` lie under the prefix `scope`, whose `*` components match
+/// any one path component?
+fn under(rel: &Path, scope: &str) -> bool {
+    let mut parts = rel.components();
+    scope
+        .split('/')
+        .all(|s| parts.next().is_some_and(|c| s == "*" || c.as_os_str() == s))
 }
 
 /// Meta-diagnostic id: an `audit:allow` that suppresses nothing.
@@ -343,23 +353,35 @@ pub fn all_rules() -> &'static [Rule] {
             scopes: CLOCK_SRC,
             check: check_env_read,
         },
+        Rule {
+            id: "unused-pub",
+            allow_name: "unused-pub",
+            summary: "a library `pub fn` / `pub const` / `pub static` needs a caller \
+                      outside its crate (another package, a binary, tests/, \
+                      examples/, benches/, benchmark/ or a doctest); rustc never \
+                      reports an unused pub item, so it stays as dead surface",
+            fix: "narrow to pub(crate) or private and let rustc's dead_code find \
+                  what is then unused, or annotate audit:allow(unused-pub): <reason>",
+            scopes: &["crates/*/src", "src"],
+            check: check_unused_pub,
+        },
     ]
 }
 
 /// Look up a rule by id.
-pub fn rule_by_id(id: &str) -> Option<&'static Rule> {
+pub(crate) fn rule_by_id(id: &str) -> Option<&'static Rule> {
     all_rules().iter().find(|r| r.id == id)
 }
 
 /// Is `name` a valid `audit:allow(...)` name (rule id or allow-name)?
-pub fn is_known_allow_name(name: &str) -> bool {
+pub(crate) fn is_known_allow_name(name: &str) -> bool {
     all_rules()
         .iter()
         .any(|r| r.allow_name == name || r.id == name)
 }
 
 /// Does the allow-name `name` suppress findings of `rule`?
-pub fn allow_name_matches(rule: &Rule, name: &str) -> bool {
+pub(crate) fn allow_name_matches(rule: &Rule, name: &str) -> bool {
     name == rule.allow_name || name == rule.id
 }
 
@@ -765,6 +787,60 @@ fn check_env_read(m: &FileModel, ctx: &Ctx) -> Vec<Finding> {
     )
 }
 
+fn check_unused_pub(m: &FileModel, ctx: &Ctx) -> Vec<Finding> {
+    let Some(package) = library_of(&m.rel) else {
+        return Vec::new();
+    };
+    let mut out = Vec::new();
+    for i in 0..m.code_len() {
+        if m.meta[i].in_test || m.code_text(i) != "pub" {
+            continue;
+        }
+        let Some((kind, name)) = pub_value_item(m, i) else {
+            continue;
+        };
+        if !ctx.index.referenced_outside(name, &package) {
+            out.push(finding(
+                m,
+                i,
+                format!(
+                    "pub {kind} `{name}` is named by no other crate, test, example, \
+                     benchmark or doctest: narrow it to pub(crate) or private so \
+                     rustc's dead_code lint can see whether anything calls it"
+                ),
+            ));
+        }
+    }
+    out
+}
+
+/// The kind and name of the `fn`, `const` or `static` item a bare
+/// `pub` at code index `i` introduces; `None` for a restricted
+/// visibility (`pub(crate)`, …) or any other item.
+fn pub_value_item(m: &FileModel, i: usize) -> Option<(&'static str, &str)> {
+    let text = |k: usize| if k < m.code_len() { m.code_text(k) } else { "" };
+    let mut j = i + 1;
+    // Qualifiers before `fn`: `const fn`, `async fn`, `unsafe fn`.
+    while matches!(text(j), "async" | "unsafe")
+        || (text(j) == "const" && matches!(text(j + 1), "fn" | "async" | "unsafe"))
+    {
+        j += 1;
+    }
+    let kind = match text(j) {
+        "fn" => "fn",
+        "const" => "const",
+        "static" => {
+            if text(j + 1) == "mut" {
+                j += 1;
+            }
+            "static"
+        }
+        _ => return None,
+    };
+    let name = (j + 1 < m.code_len()).then(|| m.ct(j + 1))?;
+    (name.kind == TokenKind::Ident && name.text != "_").then_some((kind, name.text.as_str()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1074,5 +1150,18 @@ mod tests {
         assert!(rule.applies_to(Path::new("crates/sim/src/network.rs")));
         assert!(!rule.applies_to(Path::new("crates/simx/src/network.rs")));
         assert!(!rule.applies_to(Path::new("crates/grid/src/torus.rs")));
+    }
+
+    #[test]
+    fn unused_pub_reads_qualifiers_and_skips_restricted_visibility() {
+        let f = file(
+            "crates/a/src/lib.rs",
+            "pub const fn a() {}\npub(crate) fn b() {}\npub static mut C: u8 = 0;\n\
+             pub const _: () = ();\npub struct D;\npub async fn e() {}\n\
+             #[cfg(test)]\nmod t { pub fn f() {} }\n",
+        );
+        assert_eq!(run(check_unused_pub, &f), vec![1, 3, 6]);
+        let bin = file("crates/a/src/main.rs", "pub fn x() {}\n");
+        assert!(run(check_unused_pub, &bin).is_empty());
     }
 }

@@ -5,8 +5,8 @@
 //! proper now runs on the token model ([`crate::lexer`] /
 //! [`crate::model`]); this module keeps the old blanker alive for one
 //! purpose: the differential self-test below lexes every `.rs` file in
-//! the workspace and checks that [`crate::model::blanked_view`] —
-//! reconstructed from tokens — agrees byte-for-byte with
+//! the workspace and checks that [`blanked_view`] — reconstructed from
+//! tokens — agrees byte-for-byte with
 //! [`blank_comments_and_strings`]. Any divergence is either a lexer bug
 //! or a documented fix over the legacy behaviour, and the known-fix
 //! fixtures in the tests enumerate the latter.
@@ -20,13 +20,15 @@
 //! * raw-string prefixes (`r`, `#`s) become spaces with the opening
 //!   quote kept; closing quote kept with trailing `#`s blanked.
 
+use crate::lexer::{Token, TokenKind};
+
 /// Replace comments and string/char literal contents with spaces,
 /// preserving line structure so line/column positions stay meaningful.
 ///
 /// This is the legacy audit's analysis core, kept as the reference
 /// implementation for the differential self-test.
 #[must_use]
-pub fn blank_comments_and_strings(text: &str) -> String {
+fn blank_comments_and_strings(text: &str) -> String {
     #[derive(Clone, Copy, PartialEq)]
     enum State {
         Code,
@@ -190,11 +192,57 @@ pub fn blank_comments_and_strings(text: &str) -> String {
     out
 }
 
+/// Reconstruct the legacy "blanked" view of `text` from the token
+/// stream: comments and literal contents become spaces (newlines kept),
+/// everything else stays byte-identical. Rendering matches the legacy
+/// [`blank_comments_and_strings`] exactly on input both
+/// models classify the same way, which is what the differential
+/// self-test exploits.
+#[must_use]
+fn blanked_view(text: &str, tokens: &[Token]) -> String {
+    let mut chars: Vec<char> = text.chars().collect();
+    for t in tokens {
+        if t.kind.is_trivia() {
+            for c in &mut chars[t.start..t.end] {
+                if *c != '\n' {
+                    *c = ' ';
+                }
+            }
+        } else if t.kind.is_textual_literal() {
+            let delim = match t.kind {
+                TokenKind::Char | TokenKind::Byte => '\'',
+                _ => '"',
+            };
+            blank_literal(&mut chars[t.start..t.end], delim);
+        }
+    }
+    chars.into_iter().collect()
+}
+
+/// Blank one literal token in place, legacy-compatibly: keep a leading
+/// `b` prefix, the opening and closing delimiter, blank raw-string
+/// hashes and all interior chars (newlines preserved).
+fn blank_literal(span: &mut [char], delim: char) {
+    let open = match span.iter().position(|&c| c == delim) {
+        Some(o) => o,
+        None => return,
+    };
+    let close = span.iter().rposition(|&c| c == delim).unwrap_or(open);
+    for (i, c) in span.iter_mut().enumerate() {
+        let keep = i == open
+            || (i == close && close > open)
+            || (i < open && *c == 'b') // byte prefix stays; `r`/`#` blank
+            || *c == '\n';
+        if !keep {
+            *c = ' ';
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::lex;
-    use crate::model::blanked_view;
 
     #[test]
     fn blanks_line_and_block_comments() {
@@ -221,8 +269,6 @@ mod tests {
     // -----------------------------------------------------------------
     // Differential self-test: token view vs. legacy blanker
     // -----------------------------------------------------------------
-
-    use crate::lexer::{Token, TokenKind};
 
     /// Undo the one known legacy artifact before byte comparison.
     ///

@@ -2,7 +2,7 @@
 //! worst-case fault placements (see `rbcast_core::attack`).
 
 use crate::cli::Flags;
-use crate::core::attack::{run_attack, AttackConfig, AttackReport};
+use crate::core::attack::{ids_to_field, run_attack, AttackConfig, AttackReport};
 use crate::core::{obs, Experiment, FaultKind};
 use std::path::PathBuf;
 
@@ -26,7 +26,7 @@ pub struct AttackSpec {
 /// # Errors
 ///
 /// Human-readable messages for unknown flags or malformed values.
-pub fn parse_attack(args: &[String]) -> Result<AttackSpec, String> {
+pub(crate) fn parse_attack(args: &[String]) -> Result<AttackSpec, String> {
     let mut config = AttackConfig::new(0);
     let mut rs: Vec<u32> = Vec::new();
     let mut gate = false;
@@ -68,17 +68,6 @@ pub fn parse_attack(args: &[String]) -> Result<AttackSpec, String> {
     })
 }
 
-fn ids_csv(ids: &[crate::grid::NodeId]) -> String {
-    let mut out = String::new();
-    for (i, id) in ids.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&id.0.to_string());
-    }
-    out
-}
-
 /// Prints the margin-to-threshold table for a finished search.
 fn print_report(spec: &AttackSpec, report: &AttackReport) {
     let cfg = &spec.config;
@@ -111,7 +100,7 @@ fn print_report(spec: &AttackSpec, report: &AttackReport) {
         );
         println!(
             "    placement: {} (evaluations {}, accepted {})",
-            ids_csv(&cell.found),
+            ids_to_field(&cell.found),
             cell.evaluations,
             cell.accepted
         );
@@ -123,7 +112,7 @@ fn print_report(spec: &AttackSpec, report: &AttackReport) {
 /// beat its baseline; 2 — the search itself failed, or its checkpoint
 /// journal lost a write.
 #[must_use]
-pub fn execute_attack(spec: &AttackSpec) -> i32 {
+pub(crate) fn execute_attack(spec: &AttackSpec) -> i32 {
     let cfg = &spec.config;
     // A cell's arena is its radius's default torus (`attack_torus`).
     let radii: Vec<Experiment> = cfg

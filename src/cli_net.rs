@@ -147,7 +147,7 @@ fn parse_net_flags(
 }
 
 /// Parses `rbcast serve` flags.
-pub fn parse_serve(args: &[String]) -> Result<ServeSpec, String> {
+pub(crate) fn parse_serve(args: &[String]) -> Result<ServeSpec, String> {
     let mut net = NetSpec::default();
     let mut node: Option<u32> = None;
     let mut journal: Option<PathBuf> = None;
@@ -170,7 +170,7 @@ pub fn parse_serve(args: &[String]) -> Result<ServeSpec, String> {
 }
 
 /// Parses `rbcast cluster` flags.
-pub fn parse_cluster(args: &[String]) -> Result<(NetSpec, ClusterOpts), String> {
+pub(crate) fn parse_cluster(args: &[String]) -> Result<(NetSpec, ClusterOpts), String> {
     let mut spec = NetSpec::default();
     let mut opts = ClusterOpts::default();
     parse_net_flags(args, &mut spec, |flag, f| {
@@ -296,7 +296,7 @@ fn decode_report(line: &str) -> Option<NodeReport> {
 
 /// Runs one UDP node to completion. Exit code 0 on a finished run.
 #[must_use]
-pub fn execute_serve(spec: &ServeSpec) -> i32 {
+pub(crate) fn execute_serve(spec: &ServeSpec) -> i32 {
     let cluster = spec.net.cluster;
     let arena = match cluster.try_arena() {
         Ok(arena) => arena,
@@ -391,7 +391,7 @@ pub fn execute_serve(spec: &ServeSpec) -> i32 {
 /// Runs a whole cluster (UDP child processes or in-process loopback),
 /// checks the digest against the sim oracle, prints the summary.
 #[must_use]
-pub fn execute_cluster(spec: &NetSpec, opts: &ClusterOpts) -> i32 {
+pub(crate) fn execute_cluster(spec: &NetSpec, opts: &ClusterOpts) -> i32 {
     let cluster = spec.cluster;
     // The loopback cluster keeps a runtime per node: reserved beside the
     // arena first, a cluster the host cannot hold is an `error:` line.
