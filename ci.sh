@@ -127,7 +127,7 @@ fi
 rm -f "$trace_out"
 echo "trace smoke passed"
 
-echo "==> bad-invocation gate (out-of-range input is one error: line and exit 2, never a panic)"
+echo "==> bad-invocation gate (out-of-range input, argv or environment, is one error: line and exit 2, never a panic)"
 # Before the flag cursor carried the ranges (src/cli.rs, `Flags`) each
 # of these died in a constructor assert!, printed a NaN rate, or ran a
 # silently different experiment.
@@ -172,6 +172,17 @@ cluster --protocol indirect
 run --r 1000000
 cluster --width 100000 --height 100000
 BAD
+# The supervision environment is input too: a malformed value is one
+# error: line and exit 2 before the sweep runs, never a panic.
+for bad_env in RBCAST_RETRIES=0 RBCAST_ROUND_BUDGET=x RBCAST_CHAOS=panic:2; do
+    status=0
+    env "$bad_env" target/release/rbcast sweep --protocol flood --r 1 --t-max 2 \
+        > /dev/null 2> "$bad_err" || status=$?
+    if test "$status" -ne 2 || grep -q panicked "$bad_err" \
+        || test "$(grep -c . "$bad_err")" -ne 1 || ! grep -q '^error: ' "$bad_err"; then
+        cat "$bad_err"; echo "bad-invocation gate: '$bad_env rbcast sweep' exited $status"; exit 1
+    fi
+done
 # A refused resume leaves the journal as it was and creates nothing.
 cmp -s "$bad_headerless" "$bad_headerless.orig" && test ! -e target/no-such.jsonl \
     && test ! -e a && test ! -e b \

@@ -1,6 +1,7 @@
 //! Fault placement strategies.
 
 use crate::respects_bound;
+use crate::search::BoundTracker;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -157,10 +158,10 @@ fn frontier_cluster(torus: &Torus, r: u32, metric: Metric, t: usize) -> Vec<Node
 
 /// Greedy random locally-bounded placement.
 ///
-/// Maintains, for every potential ball center, the number of already
-/// placed faults its neighborhood contains; a candidate is accepted iff
-/// every center covering it stays ≤ `t`. Each attempt costs one
-/// neighborhood scan instead of a full audit.
+/// A [`BoundTracker`] keeps, for every potential ball center, the number
+/// of already placed faults its neighborhood contains; a candidate is
+/// accepted iff every center covering it stays ≤ `t`. Each attempt costs
+/// one neighborhood scan instead of a full audit.
 fn random_local(
     torus: &Torus,
     r: u32,
@@ -172,25 +173,14 @@ fn random_local(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut candidates: Vec<NodeId> = torus.node_ids().collect();
     candidates.shuffle(&mut rng);
-    // counts[c] = faults currently inside the closed ball centered at c
-    let mut counts = vec![0usize; torus.len()];
+    let mut tracker = BoundTracker::new(torus, r, metric, t, &[]);
     let mut faults: Vec<NodeId> = Vec::new();
     let mut misses = 0;
     for id in candidates {
         if misses >= attempts {
             break;
         }
-        // centers whose ball covers `id`: id itself plus its neighborhood
-        // (ball membership is symmetric under both metrics).
-        // One scan per accepted candidate, before any arena exists for
-        // this geometry.
-        let covering: Vec<NodeId> = std::iter::once(id)
-            .chain(torus.neighborhood(id, r, metric)) // audit:allow(adhoc-neighborhood)
-            .collect();
-        if covering.iter().all(|c| counts[c.index()] < t) {
-            for c in covering {
-                counts[c.index()] += 1;
-            }
+        if tracker.try_add(id) {
             faults.push(id);
             misses = 0;
         } else {

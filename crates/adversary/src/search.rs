@@ -75,12 +75,13 @@ pub fn mix(seed: u64, step: u64, salt: u64) -> u64 {
     splitmix64_step(splitmix64_step(splitmix64_step(seed).wrapping_add(step)).wrapping_add(salt))
 }
 
-/// Incremental local-bound bookkeeping.
+/// Incremental local-bound bookkeeping, shared by the annealer, the
+/// greedy cut seed and `Placement::RandomLocal`.
 ///
 /// `counts[c]` is the number of placed faults inside the closed ball
 /// centred at `c`; a candidate is admissible iff every centre covering
-/// it stays strictly below `t` (mirrors `Placement::RandomLocal`).
-struct BoundTracker<'a> {
+/// it stays strictly below `t`.
+pub(crate) struct BoundTracker<'a> {
     torus: &'a Torus,
     r: u32,
     metric: Metric,
@@ -89,7 +90,13 @@ struct BoundTracker<'a> {
 }
 
 impl<'a> BoundTracker<'a> {
-    fn new(torus: &'a Torus, r: u32, metric: Metric, t: usize, faults: &[NodeId]) -> Self {
+    pub(crate) fn new(
+        torus: &'a Torus,
+        r: u32,
+        metric: Metric,
+        t: usize,
+        faults: &[NodeId],
+    ) -> Self {
         let mut tracker = BoundTracker {
             torus,
             r,
@@ -116,6 +123,19 @@ impl<'a> BoundTracker<'a> {
         self.covering(id)
             .iter()
             .all(|c| self.counts[c.index()] < self.t)
+    }
+
+    /// Places `id` if [`Self::can_add`] admits it, from one scan of its
+    /// covering centres; returns whether it did.
+    pub(crate) fn try_add(&mut self, id: NodeId) -> bool {
+        let covering = self.covering(id);
+        let admissible = covering.iter().all(|c| self.counts[c.index()] < self.t);
+        if admissible {
+            for c in covering {
+                self.counts[c.index()] += 1;
+            }
+        }
+        admissible
     }
 
     fn apply(&mut self, id: NodeId, delta: isize) {
@@ -171,8 +191,7 @@ pub fn greedy_cut_seed(torus: &Torus, r: u32, metric: Metric, t: usize) -> Vec<N
     let mut seed = Vec::new();
     for v in cut {
         let id = NodeId(u32::try_from(v).expect("torus indices fit in u32"));
-        if id != source && tracker.can_add(id) {
-            tracker.apply(id, 1);
+        if id != source && tracker.try_add(id) {
             seed.push(id);
         }
     }

@@ -158,10 +158,7 @@ mod tests {
         let experiment = crate::Experiment::new(2, crate::ProtocolKind::Flood)
             .with_torus(torus)
             .with_metric(Metric::L2);
-        let guard = experiment
-            .arena_guard()
-            .expect("a small arena")
-            .expect("shared by default");
+        let guard = experiment.arena_guard().expect("a small arena");
         assert!(registered());
         assert!(experiment.run().all_honest_correct());
         assert!(registered(), "a live guard keeps its entry");

@@ -232,10 +232,7 @@ pub fn run_experiments_traced(experiments: &[Experiment], threads: usize) -> Vec
 pub(crate) fn prewarm_arenas(
     experiments: &[Experiment],
 ) -> Result<Vec<std::sync::Arc<rbcast_grid::NeighborTable>>, rbcast_grid::ArenaError> {
-    experiments
-        .iter()
-        .filter_map(|e| e.arena_guard().transpose())
-        .collect()
+    experiments.iter().map(Experiment::arena_guard).collect()
 }
 
 #[cfg(test)]

@@ -311,11 +311,19 @@ impl std::fmt::Display for Outcome {
     }
 }
 
+/// The value every experiment's source broadcasts. Faulty nodes push its
+/// negation, so a run's commits split into correct and wrong by it.
+const SOURCE_VALUE: Value = true;
+
+/// Rounds a run may take before the simulator stops it.
+const MAX_ROUNDS: u32 = 10_000;
+
 /// Builder for a single broadcast experiment.
 ///
 /// Defaults: torus `4(2r+1)` square, L∞ metric, `t` = the protocol's
-/// maximum tolerable budget, no faults, source value `true`,
-/// 10 000-round cap.
+/// maximum tolerable budget, no faults. Every run broadcasts `true` from
+/// the origin, draws its neighbour table from the shared arena cache and
+/// stops at the 10 000-round cap.
 #[derive(Debug, Clone)]
 pub struct Experiment {
     r: u32,
@@ -325,10 +333,7 @@ pub struct Experiment {
     t: Option<usize>,
     placement: Option<Placement>,
     fault_kind: FaultKind,
-    value: Value,
-    max_rounds: u32,
     channel: ChannelConfig,
-    shared_arena: bool,
     early_termination: bool,
     round_budget: Option<u32>,
     trace_path: Option<PathBuf>,
@@ -347,10 +352,7 @@ impl Experiment {
             t: None,
             placement: None,
             fault_kind: FaultKind::CrashStop,
-            value: true,
-            max_rounds: 10_000,
             channel: ChannelConfig::reliable(),
-            shared_arena: true,
             early_termination: true,
             round_budget: None,
             trace_path: None,
@@ -393,30 +395,12 @@ impl Experiment {
         self
     }
 
-    /// Sets the source's value (default `true`).
-    #[cfg(test)]
-    fn with_value(mut self, value: Value) -> Self {
-        self.value = value;
-        self
-    }
-
     /// Overrides the channel model (default: the paper's reliable local
     /// broadcast). When jammers are left empty on a jam-enabled channel,
     /// the faulty placement doubles as the jammer set.
     #[must_use]
     pub fn with_channel(mut self, channel: ChannelConfig) -> Self {
         self.channel = channel;
-        self
-    }
-
-    /// Whether to draw the neighbor table from the process-wide shared
-    /// arena cache (default `true`). Tables are immutable and fully
-    /// determined by `(torus, r, metric)`, so sharing cannot change any
-    /// outcome or trace hash — disable only to measure the build cost or
-    /// to cross-check determinism against private tables.
-    #[must_use]
-    pub fn with_shared_arena(mut self, shared: bool) -> Self {
-        self.shared_arena = shared;
         self
     }
 
@@ -432,8 +416,8 @@ impl Experiment {
     }
 
     /// Arms the supervisor's cooperative watchdog (default: off). A
-    /// budget strictly below `max_rounds` makes the simulator stop at
-    /// the budget with [`rbcast_sim::StopReason::DeadlineExceeded`]
+    /// budget strictly below the 10 000-round cap makes the simulator
+    /// stop at the budget with [`rbcast_sim::StopReason::DeadlineExceeded`]
     /// instead of running to the cap; budgets at or above the cap never
     /// bind, so a generous budget is byte-identical to no budget.
     #[must_use]
@@ -564,16 +548,13 @@ impl Experiment {
     /// *before* fanning out, so each distinct geometry is built exactly
     /// once per sweep and workers only ever clone `Arc`s; the CLI calls
     /// it before a run, so an arena that cannot be built is an error
-    /// rather than an abort mid-run. Returns `None` when the experiment
-    /// opted out of sharing.
+    /// rather than an abort mid-run.
     ///
     /// # Errors
     ///
     /// As [`NeighborTable::try_build`].
-    pub(crate) fn arena_guard(&self) -> Result<Option<Arc<NeighborTable>>, ArenaError> {
-        self.shared_arena
-            .then(|| crate::arena_cache::shared(&self.resolve_torus(), self.r, self.metric))
-            .transpose()
+    pub(crate) fn arena_guard(&self) -> Result<Arc<NeighborTable>, ArenaError> {
+        crate::arena_cache::shared(&self.resolve_torus(), self.r, self.metric)
     }
 
     /// `Experiment::arena_guard` for a run about to start: the node
@@ -586,7 +567,7 @@ impl Experiment {
     ///
     /// A torus past [`NeighborTable::MAX_NODES`], a node table the
     /// allocator refuses, or the arena's own errors.
-    pub fn run_guard(&self) -> Result<Option<Arc<NeighborTable>>, ArenaError> {
+    pub fn run_guard(&self) -> Result<Arc<NeighborTable>, ArenaError> {
         struct SlotBytes;
         impl ProtocolVisitor for SlotBytes {
             type Output = usize;
@@ -635,19 +616,15 @@ impl Experiment {
         make: &dyn Fn(ProtocolParams) -> P,
     ) -> (Outcome, Network<Msg, Node<P, Msg>>) {
         let torus = self.resolve_torus();
-        let arena = if self.shared_arena {
-            crate::arena_cache::shared(&torus, self.r, self.metric).unwrap_or_else(|e| {
-                // audit:allow(panic): `arena_guard` is the fallible path; a run cannot go on without its arena
-                panic!("{e}")
-            })
-        } else {
-            Arc::new(NeighborTable::build(&torus, self.r, self.metric))
-        };
+        let arena = crate::arena_cache::shared(&torus, self.r, self.metric).unwrap_or_else(|e| {
+            // audit:allow(panic): `arena_guard` is the fallible path; a run cannot go on without its arena
+            panic!("{e}")
+        });
         let t = self.t.unwrap_or_else(|| self.protocol.proven_t(self.r));
         let source = torus.id(Coord::ORIGIN);
         let params = ProtocolParams {
             source,
-            value: self.value,
+            value: SOURCE_VALUE,
             t,
         };
         let faults: Vec<NodeId> = self
@@ -658,7 +635,7 @@ impl Experiment {
         let audited_bound = local_fault_bound_in(&arena, &faults);
         let fault_set: HashSet<NodeId> = faults.iter().copied().collect();
 
-        let wrong = !self.value;
+        let wrong = !SOURCE_VALUE;
         let mut channel = self.channel.clone();
         if channel.jam_budget > 0 && channel.jammers.is_empty() {
             channel.jammers = faults.clone();
@@ -679,7 +656,7 @@ impl Experiment {
         net.set_round_budget(self.round_budget);
         net.set_engine(self.engine);
         if self.t2_oracle_applies(audited_bound, t) {
-            net.set_safety_oracle(self.value, &faults);
+            net.set_safety_oracle(SOURCE_VALUE, &faults);
         }
         if matches!(self.fault_kind, FaultKind::CrashStop) {
             for &f in &faults {
@@ -697,7 +674,7 @@ impl Experiment {
                 )));
             }
         }
-        let stats = net.run(self.max_rounds);
+        let stats = net.run(MAX_ROUNDS);
         record_run_metrics(&stats);
         let message_kinds: Vec<(&'static str, u64)> =
             net.kind_counts().iter().map(|(&k, &v)| (k, v)).collect();
@@ -716,7 +693,7 @@ impl Experiment {
                 undecided += 1;
                 continue;
             };
-            if v == self.value {
+            if v == SOURCE_VALUE {
                 committed_correct += 1;
             } else {
                 committed_wrong += 1;
@@ -875,7 +852,7 @@ mod tests {
         assert!(o.undecided > 0, "{o}");
         // A budget at the cap never binds: byte-identical to no budget.
         let capped = Experiment::new(1, ProtocolKind::Flood)
-            .with_round_budget(Some(10_000))
+            .with_round_budget(Some(MAX_ROUNDS))
             .run_traced();
         let free = Experiment::new(1, ProtocolKind::Flood).run_traced();
         assert_eq!(capped, free);
@@ -967,7 +944,7 @@ mod tests {
         let t = exp.t.unwrap_or_else(|| exp.protocol.proven_t(exp.r));
         let params = ProtocolParams {
             source: torus.id(Coord::ORIGIN),
-            value: exp.value,
+            value: SOURCE_VALUE,
             t,
         };
         let faults = exp
@@ -977,7 +954,7 @@ mod tests {
         let arena = Arc::new(NeighborTable::build(&torus, exp.r, exp.metric));
         let mut net: Network<Msg> = Network::with_arena(arena, exp.channel.clone(), |id| {
             if faults.contains(&id) {
-                exp.fault_kind.spawn(!exp.value, id)
+                exp.fault_kind.spawn(!SOURCE_VALUE, id)
             } else {
                 exp.protocol.spawn(params)
             }
@@ -996,7 +973,7 @@ mod tests {
         net.set_trace_sink(Box::new(crate::obs::JsonlSink::new(
             std::io::BufWriter::new(file),
         )));
-        let stats = net.run(exp.max_rounds);
+        let stats = net.run(MAX_ROUNDS);
         observe(&net, stats, trace)
     }
 
@@ -1045,13 +1022,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn wrong_value_false_also_works() {
-        let o = Experiment::new(1, ProtocolKind::IndirectFull)
-            .with_value(false)
-            .run();
-        assert!(o.all_honest_correct());
     }
 }

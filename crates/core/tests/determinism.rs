@@ -88,26 +88,6 @@ fn sweep_outcomes_and_trace_hashes_identical_at_1_2_8_threads() {
 }
 
 #[test]
-fn shared_arena_does_not_change_outcomes_or_hashes() {
-    // A NeighborTable is immutable and fully determined by
-    // (torus, r, metric), so drawing it from the process-wide cache and
-    // building it privately per run must be indistinguishable — full
-    // outcome AND trace-hash equality, at every thread count.
-    let shared = sweep_grid();
-    let private: Vec<Experiment> = sweep_grid()
-        .into_iter()
-        .map(|e| e.with_shared_arena(false))
-        .collect();
-    for threads in [1usize, 2, 8] {
-        assert_eq!(
-            engine::run_experiments_traced(&shared, threads),
-            engine::run_experiments_traced(&private, threads),
-            "shared vs private arena diverged at {threads} worker threads"
-        );
-    }
-}
-
-#[test]
 fn early_termination_freezes_the_same_hash() {
     // The trace hash freezes the round every honest node has decided in
     // BOTH modes, so stopping there must not change any hash or any

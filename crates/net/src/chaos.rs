@@ -1,9 +1,8 @@
 //! Deterministic chaos injection between the link layer and the wire.
 //!
 //! [`ChaosTransport`] wraps any [`Datagram`] transport and perturbs the
-//! *outbound* path: seeded Gilbert–Elliott burst loss (the same
-//! [`BurstLoss`] model the simulator's channel uses, so sim experiments
-//! and cluster runs share one loss process), duplication, reordering
+//! *outbound* path: seeded Gilbert–Elliott burst loss (`rbcast_sim`'s
+//! [`BurstLoss`] chain, stepped once per send), duplication, reordering
 //! (as a one-tick hold-back), and fixed delay. Every decision derives
 //! from `(seed, directed edge, per-edge send counter)` via splitmix
 //! mixing — a chaotic run replays exactly given the same seed and send

@@ -14,7 +14,7 @@
 //!   and in-process loopback implementations (the only raw-socket code
 //!   in the workspace, pinned by the `raw-socket-io` audit rule).
 //! * [`chaos`] — a seeded fault-injection shim between link and wire:
-//!   Gilbert–Elliott burst loss (the sim channel's own model),
+//!   Gilbert–Elliott burst loss (`rbcast_sim`'s [`rbcast_sim::BurstLoss`]),
 //!   duplication, reordering, delay — all deterministic per seed.
 //! * [`journal`] — append-before-ack JSONL durability, the basis of
 //!   crash recovery.
@@ -44,7 +44,7 @@ pub mod wire;
 pub use chaos::{ChaosConfig, ChaosTransport};
 pub use cluster::{ClusterReport, ClusterSpec, LoopbackCluster, OracleReport};
 pub use journal::{FileJournal, MemJournal, NetJournal, Record, SharedJournal};
-pub use link::{Link, LinkConfig, LinkStats};
+pub use link::{Link, LinkStats};
 /// The protocol vocabulary is `rbcast_core`'s. This alias exists only
 /// because `benchmark/src/wl_cluster.rs` names it; it goes with the next
 /// PR that may edit `benchmark/`.

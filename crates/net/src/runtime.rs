@@ -32,7 +32,7 @@
 //! still be missing, under a bumped epoch that tells peers to reset.
 
 use crate::journal::{JournalError, NetJournal, Record};
-use crate::link::{Link, LinkConfig, LinkStats};
+use crate::link::{Link, LinkStats};
 use crate::transport::Datagram;
 use crate::wire::{decode_packet, SeqFrame};
 use rbcast_grid::{NeighborTable, NodeId};
@@ -48,8 +48,6 @@ pub struct RuntimeConfig {
     /// Delivery rounds to run (rounds `1..=rounds`; round 0 is the
     /// spawn round). Every node in a cluster must agree.
     pub rounds: Round,
-    /// Link-layer retransmission policy.
-    pub link: LinkConfig,
     /// Ticks without progress (no frame released, no round completed)
     /// before the missing neighbors are suspected and the barrier
     /// proceeds degraded.
@@ -60,7 +58,6 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             rounds: 32,
-            link: LinkConfig::default(),
             patience: 50_000,
         }
     }
@@ -250,7 +247,7 @@ impl NodeRuntime {
         // acked frame is journaled, so peers lose nothing).
         let neighbors: Vec<u32> = arena.neighbors(me).map(|n| n.0).collect();
         for &peer in &neighbors {
-            let mut link = Link::new(me.0, epoch, peer, cfg.link);
+            let mut link = Link::new(me.0, epoch, peer);
             if let Some(&(pe, count)) = rx_state.get(&peer) {
                 link.restore_rx(pe, count);
             }

@@ -52,7 +52,6 @@ impl Cluster {
             cfg: RuntimeConfig {
                 rounds,
                 patience: 200_000,
-                ..RuntimeConfig::default()
             },
             chaos,
             arena,

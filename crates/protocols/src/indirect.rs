@@ -208,22 +208,16 @@ impl Indirect {
                 (fits, fits_with_me)
             }
             Metric::L2 => {
-                // Scan candidate centers within r of the committer.
-                let ri = i64::from(r);
+                // Scan candidate centers within r of the committer: the
+                // arena's radius-r disk, in row-major order.
                 let mut fits = false;
-                for dy in -ri..=ri {
-                    for dx in -ri..=ri {
-                        let c = Coord::new(dx, dy);
-                        if !metric.within(Coord::ORIGIN, c, r) {
-                            continue;
-                        }
-                        if members.iter().all(|&m| metric.within(c, m, r)) {
-                            fits = true;
-                            match me {
-                                None => return (true, false),
-                                Some(m) if metric.within(c, m, r) => return (true, true),
-                                Some(_) => {}
-                            }
+                for &c in ctx.arena().ball_offsets(r) {
+                    if members.iter().all(|&m| metric.within(c, m, r)) {
+                        fits = true;
+                        match me {
+                            None => return (true, false),
+                            Some(m) if metric.within(c, m, r) => return (true, true),
+                            Some(_) => {}
                         }
                     }
                 }

@@ -83,3 +83,44 @@ pub struct ProtocolParams {
     /// to tolerate.
     pub t: usize,
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rbcast_grid::{Coord, Metric, Torus};
+    use rbcast_sim::{Network, Process};
+
+    /// Builds one honest node's process.
+    type Spawn = fn(ProtocolParams) -> Box<dyn Process<Msg>>;
+
+    #[test]
+    fn every_protocol_commits_a_false_source_value() {
+        let torus = Torus::for_radius(1);
+        let params = ProtocolParams {
+            source: torus.id(Coord::ORIGIN),
+            value: false,
+            t: 1,
+        };
+        let protocols: [(&str, Spawn); 4] = [
+            ("flood", |p| Box::new(Flood::new(p))),
+            ("cpa", |p| Box::new(Cpa::new(p))),
+            ("indirect-full", |p| {
+                Box::new(Indirect::new(p, IndirectConfig::full()))
+            }),
+            ("indirect-simplified", |p| {
+                Box::new(Indirect::new(p, IndirectConfig::simplified()))
+            }),
+        ];
+        for (name, spawn) in protocols {
+            let mut net = Network::new(torus.clone(), 1, Metric::Linf, |_| spawn(params));
+            net.run(200);
+            for id in torus.node_ids() {
+                assert_eq!(
+                    net.decision(id).map(|(v, _)| v),
+                    Some(false),
+                    "{name}: {id}"
+                );
+            }
+        }
+    }
+}

@@ -21,13 +21,13 @@
 //!   impossible outright). A jammed transmission is lost at exactly the
 //!   receivers within the jammer's range (receivers out of range still
 //!   hear it).
-//! * **Burst loss** — a per-edge Gilbert–Elliot two-state Markov chain
-//!   ([`BurstLoss`]) replaces the independent per-delivery coin: each
-//!   directed edge is in a *good* or *bad* state, transitions once per
-//!   round, and drops deliveries at the state's loss rate. Draws are a
-//!   pure function of `(seed, edge, round)`, so runs replay exactly;
-//!   the networked runtime's chaos shim shares the same chain via
-//!   [`BurstChain`].
+//!
+//! The module also defines the Gilbert–Elliot burst-loss chain
+//! ([`BurstLoss`], advanced by [`BurstChain`]) that the networked
+//! runtime's chaos shim drops datagrams with: each directed edge is in
+//! a *good* or *bad* state, transitions once per step, and loses at the
+//! state's rate. Draws are a pure function of `(seed, edge, step)`, so
+//! runs replay exactly.
 
 use crate::Round;
 use rbcast_grid::plumbing::splitmix64;
@@ -36,17 +36,17 @@ use rbcast_grid::NodeId;
 /// Parameters of the Gilbert–Elliot two-state burst-loss chain.
 ///
 /// Each directed edge `(sender, receiver)` carries an independent chain
-/// that starts *good* at round 0 and makes one transition per round;
-/// deliveries are then lost at the current state's loss rate. All draws
-/// are pure in `(seed, edge, round)` — no chain state is stored, so two
-/// runs over the same seed see byte-identical losses regardless of
-/// engine, thread count, or query order.
+/// that starts *good* at step 0 and makes one transition per step (the
+/// chaos shim steps it once per datagram); sends are then lost at the
+/// current state's loss rate. Every transition draw is pure in
+/// `(seed, edge, step)`, so two runs over the same seed see
+/// byte-identical losses regardless of query order.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BurstLoss {
-    /// Per-round probability of a good edge turning bad.
+    /// Per-step probability of a good edge turning bad.
     pub p_good_to_bad: f64,
-    /// Per-round probability of a bad edge recovering (mean burst
-    /// length is `1 / p_bad_to_good` rounds).
+    /// Per-step probability of a bad edge recovering (mean burst
+    /// length is `1 / p_bad_to_good` steps).
     pub p_bad_to_good: f64,
     /// Per-attempt loss probability while the edge is good.
     pub loss_good: f64,
@@ -82,8 +82,9 @@ impl BurstLoss {
 
     /// Chain state of `edge` after `step` transitions (true = bad),
     /// computed by walking the chain from its good start — a pure
-    /// function of `(seed, edge, step)`.
-    #[must_use]
+    /// function of `(seed, edge, step)`, and the reference
+    /// [`BurstChain`] is checked against.
+    #[cfg(test)]
     fn state_at(&self, seed: u64, edge: (u32, u32), step: u64) -> bool {
         let mut bad = false;
         for s in 1..=step {
@@ -133,10 +134,9 @@ impl BurstLoss {
 
 /// Incrementally advanced Gilbert–Elliot chain for one directed edge.
 ///
-/// `BurstLoss::state_at` walks from round 0 on every query — exact but
-/// O(step). A long-lived consumer tracking one edge (the networked
-/// chaos shim, which queries per datagram) keeps a `BurstChain` and
-/// advances it monotonically instead; the state sequence is identical.
+/// The one consumer, the networked chaos shim, queries an edge per
+/// datagram, so it keeps a `BurstChain` per edge and advances it
+/// monotonically rather than walking the chain from step 0 each time.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BurstChain {
     step: u64,
@@ -145,7 +145,7 @@ pub struct BurstChain {
 
 impl BurstChain {
     /// Advances the chain to `step` (monotonic) and returns its state
-    /// there (true = bad). Matches `BurstLoss::state_at` exactly.
+    /// there (true = bad): the chain walked from its good start.
     ///
     /// # Panics
     ///
@@ -186,9 +186,6 @@ pub struct ChannelConfig {
     pub jammers: Vec<NodeId>,
     /// RNG seed for loss draws.
     pub seed: u64,
-    /// Gilbert–Elliot burst-loss chain; `None` keeps the independent
-    /// per-delivery coin of `loss`.
-    pub burst: Option<BurstLoss>,
 }
 
 impl Default for ChannelConfig {
@@ -200,7 +197,6 @@ impl Default for ChannelConfig {
             jam_budget: 0,
             jammers: Vec::new(),
             seed: 0,
-            burst: None,
         }
     }
 }
@@ -231,20 +227,6 @@ impl ChannelConfig {
         }
     }
 
-    /// A bursty channel: the deterministic Gilbert–Elliot extension of
-    /// [`ChannelConfig::lossy`]. Per-edge chains replace the independent
-    /// coin; `redundancy` retransmissions still mask individual losses
-    /// (but not a bad state with `loss_bad = 1`, which is exactly the
-    /// point of modelling bursts).
-    #[cfg(test)]
-    pub(crate) fn bursty(burst: BurstLoss, seed: u64) -> Self {
-        ChannelConfig {
-            burst: Some(burst),
-            seed,
-            ..ChannelConfig::default()
-        }
-    }
-
     /// Enables forged sender identities (the §X spoofing relaxation).
     #[must_use]
     pub fn with_spoofing(mut self) -> Self {
@@ -262,11 +244,9 @@ impl ChannelConfig {
     }
 }
 
-/// Stream separator for burst-chain transition draws (vs loss draws),
-/// so the two per-edge random sequences never correlate.
+/// Stream separator for burst-chain transition draws, so they never
+/// correlate with a consumer's own per-edge draws.
 const STREAM_TRANSITION: u64 = 0x5851_F42D_4C95_7F2D;
-/// Stream separator for burst-mode per-attempt loss draws.
-const STREAM_BURST_LOSS: u64 = 0x1405_7B7E_F767_814F;
 
 /// A uniform draw in `[0, 1)`, pure in `(seed, a, b, c)` — the same
 /// splitmix-style mix the independent-loss path uses.
@@ -287,38 +267,13 @@ fn mix_unit(seed: u64, a: u64, b: u64, c: u64) -> f64 {
 /// Derives an independent pseudo-random draw from
 /// `(seed, round, transmission index, receiver)` with a splitmix-style
 /// mix, so runs are reproducible without storing RNG state per edge.
-/// Under a [`BurstLoss`] model the per-attempt loss probability is the
-/// `(sender, receiver)` edge's current chain state's rate instead of
-/// the flat `loss`.
 #[must_use]
 pub(crate) fn delivery_lost(
     cfg: &ChannelConfig,
     round: Round,
     tx_index: usize,
-    sender: NodeId,
     receiver: NodeId,
 ) -> bool {
-    if let Some(burst) = &cfg.burst {
-        let bad = burst.state_at(cfg.seed, (sender.0, receiver.0), u64::from(round));
-        let p = burst.loss_prob(bad);
-        if p <= 0.0 {
-            return false;
-        }
-        for attempt in 0..cfg.redundancy {
-            let draw = mix_unit(
-                cfg.seed ^ STREAM_BURST_LOSS,
-                u64::from(round)
-                    .wrapping_mul(0x9E37_79B9)
-                    .wrapping_add(tx_index as u64),
-                u64::from(receiver.0),
-                u64::from(attempt),
-            );
-            if draw >= p {
-                return false;
-            }
-        }
-        return true;
-    }
     if cfg.loss == 0.0 {
         return false;
     }
@@ -350,7 +305,7 @@ mod tests {
     #[test]
     fn default_is_reliable() {
         let cfg = ChannelConfig::default();
-        assert!(!delivery_lost(&cfg, 0, 0, NodeId(1), NodeId(0)));
+        assert!(!delivery_lost(&cfg, 0, 0, NodeId(0)));
     }
 
     #[test]
@@ -358,7 +313,7 @@ mod tests {
         let cfg = ChannelConfig::lossy(0.3, 1, 42);
         let n = 20_000;
         let lost = (0..n)
-            .filter(|&i| delivery_lost(&cfg, 1, i, NodeId(1), NodeId(7)))
+            .filter(|&i| delivery_lost(&cfg, 1, i, NodeId(7)))
             .count();
         let rate = lost as f64 / n as f64;
         assert!((rate - 0.3).abs() < 0.02, "rate={rate}");
@@ -369,7 +324,7 @@ mod tests {
         let cfg = ChannelConfig::lossy(0.5, 4, 42);
         let n = 20_000;
         let lost = (0..n)
-            .filter(|&i| delivery_lost(&cfg, 1, i, NodeId(1), NodeId(7)))
+            .filter(|&i| delivery_lost(&cfg, 1, i, NodeId(7)))
             .count();
         let rate = lost as f64 / n as f64;
         assert!((rate - 0.0625).abs() < 0.01, "rate={rate}");
@@ -380,8 +335,8 @@ mod tests {
         let cfg = ChannelConfig::lossy(0.4, 2, 9);
         for i in 0..100 {
             assert_eq!(
-                delivery_lost(&cfg, 3, i, NodeId(1), NodeId(11)),
-                delivery_lost(&cfg, 3, i, NodeId(1), NodeId(11))
+                delivery_lost(&cfg, 3, i, NodeId(11)),
+                delivery_lost(&cfg, 3, i, NodeId(11))
             );
         }
     }
@@ -390,13 +345,13 @@ mod tests {
     fn draws_vary_across_receivers_and_rounds() {
         let cfg = ChannelConfig::lossy(0.5, 1, 1);
         let a: Vec<bool> = (0..64)
-            .map(|i| delivery_lost(&cfg, 1, i, NodeId(0), NodeId(1)))
+            .map(|i| delivery_lost(&cfg, 1, i, NodeId(1)))
             .collect();
         let b: Vec<bool> = (0..64)
-            .map(|i| delivery_lost(&cfg, 1, i, NodeId(0), NodeId(2)))
+            .map(|i| delivery_lost(&cfg, 1, i, NodeId(2)))
             .collect();
         let c: Vec<bool> = (0..64)
-            .map(|i| delivery_lost(&cfg, 2, i, NodeId(0), NodeId(1)))
+            .map(|i| delivery_lost(&cfg, 2, i, NodeId(1)))
             .collect();
         assert_ne!(a, b);
         assert_ne!(a, c);
@@ -425,14 +380,6 @@ mod tests {
 
     fn gilbert() -> BurstLoss {
         BurstLoss::new(0.05, 0.2, 0.0, 1.0)
-    }
-
-    #[test]
-    fn bursty_channel_is_not_reliable() {
-        let cfg = ChannelConfig::bursty(gilbert(), 7);
-        assert!(cfg.burst.is_some());
-        // The flat independent coin stays off; losses come from the chain.
-        assert!((cfg.loss - 0.0).abs() < f64::EPSILON);
     }
 
     #[test]
@@ -503,39 +450,6 @@ mod tests {
         let mut chain = BurstChain::default();
         let _ = chain.bad_at(&model, 1, (0, 1), 10);
         let _ = chain.bad_at(&model, 1, (0, 1), 9);
-    }
-
-    #[test]
-    fn burst_draws_are_deterministic_and_edge_keyed() {
-        let cfg = ChannelConfig::bursty(BurstLoss::new(0.3, 0.3, 0.05, 0.95), 5);
-        let a: Vec<bool> = (0..200)
-            .map(|i| delivery_lost(&cfg, (i % 40) as Round, i, NodeId(1), NodeId(2)))
-            .collect();
-        let b: Vec<bool> = (0..200)
-            .map(|i| delivery_lost(&cfg, (i % 40) as Round, i, NodeId(1), NodeId(2)))
-            .collect();
-        let c: Vec<bool> = (0..200)
-            .map(|i| delivery_lost(&cfg, (i % 40) as Round, i, NodeId(3), NodeId(2)))
-            .collect();
-        assert_eq!(a, b, "same inputs must draw identically");
-        assert_ne!(a, c, "a different sender keys a different chain");
-    }
-
-    #[test]
-    fn opaque_bad_state_loses_everything_while_bad() {
-        // loss_bad = 1, loss_good = 0: a delivery is lost iff the edge's
-        // chain is bad at that round, independent of redundancy.
-        let model = gilbert();
-        let mut cfg = ChannelConfig::bursty(model, 11);
-        cfg.redundancy = 3;
-        for round in 1..200u32 {
-            let bad = model.state_at(11, (4, 9), u64::from(round));
-            assert_eq!(
-                delivery_lost(&cfg, round, 0, NodeId(4), NodeId(9)),
-                bad,
-                "round {round}"
-            );
-        }
     }
 
     #[test]

@@ -351,7 +351,7 @@ impl<M, P: Process<M>> Network<M, P> {
         // receiver-list clone and no per-delivery message clone.
         let arena = Arc::clone(&self.arena);
         let sparse = self.engine == EngineKind::Sparse;
-        let lossy = self.channel.burst.is_some() || self.channel.loss != 0.0;
+        let lossy = self.channel.loss != 0.0;
 
         // Round 0 runs dense under both engines: every process gets its
         // `on_start` and first `on_round_end` regardless of traffic.
@@ -444,7 +444,7 @@ impl<M, P: Process<M>> Network<M, P> {
                             continue;
                         }
                     }
-                    if lossy && delivery_lost(&self.channel, round, tx_index, tx.sender, rid) {
+                    if lossy && delivery_lost(&self.channel, round, tx_index, rid) {
                         self.lost_deliveries += 1;
                         if tracing {
                             self.emit(TraceEvent::Lost {
@@ -1165,71 +1165,6 @@ mod tests {
         assert_eq!(stats.deliveries + stats.lost_deliveries, 24);
         assert!(stats.lost_deliveries > 0, "no losses at 50%");
         assert!(stats.deliveries > 0, "everything lost at 50%");
-    }
-
-    #[test]
-    fn bursty_channel_accounts_losses_and_replays_identically() {
-        // Gilbert–Elliot losses obey the same invariants as the flat
-        // coin: every non-delivery is accounted, and the same seed
-        // replays byte-identically (trace hash and all counters).
-        let burst = crate::BurstLoss::new(0.3, 0.3, 0.0, 1.0);
-        let run = || {
-            let torus = Torus::new(12, 12);
-            let log: Log = Rc::new(RefCell::new(Vec::new()));
-            let log2 = log.clone();
-            let talker = torus.id(Coord::new(5, 5));
-            let mut net = Network::new_with_channel(
-                torus.clone(),
-                2,
-                Metric::Linf,
-                crate::ChannelConfig::bursty(burst, 99),
-                move |id| {
-                    Box::new(Recorder {
-                        echo: true,
-                        start_value: (id == talker).then_some(1),
-                        log: log2.clone(),
-                        echoed: false,
-                    })
-                },
-            );
-            let stats = net.run(8);
-            (stats, net.trace_hash())
-        };
-        let (a, hash_a) = run();
-        let (b, hash_b) = run();
-        assert_eq!(hash_a, hash_b, "same-seed burst runs must replay");
-        assert_eq!(a.deliveries, b.deliveries);
-        assert_eq!(a.lost_deliveries, b.lost_deliveries);
-        assert!(a.lost_deliveries > 0, "no burst losses at 50% bad time");
-        assert!(a.deliveries > 0, "everything lost");
-    }
-
-    #[test]
-    fn burst_losses_respect_jam_accounting() {
-        // Jamming and burst loss compose: jammed deliveries are counted
-        // as jammed (not lost), and the jam budget is still exact.
-        let torus = Torus::new(12, 12);
-        let jammer = torus.id(Coord::new(0, 0));
-        let talker = torus.id(Coord::new(5, 5));
-        let burst = crate::BurstLoss::new(0.2, 0.4, 0.0, 1.0);
-        let channel = crate::ChannelConfig::bursty(burst, 3).with_jammers(vec![jammer], 1);
-        let log: Log = Rc::new(RefCell::new(Vec::new()));
-        let log2 = log.clone();
-        let mut net =
-            Network::new_with_channel(torus.clone(), 2, Metric::Linf, channel, move |id| {
-                Box::new(Recorder {
-                    echo: true,
-                    start_value: (id == talker).then_some(1),
-                    log: log2.clone(),
-                    echoed: false,
-                })
-            });
-        let stats = net.run(8);
-        assert_eq!(
-            stats.jammed_transmissions, 1,
-            "the single-collision battery must be spent exactly once"
-        );
-        assert!(stats.lost_deliveries > 0, "burst chain never went bad");
     }
 
     #[test]

@@ -632,7 +632,7 @@ pub fn execute(cmd: &Command) -> i32 {
 pub(crate) fn arenas(experiments: &[Experiment]) -> Result<Vec<Arc<NeighborTable>>, i32> {
     experiments
         .iter()
-        .filter_map(|e| e.run_guard().transpose())
+        .map(Experiment::run_guard)
         .collect::<Result<_, _>>()
         .map_err(|e| {
             eprintln!("error: cannot build the network: {e}");

@@ -60,7 +60,6 @@ impl NetSpec {
         RuntimeConfig {
             rounds: self.cluster.rounds,
             patience: self.patience,
-            ..RuntimeConfig::default()
         }
     }
 
