@@ -378,19 +378,23 @@ grep -q '"peak_rss_kb"' BENCH_scale.json \
 # neighbour table: rows come from the radius-r stencil, so each ceiling
 # below sits 35 200 kB under where it was while the arena stored every
 # row (8 ids of 4 B plus a 4 B row end a node at r = 1, 36 MB at 10^6).
-# A committed node frees its chains, so the indirect 10^6 cell stays
-# under 204 800 kB (212 340 kB with the neighbour table; 259 828 kB while
-# every network and slot kept its own order and constants; 424 744 kB
-# while every node kept its chains).
+# A committed node frees its chains, and an indirect node is 48 bytes
+# with its heard-once set inline and its one-level packers boxed only
+# while the wave passes it, so the indirect 10^6 cell stays under
+# 73 600 kB (177 208 kB at 112 bytes a node with a sorted id list;
+# 212 340 kB with the neighbour table; 259 828 kB while every network
+# and slot kept its own order and constants; 424 744 kB while every node
+# kept its chains).
 rss=$(sed -n 's/.*"indirect-simplified", "side": 1000,.*"peak_rss_kb": \([0-9]*\).*/\1/p' BENCH_scale.json)
-test -n "$rss" && test "$rss" -lt 204800 \
-    || { echo "BENCH_scale.json: indirect-simplified at 10^6 nodes reads ${rss:-no} kB peak RSS (limit 204800)"; exit 1; }
-# A CPA node is 48 bytes and frees its announcer list at commit, so the
-# CPA 10^6 cell stays under 92 800 kB (99 296 kB with the neighbour
-# table; 156 892 kB at 64 bytes a node that kept the list).
+test -n "$rss" && test "$rss" -lt 73600 \
+    || { echo "BENCH_scale.json: indirect-simplified at 10^6 nodes reads ${rss:-no} kB peak RSS (limit 73600)"; exit 1; }
+# A CPA node is 40 bytes, its announcer set an inline word at r = 1,
+# so the CPA 10^6 cell stays under 57 600 kB (64 568 kB at 48 bytes a
+# node with a sorted id list freed at commit; 99 296 kB with the
+# neighbour table; 156 892 kB at 64 bytes a node that kept the list).
 rss=$(sed -n 's/.*"cpa", "side": 1000,.*"peak_rss_kb": \([0-9]*\).*/\1/p' BENCH_scale.json)
-test -n "$rss" && test "$rss" -lt 92800 \
-    || { echo "BENCH_scale.json: cpa at 10^6 nodes reads ${rss:-no} kB peak RSS (limit 92800)"; exit 1; }
+test -n "$rss" && test "$rss" -lt 57600 \
+    || { echo "BENCH_scale.json: cpa at 10^6 nodes reads ${rss:-no} kB peak RSS (limit 57600)"; exit 1; }
 # Honest nodes are stored inline, 16 B a flood node (a 16 B box pointer
 # plus a heap chunk before, then 24 B holding the run's parameters), so
 # the flood 10^6 cell stays under 44 800 kB (68 096 kB with the neighbour

@@ -59,14 +59,16 @@ const INDIRECT_SMOKE_FLOOR_NODES_PER_SEC: f64 = 80_000.0;
 /// the process high-water mark once that cell has run (the flood and
 /// CPA cells before it are smaller). RSS repeats to within 1 % wherever
 /// it was measured, so unlike the wall gates this one sits close. The
-/// cell reads 4 740–4 880 kB with rows computed from the arena's
-/// stencil, 5 010–5 200 kB while the arena stored every row (36 B a
+/// cell reads 3 800–3 920 kB at 48 bytes an indirect node (a frame
+/// bitset, one-level packers boxed while the wave passes), 4 670–4 890
+/// kB at 112 bytes a node (a sorted id list, inline packers),
+/// 5 010–5 200 kB while the arena stored every row (36 B a
 /// node at r = 1), ≈ 5 540 kB when every network and every slot kept
 /// its own TDMA order and run constants, 7 400–7 500 kB when every node
 /// kept its chains to the end of the run; a per-node outbox and an
 /// evidence store carrying both rules' fields read 13 400–13 800 kB.
 /// Bytes per node are what bound the 10⁶ cell.
-const INDIRECT_SMOKE_RSS_CEILING_KB: u64 = 4_980;
+const INDIRECT_SMOKE_RSS_CEILING_KB: u64 = 4_100;
 
 /// One fault-free broadcast on a `side × side` torus under `engine`.
 fn experiment(kind: ProtocolKind, side: u32, engine: EngineKind) -> Experiment {

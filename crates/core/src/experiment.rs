@@ -167,8 +167,8 @@ const fn slot_is_inline<P>(bytes: usize) -> bool {
     std::mem::size_of::<Node<P, Msg>>() == bytes && std::mem::size_of::<P>() == bytes
 }
 const _: () = assert!(std::mem::size_of::<Node<Flood, Msg>>() == 16);
-const _: () = assert!(slot_is_inline::<Cpa>(48));
-const _: () = assert!(slot_is_inline::<Indirect>(112));
+const _: () = assert!(slot_is_inline::<Cpa>(40));
+const _: () = assert!(slot_is_inline::<Indirect>(48));
 
 /// How faulty nodes behave.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

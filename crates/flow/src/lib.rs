@@ -14,10 +14,11 @@
 //!   vertex cut that witnesses it (Menger).
 //! * [`ChainPacker`] — maximum sets of pairwise node-disjoint *reported
 //!   relay chains* (the `HEARD(...)` evidence of the paper's §VI
-//!   protocol). Chains are packed over a prefix trie so that a unit of
-//!   flow can only follow a genuinely reported chain — naive max-flow on
-//!   the union of chains would allow unsound "mixed" paths splicing a
-//!   prefix of one report onto the suffix of another.
+//!   protocol). Whole chains are the units: the packer solves an exact
+//!   set packing — a greedy pass, then a budgeted branch and bound over
+//!   the chain conflict graph — because max-flow on the union of chains
+//!   would accept unsound "mixed" paths splicing a prefix of one report
+//!   onto the suffix of another.
 //!
 //! # Example
 //!

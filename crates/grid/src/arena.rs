@@ -443,7 +443,6 @@ impl NeighborTable {
             torus: self.torus.clone(),
             me,
             span: i64::from(span),
-            side: 2 * i64::from(span) + 1,
         }
     }
 }
@@ -514,7 +513,6 @@ pub struct LocalFrame {
     torus: Torus,
     me: Coord,
     span: i64,
-    side: i64,
 }
 
 impl LocalFrame {
@@ -527,7 +525,7 @@ impl LocalFrame {
     /// Number of slots in the frame: `(2·span + 1)²`.
     #[must_use]
     pub fn slots(&self) -> usize {
-        (self.side * self.side) as usize
+        frame_slots(self.span)
     }
 
     /// Dense slot of node `id` (see `LocalFrame::slot_of`).
@@ -542,12 +540,28 @@ impl LocalFrame {
     #[inline]
     #[must_use]
     fn slot_of(&self, c: Coord) -> Option<usize> {
-        let d = self.torus.displacement(self.me, c);
-        if d.x.abs() > self.span || d.y.abs() > self.span {
-            return None;
-        }
-        Some(((d.y + self.span) * self.side + (d.x + self.span)) as usize)
+        frame_slot(&self.torus, self.me, c, self.span)
     }
+}
+
+/// Number of slots in a frame of span `span`: `(2·span + 1)²`.
+#[inline]
+pub(crate) fn frame_slots(span: i64) -> usize {
+    let side = 2 * span + 1;
+    (side * side) as usize
+}
+
+/// Dense row-major slot of `c` in the `(2·span + 1)²` box around `me`,
+/// or `None` if its minimal displacement from `me` exceeds `span` on
+/// either axis: the slot arithmetic of [`LocalFrame`] and
+/// [`crate::NeighborSet`].
+#[inline]
+pub(crate) fn frame_slot(torus: &Torus, me: Coord, c: Coord, span: i64) -> Option<usize> {
+    let d = torus.displacement(me, c);
+    if d.x.abs() > span || d.y.abs() > span {
+        return None;
+    }
+    Some(((d.y + span) * (2 * span + 1) + (d.x + span)) as usize)
 }
 
 /// Every offset with metric distance ≤ `d` from the origin (origin

@@ -25,6 +25,8 @@
 //!   schedule the model assumes (§II).
 //! * [`BitSet`] — bit-packed node sets backing the simulator's sparse
 //!   wavefront engine (delivered/wake/decided sets, completion masks).
+//! * [`NeighborSet`] — the ids a node has heard from once, as bits over
+//!   its ball-local frame: one inline word at `r = 1`.
 //! * [`plumbing`] — the workspace's one FNV-1a fold, splitmix64, JSON
 //!   escape and `"key":` field scanner (here because every crate
 //!   already depends on this one).
@@ -49,6 +51,7 @@ mod bitset;
 mod coord;
 mod metric;
 mod nbd;
+mod neighbor_set;
 pub mod plumbing;
 mod region;
 mod tdma;
@@ -59,6 +62,7 @@ pub use bitset::BitSet;
 pub use coord::Coord;
 pub use metric::Metric;
 pub use nbd::{linf_offsets, Neighborhood};
+pub use neighbor_set::NeighborSet;
 pub use region::Rect;
 pub use tdma::{ScheduleError, TdmaSchedule};
 pub use torus::{NodeId, Torus};

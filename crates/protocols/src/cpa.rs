@@ -9,7 +9,7 @@
 //! the L∞ metric.
 
 use crate::{Msg, ProtocolParams};
-use rbcast_grid::NodeId;
+use rbcast_grid::{NeighborSet, NodeId};
 use rbcast_sim::{Ctx, Process, Value};
 
 /// CPA process state.
@@ -37,10 +37,10 @@ pub struct Cpa {
     // keeps (`Ctx::has_decided`).
     /// Neighbors whose first announcement has been counted (later
     /// contradictions from a duplicitous neighbor are ignored, per §V —
-    /// the value itself lives in `votes`). Membership only, kept sorted:
-    /// at most (2r+1)² − 1 ids, so a binary search over one small
-    /// allocation — freed at commit, when the rule stops reading it.
-    announced: Vec<NodeId>,
+    /// the value itself lives in `votes`): one bit per slot of the
+    /// node's span-`2r` frame, inline at r = 1 and boxed past it, and
+    /// emptied at commit, when the rule stops reading it.
+    announced: NeighborSet,
     /// Votes per value from distinct neighbors: at most (2r+1)² − 1.
     votes: [u32; 2],
     source: NodeId,
@@ -55,7 +55,7 @@ impl Cpa {
     #[must_use]
     pub fn new(params: ProtocolParams) -> Self {
         Cpa {
-            announced: Vec::new(),
+            announced: NeighborSet::default(),
             votes: [0, 0],
             source: params.source,
             t: u32::try_from(params.t).unwrap_or(u32::MAX),
@@ -76,7 +76,7 @@ impl Cpa {
             ctx.note("commit-votes", u64::from(self.votes[usize::from(v)]));
             ctx.decide(v);
             // Only an uncommitted node reads who announced.
-            self.announced = Vec::new();
+            self.announced = NeighborSet::default();
             ctx.broadcast(Msg::Committed(v));
         }
     }
@@ -104,10 +104,9 @@ impl Process<Msg> for Cpa {
                     return;
                 }
                 // First announcement per neighbor only.
-                let Err(at) = self.announced.binary_search(&from) else {
+                if !self.announced.insert(ctx.arena(), ctx.id(), from) {
                     return;
-                };
-                self.announced.insert(at, from);
+                }
                 self.votes[usize::from(*v)] += 1;
                 if self.votes[usize::from(*v)] > self.t {
                     self.commit(ctx, *v);
@@ -189,7 +188,7 @@ mod tests {
         // should count — exercised through the public run API in
         // `equivocating_neighbor_counts_once` below; here check initial
         // state invariants.
-        assert!(cpa.announced.is_empty());
+        assert_eq!(cpa.announced, NeighborSet::default());
         cpa.votes[1] = 3;
         assert_eq!(cpa.votes_for(true), 3);
     }
@@ -206,8 +205,6 @@ mod tests {
         };
         let mut cpa = Cpa::new(params);
         let mut h = Harness::new(torus.clone(), 1, Metric::Linf, me);
-        // Out of id order, so the sorted membership list inserts at the
-        // front and in the middle, not only at the back.
         let [a, b, c] = [(4, 5), (3, 3), (5, 4)].map(|(x, y)| torus.id(Coord::new(x, y)));
         h.deliver(&mut cpa, a, &Msg::Committed(true));
         h.deliver(&mut cpa, a, &Msg::Committed(false)); // ignored: a already spoke
@@ -218,19 +215,87 @@ mod tests {
         h.deliver(&mut cpa, b, &Msg::Committed(true)); // ignored: b said `false`
         assert_eq!((cpa.votes_for(true), cpa.votes_for(false)), (2, 1));
         assert_eq!(h.decision(), None, "two votes do not beat t = 2");
-        assert_eq!(cpa.announced, [b, c, a], "sorted by id");
         let d = torus.id(Coord::new(3, 4));
+        let arena = rbcast_grid::NeighborTable::build(&torus, 1, Metric::Linf);
+        let heard = |cpa: &Cpa| [a, b, c, d].map(|n| cpa.announced.contains(&arena, me, n));
+        assert_eq!(heard(&cpa), [true, true, true, false]);
         h.deliver(&mut cpa, d, &Msg::Committed(true));
         assert_eq!(h.decision(), Some(true), "three votes beat t = 2");
         assert_eq!(
-            cpa.announced.capacity(),
-            0,
-            "a committed node frees its list"
+            cpa.announced,
+            NeighborSet::default(),
+            "a committed node empties its set"
         );
         assert_eq!(h.drain_outbox(), [Msg::Committed(true)]);
         let e = torus.id(Coord::new(5, 5));
         h.deliver(&mut cpa, e, &Msg::Committed(true));
-        assert!(h.drain_outbox().is_empty() && cpa.announced.capacity() == 0);
+        assert!(h.drain_outbox().is_empty());
+        assert_eq!(heard(&cpa), [false; 4]);
+    }
+
+    /// The receivers at the torus center and on its seam.
+    fn receivers(torus: &Torus) -> [Coord; 2] {
+        let side = i64::from(torus.width());
+        [Coord::new(side / 2, side / 2), Coord::new(side - 1, 0)]
+    }
+
+    /// What a receiver of a §X spoofer hears: `COMMITTED` claimed by an
+    /// id L∞ `2r` away (a neighbour impersonating its own neighbour) and
+    /// by the receiver's own id. Each counts once, and its repeat not at
+    /// all.
+    #[test]
+    fn a_claim_from_within_2r_or_from_me_counts_once() {
+        for r in [1, 2] {
+            let torus = Torus::for_radius(r);
+            let reach = 2 * i64::from(r);
+            let params = ProtocolParams {
+                source: torus.id(Coord::ORIGIN),
+                value: true,
+                t: 8,
+            };
+            for me in receivers(&torus) {
+                let me_id = torus.id(me);
+                let far = torus.id(me + Coord::new(reach, -reach));
+                let mut cpa = Cpa::new(params);
+                let mut h = rbcast_sim::Harness::new(torus.clone(), r, Metric::Linf, me_id);
+                for (votes, from) in [far, me_id].into_iter().enumerate() {
+                    h.deliver(&mut cpa, from, &Msg::Committed(true));
+                    h.deliver(&mut cpa, from, &Msg::Committed(true));
+                    h.deliver(&mut cpa, from, &Msg::Committed(false));
+                    assert_eq!(
+                        (cpa.votes_for(true), cpa.votes_for(false)),
+                        (votes + 1, 0),
+                        "r={r} me={me} from={from}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A claim from beyond L∞ `2r` is ignored like a repeat: no process
+    /// can be heard claiming it.
+    #[test]
+    fn a_claim_from_beyond_2r_is_ignored() {
+        for r in [1, 2] {
+            let torus = Torus::for_radius(r);
+            let reach = 2 * i64::from(r) + 1;
+            let params = ProtocolParams {
+                source: torus.id(Coord::ORIGIN),
+                value: true,
+                t: 0,
+            };
+            for me in receivers(&torus) {
+                let me_id = torus.id(me);
+                let mut cpa = Cpa::new(params);
+                let mut h = rbcast_sim::Harness::new(torus.clone(), r, Metric::Linf, me_id);
+                for off in [(reach, 0), (0, -reach), (-reach, reach), (reach, 1 - reach)] {
+                    let from = torus.id(me + Coord::new(off.0, off.1));
+                    h.deliver(&mut cpa, from, &Msg::Committed(true));
+                }
+                assert_eq!(cpa.votes_for(true), 0, "r={r} me={me}");
+                assert_eq!(h.decision(), None);
+            }
+        }
     }
 
     #[test]

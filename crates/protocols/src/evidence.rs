@@ -81,11 +81,12 @@ impl<'a> Geometry<'a> {
 /// Accumulated report-chain evidence and rule evaluation for one node.
 ///
 /// A store holds only what its rule reads: the one-level rule's two
-/// packers sit inline and never allocate until a chain arrives; the
-/// two-level rule's frame, slots and determinations sit behind one
-/// allocation made in [`EvidenceStore::new`]. Once its node commits,
+/// packers sit behind one box made at the first recorded chain, so a
+/// node the wave has not reached holds none; the two-level rule's frame,
+/// slots and determinations sit behind one allocation made in
+/// [`EvidenceStore::new`]. Once its node commits,
 /// `EvidenceStore::retire` cuts it down to what the relay rule still
-/// reads.
+/// reads, and under the simplified protocol drops the box.
 ///
 /// # Example
 ///
@@ -113,17 +114,22 @@ pub struct EvidenceStore {
 /// The evidence one rule maintains.
 #[derive(Debug)]
 enum RuleState {
-    OneLevel {
-        /// Per-value chains with the committer prefixed — already
-        /// dense: two packers, no keying at all.
-        combined: [ChainPacker; 2],
-        /// Set when a commit re-evaluation is warranted.
-        commit_dirty: bool,
-    },
+    /// Boxed at the first recorded chain.
+    OneLevel(Option<Box<OneLevel>>),
     TwoLevel(Box<TwoLevel>),
     /// A committed node that can no longer forward any chain (at most
     /// one relay per report): nothing it records would ever be read.
     Retired,
+}
+
+/// One-level evidence.
+#[derive(Debug, Default)]
+struct OneLevel {
+    /// Per-value chains with the committer prefixed — already dense:
+    /// two packers, no keying at all.
+    combined: [ChainPacker; 2],
+    /// Set when a commit re-evaluation is warranted.
+    commit_dirty: bool,
 }
 
 /// Two-level evidence: chains per `(committer, value)` and the
@@ -237,10 +243,7 @@ impl EvidenceStore {
     #[must_use]
     pub fn new(t: usize, rule: CommitRule) -> Self {
         let state = match rule {
-            CommitRule::OneLevel => RuleState::OneLevel {
-                combined: Default::default(),
-                commit_dirty: false,
-            },
+            CommitRule::OneLevel => RuleState::OneLevel(None),
             CommitRule::TwoLevel => RuleState::TwoLevel(Box::default()),
         };
         EvidenceStore { t, state }
@@ -299,8 +302,8 @@ impl EvidenceStore {
         }
         match &mut self.state {
             RuleState::TwoLevel(two) => two.retire(max_relays),
-            RuleState::OneLevel { combined, .. } => {
-                for packer in combined {
+            RuleState::OneLevel(one) => {
+                for packer in one.iter_mut().flat_map(|one| &mut one.combined) {
                     packer.retain_shorter_than(max_relays + 1);
                 }
             }
@@ -322,15 +325,13 @@ impl EvidenceStore {
     pub fn record_chain(&mut self, committer: NodeId, v: Value, relays: &[NodeId]) -> bool {
         match &mut self.state {
             RuleState::TwoLevel(two) => two.record_chain(committer, v, relays),
-            RuleState::OneLevel {
-                combined,
-                commit_dirty,
-            } => {
+            RuleState::OneLevel(one) => {
                 let Some(keys) = KeyBuf::pack(Some(committer), relays) else {
                     return false;
                 };
-                let new = combined[usize::from(v)].insert(keys.as_slice());
-                *commit_dirty |= new;
+                let one = one.get_or_insert_default();
+                let new = one.combined[usize::from(v)].insert(keys.as_slice());
+                one.commit_dirty |= new;
                 new
             }
             RuleState::Retired => false,
@@ -343,7 +344,7 @@ impl EvidenceStore {
     pub fn determined(&self) -> &BTreeMap<NodeId, Value> {
         match &self.state {
             RuleState::TwoLevel(two) => &two.determined,
-            RuleState::OneLevel { .. } | RuleState::Retired => &NO_DETERMINATIONS,
+            RuleState::OneLevel(_) | RuleState::Retired => &NO_DETERMINATIONS,
         }
     }
 
@@ -357,8 +358,8 @@ impl EvidenceStore {
                     f(slot as u64, p);
                 }
             }
-            RuleState::OneLevel { combined, .. } => {
-                for (v, p) in combined.iter().enumerate() {
+            RuleState::OneLevel(one) => {
+                for (v, p) in one.iter().flat_map(|one| &one.combined).enumerate() {
                     f(v as u64, p);
                 }
             }
@@ -409,17 +410,15 @@ impl EvidenceStore {
         let need = (self.t + 1) as u32;
         match &mut self.state {
             RuleState::TwoLevel(two) => two.evaluate(geo, need),
-            RuleState::OneLevel {
-                combined,
-                commit_dirty,
-            } => {
-                if !std::mem::take(commit_dirty) {
+            RuleState::OneLevel(one) => {
+                let one = one.as_deref_mut()?;
+                if !std::mem::take(&mut one.commit_dirty) {
                     return None;
                 }
                 with_scratch(|scratch| {
                     for center in geo.centers_within(geo.me, geo.arena.radius() + 1) {
                         for v in [true, false] {
-                            let packer = &combined[usize::from(v)];
+                            let packer = &one.combined[usize::from(v)];
                             if packer.len() >= need as usize
                                 && packs_within(packer, scratch, geo, center, need)
                             {
@@ -618,7 +617,7 @@ mod tests {
     fn dirty(ev: &EvidenceStore) -> &[(NodeId, Value)] {
         match &ev.state {
             RuleState::TwoLevel(two) => &two.dirty,
-            RuleState::OneLevel { .. } | RuleState::Retired => {
+            RuleState::OneLevel(_) | RuleState::Retired => {
                 panic!("only a live two-level store keeps a dirty list")
             }
         }
@@ -839,6 +838,21 @@ mod tests {
         assert_eq!(ev.evaluate(&geo), Some(true));
     }
 
+    #[test]
+    fn one_level_packers_live_from_the_first_chain_to_retire() {
+        let torus = Torus::new(24, 24);
+        let table = table(&torus);
+        let mut ev = store(1, CommitRule::OneLevel, &table);
+        // A chain no packer takes makes no box.
+        let long = [id(&torus, 11, 10); MAX_CHAIN_KEYS];
+        assert!(!ev.record_chain(id(&torus, 12, 10), true, &long));
+        assert!(matches!(ev.state, RuleState::OneLevel(None)));
+        ev.record_direct(id(&torus, 11, 10), true);
+        assert!(matches!(ev.state, RuleState::OneLevel(Some(_))));
+        ev.retire(1);
+        assert!(matches!(ev.state, RuleState::Retired));
+    }
+
     proptest::prelude::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
@@ -1045,8 +1059,8 @@ mod tests {
         let mut bound = EvidenceStore::new(1, CommitRule::OneLevel);
         bound.bind(&table, me);
         assert!(
-            matches!(bound.state, RuleState::OneLevel { .. }),
-            "a one-level store holds no two-level state, bound or not"
+            matches!(bound.state, RuleState::OneLevel(None)),
+            "a one-level store holds no packer before its first chain, bound or not"
         );
         let mut unbound = EvidenceStore::new(1, CommitRule::OneLevel);
         assert_eq!(

@@ -24,7 +24,7 @@
 use crate::chain::{ChainRepr, CHAIN_CAP};
 use crate::evidence::{CommitRule, EvidenceStore, Geometry};
 use crate::{Msg, ProtocolParams};
-use rbcast_grid::{Coord, Metric, NodeId};
+use rbcast_grid::{Coord, Metric, NeighborSet, NodeId};
 use rbcast_sim::{Ctx, Process, Value};
 
 /// Configuration of the indirect-report protocol.
@@ -99,15 +99,15 @@ pub struct Indirect {
     evidence: EvidenceStore,
     /// Neighbors whose first `COMMITTED` has been heard (§V: on
     /// contradiction, accept only the first — the value itself lives in
-    /// the evidence store). Membership only, kept sorted: at most
-    /// (2r+1)² − 1 ids, so a binary search over one small allocation.
-    first_commit: Vec<NodeId>,
+    /// the evidence store): one bit per slot of the node's span-`2r`
+    /// frame, inline at r = 1 and boxed past it.
+    first_commit: NeighborSet,
     committed: bool,
 }
 
 // Every node stores one of these, so its size is what bounds the
 // networks a host can simulate.
-const _: () = assert!(std::mem::size_of::<Indirect>() <= 112);
+const _: () = assert!(std::mem::size_of::<Indirect>() == 48);
 
 impl Indirect {
     /// Creates the process. A `config.max_relays` past [`CHAIN_CAP`]
@@ -121,7 +121,7 @@ impl Indirect {
             value: params.value,
             max_relays: u8::try_from(config.max_relays).map_or(CAP, |m| m.min(CAP)),
             evidence: EvidenceStore::new(params.t, config.rule),
-            first_commit: Vec::new(),
+            first_commit: NeighborSet::default(),
             committed: false,
         }
     }
@@ -149,10 +149,9 @@ impl Indirect {
     fn observe_commit(&mut self, ctx: &mut Ctx<'_, Msg>, committer: NodeId, v: Value) {
         // First announcement per neighbor only (duplicity is detectable
         // on a broadcast channel; everyone keeps the first).
-        let Err(at) = self.first_commit.binary_search(&committer) else {
+        if !self.first_commit.insert(ctx.arena(), ctx.id(), committer) {
             return;
-        };
-        self.first_commit.insert(at, committer);
+        }
         self.evidence.record_direct(committer, v);
         // Relay the report one hop, affixing our identifier.
         if self.max_relays >= 1 {
@@ -303,7 +302,7 @@ impl Process<Msg> for Indirect {
                 // receiver, so deeper chains need not be forwarded —
                 // the paper's "earmarking" state reduction.
                 let relayable = chain.len() < usize::from(self.max_relays)
-                    && self.first_commit.binary_search(&committer).is_err();
+                    && !self.first_commit.contains(ctx.arena(), me, committer);
                 let committer_coord = ctx.torus().coord(committer);
                 let (fits, fits_with_me) = Self::fits_single_neighborhood(
                     ctx,
@@ -736,6 +735,85 @@ mod tests {
                                 }
                             }
                         }
+                    }
+                }
+            }
+        }
+
+        /// The receivers at the torus center and on its seam.
+        fn receivers(torus: &Torus) -> [Coord; 2] {
+            let side = i64::from(torus.width());
+            [Coord::new(side / 2, side / 2), Coord::new(side - 1, 0)]
+        }
+
+        /// What a receiver of a §X spoofer hears: `COMMITTED` claimed by
+        /// an id L∞ `2r` away (a neighbour impersonating its own
+        /// neighbour) and by the receiver's own id. Each is recorded and
+        /// relayed once, under either rule, and its repeat is neither.
+        #[test]
+        fn a_claim_from_within_2r_or_from_me_is_recorded_and_relayed_once() {
+            for r in [1, 2] {
+                let torus = Torus::for_radius(r);
+                let reach = 2 * i64::from(r);
+                let params = ProtocolParams {
+                    source: torus.id(Coord::ORIGIN),
+                    value: true,
+                    t: 1,
+                };
+                for config in [IndirectConfig::simplified(), IndirectConfig::full()] {
+                    for me in receivers(&torus) {
+                        let me_id = torus.id(me);
+                        let far = torus.id(me + Coord::new(reach, -reach));
+                        let mut p = Indirect::new(params, config);
+                        let mut h = Harness::new(torus.clone(), r, Metric::Linf, me_id);
+                        h.start(&mut p);
+                        for (chains, from) in [far, me_id].into_iter().enumerate() {
+                            h.deliver(&mut p, from, &Msg::Committed(true));
+                            match h.drain_outbox().as_slice() {
+                                [Msg::Heard(chain)] => {
+                                    assert_eq!(chain.committer(), from);
+                                    assert_eq!(chain.relays(), &[me_id]);
+                                }
+                                other => panic!("r={r} me={me} from={from}: {other:?}"),
+                            }
+                            h.deliver(&mut p, from, &Msg::Committed(true));
+                            h.deliver(&mut p, from, &Msg::Committed(false));
+                            assert!(h.drain_outbox().is_empty(), "a repeat is not relayed");
+                            assert_eq!(
+                                p.evidence().chain_count(),
+                                chains + 1,
+                                "r={r} me={me} from={from}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+
+        /// A claim from beyond L∞ `2r` is ignored like a repeat: neither
+        /// recorded nor relayed, as no process can be heard claiming it.
+        #[test]
+        fn a_claim_from_beyond_2r_is_ignored() {
+            for r in [1, 2] {
+                let torus = Torus::for_radius(r);
+                let reach = 2 * i64::from(r) + 1;
+                let params = ProtocolParams {
+                    source: torus.id(Coord::ORIGIN),
+                    value: true,
+                    t: 1,
+                };
+                for config in [IndirectConfig::simplified(), IndirectConfig::full()] {
+                    for me in receivers(&torus) {
+                        let me_id = torus.id(me);
+                        let mut p = Indirect::new(params, config);
+                        let mut h = Harness::new(torus.clone(), r, Metric::Linf, me_id);
+                        h.start(&mut p);
+                        for off in [(reach, 0), (0, -reach), (-reach, reach), (reach, 1 - reach)] {
+                            let from = torus.id(me + Coord::new(off.0, off.1));
+                            h.deliver(&mut p, from, &Msg::Committed(true));
+                        }
+                        assert!(h.drain_outbox().is_empty(), "r={r} me={me}");
+                        assert_eq!(p.evidence().chain_count(), 0, "r={r} me={me}");
                     }
                 }
             }
