@@ -71,6 +71,14 @@ echo "==> one-storage gate (the bound committer frame is the one index of §VI e
 ! grep -rn --include='*.rs' 'BTreeMap<(NodeId, Value)' crates/protocols/src \
     || { echo "one-storage: a second committer index under crates/protocols/src"; exit 1; }
 
+echo "==> one-arena gate (each run builds its own arena; no process-wide cache of them)"
+# Enumerating the TDMA order made an arena cheaper to build than a cache
+# lookup, so the interning registry of Weak references and its module
+# went; neither may come back quietly.
+! grep -rnE --include='*.rs' 'Weak<NeighborTable>|mod arena_cache\b' crates src \
+    && test -z "$(find crates src -name 'arena_cache.rs')" \
+    || { find crates src -name 'arena_cache.rs'; echo "one-arena: a cache of shared arenas under crates/ or src/"; exit 1; }
+
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
@@ -327,16 +335,18 @@ failure_gate attack attack --seed 10976964 --steps 60 --r 1 --checkpoint-every 8
 failure_gate sweep sweep --protocol flood --r 1 --t-max 8 --placement cluster --behavior crash --threads 1
 echo "journal write-failure gates passed"
 
-echo "==> arena allocation gate (--r 2000 under a 4 GB address-space limit is one error: line and exit 2, not an abort)"
+echo "==> arena allocation gate (--r 2000 and --r 1580 under a 4 GB address-space limit are one error: line and exit 2, not an abort)"
 # r = 2000 is a 16 004-side torus, 256 128 016 nodes: within the 2^32 ids
 # cli::arena_fits allows. The arena itself is a stencil plus the TDMA
 # order and ranks, 8 B a node (2.0 GB), but the node table a run keeps
 # beside it is a slot and an 8 B decision a node: 24 B for flood
 # (6.1 GB), 120 B for the attack's indirect-simplified (30.7 GB). The run
-# guard's reservation of it must fail as an error.
+# guard's reservation of it must fail as an error. At r = 1580 (159 870 736
+# nodes) flood's 3.8 GB node table fits and the 0.6 GB TDMA order beside
+# it does not, so the arena's own reservation must fail as an error too.
 arena_err=target/arena_gate.err
 for cmd in "run --r 2000 --protocol flood" "sweep --r 2000 --protocol flood --t-max 0" \
-    "attack --r 2000 --steps 1"; do
+    "attack --r 2000 --steps 1" "run --r 1580 --protocol flood"; do
     status=0
     # shellcheck disable=SC2086 # splitting the command into arguments is the point
     (ulimit -v 4000000; exec target/release/rbcast $cmd) > /dev/null 2> "$arena_err" || status=$?

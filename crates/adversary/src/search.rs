@@ -112,7 +112,7 @@ impl<'a> BoundTracker<'a> {
 
     /// Ball centres covering `id`: itself plus its neighborhood (ball
     /// membership is symmetric under both metrics). Runs once per
-    /// proposal, long before any shared arena exists for the geometry.
+    /// proposal, before any run builds an arena for the geometry.
     fn covering(&self, id: NodeId) -> Vec<NodeId> {
         std::iter::once(id)
             .chain(self.torus.neighborhood(id, self.r, self.metric)) // audit:allow(adhoc-neighborhood)

@@ -33,7 +33,7 @@ mod thresh_l2;
 mod topology;
 
 /// One experiment: prints its rows, records its verdicts.
-pub type Run = fn(&mut Verdicts, Size);
+pub(crate) type Run = fn(&mut Verdicts, Size);
 
 /// Every experiment, in EXPERIMENTS.md order.
 pub const EXPERIMENTS: &[(&str, Run)] = &[

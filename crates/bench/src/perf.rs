@@ -25,7 +25,7 @@ use std::sync::OnceLock;
 /// Derefs to `[Option<Outcome>]`, so `rows[i]`, `rows.iter().flatten()`
 /// and `chunks(n)` all work directly on it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SweepRows {
+pub(crate) struct SweepRows {
     rows: Vec<Option<Outcome>>,
     /// Quarantined tasks: `(experiment index, error display)`.
     pub quarantined: Vec<(usize, String)>,
@@ -163,7 +163,7 @@ fn rows_of(label: &str, report: SweepReport) -> SweepRows {
 /// scaling number) and `rounds/sec` (simulated rounds per second, the
 /// per-step cost of the engine).
 #[derive(Debug, Clone, PartialEq)]
-pub struct ScaleCell {
+pub(crate) struct ScaleCell {
     /// Protocol label (`flood` / `cpa` / `indirect`).
     pub protocol: String,
     /// Torus side length; the population is `side * side`.

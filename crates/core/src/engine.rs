@@ -205,7 +205,6 @@ where
 /// sweep` CLI. Results are outcomes in experiment order.
 #[must_use]
 pub fn run_experiments(experiments: &[Experiment], threads: usize) -> Vec<Outcome> {
-    let _arenas = prewarm_arenas(experiments);
     run_indexed(experiments, threads, |_, e| e.run())
 }
 
@@ -214,25 +213,7 @@ pub fn run_experiments(experiments: &[Experiment], threads: usize) -> Vec<Outcom
 /// they agree on every delivery of every run).
 #[must_use]
 pub fn run_experiments_traced(experiments: &[Experiment], threads: usize) -> Vec<(Outcome, u64)> {
-    let _arenas = prewarm_arenas(experiments);
     run_indexed(experiments, threads, |_, e| e.run_traced())
-}
-
-/// Builds each distinct shared arena exactly once, serially, before the
-/// sweep fans out, and returns the strong guards that keep them alive
-/// for its duration. Without the prewarm, workers racing on a cold cache
-/// could each build the same table (correct but wasted work), and
-/// back-to-back runs of one experiment would rebuild a table whose last
-/// `Arc` died between them. The sweeps here hold the `Result` as it is:
-/// an arena that cannot be built fails each run that needs it.
-///
-/// # Errors
-///
-/// The first arena that cannot be built ([`Experiment::arena_guard`]).
-pub(crate) fn prewarm_arenas(
-    experiments: &[Experiment],
-) -> Result<Vec<std::sync::Arc<rbcast_grid::NeighborTable>>, rbcast_grid::ArenaError> {
-    experiments.iter().map(Experiment::arena_guard).collect()
 }
 
 #[cfg(test)]

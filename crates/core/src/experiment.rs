@@ -322,7 +322,7 @@ const MAX_ROUNDS: u32 = 10_000;
 ///
 /// Defaults: torus `4(2r+1)` square, L∞ metric, `t` = the protocol's
 /// maximum tolerable budget, no faults. Every run broadcasts `true` from
-/// the origin, draws its neighbour table from the shared arena cache and
+/// the origin, builds its own neighbour table (the arena) and
 /// stops at the 10 000-round cap.
 #[derive(Debug, Clone)]
 pub struct Experiment {
@@ -543,31 +543,18 @@ impl Experiment {
             .unwrap_or_else(|| Torus::for_radius(self.r))
     }
 
-    /// A strong reference to this experiment's shared arena, building it
-    /// if needed. The sweep engine calls this for every experiment
-    /// *before* fanning out, so each distinct geometry is built exactly
-    /// once per sweep and workers only ever clone `Arc`s; the CLI calls
-    /// it before a run, so an arena that cannot be built is an error
-    /// rather than an abort mid-run.
-    ///
-    /// # Errors
-    ///
-    /// As [`NeighborTable::try_build`].
-    pub(crate) fn arena_guard(&self) -> Result<Arc<NeighborTable>, ArenaError> {
-        crate::arena_cache::shared(&self.resolve_torus(), self.r, self.metric)
-    }
-
-    /// `Experiment::arena_guard` for a run about to start: the node
-    /// table the network will keep — one process slot and one decision
-    /// per node — is reserved first and held while the arena is built,
-    /// so a geometry the host cannot run is an error before anything
-    /// allocates infallibly.
+    /// Whether this host can hold the run: the node table the network
+    /// will keep — one process slot and one decision per node — is
+    /// reserved and held while the arena is built, then both are
+    /// dropped, so a geometry the host cannot run is an error before
+    /// anything allocates infallibly.
     ///
     /// # Errors
     ///
     /// A torus past [`NeighborTable::MAX_NODES`], a node table the
-    /// allocator refuses, or the arena's own errors.
-    pub fn run_guard(&self) -> Result<Arc<NeighborTable>, ArenaError> {
+    /// allocator refuses, or the arena's own errors
+    /// ([`NeighborTable::try_build`]).
+    pub fn run_guard(&self) -> Result<(), ArenaError> {
         struct SlotBytes;
         impl ProtocolVisitor for SlotBytes {
             type Output = usize;
@@ -575,12 +562,13 @@ impl Experiment {
                 std::mem::size_of::<Node<P, Msg>>()
             }
         }
-        let nodes = self.resolve_torus().len() as u64;
+        let torus = self.resolve_torus();
+        let nodes = torus.len() as u64;
         NeighborTable::check_nodes(nodes)?;
         let per_node = self.protocol.visit(SlotBytes)
             + std::mem::size_of::<Option<(Value, rbcast_sim::Round)>>();
         let _nodes = reserve_node_table(nodes, per_node)?;
-        self.arena_guard()
+        NeighborTable::try_build(&torus, self.r, self.metric).map(drop)
     }
 
     /// One full simulation, returning the outcome and the simulator's
@@ -596,11 +584,7 @@ impl Experiment {
             ) -> Self::Output {
                 let Run(exp, primary) = self;
                 let (outcome, net) = exp.simulate(primary, make);
-                let hash = net.trace_hash();
-                let arena = Arc::clone(net.arena());
-                drop(net);
-                crate::arena_cache::release(arena);
-                (outcome, hash)
+                (outcome, net.trace_hash())
             }
         }
         let _span = crate::obs::span("experiment/run");
@@ -616,10 +600,12 @@ impl Experiment {
         make: &dyn Fn(ProtocolParams) -> P,
     ) -> (Outcome, Network<Msg, Node<P, Msg>>) {
         let torus = self.resolve_torus();
-        let arena = crate::arena_cache::shared(&torus, self.r, self.metric).unwrap_or_else(|e| {
-            // audit:allow(panic): `arena_guard` is the fallible path; a run cannot go on without its arena
-            panic!("{e}")
-        });
+        let arena = Arc::new(
+            NeighborTable::try_build(&torus, self.r, self.metric).unwrap_or_else(|e| {
+                // audit:allow(panic): `run_guard` is the fallible path; a run cannot go on without its arena
+                panic!("{e}")
+            }),
+        );
         let t = self.t.unwrap_or_else(|| self.protocol.proven_t(self.r));
         let source = torus.id(Coord::ORIGIN);
         let params = ProtocolParams {

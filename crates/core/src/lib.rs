@@ -37,7 +37,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod arena_cache;
 pub mod attack;
 pub mod complexity;
 pub mod config;

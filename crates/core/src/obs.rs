@@ -129,7 +129,7 @@ static TIMINGS: Mutex<BTreeMap<&'static str, SpanStat>> = Mutex::new(BTreeMap::n
 /// A scoped wall-clock timer: measures from `span` until drop, then
 /// folds the elapsed time into the per-name aggregate.
 #[derive(Debug)]
-pub struct Span {
+pub(crate) struct Span {
     name: &'static str,
     start: Instant,
 }

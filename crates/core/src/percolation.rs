@@ -15,7 +15,7 @@ use rbcast_grid::Torus;
 
 /// One sample of the percolation experiment.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PercolationSample {
+pub(crate) struct PercolationSample {
     /// Per-node fault probability.
     pub p: f64,
     /// Fraction of honest nodes that received the broadcast.

@@ -22,7 +22,7 @@
 //!   watchdog is a loop bound, so determinism is untouched.
 //! * **Bounded deterministic retry** — failed attempts are retried up to
 //!   [`SupervisorConfig::max_attempts`] times. A task body sees only its
-//!   index ([`TaskCtx`]) and chaos draws are pure in `(index, attempt)`,
+//!   index (`TaskCtx`) and chaos draws are pure in `(index, attempt)`,
 //!   so a sweep's output stays byte-identical at any thread count no
 //!   matter which worker retries what.
 //! * **Checkpoint journal** — `supervise` appends one JSONL line per
@@ -142,7 +142,7 @@ pub fn retry_seed(index: usize, attempt: u32) -> u64 {
 
 /// What the chaos layer injects into one attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChaosEvent {
+pub(crate) enum ChaosEvent {
     /// A genuine `panic!` raised inside the supervised region.
     Panic,
     /// A synthetic stall, surfaced as [`TaskError::DeadlineExceeded`]
@@ -792,7 +792,7 @@ impl Journal {
 
 /// Context handed to a supervised task body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TaskCtx {
+pub(crate) struct TaskCtx {
     /// Task index within the sweep (input order).
     pub index: usize,
 }
@@ -951,7 +951,7 @@ impl<R> Supervised<R> {
 /// status and attempts. A value the supervisor never journals — a run
 /// without [`SupervisorConfig::journal`] — keeps the default, which adds
 /// nothing.
-pub trait Journaled {
+pub(crate) trait Journaled {
     /// Writes this value's fields into its task's entry.
     fn fill(&self, _entry: &mut JournalEntry) {}
 }
@@ -1172,8 +1172,8 @@ impl SweepReport {
 }
 
 /// The supervised counterpart of [`engine::run_experiments`]: threads
-/// the configured round budget into experiments that lack one, builds
-/// their arenas once, and runs them through `supervise` — panic
+/// the configured round budget into experiments that lack one and runs
+/// them through `supervise` — panic
 /// isolation, watchdog, bounded retry, resume and journal included —
 /// always returning a full-length, input-ordered report.
 ///
@@ -1194,7 +1194,6 @@ pub fn run_experiments_supervised(
             _ => e.clone(),
         })
         .collect();
-    let _arenas = engine::prewarm_arenas(&prepared);
     let tasks = supervise(&prepared, threads, config, |_, e| {
         let (outcome, digest) = e.run_traced();
         match outcome.stats.stop_reason {

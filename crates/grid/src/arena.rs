@@ -18,9 +18,10 @@
 //!   otherwise — a function of the geometry, so it is computed here
 //!   once and not per network. It is the one thing kept per node.
 //!
-//! The table is immutable after construction, so one instance can be
-//! shared across worker threads behind an `Arc` and across every run of
-//! a sweep, keyed by `(torus dims, r, metric)`.
+//! The table is immutable after construction, so the hosts of one
+//! deployment can share one instance behind an `Arc`. It is also cheap
+//! to build — the TDMA order is enumerated, not sorted — so every
+//! simulation run builds its own.
 
 use crate::{BitSet, Coord, Metric, NodeId, TdmaSchedule, Torus};
 use std::fmt;
@@ -84,15 +85,24 @@ struct Schedule {
 impl Schedule {
     /// Slot order, ties by id — `None` when no periodic schedule fits
     /// `torus` at `radius` (the model guarantees collision-freedom
-    /// either way; id order is then the order).
+    /// either way; id order is then the order). Slot `(sy, sx)` holds
+    /// the nodes with `y ≡ sy` and `x ≡ sx` mod `k = 2r + 1`, so walking
+    /// the slots row-major, and each slot's rows and then columns in
+    /// step `k`, lists the nodes in `(slot, id)` order with no sort.
     fn build(torus: &Torus, radius: u32) -> Result<Option<Schedule>, ArenaError> {
-        let Ok(tdma) = TdmaSchedule::new(torus, radius) else {
+        if TdmaSchedule::new(torus, radius).is_err() {
             return Ok(None);
-        };
-        let n = torus.len();
+        }
+        let (n, k) = (torus.len(), 2 * radius as usize + 1);
+        let (w, h) = (torus.width() as usize, torus.height() as usize);
         let mut order = reserve(torus, "TDMA order", n)?;
-        order.extend(torus.node_ids());
-        order.sort_by_key(|&id| (tdma.slot_of(torus.coord(id)), id));
+        for sy in 0..k {
+            for sx in 0..k {
+                for y in (sy..h).step_by(k) {
+                    order.extend((sx..w).step_by(k).map(|x| NodeId((y * w + x) as u32)));
+                }
+            }
+        }
         // Reserved, then zeroed: `vec![0; n]` (`calloc`) cannot be
         // asked to fail, and a rank table the host cannot hold must be
         // an error, not an abort.
@@ -883,9 +893,9 @@ mod tests {
         let _ = table.neighbors(NodeId(144));
     }
 
-    /// The transmission order as every host computed it for itself
-    /// before the arena kept it: all ids sorted by `(slot, id)` when a
-    /// schedule fits, id order otherwise.
+    /// The transmission order by its definition, as `Schedule::build`
+    /// computed it before it enumerated the slots: all ids sorted by
+    /// `(slot, id)` when a schedule fits, id order otherwise.
     fn sorted_by_slot(torus: &Torus, r: u32) -> Vec<NodeId> {
         let mut order: Vec<NodeId> = torus.node_ids().collect();
         if let Ok(tdma) = TdmaSchedule::new(torus, r) {
@@ -898,16 +908,19 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
         /// The arena's order and ranks are the `(slot, id)` sort, on
-        /// tori a schedule fits (whole periods) and on tori it does not
-        /// (a side one or two past a period), roomy and wrapping alike.
+        /// tori a schedule fits (whole periods, square or not) and on
+        /// tori it does not (a side one or two past a period), roomy and
+        /// wrapping alike, under either metric.
         #[test]
         fn order_and_ranks_are_the_slot_sort(
             r in 1u32..4, a in 1u32..7, b in 1u32..7, fit in 0u8..2, dw in 1u32..3,
+            l2 in 0u8..2,
         ) {
             let k = 2 * r + 1;
             let (w, h) = if fit == 1 { (a * k, b * k) } else { (a * k + dw, b * k) };
             let torus = Torus::new(w, h);
-            let table = NeighborTable::build_wrapping(&torus, r, Metric::Linf);
+            let metric = if l2 == 1 { Metric::L2 } else { Metric::Linf };
+            let table = NeighborTable::build_wrapping(&torus, r, metric);
             let want = sorted_by_slot(&torus, r);
             let mut order = Vec::new();
             table.for_each_in_order(|id| order.push(id));

@@ -14,8 +14,7 @@
 //!
 //! Beyond the baseline model, [`ChannelConfig`] provides the §X
 //! relaxations (independent losses masked by a redundancy primitive,
-//! forged sender identities, bounded deliberate collisions),
-//! [`Network::history`] records the per-round wavefront, and
+//! forged sender identities, bounded deliberate collisions), and
 //! [`Harness`] drives a single `Process` for unit tests.
 //!
 //! # Example
@@ -69,7 +68,7 @@ pub use driver::{InstanceHost, InstanceId};
 pub use harness::Harness;
 pub use network::{EngineKind, Network};
 pub use process::{Ctx, Node, Process};
-pub use stats::{RoundReport, RunStats, StopReason};
+pub use stats::{RunStats, StopReason};
 
 /// The broadcast payload domain: the paper's message is a binary value.
 pub type Value = bool;

@@ -3,15 +3,15 @@
 use crate::channel::delivery_lost;
 use crate::process::{Lent, Transmission};
 use crate::trace::{TraceEvent, TraceSink, FNV_OFFSET};
-use crate::{ChannelConfig, Ctx, Process, Round, RoundReport, RunStats, StopReason, Value};
+use crate::{ChannelConfig, Ctx, Process, Round, RunStats, StopReason, Value};
 use rbcast_grid::{BitSet, Metric, NeighborTable, NodeId, Torus};
 use std::sync::Arc;
 
 /// Which round loop drives [`Network::run`].
 ///
 /// Both engines execute the same model and are **byte-identical** in
-/// every observable: trace hash, event stream, [`RunStats`], history,
-/// per-kind tallies, decisions. The sparse engine is the default; the
+/// every observable: trace hash, event stream, [`RunStats`], per-kind
+/// tallies, decisions. The sparse engine is the default; the
 /// dense loop survives as the parity oracle the determinism gate runs
 /// both engines against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -119,7 +119,6 @@ pub struct Network<M, P = Box<dyn Process<M>>> {
     /// Remaining collision battery per jammer (parallel to
     /// `channel.jammers`).
     jam_remaining: Vec<u32>,
-    history: Vec<RoundReport>,
     /// FNV-1a fold over every delivery and per-round decision count —
     /// two runs with identical inputs must produce identical hashes.
     trace_hash: u64,
@@ -219,7 +218,6 @@ impl<M, P: Process<M>> Network<M, P> {
             crashes: Crashes::new(n),
             jam_remaining: vec![channel.jam_budget; channel.jammers.len()],
             channel,
-            history: Vec::new(),
             trace_hash: FNV_OFFSET,
             oracle: None,
             classifier: None,
@@ -321,10 +319,9 @@ impl<M, P: Process<M>> Network<M, P> {
     pub fn run(&mut self, max_rounds: Round) -> RunStats {
         // A network may be run more than once (processes, decisions,
         // crash schedules, and jam batteries persist); everything that
-        // describes *a run* — history, counters, the trace hash and its
-        // freeze — restarts from zero so `history.len() == stats.rounds`
-        // and per-kind tallies hold for every run, not just the first.
-        self.history.clear();
+        // describes *a run* — counters, the trace hash and its freeze —
+        // restarts from zero so per-kind tallies hold for every run, not
+        // just the first.
         self.trace_hash = FNV_OFFSET;
         self.hash_frozen = false;
         self.lent.messages_sent = 0;
@@ -392,8 +389,6 @@ impl<M, P: Process<M>> Network<M, P> {
         let cap = deadline.unwrap_or(max_rounds);
         while !on_air.is_empty() && round < cap {
             round += 1;
-            let deliveries_before = self.deliveries;
-            let decided_before = self.lent.ledger.decided_count;
             // Deliberate collisions (§X): each jammer destroys up to its
             // budget of this round's transmissions, greedily in order; a
             // jammed transmission is lost exactly at receivers within the
@@ -536,12 +531,6 @@ impl<M, P: Process<M>> Network<M, P> {
             self.hash_frozen = frozen_after;
             self.check_safety(round);
             self.check_decided_counter(round);
-            self.history.push(RoundReport {
-                round,
-                transmissions: on_air.len() as u64,
-                deliveries: self.deliveries - deliveries_before,
-                decisions: decided_after - decided_before,
-            });
             // Collect before the early-exit check so everything a
             // process emitted is classified and counted: per-kind
             // tallies sum to `messages_sent` in both termination modes.
@@ -738,13 +727,6 @@ impl<M, P: Process<M>> Network<M, P> {
 
     #[cfg(not(feature = "debug-invariants"))]
     fn check_safety(&self, _round: Round) {}
-
-    /// Per-round aggregate history of the last [`Network::run`] — the
-    /// wavefront's raw data.
-    #[must_use]
-    pub fn history(&self) -> &[RoundReport] {
-        &self.history
-    }
 
     /// Installs a message classifier; transmissions are tallied per
     /// returned label (see [`Network::kind_counts`]).
@@ -1078,22 +1060,48 @@ mod tests {
         }
     }
 
+    /// Installs a sink the test reads back after the run.
+    fn traced<P: Process<u32>>(
+        net: &mut Network<u32, P>,
+    ) -> Rc<RefCell<Vec<crate::trace::TraceEvent>>> {
+        let events = Rc::new(RefCell::new(Vec::new()));
+        net.set_trace_sink(Box::new(SharedSink(Rc::clone(&events))));
+        events
+    }
+
+    /// Each delivery round as the trace stream records it: its number,
+    /// the transmissions `RoundStart` put on the air, its `Delivery`
+    /// events, and the nodes `RoundEnd` counts decided after it.
+    fn per_round(events: &[crate::trace::TraceEvent]) -> Vec<(Round, u64, u64, u64)> {
+        use crate::trace::TraceEvent;
+        let mut rounds: Vec<(Round, u64, u64, u64)> = Vec::new();
+        for ev in events {
+            match *ev {
+                TraceEvent::RoundStart { round, on_air } => rounds.push((round, on_air, 0, 0)),
+                TraceEvent::Delivery { .. } => rounds.last_mut().expect("in a round").2 += 1,
+                TraceEvent::RoundEnd { decided, .. } => {
+                    rounds.last_mut().expect("in a round").3 = decided;
+                }
+                _ => {}
+            }
+        }
+        rounds
+    }
+
     #[test]
-    fn history_records_every_round() {
+    fn the_stream_records_every_round() {
         let (mut net, _torus, _log) = recorder_net(&[(Coord::new(5, 5), 7)], true);
+        let events = traced(&mut net);
         let stats = net.run(30);
-        let history = net.history();
-        assert_eq!(history.len() as u32, stats.rounds);
-        assert_eq!(
-            history.iter().map(|h| h.deliveries).sum::<u64>(),
-            stats.deliveries
-        );
+        let rounds = per_round(&events.borrow());
+        assert_eq!(rounds.len() as u32, stats.rounds);
+        assert_eq!(rounds.iter().map(|r| r.2).sum::<u64>(), stats.deliveries);
         // rounds are numbered 1.. in order
-        for (i, h) in history.iter().enumerate() {
-            assert_eq!(h.round as usize, i + 1);
+        for (i, r) in rounds.iter().enumerate() {
+            assert_eq!(r.0 as usize, i + 1);
         }
         // the first round carries exactly the initial transmission
-        assert_eq!(history[0].transmissions, 1);
+        assert_eq!(rounds[0].1, 1);
     }
 
     #[test]
@@ -1345,29 +1353,24 @@ mod tests {
 
     #[test]
     fn second_run_starts_with_fresh_accounting() {
-        // Regression: `run` used to accumulate `history` and every
-        // per-run counter across calls, so a second run violated
-        // `history.len() == stats.rounds`.
+        // Regression: `run` used to accumulate every per-run counter
+        // across calls, so a second run's counts were not its own.
         let (mut net, _torus, _log) = recorder_net(&[(Coord::new(5, 5), 7)], true);
         net.set_classifier(|&m| if m == 7 { "seed" } else { "echo" });
+        let events = traced(&mut net);
         let first = net.run(30);
-        assert_eq!(net.history().len() as u32, first.rounds);
+        assert_eq!(per_round(&events.borrow()).len() as u32, first.rounds);
 
         // Processes keep their state (everyone has echoed already), so
         // the rerun is just the initiator's fresh broadcast.
+        events.borrow_mut().clear();
         let second = net.run(30);
-        assert_eq!(
-            net.history().len() as u32,
-            second.rounds,
-            "stale history survived into the second run"
-        );
+        let rounds = per_round(&events.borrow());
+        assert_eq!(rounds.len() as u32, second.rounds);
         assert_eq!(second.messages_sent, 1);
         assert_eq!(second.deliveries, 24);
         assert!(second.quiescent());
-        assert_eq!(
-            net.history().iter().map(|h| h.deliveries).sum::<u64>(),
-            second.deliveries
-        );
+        assert_eq!(rounds.iter().map(|r| r.2).sum::<u64>(), second.deliveries);
         // Per-kind tallies restart too: they must sum to the run's own
         // message count, not the lifetime total.
         assert_eq!(
@@ -1406,11 +1409,12 @@ mod tests {
             let first = net.run(1);
             assert_eq!(first.stop_reason, StopReason::RoundCap);
             assert_eq!(first.messages_sent, 1 + 24, "24 echoes left on the air");
+            let events = traced(&mut net);
             let second = net.run(30);
-            assert_eq!(net.history().len() as u32, second.rounds);
+            let rounds = per_round(&events.borrow());
+            assert_eq!(rounds.len() as u32, second.rounds);
             assert_eq!(
-                net.history()[0].transmissions,
-                1,
+                rounds[0].1, 1,
                 "the first run's undelivered echoes leaked into the second"
             );
             assert_eq!(second.deliveries, 24);
@@ -1639,6 +1643,7 @@ mod tests {
                 for &(node, round) in &crashes {
                     net.crash_at(NodeId(node), round);
                 }
+                let events = traced(&mut net);
                 for id in torus.node_ids() {
                     for round in 0..14 {
                         proptest::prop_assert_eq!(
@@ -1660,7 +1665,7 @@ mod tests {
                 let started = log.iter().filter(|&&(round, _)| round == 0).count();
                 let alive = reference.iter().filter(|&&at| at > 0).count();
                 proptest::prop_assert_eq!(started, 2 * alive);
-                runs.push((stats, net.trace_hash(), net.history().to_vec(), net.decisions()));
+                runs.push((stats, net.trace_hash(), events.take(), net.decisions()));
             }
             proptest::prop_assert_eq!(&runs[0], &runs[1]);
         }
@@ -1860,7 +1865,6 @@ mod tests {
                 stats,
                 net.trace_hash(),
                 events,
-                net.history().to_vec(),
                 net.kind_counts().clone(),
                 net.decisions(),
             )
@@ -1870,9 +1874,8 @@ mod tests {
         assert_eq!(dense.0, sparse.0, "RunStats diverged");
         assert_eq!(dense.1, sparse.1, "trace hash diverged");
         assert_eq!(dense.2, sparse.2, "event stream diverged");
-        assert_eq!(dense.3, sparse.3, "history diverged");
-        assert_eq!(dense.4, sparse.4, "kind tallies diverged");
-        assert_eq!(dense.5, sparse.5, "decisions diverged");
+        assert_eq!(dense.3, sparse.3, "kind tallies diverged");
+        assert_eq!(dense.4, sparse.4, "decisions diverged");
     }
 
     #[test]

@@ -310,8 +310,9 @@ impl<'a, M> Ctx<'a, M> {
     }
 
     /// The current round number.
+    #[cfg(test)]
     #[must_use]
-    pub fn round(&self) -> Round {
+    pub(crate) fn round(&self) -> Round {
         self.round
     }
 

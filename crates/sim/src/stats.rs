@@ -1,23 +1,6 @@
-//! Run statistics and per-round history.
+//! Run statistics.
 
 use crate::Round;
-
-/// Per-round aggregate record, collected for every executed round.
-///
-/// The sequence of reports is the broadcast's *wavefront history* — the
-/// raw data behind the stage diagrams of Figs. 9–10 and 14–19.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RoundReport {
-    /// Round number (1-based; round 0 start-ups are folded into the
-    /// stats' totals but emit no report).
-    pub round: Round,
-    /// Transmissions on the air this round.
-    pub transmissions: u64,
-    /// Successful deliveries this round.
-    pub deliveries: u64,
-    /// Nodes that decided this round.
-    pub decisions: u64,
-}
 
 /// Why a simulation run stopped — the single source of truth, covering
 /// quiescence, early termination, the experiment's own round cap, and

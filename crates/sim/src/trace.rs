@@ -63,7 +63,7 @@ pub fn fold_words(hash: &mut u64, words: &[u64]) {
 pub enum TraceEvent {
     /// A delivery round began with `on_air` transmissions pending.
     RoundStart {
-        /// Round number (1-based, matching [`crate::RoundReport`]).
+        /// Round number (1-based; round 0's start-ups open no round).
         round: Round,
         /// Transmissions on the air this round.
         on_air: u64,

@@ -18,7 +18,6 @@ use crate::core::{engine, obs, thresholds, EngineKind, Experiment, FaultKind, Pr
 use crate::grid::{Metric, NeighborTable, NodeId, Torus};
 use crate::sim::ChannelConfig;
 use std::path::PathBuf;
-use std::sync::Arc;
 
 /// A parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -594,10 +593,9 @@ pub fn execute(cmd: &Command) -> i32 {
         }
         Command::Run(spec) => {
             let experiment = build(spec, None);
-            let _arena = match arenas(std::slice::from_ref(&experiment)) {
-                Ok(arena) => arena,
-                Err(code) => return code,
-            };
+            if let Err(code) = check_runs(std::slice::from_ref(&experiment)) {
+                return code;
+            }
             let outcome = experiment.run();
             println!("{outcome}");
             i32::from(!outcome.all_honest_correct())
@@ -624,16 +622,14 @@ pub fn execute(cmd: &Command) -> i32 {
     }
 }
 
-/// Builds, and holds for the caller, the arenas `experiments` run on,
-/// each with its run's node table reserved beside it
-/// ([`Experiment::run_guard`]): a geometry this host cannot allocate is
-/// one `error:` line and exit 2 before anything runs, not an allocator
-/// abort in the middle of one.
-pub(crate) fn arenas(experiments: &[Experiment]) -> Result<Vec<Arc<NeighborTable>>, i32> {
+/// Checks that this host can hold each run of `experiments`, its arena
+/// and its node table ([`Experiment::run_guard`]): a geometry it cannot
+/// allocate is one `error:` line and exit 2 before anything runs, not an
+/// allocator abort in the middle of one.
+pub(crate) fn check_runs(experiments: &[Experiment]) -> Result<(), i32> {
     experiments
         .iter()
-        .map(Experiment::run_guard)
-        .collect::<Result<_, _>>()
+        .try_for_each(Experiment::run_guard)
         .map_err(|e| {
             eprintln!("error: cannot build the network: {e}");
             2
@@ -702,10 +698,9 @@ fn execute_sweep(spec: &RunSpec, t_max: usize, opts: &SweepOpts) -> i32 {
         fingerprint: supervisor::sweep_fingerprint(&experiments),
         tasks: experiments.len(),
     };
-    let _arenas = match arenas(&experiments) {
-        Ok(arenas) => arenas,
-        Err(code) => return code,
-    };
+    if let Err(code) = check_runs(&experiments) {
+        return code;
+    }
     let config = match sweep_config(opts, header) {
         Ok(config) => config,
         Err(e) => {

@@ -120,10 +120,9 @@ pub(crate) fn execute_attack(spec: &AttackSpec) -> i32 {
         .iter()
         .map(|&r| Experiment::new(r, cfg.protocol).with_metric(cfg.metric))
         .collect();
-    let _arenas = match crate::cli::arenas(&radii) {
-        Ok(arenas) => arenas,
-        Err(code) => return code,
-    };
+    if let Err(code) = crate::cli::check_runs(&radii) {
+        return code;
+    }
     let report = match run_attack(cfg) {
         Ok(report) => report,
         Err(e) => {

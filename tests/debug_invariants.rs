@@ -107,17 +107,14 @@ fn oracle_fires_on_wrong_commit() {
     use rbcast::sim::{Ctx, Process};
     use rbcast_grid::NodeId;
 
-    /// Commits `false` in round 1 regardless of what it hears.
+    /// Commits `false` in round 1, on the first message it hears.
     struct WrongCommitter;
     impl Process<()> for WrongCommitter {
         fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
             ctx.broadcast(());
         }
-        fn on_message(&mut self, _ctx: &mut Ctx<'_, ()>, _from: NodeId, _msg: &()) {}
-        fn on_round_end(&mut self, ctx: &mut Ctx<'_, ()>) {
-            if ctx.round() >= 1 {
-                ctx.decide(false);
-            }
+        fn on_message(&mut self, ctx: &mut Ctx<'_, ()>, _from: NodeId, _msg: &()) {
+            ctx.decide(false);
         }
     }
 

@@ -103,7 +103,19 @@ fn larger_and_rectangular_arenas_behave_identically() {
 fn wavefront_history_accounts_for_all_decisions() {
     use rbcast::grid::{Coord, Metric, Torus};
     use rbcast::protocols::{Flood, Msg, ProtocolParams};
+    use rbcast::sim::trace::{MemorySink, TraceEvent, TraceSink};
     use rbcast::sim::{Network, Process};
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// The network owns its sink; the test reads the stream through this.
+    struct Shared(Rc<RefCell<MemorySink>>);
+    impl TraceSink for Shared {
+        fn record(&mut self, event: &TraceEvent) {
+            self.0.borrow_mut().record(event);
+        }
+    }
+
     let torus = Torus::for_radius(2);
     let params = ProtocolParams {
         source: torus.id(Coord::ORIGIN),
@@ -113,15 +125,31 @@ fn wavefront_history_accounts_for_all_decisions() {
     let mut net = Network::new(torus.clone(), 2, Metric::Linf, |_| {
         Box::new(Flood::new(params)) as Box<dyn Process<Msg>>
     });
+    let sink = Rc::new(RefCell::new(MemorySink::default()));
+    net.set_trace_sink(Box::new(Shared(Rc::clone(&sink))));
     let stats = net.run(1_000);
     assert!(stats.quiescent());
-    let from_history: u64 = net.history().iter().map(|h| h.decisions).sum();
-    // the source decides in round 0 (before any report), everyone else
-    // during reported rounds
-    assert_eq!(from_history + 1, torus.len() as u64);
-    // per-round decision counts are the Figs. 9-10 wavefront: nonzero
-    // until completion
-    assert!(net.history().iter().all(|h| h.transmissions > 0));
+    let events = &sink.borrow().events;
+    // the source decides in round 0 (before any round opens), everyone
+    // else during a delivery round
+    let in_rounds = events
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::Decision { round, .. } if *round > 0))
+        .count();
+    assert_eq!(in_rounds + 1, torus.len());
+    let decided: Vec<u64> = events
+        .iter()
+        .filter_map(|e| match *e {
+            TraceEvent::RoundEnd { decided, .. } => Some(decided),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(decided.len() as u32, stats.rounds);
+    assert_eq!(decided.last().copied(), Some(torus.len() as u64));
+    // every round of the wavefront has something on the air
+    assert!(events
+        .iter()
+        .all(|e| !matches!(e, TraceEvent::RoundStart { on_air: 0, .. })));
 }
 
 #[test]
