@@ -335,7 +335,7 @@ failure_gate attack attack --seed 10976964 --steps 60 --r 1 --checkpoint-every 8
 failure_gate sweep sweep --protocol flood --r 1 --t-max 8 --placement cluster --behavior crash --threads 1
 echo "journal write-failure gates passed"
 
-echo "==> arena allocation gate (--r 2000 and --r 1580 under a 4 GB address-space limit are one error: line and exit 2, not an abort)"
+echo "==> arena allocation gate (--r 2000 and --r 1580 under a 4 GB address-space limit, and an indirect run at --r 43, are one error: line and exit 2, not an abort)"
 # r = 2000 is a 16 004-side torus, 256 128 016 nodes: within the 2^32 ids
 # cli::arena_fits allows. The arena itself is a stencil plus the TDMA
 # order and ranks, 8 B a node (2.0 GB), but the node table a run keeps
@@ -354,6 +354,16 @@ for cmd in "run --r 2000 --protocol flood" "sweep --r 2000 --protocol flood --t-
         && grep -q '^error: .*cannot allocate' "$arena_err" \
         || { cat "$arena_err"; echo "arena allocation gate: 'rbcast $cmd' exited $status"; exit 1; }
 done
+# An indirect protocol indexes its evidence with a u16 per (slot, value)
+# pair of a span-3r frame, 2(6r + 1)^2 pairs: past r = 30 a u16 cannot name
+# them. The run guard refuses that after the reservations above, so those
+# cases still read "cannot allocate".
+status=0
+(ulimit -v 4000000; exec target/release/rbcast run --r 43 --protocol indirect-full) \
+    > /dev/null 2> "$arena_err" || status=$?
+test "$status" -eq 2 && test "$(grep -c . "$arena_err")" -eq 1 \
+    && grep -q '^error: .*r = 43 needs a span-129 frame of 67081 slots' "$arena_err" \
+    || { cat "$arena_err"; echo "arena allocation gate: 'rbcast run --r 43 --protocol indirect-full' exited $status"; exit 1; }
 rm -f "$arena_err"
 echo "arena allocation gate passed"
 
@@ -412,5 +422,14 @@ test -n "$rss" && test "$rss" -lt 57600 \
 rss=$(sed -n 's/.*"flood", "side": 1000,.*"peak_rss_kb": \([0-9]*\).*/\1/p' BENCH_scale.json)
 test -n "$rss" && test "$rss" -lt 44800 \
     || { echo "BENCH_scale.json: flood at 10^6 nodes reads ${rss:-no} kB peak RSS (limit 44800)"; exit 1; }
+# The paper's own protocol, §VI (indirect-full), at 10^5 nodes: its
+# two-level store keys every chain member by a u16 slot of the node's
+# frame (8-byte chains, not 20 bytes of global ids and a signature) and
+# opens a packer only for a (committer, value) pair that holds a chain,
+# so the cell stays under 598 400 kB (879 572 kB with 20-byte chains and
+# a packer header for every pair of the frame).
+rss=$(sed -n 's/.*"indirect-full", "side": 316,.*"peak_rss_kb": \([0-9]*\).*/\1/p' BENCH_scale.json)
+test -n "$rss" && test "$rss" -lt 598400 \
+    || { echo "BENCH_scale.json: indirect-full at 10^5 nodes reads ${rss:-no} kB peak RSS (limit 598400)"; exit 1; }
 
 echo "CI: all gates passed"

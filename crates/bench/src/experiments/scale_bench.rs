@@ -1,6 +1,7 @@
 //! SCALE — throughput of the sparse wavefront engine at 10⁴, 10⁵ and
 //! 10⁶ nodes (fault-free flood, CPA and simplified indirect-report at
-//! r = 1), written to `BENCH_scale.json` at the workspace root.
+//! r = 1), then the paper's own §VI protocol (`indirect-full`) at 10⁴
+//! and 10⁵, written to `BENCH_scale.json` at the workspace root.
 //!
 //! The sparse engine only touches frontier nodes each round, so a
 //! single broadcast wave over an `n`-node torus costs O(total
@@ -17,6 +18,12 @@
 //! No JSON is written in smoke mode. Everything this experiment
 //! measures is wall time, so its per-cell lines go to stderr and it is
 //! the one id without a golden under `results/`.
+//!
+//! A cell's `peak_rss_kb` is the process high-water mark when it ends,
+//! so the §VI cells run last: their evidence stores hold kilobytes a
+//! node, and run before the 10⁶ cells they would set those cells'
+//! readings. The §VI 10⁴ cell therefore reads at least the §VI-B 10⁶
+//! cell's mark; the 10⁵ cell's is its own.
 
 use crate::perf::{self, ScaleCell};
 use crate::{Size, Verdicts};
@@ -25,9 +32,10 @@ use rbcast_grid::Torus;
 use std::path::Path;
 
 /// The protocol axis, fault-free at each protocol's default `t`.
-/// `IndirectSimplified` stands in for the indirect-report family — the
-/// full protocol's report traffic is quadratic in the neighborhood and
-/// is benched separately (see DESIGN.md).
+/// `IndirectSimplified` stands in for the indirect-report family at every
+/// size; the full protocol's report traffic is quadratic in the
+/// neighborhood, so it has cells of its own at the two smaller sizes
+/// ([`FULL_SIDES`]).
 const PROTOCOLS: [ProtocolKind; 3] = [
     ProtocolKind::Flood,
     ProtocolKind::Cpa,
@@ -36,6 +44,10 @@ const PROTOCOLS: [ProtocolKind; 3] = [
 
 /// The size axis: torus sides giving ~10⁴, ~10⁵ and 10⁶ nodes.
 const SIDES: [u32; 3] = [100, 316, 1000];
+
+/// The sides of the §VI (`indirect-full`) cells, ~10⁴ and ~10⁵ nodes:
+/// its store is sized for the 10⁵ cell, not yet the 10⁶ one.
+const FULL_SIDES: [u32; 2] = [100, 316];
 
 /// Per-cell wall budget for the smoke gate, milliseconds. A 10⁴-node
 /// release-build run completes in well under a second on one core; the
@@ -167,6 +179,10 @@ pub(crate) fn run(v: &mut Verdicts, size: Size) {
             let (cell, _) = run_cell(v, kind, side, EngineKind::Sparse);
             cells.push(cell);
         }
+    }
+    for side in FULL_SIDES {
+        let (cell, _) = run_cell(v, ProtocolKind::IndirectFull, side, EngineKind::Sparse);
+        cells.push(cell);
     }
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     perf::write_scale_json(&root.join("BENCH_scale.json"), "sparse", &cells);

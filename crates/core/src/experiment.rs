@@ -4,7 +4,8 @@
 use rbcast_adversary::{local_fault_bound_in, Placement};
 use rbcast_grid::{ArenaError, Coord, Metric, NeighborTable, NodeId, Torus};
 use rbcast_protocols::{
-    attackers, Cpa, Flood, Indirect, IndirectConfig, Msg, PersistentFlood, ProtocolParams,
+    attackers, Cpa, EvidenceStore, Flood, Indirect, IndirectConfig, Msg, PersistentFlood,
+    ProtocolParams,
 };
 use rbcast_sim::{ChannelConfig, EngineKind, Network, Node, Process, RunStats, Value};
 use std::collections::HashSet;
@@ -552,8 +553,11 @@ impl Experiment {
     /// # Errors
     ///
     /// A torus past [`NeighborTable::MAX_NODES`], a node table the
-    /// allocator refuses, or the arena's own errors
-    /// ([`NeighborTable::try_build`]).
+    /// allocator refuses, the arena's own errors
+    /// ([`NeighborTable::try_build`]), or — checked last, so an
+    /// allocation failure still reads as one — an indirect protocol at a
+    /// radius whose evidence frame a `u16` slot cannot index
+    /// ([`EvidenceStore::check_radius`]).
     pub fn run_guard(&self) -> Result<(), ArenaError> {
         struct SlotBytes;
         impl ProtocolVisitor for SlotBytes {
@@ -568,7 +572,17 @@ impl Experiment {
         let per_node = self.protocol.visit(SlotBytes)
             + std::mem::size_of::<Option<(Value, rbcast_sim::Round)>>();
         let _nodes = reserve_node_table(nodes, per_node)?;
-        NeighborTable::try_build(&torus, self.r, self.metric).map(drop)
+        NeighborTable::try_build(&torus, self.r, self.metric)?;
+        // An indirect protocol indexes its evidence by (slot, value) pair
+        // of a span-3r frame; past r = 30 a u16 cannot name the pairs.
+        match self.protocol {
+            ProtocolKind::IndirectFull
+            | ProtocolKind::IndirectSimplified
+            | ProtocolKind::IndirectCustom(_) => EvidenceStore::check_radius(self.r),
+            ProtocolKind::Flood | ProtocolKind::Cpa | ProtocolKind::PersistentFlood { .. } => {
+                Ok(())
+            }
+        }
     }
 
     /// One full simulation, returning the outcome and the simulator's
@@ -728,6 +742,31 @@ fn record_run_metrics(stats: &RunStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn run_guard_refuses_an_indirect_radius_past_the_evidence_index() {
+        // r = 30 is the largest radius whose span-3r evidence frame has at
+        // most 65 535 (slot, value) pairs; flood keeps no evidence. A
+        // small torus keeps the reservation small.
+        let at = |r: u32, protocol| {
+            let side = 4 * (2 * r + 1);
+            Experiment::new(r, protocol)
+                .with_torus(Torus::new(side, side))
+                .run_guard()
+        };
+        assert_eq!(at(30, ProtocolKind::IndirectFull), Ok(()));
+        assert_eq!(at(31, ProtocolKind::Flood), Ok(()));
+        for protocol in [ProtocolKind::IndirectFull, ProtocolKind::IndirectSimplified] {
+            assert_eq!(
+                at(31, protocol),
+                Err(ArenaError::FrameTooWide {
+                    radius: 31,
+                    span: 93,
+                    per_slot: 2
+                })
+            );
+        }
+    }
 
     #[test]
     fn fault_free_flood() {

@@ -73,8 +73,8 @@ pub fn counter(name: &'static str) -> Counter {
 
 /// A point-in-time reading of every registered counter, sorted by name,
 /// plus the bridged counters of crates below the observability layer
-/// (currently `flow/augmentations` and `flow/min-cuts` from
-/// [`rbcast_flow::stats`]).
+/// (currently `flow/augmentations`, `flow/budget-cuts` and
+/// `flow/min-cuts` from [`rbcast_flow::stats`]).
 #[must_use]
 pub fn metrics_snapshot() -> Vec<(String, u64)> {
     let mut out: Vec<(String, u64)> = lock_ignoring_poison(&COUNTERS)
@@ -86,6 +86,7 @@ pub fn metrics_snapshot() -> Vec<(String, u64)> {
             "flow/augmentations",
             rbcast_flow::stats::augmentations_total(),
         ),
+        ("flow/budget-cuts", rbcast_flow::stats::budget_cuts_total()),
         ("flow/min-cuts", rbcast_flow::stats::min_cuts_total()),
     ];
     for (key, value) in bridged {

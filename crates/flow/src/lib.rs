@@ -18,7 +18,14 @@
 //!   set packing — a greedy pass, then a budgeted branch and bound over
 //!   the chain conflict graph — because max-flow on the union of chains
 //!   would accept unsound "mixed" paths splicing a prefix of one report
-//!   onto the suffix of another.
+//!   onto the suffix of another. A stored [`Chain`] is 8 bytes: up to
+//!   four `u16` keys below the `0xFFFF` sentinel, with no signature —
+//!   whether a chain holds a key is one lane compare on one word. Keys
+//!   are small local names (the evidence store uses a node's slot in the
+//!   receiver's frame); [`ChainPacker::insert`] refuses a key of
+//!   `0xFFFF` or more.
+//! * [`stats`] — write-only diagnostic counters: augmenting paths, min
+//!   cuts, and packing searches the branch-and-bound budget cut short.
 //!
 //! # Example
 //!

@@ -25,38 +25,45 @@
 /// reports, and rejecting only under-counts (never commits wrongly).
 pub const MAX_CHAIN_KEYS: usize = 4;
 
-/// Marks an unused key slot. Keys are node ids, far below this; a key
-/// that large is rejected like an over-length chain.
-const EMPTY: u32 = u32::MAX;
+/// Marks an unused key slot. Keys are receiver-local frame slots, all
+/// below this; a key that large is rejected like an over-length chain.
+const EMPTY: u16 = u16::MAX;
+
+/// A one in every 16-bit lane of a [`Chain`]'s packed word.
+const LANE_ONES: u64 = 0x0001_0001_0001_0001;
+
+/// Whether the four-key word `word` holds `key` (never the sentinel).
+#[inline]
+fn holds(word: u64, key: u16) -> bool {
+    has_zero_lane(word ^ (u64::from(key) * LANE_ONES))
+}
+
+/// Whether some 16-bit lane of `x` is zero: the classic borrow test,
+/// exact for "some lane", though not lane by lane.
+#[inline]
+fn has_zero_lane(x: u64) -> bool {
+    x.wrapping_sub(LANE_ONES) & !x & LANE_ONES << 15 != 0
+}
 
 /// A reported relay chain: the ordered relays between a committer and the
 /// observing node (committer and observer excluded). An empty chain is a
 /// direct observation of the committer's `COMMITTED` broadcast.
 ///
-/// Relays are stored inline as `u32` keys, unused slots holding a
-/// sentinel, next to a 32-bit *signature* of the relay set (one hashed
-/// bit per key). The signature answers most subset and intersection
-/// questions without touching the keys: a set bit of `a` missing from `b`
-/// proves `a ⊄ b`, and disjoint signatures prove disjoint relay sets.
-/// Hash collisions only make the signature test pass when the exact test
-/// would fail, so every positive falls through to the key comparison.
-///
-/// A `Chain` is `Copy` and 20 bytes, so a packer's chain list is one flat
-/// allocation — no per-chain heap traffic on the simulator's delivery
-/// path. The signature is a function of the keys, which keeps the derived
-/// `Eq`/`Hash`/`Ord` consistent with the logical relay sequence.
+/// Relays are stored inline as up to [`MAX_CHAIN_KEYS`] `u16` keys, unused
+/// slots holding the sentinel `0xFFFF`: 8 bytes, so a packer's chain list
+/// is one flat allocation and no chain touches the heap. A key is whatever
+/// small integer the caller names a node by — the evidence store uses the
+/// node's key in the receiver's local frame — and must lie below
+/// `0xFFFF`. The four keys read as one `u64`, so "does this chain hold
+/// key `k`", the step of every subset and intersection test behind
+/// dominance and conflict, is one lane compare on one word
+/// (`Chain::holds`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Chain {
-    keys: [u32; MAX_CHAIN_KEYS],
-    sig: u32,
+    keys: [u16; MAX_CHAIN_KEYS],
 }
 
-const _: () = assert!(std::mem::size_of::<Chain>() == 20);
-
-/// The signature bit of one key (multiplicative hash, top five bits).
-fn sig_bit(key: u32) -> u32 {
-    1 << (key.wrapping_mul(0x9E37_79B1) >> 27)
-}
+const _: () = assert!(std::mem::size_of::<Chain>() == 8);
 
 impl Chain {
     /// Creates a chain from its relay sequence (committer side first).
@@ -66,11 +73,11 @@ impl Chain {
     /// Panics if `relays` does not fit (see [`Chain::try_new`]).
     #[cfg(test)]
     fn new(relays: &[u64]) -> Self {
-        Chain::try_new(relays).expect("chain exceeds MAX_CHAIN_KEYS or the u32 key range")
+        Chain::try_new(relays).expect("chain exceeds MAX_CHAIN_KEYS or the u16 key range")
     }
 
     /// Creates a chain from its relay sequence, or `None` if it exceeds
-    /// [`MAX_CHAIN_KEYS`] or holds a key that is not below `u32::MAX`.
+    /// [`MAX_CHAIN_KEYS`] or holds a key that is not below `0xFFFF`.
     #[must_use]
     fn try_new(relays: &[u64]) -> Option<Self> {
         if relays.len() > MAX_CHAIN_KEYS {
@@ -78,12 +85,9 @@ impl Chain {
         }
         let mut chain = Chain {
             keys: [EMPTY; MAX_CHAIN_KEYS],
-            sig: 0,
         };
         for (slot, &relay) in chain.keys.iter_mut().zip(relays) {
-            let key = u32::try_from(relay).ok().filter(|&k| k != EMPTY)?;
-            *slot = key;
-            chain.sig |= sig_bit(key);
+            *slot = u16::try_from(relay).ok().filter(|&k| k != EMPTY)?;
         }
         Some(chain)
     }
@@ -91,13 +95,28 @@ impl Chain {
     /// The relay sequence.
     #[inline]
     #[must_use]
-    pub fn relays(&self) -> &[u32] {
+    pub fn relays(&self) -> &[u16] {
         let len = self
             .keys
             .iter()
             .position(|&k| k == EMPTY)
             .unwrap_or(MAX_CHAIN_KEYS);
         &self.keys[..len]
+    }
+
+    /// The four keys as one word, key `i` in bits `16·i ..`.
+    #[inline]
+    fn word(&self) -> u64 {
+        let [a, b, c, d] = self.keys.map(u64::from);
+        a | b << 16 | c << 32 | d << 48
+    }
+
+    /// True iff `key` (never the sentinel, so never an unused slot) is
+    /// one of this chain's relays: some lane of the word xor `key` in
+    /// every lane is zero.
+    #[inline]
+    fn holds(&self, key: u16) -> bool {
+        holds(self.word(), key)
     }
 
     /// True iff this chain is a direct observation (no relays).
@@ -120,31 +139,31 @@ impl Chain {
             .any(|(i, r)| relays[i + 1..].contains(r))
     }
 
-    /// True iff `key` (never the sentinel) is one of this chain's relays.
-    fn contains(&self, key: u32) -> bool {
-        self.keys.contains(&key)
-    }
-
     /// True iff `self` *dominates* `other`: `self` is non-direct and
     /// every relay of `self` also appears in `other`. Any filter
     /// admitting `other` then admits `self`, and — because a non-empty
     /// subset always conflicts with its superset — any packing using
     /// `other` can swap in `self`, so `other` is redundant. The direct
     /// (empty) chain is deliberately excluded: it conflicts with nothing
-    /// and can share a packing with its supersets.
+    /// and can share a packing with its supersets. Stops at the first
+    /// relay `other` lacks, which for unrelated chains is the first.
     #[inline]
     #[must_use]
     fn dominates(&self, other: &Chain) -> bool {
+        let other = other.word();
         !self.is_direct()
-            && self.sig & !other.sig == 0
-            && self.relays().iter().all(|&r| other.contains(r))
+            && self
+                .keys
+                .iter()
+                .take_while(|&&k| k != EMPTY)
+                .all(|&k| holds(other, k))
     }
 
     /// True iff the two chains share a relay.
     #[inline]
     #[must_use]
     fn conflicts_with(&self, other: &Chain) -> bool {
-        self.sig & other.sig != 0 && self.relays().iter().any(|&r| other.contains(r))
+        self.relays().iter().any(|&k| other.holds(k))
     }
 }
 
@@ -189,7 +208,7 @@ impl ChainPacker {
     /// undominated.
     ///
     /// Rejected outright: chains that do not fit (beyond
-    /// [`MAX_CHAIN_KEYS`], or a key outside the `u32` id range),
+    /// [`MAX_CHAIN_KEYS`], or a key not below `0xFFFF`),
     /// duplicates, degenerate (repeated-relay) chains, and chains
     /// *dominated* by an already-stored chain (one whose relay set is a
     /// subset of the new chain's) — the stored chain is at least as good
@@ -205,10 +224,10 @@ impl ChainPacker {
     /// transitive through evictions) and bounces off the same check.
     ///
     /// One pass over the stored chains decides both directions: it stops
-    /// at the first dominator, and notes from the signatures alone
-    /// whether any stored chain could be a superset of the newcomer.
-    /// Evictions are rare (report chains mostly arrive shortest first),
-    /// so the eviction sweep runs only when that note is set.
+    /// at the first dominator, and notes whether the newcomer dominates
+    /// any stored chain. Evictions are rare (report chains mostly arrive
+    /// shortest first), so the eviction sweep runs only when that note is
+    /// set.
     pub fn insert(&mut self, relays: &[u64]) -> bool {
         let Some(chain) = Chain::try_new(relays) else {
             return false;
@@ -229,7 +248,7 @@ impl ChainPacker {
             if c.dominates(&chain) {
                 return false;
             }
-            may_evict |= chain.sig & !c.sig == 0;
+            may_evict = may_evict || chain.dominates(c);
         }
         if may_evict {
             self.chains.retain(|c| !chain.dominates(c));
@@ -345,7 +364,7 @@ pub struct PackScratch {
     /// Greedy processing order (indices into the packer's chains).
     order: Vec<usize>,
     /// Relays already used by the greedy packing.
-    taken_relays: Vec<u32>,
+    taken_relays: Vec<u16>,
     /// Flattened conflict bitsets (`n × words`).
     conflict: Vec<u64>,
     /// Flattened clique bitsets (`n × words`): row `a` holds every
@@ -411,7 +430,7 @@ fn max_disjoint_sets(chains: &[Chain], scratch: &mut PackScratch, target: u32) -
     clique.clear();
     clique.resize(n * words, 0);
     let set = |rows: &mut [u64], a: usize, b: usize| rows[a * words + b / 64] |= 1 << (b % 64);
-    let holds_last_of = |c: &Chain, of: &Chain| of.relays().last().is_some_and(|&k| c.contains(k));
+    let holds_last_of = |c: &Chain, of: &Chain| of.relays().last().is_some_and(|&k| c.holds(k));
     for a in 0..n {
         let ca = &chains[kept[a]];
         set(clique, a, a);
@@ -447,10 +466,23 @@ fn max_disjoint_sets(chains: &[Chain], scratch: &mut PackScratch, target: u32) -
         pool,
         target,
         best: greedy,
-        nodes_left: BB_BUDGET,
+        nodes_left: budget(),
     };
     search.bb(0, full, 0);
+    if search.nodes_left == 0 && search.best < target {
+        crate::stats::count_budget_cut();
+    }
     search.best.min(target)
+}
+
+/// The branch-and-bound budget of one search: [`BB_BUDGET`], or in tests
+/// what `TEST_BUDGET` holds.
+fn budget() -> u64 {
+    #[cfg(test)]
+    if let Some(budget) = TEST_BUDGET.get() {
+        return budget;
+    }
+    BB_BUDGET
 }
 
 /// Index of the lowest set bit of a bitset, if any.
@@ -477,6 +509,10 @@ struct Search<'a> {
 thread_local! {
     /// Branch-and-bound nodes expanded on this thread (tests only).
     static BB_NODES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+
+    /// A budget in place of [`BB_BUDGET`] for this thread's searches
+    /// (tests only).
+    static TEST_BUDGET: std::cell::Cell<Option<u64>> = const { std::cell::Cell::new(None) };
 }
 
 impl Search<'_> {
@@ -690,14 +726,15 @@ mod tests {
         let mut p = ChainPacker::new();
         let long: Vec<u64> = (0..=MAX_CHAIN_KEYS as u64).collect();
         assert!(!p.insert(&long));
-        // A key at or beyond the empty-slot sentinel has no u32 slot.
+        // A key at or beyond the empty-slot sentinel has no u16 slot.
+        assert!(!p.insert(&[0xFFFF]));
+        assert!(!p.insert(&[7, 0x1_0000]));
         assert!(!p.insert(&[u64::from(u32::MAX)]));
-        assert!(!p.insert(&[7, u64::from(u32::MAX) + 1]));
         assert!(!p.insert(&[u64::MAX]));
         assert!(p.is_empty());
         let max: Vec<u64> = (0..MAX_CHAIN_KEYS as u64).collect();
         assert!(p.insert(&max));
-        assert!(p.insert(&[u64::from(u32::MAX) - 1]));
+        assert!(p.insert(&[0xFFFE]));
     }
 
     #[test]
@@ -716,21 +753,29 @@ mod tests {
     }
 
     #[test]
-    fn signature_collisions_fall_through_to_the_exact_test() {
-        // Two distinct keys hashing to one signature bit: the signature
-        // says "maybe subset / maybe overlapping", the keys say no.
-        let a = 1u32;
-        let b = (2u32..)
-            .find(|&k| sig_bit(k) == sig_bit(a))
-            .expect("32 buckets: a collision exists");
-        let (ca, cb) = (Chain::new(&[u64::from(a)]), Chain::new(&[u64::from(b)]));
-        assert_eq!(ca.sig, cb.sig);
-        assert!(!ca.dominates(&cb) && !cb.dominates(&ca));
-        assert!(!ca.conflicts_with(&cb));
+    fn lane_compares_are_exact_at_the_key_range_edges() {
+        // Keys that differ only in a lane's high bit or its low bit, the
+        // largest key beside the sentinel, and key 0 beside a full chain:
+        // the zero-lane test must neither borrow across lanes nor match a
+        // relay against a sentinel.
+        let edge = [0u64, 1, 0x7FFF, 0x8000, 0x8001, 0xFFFE];
+        for &a in &edge {
+            for &b in &edge {
+                let (ca, cb) = (Chain::new(&[a]), Chain::new(&[b]));
+                assert_eq!(ca.conflicts_with(&cb), a == b, "{a:#x} vs {b:#x}");
+                assert_eq!(ca.dominates(&cb), a == b, "{a:#x} vs {b:#x}");
+            }
+        }
+        let full = Chain::new(&[0x8000, 0, 0xFFFE, 1]);
+        assert!(Chain::new(&[0xFFFE, 0]).dominates(&full));
+        assert!(!full.dominates(&Chain::new(&[0xFFFE, 0])));
+        assert!(!Chain::new(&[0x7FFF]).conflicts_with(&full));
+        assert!(!Chain::new(&[]).dominates(&full) && !Chain::new(&[]).conflicts_with(&full));
+        assert!(!full.conflicts_with(&Chain::new(&[])));
         let mut p = ChainPacker::new();
-        assert!(p.insert(&[u64::from(a)]));
-        assert!(p.insert(&[u64::from(b)]));
-        assert!(p.insert(&[u64::from(a) + 1_000, u64::from(b) + 1_000]));
+        assert!(p.insert(&[0x7FFF]));
+        assert!(p.insert(&[0xFFFE]));
+        assert!(p.insert(&[0x8000, 0xFFFD]));
         assert_eq!(p.len(), 3);
         assert_eq!(p.max_disjoint(|_| true, 9), 3);
     }
@@ -779,6 +824,31 @@ mod tests {
         let nodes = BB_NODES.with(std::cell::Cell::get);
         assert!(nodes > 0, "greedy alone cannot prove a maximum");
         assert!(nodes < BB_BUDGET / 100, "{nodes} branch-and-bound nodes");
+    }
+
+    #[test]
+    fn a_search_the_budget_cuts_short_is_counted() {
+        // The r = 2 liar shape needs branch-and-bound nodes to prove that
+        // 12 is its maximum short of the target 32; with a budget of one
+        // the search stops after its first node, and the counter says so.
+        // Other tests search concurrently, so only a lower bound is
+        // stable.
+        let mut p = ChainPacker::new();
+        for k in 0..10u64 {
+            p.insert(&[100 + 3 * k, 101 + 3 * k, 102 + 3 * k]);
+        }
+        for liar in 0..4u64 {
+            for k in 0..10u64 {
+                p.insert(&[100 + 3 * k + liar % 3, 900 + liar]);
+            }
+        }
+        let before = crate::stats::budget_cuts_total();
+        TEST_BUDGET.with(|b| b.set(Some(1)));
+        let cut = p.max_disjoint(|_| true, 32);
+        TEST_BUDGET.with(|b| b.set(None));
+        assert!(cut <= 12);
+        assert!(crate::stats::budget_cuts_total() > before);
+        assert_eq!(p.max_disjoint(|_| true, 32), 12);
     }
 
     /// The packer this module replaced — two full passes per insert over
@@ -846,15 +916,23 @@ mod tests {
 
     proptest! {
         /// Same verdict per insert, same stored chains in the same order,
-        /// same packing answer under any admit mask and target — on a key
-        /// range small enough that chains overlap, nest and evict, and
-        /// that signature bits collide.
+        /// same packing answer under any admit mask and target — on twelve
+        /// keys, few enough that chains overlap, nest and evict. Under
+        /// `spread` the twelve sit at the lane edges of the `u16` range
+        /// (high bit, low bit, the largest key), where a lane compare
+        /// that borrowed across lanes or matched the sentinel would show.
         #[test]
         fn agrees_with_the_reference_packer(
-            chains in proptest::collection::vec(
-                proptest::collection::vec(0u64..12, 0..6), 1..15),
+            picks in proptest::collection::vec(
+                proptest::collection::vec(0usize..12, 0..6), 1..15),
             queries in proptest::collection::vec((0u32..1 << 12, 1u32..8), 1..4),
+            spread in 0u8..2,
         ) {
+            const EDGES: [u64; 12] =
+                [0, 1, 0xFF, 0x100, 0x7FFE, 0x7FFF, 0x8000, 0x8001, 0xC000, 0xFFFC, 0xFFFD, 0xFFFE];
+            let key = |k: usize| if spread == 1 { EDGES[k] } else { k as u64 };
+            let chains: Vec<Vec<u64>> =
+                picks.iter().map(|c| c.iter().map(|&k| key(k)).collect()).collect();
             let mut packer = ChainPacker::new();
             let mut reference = ReferencePacker::default();
             for c in &chains {
@@ -867,7 +945,7 @@ mod tests {
             prop_assert_eq!(&stored, &reference.chains);
             prop_assert_eq!(packer.has_direct(), reference.has_direct);
             for &(mask, target) in &queries {
-                let admit = |r: u64| mask & 1 << r != 0;
+                let admit = |r: u64| (0..12).any(|k| key(k) == r && mask & 1 << k != 0);
                 let admitted: Vec<&[u64]> = reference
                     .chains
                     .iter()

@@ -11,6 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 static AUGMENTATIONS: AtomicU64 = AtomicU64::new(0);
 static MIN_CUTS: AtomicU64 = AtomicU64::new(0);
+static BUDGET_CUTS: AtomicU64 = AtomicU64::new(0);
 
 /// Records one augmenting path routed by Dinic's algorithm.
 pub(crate) fn count_augmentation() {
@@ -41,6 +42,24 @@ pub(crate) fn count_min_cut() {
 pub fn min_cuts_total() -> u64 {
     // audit:allow(atomic-ordering): monotone diagnostic counter, read only at snapshot
     MIN_CUTS.load(Ordering::Relaxed)
+}
+
+/// Records one packing search stopped by its branch-and-bound budget
+/// short of its target.
+pub(crate) fn count_budget_cut() {
+    // audit:allow(atomic-ordering): monotone diagnostic counter, read only at snapshot
+    BUDGET_CUTS.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Total [`crate::ChainPacker`] searches since process start, across all
+/// threads, that spent their whole branch-and-bound budget without
+/// reaching their target. Monotonic. Each one answered "not yet" where
+/// a longer search might have answered "determined": a verdict the
+/// budget, not the evidence, decided.
+#[must_use]
+pub fn budget_cuts_total() -> u64 {
+    // audit:allow(atomic-ordering): monotone diagnostic counter, read only at snapshot
+    BUDGET_CUTS.load(Ordering::Relaxed)
 }
 
 #[cfg(test)]

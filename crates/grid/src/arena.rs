@@ -128,6 +128,16 @@ pub enum ArenaError {
         /// Nodes on the torus.
         nodes: u64,
     },
+    /// A local frame whose slots, `per_slot` entries each, a `u16`
+    /// index cannot name ([`LocalFrame::check_span`]).
+    FrameTooWide {
+        /// The arena radius the frame serves.
+        radius: u32,
+        /// The frame's span.
+        span: u32,
+        /// Entries indexed per slot.
+        per_slot: u32,
+    },
     /// The allocator refused an allocation.
     OutOfMemory {
         /// Nodes on the torus.
@@ -144,6 +154,20 @@ impl fmt::Display for ArenaError {
         match *self {
             ArenaError::TooManyNodes { nodes } => {
                 write!(f, "{nodes} nodes exceeds the 2³² a u32 node id can name")
+            }
+            ArenaError::FrameTooWide {
+                radius,
+                span,
+                per_slot,
+            } => {
+                let slots = frame_slots(i64::from(span));
+                write!(
+                    f,
+                    "r = {radius} needs a span-{span} frame of {slots} slots, {} entries at \
+                     {per_slot} a slot, past the {} a u16 index names",
+                    slots as u64 * u64::from(per_slot),
+                    u16::MAX
+                )
             }
             ArenaError::OutOfMemory { nodes, what, bytes } => {
                 write!(
@@ -518,6 +542,12 @@ impl FusedIterator for Neighbors<'_> {}
 /// minimal displacement, so the mapping is injective over all nodes it
 /// accepts — even when the box is larger than the torus itself (slots
 /// simply go unused). Coordinates outside the box map to `None`.
+///
+/// A frame also names nodes by *key*: the displacement packed eight bits
+/// an axis ([`LocalFrame::key`]), which reaches [`LocalFrame::MAX_SPAN`]
+/// whatever the frame's own span — every node of a torus up to 255 a
+/// side, and on a larger one every node within 127 of the center on both
+/// axes.
 #[derive(Debug, Clone)]
 pub struct LocalFrame {
     torus: Torus,
@@ -526,6 +556,32 @@ pub struct LocalFrame {
 }
 
 impl LocalFrame {
+    /// The widest span whose slots a `u16` indexes below the `0xFFFF`
+    /// sentinel: `(2·127 + 1)² = 65 025` slots, where span 128 would
+    /// need 66 049.
+    pub const MAX_SPAN: u32 = 127;
+
+    /// Refuses a span-`span` frame serving radius `radius` when a `u16`
+    /// index, below the `0xFFFF` sentinel, cannot name `per_slot` entries
+    /// for every slot: `(2·span + 1)² · per_slot ≤ 65 535`. At one entry
+    /// a slot that is `span ≤` [`LocalFrame::MAX_SPAN`].
+    ///
+    /// # Errors
+    ///
+    /// [`ArenaError::FrameTooWide`] when the entries do not fit.
+    pub fn check_span(radius: u32, span: u32, per_slot: u32) -> Result<(), ArenaError> {
+        let fits = span <= Self::MAX_SPAN
+            && frame_slots(i64::from(span)) as u64 * u64::from(per_slot) <= u64::from(u16::MAX);
+        if !fits {
+            return Err(ArenaError::FrameTooWide {
+                radius,
+                span,
+                per_slot,
+            });
+        }
+        Ok(())
+    }
+
     /// The center coordinate the frame was built around.
     #[cfg(test)]
     fn center(&self) -> Coord {
@@ -552,6 +608,76 @@ impl LocalFrame {
     fn slot_of(&self, c: Coord) -> Option<usize> {
         frame_slot(&self.torus, self.me, c, self.span)
     }
+
+    /// Minimal displacement of `c`, a canonical coordinate, from the
+    /// center.
+    #[inline]
+    #[must_use]
+    pub fn offset_of(&self, c: Coord) -> Coord {
+        debug_assert_eq!(self.torus.canonical(c), c, "{c} is not canonical");
+        self.torus.wrap(c - self.me)
+    }
+
+    /// Minimal displacement of node `id` from the center: the one
+    /// id → coordinate division a caller pays per node.
+    #[inline]
+    #[must_use]
+    pub fn offset_of_id(&self, id: NodeId) -> Coord {
+        self.offset_of(self.torus.coord(id))
+    }
+
+    /// Dense slot of the node at minimal displacement `d` from the
+    /// center, or `None` if `d` exceeds the span on either axis.
+    #[inline]
+    #[must_use]
+    pub fn slot_of_offset(&self, d: Coord) -> Option<usize> {
+        offset_slot(d, self.span)
+    }
+
+    /// The node at displacement `d` from the center.
+    #[inline]
+    #[must_use]
+    pub fn coord_at(&self, d: Coord) -> Coord {
+        self.torus.canonical(self.me + d)
+    }
+
+    /// Id of the node at displacement `d` from the center.
+    #[inline]
+    #[must_use]
+    pub fn id_at(&self, d: Coord) -> NodeId {
+        self.torus.id(self.me + d)
+    }
+
+    /// Key of the node at minimal displacement `d` from the center:
+    /// `(dy + 127) · 256 + (dx + 127)`, at most `0xFEFE`, or `None` if
+    /// `d` exceeds [`LocalFrame::MAX_SPAN`] on either axis.
+    ///
+    /// ```
+    /// use rbcast_grid::{Coord, LocalFrame};
+    ///
+    /// let reach = i64::from(LocalFrame::MAX_SPAN);
+    /// assert_eq!(LocalFrame::key(Coord::new(reach, reach)), Some(0xFEFE));
+    /// assert_eq!(LocalFrame::key(Coord::new(reach + 1, 0)), None);
+    /// let d = Coord::new(-3, 2);
+    /// assert_eq!(LocalFrame::key(d).map(LocalFrame::key_offset), Some(d));
+    /// ```
+    #[inline]
+    #[must_use]
+    pub fn key(d: Coord) -> Option<u16> {
+        let reach = i64::from(Self::MAX_SPAN);
+        if d.x.abs() > reach || d.y.abs() > reach {
+            return None;
+        }
+        Some((((d.y + reach) << 8) | (d.x + reach)) as u16)
+    }
+
+    /// The displacement [`LocalFrame::key`] packed into `key`.
+    #[inline]
+    #[must_use]
+    pub fn key_offset(key: u16) -> Coord {
+        let reach = i64::from(Self::MAX_SPAN);
+        Coord::new(i64::from(key & 0xFF) - reach, i64::from(key >> 8) - reach)
+    }
 }
 
 /// Number of slots in a frame of span `span`: `(2·span + 1)²`.
@@ -567,7 +693,13 @@ pub(crate) fn frame_slots(span: i64) -> usize {
 /// [`crate::NeighborSet`].
 #[inline]
 pub(crate) fn frame_slot(torus: &Torus, me: Coord, c: Coord, span: i64) -> Option<usize> {
-    let d = torus.displacement(me, c);
+    offset_slot(torus.displacement(me, c), span)
+}
+
+/// Dense row-major slot of displacement `d` in the `(2·span + 1)²` box,
+/// or `None` if it exceeds `span` on either axis.
+#[inline]
+fn offset_slot(d: Coord, span: i64) -> Option<usize> {
     if d.x.abs() > span || d.y.abs() > span {
         return None;
     }
@@ -838,6 +970,65 @@ mod tests {
         // inside the span even though the raw difference is 37.
         assert!(frame.slot_of(Coord::new(39, 2)).is_some());
         assert!(frame.slot_of(Coord::new(35, 2)).is_none());
+    }
+
+    #[test]
+    fn offsets_slots_and_keys_name_the_same_nodes() {
+        // A seam center on the experiment torus for r = 2, on an 11×11
+        // torus smaller than the frame and on the cluster's wrapping 3×3:
+        // every node's offset maps back to it, its slot is the one
+        // `slot_of_id` gives, and its key is distinct and decodes to the
+        // offset.
+        for torus in [Torus::for_radius(2), Torus::new(11, 11), Torus::new(3, 3)] {
+            let table = NeighborTable::build_wrapping(&torus, 1, Metric::Linf);
+            let me = Coord::new(i64::from(torus.width()) - 1, 0);
+            let frame = table.local_frame(me, 3);
+            let mut keys = std::collections::BTreeSet::new();
+            for id in torus.node_ids() {
+                let d = frame.offset_of_id(id);
+                assert_eq!(frame.id_at(d), id);
+                assert_eq!(frame.coord_at(d), torus.coord(id));
+                assert_eq!(frame.slot_of_offset(d), frame.slot_of_id(id));
+                let key = LocalFrame::key(d).expect("a torus under 255 a side is in reach");
+                assert!(key < u16::MAX && keys.insert(key), "{id}: key {key:#x}");
+                assert_eq!(LocalFrame::key_offset(key), d);
+            }
+        }
+        let reach = i64::from(LocalFrame::MAX_SPAN);
+        for (d, fits) in [
+            (Coord::new(reach, reach), true),
+            (Coord::new(-reach, -reach), true),
+            (Coord::new(reach + 1, 0), false),
+            (Coord::new(0, -reach - 1), false),
+        ] {
+            assert_eq!(LocalFrame::key(d).is_some(), fits, "{d}");
+        }
+        assert_eq!(LocalFrame::key(Coord::new(reach, reach)), Some(0xFEFE));
+    }
+
+    #[test]
+    fn a_frame_past_the_u16_span_is_refused() {
+        let max = LocalFrame::MAX_SPAN;
+        assert_eq!(frame_slots(i64::from(max)), 65_025);
+        assert_eq!(LocalFrame::check_span(42, max, 1), Ok(()));
+        assert!(LocalFrame::check_span(43, max + 1, 1).is_err());
+        // Two entries a slot: span 90 (181² · 2 = 65 522) fits, 93 does not.
+        assert_eq!(LocalFrame::check_span(30, 90, 2), Ok(()));
+        let err = LocalFrame::check_span(31, 93, 2).unwrap_err();
+        assert_eq!(
+            err,
+            ArenaError::FrameTooWide {
+                radius: 31,
+                span: 93,
+                per_slot: 2
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "r = 31 needs a span-93 frame of 34969 slots, 69938 entries at 2 a slot, past the \
+             65535 a u16 index names"
+        );
+        assert!(LocalFrame::check_span(u32::MAX, u32::MAX, u32::MAX).is_err());
     }
 
     #[test]

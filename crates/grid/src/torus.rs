@@ -144,9 +144,18 @@ impl Torus {
     #[inline]
     #[must_use]
     pub fn displacement(&self, a: Coord, b: Coord) -> Coord {
-        // Both operands are canonical, so `d` lies in `(-dim, dim)` and one
-        // conditional add is its Euclidean remainder.
+        self.wrap(self.canonical(b) - self.canonical(a))
+    }
+
+    /// The minimal displacement equivalent to `d`, a difference of two
+    /// canonical coordinates: each component, in `(-dim, dim)`, reduced
+    /// to `(-dim/2, dim/2]` by one conditional add and one conditional
+    /// subtract.
+    #[inline]
+    #[must_use]
+    pub fn wrap(&self, d: Coord) -> Coord {
         let wrap = |d: i64, dim: i64| -> i64 {
+            debug_assert!(-dim < d && d < dim, "{d} is no difference of coordinates");
             let d = if d < 0 { d + dim } else { d };
             if d > dim / 2 {
                 d - dim
@@ -154,7 +163,6 @@ impl Torus {
                 d
             }
         };
-        let d = self.canonical(b) - self.canonical(a);
         Coord::new(
             wrap(d.x, i64::from(self.width)),
             wrap(d.y, i64::from(self.height)),

@@ -22,9 +22,16 @@
 //! Both rules are *safe* for any fault placement within the local bound;
 //! they differ in liveness/latency and in evaluation cost (benched in
 //! `rbcast-bench`).
+//!
+//! Evidence is receiver-local. A chain is evidence only if it fits in one
+//! radius-`r` ball with its last relay, the receiver's neighbour, so every
+//! member lies within L∞ `3r` of the receiver. The store therefore names
+//! a member by its [`LocalFrame::key`] — its displacement from the
+//! receiver in a `u16` — and a stored chain is 8 bytes whatever the size
+//! of the network; ids come back only where a digest reads them.
 
 use rbcast_flow::{ChainPacker, PackScratch, MAX_CHAIN_KEYS};
-use rbcast_grid::{Coord, LocalFrame, NeighborTable, NodeId};
+use rbcast_grid::{ArenaError, Coord, LocalFrame, NeighborTable, NodeId};
 use rbcast_sim::Value;
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -78,15 +85,38 @@ impl<'a> Geometry<'a> {
     }
 }
 
+/// The evidence frame of the node at `me`: span `3r`, the reach of every
+/// chain the node can use. A chain is evidence only if it fits inside
+/// one radius-`r` ball, and its last relay is the receiver's neighbour,
+/// so every member lies within L∞ distance `3r` of the receiver (at most
+/// `2r` from the last relay, which itself is within `r`).
+///
+/// # Panics
+///
+/// Past r = 30, where a `u16` cannot index the frame's (slot, value)
+/// pairs ([`EvidenceStore::check_radius`], which a host's run guard
+/// calls first).
+fn evidence_frame(arena: &NeighborTable, me: Coord) -> LocalFrame {
+    let r = arena.radius();
+    assert!(
+        EvidenceStore::check_radius(r).is_ok(),
+        "r = {r}: a u16 cannot index the span-3r evidence frame's (slot, value) pairs"
+    );
+    // audit:allow(checked-threshold-arith): a frame span, r ≤ 30 by the assert above
+    arena.local_frame(me, 3 * r)
+}
+
 /// Accumulated report-chain evidence and rule evaluation for one node.
 ///
-/// A store holds only what its rule reads: the one-level rule's two
-/// packers sit behind one box made at the first recorded chain, so a
-/// node the wave has not reached holds none; the two-level rule's frame,
-/// slots and determinations sit behind one allocation made in
-/// [`EvidenceStore::new`]. Once its node commits,
-/// `EvidenceStore::retire` cuts it down to what the relay rule still
-/// reads, and under the simplified protocol drops the box.
+/// A store holds only what its rule reads, keyed in the evidence frame
+/// of its node, which the first recorded chain sets. The one-level
+/// rule's two packers and frame sit behind one box made at that chain,
+/// so a node the wave has not reached holds none; the two-level rule's
+/// determinations sit behind one allocation made in
+/// [`EvidenceStore::new`], and its frame and pair index arrive with the
+/// first chain. Once its node commits, `EvidenceStore::retire` cuts it
+/// down to what the relay rule still reads, and under the simplified
+/// protocol drops the box.
 ///
 /// # Example
 ///
@@ -99,10 +129,9 @@ impl<'a> Geometry<'a> {
 /// let me = Coord::new(10, 10);
 /// let geo = Geometry::new(&table, me);
 /// let mut ev = EvidenceStore::new(1, CommitRule::TwoLevel);
-/// ev.bind(&table, me); // the frame of committers `me` can use
 /// // two committers in one neighborhood heard directly: t+1 = 2 → commit
-/// ev.record_direct(torus.id(Coord::new(9, 9)), true);
-/// ev.record_direct(torus.id(Coord::new(11, 9)), true);
+/// ev.record_direct(&table, torus.id(me), Coord::new(9, 9), true);
+/// ev.record_direct(&table, torus.id(me), Coord::new(11, 9), true);
 /// assert_eq!(ev.evaluate(&geo), Some(true));
 /// ```
 #[derive(Debug)]
@@ -123,8 +152,10 @@ enum RuleState {
 }
 
 /// One-level evidence.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct OneLevel {
+    /// The frame the keys are relative to.
+    frame: LocalFrame,
     /// Per-value chains with the committer prefixed — already dense:
     /// two packers, no keying at all.
     combined: [ChainPacker; 2],
@@ -132,26 +163,32 @@ struct OneLevel {
     commit_dirty: bool,
 }
 
+/// Marks a (slot, value) pair that holds no packer.
+const NO_PACKER: u16 = u16::MAX;
+
 /// Two-level evidence: chains per `(committer, value)` and the
 /// determinations drawn from them.
 #[derive(Debug, Default)]
 struct TwoLevel {
-    /// Ball-local committer frame (span `3r`), bound once per run by
-    /// the protocol's `on_start` via [`EvidenceStore::bind`]. It is the
-    /// store's only index: every committer a chain can be evidence
-    /// about lies inside it, and a store that was never bound indexes
+    /// The evidence frame (span `3r`): pairs are indexed by the
+    /// committer's dense slot in it, and chain members keyed relative to
+    /// its center. Set by the first chain; a store without one holds
     /// nothing.
     frame: Option<LocalFrame>,
-    /// One chain packer per (slot, value) pair, at `slots[2 * slot + value]`.
-    slots: Vec<ChainPacker>,
+    /// `index[2 * slot + value]` is the position in `packers` of that
+    /// pair's packer, or [`NO_PACKER`]: an empty pair costs two bytes,
+    /// not a packer header.
+    index: Vec<u16>,
+    /// One packer per pair that ever held a chain, in the order the
+    /// pairs opened.
+    packers: Vec<ChainPacker>,
     /// Pairs whose evidence changed since the last evaluation.
     /// Unsorted; drained sorted so the refresh order matches the old
     /// ordered-set drain exactly.
     dirty: Vec<(NodeId, Value)>,
     /// `dirty_mark[2 * slot + value]` is set while that pair sits in
     /// `dirty`, so a pair is listed once however many chains arrive
-    /// between two evaluations. Sized in [`EvidenceStore::bind`] like
-    /// `slots`.
+    /// between two evaluations. Sized with `index`.
     dirty_mark: Vec<bool>,
     /// Committers reliably determined (first value wins).
     determined: BTreeMap<NodeId, Value>,
@@ -188,11 +225,13 @@ fn with_scratch<R>(f: impl FnOnce(&mut PackScratch) -> R) -> R {
 }
 
 /// Does `packer` hold `need` pairwise disjoint chains inside the ball
-/// around `center`?
+/// around `center`? A chain is admitted by its keys' offsets in `frame`,
+/// with no id → coordinate division.
 fn packs_within(
     packer: &ChainPacker,
     scratch: &mut PackScratch,
     geo: &Geometry<'_>,
+    frame: &LocalFrame,
     center: Coord,
     need: u32,
 ) -> bool {
@@ -200,7 +239,14 @@ fn packs_within(
     if FRESH_SCRATCH_PER_QUERY.get() {
         *scratch = PackScratch::default();
     }
-    let admit = |k: u64| geo.covers(center, geo.arena.torus().coord(NodeId(k as u32)));
+    // Offsets from the receiver, wrapped once more to offsets from the
+    // center: what `Torus::within` computes, without canonicalizing.
+    let (torus, r, metric) = (geo.arena.torus(), geo.arena.radius(), geo.arena.metric());
+    let center = frame.offset_of(center);
+    let admit = |k: u64| {
+        let d = torus.wrap(LocalFrame::key_offset(k as u16) - center);
+        metric.within(Coord::ORIGIN, d, r)
+    };
     packer.max_disjoint_reusing(scratch, admit, need) >= need
 }
 
@@ -212,22 +258,20 @@ struct KeyBuf {
 }
 
 impl KeyBuf {
-    /// Packs `prefix` (if any) followed by `relays`, or `None` when the
+    /// Packs the keys of `prefix` (if any) followed by those of `relays`,
+    /// all given as offsets from the receiver; or `None` when the
     /// combined chain exceeds [`MAX_CHAIN_KEYS`] — such a chain could
     /// never enter a packer anyway (`ChainPacker::insert` rejects
-    /// over-length chains).
-    fn pack(prefix: Option<NodeId>, relays: &[NodeId]) -> Option<KeyBuf> {
+    /// over-length chains) — or a member lies beyond a key's reach,
+    /// where no chain the node can use has one.
+    fn pack(prefix: Option<Coord>, relays: &[Coord]) -> Option<KeyBuf> {
         if relays.len() + usize::from(prefix.is_some()) > MAX_CHAIN_KEYS {
             return None;
         }
         let mut buf = [0u64; MAX_CHAIN_KEYS];
         let mut len = 0;
-        if let Some(p) = prefix {
-            buf[0] = u64::from(p.0);
-            len = 1;
-        }
-        for &k in relays {
-            buf[len] = u64::from(k.0);
+        for &d in prefix.iter().chain(relays) {
+            buf[len] = u64::from(LocalFrame::key(d)?);
             len += 1;
         }
         Some(KeyBuf { buf, len })
@@ -235,6 +279,24 @@ impl KeyBuf {
 
     fn as_slice(&self) -> &[u64] {
         &self.buf[..self.len]
+    }
+}
+
+/// Folds `packer` into `hash` under `key`, its chains' keys mapped back
+/// to ids through `frame` — the words the id-keyed store folded. Empty
+/// packers contribute nothing.
+fn fold_packer(hash: &mut u64, key: u64, packer: &ChainPacker, frame: &LocalFrame) {
+    use rbcast_sim::trace::fold_words;
+    if packer.is_empty() {
+        return;
+    }
+    fold_words(hash, &[key, u64::from(packer.has_direct())]);
+    for c in packer.iter() {
+        fold_words(hash, &[c.relays().len() as u64]);
+        for &k in c.relays() {
+            let id = frame.id_at(LocalFrame::key_offset(k));
+            fold_words(hash, &[u64::from(id.0)]);
+        }
     }
 }
 
@@ -249,30 +311,17 @@ impl EvidenceStore {
         EvidenceStore { t, state }
     }
 
-    /// Binds the store to the ball-local committer frame of the node at
-    /// `me`. A chain is evidence only if it fits inside one radius-`r`
-    /// ball, and its last relay is the receiver's neighbour, so its
-    /// committer lies within L∞ distance `3r` of the receiver (at most
-    /// `2r` from the last relay, which itself is within `r`): a
-    /// span-`3r` frame indexes every committer a chain can be evidence
-    /// about, and two-level evidence lives in its dense slot vectors.
-    /// The one-level rule keys nothing by committer, so binding a
-    /// one-level store does nothing and builds no frame.
+    /// Refuses a radius whose evidence a `u16` cannot index: the
+    /// two-level store keeps one `u16` per (slot, value) pair of the
+    /// span-`3r` frame, `2·(6r + 1)²` of them, at most 65 535 only up to
+    /// r = 30. Every member of a usable chain then has a
+    /// [`LocalFrame::key`] too (it reaches 127 ≥ `3r`).
     ///
-    /// Call before recording any evidence (the protocol binds in
-    /// `on_start`). A two-level store refuses a chain about a committer
-    /// outside the frame, and a store that was never bound indexes
-    /// nothing: recording into it is a bug in its host.
-    pub fn bind(&mut self, arena: &NeighborTable, me: Coord) {
-        debug_assert_eq!(self.chain_count(), 0, "bind() after evidence was recorded");
-        if let RuleState::TwoLevel(two) = &mut self.state {
-            // audit:allow(checked-threshold-arith): a frame span, and an arena's radius is far below u32::MAX / 3
-            let frame = arena.local_frame(me, 3 * arena.radius());
-            // audit:allow(checked-threshold-arith): slot-vector sizing, not bound arithmetic
-            two.slots.resize_with(2 * frame.slots(), ChainPacker::new);
-            two.dirty_mark.resize(two.slots.len(), false);
-            two.frame = Some(frame);
-        }
+    /// # Errors
+    ///
+    /// [`ArenaError::FrameTooWide`] past r = 30.
+    pub fn check_radius(r: u32) -> Result<(), ArenaError> {
+        LocalFrame::check_span(r, r.saturating_mul(3), 2)
     }
 
     /// Drops, when the owning node commits, every chain its relay rule
@@ -311,30 +360,90 @@ impl EvidenceStore {
         }
     }
 
-    /// Records that the committer was heard announcing `v` directly.
-    pub fn record_direct(&mut self, committer: NodeId, v: Value) {
-        self.record_chain(committer, v, &[]);
+    /// Records, as the node `me` on `arena`, that the committer at
+    /// `committer` was heard announcing `v` directly: the empty chain.
+    pub fn record_direct(
+        &mut self,
+        arena: &NeighborTable,
+        me: NodeId,
+        committer: Coord,
+        v: Value,
+    ) -> bool {
+        self.record_chain(arena, me, committer, v, &[])
     }
 
-    /// Records a report chain (`relays` committer-side first, excluding
-    /// the committer and the receiving node). Returns `true` if the chain
-    /// was new and undominated (dominated chains can never matter — see
-    /// `ChainPacker::insert`). A two-level store refuses, storing and
-    /// marking nothing, a chain whose committer its frame does not
-    /// index (see [`EvidenceStore::bind`]).
-    pub fn record_chain(&mut self, committer: NodeId, v: Value, relays: &[NodeId]) -> bool {
+    /// Records, as the node `me` on `arena`, a report chain about the
+    /// committer at `committer` through the relays at `relays`
+    /// (committer-side first, excluding the committer and the receiving
+    /// node; all canonical coordinates). Returns `true` if the chain was
+    /// new and undominated (dominated chains can never matter — see
+    /// `ChainPacker::insert`).
+    ///
+    /// The first chain sets the store's frame, the evidence frame of `me`
+    /// (span `3r`); every later call must name the same `me`. A member is
+    /// stored as its [`LocalFrame::key`], its displacement from `me`, so
+    /// recording divides no id. Refused, storing and marking nothing:
+    /// under the two-level rule a chain whose committer the frame does
+    /// not index, a chain with a member past a key's reach, and every
+    /// chain once a committed node's store holds nothing
+    /// (`EvidenceStore::retire`).
+    ///
+    /// # Panics
+    ///
+    /// At the first chain, past r = 30 ([`EvidenceStore::check_radius`]).
+    pub fn record_chain(
+        &mut self,
+        arena: &NeighborTable,
+        me: NodeId,
+        committer: Coord,
+        v: Value,
+        relays: &[Coord],
+    ) -> bool {
+        let Some(frame) = self.frame_at(arena, me) else {
+            return false;
+        };
+        if relays.len() > MAX_CHAIN_KEYS {
+            return false;
+        }
+        let mut at = [Coord::ORIGIN; MAX_CHAIN_KEYS];
+        for (d, &c) in at.iter_mut().zip(relays) {
+            *d = frame.offset_of(c);
+        }
+        let committer = frame.offset_of(committer);
+        self.record(committer, v, &at[..relays.len()])
+    }
+
+    /// The frame of the node `me` on `arena`, set from them at the
+    /// store's first chain — or `None` for a store that records nothing
+    /// again.
+    fn frame_at(&mut self, arena: &NeighborTable, me: NodeId) -> Option<&LocalFrame> {
+        let frame = || evidence_frame(arena, arena.torus().coord(me));
+        let frame = match &mut self.state {
+            RuleState::TwoLevel(two) => match two.frame {
+                Some(ref frame) => frame,
+                None => two.bind(frame()),
+            },
+            RuleState::OneLevel(one) => &one.get_or_insert_with(|| OneLevel::boxed(frame())).frame,
+            RuleState::Retired => return None,
+        };
+        debug_assert_eq!(frame.id_at(Coord::ORIGIN), me, "one store serves one node");
+        Some(frame)
+    }
+
+    /// Records a chain, its members given as offsets from the frame's
+    /// center, into a store with a frame.
+    fn record(&mut self, committer: Coord, v: Value, relays: &[Coord]) -> bool {
         match &mut self.state {
             RuleState::TwoLevel(two) => two.record_chain(committer, v, relays),
-            RuleState::OneLevel(one) => {
+            RuleState::OneLevel(Some(one)) => {
                 let Some(keys) = KeyBuf::pack(Some(committer), relays) else {
                     return false;
                 };
-                let one = one.get_or_insert_default();
                 let new = one.combined[usize::from(v)].insert(keys.as_slice());
                 one.commit_dirty |= new;
                 new
             }
-            RuleState::Retired => false,
+            RuleState::OneLevel(None) | RuleState::Retired => false,
         }
     }
 
@@ -348,56 +457,46 @@ impl EvidenceStore {
         }
     }
 
-    /// Visits every packer with the key [`EvidenceStore::digest`] folds
-    /// it under, in storage order: the frame's slots, or the two
-    /// combined per-value packers.
-    fn for_each_packer(&self, mut f: impl FnMut(u64, &ChainPacker)) {
-        match &self.state {
-            RuleState::TwoLevel(two) => {
-                for (slot, p) in two.slots.iter().enumerate() {
-                    f(slot as u64, p);
-                }
-            }
-            RuleState::OneLevel(one) => {
-                for (v, p) in one.iter().flat_map(|one| &one.combined).enumerate() {
-                    f(v as u64, p);
-                }
-            }
-            RuleState::Retired => {}
-        }
-    }
-
     /// Total stored (undominated) chains across all committers and
     /// values.
     #[must_use]
     pub(crate) fn chain_count(&self) -> usize {
-        let mut chains = 0;
-        self.for_each_packer(|_, p| chains += p.len());
-        chains
+        match &self.state {
+            RuleState::TwoLevel(two) => two.packers.iter().map(ChainPacker::len).sum(),
+            RuleState::OneLevel(one) => one
+                .iter()
+                .flat_map(|one| &one.combined)
+                .map(ChainPacker::len)
+                .sum(),
+            RuleState::Retired => 0,
+        }
     }
 
     /// Deterministic FNV-1a fingerprint of every stored chain — traced
     /// alongside the chain count when a commit fires, so two runs can
     /// be compared on *what* evidence produced each decision, not just
-    /// how much. Folds packers in storage order; empty packers
-    /// contribute nothing, so the digest is independent of how many
-    /// unused slots the frame reserved.
+    /// how much. Folds each packer under its pair index (two-level, in
+    /// frame slot order) or its value (one-level), its keys mapped back
+    /// to node ids: the digest the id-keyed store gave, independent of
+    /// how evidence is keyed or how many pairs the frame could hold.
     #[must_use]
     pub(crate) fn digest(&self) -> u64 {
-        use rbcast_sim::trace::{fold_words, FNV_OFFSET};
-        let mut hash = FNV_OFFSET;
-        self.for_each_packer(|key, p| {
-            if p.is_empty() {
-                return;
-            }
-            fold_words(&mut hash, &[key, u64::from(p.has_direct())]);
-            for c in p.iter() {
-                fold_words(&mut hash, &[c.relays().len() as u64]);
-                for &relay in c.relays() {
-                    fold_words(&mut hash, &[u64::from(relay)]);
+        let mut hash = rbcast_sim::trace::FNV_OFFSET;
+        match &self.state {
+            RuleState::TwoLevel(two) => {
+                if let Some(frame) = &two.frame {
+                    for (i, packer) in two.pairs() {
+                        fold_packer(&mut hash, i as u64, packer, frame);
+                    }
                 }
             }
-        });
+            RuleState::OneLevel(Some(one)) => {
+                for (v, packer) in one.combined.iter().enumerate() {
+                    fold_packer(&mut hash, v as u64, packer, &one.frame);
+                }
+            }
+            RuleState::OneLevel(None) | RuleState::Retired => {}
+        }
         hash
     }
 
@@ -420,7 +519,7 @@ impl EvidenceStore {
                         for v in [true, false] {
                             let packer = &one.combined[usize::from(v)];
                             if packer.len() >= need as usize
-                                && packs_within(packer, scratch, geo, center, need)
+                                && packs_within(packer, scratch, geo, &one.frame, center, need)
                             {
                                 return Some(v);
                             }
@@ -434,64 +533,113 @@ impl EvidenceStore {
     }
 }
 
+impl OneLevel {
+    fn boxed(frame: LocalFrame) -> Box<OneLevel> {
+        Box::new(OneLevel {
+            frame,
+            combined: Default::default(),
+            commit_dirty: false,
+        })
+    }
+}
+
 impl TwoLevel {
-    /// Index of `(committer, v)` in `slots` and `dirty_mark`, if the
-    /// frame indexes `committer`.
-    fn index(&self, committer: NodeId, v: Value) -> Option<usize> {
-        debug_assert!(self.frame.is_some(), "two-level evidence before bind()");
-        let slot = self.frame.as_ref()?.slot_of_id(committer)?;
-        // audit:allow(checked-threshold-arith): dense slot indexing, not bound arithmetic
-        Some(2 * slot + usize::from(v))
+    /// Sets the frame and sizes the pair index and marks for it.
+    fn bind(&mut self, frame: LocalFrame) -> &LocalFrame {
+        // audit:allow(checked-threshold-arith): pair-index sizing, not bound arithmetic
+        let pairs = 2 * frame.slots();
+        self.index = vec![NO_PACKER; pairs];
+        if !self.retired {
+            self.dirty_mark = vec![false; pairs];
+        }
+        self.frame.insert(frame)
     }
 
-    fn record_chain(&mut self, committer: NodeId, v: Value, relays: &[NodeId]) -> bool {
+    /// Every pair holding a packer, by pair index: frame slot order.
+    fn pairs(&self) -> impl Iterator<Item = (usize, &ChainPacker)> {
+        self.index
+            .iter()
+            .enumerate()
+            .filter(|&(_, &j)| j != NO_PACKER)
+            .map(|(i, &j)| (i, &self.packers[usize::from(j)]))
+    }
+
+    /// The packer of pair `i`, if it ever held a chain.
+    fn packer(&self, i: usize) -> Option<&ChainPacker> {
+        let j = self.index[i];
+        (j != NO_PACKER).then(|| &self.packers[usize::from(j)])
+    }
+
+    fn record_chain(&mut self, committer: Coord, v: Value, relays: &[Coord]) -> bool {
+        let frame = self
+            .frame
+            .as_ref()
+            .expect("a store records only once its frame is set");
         let Some(keys) = KeyBuf::pack(None, relays) else {
             return false;
         };
-        let Some(i) = self.index(committer, v) else {
+        let Some(slot) = frame.slot_of_offset(committer) else {
             return false;
         };
+        let i = 2 * slot + usize::from(v);
         if self.retired && self.heard_directly(i) {
             return false;
         }
-        let new = self.slots[i].insert(keys.as_slice());
+        let new = match self.index[i] {
+            NO_PACKER => {
+                // A pair opens at its first stored chain. Each pair opens
+                // once, and `check_radius` holds the pairs to 65 535, so
+                // the position is below `NO_PACKER`.
+                let j = u16::try_from(self.packers.len()).expect("at most 65 535 pairs");
+                let mut packer = ChainPacker::new();
+                let new = packer.insert(keys.as_slice());
+                if new {
+                    self.index[i] = j;
+                    self.packers.push(packer);
+                }
+                new
+            }
+            j => self.packers[usize::from(j)].insert(keys.as_slice()),
+        };
         if self.retired {
             if relays.is_empty() {
-                self.keep_only_direct(i);
+                self.retain_committer(i, 1);
             }
-        } else if new {
+        } else if new && !self.dirty_mark[i] {
+            let committer = frame.id_at(committer);
             self.mark_dirty(i, committer, v);
         }
         new
     }
 
-    /// Whether the committer at index `i` was heard directly, with
-    /// either value (its pair sits at `i & !1` and `i | 1`).
+    /// Whether the committer at pair index `i` was heard directly, with
+    /// either value (its pairs sit at `i & !1` and `i | 1`).
     fn heard_directly(&self, i: usize) -> bool {
-        self.slots[i & !1..=i | 1]
-            .iter()
+        [i & !1, i | 1]
+            .into_iter()
+            .filter_map(|i| self.packer(i))
             .any(ChainPacker::has_direct)
     }
 
-    /// Drops every chain but a direct observation about the committer
-    /// at index `i`, under either value.
-    fn keep_only_direct(&mut self, i: usize) {
-        for packer in &mut self.slots[i & !1..=i | 1] {
-            packer.retain_shorter_than(1);
+    /// Keeps only the chains with fewer than `keys` keys about the
+    /// committer at pair index `i`, under either value.
+    fn retain_committer(&mut self, i: usize, keys: usize) {
+        for i in [i & !1, i | 1] {
+            if let Some(j) = Some(self.index[i]).filter(|&j| j != NO_PACKER) {
+                self.packers[usize::from(j)].retain_shorter_than(keys);
+            }
         }
     }
 
     /// See [`EvidenceStore::retire`].
     fn retire(&mut self, max_relays: usize) {
-        for pair in self.slots.chunks_exact_mut(2) {
-            let keep = if pair.iter().any(ChainPacker::has_direct) {
+        for i in (0..self.index.len()).step_by(2) {
+            let keep = if self.heard_directly(i) {
                 1
             } else {
                 max_relays
             };
-            for packer in pair {
-                packer.retain_shorter_than(keep);
-            }
+            self.retain_committer(i, keep);
         }
         self.dirty = Vec::new();
         self.dirty_mark = Vec::new();
@@ -499,8 +647,8 @@ impl TwoLevel {
         self.retired = true;
     }
 
-    /// Lists `(committer, v)`, whose pair holds slot index `i`, for the
-    /// next level-1 refresh, once: its mark stays set until the refresh.
+    /// Lists `(committer, v)`, whose pair has index `i`, for the next
+    /// level-1 refresh, once: its mark stays set until the refresh.
     fn mark_dirty(&mut self, i: usize, committer: NodeId, v: Value) {
         if self.dirty_mark[i] || self.determined.contains_key(&committer) {
             return;
@@ -574,19 +722,26 @@ impl TwoLevel {
         committer: NodeId,
         v: Value,
     ) -> bool {
-        let Some(i) = self.index(committer, v) else {
+        let frame = self
+            .frame
+            .as_ref()
+            .expect("a listed pair was recorded in the frame");
+        let d = frame.offset_of_id(committer);
+        let Some(slot) = frame.slot_of_offset(d) else {
             return false;
         };
-        let packer = &self.slots[i];
+        // audit:allow(checked-threshold-arith): dense slot indexing, not bound arithmetic
+        let Some(packer) = self.packer(2 * slot + usize::from(v)) else {
+            return false;
+        };
         if packer.has_direct() {
             return true;
         }
         if packer.len() < need as usize {
             return false;
         }
-        let committer_coord = geo.arena.torus().coord(committer);
-        geo.centers_within(committer_coord, geo.arena.radius())
-            .any(|center| packs_within(packer, scratch, geo, center, need))
+        geo.centers_within(frame.coord_at(d), geo.arena.radius())
+            .any(|center| packs_within(packer, scratch, geo, frame, center, need))
     }
 }
 
@@ -605,12 +760,42 @@ mod tests {
         torus.id(Coord::new(x, y))
     }
 
-    /// A store for the node at (10, 10), the evaluator of every test,
-    /// bound as `Indirect::on_start` binds it.
-    fn store(t: usize, rule: CommitRule, table: &NeighborTable) -> EvidenceStore {
-        let mut ev = EvidenceStore::new(t, rule);
-        ev.bind(table, Coord::new(10, 10));
-        ev
+    /// [`EvidenceStore::record_chain`] as the node at `me`, members named
+    /// by id.
+    fn record_as(
+        ev: &mut EvidenceStore,
+        table: &NeighborTable,
+        me: Coord,
+        committer: NodeId,
+        v: Value,
+        relays: &[NodeId],
+    ) -> bool {
+        let torus = table.torus();
+        let relays: Vec<Coord> = relays.iter().map(|&k| torus.coord(k)).collect();
+        ev.record_chain(table, torus.id(me), torus.coord(committer), v, &relays)
+    }
+
+    /// [`EvidenceStore::record_chain`] as the node at (10, 10), the
+    /// evaluator of every test unless it says otherwise.
+    fn record(
+        ev: &mut EvidenceStore,
+        table: &NeighborTable,
+        committer: NodeId,
+        v: Value,
+        relays: &[NodeId],
+    ) -> bool {
+        record_as(ev, table, Coord::new(10, 10), committer, v, relays)
+    }
+
+    /// [`EvidenceStore::record_direct`] as the node at (10, 10).
+    fn direct(ev: &mut EvidenceStore, table: &NeighborTable, committer: NodeId, v: Value) -> bool {
+        let torus = table.torus();
+        ev.record_direct(
+            table,
+            torus.id(Coord::new(10, 10)),
+            torus.coord(committer),
+            v,
+        )
     }
 
     /// A two-level store's pending level-1 refresh list.
@@ -628,8 +813,8 @@ mod tests {
         let torus = Torus::new(24, 24);
         let table = table(&torus);
         let geo = Geometry::new(&table, Coord::new(10, 10));
-        let mut ev = store(2, CommitRule::TwoLevel, &table);
-        ev.record_direct(id(&torus, 9, 9), true);
+        let mut ev = EvidenceStore::new(2, CommitRule::TwoLevel);
+        direct(&mut ev, &table, id(&torus, 9, 9), true);
         let _ = ev.evaluate(&geo);
         assert_eq!(ev.determined().len(), 1);
     }
@@ -640,11 +825,11 @@ mod tests {
         let table = table(&torus);
         let geo = Geometry::new(&table, Coord::new(10, 10));
         let t = 2;
-        let mut ev = store(t, CommitRule::TwoLevel, &table);
+        let mut ev = EvidenceStore::new(t, CommitRule::TwoLevel);
         // three committers inside one neighborhood of `me`, all heard
         // directly
         for x in 0..3 {
-            ev.record_direct(id(&torus, 9 + x, 9), true);
+            direct(&mut ev, &table, id(&torus, 9 + x, 9), true);
         }
         assert_eq!(ev.evaluate(&geo), Some(true));
     }
@@ -654,9 +839,9 @@ mod tests {
         let torus = Torus::new(24, 24);
         let table = table(&torus);
         let geo = Geometry::new(&table, Coord::new(10, 10));
-        let mut ev = store(2, CommitRule::TwoLevel, &table);
-        ev.record_direct(id(&torus, 9, 9), true);
-        ev.record_direct(id(&torus, 10, 9), true);
+        let mut ev = EvidenceStore::new(2, CommitRule::TwoLevel);
+        direct(&mut ev, &table, id(&torus, 9, 9), true);
+        direct(&mut ev, &table, id(&torus, 10, 9), true);
         assert_eq!(ev.evaluate(&geo), None);
     }
 
@@ -666,11 +851,11 @@ mod tests {
         let table = table(&torus);
         let geo = Geometry::new(&table, Coord::new(10, 10));
         let t = 1;
-        let mut ev = store(t, CommitRule::TwoLevel, &table);
+        let mut ev = EvidenceStore::new(t, CommitRule::TwoLevel);
         let committer = id(&torus, 12, 12); // not a direct neighbor of me
                                             // two disjoint chains through distinct relays near the committer
-        ev.record_chain(committer, true, &[id(&torus, 11, 12)]);
-        ev.record_chain(committer, true, &[id(&torus, 12, 11)]);
+        record(&mut ev, &table, committer, true, &[id(&torus, 11, 12)]);
+        record(&mut ev, &table, committer, true, &[id(&torus, 12, 11)]);
         let _ = ev.evaluate(&geo);
         assert_eq!(ev.determined().get(&committer), Some(&true));
     }
@@ -680,11 +865,17 @@ mod tests {
         let torus = Torus::new(24, 24);
         let table = table(&torus);
         let geo = Geometry::new(&table, Coord::new(10, 10));
-        let mut ev = store(1, CommitRule::TwoLevel, &table);
+        let mut ev = EvidenceStore::new(1, CommitRule::TwoLevel);
         let committer = id(&torus, 12, 12);
         let shared_relay = id(&torus, 11, 12);
-        ev.record_chain(committer, true, &[shared_relay]);
-        ev.record_chain(committer, true, &[shared_relay, id(&torus, 11, 11)]);
+        record(&mut ev, &table, committer, true, &[shared_relay]);
+        record(
+            &mut ev,
+            &table,
+            committer,
+            true,
+            &[shared_relay, id(&torus, 11, 11)],
+        );
         let _ = ev.evaluate(&geo);
         assert!(ev.determined().is_empty());
     }
@@ -694,11 +885,11 @@ mod tests {
         let torus = Torus::new(24, 24);
         let table = table(&torus);
         let geo = Geometry::new(&table, Coord::new(10, 10));
-        let mut ev = store(1, CommitRule::TwoLevel, &table);
+        let mut ev = EvidenceStore::new(1, CommitRule::TwoLevel);
         let committer = id(&torus, 12, 12);
         // relays too far apart to share a ball with the committer
-        ev.record_chain(committer, true, &[id(&torus, 10, 12)]);
-        ev.record_chain(committer, true, &[id(&torus, 14, 18)]);
+        record(&mut ev, &table, committer, true, &[id(&torus, 10, 12)]);
+        record(&mut ev, &table, committer, true, &[id(&torus, 14, 18)]);
         let _ = ev.evaluate(&geo);
         assert!(ev.determined().is_empty());
     }
@@ -709,11 +900,23 @@ mod tests {
         let table = table(&torus);
         let geo = Geometry::new(&table, Coord::new(10, 10));
         let t = 1;
-        let mut ev = store(t, CommitRule::OneLevel, &table);
+        let mut ev = EvidenceStore::new(t, CommitRule::OneLevel);
         // two chains with distinct committers and distinct relays, all
         // within the ball centered at (10, 10)
-        ev.record_chain(id(&torus, 9, 9), true, &[id(&torus, 10, 9)]);
-        ev.record_chain(id(&torus, 11, 11), true, &[id(&torus, 11, 10)]);
+        record(
+            &mut ev,
+            &table,
+            id(&torus, 9, 9),
+            true,
+            &[id(&torus, 10, 9)],
+        );
+        record(
+            &mut ev,
+            &table,
+            id(&torus, 11, 11),
+            true,
+            &[id(&torus, 11, 10)],
+        );
         assert_eq!(ev.evaluate(&geo), Some(true));
     }
 
@@ -722,10 +925,10 @@ mod tests {
         let torus = Torus::new(24, 24);
         let table = table(&torus);
         let geo = Geometry::new(&table, Coord::new(10, 10));
-        let mut ev = store(1, CommitRule::OneLevel, &table);
+        let mut ev = EvidenceStore::new(1, CommitRule::OneLevel);
         let committer = id(&torus, 9, 9);
-        ev.record_chain(committer, true, &[id(&torus, 10, 9)]);
-        ev.record_chain(committer, true, &[id(&torus, 9, 10)]);
+        record(&mut ev, &table, committer, true, &[id(&torus, 10, 9)]);
+        record(&mut ev, &table, committer, true, &[id(&torus, 9, 10)]);
         assert_eq!(ev.evaluate(&geo), None);
     }
 
@@ -733,10 +936,22 @@ mod tests {
     fn duplicate_chains_are_ignored() {
         let torus = Torus::new(24, 24);
         let table = table(&torus);
-        let mut ev = store(1, CommitRule::TwoLevel, &table);
+        let mut ev = EvidenceStore::new(1, CommitRule::TwoLevel);
         let committer = id(&torus, 12, 12);
-        assert!(ev.record_chain(committer, true, &[id(&torus, 11, 12)]));
-        assert!(!ev.record_chain(committer, true, &[id(&torus, 11, 12)]));
+        assert!(record(
+            &mut ev,
+            &table,
+            committer,
+            true,
+            &[id(&torus, 11, 12)]
+        ));
+        assert!(!record(
+            &mut ev,
+            &table,
+            committer,
+            true,
+            &[id(&torus, 11, 12)]
+        ));
         assert_eq!(ev.chain_count(), 1);
     }
 
@@ -745,8 +960,8 @@ mod tests {
         let torus = Torus::new(24, 24);
         let table = table(&torus);
         let geo = Geometry::new(&table, Coord::new(10, 10));
-        let mut ev = store(0, CommitRule::TwoLevel, &table);
-        ev.record_direct(id(&torus, 9, 9), false);
+        let mut ev = EvidenceStore::new(0, CommitRule::TwoLevel);
+        direct(&mut ev, &table, id(&torus, 9, 9), false);
         assert_eq!(ev.evaluate(&geo), Some(false));
         // no new evidence: second call must be cheap and return None
         assert_eq!(ev.evaluate(&geo), None);
@@ -757,12 +972,12 @@ mod tests {
         let torus = Torus::new(24, 24);
         let table = table(&torus);
         let geo = Geometry::new(&table, Coord::new(10, 10));
-        let mut ev = store(1, CommitRule::TwoLevel, &table);
-        ev.record_direct(id(&torus, 9, 9), true);
-        ev.record_direct(id(&torus, 10, 9), false);
+        let mut ev = EvidenceStore::new(1, CommitRule::TwoLevel);
+        direct(&mut ev, &table, id(&torus, 9, 9), true);
+        direct(&mut ev, &table, id(&torus, 10, 9), false);
         // one vote each: neither reaches t+1 = 2
         assert_eq!(ev.evaluate(&geo), None);
-        ev.record_direct(id(&torus, 11, 9), true);
+        direct(&mut ev, &table, id(&torus, 11, 9), true);
         assert_eq!(ev.evaluate(&geo), Some(true));
     }
 
@@ -777,11 +992,11 @@ mod tests {
         let table = table(&torus);
         let geo = Geometry::new(&table, Coord::new(10, 10));
         let t = 3;
-        let mut ev = store(t, CommitRule::TwoLevel, &table);
+        let mut ev = EvidenceStore::new(t, CommitRule::TwoLevel);
         let victim = id(&torus, 12, 12);
         for k in 0..t {
             let forger = id(&torus, 11, 11 + k as i64 - 1);
-            ev.record_chain(victim, false, &[forger]);
+            record(&mut ev, &table, victim, false, &[forger]);
         }
         let _ = ev.evaluate(&geo);
         assert!(ev.determined().is_empty());
@@ -795,11 +1010,17 @@ mod tests {
         let torus = Torus::new(24, 24);
         let table = table(&torus);
         let geo = Geometry::new(&table, Coord::new(10, 10));
-        let mut ev = store(1, CommitRule::TwoLevel, &table);
+        let mut ev = EvidenceStore::new(1, CommitRule::TwoLevel);
         let victim = id(&torus, 12, 12);
         let forger = id(&torus, 11, 12);
         for k in 0..6i64 {
-            ev.record_chain(victim, false, &[id(&torus, 12, 11 + (k % 2)), forger]);
+            record(
+                &mut ev,
+                &table,
+                victim,
+                false,
+                &[id(&torus, 12, 11 + (k % 2)), forger],
+            );
         }
         let _ = ev.evaluate(&geo);
         assert!(ev.determined().is_empty());
@@ -811,12 +1032,18 @@ mod tests {
         let table = table(&torus);
         let geo = Geometry::new(&table, Coord::new(10, 10));
         let t = 2;
-        let mut ev = store(t, CommitRule::TwoLevel, &table);
+        let mut ev = EvidenceStore::new(t, CommitRule::TwoLevel);
         let committer = id(&torus, 12, 12);
         // t disjoint chains (possibly faulty relays) plus one more —
         // t+1 disjoint chains within one ball determine the value.
         for k in 0..=t {
-            ev.record_chain(committer, true, &[id(&torus, 11, 11 + k as i64)]);
+            record(
+                &mut ev,
+                &table,
+                committer,
+                true,
+                &[id(&torus, 11, 11 + k as i64)],
+            );
         }
         let _ = ev.evaluate(&geo);
         assert_eq!(ev.determined().get(&committer), Some(&true));
@@ -832,25 +1059,28 @@ mod tests {
         // (10, 13) — distance r+1 = 3 from me (r = 2).
         let table = table(&torus);
         let geo = Geometry::new(&table, Coord::new(10, 10));
-        let mut ev = store(t, CommitRule::TwoLevel, &table);
-        ev.record_direct(id(&torus, 10, 12), true);
-        ev.record_direct(id(&torus, 9, 12), true);
+        let mut ev = EvidenceStore::new(t, CommitRule::TwoLevel);
+        direct(&mut ev, &table, id(&torus, 10, 12), true);
+        direct(&mut ev, &table, id(&torus, 9, 12), true);
         assert_eq!(ev.evaluate(&geo), Some(true));
     }
 
     #[test]
     fn one_level_packers_live_from_the_first_chain_to_retire() {
+        // The protocol's path: no box before the first chain, the frame
+        // with it, nothing after a commit at one relay.
         let torus = Torus::new(24, 24);
         let table = table(&torus);
-        let mut ev = store(1, CommitRule::OneLevel, &table);
-        // A chain no packer takes makes no box.
-        let long = [id(&torus, 11, 10); MAX_CHAIN_KEYS];
-        assert!(!ev.record_chain(id(&torus, 12, 10), true, &long));
+        let me = id(&torus, 10, 10);
+        let mut ev = EvidenceStore::new(1, CommitRule::OneLevel);
         assert!(matches!(ev.state, RuleState::OneLevel(None)));
-        ev.record_direct(id(&torus, 11, 10), true);
-        assert!(matches!(ev.state, RuleState::OneLevel(Some(_))));
+        assert!(ev.record_direct(&table, me, Coord::new(11, 10), true));
+        assert!(
+            matches!(&ev.state, RuleState::OneLevel(Some(one)) if one.frame.slots() == 13 * 13)
+        );
         ev.retire(1);
         assert!(matches!(ev.state, RuleState::Retired));
+        assert!(!ev.record_chain(&table, me, Coord::new(9, 10), true, &[]));
     }
 
     proptest::prelude::proptest! {
@@ -869,7 +1099,7 @@ mod tests {
         /// *honest* committer must pass through at least one faulty
         /// relay. Everything else — chain shapes, committer choices,
         /// interleaving with truthful evidence — is adversarial.
-        /// Committers are drawn from the frame the store binds, so no
+        /// Committers are drawn from the frame the store indexes, so no
         /// generated chain is refused.
         #[test]
         fn bounded_faults_never_produce_a_wrong_commit(
@@ -893,11 +1123,11 @@ mod tests {
             let faulty: BTreeSet<NodeId> = fault_pts.iter().take(t).map(at).collect();
 
             for rule in [CommitRule::TwoLevel, CommitRule::OneLevel] {
-                let mut ev = store(t, rule, &table);
+                let mut ev = EvidenceStore::new(t, rule);
                 // Truthful background: direct announcements of the true
                 // value, which must never help a wrong commit.
                 for p in &truth_pts {
-                    ev.record_direct(at(p), true);
+                    direct(&mut ev, &table, at(p), true);
                     prop_assert_ne!(ev.evaluate(&geo), Some(false));
                 }
                 for (committer_pt, relay_pts) in &chain_spec {
@@ -914,7 +1144,7 @@ mod tests {
                             None => continue,
                         }
                     }
-                    ev.record_chain(committer, false, &relays);
+                    record(&mut ev, &table, committer, false, &relays);
                     prop_assert_ne!(
                         ev.evaluate(&geo),
                         Some(false),
@@ -938,7 +1168,7 @@ mod tests {
     #[test]
     fn out_of_frame_committer_is_refused() {
         // A forged chain can name a committer far beyond the 3r frame a
-        // bound store indexes (no *valid* chain can — 2r from the last
+        // store indexes (no *valid* chain can — 2r from the last
         // relay, which is within r of us — but a liar is not bound by
         // validity). Such a chain is refused: it stores and marks
         // nothing, so the store is exactly the in-frame stream's.
@@ -956,19 +1186,19 @@ mod tests {
 
         // An honestly determined in-frame committer, then forged chains
         // about the out-of-frame one (including an exact duplicate).
-        let mut bound = store(t, CommitRule::TwoLevel, &table);
+        let mut bound = EvidenceStore::new(t, CommitRule::TwoLevel);
         let verdicts = [
-            bound.record_chain(near, true, &[id(&torus, 11, 12)]),
-            bound.record_chain(near, true, &[id(&torus, 12, 11)]),
-            bound.record_chain(far, false, &[id(&torus, 11, 11)]),
-            bound.record_chain(far, false, &[id(&torus, 11, 11)]),
-            bound.record_chain(far, false, &[id(&torus, 13, 11)]),
+            record(&mut bound, &table, near, true, &[id(&torus, 11, 12)]),
+            record(&mut bound, &table, near, true, &[id(&torus, 12, 11)]),
+            record(&mut bound, &table, far, false, &[id(&torus, 11, 11)]),
+            record(&mut bound, &table, far, false, &[id(&torus, 11, 11)]),
+            record(&mut bound, &table, far, false, &[id(&torus, 13, 11)]),
         ];
         assert_eq!(verdicts, [true, true, false, false, false], "far refused");
 
-        let mut clean = store(t, CommitRule::TwoLevel, &table);
-        clean.record_chain(near, true, &[id(&torus, 11, 12)]);
-        clean.record_chain(near, true, &[id(&torus, 12, 11)]);
+        let mut clean = EvidenceStore::new(t, CommitRule::TwoLevel);
+        record(&mut clean, &table, near, true, &[id(&torus, 11, 12)]);
+        record(&mut clean, &table, near, true, &[id(&torus, 12, 11)]);
         assert_eq!(dirty(&bound), dirty(&clean), "far marks nothing");
         assert_eq!(bound.chain_count(), clean.chain_count());
         assert_eq!(bound.digest(), clean.digest());
@@ -989,45 +1219,61 @@ mod tests {
         // layout.
         let torus = Torus::new(24, 24);
         let table = table(&torus);
-        let mut ev = store(1, CommitRule::TwoLevel, &table);
+        let mut ev = EvidenceStore::new(1, CommitRule::TwoLevel);
         let near = id(&torus, 12, 12);
         let other = id(&torus, 9, 8);
         let far = id(&torus, 22, 22);
-        ev.record_direct(other, true);
-        ev.record_chain(near, true, &[id(&torus, 11, 12)]);
-        ev.record_chain(near, true, &[id(&torus, 12, 11), id(&torus, 11, 11)]);
-        ev.record_chain(
+        direct(&mut ev, &table, other, true);
+        record(&mut ev, &table, near, true, &[id(&torus, 11, 12)]);
+        record(
+            &mut ev,
+            &table,
+            near,
+            true,
+            &[id(&torus, 12, 11), id(&torus, 11, 11)],
+        );
+        record(
+            &mut ev,
+            &table,
             near,
             false,
             &[id(&torus, 13, 11), id(&torus, 12, 10), id(&torus, 11, 10)],
         );
-        ev.record_chain(other, true, &[id(&torus, 9, 9)]);
-        assert!(!ev.record_chain(far, false, &[id(&torus, 11, 11)]));
-        assert!(!ev.record_chain(far, false, &[id(&torus, 13, 11), id(&torus, 11, 9)]));
+        record(&mut ev, &table, other, true, &[id(&torus, 9, 9)]);
+        assert!(!record(&mut ev, &table, far, false, &[id(&torus, 11, 11)]));
+        assert!(!record(
+            &mut ev,
+            &table,
+            far,
+            false,
+            &[id(&torus, 13, 11), id(&torus, 11, 9)]
+        ));
         assert_eq!(ev.chain_count(), 5);
         assert_eq!(ev.digest(), 0x1514_fda2_84a8_5630);
     }
 
     /// The fixed one-level stream the digest below is pinned for; every
     /// `record_chain` verdict it produced.
-    fn feed_one_level(ev: &mut EvidenceStore, torus: &Torus) -> Vec<bool> {
-        let near = id(torus, 12, 12);
-        let other = id(torus, 9, 8);
-        let far = id(torus, 22, 22);
+    fn feed_one_level(ev: &mut EvidenceStore, table: &NeighborTable) -> Vec<bool> {
+        let torus = table.torus();
+        let id = |x, y| id(torus, x, y);
+        let (near, other, far) = (id(12, 12), id(9, 8), id(22, 22));
         vec![
-            ev.record_chain(other, true, &[]),
-            ev.record_chain(near, true, &[id(torus, 11, 12)]),
-            ev.record_chain(near, true, &[id(torus, 12, 11), id(torus, 11, 11)]),
-            ev.record_chain(
+            record(ev, table, other, true, &[]),
+            record(ev, table, near, true, &[id(11, 12)]),
+            record(ev, table, near, true, &[id(12, 11), id(11, 11)]),
+            record(
+                ev,
+                table,
                 near,
                 false,
-                &[id(torus, 13, 11), id(torus, 12, 10), id(torus, 11, 10)],
+                &[id(13, 11), id(12, 10), id(11, 10)],
             ),
-            ev.record_chain(other, true, &[id(torus, 9, 9)]),
-            ev.record_chain(other, true, &[id(torus, 9, 9)]),
-            ev.record_chain(far, false, &[id(torus, 11, 11)]),
-            ev.record_chain(far, false, &[id(torus, 13, 11), id(torus, 11, 9)]),
-            ev.record_chain(id(torus, 9, 12), true, &[id(torus, 10, 11)]),
+            record(ev, table, other, true, &[id(9, 9)]),
+            record(ev, table, other, true, &[id(9, 9)]),
+            record(ev, table, far, false, &[id(11, 11)]),
+            record(ev, table, far, false, &[id(13, 11), id(11, 9)]),
+            record(ev, table, id(9, 12), true, &[id(10, 11)]),
         ]
     }
 
@@ -1040,8 +1286,8 @@ mod tests {
         // move it.
         let torus = Torus::new(24, 24);
         let table = table(&torus);
-        let mut ev = store(1, CommitRule::OneLevel, &table);
-        let verdicts = feed_one_level(&mut ev, &torus);
+        let mut ev = EvidenceStore::new(1, CommitRule::OneLevel);
+        let verdicts = feed_one_level(&mut ev, &table);
         assert_eq!(
             verdicts,
             [true, true, true, true, false, false, true, true, true]
@@ -1051,28 +1297,15 @@ mod tests {
     }
 
     #[test]
-    fn one_level_store_determines_nobody_and_ignores_bind() {
+    fn one_level_store_determines_nobody() {
         let torus = Torus::new(24, 24);
         let table = table(&torus);
-        let me = Coord::new(10, 10);
-        let geo = Geometry::new(&table, me);
-        let mut bound = EvidenceStore::new(1, CommitRule::OneLevel);
-        bound.bind(&table, me);
-        assert!(
-            matches!(bound.state, RuleState::OneLevel(None)),
-            "a one-level store holds no packer before its first chain, bound or not"
-        );
-        let mut unbound = EvidenceStore::new(1, CommitRule::OneLevel);
-        assert_eq!(
-            feed_one_level(&mut bound, &torus),
-            feed_one_level(&mut unbound, &torus)
-        );
-        assert_eq!(bound.digest(), unbound.digest());
-        assert_eq!(bound.chain_count(), unbound.chain_count());
-        assert_eq!(bound.evaluate(&geo), Some(true));
-        assert_eq!(unbound.evaluate(&geo), Some(true));
-        assert!(bound.determined().is_empty());
-        assert!(unbound.determined().is_empty());
+        let geo = Geometry::new(&table, Coord::new(10, 10));
+        let mut ev = EvidenceStore::new(1, CommitRule::OneLevel);
+        assert!(matches!(ev.state, RuleState::OneLevel(None)));
+        feed_one_level(&mut ev, &table);
+        assert_eq!(ev.evaluate(&geo), Some(true));
+        assert!(ev.determined().is_empty());
     }
 
     proptest::prelude::proptest! {
@@ -1105,8 +1338,8 @@ mod tests {
             let geo = Geometry::new(&table, me);
             let answers = |fresh: bool| {
                 FRESH_SCRATCH_PER_QUERY.set(fresh);
-                let mut one = store(t, CommitRule::OneLevel, &table);
-                let mut two = store(t, CommitRule::TwoLevel, &table);
+                let mut one = EvidenceStore::new(t, CommitRule::OneLevel);
+                let mut two = EvidenceStore::new(t, CommitRule::TwoLevel);
                 let mut answers = Vec::new();
                 for ((cx, cy), relay_pts, flags) in &stream {
                     let committer = id(&torus, *cx, *cy);
@@ -1119,9 +1352,9 @@ mod tests {
                         relays.clear();
                     }
                     let v = flags % 8 != 0;
-                    one.record_chain(committer, v, &relays);
+                    record(&mut one, &table, committer, v, &relays);
                     answers.push(one.evaluate(&geo));
-                    two.record_chain(committer, v, &relays);
+                    record(&mut two, &table, committer, v, &relays);
                     answers.push(two.evaluate(&geo));
                 }
                 FRESH_SCRATCH_PER_QUERY.set(false);
@@ -1150,8 +1383,8 @@ mod tests {
                 // k mod 6 picks the pair; within a pair the two-relay
                 // chains are pairwise incomparable, so all of them stick
                 let relays = [NodeId(k / 6), NodeId(200 + k / 6)];
-                new +=
-                    usize::from(ev.record_chain(committers[k as usize % 3], k % 2 == 0, &relays));
+                let committer = committers[k as usize % 3];
+                new += usize::from(record(ev, &table, committer, k % 2 == 0, &relays));
                 if each {
                     assert!(dirty(ev).len() <= 1, "one chain lists one pair");
                     commit = commit.or(ev.evaluate(&geo));
@@ -1159,7 +1392,7 @@ mod tests {
             }
             (new, commit)
         };
-        let mut bound = store(1, CommitRule::TwoLevel, &table);
+        let mut bound = EvidenceStore::new(1, CommitRule::TwoLevel);
         assert_eq!(feed(&mut bound, false), (1_000, None));
         assert!(
             dirty(&bound).len() <= 6,
@@ -1170,13 +1403,19 @@ mod tests {
         // The marks only dedupe: the refresh answers as a store evaluated
         // after every chain does (its marks never meet a listed pair),
         // and listing starts afresh afterwards.
-        let mut reference = store(1, CommitRule::TwoLevel, &table);
+        let mut reference = EvidenceStore::new(1, CommitRule::TwoLevel);
         let (new, commit) = feed(&mut reference, true);
         assert_eq!(new, 1_000);
         assert_eq!(bound.evaluate(&geo), commit);
         assert_eq!(bound.determined(), reference.determined());
         assert!(dirty(&bound).is_empty());
-        assert!(bound.record_chain(committers[0], true, &[NodeId(500)]));
+        assert!(record(
+            &mut bound,
+            &table,
+            committers[0],
+            true,
+            &[NodeId(500)]
+        ));
         assert_eq!(dirty(&bound), [(committers[0], true)]);
     }
 
@@ -1185,13 +1424,13 @@ mod tests {
         let torus = Torus::new(24, 24);
         let table = table(&torus);
         let geo = Geometry::new(&table, Coord::new(10, 10));
-        let mut ev = store(0, CommitRule::TwoLevel, &table);
+        let mut ev = EvidenceStore::new(0, CommitRule::TwoLevel);
         let committer = id(&torus, 12, 12);
-        ev.record_chain(committer, true, &[id(&torus, 11, 12)]);
+        record(&mut ev, &table, committer, true, &[id(&torus, 11, 12)]);
         let _ = ev.evaluate(&geo);
         assert_eq!(ev.determined().get(&committer), Some(&true));
         // later contradictory evidence cannot flip it
-        ev.record_chain(committer, false, &[id(&torus, 12, 11)]);
+        record(&mut ev, &table, committer, false, &[id(&torus, 12, 11)]);
         let _ = ev.evaluate(&geo);
         assert_eq!(ev.determined().get(&committer), Some(&true));
     }
@@ -1202,33 +1441,51 @@ mod tests {
         let table = table(&torus);
         let (a, b, far) = (id(&torus, 12, 12), id(&torus, 9, 8), id(&torus, 22, 22));
         let relay = |x| id(&torus, 11, x);
-        let mut ev = store(1, CommitRule::TwoLevel, &table);
-        ev.record_direct(a, true);
-        ev.record_chain(a, false, &[relay(8)]);
-        ev.record_chain(b, true, &[relay(9)]);
-        ev.record_chain(b, true, &[relay(10), relay(11), relay(12)]);
-        assert!(!ev.record_chain(far, true, &[relay(9)]), "far is refused");
-        assert!(!ev.record_chain(far, true, &[relay(10), relay(11), relay(12)]));
+        let mut ev = EvidenceStore::new(1, CommitRule::TwoLevel);
+        direct(&mut ev, &table, a, true);
+        record(&mut ev, &table, a, false, &[relay(8)]);
+        record(&mut ev, &table, b, true, &[relay(9)]);
+        record(&mut ev, &table, b, true, &[relay(10), relay(11), relay(12)]);
+        assert!(
+            !record(&mut ev, &table, far, true, &[relay(9)]),
+            "far is refused"
+        );
+        assert!(!record(
+            &mut ev,
+            &table,
+            far,
+            true,
+            &[relay(10), relay(11), relay(12)]
+        ));
         assert_eq!(ev.chain_count(), 4);
         ev.retire(3);
         // a's direct observation, and the one-relay chain about b
         assert_eq!(ev.chain_count(), 2);
         assert!(ev.determined().is_empty() && dirty(&ev).is_empty());
-        assert!(!ev.record_chain(a, false, &[relay(13)]), "a is settled");
-        assert!(ev.record_chain(b, true, &[relay(10), relay(11)]));
+        assert!(
+            !record(&mut ev, &table, a, false, &[relay(13)]),
+            "a is settled"
+        );
+        assert!(record(&mut ev, &table, b, true, &[relay(10), relay(11)]));
         assert!(dirty(&ev).is_empty(), "a retired store lists nothing");
         // A late direct observation settles its committer.
-        ev.record_direct(b, true);
-        assert!(!ev.record_chain(b, true, &[relay(13)]));
-        ev.record_direct(far, true);
-        assert!(!ev.record_chain(far, true, &[relay(13)]), "far is refused");
+        direct(&mut ev, &table, b, true);
+        assert!(!record(&mut ev, &table, b, true, &[relay(13)]));
+        direct(&mut ev, &table, far, true);
+        assert!(
+            !record(&mut ev, &table, far, true, &[relay(13)]),
+            "far is refused"
+        );
         assert_eq!(ev.chain_count(), 2, "two direct observations");
 
-        let mut one = store(1, CommitRule::OneLevel, &table);
-        one.record_chain(a, true, &[relay(9)]);
+        let mut one = EvidenceStore::new(1, CommitRule::OneLevel);
+        record(&mut one, &table, a, true, &[relay(9)]);
         one.retire(1);
         assert_eq!(one.chain_count(), 0);
-        assert!(!one.record_chain(a, true, &[]), "nothing is recorded again");
+        assert!(
+            !record(&mut one, &table, a, true, &[]),
+            "nothing is recorded again"
+        );
     }
 
     proptest::prelude::proptest! {
@@ -1244,7 +1501,7 @@ mod tests {
         /// chain about a committer not yet heard directly. So only the
         /// verdicts on those forwardable chains must agree. As in the
         /// protocol, each committer is recorded directly at most once,
-        /// and the stores are bound as the protocol binds them.
+        /// and the stores record as the protocol records.
         #[test]
         fn retire_keeps_every_verdict_a_committed_node_reads(
             stream in proptest::collection::vec(
@@ -1262,8 +1519,8 @@ mod tests {
             let pool = [committers[1], committers[2], id(&torus, 10, 11), id(&torus, 11, 11), id(&torus, 9, 10)];
             for rule in [CommitRule::TwoLevel, CommitRule::OneLevel] {
                 for max_relays in [1, 3] {
-                    let mut kept = store(1, rule, &table);
-                    let mut retired = store(1, rule, &table);
+                    let mut kept = EvidenceStore::new(1, rule);
+                    let mut retired = EvidenceStore::new(1, rule);
                     let mut heard = BTreeSet::new();
                     for (i, (c, picks, shape)) in stream.iter().enumerate() {
                         let committed = i >= commit_at % (stream.len() + 1);
@@ -1287,8 +1544,8 @@ mod tests {
                             continue;
                         }
                         let settled = heard.contains(&committer);
-                        let before = kept.record_chain(committer, v, &relays);
-                        let after = retired.record_chain(committer, v, &relays);
+                        let before = record(&mut kept, &table, committer, v, &relays);
+                        let after = record(&mut retired, &table, committer, v, &relays);
                         if committed && !settled {
                             prop_assert_eq!(
                                 before, after,
@@ -1298,6 +1555,221 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// The store keyed by global ids that the slot-keyed store replaced,
+    /// kept as the reference the differential property checks it
+    /// against: two-level pairs indexed by the committer's span-`3r`
+    /// frame slot, one-level chains in two packers, every chain member a
+    /// node id, chains admitted by the id → coordinate lookup. It serves
+    /// only tori of fewer than `0xFFFF` nodes, whose ids a packer takes.
+    struct IdKeyed {
+        need: u32,
+        rule: CommitRule,
+        frame: LocalFrame,
+        slots: Vec<ChainPacker>,
+        dirty: Vec<(NodeId, Value)>,
+        dirty_mark: Vec<bool>,
+        determined: BTreeMap<NodeId, Value>,
+        combined: [ChainPacker; 2],
+        commit_dirty: bool,
+    }
+
+    impl IdKeyed {
+        fn new(t: usize, rule: CommitRule, arena: &NeighborTable, me: Coord) -> Self {
+            let frame = arena.local_frame(me, 3 * arena.radius());
+            IdKeyed {
+                need: t as u32 + 1,
+                rule,
+                slots: vec![ChainPacker::new(); 2 * frame.slots()],
+                dirty_mark: vec![false; 2 * frame.slots()],
+                frame,
+                dirty: Vec::new(),
+                determined: BTreeMap::new(),
+                combined: Default::default(),
+                commit_dirty: false,
+            }
+        }
+
+        fn record_chain(&mut self, committer: NodeId, v: Value, relays: &[NodeId]) -> bool {
+            let ids: Vec<u64> = relays.iter().map(|k| u64::from(k.0)).collect();
+            if self.rule == CommitRule::OneLevel {
+                let keys: Vec<u64> = std::iter::once(u64::from(committer.0)).chain(ids).collect();
+                let new = self.combined[usize::from(v)].insert(&keys);
+                self.commit_dirty |= new;
+                return new;
+            }
+            let Some(slot) = self.frame.slot_of_id(committer) else {
+                return false;
+            };
+            let i = 2 * slot + usize::from(v);
+            let new = self.slots[i].insert(&ids);
+            if new && !self.dirty_mark[i] && !self.determined.contains_key(&committer) {
+                self.dirty_mark[i] = true;
+                self.dirty.push((committer, v));
+            }
+            new
+        }
+
+        fn packs(&self, packer: &ChainPacker, geo: &Geometry<'_>, center: Coord) -> bool {
+            let torus = geo.arena.torus();
+            let admit = |k: u64| geo.covers(center, torus.coord(NodeId(k as u32)));
+            packer.max_disjoint(admit, self.need) >= self.need
+        }
+
+        fn evaluate(&mut self, geo: &Geometry<'_>) -> Option<Value> {
+            let (need, r) = (self.need, geo.arena.radius());
+            if self.rule == CommitRule::OneLevel {
+                if !std::mem::take(&mut self.commit_dirty) {
+                    return None;
+                }
+                for center in geo.centers_within(geo.me, r + 1) {
+                    for v in [true, false] {
+                        let p = &self.combined[usize::from(v)];
+                        if p.len() >= need as usize && self.packs(p, geo, center) {
+                            return Some(v);
+                        }
+                    }
+                }
+                return None;
+            }
+            if self.dirty.is_empty() {
+                return None;
+            }
+            let mut dirty = std::mem::take(&mut self.dirty);
+            self.dirty_mark.fill(false);
+            dirty.sort_unstable();
+            let mut newly = false;
+            for (c, v) in dirty {
+                if self.determined.contains_key(&c) {
+                    continue;
+                }
+                let p = &self.slots[2 * self.frame.slot_of_id(c).unwrap() + usize::from(v)];
+                let at = geo.arena.torus().coord(c);
+                if p.has_direct()
+                    || p.len() >= need as usize
+                        && geo.centers_within(at, r).any(|z| self.packs(p, geo, z))
+                {
+                    self.determined.insert(c, v);
+                    newly = true;
+                }
+            }
+            if !newly {
+                return None;
+            }
+            for center in geo.centers_within(geo.me, r + 1) {
+                let mut counts = [0u32; 2];
+                for (&c, &v) in &self.determined {
+                    if geo.covers(center, geo.arena.torus().coord(c)) {
+                        counts[usize::from(v)] += 1;
+                    }
+                }
+                for v in [false, true] {
+                    if counts[usize::from(v)] >= need {
+                        return Some(v);
+                    }
+                }
+            }
+            None
+        }
+
+        fn chain_count(&self) -> usize {
+            self.slots
+                .iter()
+                .chain(&self.combined)
+                .map(ChainPacker::len)
+                .sum()
+        }
+
+        fn digest(&self) -> u64 {
+            use rbcast_sim::trace::{fold_words, FNV_OFFSET};
+            let packers = match self.rule {
+                CommitRule::TwoLevel => &self.slots[..],
+                CommitRule::OneLevel => &self.combined[..],
+            };
+            let mut hash = FNV_OFFSET;
+            for (key, p) in packers.iter().enumerate().filter(|(_, p)| !p.is_empty()) {
+                fold_words(&mut hash, &[key as u64, u64::from(p.has_direct())]);
+                for c in p.iter() {
+                    fold_words(&mut hash, &[c.relays().len() as u64]);
+                    for &k in c.relays() {
+                        fold_words(&mut hash, &[u64::from(k)]);
+                    }
+                }
+            }
+            hash
+        }
+    }
+
+    proptest::prelude::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The slot-keyed store answers as the id-keyed one it replaced:
+        /// the same verdict per recorded chain, the same commit per
+        /// evaluation, and at the end the same determinations, chain
+        /// count and digest — under both rules, at r = 1 and 2, under L∞
+        /// and L2, for a receiver at the center of the torus and one on
+        /// its seam, on the experiment tori for r = 1 and 2 and the
+        /// cluster's wrapping 3×3. Members are drawn within L∞ `3r + 1`
+        /// of the receiver, so committers both inside and just outside
+        /// the two-level frame occur, and chains crowd enough balls to
+        /// determine and commit.
+        #[test]
+        fn slot_keys_answer_as_id_keys(
+            which in 0usize..3,
+            l2 in 0u8..2,
+            seam in 0u8..2,
+            t in 0usize..3,
+            stream in proptest::collection::vec(
+                (
+                    (-7i64..=7, -7i64..=7),
+                    proptest::collection::vec((-7i64..=7, -7i64..=7), 0..4),
+                    0u8..8,
+                ),
+                1..96,
+            ),
+        ) {
+            use proptest::prelude::prop_assert_eq;
+
+            let (torus, r) = match which {
+                0 => (Torus::for_radius(1), 1),
+                1 => (Torus::for_radius(2), 2),
+                _ => (Torus::new(3, 3), 1),
+            };
+            let metric = if l2 == 1 { Metric::L2 } else { Metric::Linf };
+            let arena = NeighborTable::build_wrapping(&torus, r, metric);
+            let side = i64::from(torus.width());
+            let me = if seam == 1 {
+                Coord::new(side - 1, 0)
+            } else {
+                Coord::new(side / 2, side / 2)
+            };
+            let geo = Geometry::new(&arena, me);
+            let reach = 3 * i64::from(r) + 1;
+            let at = |(dx, dy): (i64, i64)| {
+                torus.id(me + Coord::new(dx.clamp(-reach, reach), dy.clamp(-reach, reach)))
+            };
+            for rule in [CommitRule::TwoLevel, CommitRule::OneLevel] {
+                let mut slots = EvidenceStore::new(t, rule);
+                let mut ids = IdKeyed::new(t, rule, &arena, me);
+                for (step, (committer, relays, flags)) in stream.iter().enumerate() {
+                    let committer = at(*committer);
+                    let relays: Vec<NodeId> = relays.iter().map(|&d| at(d)).collect();
+                    let v = flags % 4 != 0;
+                    prop_assert_eq!(
+                        record_as(&mut slots, &arena, me, committer, v, &relays),
+                        ids.record_chain(committer, v, &relays),
+                        "{:?} step {} committer {} relays {:?}", rule, step, committer, relays
+                    );
+                    if flags % 2 == 0 {
+                        prop_assert_eq!(slots.evaluate(&geo), ids.evaluate(&geo), "{:?} step {}", rule, step);
+                    }
+                }
+                prop_assert_eq!(slots.determined(), &ids.determined);
+                prop_assert_eq!(slots.chain_count(), ids.chain_count());
+                prop_assert_eq!(slots.digest(), ids.digest());
             }
         }
     }

@@ -152,7 +152,8 @@ impl Indirect {
         if !self.first_commit.insert(ctx.arena(), ctx.id(), committer) {
             return;
         }
-        self.evidence.record_direct(committer, v);
+        self.evidence
+            .record_direct(ctx.arena(), ctx.id(), ctx.torus().coord(committer), v);
         // Relay the report one hop, affixing our identifier.
         if self.max_relays >= 1 {
             ctx.broadcast(Msg::Heard(
@@ -161,15 +162,15 @@ impl Indirect {
         }
     }
 
-    /// Whether the chain (committer + relays) can still fit inside a
-    /// single neighborhood — if not, it can never be evidence and is not
-    /// worth storing — and whether it still does with us (at `me`, when
-    /// given) affixed — if not, it is not worth relaying. Both verdicts
-    /// come from one pass over the members.
+    /// Whether the chain (committer + relays, by coordinate) can still
+    /// fit inside a single neighborhood — if not, it can never be
+    /// evidence and is not worth storing — and whether it still does with
+    /// us (at `me`, when given) affixed — if not, it is not worth
+    /// relaying. Both verdicts come from one pass over the members.
     fn fits_single_neighborhood(
         ctx: &Ctx<'_, Msg>,
         committer: Coord,
-        relays: &[NodeId],
+        relays: &[Coord],
         me: Option<Coord>,
     ) -> (bool, bool) {
         let torus = ctx.torus();
@@ -180,12 +181,10 @@ impl Indirect {
         // Chains are bounded at CHAIN_CAP relays, so the member list
         // (origin + relays) lives on the stack.
         let mut members = [Coord::ORIGIN; CHAIN_CAP + 1];
-        let mut n = 1;
-        for &k in relays {
-            members[n] = torus.displacement(committer, torus.coord(k));
-            n += 1;
+        for (m, &c) in members[1..].iter_mut().zip(relays) {
+            *m = torus.displacement(committer, c);
         }
-        let members = &members[..n];
+        let members = &members[..=relays.len()];
         let me = me.map(|me| torus.displacement(committer, me));
         match metric {
             Metric::Linf => {
@@ -228,12 +227,9 @@ impl Indirect {
 
 impl Process<Msg> for Indirect {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        // Bind the evidence store to this node's ball-local committer
-        // frame, its only index: a chain is evidence only if it fits in
-        // one radius-r ball with its last relay, our neighbour, so its
-        // committer is within 3r of us. A store never bound would
-        // record nothing and never commit.
-        self.evidence.bind(ctx.arena(), ctx.coord());
+        // The evidence store takes its frame — this node's span-3r
+        // neighbourhood, where every member of a usable chain lies —
+        // from the first chain it records, so nothing is bound here.
         if ctx.id() == self.source {
             self.committed = true;
             ctx.decide(self.value);
@@ -303,17 +299,32 @@ impl Process<Msg> for Indirect {
                 // the paper's "earmarking" state reduction.
                 let relayable = chain.len() < usize::from(self.max_relays)
                     && !self.first_commit.contains(ctx.arena(), me, committer);
-                let committer_coord = ctx.torus().coord(committer);
+                // One pass over the members: each one's coordinate, the
+                // one id → coordinate division it costs, serves both the
+                // fit test and the evidence store's keys.
+                let torus = ctx.torus();
+                let committer_at = torus.coord(committer);
+                let mut relays_at = [Coord::ORIGIN; CHAIN_CAP];
+                for (at, &k) in relays_at.iter_mut().zip(relays) {
+                    *at = torus.coord(k);
+                }
+                let relays_at = &relays_at[..relays.len()];
                 let (fits, fits_with_me) = Self::fits_single_neighborhood(
                     ctx,
-                    committer_coord,
-                    relays,
+                    committer_at,
+                    relays_at,
                     relayable.then(|| ctx.coord()),
                 );
                 if !fits {
                     return; // can never be evidence for anyone
                 }
-                let new = self.evidence.record_chain(committer, chain.value(), relays);
+                let new = self.evidence.record_chain(
+                    ctx.arena(),
+                    me,
+                    committer_at,
+                    chain.value(),
+                    relays_at,
+                );
                 // The packed repr makes the fan-out a pure copy: extend
                 // in place, no per-hop reallocation.
                 if new && fits_with_me {

@@ -5,7 +5,7 @@
 
 use rbcast::construct::{paths_u, r_2r_plus_1, worst_case_p};
 use rbcast::flow::ChainPacker;
-use rbcast::grid::{Coord, Metric, NeighborTable, Torus};
+use rbcast::grid::{Coord, LocalFrame, Metric, NeighborTable, Torus};
 use rbcast::protocols::{CommitRule, EvidenceStore, Geometry};
 
 /// Feed the Fig. 5 construction's chains for one committer into the
@@ -25,16 +25,16 @@ fn constructed_chains_determine_committer() {
     let me = worst_case_p(r) + offset;
     let arena = NeighborTable::build(&torus, r, Metric::Linf);
     let mut ev = EvidenceStore::new(t, CommitRule::TwoLevel);
-    ev.bind(&arena, me);
-    let committer = torus.id(committer_rel + offset);
+    let at = committer_rel + offset;
     for path in &paths {
         // path = [N, relays..., P]; the receiving node is P itself.
         let relays: Vec<_> = path[1..path.len() - 1]
             .iter()
-            .map(|&c| torus.id(c + offset))
+            .map(|&c| c + offset)
             .collect();
-        ev.record_chain(committer, true, &relays);
+        ev.record_chain(&arena, torus.id(me), at, true, &relays);
     }
+    let committer = torus.id(at);
     let geo = Geometry::new(&arena, me);
     let _ = ev.evaluate(&geo);
     assert_eq!(ev.determined().get(&committer), Some(&true));
@@ -47,8 +47,9 @@ fn construction_tolerates_t_chain_losses() {
     let r = 2u32;
     let t = 4usize;
     let paths = paths_u::build(r, 1, 2);
-    // Pack relays directly (abstract keys = coordinates hashed to ids).
-    let key = |c: Coord| ((c.x + 100) * 1000 + (c.y + 100)) as u64;
+    // Pack relays directly, keyed as the evidence store keys a member:
+    // its frame key, the displacement (here from the origin) in a u16.
+    let key = |c: Coord| u64::from(LocalFrame::key(c).expect("a construction is local"));
     for dropped_start in 0..paths.len() - t {
         let mut packer = ChainPacker::new();
         for (i, path) in paths.iter().enumerate() {
@@ -85,16 +86,16 @@ fn simplified_witness_commits_via_one_level_rule() {
     let t = 4usize;
     let torus = Torus::new(40, 40);
     let offset = Coord::new(20, 20);
+    let arena = NeighborTable::build(&torus, r, Metric::Linf);
+    let me = worst_case_p(r) + offset;
     let mut ev = EvidenceStore::new(t, CommitRule::OneLevel);
     for path in rbcast::construct::simplified::witness_paths(r) {
-        let committer = torus.id(path[0] + offset);
         let relays: Vec<_> = path[1..path.len() - 1]
             .iter()
-            .map(|&c| torus.id(c + offset))
+            .map(|&c| c + offset)
             .collect();
-        ev.record_chain(committer, true, &relays);
+        ev.record_chain(&arena, torus.id(me), path[0] + offset, true, &relays);
     }
-    let arena = NeighborTable::build(&torus, r, Metric::Linf);
-    let geo = Geometry::new(&arena, worst_case_p(r) + offset);
+    let geo = Geometry::new(&arena, me);
     assert_eq!(ev.evaluate(&geo), Some(true));
 }
