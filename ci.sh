@@ -65,9 +65,11 @@ find crates/*/src src -name '*.rs' -exec awk '
     END { exit bad }' {} + \
     || { echo "one-lender: NodeDriver outside a #[cfg(test)] reference"; exit 1; }
 
-echo "==> one-storage gate (the bound committer frame is the one index of §VI evidence)"
-# A two-level EvidenceStore keys chains by its frame's slots alone; an
-# ordered (committer, value) map beside them must not come back quietly.
+echo "==> one-storage gate (one key-sorted table of (committer, value) records is the one index of §VI evidence)"
+# A two-level EvidenceStore keeps each (committer, value) pair that holds
+# a chain as one record in a vector sorted by 2·key + value, the committer
+# named by its frame key; an ordered (committer, value) map beside it
+# must not come back quietly.
 ! grep -rn --include='*.rs' 'BTreeMap<(NodeId, Value)' crates/protocols/src \
     || { echo "one-storage: a second committer index under crates/protocols/src"; exit 1; }
 
@@ -354,15 +356,17 @@ for cmd in "run --r 2000 --protocol flood" "sweep --r 2000 --protocol flood --t-
         && grep -q '^error: .*cannot allocate' "$arena_err" \
         || { cat "$arena_err"; echo "arena allocation gate: 'rbcast $cmd' exited $status"; exit 1; }
 done
-# An indirect protocol indexes its evidence with a u16 per (slot, value)
-# pair of a span-3r frame, 2(6r + 1)^2 pairs: past r = 30 a u16 cannot name
-# them. The run guard refuses that after the reservations above, so those
-# cases still read "cannot allocate".
+# An indirect protocol keys every chain member by its displacement from
+# the receiver, 8 bits an axis, so a frame key reaches 127. Every relay
+# that can count lies within 4r + 1 of the receiver (2r from a committer
+# that level 2 counts, which lies within 2r + 1), so past r = 31 a key
+# cannot reach them. The run guard refuses that after the reservations
+# above, so those cases still read "cannot allocate".
 status=0
 (ulimit -v 4000000; exec target/release/rbcast run --r 43 --protocol indirect-full) \
     > /dev/null 2> "$arena_err" || status=$?
 test "$status" -eq 2 && test "$(grep -c . "$arena_err")" -eq 1 \
-    && grep -q '^error: .*r = 43 needs a span-129 frame of 67081 slots' "$arena_err" \
+    && grep -q '^error: .*r = 43 needs a span-173 frame, past the 127 a frame key reaches' "$arena_err" \
     || { cat "$arena_err"; echo "arena allocation gate: 'rbcast run --r 43 --protocol indirect-full' exited $status"; exit 1; }
 rm -f "$arena_err"
 echo "arena allocation gate passed"
@@ -422,12 +426,21 @@ test -n "$rss" && test "$rss" -lt 57600 \
 rss=$(sed -n 's/.*"flood", "side": 1000,.*"peak_rss_kb": \([0-9]*\).*/\1/p' BENCH_scale.json)
 test -n "$rss" && test "$rss" -lt 44800 \
     || { echo "BENCH_scale.json: flood at 10^6 nodes reads ${rss:-no} kB peak RSS (limit 44800)"; exit 1; }
+# Each full-mode cell runs in a child process of its own, so its peak is
+# its own: the §VI 10^4 cell reads 57 344–57 440 kB, where it read the
+# §VI-B 10^6 cell's mark (63 368–63 584 kB) while every cell shared one
+# process.
+rss=$(sed -n 's/.*"indirect-full", "side": 100,.*"peak_rss_kb": \([0-9]*\).*/\1/p' BENCH_scale.json)
+test -n "$rss" && test "$rss" -lt 60000 \
+    || { echo "BENCH_scale.json: indirect-full at 10^4 nodes reads ${rss:-no} kB peak RSS (limit 60000)"; exit 1; }
 # The paper's own protocol, §VI (indirect-full), at 10^5 nodes: its
-# two-level store keys every chain member by a u16 slot of the node's
-# frame (8-byte chains, not 20 bytes of global ids and a signature) and
-# opens a packer only for a (committer, value) pair that holds a chain,
+# two-level store keys every chain member by its u16 frame key (its
+# displacement; 8-byte chains, not 20 bytes of global ids and a signature) and
+# keeps a record only for a (committer, value) pair that holds a chain,
 # so the cell stays under 598 400 kB (879 572 kB with 20-byte chains and
-# a packer header for every pair of the frame).
+# a packer header for every pair of the frame). It reads 538 000–538 032
+# kB with one key-sorted 40-byte record a pair, 520 572–520 664 kB with
+# 32-byte packer headers and a u16 index over the frame's pairs.
 rss=$(sed -n 's/.*"indirect-full", "side": 316,.*"peak_rss_kb": \([0-9]*\).*/\1/p' BENCH_scale.json)
 test -n "$rss" && test "$rss" -lt 598400 \
     || { echo "BENCH_scale.json: indirect-full at 10^5 nodes reads ${rss:-no} kB peak RSS (limit 598400)"; exit 1; }

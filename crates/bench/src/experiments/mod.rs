@@ -32,6 +32,8 @@ mod thresh_crash;
 mod thresh_l2;
 mod topology;
 
+pub use scale_bench::run_one as scale_bench_cell;
+
 /// One experiment: prints its rows, records its verdicts.
 pub(crate) type Run = fn(&mut Verdicts, Size);
 

@@ -11,25 +11,27 @@
 //! (population over wall time — the headline scaling number) and
 //! rounds/sec.
 //!
-//! `--smoke` (run by `ci.sh`) executes only the 10⁴ cells, reruns
-//! each on the dense oracle engine, and fails unless the trace hashes
-//! are byte-identical, every sparse run lands under the wall budget and
-//! the sparse indirect cell stays under its peak-RSS ceiling.
-//! No JSON is written in smoke mode. Everything this experiment
-//! measures is wall time, so its per-cell lines go to stderr and it is
-//! the one id without a golden under `results/`.
+//! Each full-mode cell runs in a child process of its own — this
+//! binary again, as `rbcast-bench scale_bench <protocol>@<side>` — so its
+//! `peak_rss_kb`, the process high-water mark, is its own whatever ran
+//! before it. The child prints its cell and its [`obs`] counters on
+//! stdout; the parent sums the counters into the file.
 //!
-//! A cell's `peak_rss_kb` is the process high-water mark when it ends,
-//! so the §VI cells run last: their evidence stores hold kilobytes a
-//! node, and run before the 10⁶ cells they would set those cells'
-//! readings. The §VI 10⁴ cell therefore reads at least the §VI-B 10⁶
-//! cell's mark; the 10⁵ cell's is its own.
+//! `--smoke` (run by `ci.sh`) executes only the 10⁴ cells, in one
+//! process, reruns each on the dense oracle engine, and fails unless the
+//! trace hashes are byte-identical, every sparse run lands under the
+//! wall budget and the sparse indirect-report cells stay under their
+//! peak-RSS ceilings (each larger than every cell before it, so its
+//! mark is its own). No JSON is written in smoke mode. Everything this
+//! experiment measures is wall time, so its per-cell lines go to stderr
+//! and it is the one id without a golden under `results/`.
 
-use crate::perf::{self, ScaleCell};
+use crate::perf::{self, ObsTotals, ScaleCell};
 use crate::{Size, Verdicts};
 use rbcast_core::{obs, EngineKind, Experiment, ProtocolKind};
 use rbcast_grid::Torus;
 use std::path::Path;
+use std::process::{Command, Stdio};
 
 /// The protocol axis, fault-free at each protocol's default `t`.
 /// `IndirectSimplified` stands in for the indirect-report family at every
@@ -81,6 +83,14 @@ const INDIRECT_SMOKE_FLOOR_NODES_PER_SEC: f64 = 80_000.0;
 /// evidence store carrying both rules' fields read 13 400–13 800 kB.
 /// Bytes per node are what bound the 10⁶ cell.
 const INDIRECT_SMOKE_RSS_CEILING_KB: u64 = 4_100;
+
+/// Peak-RSS ceiling for the sparse §VI (`indirect-full`) 10⁴ smoke cell,
+/// kB — run after the three smaller cells, so the mark is its own. It
+/// reads 57 436–57 524 kB with one key-sorted record per (committer,
+/// value) pair that holds a chain; a `u16` per (slot, value) pair of
+/// the frame, planted back into every store for its life, reads
+/// 59 904–60 020 kB.
+const FULL_SMOKE_RSS_CEILING_KB: u64 = 58_800;
 
 /// One fault-free broadcast on a `side × side` torus under `engine`.
 fn experiment(kind: ProtocolKind, side: u32, engine: EngineKind) -> Experiment {
@@ -136,7 +146,7 @@ fn run_cell(
 /// The CI gate: 10⁴-node cells only, each checked against the dense
 /// oracle for byte-identical trace hashes and against the wall budget.
 fn smoke(v: &mut Verdicts) {
-    for kind in PROTOCOLS {
+    for kind in PROTOCOLS.into_iter().chain([ProtocolKind::IndirectFull]) {
         let label = kind.name();
         let (cell, sparse_hash) = run_cell(v, kind, 100, EngineKind::Sparse);
         let (_, dense_hash) = run_cell(v, kind, 100, EngineKind::Dense);
@@ -156,34 +166,93 @@ fn smoke(v: &mut Verdicts) {
                 &format!("{label}@100: at least {INDIRECT_SMOKE_FLOOR_NODES_PER_SEC:.0} nodes/s"),
                 cell.nodes_per_sec() >= INDIRECT_SMOKE_FLOOR_NODES_PER_SEC,
             );
-            // No probe (no procfs), no gate.
-            if let Some(kb) = cell.peak_rss_kb {
-                v.check(
-                    &format!(
-                        "{label}@100: peak RSS {kb} kB within {INDIRECT_SMOKE_RSS_CEILING_KB} kB"
-                    ),
-                    kb <= INDIRECT_SMOKE_RSS_CEILING_KB,
-                );
-            }
+        }
+        let ceiling = match kind {
+            ProtocolKind::IndirectSimplified => INDIRECT_SMOKE_RSS_CEILING_KB,
+            ProtocolKind::IndirectFull => FULL_SMOKE_RSS_CEILING_KB,
+            _ => continue,
+        };
+        // No probe (no procfs), no gate.
+        if let Some(kb) = cell.peak_rss_kb {
+            v.check(
+                &format!("{label}@100: peak RSS {kb} kB within {ceiling} kB"),
+                kb <= ceiling,
+            );
         }
     }
+}
+
+/// Every full-mode cell, smallest size first: the three protocols at
+/// each size, then §VI at the sizes it has cells for.
+fn full_cells() -> impl Iterator<Item = (ProtocolKind, u32)> {
+    SIDES.into_iter().flat_map(|side| {
+        let full = FULL_SIDES
+            .contains(&side)
+            .then_some(ProtocolKind::IndirectFull);
+        PROTOCOLS
+            .into_iter()
+            .chain(full)
+            .map(move |kind| (kind, side))
+    })
+}
+
+/// Runs the cell `kind` at `side` in a child process and adds the
+/// child's counters to `totals`; `None` if the child failed or reported
+/// no cell.
+fn run_in_child(
+    v: &mut Verdicts,
+    kind: ProtocolKind,
+    side: u32,
+    totals: &mut ObsTotals,
+) -> Option<ScaleCell> {
+    let spec = format!("{}@{side}", kind.name());
+    let out = std::env::current_exe().and_then(|exe| {
+        Command::new(exe)
+            .args(["scale_bench", &spec])
+            .stderr(Stdio::inherit())
+            .output()
+    });
+    let mut cell = None;
+    if let Ok(out) = &out {
+        for line in String::from_utf8_lossy(&out.stdout).lines() {
+            cell = cell.or_else(|| ScaleCell::parse_line(line));
+            totals.add_line(line);
+        }
+    }
+    let ok = out.is_ok_and(|out| out.status.success());
+    v.check(
+        &format!("{spec}: ran in a process of its own and reported its cell"),
+        ok && cell.is_some(),
+    );
+    cell
+}
+
+/// `rbcast-bench scale_bench <protocol>@<side>`, the child side of a
+/// full run: runs the one cell `spec` names and prints it and this
+/// process's counters on stdout. `false` if `spec` names no cell.
+pub fn run_one(v: &mut Verdicts, spec: &str) -> bool {
+    let cell = spec.split_once('@').and_then(|(kind, side)| {
+        let side: u32 = side.parse().ok()?;
+        let kind = ProtocolKind::parse(kind)?;
+        full_cells().find(|&cell| cell == (kind, side))
+    });
+    let Some((kind, side)) = cell else {
+        return false;
+    };
+    let (cell, _) = run_cell(v, kind, side, EngineKind::Sparse);
+    println!("{}", cell.to_line());
+    print!("{}", ObsTotals::of_this_process().to_lines());
+    true
 }
 
 pub(crate) fn run(v: &mut Verdicts, size: Size) {
     if size == Size::Smoke {
         return smoke(v);
     }
-    let mut cells = Vec::new();
-    for side in SIDES {
-        for kind in PROTOCOLS {
-            let (cell, _) = run_cell(v, kind, side, EngineKind::Sparse);
-            cells.push(cell);
-        }
-    }
-    for side in FULL_SIDES {
-        let (cell, _) = run_cell(v, ProtocolKind::IndirectFull, side, EngineKind::Sparse);
-        cells.push(cell);
-    }
+    let mut totals = ObsTotals::default();
+    let cells: Vec<ScaleCell> = full_cells()
+        .filter_map(|(kind, side)| run_in_child(v, kind, side, &mut totals))
+        .collect();
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    perf::write_scale_json(&root.join("BENCH_scale.json"), "sparse", &cells);
+    perf::write_scale_json(&root.join("BENCH_scale.json"), "sparse", &cells, &totals);
 }

@@ -10,12 +10,14 @@
 //! must not depend on the host. End-to-end and per-layer performance is
 //! measured from outside, by `benchmark/`.
 
+use rbcast_core::obs::{self, SpanStat};
 use rbcast_core::supervisor::{
     self, Checkpoint, Journal, JournalFailure, JournalHeader, SupervisorConfig, SweepReport,
     TaskReport,
 };
 use rbcast_core::{engine, Experiment, Outcome};
 use rbcast_grid::plumbing::json_escape;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -180,11 +182,64 @@ pub(crate) struct ScaleCell {
     pub wall_ms: f64,
     /// Process peak RSS (`VmHWM`) in kilobytes when the cell finished,
     /// or `None` where the probe is unavailable. The high-water mark is
-    /// monotone across a bench run, so a cell's value bounds the memory
-    /// of everything up to and including it; the final cell carries the
-    /// run's true peak. Memory regressions (e.g. per-node evidence
-    /// blow-up) surface here without any allocator instrumentation.
+    /// monotone across a process, so a cell's value bounds the memory of
+    /// everything its process ran up to and including it; a cell run in
+    /// a process of its own reads its own peak. Memory regressions (e.g.
+    /// per-node evidence blow-up) surface here without any allocator
+    /// instrumentation.
     pub peak_rss_kb: Option<u64>,
+}
+
+/// The [`obs`] counters and span timings behind a set of scale cells,
+/// summed over the processes that ran them.
+#[derive(Debug, Default)]
+pub(crate) struct ObsTotals {
+    metrics: BTreeMap<String, u64>,
+    timings: BTreeMap<String, SpanStat>,
+}
+
+impl ObsTotals {
+    /// This process's counters and timings so far.
+    pub(crate) fn of_this_process() -> Self {
+        ObsTotals {
+            metrics: obs::metrics_snapshot().into_iter().collect(),
+            timings: obs::timings_snapshot().into_iter().collect(),
+        }
+    }
+
+    /// One `metric <name> <value>` or `timing <name> <count> <ns>` line
+    /// per entry: what a child process reports to its parent.
+    pub(crate) fn to_lines(&self) -> String {
+        let mut s = String::new();
+        for (name, value) in &self.metrics {
+            let _ = writeln!(s, "metric {name} {value}");
+        }
+        for (name, t) in &self.timings {
+            let _ = writeln!(s, "timing {name} {} {}", t.count, t.total_ns);
+        }
+        s
+    }
+
+    /// Adds a [`ObsTotals::to_lines`] line; any other line adds nothing.
+    pub(crate) fn add_line(&mut self, line: &str) {
+        let words: Vec<&str> = line.split_whitespace().collect();
+        let num = |w: &str| w.parse::<u64>().ok();
+        match words[..] {
+            ["metric", name, value] => {
+                if let Some(value) = num(value) {
+                    *self.metrics.entry(name.to_string()).or_default() += value;
+                }
+            }
+            ["timing", name, count, ns] => {
+                if let (Some(count), Some(ns)) = (num(count), num(ns)) {
+                    let t = self.timings.entry(name.to_string()).or_default();
+                    t.count += count;
+                    t.total_ns += ns;
+                }
+            }
+            _ => {}
+        }
+    }
 }
 
 /// Process peak resident-set size in kilobytes, read from
@@ -198,6 +253,42 @@ pub(crate) fn peak_rss_kb() -> Option<u64> {
 }
 
 impl ScaleCell {
+    /// The cell as one `cell …` line: what a child process reports to
+    /// its parent ([`ScaleCell::parse_line`] reads it back).
+    pub(crate) fn to_line(&self) -> String {
+        let rss = self
+            .peak_rss_kb
+            .map_or("-".to_string(), |kb| kb.to_string());
+        format!(
+            "cell {} {} {} {} {} {} {rss}",
+            self.protocol, self.side, self.rounds, self.deliveries, self.messages, self.wall_ms
+        )
+    }
+
+    /// The cell a [`ScaleCell::to_line`] line holds, or `None` for any
+    /// other line.
+    pub(crate) fn parse_line(line: &str) -> Option<ScaleCell> {
+        let words: Vec<&str> = line.split_whitespace().collect();
+        let ["cell", protocol, side, rounds, deliveries, messages, wall_ms, rss] = words[..] else {
+            return None;
+        };
+        let side: usize = side.parse().ok()?;
+        Some(ScaleCell {
+            protocol: protocol.to_string(),
+            side,
+            nodes: side * side,
+            rounds: rounds.parse().ok()?,
+            deliveries: deliveries.parse().ok()?,
+            messages: messages.parse().ok()?,
+            wall_ms: wall_ms.parse().ok()?,
+            peak_rss_kb: if rss == "-" {
+                None
+            } else {
+                Some(rss.parse().ok()?)
+            },
+        })
+    }
+
     /// Nodes simulated per second of wall time.
     #[must_use]
     pub(crate) fn nodes_per_sec(&self) -> f64 {
@@ -220,13 +311,12 @@ impl ScaleCell {
 }
 
 /// Serialises scale cells to the `BENCH_scale.json` document: the
-/// engine label, one record per cell, and the trailing
-/// [`rbcast_core::obs`] metrics / timings snapshots (what the cells
-/// did — deliveries, arena traffic — next to how long they took). Key
-/// order is fixed and floats print with three decimals, so the output
-/// is byte-stable for identical inputs and identical counter state.
+/// engine label, one record per cell, and the trailing [`obs`] metrics /
+/// timings `totals` (what the cells did — deliveries, arena traffic —
+/// next to how long they took). Key order is fixed and floats print with
+/// three decimals, so the output is byte-stable for identical inputs.
 #[must_use]
-fn to_scale_json(engine: &str, cells: &[ScaleCell]) -> String {
+fn to_scale_json(engine: &str, cells: &[ScaleCell], totals: &ObsTotals) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     let _ = writeln!(s, "  \"schema\": \"rbcast-bench-scale/v2\",");
@@ -256,14 +346,14 @@ fn to_scale_json(engine: &str, cells: &[ScaleCell]) -> String {
         s.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
     }
     s.push_str("  ],\n");
-    let metrics = rbcast_core::obs::metrics_snapshot();
+    let metrics = &totals.metrics;
     s.push_str("  \"metrics\": {\n");
     for (i, (name, value)) in metrics.iter().enumerate() {
         let _ = write!(s, "    \"{}\": {value}", json_escape(name));
         s.push_str(if i + 1 < metrics.len() { ",\n" } else { "\n" });
     }
     s.push_str("  },\n");
-    let spans = rbcast_core::obs::timings_snapshot();
+    let spans = &totals.timings;
     s.push_str("  \"timings\": {\n");
     for (i, (name, stat)) in spans.iter().enumerate() {
         let _ = write!(
@@ -281,8 +371,8 @@ fn to_scale_json(engine: &str, cells: &[ScaleCell]) -> String {
 
 /// Writes [`to_scale_json`] to `path`. I/O errors are reported, not
 /// fatal — a read-only checkout must not fail a bench run.
-pub(crate) fn write_scale_json(path: &Path, engine: &str, cells: &[ScaleCell]) {
-    match std::fs::write(path, to_scale_json(engine, cells)) {
+pub(crate) fn write_scale_json(path: &Path, engine: &str, cells: &[ScaleCell], totals: &ObsTotals) {
+    match std::fs::write(path, to_scale_json(engine, cells, totals)) {
         Ok(()) => eprintln!("wrote {}", path.display()),
         Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
     }
@@ -326,7 +416,8 @@ mod tests {
             cell("flood", 100, 54, 500.0),
             cell("cpa", 1000, 510, 2000.0),
         ];
-        let j = to_scale_json("sparse", &cells);
+        let totals = ObsTotals::of_this_process();
+        let j = to_scale_json("sparse", &cells, &totals);
         assert!(j.contains("\"schema\": \"rbcast-bench-scale/v2\""));
         assert!(j.contains("\"engine\": \"sparse\""));
         // 10 000 nodes in 0.5 s → 20 000 nodes/s; 54 rounds → 108 rounds/s
@@ -339,14 +430,52 @@ mod tests {
         // an absent probe serialises as JSON null, not a sentinel
         let mut no_probe = cell("flood", 10, 5, 1.0);
         no_probe.peak_rss_kb = None;
-        assert!(to_scale_json("dense", &[no_probe]).contains("\"peak_rss_kb\": null"));
+        let j_none = to_scale_json("dense", &[no_probe], &totals);
+        assert!(j_none.contains("\"peak_rss_kb\": null"));
         assert!(j.contains("\"nodes\": 1000000"));
         // the trailing observability blocks ride along
         assert!(j.contains("\"metrics\": {"));
         assert!(j.contains("\"timings\": {"));
         // byte-stable up to the live counter snapshots
         let stable = |s: &str| s.split("\"metrics\"").next().map(str::to_owned);
-        assert_eq!(stable(&j), stable(&to_scale_json("sparse", &cells)));
+        let again = to_scale_json("sparse", &cells, &ObsTotals::of_this_process());
+        assert_eq!(stable(&j), stable(&again));
+    }
+
+    #[test]
+    fn a_child_report_round_trips_its_cell_and_sums_its_counters() {
+        let mut c = cell("indirect-full", 100, 60, 842.328_125);
+        assert_eq!(ScaleCell::parse_line(&c.to_line()), Some(c.clone()));
+        c.peak_rss_kb = None;
+        assert_eq!(ScaleCell::parse_line(&c.to_line()), Some(c));
+        assert_eq!(ScaleCell::parse_line("PASS cell 3"), None);
+
+        let mut child = ObsTotals::default();
+        child.metrics.insert("sim/runs".into(), 1);
+        let stat = SpanStat {
+            count: 1,
+            total_ns: 2_500_000,
+        };
+        child.timings.insert("experiment/run".into(), stat);
+        let mut totals = ObsTotals::default();
+        for _ in 0..2 {
+            for line in child
+                .to_lines()
+                .lines()
+                .chain(["metric torn", "1/1 checks passed"])
+            {
+                totals.add_line(line);
+            }
+        }
+        assert_eq!(totals.metrics["sim/runs"], 2);
+        let stat = SpanStat {
+            count: 2,
+            total_ns: 5_000_000,
+        };
+        assert_eq!(totals.timings["experiment/run"], stat);
+        let j = to_scale_json("sparse", &[], &totals);
+        assert!(j.contains("\"sim/runs\": 2"));
+        assert!(j.contains("\"experiment/run\": {\"count\": 2, \"total_ms\": 5.000}"));
     }
 
     #[test]

@@ -556,7 +556,7 @@ impl Experiment {
     /// allocator refuses, the arena's own errors
     /// ([`NeighborTable::try_build`]), or — checked last, so an
     /// allocation failure still reads as one — an indirect protocol at a
-    /// radius whose evidence frame a `u16` slot cannot index
+    /// radius whose evidence a frame key cannot reach
     /// ([`EvidenceStore::check_radius`]).
     pub fn run_guard(&self) -> Result<(), ArenaError> {
         struct SlotBytes;
@@ -573,8 +573,8 @@ impl Experiment {
             + std::mem::size_of::<Option<(Value, rbcast_sim::Round)>>();
         let _nodes = reserve_node_table(nodes, per_node)?;
         NeighborTable::try_build(&torus, self.r, self.metric)?;
-        // An indirect protocol indexes its evidence by (slot, value) pair
-        // of a span-3r frame; past r = 30 a u16 cannot name the pairs.
+        // An indirect protocol keys its evidence by displacement from the
+        // receiver; past r = 31 a key cannot reach every relay that counts.
         match self.protocol {
             ProtocolKind::IndirectFull
             | ProtocolKind::IndirectSimplified
@@ -745,24 +745,23 @@ mod tests {
 
     #[test]
     fn run_guard_refuses_an_indirect_radius_past_the_evidence_index() {
-        // r = 30 is the largest radius whose span-3r evidence frame has at
-        // most 65 535 (slot, value) pairs; flood keeps no evidence. A
-        // small torus keeps the reservation small.
+        // r = 31 is the largest radius whose evidence reach 4r + 1 a frame
+        // key spans; flood keeps no evidence. A small torus keeps the
+        // reservation small.
         let at = |r: u32, protocol| {
             let side = 4 * (2 * r + 1);
             Experiment::new(r, protocol)
                 .with_torus(Torus::new(side, side))
                 .run_guard()
         };
-        assert_eq!(at(30, ProtocolKind::IndirectFull), Ok(()));
-        assert_eq!(at(31, ProtocolKind::Flood), Ok(()));
+        assert_eq!(at(31, ProtocolKind::IndirectFull), Ok(()));
+        assert_eq!(at(32, ProtocolKind::Flood), Ok(()));
         for protocol in [ProtocolKind::IndirectFull, ProtocolKind::IndirectSimplified] {
             assert_eq!(
-                at(31, protocol),
+                at(32, protocol),
                 Err(ArenaError::FrameTooWide {
-                    radius: 31,
-                    span: 93,
-                    per_slot: 2
+                    radius: 32,
+                    span: 129
                 })
             );
         }

@@ -128,15 +128,13 @@ pub enum ArenaError {
         /// Nodes on the torus.
         nodes: u64,
     },
-    /// A local frame whose slots, `per_slot` entries each, a `u16`
-    /// index cannot name ([`LocalFrame::check_span`]).
+    /// A local frame wider than a [`LocalFrame::key`] reaches
+    /// ([`LocalFrame::check_span`]).
     FrameTooWide {
         /// The arena radius the frame serves.
         radius: u32,
         /// The frame's span.
         span: u32,
-        /// Entries indexed per slot.
-        per_slot: u32,
     },
     /// The allocator refused an allocation.
     OutOfMemory {
@@ -155,20 +153,11 @@ impl fmt::Display for ArenaError {
             ArenaError::TooManyNodes { nodes } => {
                 write!(f, "{nodes} nodes exceeds the 2³² a u32 node id can name")
             }
-            ArenaError::FrameTooWide {
-                radius,
-                span,
-                per_slot,
-            } => {
-                let slots = frame_slots(i64::from(span));
-                write!(
-                    f,
-                    "r = {radius} needs a span-{span} frame of {slots} slots, {} entries at \
-                     {per_slot} a slot, past the {} a u16 index names",
-                    slots as u64 * u64::from(per_slot),
-                    u16::MAX
-                )
-            }
+            ArenaError::FrameTooWide { radius, span } => write!(
+                f,
+                "r = {radius} needs a span-{span} frame, past the {} a frame key reaches",
+                LocalFrame::MAX_SPAN
+            ),
             ArenaError::OutOfMemory { nodes, what, bytes } => {
                 write!(
                     f,
@@ -556,28 +545,19 @@ pub struct LocalFrame {
 }
 
 impl LocalFrame {
-    /// The widest span whose slots a `u16` indexes below the `0xFFFF`
-    /// sentinel: `(2·127 + 1)² = 65 025` slots, where span 128 would
-    /// need 66 049.
+    /// The widest span a [`LocalFrame::key`] reaches: eight bits an
+    /// axis, keys at most `0xFEFE`, below the `0xFFFF` sentinel.
     pub const MAX_SPAN: u32 = 127;
 
-    /// Refuses a span-`span` frame serving radius `radius` when a `u16`
-    /// index, below the `0xFFFF` sentinel, cannot name `per_slot` entries
-    /// for every slot: `(2·span + 1)² · per_slot ≤ 65 535`. At one entry
-    /// a slot that is `span ≤` [`LocalFrame::MAX_SPAN`].
+    /// Refuses a span-`span` frame serving radius `radius` when its nodes
+    /// lie past a key's reach: `span ≤` [`LocalFrame::MAX_SPAN`].
     ///
     /// # Errors
     ///
-    /// [`ArenaError::FrameTooWide`] when the entries do not fit.
-    pub fn check_span(radius: u32, span: u32, per_slot: u32) -> Result<(), ArenaError> {
-        let fits = span <= Self::MAX_SPAN
-            && frame_slots(i64::from(span)) as u64 * u64::from(per_slot) <= u64::from(u16::MAX);
-        if !fits {
-            return Err(ArenaError::FrameTooWide {
-                radius,
-                span,
-                per_slot,
-            });
+    /// [`ArenaError::FrameTooWide`] past that reach.
+    pub fn check_span(radius: u32, span: u32) -> Result<(), ArenaError> {
+        if span > Self::MAX_SPAN {
+            return Err(ArenaError::FrameTooWide { radius, span });
         }
         Ok(())
     }
@@ -616,14 +596,6 @@ impl LocalFrame {
     pub fn offset_of(&self, c: Coord) -> Coord {
         debug_assert_eq!(self.torus.canonical(c), c, "{c} is not canonical");
         self.torus.wrap(c - self.me)
-    }
-
-    /// Minimal displacement of node `id` from the center: the one
-    /// id → coordinate division a caller pays per node.
-    #[inline]
-    #[must_use]
-    pub fn offset_of_id(&self, id: NodeId) -> Coord {
-        self.offset_of(self.torus.coord(id))
     }
 
     /// Dense slot of the node at minimal displacement `d` from the
@@ -985,7 +957,7 @@ mod tests {
             let frame = table.local_frame(me, 3);
             let mut keys = std::collections::BTreeSet::new();
             for id in torus.node_ids() {
-                let d = frame.offset_of_id(id);
+                let d = frame.offset_of(torus.coord(id));
                 assert_eq!(frame.id_at(d), id);
                 assert_eq!(frame.coord_at(d), torus.coord(id));
                 assert_eq!(frame.slot_of_offset(d), frame.slot_of_id(id));
@@ -1010,25 +982,24 @@ mod tests {
     fn a_frame_past_the_u16_span_is_refused() {
         let max = LocalFrame::MAX_SPAN;
         assert_eq!(frame_slots(i64::from(max)), 65_025);
-        assert_eq!(LocalFrame::check_span(42, max, 1), Ok(()));
-        assert!(LocalFrame::check_span(43, max + 1, 1).is_err());
-        // Two entries a slot: span 90 (181² · 2 = 65 522) fits, 93 does not.
-        assert_eq!(LocalFrame::check_span(30, 90, 2), Ok(()));
-        let err = LocalFrame::check_span(31, 93, 2).unwrap_err();
+        assert_eq!(LocalFrame::check_span(42, max), Ok(()));
+        assert!(LocalFrame::check_span(43, max + 1).is_err());
+        // The evidence reach 4r + 1: 125 at r = 31 fits, 129 at r = 32
+        // does not.
+        assert_eq!(LocalFrame::check_span(31, 125), Ok(()));
+        let err = LocalFrame::check_span(32, 129).unwrap_err();
         assert_eq!(
             err,
             ArenaError::FrameTooWide {
-                radius: 31,
-                span: 93,
-                per_slot: 2
+                radius: 32,
+                span: 129
             }
         );
         assert_eq!(
             err.to_string(),
-            "r = 31 needs a span-93 frame of 34969 slots, 69938 entries at 2 a slot, past the \
-             65535 a u16 index names"
+            "r = 32 needs a span-129 frame, past the 127 a frame key reaches"
         );
-        assert!(LocalFrame::check_span(u32::MAX, u32::MAX, u32::MAX).is_err());
+        assert!(LocalFrame::check_span(u32::MAX, u32::MAX).is_err());
     }
 
     #[test]

@@ -35,6 +35,7 @@ use rbcast_grid::{ArenaError, Coord, LocalFrame, NeighborTable, NodeId};
 use rbcast_sim::Value;
 use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Which commit rule the indirect protocol evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -93,16 +94,16 @@ impl<'a> Geometry<'a> {
 ///
 /// # Panics
 ///
-/// Past r = 30, where a `u16` cannot index the frame's (slot, value)
-/// pairs ([`EvidenceStore::check_radius`], which a host's run guard
-/// calls first).
+/// Past r = 31, where a key cannot reach every relay that can count
+/// ([`EvidenceStore::check_radius`], which a host's run guard calls
+/// first).
 fn evidence_frame(arena: &NeighborTable, me: Coord) -> LocalFrame {
     let r = arena.radius();
     assert!(
         EvidenceStore::check_radius(r).is_ok(),
-        "r = {r}: a u16 cannot index the span-3r evidence frame's (slot, value) pairs"
+        "r = {r}: a key cannot reach every relay that can count"
     );
-    // audit:allow(checked-threshold-arith): a frame span, r ≤ 30 by the assert above
+    // audit:allow(checked-threshold-arith): a frame span, r ≤ 31 by the assert above
     arena.local_frame(me, 3 * r)
 }
 
@@ -112,11 +113,11 @@ fn evidence_frame(arena: &NeighborTable, me: Coord) -> LocalFrame {
 /// of its node, which the first recorded chain sets. The one-level
 /// rule's two packers and frame sit behind one box made at that chain,
 /// so a node the wave has not reached holds none; the two-level rule's
-/// determinations sit behind one allocation made in
-/// [`EvidenceStore::new`], and its frame and pair index arrive with the
-/// first chain. Once its node commits, `EvidenceStore::retire` cuts it
-/// down to what the relay rule still reads, and under the simplified
-/// protocol drops the box.
+/// store sits behind one allocation made in [`EvidenceStore::new`], and
+/// grows one record per (committer, value) pair that holds a chain —
+/// by what it holds, not by its frame. Once its node commits,
+/// `EvidenceStore::retire` cuts it down to what the relay rule still
+/// reads, and under the simplified protocol drops the box.
 ///
 /// # Example
 ///
@@ -163,44 +164,55 @@ struct OneLevel {
     commit_dirty: bool,
 }
 
-/// Marks a (slot, value) pair that holds no packer.
-const NO_PACKER: u16 = u16::MAX;
-
-/// Two-level evidence: chains per `(committer, value)` and the
-/// determinations drawn from them.
+/// Two-level evidence: one record per `(committer, value)` pair that
+/// holds a chain.
 #[derive(Debug, Default)]
 struct TwoLevel {
-    /// The evidence frame (span `3r`): pairs are indexed by the
-    /// committer's dense slot in it, and chain members keyed relative to
-    /// its center. Set by the first chain; a store without one holds
-    /// nothing.
+    /// The evidence frame (span `3r`): a committer outside it is
+    /// refused, and chain members are keyed relative to its center. Set
+    /// by the first chain; a store without one holds nothing.
     frame: Option<LocalFrame>,
-    /// `index[2 * slot + value]` is the position in `packers` of that
-    /// pair's packer, or [`NO_PACKER`]: an empty pair costs two bytes,
-    /// not a packer header.
-    index: Vec<u16>,
-    /// One packer per pair that ever held a chain, in the order the
-    /// pairs opened.
-    packers: Vec<ChainPacker>,
-    /// Pairs whose evidence changed since the last evaluation.
-    /// Unsorted; drained sorted so the refresh order matches the old
-    /// ordered-set drain exactly.
-    dirty: Vec<(NodeId, Value)>,
-    /// `dirty_mark[2 * slot + value]` is set while that pair sits in
-    /// `dirty`, so a pair is listed once however many chains arrive
-    /// between two evaluations. Sized with `index`.
-    dirty_mark: Vec<bool>,
-    /// Committers reliably determined (first value wins).
-    determined: BTreeMap<NodeId, Value>,
-    /// Set by [`EvidenceStore::retire`]: the refresh list, marks and
-    /// determinations are gone, and a committer heard directly keeps
-    /// nothing but that observation.
+    /// The records, sorted by [`Pair::key`]: a committer's two records
+    /// sit side by side, `false` first, and committers in frame slot
+    /// order.
+    pairs: Vec<Pair>,
+    /// Set when a record turned dirty since the last evaluation.
+    stale: bool,
+    /// Set by [`EvidenceStore::retire`]: no record is dirty or
+    /// determined again, and a committer heard directly keeps nothing
+    /// but that observation.
     retired: bool,
 }
 
-/// What [`EvidenceStore::determined`] returns under the one-level rule,
-/// which determines nobody.
-static NO_DETERMINATIONS: BTreeMap<NodeId, Value> = BTreeMap::new();
+/// One `(committer, value)` pair of a two-level store.
+#[derive(Debug)]
+struct Pair {
+    /// `2·key + value`, the committer named by its [`LocalFrame::key`].
+    /// Keys and frame slots are both row-major in `(dy, dx)`, so key
+    /// order is slot order.
+    key: u32,
+    chains: ChainPacker,
+    /// It gained a chain since the last evaluation, while its committer
+    /// was undetermined.
+    dirty: bool,
+    /// The pair's chains determined its committer (first value wins).
+    determined: bool,
+}
+
+impl Pair {
+    fn committer(&self) -> u32 {
+        self.key >> 1
+    }
+
+    /// The committer's displacement from the receiver.
+    fn offset(&self) -> Coord {
+        LocalFrame::key_offset(self.committer() as u16)
+    }
+
+    fn value(&self) -> Value {
+        self.key & 1 == 1
+    }
+}
 
 thread_local! {
     /// The packing-query buffers, one set per thread instead of one per
@@ -311,17 +323,19 @@ impl EvidenceStore {
         EvidenceStore { t, state }
     }
 
-    /// Refuses a radius whose evidence a `u16` cannot index: the
-    /// two-level store keeps one `u16` per (slot, value) pair of the
-    /// span-`3r` frame, `2·(6r + 1)²` of them, at most 65 535 only up to
-    /// r = 30. Every member of a usable chain then has a
-    /// [`LocalFrame::key`] too (it reaches 127 ≥ `3r`).
+    /// Refuses a radius past a key's reach. Level 2 counts a committer
+    /// only inside a radius-`r` ball around a center within `r + 1` of
+    /// the receiver, so within `2r + 1` of it, and level 1 counts a
+    /// relay only inside a radius-`r` ball holding its committer, so
+    /// within `2r` of that: every relay that can count lies within
+    /// `4r + 1` of the receiver, which a [`LocalFrame::key`] reaches
+    /// ([`LocalFrame::MAX_SPAN`] = 127) up to r = 31.
     ///
     /// # Errors
     ///
-    /// [`ArenaError::FrameTooWide`] past r = 30.
+    /// [`ArenaError::FrameTooWide`] past r = 31.
     pub fn check_radius(r: u32) -> Result<(), ArenaError> {
-        LocalFrame::check_span(r, r.saturating_mul(3), 2)
+        LocalFrame::check_span(r, r.saturating_mul(4).saturating_add(1))
     }
 
     /// Drops, when the owning node commits, every chain its relay rule
@@ -340,8 +354,9 @@ impl EvidenceStore {
     /// * Two-level keys are per committer, so a committer heard directly
     ///   keeps only that direct observation: it marks the committer, and
     ///   every later chain about it is ignored. A direct record after
-    ///   this call cuts its committer down the same way. Refresh list,
-    ///   marks and determinations are the commit rule's and go.
+    ///   this call cuts its committer down the same way. The dirty and
+    ///   determined bits are the commit rule's and go, and so does a
+    ///   record left without chains.
     /// * One-level keys carry the committer, so a stored chain about one
     ///   committer can dominate a report about another: the rest stays.
     pub(crate) fn retire(&mut self, max_relays: usize) {
@@ -390,7 +405,7 @@ impl EvidenceStore {
     ///
     /// # Panics
     ///
-    /// At the first chain, past r = 30 ([`EvidenceStore::check_radius`]).
+    /// At the first chain, past r = 31 ([`EvidenceStore::check_radius`]).
     pub fn record_chain(
         &mut self,
         arena: &NeighborTable,
@@ -419,10 +434,7 @@ impl EvidenceStore {
     fn frame_at(&mut self, arena: &NeighborTable, me: NodeId) -> Option<&LocalFrame> {
         let frame = || evidence_frame(arena, arena.torus().coord(me));
         let frame = match &mut self.state {
-            RuleState::TwoLevel(two) => match two.frame {
-                Some(ref frame) => frame,
-                None => two.bind(frame()),
-            },
+            RuleState::TwoLevel(two) => two.frame.get_or_insert_with(frame),
             RuleState::OneLevel(one) => &one.get_or_insert_with(|| OneLevel::boxed(frame())).frame,
             RuleState::Retired => return None,
         };
@@ -448,12 +460,21 @@ impl EvidenceStore {
     }
 
     /// Committers reliably determined so far (two-level rule, until
-    /// `EvidenceStore::retire`; always empty under the one-level rule).
+    /// `EvidenceStore::retire`; always empty under the one-level rule),
+    /// collected from the store's records on each call.
     #[must_use]
-    pub fn determined(&self) -> &BTreeMap<NodeId, Value> {
+    pub fn determined(&self) -> BTreeMap<NodeId, Value> {
         match &self.state {
-            RuleState::TwoLevel(two) => &two.determined,
-            RuleState::OneLevel(_) | RuleState::Retired => &NO_DETERMINATIONS,
+            RuleState::TwoLevel(two) => {
+                let Some(frame) = &two.frame else {
+                    return BTreeMap::new();
+                };
+                let determined = two.pairs.iter().filter(|p| p.determined);
+                determined
+                    .map(|p| (frame.id_at(p.offset()), p.value()))
+                    .collect()
+            }
+            RuleState::OneLevel(_) | RuleState::Retired => BTreeMap::new(),
         }
     }
 
@@ -462,7 +483,7 @@ impl EvidenceStore {
     #[must_use]
     pub(crate) fn chain_count(&self) -> usize {
         match &self.state {
-            RuleState::TwoLevel(two) => two.packers.iter().map(ChainPacker::len).sum(),
+            RuleState::TwoLevel(two) => two.pairs.iter().map(|p| p.chains.len()).sum(),
             RuleState::OneLevel(one) => one
                 .iter()
                 .flat_map(|one| &one.combined)
@@ -475,18 +496,22 @@ impl EvidenceStore {
     /// Deterministic FNV-1a fingerprint of every stored chain — traced
     /// alongside the chain count when a commit fires, so two runs can
     /// be compared on *what* evidence produced each decision, not just
-    /// how much. Folds each packer under its pair index (two-level, in
-    /// frame slot order) or its value (one-level), its keys mapped back
-    /// to node ids: the digest the id-keyed store gave, independent of
-    /// how evidence is keyed or how many pairs the frame could hold.
+    /// how much. Folds each packer under its pair index `2·slot + value`
+    /// (two-level, in frame slot order, which is key order) or its value
+    /// (one-level), its keys mapped back to node ids: the digest the
+    /// id-keyed store gave, independent of how evidence is keyed or how
+    /// many pairs the frame could hold.
     #[must_use]
     pub(crate) fn digest(&self) -> u64 {
         let mut hash = rbcast_sim::trace::FNV_OFFSET;
         match &self.state {
             RuleState::TwoLevel(two) => {
                 if let Some(frame) = &two.frame {
-                    for (i, packer) in two.pairs() {
-                        fold_packer(&mut hash, i as u64, packer, frame);
+                    for p in &two.pairs {
+                        let slot = frame.slot_of_offset(p.offset());
+                        let slot = slot.expect("a stored committer lies in the frame");
+                        let i = 2 * slot as u64 + u64::from(p.value());
+                        fold_packer(&mut hash, i, &p.chains, frame);
                     }
                 }
             }
@@ -543,33 +568,30 @@ impl OneLevel {
     }
 }
 
+/// The positions in `pairs`, sorted by [`Pair::key`], of the records of
+/// the committer keyed `c`: at most two, side by side. The search walks
+/// from `near`, a position close to them, through neighbouring records —
+/// memory the prefetcher streams, where halving misses a line a step —
+/// and halves only past 32 steps.
+fn of_committer(pairs: &[Pair], c: u32, near: usize) -> Range<usize> {
+    let (mut at, mut steps) = (near.min(pairs.len()), 0);
+    while steps < 32 && at > 0 && pairs[at - 1].committer() >= c {
+        (at, steps) = (at - 1, steps + 1);
+    }
+    while steps < 32 && at < pairs.len() && pairs[at].committer() < c {
+        (at, steps) = (at + 1, steps + 1);
+    }
+    if steps == 32 {
+        at = pairs.partition_point(|p| p.committer() < c);
+    }
+    let held = pairs[at..]
+        .iter()
+        .take(2)
+        .take_while(|p| p.committer() == c);
+    at..at + held.count()
+}
+
 impl TwoLevel {
-    /// Sets the frame and sizes the pair index and marks for it.
-    fn bind(&mut self, frame: LocalFrame) -> &LocalFrame {
-        // audit:allow(checked-threshold-arith): pair-index sizing, not bound arithmetic
-        let pairs = 2 * frame.slots();
-        self.index = vec![NO_PACKER; pairs];
-        if !self.retired {
-            self.dirty_mark = vec![false; pairs];
-        }
-        self.frame.insert(frame)
-    }
-
-    /// Every pair holding a packer, by pair index: frame slot order.
-    fn pairs(&self) -> impl Iterator<Item = (usize, &ChainPacker)> {
-        self.index
-            .iter()
-            .enumerate()
-            .filter(|&(_, &j)| j != NO_PACKER)
-            .map(|(i, &j)| (i, &self.packers[usize::from(j)]))
-    }
-
-    /// The packer of pair `i`, if it ever held a chain.
-    fn packer(&self, i: usize) -> Option<&ChainPacker> {
-        let j = self.index[i];
-        (j != NO_PACKER).then(|| &self.packers[usize::from(j)])
-    }
-
     fn record_chain(&mut self, committer: Coord, v: Value, relays: &[Coord]) -> bool {
         let frame = self
             .frame
@@ -578,107 +600,101 @@ impl TwoLevel {
         let Some(keys) = KeyBuf::pack(None, relays) else {
             return false;
         };
-        let Some(slot) = frame.slot_of_offset(committer) else {
+        // A committer in the frame is within `3r` ≤ 93 of the receiver,
+        // so within a key's reach.
+        let Some((slot, c)) = frame
+            .slot_of_offset(committer)
+            .zip(LocalFrame::key(committer))
+        else {
             return false;
         };
-        let i = 2 * slot + usize::from(v);
-        if self.retired && self.heard_directly(i) {
+        let c = u32::from(c);
+        // audit:allow(checked-threshold-arith): a pair key, at most 2·0xFEFE + 1
+        let key = 2 * c + u32::from(v);
+        // Key order is slot order, so records spread evenly over the
+        // frame would put the committer's at `near`.
+        // audit:allow(checked-threshold-arith): at most 2·slots² < 2³², r ≤ 31
+        let near = self.pairs.len() * slot / frame.slots();
+        let mine = of_committer(&self.pairs, c, near);
+        let records = &self.pairs[mine.clone()];
+        if self.retired && records.iter().any(|p| p.chains.has_direct()) {
             return false;
         }
-        let new = match self.index[i] {
-            NO_PACKER => {
-                // A pair opens at its first stored chain. Each pair opens
-                // once, and `check_radius` holds the pairs to 65 535, so
-                // the position is below `NO_PACKER`.
-                let j = u16::try_from(self.packers.len()).expect("at most 65 535 pairs");
-                let mut packer = ChainPacker::new();
-                let new = packer.insert(keys.as_slice());
+        let settled = records.iter().any(|p| p.determined);
+        let i = mine.start + records.iter().take_while(|p| p.key < key).count();
+        let new = match self.pairs.get_mut(i).filter(|p| p.key == key) {
+            Some(p) => p.chains.insert(keys.as_slice()),
+            None => {
+                // A pair opens at its first stored chain.
+                let mut chains = ChainPacker::new();
+                let new = chains.insert(keys.as_slice());
                 if new {
-                    self.index[i] = j;
-                    self.packers.push(packer);
+                    let pair = Pair {
+                        key,
+                        chains,
+                        dirty: false,
+                        determined: false,
+                    };
+                    self.pairs.insert(i, pair);
                 }
                 new
             }
-            j => self.packers[usize::from(j)].insert(keys.as_slice()),
         };
         if self.retired {
             if relays.is_empty() {
-                self.retain_committer(i, 1);
+                let mine = of_committer(&self.pairs, c, i);
+                for p in &mut self.pairs[mine] {
+                    p.chains.retain_shorter_than(1);
+                }
             }
-        } else if new && !self.dirty_mark[i] {
-            let committer = frame.id_at(committer);
-            self.mark_dirty(i, committer, v);
+        } else if new && !settled {
+            self.pairs[i].dirty = true;
+            self.stale = true;
         }
         new
     }
 
-    /// Whether the committer at pair index `i` was heard directly, with
-    /// either value (its pairs sit at `i & !1` and `i | 1`).
-    fn heard_directly(&self, i: usize) -> bool {
-        [i & !1, i | 1]
-            .into_iter()
-            .filter_map(|i| self.packer(i))
-            .any(ChainPacker::has_direct)
-    }
-
-    /// Keeps only the chains with fewer than `keys` keys about the
-    /// committer at pair index `i`, under either value.
-    fn retain_committer(&mut self, i: usize, keys: usize) {
-        for i in [i & !1, i | 1] {
-            if let Some(j) = Some(self.index[i]).filter(|&j| j != NO_PACKER) {
-                self.packers[usize::from(j)].retain_shorter_than(keys);
+    /// See [`EvidenceStore::retire`]. A record left without chains goes.
+    fn retire(&mut self, max_relays: usize) {
+        let same = |a: &Pair, b: &Pair| a.committer() == b.committer();
+        for records in self.pairs.chunk_by_mut(same) {
+            let direct = records.iter().any(|p| p.chains.has_direct());
+            let keep = if direct { 1 } else { max_relays };
+            for p in records {
+                p.chains.retain_shorter_than(keep);
+                (p.dirty, p.determined) = (false, false);
             }
         }
-    }
-
-    /// See [`EvidenceStore::retire`].
-    fn retire(&mut self, max_relays: usize) {
-        for i in (0..self.index.len()).step_by(2) {
-            let keep = if self.heard_directly(i) {
-                1
-            } else {
-                max_relays
-            };
-            self.retain_committer(i, keep);
-        }
-        self.dirty = Vec::new();
-        self.dirty_mark = Vec::new();
-        self.determined = BTreeMap::new();
+        self.pairs.retain(|p| !p.chains.is_empty());
+        self.stale = false;
         self.retired = true;
-    }
-
-    /// Lists `(committer, v)`, whose pair has index `i`, for the next
-    /// level-1 refresh, once: its mark stays set until the refresh.
-    fn mark_dirty(&mut self, i: usize, committer: NodeId, v: Value) {
-        if self.dirty_mark[i] || self.determined.contains_key(&committer) {
-            return;
-        }
-        self.dirty_mark[i] = true;
-        self.dirty.push((committer, v));
     }
 
     fn evaluate(&mut self, geo: &Geometry<'_>, need: u32) -> Option<Value> {
         // Level 1: refresh determinations for dirty (committer, value)
-        // pairs. A pair failing now is re-marked dirty by the next chain
-        // arrival for it.
-        // Sorted drain: reproduces the (committer, value) iteration order
-        // of the ordered set this list replaced, so refresh order is
-        // identical on every run with the same seed. The marks already
-        // list each pair once.
-        if self.dirty.is_empty() {
+        // pairs. A pair failing now is marked dirty again by its next
+        // new chain. Records are walked in key order: committers in slot
+        // order, `false` before `true` within one, so first-value-wins
+        // ties resolve as an ordered `(committer, value)` drain does.
+        if !std::mem::take(&mut self.stale) {
             return None;
         }
-        let mut dirty = std::mem::take(&mut self.dirty);
-        self.dirty_mark.fill(false);
-        dirty.sort_unstable();
+        let TwoLevel { frame, pairs, .. } = self;
+        let frame = frame
+            .as_ref()
+            .expect("a dirty pair was recorded in the frame");
         let mut newly = false;
         with_scratch(|scratch| {
-            for (committer, v) in dirty {
-                if self.determined.contains_key(&committer) {
+            for i in 0..pairs.len() {
+                if !std::mem::take(&mut pairs[i].dirty) {
                     continue;
                 }
-                if self.is_determined(geo, scratch, need, committer, v) {
-                    self.determined.insert(committer, v);
+                let mine = of_committer(pairs, pairs[i].committer(), i);
+                if pairs[mine].iter().any(|p| p.determined) {
+                    continue;
+                }
+                if is_determined(geo, scratch, need, frame, &pairs[i]) {
+                    pairs[i].determined = true;
                     newly = true;
                 }
             }
@@ -690,16 +706,11 @@ impl TwoLevel {
         }
 
         // Level 2: a neighborhood holding t+1 determined committers of v.
-        let commits: Vec<(Coord, Value)> = self
-            .determined
-            .iter()
-            .map(|(&id, &v)| (geo.arena.torus().coord(id), v))
-            .collect();
         for center in geo.centers_within(geo.me, geo.arena.radius() + 1) {
             let mut counts = [0u32; 2];
-            for &(c, v) in &commits {
-                if geo.covers(center, c) {
-                    counts[usize::from(v)] += 1;
+            for p in pairs.iter().filter(|p| p.determined) {
+                if geo.covers(center, frame.coord_at(p.offset())) {
+                    counts[usize::from(p.value())] += 1;
                 }
             }
             for v in [false, true] {
@@ -710,39 +721,26 @@ impl TwoLevel {
         }
         None
     }
+}
 
-    /// Level-1 determination: direct observation, or `need = t+1`
-    /// disjoint chains inside a single neighborhood covering the
-    /// committer.
-    fn is_determined(
-        &self,
-        geo: &Geometry<'_>,
-        scratch: &mut PackScratch,
-        need: u32,
-        committer: NodeId,
-        v: Value,
-    ) -> bool {
-        let frame = self
-            .frame
-            .as_ref()
-            .expect("a listed pair was recorded in the frame");
-        let d = frame.offset_of_id(committer);
-        let Some(slot) = frame.slot_of_offset(d) else {
-            return false;
-        };
-        // audit:allow(checked-threshold-arith): dense slot indexing, not bound arithmetic
-        let Some(packer) = self.packer(2 * slot + usize::from(v)) else {
-            return false;
-        };
-        if packer.has_direct() {
-            return true;
-        }
-        if packer.len() < need as usize {
-            return false;
-        }
-        geo.centers_within(frame.coord_at(d), geo.arena.radius())
-            .any(|center| packs_within(packer, scratch, geo, frame, center, need))
+/// Level-1 determination: direct observation, or `need = t+1` disjoint
+/// chains inside a single neighborhood covering the committer.
+fn is_determined(
+    geo: &Geometry<'_>,
+    scratch: &mut PackScratch,
+    need: u32,
+    frame: &LocalFrame,
+    pair: &Pair,
+) -> bool {
+    let chains = &pair.chains;
+    if chains.has_direct() {
+        return true;
     }
+    if chains.len() < need as usize {
+        return false;
+    }
+    geo.centers_within(frame.coord_at(pair.offset()), geo.arena.radius())
+        .any(|center| packs_within(chains, scratch, geo, frame, center, need))
 }
 
 #[cfg(test)]
@@ -798,14 +796,18 @@ mod tests {
         )
     }
 
-    /// A two-level store's pending level-1 refresh list.
-    fn dirty(ev: &EvidenceStore) -> &[(NodeId, Value)] {
-        match &ev.state {
-            RuleState::TwoLevel(two) => &two.dirty,
-            RuleState::OneLevel(_) | RuleState::Retired => {
-                panic!("only a live two-level store keeps a dirty list")
-            }
-        }
+    /// A two-level store's pairs pending a level-1 refresh, in key order.
+    fn dirty(ev: &EvidenceStore) -> Vec<(NodeId, Value)> {
+        let RuleState::TwoLevel(two) = &ev.state else {
+            panic!("only a two-level store marks pairs dirty")
+        };
+        let Some(frame) = &two.frame else {
+            return Vec::new();
+        };
+        let dirty = two.pairs.iter().filter(|p| p.dirty);
+        dirty
+            .map(|p| (frame.id_at(p.offset()), p.value()))
+            .collect()
     }
 
     #[test]
@@ -1155,7 +1157,7 @@ mod tests {
                 if rule == CommitRule::TwoLevel {
                     for (c, v) in ev.determined() {
                         prop_assert!(
-                            faulty.contains(c) || *v,
+                            faulty.contains(&c) || v,
                             "honest committer {:?} wrongly determined under t={}",
                             c, t
                         );
@@ -1358,17 +1360,17 @@ mod tests {
                     answers.push(two.evaluate(&geo));
                 }
                 FRESH_SCRATCH_PER_QUERY.set(false);
-                (answers, two.determined().clone())
+                (answers, two.determined())
             };
             prop_assert_eq!(answers(false), answers(true));
         }
     }
 
     #[test]
-    fn dirty_list_is_bounded_by_distinct_pairs() {
-        // The dirty list must not grow with the chains that arrive
+    fn dirty_pairs_are_bounded_by_distinct_pairs() {
+        // The pending refresh must not grow with the chains that arrive
         // between two evaluations: 1 000 new chains about 3 committers
-        // (both values) list at most 6 pairs.
+        // (both values) mark at most 6 pairs, each once.
         let torus = Torus::new(24, 24);
         let table = table(&torus);
         let me = Coord::new(10, 10);
@@ -1400,9 +1402,9 @@ mod tests {
             dirty(&bound).len()
         );
 
-        // The marks only dedupe: the refresh answers as a store evaluated
-        // after every chain does (its marks never meet a listed pair),
-        // and listing starts afresh afterwards.
+        // A pair marked many times is refreshed once: the refresh answers
+        // as a store evaluated after every chain does (it never meets a
+        // pair marked twice), and marking starts afresh afterwards.
         let mut reference = EvidenceStore::new(1, CommitRule::TwoLevel);
         let (new, commit) = feed(&mut reference, true);
         assert_eq!(new, 1_000);
@@ -1429,8 +1431,10 @@ mod tests {
         record(&mut ev, &table, committer, true, &[id(&torus, 11, 12)]);
         let _ = ev.evaluate(&geo);
         assert_eq!(ev.determined().get(&committer), Some(&true));
-        // later contradictory evidence cannot flip it
+        // later contradictory evidence cannot flip it, nor mark its pair
+        // for a refresh
         record(&mut ev, &table, committer, false, &[id(&torus, 12, 11)]);
+        assert!(dirty(&ev).is_empty());
         let _ = ev.evaluate(&geo);
         assert_eq!(ev.determined().get(&committer), Some(&true));
     }
@@ -1767,7 +1771,7 @@ mod tests {
                         prop_assert_eq!(slots.evaluate(&geo), ids.evaluate(&geo), "{:?} step {}", rule, step);
                     }
                 }
-                prop_assert_eq!(slots.determined(), &ids.determined);
+                prop_assert_eq!(&slots.determined(), &ids.determined);
                 prop_assert_eq!(slots.chain_count(), ids.chain_count());
                 prop_assert_eq!(slots.digest(), ids.digest());
             }
