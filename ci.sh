@@ -221,7 +221,7 @@ test "$(grep -c '"boot"' "$cluster_dir/node4.jsonl")" -eq 2 \
 rm -rf "$cluster_dir" "$cluster_out"
 echo "cluster chaos smoke passed"
 
-echo "==> cluster loopback gate (8x8 in-process: parity, and the net: line's exact counts are pinned)"
+echo "==> cluster loopback gate (8x8 and 16x16 in-process: parity, and the net: line's exact counts are pinned)"
 # The same runtime over the in-process hub is deterministic to the
 # datagram, so what the links did is a fixed string: a lost dedup, an
 # extra retransmission, a changed send order or one journal record more
@@ -245,6 +245,11 @@ loopback_gate() {
 loopback_gate "net: 17 ticks | 81920 frames sent, 0 retransmitted | rx 0 duplicate, 0 stale-epoch, 8072 acks, 0 window drops | 0 stale frames, 0 forced rounds, 0 wire errors | journal 83072 records (81.12/commit)"
 loopback_gate "net: 22418 ticks | 81920 frames sent, 90730 retransmitted | rx 66284 duplicate, 0 stale-epoch, 9940 acks, 0 window drops | 12 stale frames, 0 forced rounds, 0 wire errors | journal 83159 records (81.21/commit)" \
     --chaos-seed 3405691582 --kill 12
+# The benchmark's `cluster_clean` shape at full size (later flags win):
+# 1.27 M journal records through the memory journal. Its line was taken
+# from the commit before that journal stored records in place of lines.
+loopback_gate "net: 41 ticks | 1261568 frames sent, 0 retransmitted | rx 0 duplicate, 0 stale-epoch, 81608 acks, 0 window drops | 0 stale frames, 0 forced rounds, 0 wire errors | journal 1272320 records (77.66/commit)" \
+    --width 16 --height 16 --instances 64 --rounds 40
 echo "cluster loopback gate passed"
 
 echo "==> attack search gate (pinned seed beats the hand-built library; replay is exact)"

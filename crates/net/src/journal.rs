@@ -27,7 +27,8 @@
 //! than a panic. The file backend is a record codec over
 //! [`rbcast_core::jsonl`], which owns the write-per-line, heal-on-open
 //! and complete-lines-only rules: a tail torn by `kill -9` is dropped,
-//! not quarantined.
+//! not quarantined. The memory backend keeps the same records as tagged
+//! LEB128 fields and wire bytes and renders their lines only when read.
 
 use crate::wire::{decode_frame, encode_frame, from_hex, SeqFrame};
 use rbcast_core::jsonl::{numbered_lines, read_lines, JsonlFile};
@@ -127,39 +128,59 @@ fn put_field(out: &mut Vec<u8>, key: &[u8], mut x: u64) {
 }
 
 /// Appends one record's JSONL line (no trailing newline) to `out` —
-/// the journal's one writer. Every byte is written in place: a frame's
-/// wire body is encoded into the tail of `out` and widened to hex where
-/// it lies, back to front, so no byte is overwritten before it is read.
+/// the journal's one writer, for a [`FileJournal`] line and for a
+/// [`MemJournal`] entry rendered on read alike.
 fn encode_record_into(out: &mut Vec<u8>, record: &Record) {
     match record {
-        Record::Boot { epoch } => put_field(out, b"{\"boot\":{\"epoch\":", u64::from(*epoch)),
+        Record::Boot { epoch } => put_scalar_line(out, BOOT_KEY, u64::from(*epoch)),
         Record::Frame {
             peer,
             peer_epoch,
             seq,
             frame,
-        } => {
-            put_field(out, b"{\"frame\":{\"peer\":", u64::from(*peer));
-            put_field(out, b",\"pe\":", u64::from(*peer_epoch));
-            put_field(out, b",\"seq\":", *seq);
-            out.extend_from_slice(b",\"body\":\"");
-            let start = out.len();
+        } => put_frame_line(out, u64::from(*peer), u64::from(*peer_epoch), *seq, |out| {
             encode_frame(out, frame);
-            let n = out.len() - start;
-            out.resize(start + 2 * n, 0);
-            let body = &mut out[start..];
-            for i in (0..n).rev() {
-                let byte = body[i];
-                body[2 * i] = HEX[usize::from(byte >> 4)];
-                body[2 * i + 1] = HEX[usize::from(byte & 0xf)];
-            }
-            out.push(b'"');
-        }
-        Record::Complete { round } => {
-            put_field(out, b"{\"complete\":{\"round\":", u64::from(*round));
-        }
+        }),
+        Record::Complete { round } => put_scalar_line(out, COMPLETE_KEY, u64::from(*round)),
     }
+}
+
+const BOOT_KEY: &[u8] = b"{\"boot\":{\"epoch\":";
+const COMPLETE_KEY: &[u8] = b"{\"complete\":{\"round\":";
+
+/// Appends a one-field line: `key`, `x` in decimal, and the two braces
+/// that close it.
+fn put_scalar_line(out: &mut Vec<u8>, key: &[u8], x: u64) {
+    put_field(out, key, x);
     out.extend_from_slice(b"}}");
+}
+
+/// Appends a frame line from its fields and `wire`, which appends the
+/// frame's wire body. Every byte is written in place: the body lands in
+/// the tail of `out` and is widened to hex where it lies, back to front,
+/// so no byte is overwritten before it is read.
+fn put_frame_line(
+    out: &mut Vec<u8>,
+    peer: u64,
+    peer_epoch: u64,
+    seq: u64,
+    wire: impl FnOnce(&mut Vec<u8>),
+) {
+    put_field(out, b"{\"frame\":{\"peer\":", peer);
+    put_field(out, b",\"pe\":", peer_epoch);
+    put_field(out, b",\"seq\":", seq);
+    out.extend_from_slice(b",\"body\":\"");
+    let start = out.len();
+    wire(out);
+    let n = out.len() - start;
+    out.resize(start + 2 * n, 0);
+    let body = &mut out[start..];
+    for i in (0..n).rev() {
+        let byte = body[i];
+        body[2 * i] = HEX[usize::from(byte >> 4)];
+        body[2 * i + 1] = HEX[usize::from(byte & 0xf)];
+    }
+    out.extend_from_slice(b"\"}}");
 }
 
 /// [`encode_record_into`] a fresh `String`, for callers off the append
@@ -218,15 +239,52 @@ fn decode_lines<'a>(
         .collect()
 }
 
+/// Appends `x` as LEB128: seven bits a byte, low bits first, the top
+/// bit set on every byte but the last.
+fn put_leb(out: &mut Vec<u8>, mut x: u64) {
+    while x >= 0x80 {
+        out.push(x as u8 | 0x80);
+        x >>= 7;
+    }
+    out.push(x as u8);
+}
+
+/// Reads the LEB128 integer at `bytes[*at..]` and steps past it.
+fn take_leb(bytes: &[u8], at: &mut usize) -> u64 {
+    let mut x = 0;
+    let mut shift = 0;
+    loop {
+        let byte = bytes[*at];
+        *at += 1;
+        x |= u64::from(byte & 0x7f) << shift;
+        if byte & 0x80 == 0 {
+            return x;
+        }
+        shift += 7;
+    }
+}
+
+/// [`MemJournal`] entry tags: the byte ahead of each entry's fields.
+const BOOT: u8 = 0;
+const FRAME: u8 = 1;
+const COMPLETE: u8 = 2;
+const RAW: u8 = 3;
+
 /// In-memory journal for the loopback cluster: contents survive a
 /// simulated process kill because the *cluster* owns the store and
 /// hands it back to the restarted runtime (mirroring a file surviving
-/// an OS process). It holds exactly the bytes a [`FileJournal`] fed the
-/// same appends would hold on disk — one contiguous run of
-/// newline-terminated lines — and reads them back the same way.
+/// an OS process).
+///
+/// It stores records, not text: each entry is a tag byte and the
+/// record's fields as LEB128 integers, a frame's ending in a one-byte
+/// length and its wire body. Reading renders exactly the bytes a
+/// [`FileJournal`] fed the same appends would hold on disk — one
+/// contiguous run of newline-terminated lines, through the file's line
+/// writer — and parses them with the file's reader, so the two cannot
+/// disagree on a record, a blank line or a line number.
 #[derive(Debug, Default, Clone)]
 pub struct MemJournal {
-    bytes: Vec<u8>,
+    entries: Vec<u8>,
     lines: usize,
 }
 
@@ -246,26 +304,86 @@ impl MemJournal {
     /// Appends a raw line without encoding it — the fault-injection
     /// hook recovery tests use to model on-disk corruption (a torn
     /// write, bit rot) that [`NetJournal::records`] must surface as a
-    /// [`JournalError`] instead of a panic.
+    /// [`JournalError`] instead of a panic. It renders verbatim, with
+    /// its newline.
     #[cfg(test)]
     fn inject_raw(&mut self, line: &str) {
-        self.bytes.extend_from_slice(line.as_bytes());
-        self.bytes.push(b'\n');
+        self.entries.push(RAW);
+        put_leb(&mut self.entries, line.len() as u64);
+        self.entries.extend_from_slice(line.as_bytes());
         self.lines += 1;
+    }
+
+    /// The JSONL image of every entry, each line newline-terminated.
+    fn render(&self) -> String {
+        let bytes = &self.entries;
+        let mut image = Vec::new();
+        let mut at = 0;
+        while at < bytes.len() {
+            let tag = bytes[at];
+            at += 1;
+            match tag {
+                BOOT => put_scalar_line(&mut image, BOOT_KEY, take_leb(bytes, &mut at)),
+                FRAME => {
+                    let peer = take_leb(bytes, &mut at);
+                    let peer_epoch = take_leb(bytes, &mut at);
+                    let seq = take_leb(bytes, &mut at);
+                    let n = usize::from(bytes[at]);
+                    let wire = &bytes[at + 1..at + 1 + n];
+                    at += 1 + n;
+                    put_frame_line(&mut image, peer, peer_epoch, seq, |out| {
+                        out.extend_from_slice(wire);
+                    });
+                }
+                COMPLETE => put_scalar_line(&mut image, COMPLETE_KEY, take_leb(bytes, &mut at)),
+                RAW => {
+                    let n = usize::try_from(take_leb(bytes, &mut at)).expect("stored from a usize");
+                    image.extend_from_slice(&bytes[at..at + n]);
+                    at += n;
+                }
+                _ => unreachable!("MemJournal wrote tag {tag}"),
+            }
+            image.push(b'\n');
+        }
+        String::from_utf8(image)
+            .expect("only ASCII record lines and injected &str lines are ever stored")
     }
 }
 
 impl NetJournal for MemJournal {
     fn append(&mut self, record: &Record) {
-        encode_record_into(&mut self.bytes, record);
-        self.bytes.push(b'\n');
+        let out = &mut self.entries;
+        match record {
+            Record::Boot { epoch } => {
+                out.push(BOOT);
+                put_leb(out, u64::from(*epoch));
+            }
+            Record::Frame {
+                peer,
+                peer_epoch,
+                seq,
+                frame,
+            } => {
+                out.push(FRAME);
+                put_leb(out, u64::from(*peer));
+                put_leb(out, u64::from(*peer_epoch));
+                put_leb(out, *seq);
+                let len_at = out.len();
+                out.push(0);
+                encode_frame(out, frame);
+                out[len_at] = u8::try_from(out.len() - len_at - 1)
+                    .expect("a frame's wire body is at most 36 bytes");
+            }
+            Record::Complete { round } => {
+                out.push(COMPLETE);
+                put_leb(out, u64::from(*round));
+            }
+        }
         self.lines += 1;
     }
 
     fn records(&self) -> Result<Vec<Record>, JournalError> {
-        let text = std::str::from_utf8(&self.bytes)
-            .expect("only ASCII record lines and injected &str lines are ever appended");
-        decode_lines(numbered_lines(text))
+        decode_lines(numbered_lines(&self.render()))
     }
 }
 
@@ -409,6 +527,29 @@ mod tests {
             j.append(&r);
         }
         assert_eq!(j.records().expect("valid journal"), sample());
+    }
+
+    /// A memory journal stores wire bytes, not text: `sample()` is 36
+    /// bytes of entries against the 199 bytes of its JSONL image, which
+    /// reading still renders byte for byte.
+    #[test]
+    fn mem_journal_stores_records_not_lines() {
+        let mut j = MemJournal::new();
+        for r in sample() {
+            j.append(&r);
+        }
+        #[rustfmt::skip]
+        let entries = [
+            BOOT, 1,
+            FRAME, 4, 1, 0, 15, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 1,
+            FRAME, 4, 1, 1, 5, 1, 1, 0, 0, 0,
+            COMPLETE, 1,
+            BOOT, 2,
+        ];
+        assert_eq!(j.entries, entries);
+        let image: String = sample().iter().map(|r| encode_record(r) + "\n").collect();
+        assert_eq!((j.entries.len(), image.len()), (36, 199));
+        assert_eq!(j.render(), image);
     }
 
     #[test]
@@ -646,7 +787,7 @@ mod tests {
                 }
             }
             prop_assert_eq!(mem.len(), ops.len());
-            prop_assert_eq!(std::fs::read(&path).expect("read back"), mem.bytes.clone());
+            prop_assert_eq!(std::fs::read(&path).expect("read back"), mem.render().into_bytes());
             prop_assert_eq!(outcome(mem.records()), outcome(file.records()));
             let _ = std::fs::remove_file(&path);
         }
