@@ -444,6 +444,60 @@ mod tests {
     }
 
     #[test]
+    fn a_journaled_frame_from_a_stranger_quarantines_the_node() {
+        use crate::journal::{NetJournal, Record};
+        use crate::wire::SeqFrame;
+        let spec = ClusterSpec {
+            width: 6,
+            height: 6,
+            ..spec()
+        };
+        let cfg = RuntimeConfig {
+            patience: 400,
+            ..RuntimeConfig::default()
+        };
+        // Off the torus, and on it but two hops from node 0.
+        for stranger in [999, 21] {
+            let mut cluster = LoopbackCluster::new(spec, cfg, None);
+            for _ in 0..10 {
+                cluster.step();
+            }
+            cluster.kill(0);
+            // Well formed, for a round node 0 has yet to close: only
+            // the sender is wrong.
+            let frame = SeqFrame::Data {
+                round: spec.rounds,
+                instance: spec.instance_ids()[0],
+                msg: Msg::Committed(true),
+            };
+            cluster.journals[0].clone().append(&Record::Frame {
+                peer: stranger,
+                peer_epoch: 1,
+                seq: 0,
+                frame,
+            });
+            let records = cluster.journals[0].len();
+            assert!(
+                !cluster.restart(0),
+                "a frame from {stranger} must refuse to boot"
+            );
+            assert_eq!(
+                cluster.journals[0].len(),
+                records,
+                "and leave its journal be"
+            );
+            assert!(cluster.run(100_000), "healthy nodes must still finish");
+            let report = cluster.report();
+            assert_eq!(report.quarantined.len(), 1);
+            let (node, why) = &report.quarantined[0];
+            assert_eq!(*node, 0);
+            assert!(why.contains("corrupt journal"), "reason surfaced: {why}");
+            assert!(why.contains(&format!("from {stranger},")), "{why}");
+            assert_eq!(report.nodes.len(), 35, "the other nodes report");
+        }
+    }
+
+    #[test]
     fn healthy_restart_clears_nothing_and_reports_no_quarantine() {
         let spec = spec();
         let mut cluster = LoopbackCluster::new(spec, RuntimeConfig::default(), None);

@@ -46,6 +46,15 @@ pub enum JournalError {
         /// What was wrong.
         why: String,
     },
+    /// A well-formed frame record from a node that is not a neighbour
+    /// of the replaying one: no link of it could have released the
+    /// frame.
+    Stranger {
+        /// 1-based position among the journal's records.
+        record: usize,
+        /// The sender the record names.
+        peer: u32,
+    },
     /// Filesystem failure (file backend only).
     Io(std::io::Error),
 }
@@ -56,6 +65,10 @@ impl fmt::Display for JournalError {
             JournalError::BadRecord { line, why } => {
                 write!(f, "corrupt journal at line {line}: {why}")
             }
+            JournalError::Stranger { record, peer } => write!(
+                f,
+                "corrupt journal at record {record}: a frame from {peer}, which is no neighbour"
+            ),
             JournalError::Io(e) => write!(f, "journal I/O failure: {e}"),
         }
     }
@@ -715,7 +728,7 @@ mod tests {
     fn outcome(read: Result<Vec<Record>, JournalError>) -> Result<Vec<Record>, (usize, String)> {
         read.map_err(|e| match e {
             JournalError::BadRecord { line, why } => (line, why),
-            JournalError::Io(e) => panic!("unexpected I/O failure: {e}"),
+            e => panic!("not a reader's error: {e}"),
         })
     }
 

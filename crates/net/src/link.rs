@@ -17,8 +17,8 @@
 //!   dropped unacked and retransmission brings them back), duplicates
 //!   re-trigger an ack and are dropped. An incoming *higher* epoch
 //!   means the peer restarted: its new stream starts over at sequence
-//!   0, so the receive state resets (the runtime layer discards that
-//!   peer's un-consumed round buffers to match). Acks carry the epoch
+//!   0, so the receive state resets (the runtime discards that peer's
+//!   pending frames and marks to match). Acks carry the epoch
 //!   they acknowledge, so a stale ack from before a restart can never
 //!   consume frames of the new stream.
 //!
@@ -27,7 +27,9 @@
 //! acknowledges what the runtime has *confirmed*
 //! (`Link::confirm_released`) after journaling. A crash between
 //! release and confirm merely means the peer retransmits — frames the
-//! peer saw acked are always journaled.
+//! peer saw acked are always journaled. A restarted runtime feeds its
+//! journaled frames back through `Link::on_packet` and confirms them,
+//! which restores the receive window and owes the peer an ack.
 
 use crate::wire::{encode_packet_into, Packet, PacketKind, SeqFrame};
 use rbcast_core::supervisor::retry_seed;
@@ -128,18 +130,6 @@ impl Link {
     #[must_use]
     pub(crate) fn peer(&self) -> u32 {
         self.peer
-    }
-
-    /// Restores receive-side state from the journal after a restart:
-    /// every journaled frame of `peer_epoch` was released in sequence
-    /// order starting at 0, so `count` frames are both released and
-    /// confirmed.
-    pub(crate) fn restore_rx(&mut self, peer_epoch: u32, count: u64) {
-        self.peer_epoch = Some(peer_epoch);
-        self.next_release = count;
-        self.confirmed = count;
-        // Tell the peer where we are so it prunes its unacked buffer.
-        self.ack_due = true;
     }
 
     /// Queues `frame` on the tx stream; it transmits on the next
@@ -304,7 +294,7 @@ mod tests {
     }
 
     /// Everything the receive side keeps.
-    fn rx_state(link: &Link) -> (Option<u32>, u64, u64, &BTreeMap<u64, SeqFrame>, bool) {
+    fn receive_side(link: &Link) -> (Option<u32>, u64, u64, &BTreeMap<u64, SeqFrame>, bool) {
         (
             link.peer_epoch,
             link.next_release,
@@ -312,6 +302,32 @@ mod tests {
             &link.ooo,
             link.ack_due,
         )
+    }
+
+    impl Link {
+        /// The receive window: peer epoch, next release, confirmed, ack
+        /// due.
+        pub(crate) fn window(&self) -> (Option<u32>, u64, u64, bool) {
+            (
+                self.peer_epoch,
+                self.next_release,
+                self.confirmed,
+                self.ack_due,
+            )
+        }
+
+        /// How a restarted runtime once rebuilt the window, verbatim,
+        /// kept as the reference replay through [`Link::on_packet`] is
+        /// held to: every journaled frame of `peer_epoch` was released
+        /// in sequence order starting at 0, so `count` frames are both
+        /// released and confirmed.
+        pub(crate) fn restore_rx(&mut self, peer_epoch: u32, count: u64) {
+            self.peer_epoch = Some(peer_epoch);
+            self.next_release = count;
+            self.confirmed = count;
+            // Tell the peer where we are so it prunes its unacked buffer.
+            self.ack_due = true;
+        }
     }
 
     type Datagram = Vec<u8>;
@@ -413,9 +429,26 @@ mod tests {
     }
 
     #[test]
-    fn restore_rx_suppresses_journaled_frames() {
+    fn replayed_frames_suppress_their_duplicates_and_owe_an_ack() {
         let mut link = Link::new(0, 1, 1);
-        link.restore_rx(3, 2); // journal held seqs 0 and 1 of epoch 3
+        // The journal held seqs 0 and 1 of epoch 3: replay feeds each
+        // back as its packet and confirms it.
+        for seq in 0..2 {
+            let r = rx(&mut link, &seq_packet(1, 3, seq, mark(1)));
+            assert_eq!(r, vec![(seq, mark(1))]);
+            link.confirm_released();
+        }
+        let acks = tx(&mut link, 0);
+        assert_eq!(acks.len(), 1, "the peer is owed an ack");
+        assert!(matches!(
+            crate::wire::decode_packet(&acks[0])
+                .expect("own ack decodes")
+                .kind,
+            PacketKind::Ack {
+                ack_epoch: 3,
+                cum: 2
+            }
+        ));
         let r = rx(&mut link, &seq_packet(1, 3, 0, mark(1)));
         assert!(r.is_empty());
         assert_eq!(link.stats.dup_rx, 1);
@@ -665,7 +698,7 @@ mod tests {
                 };
                 if let Some(pkt) = pkt {
                     prop_assert_eq!(rx(&mut new, &pkt), old.parent_on_packet(&pkt), "op {}", i);
-                    prop_assert_eq!(rx_state(&new), rx_state(&old), "op {}", i);
+                    prop_assert_eq!(receive_side(&new), receive_side(&old), "op {}", i);
                 } else if op <= 8 {
                     new.send(mark(i as u32));
                     old.send(mark(i as u32));

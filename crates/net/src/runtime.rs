@@ -11,8 +11,8 @@
 //! * round `k` *completes* once `Mark(k)` arrived from every
 //!   non-suspected neighbor — the link's in-order release guarantees
 //!   all of a peer's round-`k` data precedes its mark;
-//! * completed deliveries are replayed to the host sorted by the
-//!   sender's TDMA rank ([`NeighborTable::rank`]), per-sender FIFO — the
+//! * completed deliveries are replayed to the host sender by sender in
+//!   TDMA rank order ([`NeighborTable::rank`]), per-sender FIFO — the
 //!   simulator's exact global delivery order restricted to this
 //!   neighborhood. Same inputs, same callbacks, same decisions: the
 //!   golden parity tests assert digest equality against the sim oracle.
@@ -26,20 +26,20 @@
 //!
 //! **Crash recovery.** Every released frame is journaled *before* it is
 //! acknowledged and every round completion is journaled before the next
-//! round's sends — so a restarted node can deterministically re-run
-//! ingestion from its [`NetJournal`], rebuild protocol state and link
-//! receive windows, and re-send the (regenerated) rounds its peers may
-//! still be missing, under a bumped epoch that tells peers to reset.
+//! round's sends — so a restarted node can feed its [`NetJournal`]
+//! back through the live receive path, rebuilding protocol state and
+//! link receive windows, and re-send the (regenerated) rounds its peers
+//! may still be missing, under a bumped epoch that tells peers to reset.
 
 use crate::journal::{JournalError, NetJournal, Record};
 use crate::link::{Link, LinkStats};
 use crate::transport::Datagram;
-use crate::wire::{decode_packet, SeqFrame};
+use crate::wire::{decode_packet, Packet, PacketKind, SeqFrame};
 use rbcast_grid::{NeighborTable, NodeId};
 use rbcast_protocols::Msg;
 use rbcast_sim::driver::{InstanceHost, InstanceId};
 use rbcast_sim::{Process, Round, Value};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Lockstep runtime parameters.
@@ -70,7 +70,7 @@ pub struct RuntimeStats {
     pub wire_errors: u64,
     /// Datagrams whose header source is not a neighbor.
     pub unknown_src: u64,
-    /// Frames delivered into round buffers.
+    /// Frames taken into a peer's pending list.
     pub frames_ingested: u64,
     /// Frames dropped as stale (rounds already completed).
     pub stale_frames: u64,
@@ -112,6 +112,29 @@ impl NodeReport {
     }
 }
 
+/// One neighbour: its link and everything the barrier keeps about it.
+struct Peer {
+    link: Link,
+    /// Epoch of the last frame ingested (0 before any); a higher one
+    /// purges `pending` and `marks`. Not the link's, which resets on the
+    /// first packet of a new stream, before that stream releases a frame.
+    epoch: u32,
+    /// Frames of uncompleted rounds as `(round, instance, msg)`, in
+    /// arrival (= link release) order.
+    pending: Vec<(Round, InstanceId, Msg)>,
+    /// Uncompleted rounds whose `Mark` arrived.
+    marks: Vec<Round>,
+    suspected: bool,
+}
+
+impl Peer {
+    /// True while the barrier of round `k` waits on this peer: its mark
+    /// is not in and it is not suspected.
+    fn awaited(&self, k: Round) -> bool {
+        !self.suspected && !self.marks.contains(&k)
+    }
+}
+
 /// One node of the networked cluster. See the module docs for the
 /// protocol; construction is via [`NodeRuntime::open`], which handles
 /// both fresh starts and journal-driven resumption.
@@ -120,21 +143,15 @@ pub struct NodeRuntime {
     epoch: u32,
     cfg: RuntimeConfig,
     host: InstanceHost<Msg>,
-    links: BTreeMap<u32, Link>,
-    /// Un-consumed deliveries per round as `(sender, instance, msg)` in
-    /// arrival order — which, sender by sender, is link release
-    /// (= sequence) order.
-    buffers: BTreeMap<Round, Vec<(u32, InstanceId, Msg)>>,
-    /// Barrier tokens per round.
-    marks: BTreeMap<Round, BTreeSet<u32>>,
-    /// Highest epoch ingested per neighbor (restart detection for the
-    /// deterministic ingestion path, live and replay alike).
-    peer_epochs: BTreeMap<u32, u32>,
+    /// Every neighbour, in id order — the order the links send in.
+    peers: Vec<Peer>,
+    /// Indices into `peers` in the neighbours' TDMA rank order — the
+    /// order a completed round delivers in.
+    by_rank: Vec<usize>,
     /// Broadcast payloads of the last two closed rounds, keyed by the
     /// round they are delivered in — exactly what a resumed node must
     /// re-send.
     recent_outs: VecDeque<(Round, Vec<(InstanceId, Msg)>)>,
-    suspects: BTreeSet<u32>,
     transport: Box<dyn Datagram>,
     journal: Box<dyn NetJournal>,
     replaying: bool,
@@ -150,7 +167,7 @@ impl std::fmt::Debug for NodeRuntime {
             .field("me", &self.me)
             .field("epoch", &self.epoch)
             .field("round", &self.host.round())
-            .field("suspects", &self.suspects)
+            .field("suspects", &self.suspects())
             .finish_non_exhaustive()
     }
 }
@@ -168,14 +185,15 @@ impl NodeRuntime {
     ///
     /// # Errors
     ///
-    /// Returns [`JournalError`] when an existing journal is corrupt.
+    /// Returns [`JournalError`] when an existing journal is corrupt:
+    /// unreadable, or naming a sender that is no neighbour.
     pub fn open(
         arena: Arc<NeighborTable>,
         me: NodeId,
         instances: &[InstanceId],
         spawn: &mut dyn FnMut(InstanceId) -> Box<dyn Process<Msg>>,
         transport: Box<dyn Datagram>,
-        mut journal: Box<dyn NetJournal>,
+        journal: Box<dyn NetJournal>,
         cfg: RuntimeConfig,
     ) -> Result<Self, JournalError> {
         let prior = journal.records()?;
@@ -187,24 +205,37 @@ impl NodeRuntime {
             })
             .max()
             .unwrap_or(0);
-        journal.append(&Record::Boot { epoch });
 
         let mut host = InstanceHost::new(Arc::clone(&arena), me);
         for &inst in instances {
             host.spawn(inst, spawn(inst));
         }
 
+        // Links come up under the new epoch, before replay: the journal
+        // feeds them as the transport once did.
+        let mut ids: Vec<u32> = arena.neighbors(me).map(|n| n.0).collect();
+        ids.sort_unstable();
+        let mut by_rank: Vec<usize> = (0..ids.len()).collect();
+        by_rank.sort_unstable_by_key(|&i| arena.rank(NodeId(ids[i])));
+        let peers = ids
+            .into_iter()
+            .map(|id| Peer {
+                link: Link::new(me.0, epoch, id),
+                epoch: 0,
+                pending: Vec::new(),
+                marks: Vec::new(),
+                suspected: false,
+            })
+            .collect();
+
         let mut rt = NodeRuntime {
             me,
             epoch,
             cfg,
             host,
-            links: BTreeMap::new(),
-            buffers: BTreeMap::new(),
-            marks: BTreeMap::new(),
-            peer_epochs: BTreeMap::new(),
+            peers,
+            by_rank,
             recent_outs: VecDeque::new(),
-            suspects: BTreeSet::new(),
             transport,
             journal,
             replaying: true,
@@ -216,13 +247,14 @@ impl NodeRuntime {
             },
         };
 
-        // Deterministic re-ingestion: the journal records exactly the
-        // frame sequence the previous incarnations processed, so
-        // running the live ingestion logic over it reproduces their
-        // state — including drops and epoch resets.
-        let mut rx_state: BTreeMap<u32, (u32, u64)> = BTreeMap::new();
-        for record in &prior {
-            match record {
+        // Replay is the live receive path: the journal holds exactly the
+        // frames the previous incarnations' links released, so feeding
+        // each back as its packet rebuilds the receive windows (all
+        // confirmed, an ack owed) and the round state, epoch resets
+        // included. A frame no link could have released is corruption.
+        let mut released = Vec::new();
+        for (i, record) in prior.iter().enumerate() {
+            match *record {
                 Record::Boot { .. } => {}
                 Record::Frame {
                     peer,
@@ -230,29 +262,24 @@ impl NodeRuntime {
                     seq,
                     frame,
                 } => {
-                    let entry = rx_state.entry(*peer).or_insert((*peer_epoch, 0));
-                    if *peer_epoch > entry.0 {
-                        *entry = (*peer_epoch, 0);
+                    let pkt = Packet {
+                        src: peer,
+                        epoch: peer_epoch,
+                        kind: PacketKind::Seq { seq, frame },
+                    };
+                    if !rt.receive(&pkt, &mut released) {
+                        let record = i + 1;
+                        return Err(JournalError::Stranger { record, peer });
                     }
-                    entry.1 = entry.1.max(seq + 1);
-                    rt.ingest(*peer, *peer_epoch, *frame);
                 }
                 Record::Complete { .. } => rt.complete_round(),
             }
         }
+        // Replay appends nothing, so the boot record still precedes
+        // every record of this incarnation; a journal that does not
+        // replay is left as it was.
+        rt.journal.append(&Record::Boot { epoch });
         rt.replaying = false;
-
-        // Links come up under the new epoch; receive windows resume
-        // where the journal proves delivery (journal-before-ack: every
-        // acked frame is journaled, so peers lose nothing).
-        let neighbors: Vec<u32> = arena.neighbors(me).map(|n| n.0).collect();
-        for &peer in &neighbors {
-            let mut link = Link::new(me.0, epoch, peer);
-            if let Some(&(pe, count)) = rx_state.get(&peer) {
-                link.restore_rx(pe, count);
-            }
-            rt.links.insert(peer, link);
-        }
 
         if rt.host.round() == 0 {
             // Fresh start (or a crash before round 0 closed): close the
@@ -263,10 +290,11 @@ impl NodeRuntime {
             // round R, so re-sending the regenerated outboxes of those
             // two rounds (plus their barrier marks) under the new epoch
             // covers everything our lost unacked buffers owed them.
-            let resend: Vec<_> = rt.recent_outs.iter().cloned().collect();
-            for (round, frames) in resend {
-                rt.queue_round(round, &frames);
+            let resend = std::mem::take(&mut rt.recent_outs);
+            for (round, frames) in &resend {
+                rt.queue_round(*round, frames);
             }
+            rt.recent_outs = resend;
         }
         Ok(rt)
     }
@@ -287,7 +315,13 @@ impl NodeRuntime {
     /// we sent — safe to exit without stranding a slower neighbor.
     #[must_use]
     pub fn quiesced(&self) -> bool {
-        self.finished() && self.links.values().all(|l| l.in_flight() == 0)
+        self.finished() && self.peers.iter().all(|p| p.link.in_flight() == 0)
+    }
+
+    /// The neighbours currently suspected, in id order.
+    fn suspects(&self) -> Vec<u32> {
+        let suspected = self.peers.iter().filter(|p| p.suspected);
+        suspected.map(|p| p.link.peer()).collect()
     }
 
     /// Sends the given round's deliveries plus its barrier mark to
@@ -297,107 +331,125 @@ impl NodeRuntime {
         if round == 0 || round > self.cfg.rounds {
             return;
         }
-        for link in self.links.values_mut() {
+        for peer in &mut self.peers {
             for &(instance, msg) in frames {
-                link.send(SeqFrame::Data {
+                peer.link.send(SeqFrame::Data {
                     round,
                     instance,
                     msg,
                 });
             }
-            link.send(SeqFrame::Mark { round });
+            peer.link.send(SeqFrame::Mark { round });
         }
     }
 
-    /// Deterministic ingestion of one released frame — shared verbatim
-    /// by the live path and journal replay, which is what makes replay
-    /// faithful.
-    fn ingest(&mut self, peer: u32, peer_epoch: u32, frame: SeqFrame) {
-        let seen = self.peer_epochs.entry(peer).or_insert(peer_epoch);
-        if peer_epoch > *seen {
+    /// The receive path the pump and journal replay share: `pkt` goes
+    /// through its sender's link, and the frames that releases (into
+    /// `released`, which the caller lends) are journaled (live only),
+    /// confirmed and ingested. Returns false, touching nothing, when
+    /// `pkt.src` is no neighbour.
+    fn receive(&mut self, pkt: &Packet, released: &mut Vec<(u64, SeqFrame)>) -> bool {
+        let Ok(i) = self.peers.binary_search_by_key(&pkt.src, |p| p.link.peer()) else {
+            return false;
+        };
+        released.clear();
+        self.peers[i].link.on_packet(pkt, released);
+        if released.is_empty() {
+            return true;
+        }
+        // Journal before ack: once these lines are durable the frames
+        // can never be lost, so acknowledging is safe. Only Seq packets
+        // release frames, and the link clears its out-of-order buffer on
+        // an epoch bump, so every released frame belongs to this
+        // packet's header epoch.
+        if !self.replaying {
+            for &(seq, frame) in released.iter() {
+                self.journal.append(&Record::Frame {
+                    peer: pkt.src,
+                    peer_epoch: pkt.epoch,
+                    seq,
+                    frame,
+                });
+            }
+            self.stats.journal_records += released.len() as u64;
+        }
+        self.peers[i].link.confirm_released();
+        for &(_seq, frame) in released.iter() {
+            self.ingest(i, pkt.epoch, frame);
+        }
+        self.last_progress = self.tick;
+        true
+    }
+
+    /// Ingestion of one released frame from `self.peers[i]`.
+    fn ingest(&mut self, i: usize, peer_epoch: u32, frame: SeqFrame) {
+        let current = self.host.round();
+        let peer = &mut self.peers[i];
+        if peer_epoch > peer.epoch {
             // The peer restarted: whatever it sent of un-completed
             // rounds under the old epoch will be re-sent in full under
             // the new one (its outboxes regenerate deterministically),
-            // so partial old-epoch buffers must go.
-            *seen = peer_epoch;
-            for batch in self.buffers.values_mut() {
-                batch.retain(|&(sender, ..)| sender != peer);
-            }
-            for marked in self.marks.values_mut() {
-                marked.remove(&peer);
-            }
+            // so partial old-epoch state must go.
+            peer.epoch = peer_epoch;
+            peer.pending.clear();
+            peer.marks.clear();
         }
         // Any sign of life lifts suspicion; the patience clock re-arms.
-        self.suspects.remove(&peer);
-        let current = self.host.round();
+        peer.suspected = false;
+        let (SeqFrame::Data { round, .. } | SeqFrame::Mark { round }) = frame;
+        if round < current || round > self.cfg.rounds {
+            self.stats.stale_frames += 1;
+            return;
+        }
         match frame {
-            SeqFrame::Data {
-                round,
-                instance,
-                msg,
-            } => {
-                if round < current || round > self.cfg.rounds {
-                    self.stats.stale_frames += 1;
-                    return;
-                }
+            SeqFrame::Data { instance, msg, .. } => {
                 self.stats.frames_ingested += 1;
-                self.buffers
-                    .entry(round)
-                    .or_default()
-                    .push((peer, instance, msg));
+                peer.pending.push((round, instance, msg));
             }
-            SeqFrame::Mark { round } => {
-                if round < current || round > self.cfg.rounds {
-                    self.stats.stale_frames += 1;
-                    return;
+            SeqFrame::Mark { .. } => {
+                if !peer.marks.contains(&round) {
+                    peer.marks.push(round);
                 }
-                self.marks.entry(round).or_default().insert(peer);
             }
         }
     }
 
-    /// Closes the currently collecting round: replays its buffered
-    /// deliveries to the host in sim order (sender TDMA rank, FIFO per
-    /// sender), runs the round-end callbacks, journals the completion,
-    /// and queues the next round's broadcasts.
+    /// Closes the currently collecting round: replays its deliveries to
+    /// the host in sim order (peer by peer in TDMA rank order, each
+    /// peer's in arrival order), runs the round-end callbacks, journals
+    /// the completion, and queues the next round's broadcasts.
     fn complete_round(&mut self) {
         let k = self.host.round();
-        if let Some(mut batch) = self.buffers.remove(&k) {
-            // Stable, so each sender's frames stay in arrival order.
-            let arena = self.host.arena();
-            batch.sort_by_key(|&(sender, ..)| arena.rank(NodeId(sender)));
-            for (sender, instance, msg) in &batch {
-                if !self.host.deliver(*instance, NodeId(*sender), msg) {
+        for &i in &self.by_rank {
+            let peer = &mut self.peers[i];
+            let sender = NodeId(peer.link.peer());
+            // Later rounds' frames go back into a fresh list: no peer
+            // keeps its busiest round's capacity for the whole run.
+            for (round, instance, msg) in std::mem::take(&mut peer.pending) {
+                if round != k {
+                    peer.pending.push((round, instance, msg));
+                } else if !self.host.deliver(instance, sender, &msg) {
                     self.stats.unknown_instance += 1;
                 }
             }
+            peer.marks.retain(|&round| round != k);
         }
-        self.marks.remove(&k);
         let out = self.host.end_round();
         if !self.replaying {
             self.journal.append(&Record::Complete { round: k });
             self.stats.journal_records += 1;
+            self.queue_round(k + 1, &out);
         }
-        self.recent_outs.push_back((k + 1, out.clone()));
+        self.recent_outs.push_back((k + 1, out));
         if self.recent_outs.len() > 2 {
             self.recent_outs.pop_front();
-        }
-        if !self.replaying {
-            self.queue_round(k + 1, &out);
         }
         self.last_progress = self.tick;
     }
 
-    /// True while the collecting round's barrier waits on neighbor
-    /// `peer`: its mark is not in and it is not suspected.
-    fn awaited(&self, peer: u32) -> bool {
-        let marked = self.marks.get(&self.host.round());
-        !self.suspects.contains(&peer) && !marked.is_some_and(|m| m.contains(&peer))
-    }
-
-    /// Completes rounds for as long as nobody is [`Self::awaited`].
+    /// Completes rounds for as long as no peer is [`Peer::awaited`].
     fn advance_barrier(&mut self) {
-        while !self.finished() && !self.links.keys().any(|&p| self.awaited(p)) {
+        while !self.finished() && !self.peers.iter().any(|p| p.awaited(self.host.round())) {
             self.complete_round();
         }
     }
@@ -415,35 +467,9 @@ impl NodeRuntime {
                 self.stats.wire_errors += 1;
                 continue;
             };
-            let Some(link) = self.links.get_mut(&pkt.src) else {
+            if !self.receive(&pkt, &mut released) {
                 self.stats.unknown_src += 1;
-                continue;
-            };
-            released.clear();
-            link.on_packet(&pkt, &mut released);
-            if released.is_empty() {
-                continue;
             }
-            // Journal before ack: once these lines are durable the
-            // frames can never be lost, so acknowledging is safe.
-            // Only Seq packets release frames, and the link clears its
-            // out-of-order buffer on an epoch bump, so every released
-            // frame belongs to this packet's header epoch.
-            let pe = pkt.epoch;
-            for &(seq, frame) in &released {
-                self.journal.append(&Record::Frame {
-                    peer: pkt.src,
-                    peer_epoch: pe,
-                    seq,
-                    frame,
-                });
-            }
-            self.stats.journal_records += released.len() as u64;
-            link.confirm_released();
-            for &(_seq, frame) in &released {
-                self.ingest(pkt.src, pe, frame);
-            }
-            self.last_progress = self.tick;
         }
 
         // Advance the barrier as far as the marks allow.
@@ -452,24 +478,21 @@ impl NodeRuntime {
         // Patience: a barrier stalled too long proceeds without the
         // silent peers (degraded, not wedged).
         if !self.finished() && self.tick.saturating_sub(self.last_progress) > self.cfg.patience {
-            let missing: Vec<u32> = self
-                .links
-                .keys()
-                .copied()
-                .filter(|&p| self.awaited(p))
-                .collect();
-            if !missing.is_empty() {
-                self.suspects.extend(missing);
+            let k = self.host.round();
+            let mut missing = self.peers.iter_mut().filter(|p| p.awaited(k)).peekable();
+            if missing.peek().is_some() {
                 self.stats.forced_rounds += 1;
             }
+            missing.for_each(|peer| peer.suspected = true);
             self.last_progress = self.tick;
             self.advance_barrier();
         }
 
         // Fire acks and due retransmissions.
-        for link in self.links.values_mut() {
-            let to = link.peer();
-            link.flush(self.tick, |bytes| self.transport.send(to, bytes));
+        for peer in &mut self.peers {
+            let to = peer.link.peer();
+            peer.link
+                .flush(self.tick, |bytes| self.transport.send(to, bytes));
         }
         self.finished()
     }
@@ -478,20 +501,20 @@ impl NodeRuntime {
     #[must_use]
     pub fn report(&self) -> NodeReport {
         let mut link_totals = LinkStats::default();
-        for l in self.links.values() {
-            link_totals.sent += l.stats.sent;
-            link_totals.retransmits += l.stats.retransmits;
-            link_totals.dup_rx += l.stats.dup_rx;
-            link_totals.stale_rx += l.stats.stale_rx;
-            link_totals.acks_rx += l.stats.acks_rx;
-            link_totals.window_drops += l.stats.window_drops;
+        for l in self.peers.iter().map(|p| &p.link.stats) {
+            link_totals.sent += l.sent;
+            link_totals.retransmits += l.retransmits;
+            link_totals.dup_rx += l.dup_rx;
+            link_totals.stale_rx += l.stale_rx;
+            link_totals.acks_rx += l.acks_rx;
+            link_totals.window_drops += l.window_drops;
         }
         NodeReport {
             node: self.me,
             epoch: self.epoch,
             rounds_closed: self.host.round(),
             decisions: self.host.decisions(),
-            suspects: self.suspects.iter().copied().collect(),
+            suspects: self.suspects(),
             stats: self.stats,
             link_totals,
         }
@@ -506,6 +529,7 @@ mod tests {
     use rbcast_grid::{Metric, Torus};
     use rbcast_sim::Ctx;
     use std::cell::RefCell;
+    use std::collections::{BTreeMap, BTreeSet};
     use std::rc::Rc;
 
     type Heard = Vec<(u32, InstanceId, Msg)>;
@@ -529,11 +553,47 @@ mod tests {
         }
     }
 
-    /// The round buffers as they were before they were flattened: a map
-    /// per round of a `Vec` per sender, purged by `remove` on an epoch
-    /// bump and drained sender by sender in rank order — the three
-    /// pieces of the parent's `ingest`/`complete_round` that touch
-    /// them, verbatim, kept as the reference for the property below.
+    /// Three instances, one per origin `0..3`.
+    fn instances() -> Vec<InstanceId> {
+        (0..3)
+            .map(|seq| InstanceId {
+                origin: NodeId(seq),
+                seq,
+            })
+            .collect()
+    }
+
+    /// Node `me` of `arena` over a silent transport, booted from a
+    /// memory journal holding `prior`, recording what it is told into
+    /// `heard`.
+    fn boot(
+        arena: &Arc<NeighborTable>,
+        me: NodeId,
+        prior: &[Record],
+        cfg: RuntimeConfig,
+        heard: &Rc<RefCell<Heard>>,
+    ) -> Result<NodeRuntime, JournalError> {
+        let mut journal = MemJournal::new();
+        for record in prior {
+            journal.append(record);
+        }
+        NodeRuntime::open(
+            Arc::clone(arena),
+            me,
+            &instances(),
+            &mut |inst| Box::new(Recorder(inst, Rc::clone(heard))),
+            Box::new(Silence),
+            Box::new(journal),
+            cfg,
+        )
+    }
+
+    /// The round buffers as they were before a flat round buffer, and
+    /// then per-peer lists, replaced them: a map per round of a `Vec`
+    /// per sender, purged by `remove` on an epoch bump and drained
+    /// sender by sender in rank order — the three pieces of that
+    /// `ingest`/`complete_round` that touch them, verbatim, kept as the
+    /// reference for the properties below.
     #[derive(Default)]
     struct PerPeerMaps {
         buffers: BTreeMap<Round, BTreeMap<u32, Vec<(InstanceId, Msg)>>>,
@@ -570,54 +630,271 @@ mod tests {
         }
     }
 
+    /// Frames of eight senders interleaved — many per sender, so only
+    /// per-sender FIFO keeps each one's order — with epoch bumps landing
+    /// mid-round reach the host exactly as the per-peer maps delivered
+    /// them.
+    fn pending_lists_deliver_what_the_per_peer_maps_did(
+        arena: &Arc<NeighborTable>,
+        me: NodeId,
+        arrivals: &[(usize, u32, u8)],
+    ) -> Result<(), TestCaseError> {
+        let heard = Rc::new(RefCell::new(Heard::new()));
+        let mut rt =
+            boot(arena, me, &[], RuntimeConfig::default(), &heard).expect("an empty journal boots");
+        prop_assert_eq!(rt.host.round(), 1, "round 0 closes at boot");
+        prop_assert_eq!(rt.peers.len(), 8);
+
+        let instances = instances();
+        let mut reference = PerPeerMaps::default();
+        let mut epochs = [1u32; 8];
+        for (i, &(p, round_ahead, roll)) in arrivals.iter().enumerate() {
+            // One arrival in sixteen is the first frame of a restarted
+            // sender.
+            epochs[p] += u32::from(roll == 0);
+            let (round, inst) = (1 + round_ahead, instances[i % 3]);
+            // The committer field numbers the frame: no two alike.
+            let msg = Msg::heard(NodeId(i as u32), true, &[]);
+            let frame = SeqFrame::Data {
+                round,
+                instance: inst,
+                msg,
+            };
+            rt.ingest(p, epochs[p], frame);
+            reference.ingest(rt.peers[p].link.peer(), epochs[p], round, inst, msg);
+        }
+        let mut want = Heard::new();
+        for k in 1..=3 {
+            rt.complete_round();
+            reference.complete_round(k, arena, &mut want);
+        }
+        prop_assert_eq!(&*heard.borrow(), &want);
+        prop_assert!(rt.peers.iter().all(|p| p.pending.is_empty()));
+        prop_assert!(reference.buffers.is_empty());
+        Ok(())
+    }
+
+    /// The parent's replay, kept as the reference for the property
+    /// below: each journaled frame went straight to `ingest` — into the
+    /// per-round buffers and mark sets of that code, verbatim but for
+    /// suspicion and counters — and the links were built afterwards,
+    /// their windows restored from the `rx_state` fold through
+    /// `Link::restore_rx`.
+    #[derive(Default)]
+    struct ParentReplay {
+        round: Round,
+        buffers: BTreeMap<Round, Vec<(u32, InstanceId, Msg)>>,
+        marks: BTreeMap<Round, BTreeSet<u32>>,
+        peer_epochs: BTreeMap<u32, u32>,
+        rx_state: BTreeMap<u32, (u32, u64)>,
+    }
+
+    impl ParentReplay {
+        fn new(prior: &[Record], rounds: Round) -> Self {
+            let mut parent = ParentReplay::default();
+            for record in prior {
+                match *record {
+                    Record::Boot { .. } => {}
+                    Record::Frame {
+                        peer,
+                        peer_epoch,
+                        seq,
+                        frame,
+                    } => {
+                        let entry = parent.rx_state.entry(peer).or_insert((peer_epoch, 0));
+                        if peer_epoch > entry.0 {
+                            *entry = (peer_epoch, 0);
+                        }
+                        entry.1 = entry.1.max(seq + 1);
+                        parent.ingest(peer, peer_epoch, frame, rounds);
+                    }
+                    Record::Complete { .. } => parent.complete_round(),
+                }
+            }
+            if parent.round == 0 {
+                // A journal that closed no round closes round 0 at boot.
+                parent.complete_round();
+            }
+            parent
+        }
+
+        fn complete_round(&mut self) {
+            self.buffers.remove(&self.round);
+            self.marks.remove(&self.round);
+            self.round += 1;
+        }
+
+        fn ingest(&mut self, peer: u32, peer_epoch: u32, frame: SeqFrame, rounds: Round) {
+            let seen = self.peer_epochs.entry(peer).or_insert(peer_epoch);
+            if peer_epoch > *seen {
+                *seen = peer_epoch;
+                for batch in self.buffers.values_mut() {
+                    batch.retain(|&(sender, ..)| sender != peer);
+                }
+                for marked in self.marks.values_mut() {
+                    marked.remove(&peer);
+                }
+            }
+            let current = self.round;
+            match frame {
+                SeqFrame::Data {
+                    round,
+                    instance,
+                    msg,
+                } => {
+                    if round < current || round > rounds {
+                        return;
+                    }
+                    self.buffers
+                        .entry(round)
+                        .or_default()
+                        .push((peer, instance, msg));
+                }
+                SeqFrame::Mark { round } => {
+                    if round < current || round > rounds {
+                        return;
+                    }
+                    self.marks.entry(round).or_default().insert(peer);
+                }
+            }
+        }
+
+        /// `peer`'s link as the parent's `open` left it.
+        fn link(&self, me: NodeId, epoch: u32, peer: u32) -> Link {
+            let mut link = Link::new(me.0, epoch, peer);
+            if let Some(&(pe, count)) = self.rx_state.get(&peer) {
+                link.restore_rx(pe, count);
+            }
+            link
+        }
+
+        /// `peer`'s frames of uncompleted rounds, by round, each
+        /// round's in arrival order.
+        fn pending(&self, peer: u32) -> Vec<(Round, InstanceId, Msg)> {
+            let mut pending = Vec::new();
+            for (&round, batch) in &self.buffers {
+                for &(sender, instance, msg) in batch {
+                    if sender == peer {
+                        pending.push((round, instance, msg));
+                    }
+                }
+            }
+            pending
+        }
+
+        /// The uncompleted rounds whose mark `peer` sent, ascending.
+        fn marks(&self, peer: u32) -> Vec<Round> {
+            let marked = self.marks.iter().filter(|(_, m)| m.contains(&peer));
+            marked.map(|(&round, _)| round).collect()
+        }
+    }
+
+    /// A journal the live pump could have written: frames from four
+    /// peers, each stream sequenced from 0 under its epoch, peers that
+    /// restart (a new epoch, the stream from 0 again), restarts of this
+    /// node, and round completions. Data and marks name rounds around
+    /// the collecting one, some stale and some past the horizon.
+    fn live_journal(peers: &[u32], ops: &[(u8, u8, u8)]) -> Vec<Record> {
+        let instances = instances();
+        let mut epochs = vec![1u32; peers.len()];
+        let mut seqs = vec![0u64; peers.len()];
+        let (mut boots, mut round) = (1, 0);
+        let mut journal = vec![Record::Boot { epoch: 1 }];
+        for (i, &(op, p, x)) in ops.iter().enumerate() {
+            let p = usize::from(p) % peers.len();
+            match op {
+                0 => {
+                    epochs[p] += 1;
+                    seqs[p] = 0;
+                }
+                1 => {
+                    boots += 1;
+                    journal.push(Record::Boot { epoch: boots });
+                }
+                2 | 3 => {
+                    journal.push(Record::Complete { round });
+                    round += 1;
+                }
+                _ => {
+                    let round = (round + u32::from(x % 4)).saturating_sub(1);
+                    let frame = if x % 3 == 0 {
+                        SeqFrame::Mark { round }
+                    } else {
+                        SeqFrame::Data {
+                            round,
+                            instance: instances[i % 3],
+                            msg: Msg::heard(NodeId(i as u32), true, &[]),
+                        }
+                    };
+                    journal.push(Record::Frame {
+                        peer: peers[p],
+                        peer_epoch: epochs[p],
+                        seq: seqs[p],
+                        frame,
+                    });
+                    seqs[p] += 1;
+                }
+            }
+        }
+        journal
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Frames of eight senders interleaved in one flat buffer — many
-        /// per sender, so only a *stable* sort keeps each sender's FIFO —
-        /// with epoch bumps landing mid-round reach the host exactly as
-        /// the per-peer maps delivered them.
+        /// On 5×5 no TDMA schedule fits and the rank is the id.
         #[test]
-        fn flat_round_buffers_deliver_what_the_per_peer_maps_did(
+        fn pending_lists_deliver_what_the_per_peer_maps_did_in_id_order(
             arrivals in proptest::collection::vec((0usize..8, 0u32..3, 0u8..16), 1..200),
         ) {
             let arena = Arc::new(NeighborTable::build_wrapping(&Torus::new(5, 5), 1, Metric::Linf));
-            let me = NodeId(12);
-            let instances: Vec<InstanceId> =
-                (0..3).map(|seq| InstanceId { origin: NodeId(seq), seq }).collect();
-            let heard = Rc::new(RefCell::new(Heard::new()));
-            let mut rt = NodeRuntime::open(
-                Arc::clone(&arena),
-                me,
-                &instances,
-                &mut |inst| Box::new(Recorder(inst, Rc::clone(&heard))),
-                Box::new(Silence),
-                Box::new(MemJournal::new()),
-                RuntimeConfig::default(),
-            )
-            .expect("an empty journal boots");
-            prop_assert_eq!(rt.host.round(), 1, "round 0 closes at boot");
+            pending_lists_deliver_what_the_per_peer_maps_did(&arena, NodeId(12), &arrivals)?;
+        }
 
-            let peers: Vec<u32> = arena.neighbors(me).map(|n| n.0).collect();
-            let mut reference = PerPeerMaps::default();
-            let mut epochs = [1u32; 8];
-            for (i, &(p, round_ahead, roll)) in arrivals.iter().enumerate() {
-                // One arrival in sixteen is the first frame of a
-                // restarted sender.
-                epochs[p] += u32::from(roll == 0);
-                let (round, inst) = (1 + round_ahead, instances[i % 3]);
-                // The committer field numbers the frame: no two alike.
-                let msg = Msg::heard(NodeId(i as u32), true, &[]);
-                rt.ingest(peers[p], epochs[p], SeqFrame::Data { round, instance: inst, msg });
-                reference.ingest(peers[p], epochs[p], round, inst, msg);
+        /// On 6×6 a schedule fits, and node 14's neighbours rank in an
+        /// order that is not their ids'.
+        #[test]
+        fn pending_lists_deliver_what_the_per_peer_maps_did_in_rank_order(
+            arrivals in proptest::collection::vec((0usize..8, 0u32..3, 0u8..16), 1..200),
+        ) {
+            let arena = Arc::new(NeighborTable::build_wrapping(&Torus::new(6, 6), 1, Metric::Linf));
+            let me = NodeId(14);
+            let mut ids: Vec<u32> = arena.neighbors(me).map(|n| n.0).collect();
+            ids.sort_unstable();
+            prop_assert!(!ids.is_sorted_by_key(|&id| arena.rank(NodeId(id))));
+            pending_lists_deliver_what_the_per_peer_maps_did(&arena, me, &arrivals)?;
+        }
+
+        /// Replaying any journal the live pump could have written through
+        /// the receive path leaves every link's window and every peer's
+        /// pending frames and marks where the parent's replay left them.
+        #[test]
+        fn replay_through_the_links_rebuilds_what_the_parent_restored(
+            ops in proptest::collection::vec((0u8..12, 0u8..4, 0u8..=255), 0..160),
+        ) {
+            let arena = Arc::new(NeighborTable::build_wrapping(&Torus::new(6, 6), 1, Metric::Linf));
+            let me = NodeId(14);
+            let cfg = RuntimeConfig { rounds: 8, ..RuntimeConfig::default() };
+            let some_peers = [7, 8, 15, 21];
+            let prior = live_journal(&some_peers, &ops);
+            let heard = Rc::new(RefCell::new(Heard::new()));
+            let rt = boot(&arena, me, &prior, cfg, &heard).expect("a live journal replays");
+            let parent = ParentReplay::new(&prior, cfg.rounds);
+            prop_assert_eq!(rt.host.round(), parent.round);
+            for peer in &rt.peers {
+                let id = peer.link.peer();
+                prop_assert_eq!(
+                    peer.link.window(),
+                    parent.link(me, rt.epoch, id).window(),
+                    "the link to {}", id
+                );
+                let mut pending = peer.pending.clone();
+                pending.sort_by_key(|&(round, ..)| round);
+                prop_assert_eq!(pending, parent.pending(id), "frames from {}", id);
+                let mut marks = peer.marks.clone();
+                marks.sort_unstable();
+                prop_assert_eq!(marks, parent.marks(id), "marks from {}", id);
             }
-            let mut want = Heard::new();
-            for k in 1..=3 {
-                rt.complete_round();
-                reference.complete_round(k, &arena, &mut want);
-            }
-            prop_assert_eq!(&*heard.borrow(), &want);
-            prop_assert!(rt.buffers.is_empty() && reference.buffers.is_empty());
         }
     }
 }

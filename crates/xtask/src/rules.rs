@@ -40,7 +40,7 @@ const ORDER_SENSITIVE_SRC: &[&str] = &["crates/sim/src", "crates/protocols/src"]
 
 /// Where a per-iteration allocation is a per-delivery or per-datagram
 /// cost: the simulator and protocols, and the four net files a frame
-/// crosses between the datagram and the round buffer.
+/// crosses between the datagram and its sender's pending list.
 const HOT_ALLOC_SRC: &[&str] = &[
     "crates/sim/src",
     "crates/protocols/src",
