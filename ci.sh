@@ -52,6 +52,15 @@ for pat in 'cbf2_\?9ce4_\?8422_\?2325' 'fn splitmix' 'fn \(json_escape\|escape_j
         || { grep -rni --include='*.rs' "$pat" $one_home; echo "one-of-each: '$pat' has a second home"; exit 1; }
 done
 
+echo "==> one-matcher gate (a token rule is a row of data; rules.rs keeps at most five fn check_)"
+# Ten audit rules are a banned token sequence plus its home modules, all
+# served by Rule::findings; only the five structural rules (float-eq,
+# lint-header, hot-loop-alloc, checked-threshold-arith, unused-pub) keep
+# a check function. A hand-written token check must not come back quietly.
+test "$(awk '/^#\[cfg\(test\)\]/ { exit } /fn check_/ { n++ } END { print n + 0 }' \
+    crates/xtask/src/rules.rs)" -le 5 \
+    || { grep -n 'fn check_' crates/xtask/src/rules.rs; echo "one-matcher: a sixth check function in rules.rs"; exit 1; }
+
 echo "==> one-lender gate (one Ctx literal under crates/sim/src; NodeDriver only as a #[cfg(test)] reference)"
 # Every host builds its Ctx through sim::process::Lent; a second
 # hand-assembled literal, or the per-instance driver coming back into

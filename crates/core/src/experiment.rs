@@ -616,7 +616,7 @@ impl Experiment {
         let torus = self.resolve_torus();
         let arena = Arc::new(
             NeighborTable::try_build(&torus, self.r, self.metric).unwrap_or_else(|e| {
-                // audit:allow(panic): `run_guard` is the fallible path; a run cannot go on without its arena
+                // audit:allow(unwrap-panic): `run_guard` is the fallible path; a run cannot go on without its arena
                 panic!("{e}")
             }),
         );
@@ -666,7 +666,7 @@ impl Experiment {
         if primary {
             if let Some(path) = &self.trace_path {
                 let file = std::fs::File::create(path).unwrap_or_else(|e| {
-                    // audit:allow(panic): an unwritable trace path is caller misconfiguration
+                    // audit:allow(unwrap-panic): an unwritable trace path is caller misconfiguration
                     panic!("cannot create trace file {}: {e}", path.display())
                 });
                 net.set_trace_sink(Box::new(crate::obs::JsonlSink::new(

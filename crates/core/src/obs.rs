@@ -73,8 +73,8 @@ pub fn counter(name: &'static str) -> Counter {
 
 /// A point-in-time reading of every registered counter, sorted by name,
 /// plus the bridged counters of crates below the observability layer
-/// (currently `flow/augmentations`, `flow/budget-cuts` and
-/// `flow/min-cuts` from [`rbcast_flow::stats`]).
+/// (currently `flow/augmentations`, `flow/budget-cuts`,
+/// `flow/instance-cuts` and `flow/min-cuts` from [`rbcast_flow::stats`]).
 #[must_use]
 pub fn metrics_snapshot() -> Vec<(String, u64)> {
     let mut out: Vec<(String, u64)> = lock_ignoring_poison(&COUNTERS)
@@ -87,6 +87,10 @@ pub fn metrics_snapshot() -> Vec<(String, u64)> {
             rbcast_flow::stats::augmentations_total(),
         ),
         ("flow/budget-cuts", rbcast_flow::stats::budget_cuts_total()),
+        (
+            "flow/instance-cuts",
+            rbcast_flow::stats::instance_cuts_total(),
+        ),
         ("flow/min-cuts", rbcast_flow::stats::min_cuts_total()),
     ];
     for (key, value) in bridged {
@@ -153,7 +157,7 @@ impl Drop for Span {
 pub(crate) fn span(name: &'static str) -> Span {
     Span {
         name,
-        start: Instant::now(), // audit:allow(wall-clock) obs is the sanctioned timing module
+        start: Instant::now(),
     }
 }
 
@@ -176,7 +180,7 @@ impl Stopwatch {
     /// Starts a stopwatch.
     #[must_use]
     pub fn start() -> Self {
-        Stopwatch(Instant::now()) // audit:allow(wall-clock) obs is the sanctioned timing module
+        Stopwatch(Instant::now())
     }
 
     /// Elapsed milliseconds since start.

@@ -988,7 +988,7 @@ where
             if matches!(chaos_event, Some(ChaosEvent::Panic)) {
                 // Chaos mode exercises the real unwind path, not a
                 // simulated one — this panic is the whole point.
-                // audit:allow(panic): deliberate chaos-injected panic
+                // audit:allow(unwrap-panic): deliberate chaos-injected panic
                 panic!("chaos: injected panic (task {index}, attempt {attempt})");
             }
             body(&ctx, task)

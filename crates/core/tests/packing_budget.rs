@@ -5,9 +5,10 @@
 //! budget. A capped search can only answer "not yet" where a longer one
 //! might answer "determined", so safety never rests on the budget, but
 //! completeness would. `flow/budget-cuts` counts the searches the cap
-//! stopped short of their target; over the pinned indirect cells —
-//! `golden_indirect.rs`'s matrix and `byz_full_r2`, the r = 2 liar storm
-//! — it must read 0. This file is its own test binary, so no other
+//! stopped short of their target, and `flow/instance-cuts` the searches
+//! whose admitted chains were cut to the packer's instance cap; over the
+//! pinned indirect cells — `golden_indirect.rs`'s matrix and
+//! `byz_full_r2`, the r = 2 liar storm — both must read 0. This file is its own test binary, so no other
 //! test's searches reach the process-wide counter.
 
 use rbcast_adversary::Placement;
@@ -64,12 +65,16 @@ fn golden_cells() -> Vec<Experiment> {
     ]
 }
 
-fn budget_cuts() -> u64 {
-    obs::metrics_snapshot()
-        .into_iter()
-        .find(|(name, _)| name == "flow/budget-cuts")
-        .map(|(_, n)| n)
-        .expect("the flow budget counter is registered")
+/// The `flow/budget-cuts` and `flow/instance-cuts` counters.
+fn cuts() -> [u64; 2] {
+    let snapshot = obs::metrics_snapshot();
+    ["flow/budget-cuts", "flow/instance-cuts"].map(|key| {
+        snapshot
+            .iter()
+            .find(|(name, _)| name == key)
+            .map(|&(_, n)| n)
+            .expect("the flow cut counters are bridged")
+    })
 }
 
 #[test]
@@ -81,8 +86,12 @@ fn no_pinned_indirect_cell_spends_the_packing_budget() {
         .with_fault_kind(FaultKind::Liar);
     let mut cells = golden_cells();
     cells.push(byz_full_r2);
-    assert_eq!(budget_cuts(), 0);
+    assert_eq!(cuts(), [0, 0]);
     let outcomes = engine::run_experiments_traced(&cells, 1);
     assert_eq!(outcomes.len(), cells.len());
-    assert_eq!(budget_cuts(), 0, "a pinned verdict rests on the budget");
+    assert_eq!(
+        cuts(),
+        [0, 0],
+        "a pinned verdict rests on the budget or the cap"
+    );
 }

@@ -339,6 +339,7 @@ impl ChainPacker {
         if kept.len() > MAX_PACKING_INSTANCE {
             kept.sort_unstable_by_key(|&i| (chains[i].relays().len(), i));
             kept.truncate(MAX_PACKING_INSTANCE);
+            crate::stats::count_instance_cut();
         }
 
         let need = target.saturating_sub(direct_bonus);
@@ -849,6 +850,19 @@ mod tests {
         assert!(cut <= 12);
         assert!(crate::stats::budget_cuts_total() > before);
         assert_eq!(p.max_disjoint(|_| true, 32), 12);
+    }
+
+    #[test]
+    fn an_instance_past_the_cap_is_counted() {
+        // 2 049 one-relay chains are an antichain one past the cap; other
+        // tests search concurrently, so only a lower bound is stable.
+        let mut p = ChainPacker::new();
+        for k in 0..=MAX_PACKING_INSTANCE as u64 {
+            p.insert(&[k]);
+        }
+        let before = crate::stats::instance_cuts_total();
+        assert_eq!(p.max_disjoint(|_| true, 3), 3);
+        assert!(crate::stats::instance_cuts_total() > before);
     }
 
     /// The packer this module replaced — two full passes per insert over

@@ -12,6 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static AUGMENTATIONS: AtomicU64 = AtomicU64::new(0);
 static MIN_CUTS: AtomicU64 = AtomicU64::new(0);
 static BUDGET_CUTS: AtomicU64 = AtomicU64::new(0);
+static INSTANCE_CUTS: AtomicU64 = AtomicU64::new(0);
 
 /// Records one augmenting path routed by Dinic's algorithm.
 pub(crate) fn count_augmentation() {
@@ -60,6 +61,23 @@ pub(crate) fn count_budget_cut() {
 pub fn budget_cuts_total() -> u64 {
     // audit:allow(atomic-ordering): monotone diagnostic counter, read only at snapshot
     BUDGET_CUTS.load(Ordering::Relaxed)
+}
+
+/// Records one packing instance truncated to its shortest chains.
+pub(crate) fn count_instance_cut() {
+    // audit:allow(atomic-ordering): monotone diagnostic counter, read only at snapshot
+    INSTANCE_CUTS.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Total [`crate::ChainPacker`] searches since process start, across all
+/// threads, whose admitted chains exceeded the packer's instance cap and
+/// were cut to the shortest. Monotonic. Like a budget cut, each one can
+/// only have answered "not yet" where the whole instance might have
+/// answered "determined".
+#[must_use]
+pub fn instance_cuts_total() -> u64 {
+    // audit:allow(atomic-ordering): monotone diagnostic counter, read only at snapshot
+    INSTANCE_CUTS.load(Ordering::Relaxed)
 }
 
 #[cfg(test)]

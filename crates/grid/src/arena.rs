@@ -211,7 +211,7 @@ impl NeighborTable {
     #[must_use]
     pub fn build(torus: &Torus, radius: u32, metric: Metric) -> Self {
         NeighborTable::try_build(torus, radius, metric).unwrap_or_else(|e| {
-            // audit:allow(panic): documented; `try_build` is the fallible form
+            // audit:allow(unwrap-panic): documented; `try_build` is the fallible form
             panic!("{e}")
         })
     }
@@ -255,7 +255,7 @@ impl NeighborTable {
     #[must_use]
     pub fn build_wrapping(torus: &Torus, radius: u32, metric: Metric) -> Self {
         NeighborTable::try_build_wrapping(torus, radius, metric).unwrap_or_else(|e| {
-            // audit:allow(panic): documented; `try_build_wrapping` is the fallible form
+            // audit:allow(unwrap-panic): documented; `try_build_wrapping` is the fallible form
             panic!("{e}")
         })
     }
@@ -449,7 +449,7 @@ impl NeighborTable {
         } else if d == self.radius + 1 {
             &self.outer
         } else {
-            // audit:allow(panic): documented; the rules scan only r and r + 1
+            // audit:allow(unwrap-panic): documented; the rules scan only r and r + 1
             panic!(
                 "the arena keeps the balls at r = {} and r + 1 only, not {d}",
                 self.radius

@@ -59,7 +59,7 @@ impl ClusterSpec {
     #[must_use]
     pub fn arena(&self) -> Arc<NeighborTable> {
         self.try_arena().unwrap_or_else(|e| {
-            // audit:allow(panic): documented; `try_arena` is the fallible form
+            // audit:allow(unwrap-panic): documented; `try_arena` is the fallible form
             panic!("{e}")
         })
     }

@@ -27,7 +27,7 @@ pub fn head(values: &[u32]) -> u32 {
 
 /// Annotated measurement-only wall-clock read.
 pub fn measure<F: FnOnce()>(f: F) -> std::time::Duration {
-    let t0 = std::time::Instant::now(); // audit:allow(wall-clock, obs-wallclock)
+    let t0 = std::time::Instant::now(); // audit:allow(obs-wallclock)
     f();
     t0.elapsed()
 }

@@ -20,8 +20,8 @@ fn propose_and_accept(current: u64, steps: u32) -> u64 {
 }
 
 fn cooling_deadline_nanos() -> u64 {
-    // Wall-clock cooling schedule: irreproducible across runs. The
-    // annotation keeps this fixture firing only its own rule.
+    // Wall-clock cooling schedule: an `obs-wallclock` finding, which
+    // the annotation suppresses, and no `nondeterminism` one.
     let started = std::time::SystemTime::now(); // audit:allow(obs-wallclock)
     match started.duration_since(std::time::UNIX_EPOCH) {
         Ok(d) => u64::from(d.subsec_nanos()),

@@ -1,6 +1,6 @@
-//! Fixture: entropy / wall-clock nondeterminism outside seeded entry
-//! points. `cargo xtask audit --root crates/xtask/fixtures/nondeterminism`
-//! must exit non-zero with `nondeterminism` findings.
+//! Fixture: entropy nondeterminism outside seeded entry points; `cargo
+//! xtask audit --root …/nondeterminism` must exit non-zero with its
+//! findings. `stamp`'s clock read is `obs-wallclock`'s alone.
 
 use std::time::Instant;
 

@@ -10,7 +10,7 @@ fn sum(values: &[u64]) -> u64 {
     acc
 }
 
-// audit:allow(panic) rationale not introduced by a colon never attaches
+// audit:allow(unwrap-panic) rationale not introduced by a colon never attaches
 fn double(n: u64) -> u64 {
     n + n
 }

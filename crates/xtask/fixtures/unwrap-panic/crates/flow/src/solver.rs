@@ -15,7 +15,7 @@ fn must_be_even(n: u32) -> u32 {
 
 fn guarded(n: u32) -> u32 {
     if n == 0 {
-        // Prose that merely mentions audit:allow(panic) mid-sentence must
+        // Prose that merely mentions audit:allow(unwrap-panic) mid-sentence must
         // not suppress the next line — the old line-based audit did.
         panic!("zero input");
     }

@@ -44,8 +44,8 @@ use std::path::{Path, PathBuf};
 use index::{WorkspaceIndex, REFERENCE_ROOTS};
 use model::FileModel;
 use rules::{
-    all_rules, allow_name_matches, is_known_allow_name, rule_by_id, Ctx, Violation, STALE_ALLOW,
-    STALE_ALLOW_FIX, UNKNOWN_ALLOW, UNKNOWN_ALLOW_FIX,
+    all_rules, rule_by_id, Ctx, Violation, STALE_ALLOW, STALE_ALLOW_FIX, UNKNOWN_ALLOW,
+    UNKNOWN_ALLOW_FIX,
 };
 
 /// Audit failure (I/O or usage error), distinct from rule violations.
@@ -150,14 +150,14 @@ pub fn run_audit(root: &Path, only: Option<&str>) -> Result<Vec<Violation>, Audi
             if !rule.applies_to(&m.rel) {
                 continue;
             }
-            for f in (rule.check)(m, &ctx) {
+            for f in rule.findings(m, &ctx) {
                 let mut suppressed = false;
                 for (si, site) in m.allows.iter().enumerate() {
                     if site.covers != Some(f.line) {
                         continue;
                     }
                     for (ni, name) in site.names.iter().enumerate() {
-                        if allow_name_matches(rule, name) {
+                        if name == rule.id {
                             used.insert((si, ni));
                             suppressed = true;
                         }
@@ -180,7 +180,7 @@ pub fn run_audit(root: &Path, only: Option<&str>) -> Result<Vec<Violation>, Audi
         // every known name must still be earning its keep.
         for (si, site) in m.allows.iter().enumerate() {
             for (ni, name) in site.names.iter().enumerate() {
-                if !is_known_allow_name(name) {
+                if rule_by_id(name).is_none() {
                     if selected(&selection, UNKNOWN_ALLOW) {
                         violations.push(Violation {
                             path: path.clone(),
@@ -190,8 +190,7 @@ pub fn run_audit(root: &Path, only: Option<&str>) -> Result<Vec<Violation>, Audi
                             message: format!(
                                 "audit:allow({name}) names no known rule — annotations \
                                  with typo'd names are silently dead; known names: \
-                                 rule ids plus their allow-names (`cargo xtask audit \
-                                 --list`)"
+                                 the rule ids (`cargo xtask audit --list`)"
                             ),
                             fix: UNKNOWN_ALLOW_FIX,
                         });
@@ -423,6 +422,93 @@ mod tests {
         }
         // One report per rule, two meta-diagnostics, the clean fixture.
         assert_eq!(reports.len(), all_rules().len() + 3);
+    }
+
+    /// Every finding of every fixture tree, as `tree/path:line:col rule`.
+    /// `clean` has none.
+    const FIXTURE_FINDINGS: &[&str] = &[
+        "adhoc-neighborhood/crates/sim/src/nbhd.rs:8:23 adhoc-neighborhood",
+        "atomic-ordering/crates/flow/src/counters.rs:11:26 atomic-ordering",
+        "catch-unwind/crates/core/src/isolate.rs:10:17 catch-unwind",
+        "checked-threshold-arith/crates/construct/src/impossibility.rs:7:7 checked-threshold-arith",
+        "checked-threshold-arith/crates/construct/src/impossibility.rs:7:11 checked-threshold-arith",
+        "env-read/crates/bench/src/knobs.rs:6:10 env-read",
+        "env-read/crates/bench/src/knobs.rs:13:10 env-read",
+        "float-eq/crates/grid/src/geometry.rs:6:19 float-eq",
+        "hot-loop-alloc/crates/sim/src/hot.rs:8:25 hot-loop-alloc",
+        "hot-loop-alloc/crates/sim/src/hot.rs:9:21 hot-loop-alloc",
+        "hot-loop-alloc/crates/sim/src/hot.rs:18:23 hot-loop-alloc",
+        "hot-loop-alloc/crates/sim/src/hot.rs:42:40 hot-loop-alloc",
+        "hot-loop-alloc/crates/sim/src/hot.rs:69:23 hot-loop-alloc",
+        "lint-header/crates/grid/src/lib.rs:1:1 lint-header",
+        "lint-header/crates/grid/src/lib.rs:1:1 lint-header",
+        "nondeterminism/crates/core/src/anneal.rs:11:20 nondeterminism",
+        "nondeterminism/crates/core/src/anneal.rs:14:43 nondeterminism",
+        "nondeterminism/crates/protocols/src/proto.rs:8:25 nondeterminism",
+        "obs-wallclock/crates/bench/src/timing.rs:8:25 obs-wallclock",
+        "obs-wallclock/crates/bench/src/timing.rs:13:26 obs-wallclock",
+        "obs-wallclock/crates/bench/src/timing.rs:14:16 obs-wallclock",
+        "raw-socket-io/crates/sim/src/sock.rs:6:21 raw-socket-io",
+        "raw-socket-io/crates/sim/src/sock.rs:6:31 raw-socket-io",
+        "raw-socket-io/crates/sim/src/sock.rs:7:5 raw-socket-io",
+        "raw-socket-io/crates/sim/src/sock.rs:7:15 raw-socket-io",
+        "raw-socket-io/crates/sim/src/sock.rs:10:49 raw-socket-io",
+        "raw-socket-io/crates/sim/src/sock.rs:11:5 raw-socket-io",
+        "raw-thread-spawn/crates/sim/src/worker.rs:11:27 raw-thread-spawn",
+        "raw-thread-spawn/crates/sim/src/worker.rs:14:10 raw-thread-spawn",
+        "stale-allow/crates/sim/src/stale.rs:6:1 stale-allow",
+        "stale-allow/crates/sim/src/stale.rs:13:1 stale-allow",
+        "stale-allow/crates/sim/src/stale.rs:13:1 stale-allow",
+        "unknown-allow/crates/protocols/src/typo.rs:6:1 unknown-allow",
+        "unordered-iteration/crates/sim/src/engine.rs:5:24 unordered-iteration",
+        "unordered-iteration/crates/sim/src/engine.rs:5:33 unordered-iteration",
+        "unordered-iteration/crates/sim/src/engine.rs:8:21 unordered-iteration",
+        "unordered-iteration/crates/sim/src/engine.rs:8:41 unordered-iteration",
+        "unordered-iteration/crates/sim/src/engine.rs:9:19 unordered-iteration",
+        "unordered-iteration/crates/sim/src/engine.rs:9:34 unordered-iteration",
+        "unused-pub/crates/alpha/src/lib.rs:19:1 unused-pub",
+        "unused-pub/crates/alpha/src/lib.rs:25:1 unused-pub",
+        "unused-pub/crates/alpha/src/lib.rs:36:1 unused-pub",
+        "unused-pub/crates/alpha/src/lib.rs:52:1 unused-pub",
+        "unused-pub/crates/alpha/src/lib.rs:60:1 unused-pub",
+        "unused-pub/crates/alpha/src/lib.rs:73:5 unused-pub",
+        "unwrap-panic/crates/flow/src/solver.rs:6:20 unwrap-panic",
+        "unwrap-panic/crates/flow/src/solver.rs:11:9 unwrap-panic",
+        "unwrap-panic/crates/flow/src/solver.rs:20:9 unwrap-panic",
+    ];
+
+    #[test]
+    fn every_fixture_tree_yields_exactly_its_pinned_findings() {
+        let mut trees: Vec<PathBuf> = fs::read_dir(fixtures())
+            .expect("fixtures are readable")
+            .map(|e| e.expect("fixture entry").path())
+            .collect();
+        trees.sort();
+        let mut got = Vec::new();
+        for tree in &trees {
+            let name = tree.file_name().and_then(|n| n.to_str()).expect("utf-8");
+            for v in run_audit(tree, None).expect("fixture readable") {
+                got.push(format!("{name}/{}:{}:{} {}", v.path, v.line, v.col, v.rule));
+            }
+        }
+        assert_eq!(got, FIXTURE_FINDINGS);
+    }
+
+    #[test]
+    fn an_alias_is_an_unknown_allow_not_a_suppression() {
+        let root = std::env::temp_dir().join(format!("xtask-alias-{}", std::process::id()));
+        let src = root.join("crates/flow/src");
+        fs::create_dir_all(&src).expect("temp tree");
+        let line = "fn f() { panic!(\"x\"); } // audit:allow(panic)\n";
+        fs::write(src.join("x.rs"), line).expect("temp file");
+        let audit = run_audit(&root, None);
+        let _ = fs::remove_dir_all(&root);
+        let rules: Vec<&str> = audit
+            .expect("temp tree readable")
+            .iter()
+            .map(|v| v.rule)
+            .collect();
+        assert_eq!(rules, [UNKNOWN_ALLOW, "unwrap-panic"]);
     }
 
     #[test]

@@ -41,12 +41,12 @@ fn main() -> ExitCode {
 }
 
 fn print_list() {
-    println!("{:<26} {:<12} summary", "rule", "allow-name");
+    println!("{:<26} summary", "rule");
     for rule in all_rules() {
-        println!("{:<26} {:<12} {}", rule.id, rule.allow_name, rule.summary);
+        println!("{:<26} {}", rule.id, rule.summary);
     }
-    println!("{STALE_ALLOW:<26} {:<12} {STALE_ALLOW_FIX}", "-");
-    println!("{UNKNOWN_ALLOW:<26} {:<12} {UNKNOWN_ALLOW_FIX}", "-");
+    println!("{STALE_ALLOW:<26} {STALE_ALLOW_FIX}");
+    println!("{UNKNOWN_ALLOW:<26} {UNKNOWN_ALLOW_FIX}");
 }
 
 fn print_text(violations: &[Violation]) {

@@ -507,23 +507,23 @@ mod tests {
 
     #[test]
     fn trailing_allow_covers_its_line() {
-        let m = model("let t = now(); // audit:allow(wall-clock) measured once at startup\n");
+        let m = model("let t = now(); // audit:allow(obs-wallclock) measured once at startup\n");
         assert_eq!(m.allows.len(), 1);
         assert_eq!(m.allows[0].covers, Some(1));
-        assert_eq!(m.allows[0].names, vec!["wall-clock"]);
+        assert_eq!(m.allows[0].names, vec!["obs-wallclock"]);
     }
 
     #[test]
     fn strict_standalone_allow_attaches_to_next_line() {
         for src in [
-            "// audit:allow(unordered, panic)\nlet m = 1;\n",
-            "// audit:allow(unordered, panic): scratch map, drained sorted\nlet m = 1;\n",
-            "// audit:allow(unordered, panic) — scratch map, drained sorted\nlet m = 1;\n",
+            "// audit:allow(unordered-iteration, unwrap-panic)\nlet m = 1;\n",
+            "// audit:allow(unordered-iteration, unwrap-panic): scratch map, drained sorted\nlet m = 1;\n",
+            "// audit:allow(unordered-iteration, unwrap-panic) — scratch map, drained sorted\nlet m = 1;\n",
         ] {
             let m = model(src);
             assert_eq!(m.allows.len(), 1, "{src}");
             assert_eq!(m.allows[0].covers, Some(2), "{src}");
-            assert_eq!(m.allows[0].names, vec!["unordered", "panic"], "{src}");
+            assert_eq!(m.allows[0].names, vec!["unordered-iteration", "unwrap-panic"], "{src}");
         }
     }
 
@@ -531,22 +531,22 @@ mod tests {
     fn prose_mention_does_not_attach() {
         // The old model attached ANY annotation in the preceding comment;
         // prose mentioning one must no longer suppress anything.
-        let m = model("// helper; see audit:allow(panic) in engine.rs\npanic!(\"x\");\n");
+        let m = model("// helper; see audit:allow(unwrap-panic) in engine.rs\npanic!(\"x\");\n");
         assert!(m.allows.is_empty());
     }
 
     #[test]
     fn unintroduced_rationale_is_malformed_not_attached() {
-        let m = model("// audit:allow(panic) bare prose rationale\npanic!(\"x\");\n");
+        let m = model("// audit:allow(unwrap-panic) bare prose rationale\npanic!(\"x\");\n");
         assert_eq!(m.allows.len(), 1);
         assert_eq!(m.allows[0].covers, None);
         assert!(m.allows[0].malformed.is_some());
-        assert_eq!(m.allows[0].names, vec!["panic"]);
+        assert_eq!(m.allows[0].names, vec!["unwrap-panic"]);
     }
 
     #[test]
     fn annotation_inside_string_is_not_a_site() {
-        let m = model("let s = \"// audit:allow(panic)\";\npanic!(\"x\");\n");
+        let m = model("let s = \"// audit:allow(unwrap-panic)\";\npanic!(\"x\");\n");
         assert!(m.allows.is_empty());
     }
 }

@@ -2,9 +2,12 @@
 //!
 //! Each rule names the repo-specific invariant it protects, the path
 //! scope it applies to, a short machine-readable fix direction (carried
-//! into `--format json`), and a check returning *raw* findings — the
+//! into `--format json`), and a [`Check`] returning *raw* findings — the
 //! engine in [`crate`] applies `audit:allow` suppression centrally, so
-//! it can also detect stale and unknown annotations.
+//! it can also detect stale and unknown annotations. Most rules are one
+//! row of data: the token sequences they ban and the home modules where
+//! those sequences are allowed; one matcher (`Rule::findings`) serves
+//! them all, and only the structural rules keep a `check_*` function.
 //!
 //! Token queries see the file as the lexer does: a `HashMap` inside a
 //! string or comment can never match, and a call chain split across
@@ -15,7 +18,7 @@
 //! proving it fires, exercised by `cargo xtask audit --self-test` and
 //! by this crate's unit tests.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::index::{library_of, ItemKind, WorkspaceIndex};
 use crate::lexer::TokenKind;
@@ -110,62 +113,46 @@ pub struct Ctx<'a> {
     pub index: &'a WorkspaceIndex,
 }
 
-impl Ctx<'_> {
-    /// The file sanctioned to hold raw wall-clock reads: wherever
-    /// `fn span` (the obs timing primitive) is defined.
-    fn obs_module(&self) -> PathBuf {
-        self.index
-            .exempt_file(ItemKind::Fn, "span", "crates/core/src/obs.rs")
-    }
+/// A module where a token rule's sequences are allowed: the one file
+/// defining the item (kind, name), or the fallback path when no file or
+/// several do.
+type Home = (ItemKind, &'static str, &'static str);
 
-    /// The file sanctioned to touch `std::thread`: wherever
-    /// `fn run_indexed` (the deterministic executor) is defined.
-    fn engine_module(&self) -> PathBuf {
-        self.index
-            .exempt_file(ItemKind::Fn, "run_indexed", "crates/core/src/engine.rs")
-    }
+/// The timing primitive `obs::span`: raw clock reads and atomic counters.
+const OBS: Home = (ItemKind::Fn, "span", "crates/core/src/obs.rs");
+/// The deterministic executor `engine::run_indexed`: threads and atomics.
+const ENGINE: Home = (ItemKind::Fn, "run_indexed", "crates/core/src/engine.rs");
+/// `supervisor::supervise`: panic isolation.
+const SUPERVISOR: Home = (ItemKind::Fn, "supervise", "crates/core/src/supervisor.rs");
+/// The stencil arena `NeighborTable`: neighbourhood scans.
+const ARENA: Home = (
+    ItemKind::Struct,
+    "NeighborTable",
+    "crates/grid/src/arena.rs",
+);
+/// The config accessor `config::env_var`: environment reads.
+const CONFIG: Home = (ItemKind::Fn, "env_var", "crates/core/src/config.rs");
+/// The datagram transport `UdpTransport`: raw sockets.
+const TRANSPORT: Home = (
+    ItemKind::Struct,
+    "UdpTransport",
+    "crates/net/src/transport.rs",
+);
 
-    /// The file sanctioned to call `catch_unwind`: wherever
-    /// `fn supervise` is defined.
-    fn supervisor_module(&self) -> PathBuf {
-        self.index
-            .exempt_file(ItemKind::Fn, "supervise", "crates/core/src/supervisor.rs")
-    }
-
-    /// The file sanctioned to scan `torus.neighborhood`: wherever
-    /// `struct NeighborTable` (the stencil arena) is defined.
-    fn arena_module(&self) -> PathBuf {
-        self.index.exempt_file(
-            ItemKind::Struct,
-            "NeighborTable",
-            "crates/grid/src/arena.rs",
-        )
-    }
-
-    /// The file sanctioned to read the process environment: wherever
-    /// `fn env_var` (the config layer accessor) is defined.
-    fn config_module(&self) -> PathBuf {
-        self.index
-            .exempt_file(ItemKind::Fn, "env_var", "crates/core/src/config.rs")
-    }
-
-    /// The file sanctioned to touch raw sockets: wherever
-    /// `struct UdpTransport` (the datagram transport) is defined.
-    fn transport_module(&self) -> PathBuf {
-        self.index.exempt_file(
-            ItemKind::Struct,
-            "UdpTransport",
-            "crates/net/src/transport.rs",
-        )
-    }
+/// How a rule finds its raw findings.
+pub enum Check {
+    /// One finding per match of any banned token sequence outside test
+    /// regions, except in the home modules; the message is the matched
+    /// tokens followed by the rule's summary.
+    Tokens(&'static [&'static [&'static str]], &'static [Home]),
+    /// A structural check over the file.
+    Structural(fn(&FileModel, &Ctx) -> Vec<Finding>),
 }
 
-/// A static-analysis rule: scope + per-file token check.
+/// A static-analysis rule: scope + per-file check.
 pub struct Rule {
-    /// Stable identifier used in reports and `--rule`.
+    /// Stable identifier used in reports, `--rule` and `audit:allow(...)`.
     pub id: &'static str,
-    /// Name accepted inside `audit:allow(...)` for this rule.
-    pub allow_name: &'static str,
     /// One-line description shown by `cargo xtask audit --list`.
     pub summary: &'static str,
     /// Short fix direction, stable per rule (surfaced in JSON output).
@@ -173,14 +160,35 @@ pub struct Rule {
     /// Path prefixes (relative to the audit root) the rule applies to;
     /// a `*` component matches any one directory.
     pub scopes: &'static [&'static str],
-    /// Per-file check returning raw findings (suppression is central).
-    pub check: fn(&FileModel, &Ctx) -> Vec<Finding>,
+    /// What the rule matches (suppression is central).
+    pub check: Check,
 }
 
 impl Rule {
     /// Whether `rel` falls under one of the rule's scope prefixes.
     pub(crate) fn applies_to(&self, rel: &Path) -> bool {
         self.scopes.iter().any(|s| under(rel, s))
+    }
+
+    /// The rule's raw findings in `m`, before suppression.
+    pub(crate) fn findings(&self, m: &FileModel, ctx: &Ctx) -> Vec<Finding> {
+        let (banned, homes) = match self.check {
+            Check::Structural(check) => return check(m, ctx),
+            Check::Tokens(banned, homes) => (banned, homes),
+        };
+        if homes
+            .iter()
+            .any(|&(kind, name, fallback)| m.rel == ctx.index.exempt_file(kind, name, fallback))
+        {
+            return Vec::new();
+        }
+        let mut out = Vec::new();
+        for seq in banned {
+            for i in m.find_seq(seq, true) {
+                out.push(finding(m, i, format!("{}: {}", seq.concat(), self.summary)));
+            }
+        }
+        out
     }
 }
 
@@ -202,100 +210,103 @@ pub const UNKNOWN_ALLOW: &str = "unknown-allow";
 pub const STALE_ALLOW_FIX: &str =
     "delete the stale annotation, or re-point it at the finding it was meant to suppress";
 /// Fix direction attached to [`UNKNOWN_ALLOW`] findings.
-pub const UNKNOWN_ALLOW_FIX: &str =
-    "use an allow-name from `cargo xtask audit --list` (ids and allow-names both work)";
+pub const UNKNOWN_ALLOW_FIX: &str = "use a rule id from `cargo xtask audit --list`";
 
 /// All audit rules, in reporting order.
 pub fn all_rules() -> &'static [Rule] {
     &[
         Rule {
             id: "unordered-iteration",
-            allow_name: "unordered",
             summary: "sim/protocols hot paths must not iterate HashMap/HashSet \
                       (use BTreeMap/BTreeSet or sorted drains)",
             fix: "replace with BTreeMap/BTreeSet or drain through a sorted Vec",
             scopes: ORDER_SENSITIVE_SRC,
-            check: check_unordered,
+            check: Check::Tokens(&[&["HashMap"], &["HashSet"]], &[]),
         },
         Rule {
             id: "float-eq",
-            allow_name: "float-eq",
             summary: "grid/construct geometry must not compare floats with == or != \
                       (use explicit tolerances or integer coordinates)",
             fix: "compare with an explicit tolerance or restate over integer coordinates",
             scopes: GEOMETRY_SRC,
-            check: check_float_eq,
+            check: Check::Structural(check_float_eq),
         },
         Rule {
             id: "unwrap-panic",
-            allow_name: "panic",
             summary: "library crates must not .unwrap() or panic! outside tests \
                       (return Result or use expect with an invariant-naming message)",
             fix: "return a Result, or .expect(\"<invariant that guarantees this>\")",
             scopes: LIB_SRC,
-            check: check_unwrap_panic,
+            check: Check::Tokens(&[&[".", "unwrap", "(", ")"], &["panic", "!"]], &[]),
         },
         Rule {
             id: "nondeterminism",
-            allow_name: "wall-clock",
-            summary: "no thread_rng / entropy seeding / wall-clock reads outside \
-                      seeded entry points (runs must replay from a u64 seed)",
+            summary: "no thread_rng / entropy seeding / rand::random outside seeded \
+                      entry points (runs must replay from a u64 seed)",
             fix: "derive all randomness from an explicit u64 seed (StdRng::seed_from_u64)",
             scopes: CLOCK_SRC,
-            check: check_nondeterminism,
+            check: Check::Tokens(
+                &[
+                    &["thread_rng"],
+                    &["from_entropy"],
+                    &["rand", "::", "random"],
+                ],
+                &[],
+            ),
         },
         Rule {
             id: "obs-wallclock",
-            allow_name: "obs-wallclock",
             summary: "raw wall-clock reads (Instant::now / SystemTime) are confined \
                       to rbcast-core's obs module (time through obs::span or \
                       obs::Stopwatch so measurement stays out of hashed state)",
             fix: "time through obs::span(\"area/op\") or obs::Stopwatch",
             scopes: CLOCK_SRC,
-            check: check_obs_wallclock,
+            check: Check::Tokens(&[&["Instant", "::", "now"], &["SystemTime"]], &[OBS]),
         },
         Rule {
             id: "raw-thread-spawn",
-            allow_name: "raw-thread",
             summary: "raw std::thread spawn/scope is confined to rbcast-core's engine \
                       module (all parallelism must flow through engine::run_indexed \
                       so results stay input-ordered and deterministic)",
             fix: "fan work out through engine::run_indexed",
             scopes: CLOCK_SRC,
-            check: check_raw_thread_spawn,
+            check: Check::Tokens(
+                &[
+                    &["thread", "::", "spawn"],
+                    &["thread", "::", "scope"],
+                    &["thread", "::", "Builder"],
+                ],
+                &[ENGINE],
+            ),
         },
         Rule {
             id: "catch-unwind",
-            allow_name: "catch-unwind",
             summary: "catch_unwind is confined to rbcast-core's supervisor module \
                       (panic isolation must flow through the supervisor so failures \
                       are classified, retried, and journalled uniformly)",
             fix: "route the task through supervisor::supervise / run_experiments_supervised",
             scopes: CLOCK_SRC,
-            check: check_catch_unwind,
+            check: Check::Tokens(&[&["catch_unwind"]], &[SUPERVISOR]),
         },
         Rule {
             id: "adhoc-neighborhood",
-            allow_name: "adhoc-neighborhood",
             summary: "torus.neighborhood scans are confined to the grid arena module \
                       (hot paths must read the shared stencil NeighborTable; annotate \
                       audit:allow(adhoc-neighborhood) at cold one-shot sites)",
             fix: "read the shared stencil NeighborTable from the topology arena",
             scopes: LIB_SRC,
-            check: check_adhoc_neighborhood,
+            check: Check::Tokens(&[&[".", "neighborhood", "("]], &[ARENA]),
         },
         Rule {
             id: "lint-header",
-            allow_name: "lint-header",
             summary: "every library crate root must carry #![forbid(unsafe_code)] \
                       and #![warn(missing_docs)]",
             fix: "add the missing #![…] lint header at the top of the crate root",
             scopes: LIB_SRC,
-            check: check_lint_header,
+            check: Check::Structural(check_lint_header),
         },
         Rule {
             id: "hot-loop-alloc",
-            allow_name: "hot-loop-alloc",
             summary: "no allocation (clone / format! / to_string / to_vec / vec! / \
                       String::new / Box::new) inside for/while/loop bodies in the \
                       sim and protocols hot paths or on the net frame path \
@@ -303,11 +314,10 @@ pub fn all_rules() -> &'static [Rule] {
                       on_message body (it runs once per delivery — an implicit loop)",
             fix: "hoist the allocation out of the loop or reuse a scratch buffer",
             scopes: HOT_ALLOC_SRC,
-            check: check_hot_loop_alloc,
+            check: Check::Structural(check_hot_loop_alloc),
         },
         Rule {
             id: "atomic-ordering",
-            allow_name: "atomic-ordering",
             summary: "atomic memory-ordering choices (Ordering::Relaxed/SeqCst/…) are \
                       confined to rbcast-core's obs and engine modules; anywhere else \
                       the choice is a determinism hazard and must carry an annotated \
@@ -315,11 +325,19 @@ pub fn all_rules() -> &'static [Rule] {
             fix: "move the atomic behind an obs/engine primitive, or annotate \
                   audit:allow(atomic-ordering) with the ordering argument",
             scopes: CLOCK_SRC,
-            check: check_atomic_ordering,
+            check: Check::Tokens(
+                &[
+                    &["Ordering", "::", "Relaxed"],
+                    &["Ordering", "::", "SeqCst"],
+                    &["Ordering", "::", "Acquire"],
+                    &["Ordering", "::", "Release"],
+                    &["Ordering", "::", "AcqRel"],
+                ],
+                &[OBS, ENGINE],
+            ),
         },
         Rule {
             id: "checked-threshold-arith",
-            allow_name: "checked-threshold-arith",
             summary: "multiplication/shift on fault-bound quantities in the threshold \
                       modules must widen (u64::from / u128) or use checked_* — the \
                       paper's bounds (⌊2r²/3⌋, r(2r+1)) must not silently wrap",
@@ -329,11 +347,10 @@ pub fn all_rules() -> &'static [Rule] {
                 "crates/construct/src",
                 "crates/protocols/src",
             ],
-            check: check_threshold_arith,
+            check: Check::Structural(check_threshold_arith),
         },
         Rule {
             id: "raw-socket-io",
-            allow_name: "raw-socket",
             summary: "raw socket I/O (std::net, UdpSocket, TcpStream, TcpListener) is \
                       confined to rbcast-net's transport module (everything above it \
                       must stay transport-agnostic behind the Datagram trait, so the \
@@ -341,21 +358,32 @@ pub fn all_rules() -> &'static [Rule] {
             fix: "route datagrams through rbcast_net::transport::Datagram \
                   (UdpTransport / LoopbackHub) instead of opening sockets directly",
             scopes: CLOCK_SRC,
-            check: check_raw_socket_io,
+            // A fully qualified `std::net::UdpSocket` matches twice, both
+            // findings on the same line.
+            check: Check::Tokens(
+                &[
+                    &["std", "::", "net"],
+                    &["UdpSocket"],
+                    &["TcpStream"],
+                    &["TcpListener"],
+                ],
+                &[TRANSPORT],
+            ),
         },
         Rule {
             id: "env-read",
-            allow_name: "env-read",
             summary: "process-environment reads (std::env::var) are confined to the \
                       config layer (rbcast-core::config) so every RBCAST_* knob is \
                       discoverable, documented, and testable in one place",
             fix: "read through rbcast_core::config (env_var) instead of std::env directly",
             scopes: CLOCK_SRC,
-            check: check_env_read,
+            check: Check::Tokens(
+                &[&["env", "::", "var"], &["env", "::", "var_os"]],
+                &[CONFIG],
+            ),
         },
         Rule {
             id: "unused-pub",
-            allow_name: "unused-pub",
             summary: "a library `pub fn` / `pub const` / `pub static` needs a caller \
                       outside its crate (another package, a binary, tests/, \
                       examples/, benches/, benchmark/ or a doctest); rustc never \
@@ -363,7 +391,7 @@ pub fn all_rules() -> &'static [Rule] {
             fix: "narrow to pub(crate) or private and let rustc's dead_code find \
                   what is then unused, or annotate audit:allow(unused-pub): <reason>",
             scopes: &["crates/*/src", "src"],
-            check: check_unused_pub,
+            check: Check::Structural(check_unused_pub),
         },
     ]
 }
@@ -373,51 +401,9 @@ pub(crate) fn rule_by_id(id: &str) -> Option<&'static Rule> {
     all_rules().iter().find(|r| r.id == id)
 }
 
-/// Is `name` a valid `audit:allow(...)` name (rule id or allow-name)?
-pub(crate) fn is_known_allow_name(name: &str) -> bool {
-    all_rules()
-        .iter()
-        .any(|r| r.allow_name == name || r.id == name)
-}
-
-/// Does the allow-name `name` suppress findings of `rule`?
-pub(crate) fn allow_name_matches(rule: &Rule, name: &str) -> bool {
-    name == rule.allow_name || name == rule.id
-}
-
 fn finding(m: &FileModel, i: usize, message: String) -> Finding {
     let (line, col) = m.at(i);
     Finding { line, col, message }
-}
-
-/// Emit one finding per match of any of `pats` outside test regions.
-fn scan_seqs(m: &FileModel, pats: &[&[&str]], msg: impl Fn(&[&str]) -> String) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for p in pats {
-        for i in m.find_seq(p, true) {
-            out.push(finding(m, i, msg(p)));
-        }
-    }
-    out
-}
-
-fn check_unordered(m: &FileModel, _ctx: &Ctx) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for ty in ["HashMap", "HashSet"] {
-        for i in m.find_seq(&[ty], true) {
-            out.push(finding(
-                m,
-                i,
-                format!(
-                    "{ty} in an order-sensitive crate: iteration order is \
-                     nondeterministic and would break same-seed trace replay; \
-                     use BTree{} or drain through a sorted Vec",
-                    &ty[4..]
-                ),
-            ));
-        }
-    }
-    out
 }
 
 fn check_float_eq(m: &FileModel, _ctx: &Ctx) -> Vec<Finding> {
@@ -456,129 +442,6 @@ fn check_float_eq(m: &FileModel, _ctx: &Ctx) -> Vec<Finding> {
         }
     }
     out
-}
-
-fn check_unwrap_panic(m: &FileModel, _ctx: &Ctx) -> Vec<Finding> {
-    let mut out = scan_seqs(m, &[&[".", "unwrap", "(", ")"]], |_| {
-        ".unwrap() in library code: return a Result or use \
-         .expect(\"<invariant that guarantees this>\") so failures \
-         name the broken invariant"
-            .to_string()
-    });
-    out.extend(scan_seqs(m, &[&["panic", "!"]], |_| {
-        "panic! in library code: return an error, or annotate with \
-         audit:allow(panic) citing the invariant that makes this \
-         unreachable"
-            .to_string()
-    }));
-    out
-}
-
-fn check_nondeterminism(m: &FileModel, _ctx: &Ctx) -> Vec<Finding> {
-    const BANNED: &[(&[&str], &str)] = &[
-        (&["thread_rng"], "OS-entropy RNG breaks same-seed replay"),
-        (&["from_entropy"], "entropy seeding breaks same-seed replay"),
-        (
-            &["SystemTime", "::", "now"],
-            "wall-clock reads make runs irreproducible",
-        ),
-        (
-            &["Instant", "::", "now"],
-            "wall-clock reads make runs irreproducible",
-        ),
-        (
-            &["rand", "::", "random"],
-            "implicit thread-local RNG breaks same-seed replay",
-        ),
-    ];
-    let mut out = Vec::new();
-    for (pats, why) in BANNED {
-        for i in m.find_seq(pats, true) {
-            out.push(finding(
-                m,
-                i,
-                format!(
-                    "{}: {why}; every run must derive from an explicit \
-                     u64 seed (StdRng::seed_from_u64) or be annotated \
-                     audit:allow(wall-clock) at a measurement-only site",
-                    pats.join("")
-                ),
-            ));
-        }
-    }
-    out
-}
-
-fn check_obs_wallclock(m: &FileModel, ctx: &Ctx) -> Vec<Finding> {
-    if m.rel == ctx.obs_module() {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for pats in [&["Instant", "::", "now"][..], &["SystemTime"][..]] {
-        for i in m.find_seq(pats, true) {
-            out.push(finding(
-                m,
-                i,
-                "raw wall-clock read outside rbcast-core::obs: ad-hoc timing \
-                 scatters Instant through code that must stay replayable; \
-                 time through obs::span(\"area/op\") or obs::Stopwatch (or \
-                 annotate audit:allow(obs-wallclock) explaining why the \
-                 measurement cannot route through obs)"
-                    .to_string(),
-            ));
-        }
-    }
-    out
-}
-
-fn check_raw_thread_spawn(m: &FileModel, ctx: &Ctx) -> Vec<Finding> {
-    if m.rel == ctx.engine_module() {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for what in ["spawn", "scope", "Builder"] {
-        for i in m.find_seq(&["thread", "::", what], true) {
-            out.push(finding(
-                m,
-                i,
-                format!(
-                    "thread::{what} outside rbcast-core::engine: ad-hoc threads do not \
-                     preserve input-ordered result collection; fan work out \
-                     through engine::run_indexed (or annotate \
-                     audit:allow(raw-thread) with a determinism argument)"
-                ),
-            ));
-        }
-    }
-    out
-}
-
-fn check_catch_unwind(m: &FileModel, ctx: &Ctx) -> Vec<Finding> {
-    if m.rel == ctx.supervisor_module() {
-        return Vec::new();
-    }
-    scan_seqs(m, &[&["catch_unwind"]], |_| {
-        "catch_unwind outside rbcast-core::supervisor: swallowing a \
-         panic in place hides the failure from the quarantine report \
-         and the checkpoint journal; run the task through \
-         supervisor::supervise / run_experiments_supervised instead \
-         (or annotate audit:allow(catch-unwind) with an isolation \
-         argument)"
-            .to_string()
-    })
-}
-
-fn check_adhoc_neighborhood(m: &FileModel, ctx: &Ctx) -> Vec<Finding> {
-    if m.rel == ctx.arena_module() {
-        return Vec::new();
-    }
-    scan_seqs(m, &[&[".", "neighborhood", "("]], |_| {
-        "ad-hoc torus.neighborhood scan outside the arena module: \
-         it re-derives metric offsets on every call; read the shared \
-         stencil NeighborTable instead, or annotate \
-         audit:allow(adhoc-neighborhood) at a cold one-shot site"
-            .to_string()
-    })
 }
 
 fn check_lint_header(m: &FileModel, _ctx: &Ctx) -> Vec<Finding> {
@@ -653,30 +516,6 @@ fn check_hot_loop_alloc(m: &FileModel, _ctx: &Ctx) -> Vec<Finding> {
     out
 }
 
-fn check_atomic_ordering(m: &FileModel, ctx: &Ctx) -> Vec<Finding> {
-    if m.rel == ctx.obs_module() || m.rel == ctx.engine_module() {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for variant in ["Relaxed", "SeqCst", "Acquire", "Release", "AcqRel"] {
-        for i in m.find_seq(&["Ordering", "::", variant], true) {
-            out.push(finding(
-                m,
-                i,
-                format!(
-                    "Ordering::{variant} outside rbcast-core's obs/engine modules: \
-                     an ad-hoc atomic ordering choice is a determinism and \
-                     correctness hazard reviewers cannot see; route the counter \
-                     through obs::Counter / the engine, or annotate \
-                     audit:allow(atomic-ordering) stating why this ordering is \
-                     sufficient"
-                ),
-            ));
-        }
-    }
-    out
-}
-
 /// Markers that make unchecked `*` / `<<` acceptable within a function:
 /// the operands were widened first, or the arithmetic is checked.
 fn has_widening_marker(m: &FileModel, lo: usize, hi: usize) -> bool {
@@ -737,54 +576,6 @@ fn check_threshold_arith(m: &FileModel, _ctx: &Ctx) -> Vec<Finding> {
         ));
     }
     out
-}
-
-fn check_raw_socket_io(m: &FileModel, ctx: &Ctx) -> Vec<Finding> {
-    if m.rel == ctx.transport_module() {
-        return Vec::new();
-    }
-    // `std :: net` catches qualified paths and `use` imports; the bare
-    // type names catch anything brought into scope another way. The
-    // socket types also match inside `std::net::…` paths, which just
-    // means a fully qualified open reports twice — both findings point
-    // at the same line, and both are correct.
-    scan_seqs(
-        m,
-        &[
-            &["std", "::", "net"],
-            &["UdpSocket"],
-            &["TcpStream"],
-            &["TcpListener"],
-        ],
-        |p| {
-            format!(
-                "raw socket I/O ({}) outside rbcast-net's transport module: code \
-                 above the transport must stay behind the Datagram trait so the \
-                 loopback parity oracle and the UDP cluster run the identical \
-                 protocol/link/runtime path; take a `dyn Datagram` instead (or \
-                 annotate audit:allow(raw-socket) with a layering argument)",
-                p.join("")
-            )
-        },
-    )
-}
-
-fn check_env_read(m: &FileModel, ctx: &Ctx) -> Vec<Finding> {
-    if m.rel == ctx.config_module() {
-        return Vec::new();
-    }
-    scan_seqs(
-        m,
-        &[&["env", "::", "var"], &["env", "::", "var_os"]],
-        |_| {
-            "process-environment read outside the config layer: scattered \
-         RBCAST_* reads make knobs undiscoverable and untestable; read \
-         through rbcast_core::config::env_var (or annotate \
-         audit:allow(env-read) for a knob that genuinely cannot route \
-         through the config layer)"
-                .to_string()
-        },
-    )
 }
 
 fn check_unused_pub(m: &FileModel, ctx: &Ctx) -> Vec<Finding> {
@@ -854,10 +645,15 @@ mod tests {
         WorkspaceIndex::build(models)
     }
 
-    fn run(check: fn(&FileModel, &Ctx) -> Vec<Finding>, m: &FileModel) -> Vec<usize> {
+    /// Lines of rule `id`'s raw findings in `m`, indexed over `m` alone.
+    fn run(id: &str, m: &FileModel) -> Vec<usize> {
         let idx = ctx_over(std::slice::from_ref(m));
-        let ctx = Ctx { index: &idx };
-        check(m, &ctx).iter().map(|f| f.line).collect()
+        findings(id, m, &idx).iter().map(|f| f.line).collect()
+    }
+
+    fn findings(id: &str, m: &FileModel, idx: &WorkspaceIndex) -> Vec<Finding> {
+        let rule = rule_by_id(id).expect("rule exists");
+        rule.findings(m, &Ctx { index: idx })
     }
 
     #[test]
@@ -866,7 +662,7 @@ mod tests {
             "crates/sim/src/x.rs",
             "use std::collections::HashMap;\nstruct MyHashMapLike;\nlet s = \"HashMap\";\n",
         );
-        assert_eq!(run(check_unordered, &f), vec![1]);
+        assert_eq!(run("unordered-iteration", &f), vec![1]);
     }
 
     #[test]
@@ -875,7 +671,7 @@ mod tests {
             "crates/sim/src/x.rs",
             "#[cfg(test)]\nmod tests {\n    use std::collections::HashSet;\n}\n",
         );
-        assert!(run(check_unordered, &f).is_empty());
+        assert!(run("unordered-iteration", &f).is_empty());
     }
 
     #[test]
@@ -884,7 +680,7 @@ mod tests {
             "crates/grid/src/x.rs",
             "fn g(dist: f64, a: u32, b: f64, n: u32) {\nif dist == 1.0 { }\nif (a as f64) != b { }\nif n == 3 { }\n}\n",
         );
-        assert_eq!(run(check_float_eq, &f), vec![2, 3]);
+        assert_eq!(run("float-eq", &f), vec![2, 3]);
     }
 
     #[test]
@@ -895,7 +691,7 @@ mod tests {
             "crates/grid/src/x.rs",
             "fn g(dist: f64) -> bool {\n    dist ==\n        1.0\n}\n",
         );
-        assert_eq!(run(check_float_eq, &f), vec![2]);
+        assert_eq!(run("float-eq", &f), vec![2]);
     }
 
     #[test]
@@ -908,7 +704,7 @@ mod tests {
              let z = d1.len() != d2.len();\n\
              }\n",
         );
-        assert!(run(check_float_eq, &f).is_empty());
+        assert!(run("float-eq", &f).is_empty());
     }
 
     #[test]
@@ -917,13 +713,13 @@ mod tests {
             "crates/flow/src/x.rs",
             "let a = x.unwrap();\nlet b = y.expect(\"invariant\");\npanic!(\"boom\");\n",
         );
-        assert_eq!(run(check_unwrap_panic, &f), vec![1, 3]);
+        assert_eq!(run("unwrap-panic", &f), vec![1, 3]);
     }
 
     #[test]
     fn unwrap_split_across_lines_is_caught() {
         let f = file("crates/flow/src/x.rs", "let a = x\n    .unwrap\n    ();\n");
-        assert_eq!(run(check_unwrap_panic, &f), vec![2]);
+        assert_eq!(run("unwrap-panic", &f), vec![2]);
     }
 
     #[test]
@@ -932,64 +728,104 @@ mod tests {
             "crates/protocols/src/x.rs",
             "let r = rand::thread_rng();\n// thread_rng banned\nlet s = \"Instant::now\";\n",
         );
-        assert_eq!(run(check_nondeterminism, &f), vec![1]);
+        assert_eq!(run("nondeterminism", &f), vec![1]);
     }
 
     #[test]
-    fn nondeterminism_catches_multi_line_instant_now() {
-        let f = file("crates/sim/src/x.rs", "let t = Instant::\n    now();\n");
-        assert_eq!(run(check_nondeterminism, &f), vec![1]);
+    fn a_wall_clock_read_is_obs_wallclock_alone() {
+        // One construct, one rule: a split `Instant::` newline `now()`
+        // is still one sequence, and only obs-wallclock owns it.
+        let f = file(
+            "crates/sim/src/x.rs",
+            "let t = Instant::\n    now();\nlet s = SystemTime::now();\n",
+        );
+        assert_eq!(run("obs-wallclock", &f), vec![1, 3]);
+        assert!(run("nondeterminism", &f).is_empty());
     }
 
     #[test]
-    fn obs_wallclock_exempts_the_defining_module() {
-        let obs = file(
-            "crates/core/src/obs.rs",
-            "pub fn span() {}\nfn t() { let _ = Instant::now(); }\n",
-        );
-        let other = file(
-            "crates/bench/src/perf.rs",
-            "let t0 = std::time::Instant::now();\n",
-        );
-        let idx = ctx_over(&[/* obs defines span */ FileModel::parse(
-            Path::new("crates/core/src/obs.rs"),
-            "pub fn span() {}\n",
-        )]);
-        let ctx = Ctx { index: &idx };
-        assert!(check_obs_wallclock(&obs, &ctx).is_empty());
-        assert_eq!(check_obs_wallclock(&other, &ctx).len(), 1);
+    fn a_token_finding_is_the_matched_tokens_then_the_summary() {
+        let f = file("crates/sim/src/w.rs", "let h = std::thread::spawn(|| 7);\n");
+        let rule = rule_by_id("raw-thread-spawn").expect("rule exists");
+        let v = findings(rule.id, &f, &WorkspaceIndex::default());
+        assert_eq!(v.len(), 1);
+        assert_eq!((v[0].line, v[0].col), (1, 14));
+        assert_eq!(v[0].message, format!("thread::spawn: {}", rule.summary));
     }
 
+    /// Each token rule's home modules, by fallback path.
+    const HOMES: &[(&str, &[&str])] = &[
+        ("unordered-iteration", &[]),
+        ("unwrap-panic", &[]),
+        ("nondeterminism", &[]),
+        ("obs-wallclock", &["crates/core/src/obs.rs"]),
+        ("raw-thread-spawn", &["crates/core/src/engine.rs"]),
+        ("catch-unwind", &["crates/core/src/supervisor.rs"]),
+        ("adhoc-neighborhood", &["crates/grid/src/arena.rs"]),
+        (
+            "atomic-ordering",
+            &["crates/core/src/obs.rs", "crates/core/src/engine.rs"],
+        ),
+        ("raw-socket-io", &["crates/net/src/transport.rs"]),
+        ("env-read", &["crates/core/src/config.rs"]),
+    ];
+
     #[test]
-    fn raw_thread_spawn_and_catch_unwind_follow_their_modules() {
-        let idx = WorkspaceIndex::default();
-        let ctx = Ctx { index: &idx };
-        let eng = file("crates/core/src/engine.rs", "std::thread::scope(|s| {});\n");
-        assert!(check_raw_thread_spawn(&eng, &ctx).is_empty());
-        let sup = file(
-            "crates/core/src/supervisor.rs",
-            "let r = panic::catch_unwind(f);\n",
-        );
-        assert!(check_catch_unwind(&sup, &ctx).is_empty());
-        let elsewhere = file("crates/sim/src/w.rs", "let h = std::thread::spawn(|| 7);\n");
-        assert_eq!(check_raw_thread_spawn(&elsewhere, &ctx).len(), 1);
+    fn every_token_rule_is_silent_in_exactly_its_homes() {
+        let mut rows = Vec::new();
+        for rule in all_rules() {
+            let Check::Tokens(banned, homes) = rule.check else {
+                continue;
+            };
+            rows.push(rule.id);
+            let want = HOMES.iter().find(|&&(id, _)| id == rule.id);
+            let want = want.map_or(&[][..], |&(_, paths)| paths);
+            let uses: String = banned.iter().map(|seq| seq.join(" ") + ";\n").collect();
+            let every_line: Vec<usize> = (1..=banned.len()).collect();
+            // With no definition indexed, the fallback paths are home,
+            // and every other file, another row's home included, is not.
+            let paths = HOMES.iter().flat_map(|&(_, paths)| paths.iter().copied());
+            for path in paths.chain(["crates/sim/src/w.rs"]) {
+                let home = want.contains(&path);
+                let lines = run(rule.id, &file(path, &uses));
+                assert_eq!(
+                    lines,
+                    if home { vec![] } else { every_line.clone() },
+                    "{} at {path}",
+                    rule.id
+                );
+            }
+            assert_eq!(homes.len(), want.len(), "{}", rule.id);
+            for &(kind, name, fallback) in homes {
+                // A moved definition takes the home with it.
+                let def = match kind {
+                    ItemKind::Fn => format!("fn {name}() {{}}\n"),
+                    _ => format!("struct {name};\n"),
+                };
+                let moved = file("crates/sim/src/moved.rs", &(def + &uses));
+                let idx = ctx_over(std::slice::from_ref(&moved));
+                assert!(findings(rule.id, &moved, &idx).is_empty(), "{}", rule.id);
+                let old = findings(rule.id, &file(fallback, &uses), &idx);
+                assert_eq!(old.len(), banned.len(), "{} at {fallback}", rule.id);
+            }
+        }
+        assert_eq!(rows, HOMES.iter().map(|&(id, _)| id).collect::<Vec<_>>());
     }
 
     #[test]
     fn lint_header_requires_both_attributes() {
         let idx = WorkspaceIndex::default();
-        let ctx = Ctx { index: &idx };
         let f = file("crates/grid/src/lib.rs", "#![forbid(unsafe_code)]\n");
-        let v = check_lint_header(&f, &ctx);
+        let v = findings("lint-header", &f, &idx);
         assert_eq!(v.len(), 1);
         assert!(v[0].message.contains("missing_docs"));
         let ok = file(
             "crates/grid/src/lib.rs",
             "#![forbid(unsafe_code)]\n#![warn(missing_docs)]\n",
         );
-        assert!(check_lint_header(&ok, &ctx).is_empty());
+        assert!(run("lint-header", &ok).is_empty());
         let not_root = file("crates/grid/src/torus.rs", "fn f() {}\n");
-        assert!(check_lint_header(&not_root, &ctx).is_empty());
+        assert!(run("lint-header", &not_root).is_empty());
     }
 
     #[test]
@@ -1002,7 +838,7 @@ mod tests {
              let after = names[0].clone();\n\
              }\n",
         );
-        assert_eq!(run(check_hot_loop_alloc, &f), vec![4, 5]);
+        assert_eq!(run("hot-loop-alloc", &f), vec![4, 5]);
     }
 
     #[test]
@@ -1035,14 +871,9 @@ mod tests {
              drop(snapshot);\n\
              }\n",
         );
-        let v = run(check_hot_loop_alloc, &f);
+        let v = run("hot-loop-alloc", &f);
         assert_eq!(v, vec![2]);
-        let msgs = check_hot_loop_alloc(
-            &f,
-            &Ctx {
-                index: &WorkspaceIndex::default(),
-            },
-        );
+        let msgs = findings("hot-loop-alloc", &f, &WorkspaceIndex::default());
         assert!(msgs[0].message.contains("on_message body"));
     }
 
@@ -1052,7 +883,7 @@ mod tests {
             "crates/flow/src/x.rs",
             "a.fetch_add(1, Ordering::Relaxed);\nlet c = Ordering::Less;\nuse std::sync::atomic::Ordering;\n",
         );
-        assert_eq!(run(check_atomic_ordering, &f), vec![1]);
+        assert_eq!(run("atomic-ordering", &f), vec![1]);
     }
 
     #[test]
@@ -1064,7 +895,7 @@ mod tests {
              pub fn checked(r: u32) -> Option<u32> { r.checked_mul(2) }\n\
              pub fn wide(r: u32) -> u64 { let x = 2u128 * u128::from(r); x as u64 }\n",
         );
-        assert_eq!(run(check_threshold_arith, &f), vec![1, 1]);
+        assert_eq!(run("checked-threshold-arith", &f), vec![1, 1]);
     }
 
     #[test]
@@ -1073,7 +904,7 @@ mod tests {
             "crates/core/src/engine.rs",
             "fn f(a: usize) -> usize { a * 2 }\n",
         );
-        assert!(run(check_threshold_arith, &f).is_empty());
+        assert!(run("checked-threshold-arith", &f).is_empty());
     }
 
     #[test]
@@ -1083,65 +914,17 @@ mod tests {
             "pub fn deref(p: &u32) -> u32 { let x = *p; x }\n\
              pub fn shl(r: u32) -> u32 { r << 1 }\n",
         );
-        assert_eq!(run(check_threshold_arith, &f), vec![2]);
+        assert_eq!(run("checked-threshold-arith", &f), vec![2]);
     }
 
     #[test]
-    fn raw_socket_io_confined_to_transport_module() {
-        let idx = WorkspaceIndex::default();
-        let ctx = Ctx { index: &idx };
-        let transport = file(
-            "crates/net/src/transport.rs",
-            "pub struct UdpTransport;\nlet s = std::net::UdpSocket::bind(a).expect(\"bind\");\n",
-        );
-        assert!(check_raw_socket_io(&transport, &ctx).is_empty());
+    fn a_qualified_socket_open_fires_twice_on_its_line() {
         let elsewhere = file(
             "crates/sim/src/w.rs",
             "let s = std::net::UdpSocket::bind(a).expect(\"bind\");\nlet t = TcpListener::bind(a);\n// UdpSocket in a comment is fine\n",
         );
-        let v = check_raw_socket_io(&elsewhere, &ctx);
         // Line 1 matches both the `std::net` path and the bare type.
-        let lines: Vec<usize> = v.iter().map(|f| f.line).collect();
-        assert_eq!(lines, vec![1, 1, 2]);
-    }
-
-    #[test]
-    fn raw_socket_io_follows_the_udp_transport_definition() {
-        // The exemption tracks wherever `struct UdpTransport` lives, not
-        // a hard-coded path.
-        let moved = file(
-            "crates/net/src/udp.rs",
-            "pub struct UdpTransport;\nuse std::net::UdpSocket;\n",
-        );
-        assert!(run(check_raw_socket_io, &moved).is_empty());
-    }
-
-    #[test]
-    fn env_read_confined_to_config_module() {
-        let idx = WorkspaceIndex::default();
-        let ctx = Ctx { index: &idx };
-        let cfg = file(
-            "crates/core/src/config.rs",
-            "let v = std::env::var(\"RBCAST_X\");\n",
-        );
-        assert!(check_env_read(&cfg, &ctx).is_empty());
-        let eng = file(
-            "crates/core/src/engine.rs",
-            "let v = std::env::var(\"RBCAST_X\");\n",
-        );
-        assert_eq!(check_env_read(&eng, &ctx).len(), 1);
-    }
-
-    #[test]
-    fn allow_names_and_ids_both_resolve() {
-        assert!(is_known_allow_name("unordered"));
-        assert!(is_known_allow_name("unordered-iteration"));
-        assert!(is_known_allow_name("hot-loop-alloc"));
-        assert!(!is_known_allow_name("wall-clock-typo"));
-        let rule = rule_by_id("nondeterminism").expect("rule exists");
-        assert!(allow_name_matches(rule, "wall-clock"));
-        assert!(allow_name_matches(rule, "nondeterminism"));
-        assert!(!allow_name_matches(rule, "obs-wallclock"));
+        assert_eq!(run("raw-socket-io", &elsewhere), vec![1, 1, 2]);
     }
 
     #[test]
@@ -1160,8 +943,8 @@ mod tests {
              pub const _: () = ();\npub struct D;\npub async fn e() {}\n\
              #[cfg(test)]\nmod t { pub fn f() {} }\n",
         );
-        assert_eq!(run(check_unused_pub, &f), vec![1, 3, 6]);
+        assert_eq!(run("unused-pub", &f), vec![1, 3, 6]);
         let bin = file("crates/a/src/main.rs", "pub fn x() {}\n");
-        assert!(run(check_unused_pub, &bin).is_empty());
+        assert!(run("unused-pub", &bin).is_empty());
     }
 }
