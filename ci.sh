@@ -41,13 +41,17 @@ cargo xtask audit --rule unknown-allow
 echo "==> cargo xtask audit --self-test"
 cargo xtask audit --self-test
 
-echo "==> one-of-each gate (FNV basis, splitmix, JSON escape each defined in one file)"
+echo "==> one-of-each gate (FNV basis, splitmix, JSON escape, JSON field scanner each defined in one file)"
 # rbcast_grid::plumbing is their one home; a second copy must not land
 # quietly. xtask (a dependency-free auditor) and benchmark/ (measures
-# from outside) keep their own and are not searched.
+# from outside) keep their own and are not searched. Every JSONL reader
+# scans its fields with `json_field` and accepts a line only if its
+# writer gives it back (`jsonl::decode_exact`), so a second JSON parser
+# has no place.
 one_home="crates/grid/src crates/flow/src crates/construct/src crates/sim/src \
     crates/adversary/src crates/protocols/src crates/core/src crates/net/src crates/bench/src src"
-for pat in 'cbf2_\?9ce4_\?8422_\?2325' 'fn splitmix' 'fn \(json_escape\|escape_json\)'; do
+for pat in 'cbf2_\?9ce4_\?8422_\?2325' 'fn splitmix' 'fn \(json_escape\|escape_json\)' \
+    'fn \(json_field\|json_unescape\|parse_[a-z_]*json\)'; do
     test "$(grep -rli --include='*.rs' "$pat" $one_home | wc -l)" -le 1 \
         || { grep -rni --include='*.rs' "$pat" $one_home; echo "one-of-each: '$pat' has a second home"; exit 1; }
 done
@@ -202,11 +206,25 @@ for bad_env in RBCAST_RETRIES=0 RBCAST_ROUND_BUDGET=x RBCAST_CHAOS=panic:2; do
         cat "$bad_err"; echo "bad-invocation gate: '$bad_env rbcast sweep' exited $status"; exit 1
     fi
 done
+# A line its writer never writes is corruption, not a record: a real
+# sweep journal whose first task line ends in \r\n is one error: line
+# and exit 2.
+bad_crlf=target/bad_invocation_crlf.jsonl
+target/release/rbcast sweep --protocol flood --r 1 --t-max 2 --journal "$bad_crlf" > /dev/null
+sed -i '2s/$/\r/' "$bad_crlf"
+cp "$bad_crlf" "$bad_crlf.orig"
+status=0
+target/release/rbcast sweep --protocol flood --r 1 --t-max 2 --resume "$bad_crlf" \
+    > /dev/null 2> "$bad_err" || status=$?
+if test "$status" -ne 2 || grep -q panicked "$bad_err" \
+    || test "$(grep -c . "$bad_err")" -ne 1 || ! grep -q '^error: ' "$bad_err"; then
+    cat "$bad_err"; echo "bad-invocation gate: a CRLF journal line resumed (exit $status)"; exit 1
+fi
 # A refused resume leaves the journal as it was and creates nothing.
-cmp -s "$bad_headerless" "$bad_headerless.orig" && test ! -e target/no-such.jsonl \
-    && test ! -e a && test ! -e b \
+cmp -s "$bad_headerless" "$bad_headerless.orig" && cmp -s "$bad_crlf" "$bad_crlf.orig" \
+    && test ! -e target/no-such.jsonl && test ! -e a && test ! -e b \
     || { echo "bad-invocation gate: a refused resume touched a journal"; exit 1; }
-rm -f "$bad_err" "$bad_ids" "$bad_headerless" "$bad_headerless.orig"
+rm -f "$bad_err" "$bad_ids" "$bad_headerless" "$bad_headerless.orig" "$bad_crlf" "$bad_crlf.orig"
 echo "bad-invocation gate passed"
 
 echo "==> cluster chaos smoke (3x3 UDP processes, burst loss, kill+restart)"

@@ -1,9 +1,13 @@
 //! FIG1-3 — regions M, R, U, S1, S2 of Figs. 1–3: cardinalities and the
 //! disjoint decomposition `M = R ∪ U ∪ S1 ∪ S2`.
 
-use crate::{header, rule, Size, Verdicts};
+use crate::{header, radii, rule, Size, Verdicts};
 use rbcast_construct::corner;
 use rbcast_construct::r_2r_plus_1;
+use std::ops::RangeInclusive;
+
+/// Radii whose corner regions are built and checked.
+const RS: RangeInclusive<u32> = 1..=12;
 
 pub(crate) fn run(v: &mut Verdicts, _: Size) {
     header("Figs. 1-3 — committer regions for the worst-case frontier node P");
@@ -14,7 +18,7 @@ pub(crate) fn run(v: &mut Verdicts, _: Size) {
     rule(68);
     let mut decomp = true;
     let mut contain = true;
-    for r in 1..=12u32 {
+    for r in RS {
         let (m, rr, u, s1, s2) = (
             corner::region_m(r).len(),
             corner::region_r(r).len(),
@@ -35,6 +39,10 @@ pub(crate) fn run(v: &mut Verdicts, _: Size) {
         decomp &= corner::decomposition_holds(r);
         contain &= corner::containment_holds(r);
     }
-    v.check("M = R ⊎ U ⊎ S1 ⊎ S2 with |M| = r(2r+1), r = 1..12", decomp);
-    v.check("M ⊆ nbd(0,0) and R ⊆ nbd(P), r = 1..12", contain);
+    let rs = radii(&RS);
+    v.check(
+        &format!("M = R ⊎ U ⊎ S1 ⊎ S2 with |M| = r(2r+1), {rs}"),
+        decomp,
+    );
+    v.check(&format!("M ⊆ nbd(0,0) and R ⊆ nbd(P), {rs}"), contain);
 }

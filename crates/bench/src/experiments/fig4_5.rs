@@ -4,11 +4,17 @@
 //! neighborhood containment, and cross-checks against a Menger max-flow
 //! lower bound for small radii.
 
-use crate::{header, rule, Size, Verdicts};
+use crate::{header, radii, rule, Size, Verdicts};
 use rbcast_construct::verify::verify_family;
 use rbcast_construct::{paths_u, r_2r_plus_1, worst_case_p};
 use rbcast_flow::vertex_disjoint_count;
 use rbcast_grid::{Coord, Metric, Neighborhood};
+use std::ops::RangeInclusive;
+
+/// Radii whose path families are built and verified.
+const FAMILY_RS: RangeInclusive<u32> = 2..=8;
+/// Radii of the independent max-flow cross-check.
+const FLOW_RS: RangeInclusive<u32> = 2..=4;
 
 pub(crate) fn run(v: &mut Verdicts, _: Size) {
     header("Figs. 4-5 — disjoint paths N→P for region-U committers");
@@ -19,7 +25,7 @@ pub(crate) fn run(v: &mut Verdicts, _: Size) {
     rule(60);
 
     let mut all_verify = true;
-    for r in 2..=8u32 {
+    for r in FAMILY_RS {
         for p in 1..r {
             for q in (p + 1)..=r {
                 let paths = paths_u::build(r, p, q);
@@ -53,13 +59,16 @@ pub(crate) fn run(v: &mut Verdicts, _: Size) {
         }
     }
     v.check(
-        "all families verify (count, hops, disjointness, containment), r = 2..8",
+        &format!(
+            "all families verify (count, hops, disjointness, containment), {}",
+            radii(&FAMILY_RS)
+        ),
         all_verify,
     );
 
     // Independent Menger cross-check on the lattice ball graph.
     let mut flow_ok = true;
-    for r in 2..=4u32 {
+    for r in FLOW_RS {
         let center = paths_u::enclosing_center(r);
         let ball: Vec<Coord> = Neighborhood::new(center, r, Metric::Linf)
             .members()
@@ -88,7 +97,10 @@ pub(crate) fn run(v: &mut Verdicts, _: Size) {
         }
     }
     v.check(
-        "max-flow on the ball graph confirms ≥ r(2r+1) paths, r = 2..4",
+        &format!(
+            "max-flow on the ball graph confirms ≥ r(2r+1) paths, {}",
+            radii(&FLOW_RS)
+        ),
         flow_ok,
     );
 }

@@ -6,10 +6,14 @@
 //! Also verifies the §VI-A count `|R_l| = r(r+l+1)` for the translated
 //! top-edge positions.
 
-use crate::{header, rule, Size, Verdicts};
+use crate::{header, radii, rule, Size, Verdicts};
 use rbcast_construct::arbitrary_p::{direct_count, frontier_table};
 use rbcast_construct::r_2r_plus_1;
 use rbcast_grid::Coord;
+use std::ops::RangeInclusive;
+
+/// Radii of the §VI-A direct-range count check.
+const FORMULA_RS: RangeInclusive<u32> = 1..=8;
 
 pub(crate) fn run(v: &mut Verdicts, _: Size) {
     for r in 1..=3u32 {
@@ -41,14 +45,17 @@ pub(crate) fn run(v: &mut Verdicts, _: Size) {
     }
 
     let mut formula_ok = true;
-    for r in 1..=8u32 {
+    for r in FORMULA_RS {
         for l in 0..=r {
             let p = Coord::new(-i64::from(r) + i64::from(l), i64::from(r) + 1);
             formula_ok &= direct_count(r, p) == (r as usize) * (r + l + 1) as usize;
         }
     }
     v.check(
-        "§VI-A direct-range count |R_l| = r(r+l+1), r = 1..8",
+        &format!(
+            "§VI-A direct-range count |R_l| = r(r+l+1), {}",
+            radii(&FORMULA_RS)
+        ),
         formula_ok,
     );
 }

@@ -4,9 +4,13 @@
 //! translation witness at the worst-case corner and the max-flow bound
 //! over the whole frontier.
 
-use crate::{header, rule, Size, Verdicts};
+use crate::{header, radii, rule, Size, Verdicts};
 use rbcast_construct::{r_2r_plus_1, simplified, worst_case_p};
 use rbcast_grid::Coord;
+use std::ops::RangeInclusive;
+
+/// Radii of the translation witness and its max-flow check.
+const WITNESS_RS: RangeInclusive<u32> = 1..=6;
 
 pub(crate) fn run(v: &mut Verdicts, _: Size) {
     header("§VI-B — simplified-protocol connectivity (≤1-relay disjoint paths)");
@@ -18,7 +22,7 @@ pub(crate) fn run(v: &mut Verdicts, _: Size) {
 
     let mut witness_ok = true;
     let mut flow_ok = true;
-    for r in 1..=6u32 {
+    for r in WITNESS_RS {
         let target = r_2r_plus_1(r);
         let witness = simplified::verify_witness(r);
         let flow =
@@ -33,12 +37,13 @@ pub(crate) fn run(v: &mut Verdicts, _: Size) {
         witness_ok &= witness == Some(target);
         flow_ok &= flow as usize >= target;
     }
+    let rs = radii(&WITNESS_RS);
     v.check(
-        "translation witness yields exactly r(2r+1) disjoint ≤1-relay paths, r = 1..6",
+        &format!("translation witness yields exactly r(2r+1) disjoint ≤1-relay paths, {rs}"),
         witness_ok,
     );
     v.check(
-        "max-flow confirms the witness at the corner, r = 1..6",
+        &format!("max-flow confirms the witness at the corner, {rs}"),
         flow_ok,
     );
 

@@ -28,13 +28,13 @@ pub(crate) fn run(v: &mut Verdicts, _: Size) {
     );
     rule(70);
 
-    let rs = [1u32, 2, 3];
+    let rs = 1u32..=8;
 
     // Full (r, placement, side) grid as one deterministic engine sweep:
     // per r, three achievable-side runs then the impossible-side strip.
     let experiments: Vec<Experiment> = rs
-        .iter()
-        .flat_map(|&r| {
+        .clone()
+        .flat_map(|r| {
             let t_max = thresholds::crash_max_t(r) as usize;
             let t_imp = thresholds::crash_impossible_t(r) as usize;
             placements(t_max)
@@ -61,7 +61,7 @@ pub(crate) fn run(v: &mut Verdicts, _: Size) {
             o.fault_count, o.committed_correct, o.undecided, o.stats.rounds
         )
     };
-    for (&r, chunk) in rs.iter().zip(outcomes.chunks(4)) {
+    for (r, chunk) in rs.zip(outcomes.chunks(4)) {
         let t_max = thresholds::crash_max_t(r) as usize;
         let t_imp = thresholds::crash_impossible_t(r) as usize;
 

@@ -11,6 +11,7 @@
 #![warn(missing_docs)]
 
 use rbcast_core::Outcome;
+use std::ops::RangeInclusive;
 
 pub mod experiments;
 pub mod perf;
@@ -34,6 +35,11 @@ fn header(title: &str) {
 /// Prints a table rule sized to `width`.
 fn rule(width: usize) {
     println!("{}", "-".repeat(width));
+}
+
+/// The radii `rs` as a verdict label names them: `r = 2..8`.
+fn radii(rs: &RangeInclusive<u32>) -> String {
+    format!("r = {}..{}", rs.start(), rs.end())
 }
 
 /// Prints a PASS/FAIL verdict line (also used by EXPERIMENTS.md).

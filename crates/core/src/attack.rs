@@ -24,16 +24,16 @@
 use std::collections::BTreeMap;
 
 use crate::experiment::{Experiment, FaultKind, Outcome, ProtocolKind};
-use crate::jsonl::parse_flat_json;
+use crate::jsonl::decode_exact;
 use crate::supervisor::{
-    parse_rows, supervise, Checkpoint, CheckpointError, Journal, JournalFailure, JournalHeader,
-    Journaled, Supervised, SupervisorConfig, TaskError,
+    field, parse_rows, supervise, Checkpoint, CheckpointError, Journal, JournalFailure,
+    JournalHeader, Journaled, Supervised, SupervisorConfig, TaskError,
 };
 use rbcast_adversary::{
     anneal, initial_state, local_fault_bound, mix, AnnealState, AttackScore, Placement,
     SearchConfig,
 };
-use rbcast_grid::plumbing::{fnv1a, FNV_OFFSET};
+use rbcast_grid::plumbing::{fnv1a, json_field, FNV_OFFSET};
 use rbcast_grid::{Metric, NodeId, Torus};
 
 /// Configuration of one `rbcast attack` invocation.
@@ -227,33 +227,22 @@ pub fn ids_to_field(ids: &[NodeId]) -> String {
     out
 }
 
-fn ids_from_field(s: &str) -> Result<Vec<NodeId>, String> {
-    if s.is_empty() {
-        return Ok(Vec::new());
-    }
-    s.split(',')
-        .map(|part| part.parse::<u32>().map(NodeId).map_err(|e| e.to_string()))
-        .collect()
+fn ids_from_field(s: &str) -> Option<Vec<NodeId>> {
+    let ids = s.split(',').filter(|part| !part.is_empty());
+    ids.map(|part| part.parse().ok().map(NodeId)).collect()
 }
 
 fn score_to_field(s: AttackScore) -> String {
     format!("{},{},{}", s.wrong, s.undecided, s.last_round)
 }
 
-fn score_from_field(s: &str) -> Result<AttackScore, String> {
+fn score_from_field(s: &str) -> Option<AttackScore> {
     let mut parts = s.split(',');
-    let mut next = || {
-        parts
-            .next()
-            .ok_or_else(|| format!("score field {s:?} has too few components"))
-    };
-    let wrong = next()?.parse::<u64>().map_err(|e| e.to_string())?;
-    let undecided = next()?.parse::<u64>().map_err(|e| e.to_string())?;
-    let last_round = next()?.parse::<u32>().map_err(|e| e.to_string())?;
-    Ok(AttackScore {
-        wrong,
-        undecided,
-        last_round,
+    let mut next = || parts.next()?.parse::<u64>().ok();
+    Some(AttackScore {
+        wrong: next()?,
+        undecided: next()?,
+        last_round: u32::try_from(next()?).ok()?,
     })
 }
 
@@ -277,22 +266,30 @@ pub(crate) fn checkpoint_line(task: usize, state: &AnnealState, done: bool) -> S
 }
 
 impl CellCheckpoint {
-    /// Parses a [`checkpoint_line`].
+    /// Parses a [`checkpoint_line`]: one it gives back byte for byte
+    /// ([`decode_exact`]).
     fn from_line(line: &str) -> Result<CellCheckpoint, String> {
-        let fields = parse_flat_json(line)?;
-        let text =
-            |key: &str| (fields.text(key)?).ok_or_else(|| format!("missing string field {key:?}"));
-        let state = AnnealState {
-            step: fields.int("step")?,
-            current: ids_from_field(text("current")?)?,
-            current_score: score_from_field(text("current_score")?)?,
-            best: ids_from_field(text("best")?)?,
-            best_score: score_from_field(text("best_score")?)?,
-            evaluations: fields.int("evaluations")?,
-            accepted: fields.int("accepted")?,
+        let decode =
+            |line: &str| CellCheckpoint::decode(line).ok_or("not a cell checkpoint".to_string());
+        let spell = |buf: &mut Vec<u8>, (task, cell): &(usize, CellCheckpoint)| {
+            buf.extend(checkpoint_line(*task, &cell.state, cell.done).bytes());
         };
-        let done = fields.int::<u64>("done")? == 1;
-        Ok(CellCheckpoint { state, done })
+        Ok(decode_exact(line, &mut Vec::new(), decode, spell)?.1)
+    }
+
+    /// The task and checkpoint whose fields `line` holds.
+    fn decode(line: &str) -> Option<(usize, CellCheckpoint)> {
+        let state = AnnealState {
+            step: field(line, "step")?,
+            current: ids_from_field(json_field(line, "current")?)?,
+            current_score: score_from_field(json_field(line, "current_score")?)?,
+            best: ids_from_field(json_field(line, "best")?)?,
+            best_score: score_from_field(json_field(line, "best_score")?)?,
+            evaluations: field(line, "evaluations")?,
+            accepted: field(line, "accepted")?,
+        };
+        let done = field::<u8>(line, "done")? == 1;
+        Some((field(line, "task")?, CellCheckpoint { state, done }))
     }
 }
 
@@ -629,6 +626,43 @@ mod tests {
             other => panic!("expected fingerprint refusal, got {other:?}"),
         }
         assert_eq!(std::fs::read(&path).expect("journal kept"), written);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A checkpoint that holds a cell's fields but that
+    /// [`checkpoint_line`] never writes is corrupt at its task, not a
+    /// cell read from part of it.
+    #[test]
+    fn a_resume_refuses_checkpoints_their_writer_never_writes() {
+        let dir = std::env::temp_dir().join(format!("rbcast-attack-strict-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("attack.jsonl");
+        let mut cfg = tiny_cfg();
+        cfg.checkpoint = Some(Checkpoint::Resume(path.clone()));
+        let cells = attack_cells(&cfg);
+        let header = JournalHeader {
+            fingerprint: attack_fingerprint(&cfg, &cells),
+            tasks: cells.len(),
+        };
+        let line = checkpoint_line(0, &sample_state(4), false);
+        let near = [
+            line.replacen("\"done\":0", "\"done\":2", 1),
+            line.replacen("\"0,2,7\"", "\"0,2,7,99\"", 1),
+            line.replacen("\"3,9\"", "\"3,,9\"", 1),
+            format!("{line}\r"),
+        ];
+        for bad in near {
+            let fresh = Checkpoint::Fresh(path.clone());
+            let (journal, _) = Journal::open(&fresh, header).expect("open");
+            journal.append_line(0, bad.clone()).expect("append");
+            let bytes = std::fs::read_to_string(&path).expect("written");
+            match run_attack(&cfg) {
+                Err(AttackError::Checkpoint(CheckpointError::Corrupt(_, why)))
+                    if why.starts_with("task 0: ") => {}
+                other => panic!("{bad:?} must be corrupt at task 0, got {other:?}"),
+            }
+            assert_eq!(std::fs::read_to_string(&path).expect("kept"), bytes);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -44,9 +44,11 @@
 //!   a fresh draw and usually succeeds.
 
 use crate::engine::{self, payload_message};
-use crate::jsonl::{parse_flat_json, JsonlFile};
+use crate::jsonl::{decode_exact, numbered_lines, JsonlFile};
 use crate::{Experiment, Outcome};
-use rbcast_grid::plumbing::{fnv1a, json_escape, splitmix64, FNV_OFFSET};
+use rbcast_grid::plumbing::{
+    fnv1a, json_escape, json_field, json_field_u64, json_unescape, splitmix64, FNV_OFFSET,
+};
 use rbcast_sim::StopReason;
 use std::any::Any;
 use std::cell::Cell;
@@ -415,53 +417,59 @@ impl JournalEntry {
         line
     }
 
-    /// Parses one JSONL line (strict: the journal is a recovery record,
-    /// so a corrupt line is an error, not a shrug).
+    /// Parses one line `JournalEntry::to_line` gives back byte for byte
+    /// ([`decode_exact`]): the journal is a recovery record.
     ///
     /// # Errors
     ///
-    /// On malformed JSON, missing required fields, or bad field types.
+    /// On any other line, or an `ok` entry without a summary or with an
+    /// error (`supervise` writes neither).
     pub fn from_line(line: &str) -> Result<JournalEntry, String> {
-        let fields = parse_flat_json(line)?;
-        let ok = match fields.text("status")? {
-            Some("ok") => true,
-            Some("failed") => false,
-            Some(s) => return Err(format!("unknown status {s:?}")),
-            None => return Err("missing field \"status\"".to_string()),
-        };
-        let summary = if fields.has("correct") {
-            Some(OutcomeSummary {
-                correct: fields.int("correct")?,
-                wrong: fields.int("wrong")?,
-                undecided: fields.int("undecided")?,
-                messages: fields.int("messages")?,
-            })
-        } else {
-            None
-        };
-        let metrics = if fields.has("rounds") {
-            Some(TaskMetrics {
-                rounds: fields.int("rounds")?,
-                deliveries: fields.int("deliveries")?,
-                jammed: fields.int("jammed")?,
-                lost: fields.int("lost")?,
-            })
-        } else {
-            None
-        };
-        if ok && summary.is_none() {
-            return Err("ok entry lacks an outcome summary".to_string());
-        }
-        Ok(JournalEntry {
-            task: fields.int("task")?,
-            ok,
-            attempts: fields.int("attempts")?,
-            digest: fields.hex("digest")?,
-            summary,
-            metrics,
-            error: fields.text("error")?.map(str::to_string),
+        let decode = |line: &str| JournalEntry::decode(line).ok_or("not a sweep entry".to_string());
+        decode_exact(line, &mut Vec::new(), decode, |buf, e| {
+            buf.extend(e.to_line().bytes())
         })
     }
+
+    /// The entry whose fields `line` holds, read by the field scanner.
+    fn decode(line: &str) -> Option<JournalEntry> {
+        let summary = || {
+            Some(OutcomeSummary {
+                correct: field(line, "correct")?,
+                wrong: field(line, "wrong")?,
+                undecided: field(line, "undecided")?,
+                messages: field(line, "messages")?,
+            })
+        };
+        let metrics = || {
+            Some(TaskMetrics {
+                rounds: field(line, "rounds")?,
+                deliveries: field(line, "deliveries")?,
+                jammed: field(line, "jammed")?,
+                lost: field(line, "lost")?,
+            })
+        };
+        let entry = JournalEntry {
+            task: field(line, "task")?,
+            ok: json_field(line, "status")? == "ok",
+            attempts: field(line, "attempts")?,
+            digest: json_field(line, "digest").and_then(hex),
+            summary: summary(),
+            metrics: metrics(),
+            error: json_field(line, "error").and_then(json_unescape),
+        };
+        (!entry.ok || (entry.summary.is_some() && entry.error.is_none())).then_some(entry)
+    }
+}
+
+/// The number at `key` of a journal line, as a `T`.
+pub(crate) fn field<T: TryFrom<u64>>(line: &str, key: &str) -> Option<T> {
+    T::try_from(json_field_u64(line, key)?).ok()
+}
+
+/// The value of a `0x`-prefixed hex string field.
+fn hex(value: &str) -> Option<u64> {
+    u64::from_str_radix(value.strip_prefix("0x")?, 16).ok()
 }
 
 /// The journal's header line: a fingerprint of the run's specification
@@ -489,16 +497,20 @@ impl JournalHeader {
         )
     }
 
-    /// Parses a header line.
+    /// Parses a line `JournalHeader::to_line` gives back byte for byte.
     ///
     /// # Errors
     ///
-    /// On malformed JSON or missing/mistyped fields.
+    /// On any other line ([`decode_exact`]).
     pub fn from_line(line: &str) -> Result<JournalHeader, String> {
-        let fields = parse_flat_json(line)?;
-        Ok(JournalHeader {
-            fingerprint: (fields.hex("fingerprint")?).ok_or("missing field \"fingerprint\"")?,
-            tasks: fields.int("tasks")?,
+        let decode = |line: &str| {
+            let fingerprint = json_field(line, "fingerprint").and_then(hex);
+            (fingerprint.zip(field(line, "tasks")))
+                .map(|(fingerprint, tasks)| JournalHeader { fingerprint, tasks })
+                .ok_or("not a journal header".to_string())
+        };
+        decode_exact(line, &mut Vec::new(), decode, |buf, h| {
+            buf.extend(h.to_line().bytes())
         })
     }
 }
@@ -583,10 +595,14 @@ impl std::fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// The `"task"` index of a journal line.
+/// The `"task"` index of a journal line: every codec's line opens with
+/// `{"task":N,`, the writers' one spelling of the index.
 fn task_of(line: &str) -> Result<usize, String> {
-    (parse_flat_json(line)?.int("task"))
-        .map_err(|_| "not a task line (no numeric \"task\")".to_string())
+    let head = line.split_inclusive(',').next().unwrap_or("");
+    let decode = |head: &str| field(head, "task").ok_or(String::new());
+    let spell = |buf: &mut Vec<u8>, task: &usize| buf.extend(format!("{{\"task\":{task},").bytes());
+    decode_exact(head, &mut Vec::new(), decode, spell)
+        .map_err(|_| "not a task line (it does not open with a \"task\" index)".to_string())
 }
 
 /// Parses the task lines [`Journal::open`] returned with the run's codec.
@@ -600,17 +616,12 @@ pub(crate) fn parse_rows<R>(
     rows: BTreeMap<usize, String>,
     parse: impl Fn(&str) -> Result<R, String>,
 ) -> Result<BTreeMap<usize, R>, CheckpointError> {
-    let mut parsed = BTreeMap::new();
-    for (task, line) in rows {
-        let row = parse(&line).map_err(|why| {
-            CheckpointError::Corrupt(
-                checkpoint.path().to_path_buf(),
-                format!("task {task}: {why}"),
-            )
-        })?;
-        parsed.insert(task, row);
-    }
-    Ok(parsed)
+    let path = checkpoint.path();
+    let corrupt =
+        |task, why| CheckpointError::Corrupt(path.to_path_buf(), format!("task {task}: {why}"));
+    (rows.into_iter())
+        .map(|(task, line)| Ok((task, parse(&line).map_err(|why| corrupt(task, why))?)))
+        .collect()
 }
 
 /// The first checkpoint record a run could not write: the journal's
@@ -692,7 +703,7 @@ impl Journal {
             return Ok((journal, BTreeMap::new()));
         }
         let (mut file, lines) = JsonlFile::open_existing(path).map_err(io)?;
-        let mut numbered = lines.iter();
+        let mut numbered = numbered_lines(&lines);
         let first = numbered.next();
         if let Some((_, line)) = first {
             match JournalHeader::from_line(line) {
@@ -747,8 +758,8 @@ impl Journal {
     }
 
     /// Appends `line`, task `task`'s record in a caller's own codec (a
-    /// flat JSON object with that `"task"` index), and flushes it to
-    /// disk.
+    /// flat JSON object that opens with that `"task"` index), and
+    /// flushes it to disk.
     ///
     /// # Errors
     ///
@@ -1887,5 +1898,88 @@ mod tests {
             &[line(0, 2, false), line(1, 2, false), line(0, 4, true)],
             &line(1, 6, true),
         );
+    }
+
+    /// Lines that hold a sweep entry's or a header's fields but that no
+    /// writer writes: a resume refuses each, names its line (one that
+    /// does not open with the writers' `{"task":N,`) or its task, and
+    /// leaves the journal as it found it.
+    #[test]
+    fn a_resume_refuses_every_line_its_writer_never_writes() {
+        let (header, [ok, failed]) = torn_sample();
+        let (ok, failed) = (ok.to_line(), failed.to_line());
+        let open = ok.strip_suffix('}').expect("an object");
+        let path = std::env::temp_dir().join(format!(
+            "rbcast-supervisor-strict-{}.jsonl",
+            std::process::id()
+        ));
+        let resume = |bytes: &str| {
+            std::fs::write(&path, bytes).expect("write");
+            let resumed = SupervisorConfig::new()
+                .with_checkpoint(&Checkpoint::Resume(path.clone()), header)
+                .map(|cfg| cfg.resume);
+            assert_eq!(std::fs::read_to_string(&path).expect("read"), bytes);
+            resumed
+        };
+        let head = header.to_line();
+        assert_eq!(resume(&format!("{head}\n{ok}\n")).expect("resume").len(), 1);
+
+        let near_entries = [
+            (
+                "{\"task\":5,\"status\":\"failed\",\"attempts\":3,\"error\":\"x\",}".to_string(),
+                "task 5",
+            ),
+            (
+                ok.replacen("{\"task\":4,", "{ \"task\" : 04 ,", 1),
+                "line 2",
+            ),
+            (format!("  {ok}  "), "line 2"),
+            (format!("{ok}  "), "task 4"),
+            (format!("{ok}\r"), "task 4"),
+            (format!("{failed}\r"), "task 5"),
+            (String::new(), "line 2"),
+            (
+                ok.replacen(
+                    "{\"task\":4,\"status\":\"ok\",",
+                    "{\"status\":\"ok\",\"task\":4,",
+                    1,
+                ),
+                "line 2",
+            ),
+            (
+                ok.replacen(
+                    "\"status\":\"ok\",\"attempts\":1,",
+                    "\"attempts\":1,\"status\":\"ok\",",
+                    1,
+                ),
+                "task 4",
+            ),
+            (format!("{open},\"error\":\"A\"}}"), "task 4"),
+            (ok.replacen("0x0123456789abcdef", "0x1", 1), "task 4"),
+            (format!("{open},\"bogus\":7}}"), "task 4"),
+            (failed.replacen("\\\"quoted", "\\u0022quoted", 1), "task 5"),
+        ];
+        for (line, want) in near_entries {
+            match resume(&format!("{head}\n{line}\n")) {
+                Err(CheckpointError::Corrupt(_, why)) if why.starts_with(&format!("{want}: ")) => {}
+                other => panic!("{line:?} must be corrupt at {want}, got {other:?}"),
+            }
+        }
+
+        let fingerprint = "\"fingerprint\":\"0x0123456789abcdef\"";
+        let near_headers = [
+            format!("{{\"tasks\":3,{fingerprint}}}"),
+            format!("{{{fingerprint},\"tasks\":3,\"x\":1}}"),
+            format!("{head}\r"),
+            format!(" {head}"),
+            String::new(),
+        ];
+        for line in near_headers {
+            match resume(&format!("{line}\n{ok}\n")) {
+                Err(CheckpointError::Headerless(_)) => {}
+                other => panic!("{line:?} must be no header, got {other:?}"),
+            }
+        }
+        std::fs::remove_file(&path).expect("remove");
     }
 }

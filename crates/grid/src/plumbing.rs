@@ -66,12 +66,40 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
+/// The text a [`json_escape`]d string literal holds; `None` at any
+/// escape `json_escape` never writes.
+#[must_use]
+pub fn json_unescape(s: &str) -> Option<String> {
+    let mut out = String::with_capacity(s.len());
+    let mut chars = s.chars();
+    while let Some(c) = chars.next() {
+        out.push(if c == '\\' {
+            match chars.next()? {
+                '"' => '"',
+                '\\' => '\\',
+                'n' => '\n',
+                'r' => '\r',
+                't' => '\t',
+                'u' => {
+                    let (hex, rest) = chars.as_str().split_at_checked(4)?;
+                    chars = rest.chars();
+                    char::from_u32(u32::from_str_radix(hex, 16).ok()?)?
+                }
+                _ => return None,
+            }
+        } else {
+            c
+        });
+    }
+    Some(out)
+}
+
 /// Extracts the raw token following `"key":` on one line of the strict
-/// machine JSON this workspace writes — a quoted string's contents, or
-/// a bare literal (number / bool) up to the next `,` or `}`. The first
-/// occurrence wins, nothing is unescaped and nothing is allocated; it
-/// is a scanner for lines whose writer is known, not a JSON parser
-/// (that is `rbcast_core::jsonl::parse_flat_json`).
+/// machine JSON this workspace writes — a quoted string's contents up
+/// to its first unescaped `"` (still escaped: see [`json_unescape`]),
+/// or a bare literal (number / bool) up to the next `,` or `}`. The
+/// first occurrence wins and nothing is allocated: the workspace's one
+/// field scanner, for lines whose writer is known, not a JSON parser.
 #[inline]
 #[must_use]
 pub fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
@@ -80,7 +108,12 @@ pub fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
         line[..at].ends_with('"').then_some(value)
     })?;
     if let Some(quoted) = rest.strip_prefix('"') {
-        let end = quoted.find('"')?;
+        let mut escaped = false;
+        let end = quoted.bytes().position(|b| {
+            let close = b == b'"' && !escaped;
+            escaped = b == b'\\' && !escaped;
+            close
+        })?;
         Some(&quoted[..end])
     } else {
         let end = rest.find([',', '}']).unwrap_or(rest.len());
@@ -132,6 +165,20 @@ mod tests {
             json_escape("a\"b\\c\nd\u{1}e\tf\rg\u{7f}é"),
             "a\\\"b\\\\c\\nd\\u0001e\\tf\\rg\u{7f}é"
         );
+    }
+
+    #[test]
+    fn json_unescape_inverts_json_escape_and_nothing_else() {
+        for text in ["", "plain", "a\"b\\c\nd\u{1}e\tf\rg\u{7f}é\u{1f}", "\\\"\\"] {
+            assert_eq!(json_unescape(&json_escape(text)).as_deref(), Some(text));
+        }
+        for bad in ["\\", "\\q", "\\u00", "\\u00zz", "\\ud800"] {
+            assert_eq!(json_unescape(bad), None, "{bad}");
+        }
+        // A quoted field ends at its first unescaped quote.
+        let line = format!("{{\"error\":\"{}\",\"n\":1}}", json_escape("say \"hi\" \\"));
+        assert_eq!(json_field(&line, "error"), Some("say \\\"hi\\\" \\\\"));
+        assert_eq!(json_field_u64(&line, "n"), Some(1));
     }
 
     #[test]

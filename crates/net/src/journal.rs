@@ -32,7 +32,7 @@
 //! LEB128 fields and wire bytes and renders their lines only when read.
 
 use crate::wire::{decode_frame, encode_frame, from_hex, SeqFrame};
-use rbcast_core::jsonl::{numbered_lines, read_lines, JsonlFile};
+use rbcast_core::jsonl::{decode_exact, numbered_lines, read_lines, JsonlFile};
 use rbcast_grid::plumbing::{json_field, json_field_u64};
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -243,8 +243,9 @@ fn decode_record(line: &str) -> Result<Record, String> {
 /// Decodes numbered journal lines — the one reader behind both
 /// backends, so they agree on what a blank line, a garbage line and a
 /// line number are. The writer is the format: a line is a record only
-/// if [`encode_record_into`] gives back its exact bytes, so junk around
-/// a record, a repeated or respaced field, or a padded number is a
+/// if [`encode_record_into`] gives back its exact bytes
+/// ([`decode_exact`]), so junk around a record, a `\r`, a blank line, a
+/// repeated or respaced field, or a padded number is a
 /// [`JournalError::BadRecord`], never a record read from part of it.
 fn decode_lines<'a>(
     lines: impl Iterator<Item = (usize, &'a str)>,
@@ -256,14 +257,8 @@ fn decode_lines<'a>(
     let mut again = Vec::with_capacity(256);
     lines
         .map(|(line, text)| {
-            let bad = |why| JournalError::BadRecord { line, why };
-            let record = decode_record(text).map_err(bad)?;
-            again.clear();
-            encode_record_into(&mut again, &record);
-            if again != text.as_bytes() {
-                return Err(bad("not the line the writer gives its record".to_string()));
-            }
-            Ok(record)
+            decode_exact(text, &mut again, decode_record, encode_record_into)
+                .map_err(|why| JournalError::BadRecord { line, why })
         })
         .collect()
 }
@@ -503,7 +498,7 @@ impl NetJournal for FileJournal {
     }
 
     fn records(&self) -> Result<Vec<Record>, JournalError> {
-        decode_lines(read_lines(&self.path)?.iter())
+        decode_lines(numbered_lines(&read_lines(&self.path)?))
     }
 }
 
@@ -604,25 +599,39 @@ mod tests {
         "{\"complete\":{\"round\":3},\"boot\":{\"epoch\":7}}",
     ];
 
-    #[test]
-    fn a_line_the_writer_never_gives_is_a_bad_record_in_either_backend() {
+    /// Reads a boot record then `raw` from both backends: each must
+    /// refuse line 2 as a [`JournalError::BadRecord`].
+    fn assert_bad_line_2_in_either_backend(raw: &str, tag: &str) {
         let path =
-            std::env::temp_dir().join(format!("rbcast-journal-near-{}.jsonl", std::process::id()));
-        for near in NEAR_RECORDS {
-            let mut mem = MemJournal::new();
-            mem.append(&Record::Boot { epoch: 1 });
-            mem.inject_raw(near);
-            let boot = encode_record(&Record::Boot { epoch: 1 });
-            std::fs::write(&path, format!("{boot}\n{near}\n")).expect("write");
-            let file = FileJournal::open(&path).expect("open");
-            for read in [mem.records(), file.records()] {
-                assert!(
-                    matches!(read, Err(JournalError::BadRecord { line: 2, .. })),
-                    "{near}: {read:?}"
-                );
-            }
+            std::env::temp_dir().join(format!("rbcast-journal-{tag}-{}.jsonl", std::process::id()));
+        let mut mem = MemJournal::new();
+        mem.append(&Record::Boot { epoch: 1 });
+        mem.inject_raw(raw);
+        let boot = encode_record(&Record::Boot { epoch: 1 });
+        std::fs::write(&path, format!("{boot}\n{raw}\n")).expect("write");
+        let file = FileJournal::open(&path).expect("open");
+        for read in [mem.records(), file.records()] {
+            assert!(
+                matches!(read, Err(JournalError::BadRecord { line: 2, .. })),
+                "{raw:?}: {read:?}"
+            );
         }
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_line_the_writer_never_gives_is_a_bad_record_in_either_backend() {
+        for near in NEAR_RECORDS {
+            assert_bad_line_2_in_either_backend(near, "near");
+        }
+    }
+
+    /// Lines split at `\n` alone: a `\r` stays in its line and a blank
+    /// line is a line, and neither is one the writer gives.
+    #[test]
+    fn a_carriage_return_or_a_blank_line_is_a_bad_record_in_either_backend() {
+        assert_bad_line_2_in_either_backend("{\"complete\":{\"round\":3}}\r", "crlf");
+        assert_bad_line_2_in_either_backend("", "blank");
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! the epoch-bump recovery path end to end over real sockets.
 
 use crate::cli::Flags;
+use rbcast_core::jsonl::decode_exact;
 use rbcast_core::ProtocolKind;
 use rbcast_grid::plumbing::json_field_u64;
 use rbcast_grid::Metric;
@@ -252,9 +253,16 @@ fn encode_report(report: &NodeReport) -> String {
     line
 }
 
-/// The report a child wrote with [`encode_report`]; `None` for anything
-/// else.
+/// The report a child wrote with [`encode_report`]: a line that writer
+/// gives back byte for byte ([`decode_exact`]); `None` for anything else.
 fn decode_report(line: &str) -> Option<NodeReport> {
+    let decode = |line: &str| read_report(line).ok_or_else(String::new);
+    let spell = |buf: &mut Vec<u8>, report: &NodeReport| buf.extend(encode_report(report).bytes());
+    decode_exact(line, &mut Vec::new(), decode, spell).ok()
+}
+
+/// The report whose fields `line` holds.
+fn read_report(line: &str) -> Option<NodeReport> {
     let u32_of = |text: &str, key: &str| u32::try_from(json_field_u64(text, key)?).ok();
     // The inside of `"key":[…]`, split at `sep`; an empty list has no items.
     let items = |key: &str, sep: &'static str| {
@@ -582,9 +590,9 @@ fn run_udp_cluster(spec: &NetSpec, opts: &ClusterOpts, n: usize) -> Result<Clust
     let mut nodes = Vec::with_capacity(n);
     for node in 0..n as u32 {
         let path = dir.join(format!("node{node}.out.json"));
-        let line = std::fs::read_to_string(&path)
+        let text = std::fs::read_to_string(&path)
             .map_err(|e| format!("reading {}: {e}", path.display()))?;
-        let line = line.trim();
+        let line = text.strip_suffix('\n').unwrap_or(&text);
         nodes.push(
             decode_report(line)
                 .ok_or_else(|| format!("unparseable report from node {node}: {line}"))?,
@@ -713,6 +721,41 @@ mod tests {
         // refused, not half-read.
         for cut in 0..line.len() - 1 {
             assert_eq!(decode_report(&line[..cut]), None, "{}", &line[..cut]);
+        }
+    }
+
+    /// A child's report is the line its writer writes or nothing: a
+    /// decision value other than 0 or 1, or junk around the line, is
+    /// refused, not read as a `false` commit or as the line inside it.
+    #[test]
+    fn a_report_its_writer_never_writes_is_refused() {
+        let report = NodeReport {
+            node: rbcast_grid::NodeId(3),
+            epoch: 1,
+            rounds_closed: 4,
+            decisions: vec![(
+                InstanceId {
+                    origin: rbcast_grid::NodeId(0),
+                    seq: 0,
+                },
+                true,
+                2,
+            )],
+            suspects: Vec::new(),
+            stats: RuntimeStats::default(),
+            link_totals: LinkStats::default(),
+        };
+        let line = encode_report(&report);
+        assert_eq!(decode_report(&line), Some(report));
+        let near = [
+            line.replacen("\"v\":1", "\"v\":7", 1),
+            format!("junk{line}junk"),
+            format!(" {line} "),
+            format!("{line}\r"),
+            line.replacen("\"epoch\":1", "\"epoch\":01", 1),
+        ];
+        for bad in near {
+            assert_eq!(decode_report(&bad), None, "{bad}");
         }
     }
 
