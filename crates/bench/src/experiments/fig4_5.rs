@@ -12,7 +12,7 @@ use rbcast_grid::{Coord, Metric, Neighborhood};
 use std::ops::RangeInclusive;
 
 /// Radii whose path families are built and verified.
-const FAMILY_RS: RangeInclusive<u32> = 2..=8;
+const FAMILY_RS: RangeInclusive<u32> = 2..=31;
 /// Radii of the independent max-flow cross-check.
 const FLOW_RS: RangeInclusive<u32> = 2..=4;
 

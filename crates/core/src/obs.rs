@@ -74,7 +74,8 @@ pub fn counter(name: &'static str) -> Counter {
 /// A point-in-time reading of every registered counter, sorted by name,
 /// plus the bridged counters of crates below the observability layer
 /// (currently `flow/augmentations`, `flow/budget-cuts`,
-/// `flow/instance-cuts` and `flow/min-cuts` from [`rbcast_flow::stats`]).
+/// `flow/instance-cuts`, `flow/min-cuts` and `flow/pack-queries` from
+/// [`rbcast_flow::stats`]).
 #[must_use]
 pub fn metrics_snapshot() -> Vec<(String, u64)> {
     let mut out: Vec<(String, u64)> = lock_ignoring_poison(&COUNTERS)
@@ -92,6 +93,10 @@ pub fn metrics_snapshot() -> Vec<(String, u64)> {
             rbcast_flow::stats::instance_cuts_total(),
         ),
         ("flow/min-cuts", rbcast_flow::stats::min_cuts_total()),
+        (
+            "flow/pack-queries",
+            rbcast_flow::stats::pack_queries_total(),
+        ),
     ];
     for (key, value) in bridged {
         match out.binary_search_by(|(n, _)| n.as_str().cmp(key)) {

@@ -318,6 +318,7 @@ impl ChainPacker {
     where
         F: Fn(u64) -> bool,
     {
+        crate::stats::count_pack_query();
         if target == 0 {
             return 0;
         }

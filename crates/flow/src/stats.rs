@@ -13,6 +13,7 @@ static AUGMENTATIONS: AtomicU64 = AtomicU64::new(0);
 static MIN_CUTS: AtomicU64 = AtomicU64::new(0);
 static BUDGET_CUTS: AtomicU64 = AtomicU64::new(0);
 static INSTANCE_CUTS: AtomicU64 = AtomicU64::new(0);
+static PACK_QUERIES: AtomicU64 = AtomicU64::new(0);
 
 /// Records one augmenting path routed by Dinic's algorithm.
 pub(crate) fn count_augmentation() {
@@ -78,6 +79,23 @@ pub(crate) fn count_instance_cut() {
 pub fn instance_cuts_total() -> u64 {
     // audit:allow(atomic-ordering): monotone diagnostic counter, read only at snapshot
     INSTANCE_CUTS.load(Ordering::Relaxed)
+}
+
+/// Records one packing query.
+pub(crate) fn count_pack_query() {
+    // audit:allow(atomic-ordering): monotone diagnostic counter, read only at snapshot
+    PACK_QUERIES.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Total [`crate::ChainPacker`] packing queries since process start,
+/// across all threads: one per `max_disjoint_reusing` call, whatever it
+/// answers. Monotonic. What a commit-rule evaluation spends on packing
+/// is this count times the chains each query admits, so a filter that
+/// answers "no" before packing shows here first.
+#[must_use]
+pub fn pack_queries_total() -> u64 {
+    // audit:allow(atomic-ordering): monotone diagnostic counter, read only at snapshot
+    PACK_QUERIES.load(Ordering::Relaxed)
 }
 
 #[cfg(test)]

@@ -214,22 +214,36 @@ impl Pair {
     }
 }
 
+/// The evaluation buffers of one thread, instead of one set per node: an
+/// evaluation takes them out and puts them back, and scratch never
+/// changes an answer (see [`PackScratch`]), so which node's queries grew
+/// them is unobservable.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The packing queries' buffers.
+    pack: PackScratch,
+    /// Per packer of a scan, the chains each candidate center admits, one
+    /// block of [`CenterBox::cells`] counts a packer.
+    admitted: Vec<u32>,
+}
+
 thread_local! {
-    /// The packing-query buffers, one set per thread instead of one per
-    /// node: an evaluation takes them out and puts them back, and
-    /// scratch never changes an answer (see [`PackScratch`]), so which
-    /// node's queries grew them is unobservable.
-    static SCRATCH: Cell<PackScratch> = Cell::default();
+    static SCRATCH: Cell<Scratch> = Cell::default();
 
     /// Tests only: hand every packing query fresh scratch — the
     /// reference the shared buffers are checked against.
     #[cfg(test)]
     static FRESH_SCRATCH_PER_QUERY: Cell<bool> = const { Cell::new(false) };
+
+    /// Tests only: ask a packer at every candidate center, whatever it
+    /// admits — the scan the admission filter is checked against.
+    #[cfg(test)]
+    static SCAN_EVERY_CENTER: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Runs `f` with this thread's scratch. Moved out, not borrowed: nothing
 /// is held while `f` runs, and a nested call would find empty buffers.
-fn with_scratch<R>(f: impl FnOnce(&mut PackScratch) -> R) -> R {
+fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
     let mut scratch = SCRATCH.take();
     let out = f(&mut scratch);
     SCRATCH.set(scratch);
@@ -260,6 +274,178 @@ fn packs_within(
         metric.within(Coord::ORIGIN, d, r)
     };
     packer.max_disjoint_reusing(scratch, admit, need) >= need
+}
+
+/// The candidate centers of one scan — the ball of radius `d` around the
+/// node at offset `around` from the receiver — as cells of the square of
+/// side `2d + 1` that holds them, row-major.
+///
+/// A chain fits the radius-`r` ball around a center only if each of its
+/// keys lies within `r` of the center along each axis, the torus wrap
+/// included. Under L∞ that is the ball itself: the test is separable, so
+/// the centers a chain's keys admit are the product of the columns and
+/// the rows they admit. Under L2 the ball lies inside that box, so the
+/// product is a superset. Either way a center that admits fewer than
+/// `need` chains cannot pack `need` of them, and its packing query is
+/// a "no" known before it starts.
+struct CenterBox {
+    around: Coord,
+    d: i64,
+    r: i64,
+    /// The torus's width and height.
+    dims: Coord,
+    /// `2d + 1`, at most 65 (`d ≤ r + 1`, r ≤ 31).
+    side: usize,
+    /// Every column (or row) of the square.
+    all: u128,
+}
+
+impl CenterBox {
+    fn new(geo: &Geometry<'_>, around: Coord, d: u32) -> CenterBox {
+        let torus = geo.arena.torus();
+        let side = 2 * u64::from(d) + 1;
+        CenterBox {
+            around,
+            d: i64::from(d),
+            r: i64::from(geo.arena.radius()),
+            dims: Coord::new(i64::from(torus.width()), i64::from(torus.height())),
+            side: side as usize,
+            all: u128::MAX >> (128 - side),
+        }
+    }
+
+    fn cells(&self) -> usize {
+        // audit:allow(checked-threshold-arith): at most 65², side ≤ 65
+        self.side * self.side
+    }
+
+    /// The cell of the center at offset `off` from `around`.
+    fn cell(&self, off: Coord) -> usize {
+        // audit:allow(checked-threshold-arith): a cell, below side² ≤ 65²
+        (off.y + self.d) as usize * self.side + (off.x + self.d) as usize
+    }
+
+    /// The columns (or rows) `j` of the square whose centers lie within
+    /// `r` of a key along one axis of length `dim`: `|wrap(k − c)| ≤ r`
+    /// for `c = around − d + j`, `k` and `around` both offsets from the
+    /// receiver along that axis. The `r`-run around the key, repeated
+    /// every `dim`: since `|k − around| < dim` and `d ≤ r + 1`, one
+    /// compare-and-add puts the key in `[0, dim)` from the square's
+    /// first column, and the runs at `−dim`, `0` and `+dim` from there
+    /// are all that can reach the square's `2d + 1 ≤ 2r + 3` columns.
+    fn axis(&self, k: i64, around: i64, dim: i64) -> u128 {
+        if 2 * self.r + 1 >= dim {
+            // Every residue has a representative within `r`.
+            return self.all;
+        }
+        let mut e = k - (around - self.d);
+        if e < 0 {
+            e += dim;
+        } else if e >= dim {
+            e -= dim;
+        }
+        debug_assert!((0..dim).contains(&e), "{k} is no offset near {around}");
+        let run = (1u128 << (2 * self.r + 1)) - 1;
+        let at = |start: i64| match u32::try_from(start) {
+            Ok(s) => run.checked_shl(s).unwrap_or(0),
+            Err(_) => u32::try_from(-start).map_or(0, |s| run.checked_shr(s).unwrap_or(0)),
+        };
+        let start = e - self.r;
+        (at(start - dim) | at(start) | at(start + dim)) & self.all
+    }
+
+    /// Fills `counts`, one per cell, with the number of `packer`'s chains
+    /// whose keys the cell's box admits (a direct observation, keyless,
+    /// everywhere): at least the chains its ball admits, so at least
+    /// what a packing query there can answer.
+    fn count(&self, packer: &ChainPacker, counts: &mut [u32]) {
+        counts.fill(0);
+        for chain in packer.iter() {
+            let (mut cols, mut rows) = (self.all, self.all);
+            for &k in chain.relays() {
+                let k = LocalFrame::key_offset(k);
+                cols &= self.axis(k.x, self.around.x, self.dims.x);
+                rows &= self.axis(k.y, self.around.y, self.dims.y);
+            }
+            for y in ones(rows) {
+                // audit:allow(checked-threshold-arith): a row's first cell, below side² ≤ 65²
+                let row = &mut counts[y * self.side..][..self.side];
+                for x in ones(cols) {
+                    row[x] += 1;
+                }
+            }
+        }
+    }
+}
+
+/// The positions of the set bits of `set`, lowest first.
+fn ones(mut set: u128) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let at = set.trailing_zeros() as usize;
+        set &= set.wrapping_sub(1);
+        (at < 128).then_some(at)
+    })
+}
+
+/// The first candidate center of `bx`, in stencil order, and at it the
+/// first of `packers`, whose ball holds `need` pairwise disjoint chains:
+/// that packer's index. A packer is asked only at a center whose box
+/// admits `need` of its chains ([`CenterBox`]), so the answer is the
+/// one asking it everywhere gives, with the same queries where it
+/// packs; under `debug-invariants` that scan runs too and must agree.
+fn first_packing(
+    geo: &Geometry<'_>,
+    frame: &LocalFrame,
+    bx: &CenterBox,
+    packers: &[&ChainPacker],
+    need: u32,
+    scratch: &mut Scratch,
+) -> Option<usize> {
+    let Scratch { pack, admitted } = scratch;
+    let cells = bx.cells();
+    // audit:allow(checked-threshold-arith): at most two packers of 65² cells
+    admitted.resize(packers.len() * cells, 0);
+    for (counts, packer) in admitted.chunks_exact_mut(cells).zip(packers) {
+        bx.count(packer, counts);
+    }
+    // The reference: every center, every packer holding `need` chains.
+    #[cfg(any(test, feature = "debug-invariants"))]
+    let holds = |_: usize, i: usize| packers[i].len() >= need as usize;
+    #[cfg(test)]
+    if SCAN_EVERY_CENTER.get() {
+        return scan(geo, frame, bx, packers, need, pack, holds);
+    }
+    // audit:allow(checked-threshold-arith): a packer's cell, as above
+    let fits = |cell: usize, i: usize| admitted[i * cells + cell] >= need;
+    let found = scan(geo, frame, bx, packers, need, pack, fits);
+    #[cfg(feature = "debug-invariants")]
+    assert_eq!(
+        found,
+        scan(geo, frame, bx, packers, need, pack, holds),
+        "the admission filter changed a verdict"
+    );
+    found
+}
+
+/// [`first_packing`]'s scan, asking a packer at a center only where
+/// `worth(cell, i)` for the center's cell and the packer's index.
+fn scan(
+    geo: &Geometry<'_>,
+    frame: &LocalFrame,
+    bx: &CenterBox,
+    packers: &[&ChainPacker],
+    need: u32,
+    pack: &mut PackScratch,
+    worth: impl Fn(usize, usize) -> bool,
+) -> Option<usize> {
+    let torus = geo.arena.torus();
+    let around = frame.coord_at(bx.around);
+    geo.arena.ball_offsets(bx.d as u32).iter().find_map(|&off| {
+        let cell = bx.cell(off);
+        let center = torus.canonical(around + off);
+        (0..packers.len())
+            .find(|&i| worth(cell, i) && packs_within(packers[i], pack, geo, frame, center, need))
+    })
 }
 
 /// Inline key buffer for packer insertions: an optional committer
@@ -539,19 +725,14 @@ impl EvidenceStore {
                 if !std::mem::take(&mut one.commit_dirty) {
                     return None;
                 }
-                with_scratch(|scratch| {
-                    for center in geo.centers_within(geo.me, geo.arena.radius() + 1) {
-                        for v in [true, false] {
-                            let packer = &one.combined[usize::from(v)];
-                            if packer.len() >= need as usize
-                                && packs_within(packer, scratch, geo, &one.frame, center, need)
-                            {
-                                return Some(v);
-                            }
-                        }
-                    }
-                    None
-                })
+                // Centers within `r + 1` of the receiver, `true` before
+                // `false` at each.
+                let bx = CenterBox::new(geo, Coord::ORIGIN, geo.arena.radius() + 1);
+                let [no, yes] = &one.combined;
+                let found = with_scratch(|scratch| {
+                    first_packing(geo, &one.frame, &bx, &[yes, no], need, scratch)
+                });
+                found.map(|i| i == 0)
             }
             RuleState::Retired => None,
         }
@@ -727,7 +908,7 @@ impl TwoLevel {
 /// chains inside a single neighborhood covering the committer.
 fn is_determined(
     geo: &Geometry<'_>,
-    scratch: &mut PackScratch,
+    scratch: &mut Scratch,
     need: u32,
     frame: &LocalFrame,
     pair: &Pair,
@@ -739,8 +920,8 @@ fn is_determined(
     if chains.len() < need as usize {
         return false;
     }
-    geo.centers_within(frame.coord_at(pair.offset()), geo.arena.radius())
-        .any(|center| packs_within(chains, scratch, geo, frame, center, need))
+    let bx = CenterBox::new(geo, pair.offset(), geo.arena.radius());
+    first_packing(geo, frame, &bx, &[chains], need, scratch).is_some()
 }
 
 #[cfg(test)]
@@ -1363,6 +1544,70 @@ mod tests {
                 (answers, two.determined())
             };
             prop_assert_eq!(answers(false), answers(true));
+        }
+
+        /// The admission filter answers as asking a packer at every
+        /// candidate center: two stores fed one chain stream, one of
+        /// them scanning every center, commit and determine call for
+        /// call alike — under both rules, at r = 1 and 2, under L∞
+        /// (where the filter is exact) and L2 (where it is a superset),
+        /// on the experiment torus for `r` and the smallest torus that
+        /// hosts it (7×7, 11×11), for a receiver anywhere on it. Each
+        /// chain crowds the box of side `2r + 1` around an anchor up to
+        /// `2r + 2` from the receiver, so on the small tori a committer's
+        /// candidate centers and its chains' keys meet across the seam
+        /// and the wrap decides what a center admits.
+        #[test]
+        fn the_admission_filter_answers_as_scanning_every_center(
+            r in 1u32..=2,
+            minimal in 0u8..2,
+            l2 in 0u8..2,
+            t in 0usize..3,
+            me in (0i64..20, 0i64..20),
+            stream in proptest::collection::vec(
+                (
+                    (-6i64..=6, -6i64..=6),
+                    proptest::collection::vec((-2i64..=2, -2i64..=2), 1..5),
+                    0u8..8,
+                ),
+                1..96,
+            ),
+        ) {
+            use proptest::prelude::prop_assert_eq;
+
+            let side = if minimal == 1 { 4 * r + 3 } else { 4 * (2 * r + 1) };
+            let torus = Torus::new(side, side);
+            let metric = if l2 == 1 { Metric::L2 } else { Metric::Linf };
+            let arena = NeighborTable::build(&torus, r, metric);
+            let me = torus.canonical(Coord::new(me.0, me.1));
+            let geo = Geometry::new(&arena, me);
+            let (reach, ri) = (2 * i64::from(r) + 2, i64::from(r));
+            let near = |(dx, dy): (i64, i64), anchor: Coord| {
+                let d = Coord::new(dx.clamp(-ri, ri), dy.clamp(-ri, ri));
+                torus.id(torus.canonical(me + anchor + d))
+            };
+            for rule in [CommitRule::TwoLevel, CommitRule::OneLevel] {
+                let answers = |every: bool| {
+                    SCAN_EVERY_CENTER.set(every);
+                    let mut ev = EvidenceStore::new(t, rule);
+                    let mut answers = Vec::new();
+                    for ((ax, ay), members, flags) in &stream {
+                        let anchor = Coord::new((*ax).clamp(-reach, reach), (*ay).clamp(-reach, reach));
+                        let committer = near(members[0], anchor);
+                        let relays: Vec<NodeId> =
+                            members[1..].iter().map(|&d| near(d, anchor)).collect();
+                        let v = flags % 4 != 0;
+                        record_as(&mut ev, &arena, me, committer, v, &relays);
+                        if flags % 2 == 0 {
+                            answers.push(ev.evaluate(&geo));
+                        }
+                    }
+                    answers.push(ev.evaluate(&geo));
+                    SCAN_EVERY_CENTER.set(false);
+                    (answers, ev.determined())
+                };
+                prop_assert_eq!(answers(false), answers(true), "{:?}", rule);
+            }
         }
     }
 
